@@ -25,13 +25,11 @@ Walk shapes, all anchored at i|j and listed in the stored basis order:
 
 from __future__ import annotations
 
-import itertools
-import random
 import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .algebras import CoverVertex, Vertex, project, residue
 from .linalg import (
@@ -39,11 +37,8 @@ from .linalg import (
     ONE,
     ZERO,
     rank,
-    solve,
     sparse_kernel_with_frees,
 )
-
-DEFAULT_SEED = 1729
 
 FAMILIES = ("P", "L", "W", "S", "N", "M")
 
@@ -281,16 +276,6 @@ class BimoduleMap:
             if self.target.dims.get(v, 0) and other.source.dims.get(v, 0):
                 comps[v] = self.component(*v).mul(other.component(*v))
         return BimoduleMap(other.source, self.target, comps)
-
-    def add(self, other: "BimoduleMap") -> "BimoduleMap":
-        comps = {}
-        for v in set(self.components) | set(other.components):
-            comps[v] = self.component(*v).add(other.component(*v))
-        return BimoduleMap(self.source, self.target, comps)
-
-    def scale(self, s) -> "BimoduleMap":
-        return BimoduleMap(self.source, self.target,
-                           {v: m.scale(s) for v, m in self.components.items()})
 
     def is_zero(self) -> bool:
         return all(m.is_zero() for m in self.components.values())
@@ -538,9 +523,8 @@ class HomSpace:
                                     row[idx] = row.get(idx, ZERO) - coef
                         if row:
                             rows.append(row)
-        basis_vecs, frees = sparse_kernel_with_frees(rows, total)
-        self.frees = frees
-        self.maps = [self._to_map(vec) for vec in basis_vecs]
+        self.vectors, self.frees = sparse_kernel_with_frees(rows, total)
+        self.maps = [self._to_map(vec) for vec in self.vectors]
 
     def _to_map(self, vec: Dict[int, Fraction]) -> BimoduleMap:
         comps = {}
@@ -571,78 +555,59 @@ class HomSpace:
         vec = self.flatten(f)
         return tuple(vec[fr] for fr in self.frees)
 
-    def combine(self, coeffs: Sequence) -> BimoduleMap:
-        out = zero_map(self.x, self.y)
-        for c, f in zip(coeffs, self.maps):
-            if c:
-                out = out.add(f.scale(c))
-        return out
-
 
 def hom_basis(x: Bimodule, y: Bimodule) -> List[BimoduleMap]:
     """A basis of the space of bimodule homomorphisms x -> y."""
     return HomSpace(x, y).maps
 
 
+def trace_pairing(x: Bimodule, y: Bimodule):
+    """Hom bases both ways and the exact trace pairing between them.
+
+    Returns (fs, gs, g) with fs a basis of Hom(x, y), gs a basis of
+    Hom(y, x), and g the matrix with g[a][b] = tr(gs[b] o fs[a]).  Its
+    rank counts, with the dimensions of the residue division rings as
+    weights, the indecomposable summands x and y share: a composite with
+    nonzero trace is not nilpotent, and maps through the radical have
+    trace zero.  The entries are dot products of the flattened
+    components, the x -> y layout transposed onto the y -> x one.
+    """
+    fwd, back = HomSpace(x, y), HomSpace(y, x)
+    swap: Dict[int, int] = {}
+    for v, off in fwd._offsets.items():
+        dx, dy = x.dims[v], y.dims[v]
+        for r in range(dy):
+            for c in range(dx):
+                swap[off + r * dx + c] = off + c * dy + r
+    flipped = [{swap[idx]: a for idx, a in vec.items()}
+               for vec in fwd.vectors]
+    entries = [sum((a * gv[idx] for idx, a in fv.items() if idx in gv), ZERO)
+               for fv in flipped for gv in back.vectors]
+    return (fwd.maps, back.maps,
+            ExactMatrix(len(fwd.vectors), len(back.vectors), entries))
+
+
 # ---------------------------------------------------------------------------
 # isomorphism testing
 # ---------------------------------------------------------------------------
 
-def is_isomorphic(x: Bimodule, y: Bimodule,
-                  seed: int = DEFAULT_SEED) -> bool:
-    """Decide x = y up to isomorphism.
+def is_isomorphic(x: Bimodule, y: Bimodule) -> bool:
+    """Decide x = y up to isomorphism, exactly.
 
-    Dimension vectors first; then each hom-basis element is tested for
-    invertibility, then a few seeded random combinations, and finally a
-    deterministic symbolic fallback decides whether a generic combination
-    is invertible (no false negatives).
+    Unequal dimension vectors rule it out, and an invertible element of
+    the Hom(x, y) basis proves it.  Otherwise the pairing ranks decide:
+    rank(x, y) is the weighted inner product of the multiplicity vectors
+    of x and y, so x = y exactly when rank(x, y) = rank(x, x) = rank(y, y).
     """
     if x.dim_vector() != y.dim_vector():
         return False
     if x.is_zero():
         return True
-    basis = hom_basis(x, y)
-    if not basis:
-        return False
-    for f in basis:
-        if f.is_invertible():
-            return True
-    rng = random.Random(seed)
-    for _ in range(8):
-        coeffs = [Fraction(rng.randint(-4, 4)) for _ in basis]
-        g = basis[0].scale(coeffs[0])
-        for c, f in zip(coeffs[1:], basis[1:]):
-            g = g.add(f.scale(c))
-        if g.is_invertible():
-            return True
-    return _generic_combination_invertible(x, basis)
-
-
-def _generic_combination_invertible(x: Bimodule,
-                                    basis: List[BimoduleMap]) -> bool:
-    """Symbolic certificate: is some linear combination invertible?
-
-    The combination sum c_t f_t is invertible at a rational point iff the
-    product over vertices of det(sum c_t f_t at v) is a nonzero polynomial,
-    since the rationals are infinite.
-    """
-    import sympy
-
-    cs = sympy.symbols(f"c0:{len(basis)}")
-    for v in sorted(x.dims):
-        d = x.dims[v]
-        m = sympy.zeros(d, d)
-        for t, f in enumerate(basis):
-            comp = f.component(*v)
-            for r in range(d):
-                for c in range(d):
-                    val = comp.get(r, c)
-                    if val:
-                        m[r, c] += cs[t] * sympy.Rational(val.numerator,
-                                                          val.denominator)
-        if sympy.expand(m.det()) == 0:
-            return False
-    return True
+    if any(f.is_invertible() for f in hom_basis(x, y)):
+        return True
+    r_xy, r_xx, r_yy = (rank(trace_pairing(a, b)[2])
+                        for a, b in ((x, y), (x, x), (y, y)))
+    return r_xy == r_xx == r_yy
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .algebras import project, residue
 from .bimodules import (
-    DEFAULT_SEED,
     Bimodule,
     BimoduleMap,
     HomSpace,
@@ -152,8 +151,8 @@ class _BirepCore:
     quotient hom spaces, canonical arrows, uncontracted action matrices,
     and a lazily filled scalar table for the morphism-level action."""
 
-    def __init__(self, n: int, k: int, column: int, seed: int):
-        self.n, self.k, self.column, self.seed = n, k, column, seed
+    def __init__(self, n: int, k: int, column: int):
+        self.n, self.k, self.column = n, k, column
         self.object_labels = (
             [StringLabel("N", i, column, k).normalized(n)
              for i in range(1, n + 1)]
@@ -203,7 +202,7 @@ class _BirepCore:
         n = self.n
         grid = [[ZERO] * (2 * n) for _ in range(2 * n)]
         for c, xlab in enumerate(self.object_labels):
-            for summand in product_summands(u, xlab, n, seed=self.seed):
+            for summand in product_summands(u, xlab, n):
                 if cell_of(summand) != ("J", self.k):
                     continue
                 r = self.position.get(summand)
@@ -231,17 +230,19 @@ class _BirepCore:
         t_m = tensor(umod, self.modules[n + s - 1])
         t_n = tensor(umod, self.modules[s - 1])
         phi = tensor_map(umod, alpha)
-        rep_m = decompose(t_m, self.k, self.seed)
-        rep_n = decompose(t_n, self.k, self.seed)
-        assert rep_m.residual is None and rep_n.residual is None
-        tops_m = [(lab, sig, pi) for lab, sig, pi in rep_m.split_pairs
-                  if cell_of(lab) == ("J", self.k)]
-        tops_n = [(lab, sig, pi) for lab, sig, pi in rep_n.split_pairs
-                  if cell_of(lab) == ("J", self.k)]
-        assert len(tops_m) == 1 and len(tops_n) == 1
-        y_lab, sig_m, _ = tops_m[0]
-        y_lab2, _, pi_n = tops_n[0]
-        assert y_lab == y_lab2
+        rep_m = decompose(t_m, self.k)
+        rep_n = decompose(t_n, self.k)
+        if rep_m.residual_dim or rep_n.residual_dim:
+            raise CartanError(f"{u} (x) arrow {s} leaves a residual")
+        tops_m = rep_m.summands_in_cell(("J", self.k))
+        tops_n = rep_n.summands_in_cell(("J", self.k))
+        if len(tops_m) != 1 or tops_m != tops_n:
+            raise CartanError(
+                f"{u} (x) arrow {s} does not join two copies of one "
+                f"valley-cell summand: {tops_m} and {tops_n}")
+        y_lab = tops_m[0]
+        sig_m = next(sig for lab, sig, _ in rep_m.split_pairs if lab == y_lab)
+        pi_n = next(pi for lab, _, pi in rep_n.split_pairs if lab == y_lab)
         composite = pi_n.compose(phi).compose(sig_m)
         ypos = self.position[y_lab]
         qend = self.qhoms[(ypos, ypos)]
@@ -249,7 +250,9 @@ class _BirepCore:
         unit = qend.qcoords(identity_map(self.modules[ypos]))
         pivot = next(i for i, v in enumerate(unit) if v)
         lam = target[pivot] / unit[pivot]
-        assert all(t == lam * v for t, v in zip(target, unit))
+        if any(t != lam * v for t, v in zip(target, unit)):
+            raise CartanError(
+                f"{u} maps arrow {s} to no multiple of the identity")
         self._scalars[u] = lam
         return lam
 
@@ -360,8 +363,7 @@ class FinitaryBirep:
         }
 
 
-def cell_birep(n: int, k: int, j: int = 1,
-               seed: int = DEFAULT_SEED) -> FinitaryBirep:
+def cell_birep(n: int, k: int, j: int = 1) -> FinitaryBirep:
     """The birepresentation carried by the k-valley cell on column j.
 
     Objects are the left-bar strings of that column; hom spaces are
@@ -372,9 +374,9 @@ def cell_birep(n: int, k: int, j: int = 1,
     if k < 1:
         raise ValueError("the valley count k must be at least 1")
     column = residue(j, n)
-    key = (n, k, column, seed)
+    key = (n, k, column)
     if key not in _CORE_CACHE:
-        _CORE_CACHE[key] = _BirepCore(n, k, column, seed)
+        _CORE_CACHE[key] = _BirepCore(n, k, column)
     core = _CORE_CACHE[key]
     objects = ([ObjectSlot("N", i) for i in range(1, n + 1)]
                + [ObjectSlot("M", i) for i in range(1, n + 1)])
@@ -462,9 +464,9 @@ def is_simple_transitive(b: FinitaryBirep) -> bool:
     """Transitivity of the object action plus absence of stable ideals.
 
     Transitivity asks every entry of the total action matrix to be
-    positive.  For simplicity, each radical arrow seeds an ideal that is
-    closed under the generator action and composition; the flag closure
-    must reach the identity of some object.
+    positive.  For simplicity, each radical arrow generates an ideal that
+    is closed under the generator action and composition; the flag
+    closure must reach the identity of some object.
     """
     f = b.f_matrix()
     for r in range(f.rows):
@@ -527,13 +529,13 @@ class ClassificationReport:
         }
 
 
-def classify(n: int, k: int, seed: int = DEFAULT_SEED) -> ClassificationReport:
+def classify(n: int, k: int) -> ClassificationReport:
     """Localize by every subset of components and tally ranks.
 
     The fingerprints of distinct subsets must all differ; a collision
     would break the classification and raises instead of reporting.
     """
-    base = cell_birep(n, k, 1, seed)
+    base = cell_birep(n, k, 1)
     entries = []
     seen_prints = {}
     for size in range(n + 1):

@@ -14,10 +14,10 @@ and two-sided cells; the two-sided cells form a chain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Sequence, Tuple
 
-from .bimodules import DEFAULT_SEED, StringLabel, catalog_labels
+from .bimodules import StringLabel, catalog_labels
 from .decomposition import _label_sort_key, cell_name, cell_of, product_summands
 
 BAND_NOTE = "band-type bimodules lie below every listed cell and are not enumerated"
@@ -77,7 +77,6 @@ class CellStructure:
     two_sided_cells: List[List[StringLabel]]
     two_sided_order: List[Tuple[str, str]]
     chain_is_total: bool
-    seed: int = DEFAULT_SEED
     catalog_relative: bool = True
     band_note: str = BAND_NOTE
 
@@ -138,8 +137,7 @@ class CellStructure:
         }
 
 
-def compute_cells(n: int, max_valleys: int,
-                  seed: int = DEFAULT_SEED) -> CellStructure:
+def compute_cells(n: int, max_valleys: int) -> CellStructure:
     """Compute the cell structure of the catalog with at most max_valleys valleys.
 
     Sweeps every ordered pair of catalog members, decomposes the product,
@@ -154,7 +152,7 @@ def compute_cells(n: int, max_valleys: int,
     up_right = [1 << i for i in range(count)]
     for a in labels:
         for b in labels:
-            for summand in product_summands(a, b, n, seed=seed):
+            for summand in product_summands(a, b, n):
                 gi = index.get(summand)
                 if gi is None:
                     # Products can only shed summands below the valley
@@ -215,7 +213,6 @@ def compute_cells(n: int, max_valleys: int,
         two_sided_cells=two_sided,
         two_sided_order=pairs,
         chain_is_total=total,
-        seed=seed,
     )
 
 
@@ -225,7 +222,7 @@ def is_idempotent_cell(cell: Sequence[StringLabel],
     members = set(cell)
     for g in cell:
         for h in cell:
-            summands = product_summands(g, h, structure.n, seed=structure.seed)
+            summands = product_summands(g, h, structure.n)
             if any(s in members for s in summands):
                 return True
     return False

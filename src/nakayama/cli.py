@@ -4,7 +4,7 @@ Every subcommand prints a human-readable summary by default, emits JSON
 with --json, and writes the same JSON to a file with --out.  A relative
 --out path lands in the directory named by the NAKAYAMA_OUT environment
 variable when that is set.  Output is byte-identical across runs with
-the same flags and seed, and the exit code is 0 exactly when every
+the same flags, and the exit code is 0 exactly when every
 verification the command performs comes out clean.
 """
 
@@ -19,7 +19,6 @@ from typing import List, Optional
 
 from .algebras import build_nakayama, build_torus, residue
 from .bimodules import (
-    DEFAULT_SEED,
     StringLabel,
     catalog_labels,
     construct,
@@ -38,8 +37,7 @@ from .bireps import (
     verify_block_structure,
 )
 from .cells import compute_cells
-from .decomposition import decompose, multable_check
-from .tensoring import tensor
+from .decomposition import decompose_product, multable_check
 
 HUMAN_MATRIX_CAP = 4
 
@@ -109,14 +107,10 @@ def _cmd_catalog(args) -> int:
 def _cmd_tensor(args) -> int:
     u = parse_label(args.u).normalized(args.n)
     v = parse_label(args.v).normalized(args.n)
-    t = tensor(construct(u, args.n), construct(v, args.n))
-    tight = max(u.k or 0, v.k or 0, 1)
-    rep = decompose(t, tight, args.seed)
-    if rep.residual is not None and t.total_dim > 2 * tight + 1:
-        rep = decompose(t, max(tight, (t.total_dim - 1) // 2), args.seed)
+    rep = decompose_product(u, v, args.n)
     payload = {"n": args.n, "u": u.literal(), "v": v.literal(),
-               "input_dim": t.total_dim, "report": rep.to_json()}
-    lines = [f"{u} (x) {v}: dimension {t.total_dim}"]
+               "input_dim": rep.input_dim, "report": rep.to_json()}
+    lines = [f"{u} (x) {v}: dimension {rep.input_dim}"]
     for item in rep.to_json()["summands"]:
         lab = StringLabel(item["family"], item["i"], item["j"], item["k"])
         lines.append(f"  {str(lab):<12} x {item['multiplicity']}")
@@ -130,7 +124,7 @@ def _cmd_tensor(args) -> int:
 
 
 def _cmd_multable(args) -> int:
-    report = multable_check(args.n, args.k, args.seed)
+    report = multable_check(args.n, args.k)
     payload = report
     lines = [
         f"multiplication table sweep at n={args.n}, k={args.k}: "
@@ -143,7 +137,7 @@ def _cmd_multable(args) -> int:
 
 
 def _cmd_cells(args) -> int:
-    cs = compute_cells(args.n, args.max_valleys, args.seed)
+    cs = compute_cells(args.n, args.max_valleys)
     payload = cs.to_json()
     lines = []
     if cs.chain_is_total:
@@ -163,7 +157,7 @@ def _cmd_cells(args) -> int:
     return 0 if cs.chain_is_total else 1
 
 
-def adjunction_command(n: int, k: int, seed: int = DEFAULT_SEED) -> dict:
+def adjunction_command(n: int, k: int) -> dict:
     """Check the restriction and dual-hom identities for every anchor.
 
     Restricting the bottom-bar string to a left module gives consecutive
@@ -179,7 +173,7 @@ def adjunction_command(n: int, k: int, seed: int = DEFAULT_SEED) -> dict:
             expected = Counter(residue(i + t, n) for t in range(k + 1))
             restrict_ok = dec.projectives == expected and not dec.simples
             target = construct(StringLabel("N", j, i, k).normalized(n), n)
-            hom_ok = is_isomorphic(hom_to_algebra(s_mod), target, seed=seed)
+            hom_ok = is_isomorphic(hom_to_algebra(s_mod), target)
             pairs.append({"i": i, "j": j,
                           "restrict_ok": restrict_ok, "hom_ok": hom_ok})
     ok = all(p["restrict_ok"] and p["hom_ok"] for p in pairs)
@@ -187,7 +181,7 @@ def adjunction_command(n: int, k: int, seed: int = DEFAULT_SEED) -> dict:
 
 
 def _cmd_adjunction(args) -> int:
-    report = adjunction_command(args.n, args.k, args.seed)
+    report = adjunction_command(args.n, args.k)
     lines = [f"adjunction consequences at n={args.n}, k={args.k}:"]
     for p in report["pairs"]:
         verdict = "ok" if p["restrict_ok"] and p["hom_ok"] else "FAILED"
@@ -202,7 +196,7 @@ def _matrix_lines(rows: List[List[int]], indent: str = "  ") -> List[str]:
 
 
 def _cmd_cellrep(args) -> int:
-    b = cell_birep(args.n, args.k, args.j, args.seed)
+    b = cell_birep(args.n, args.k, args.j)
     blocks = verify_block_structure(b)
     adj = verify_adjunction_consequences(b)
     blob = b.to_json()
@@ -236,7 +230,7 @@ def _parse_contract(text: str) -> List[int]:
 
 
 def _cmd_localize(args) -> int:
-    base = cell_birep(args.n, args.k, args.j, args.seed)
+    base = cell_birep(args.n, args.k, args.j)
     loc = localize(base, LocalizationSpec(args.contract))
     verdict = is_simple_transitive(loc)
     blocks = verify_block_structure(loc)
@@ -256,7 +250,7 @@ def _cmd_localize(args) -> int:
 def _cmd_classify(args) -> int:
     from math import comb
 
-    report = classify(args.n, args.k, args.seed)
+    report = classify(args.n, args.k)
     payload = report.to_json()
     counts_ok = all(
         report.counts.get(args.n + j, 0) == comb(args.n, j)
@@ -290,14 +284,11 @@ def _nonnegative(text: str) -> int:
     return value
 
 
-def _add_common(sub, *, seed=True):
+def _add_common(sub):
     sub.add_argument("--json", action="store_true",
                      help="emit JSON on standard output")
     sub.add_argument("--out", help="write the JSON to this file "
                      "(relative paths resolve under $NAKAYAMA_OUT)")
-    if seed:
-        sub.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                         help="seed for the randomized searches")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -310,13 +301,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("algebra", help="serialize the algebra and its "
                         "tensor square")
     p.add_argument("--n", type=_positive, required=True)
-    _add_common(p, seed=False)
+    _add_common(p)
     p.set_defaults(func=_cmd_algebra)
 
     p = subs.add_parser("catalog", help="list the string bimodule catalog")
     p.add_argument("--n", type=_positive, required=True)
     p.add_argument("--max-valleys", type=_nonnegative, default=2)
-    _add_common(p, seed=False)
+    _add_common(p)
     p.set_defaults(func=_cmd_catalog)
 
     p = subs.add_parser("tensor", help="tensor two catalog bimodules and "

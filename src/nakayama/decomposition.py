@@ -1,11 +1,14 @@
 """Krull-Schmidt decomposition against the string catalog.
 
 Every bimodule arising from tensor products of catalog members decomposes
-into projective-injectives, simples, and strings; no bands appear.  The
-decomposer exploits that: instead of a general-purpose splitting engine it
-peels catalog members greedily, largest dimension first, certifying each
-extraction by an explicit section/retraction pair.  Whatever refuses to
-split off is reported verbatim as a residual, never guessed at.
+into projective-injectives, simples, and strings; no bands appear.  Each
+catalog member X has a local endomorphism ring with residue field Q, so
+the multiplicity of X in T is the rank of the exact trace pairing between
+Hom(X, T) and Hom(T, X).  The decomposer reads off those ranks, largest
+candidates first, and certifies the result twice: by a split pair for each
+summand found, and by dimension balance, since the multiplicities times
+the dimension vectors must fit inside dim T.  Whatever the catalog does
+not account for is reported as a residual dimension, never guessed at.
 
 Cells are tagged by position in the linear chain
 
@@ -17,24 +20,21 @@ M^(0), and J_k the four families with k valleys.
 
 from __future__ import annotations
 
-import random
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .algebras import residue
 from .bimodules import (
-    DEFAULT_SEED,
     Bimodule,
     BimoduleMap,
     StringLabel,
     catalog_labels,
     construct,
-    hom_basis,
+    trace_pairing,
     zero_map,
 )
-from .linalg import ExactMatrix, ZERO, kernel_basis, solve
+from .linalg import ExactMatrix, rank
 from .tensoring import tensor
 
 CellTag = Tuple
@@ -88,173 +88,55 @@ def _label_sort_key(label: StringLabel):
 
 
 # ---------------------------------------------------------------------------
-# split pairs
+# split pairs and multiplicities
 # ---------------------------------------------------------------------------
 
-def _endo_invertible(x: Bimodule, c: BimoduleMap) -> bool:
-    return c.is_invertible()
+def _split_pair(x: Bimodule, sigmas: List[BimoduleMap],
+                pis: List[BimoduleMap], g: ExactMatrix):
+    """(sig, pi) with pi o sig the identity, from the first nonzero g[a][b].
 
-
-def _normalized_pair(x: Bimodule, sig: BimoduleMap, pi: BimoduleMap):
-    """Rescale the retraction so that pi o sig is the identity."""
+    g is the trace pairing of the two bases.  A nonzero trace makes
+    pis[b] o sigmas[a] non-nilpotent, hence invertible when End(x) is
+    local; the retraction is rescaled by its inverse.
+    """
+    a, b = next(divmod(pos, g.cols) for pos, e in enumerate(g.entries) if e)
+    sig, pi = sigmas[a], pis[b]
     c = pi.compose(sig)
     inv = BimoduleMap(x, x, {v: c.component(*v).inverse() for v in x.dims})
     return sig, inv.compose(pi)
 
 
-def split_pair_search(x: Bimodule, t: Bimodule,
-                      seed: int = DEFAULT_SEED,
-                      local_end: bool = False):
+def split_pair_search(x: Bimodule, t: Bimodule):
     """Find (section, retraction) exhibiting x as a direct summand of t.
 
-    Returns (sig, pi) with pi o sig the identity of x, or None.  Search
-    stages: every basis pair first, then a few seeded random combinations,
-    then a symbolic genericity certificate with a witness search.
-
-    When End(x) is known to be local (true for every catalog member, since
-    they are indecomposable), a failed basis stage already proves x is not
-    a summand: all the products pi o sig then lie in the radical, which
-    absorbs linear combinations.  Pass local_end=True to stop there; the
-    decomposer does, and that keeps symbolic fallbacks out of hot loops.
+    Returns (sig, pi) with pi o sig the identity of x, or None.  End(x)
+    must be local, as it is for every catalog member: then x is a summand
+    exactly when the trace pairing of Hom(x, t) with Hom(t, x) is nonzero.
     """
     if x.n != t.n:
         raise ValueError("split pair across different n")
     if x.is_zero():
         return zero_map(x, t), zero_map(t, x)
-    sigmas = hom_basis(x, t)
-    pis = hom_basis(t, x)
-    if not sigmas or not pis:
+    sigmas, pis, g = trace_pairing(x, t)
+    if g.is_zero():
         return None
-    for pi in pis:
-        for sig in sigmas:
-            if pi.compose(sig).is_invertible():
-                return _normalized_pair(x, sig, pi)
-    if local_end:
-        return None
-    rng = random.Random(seed)
-    for _ in range(8):
-        sig = _combine(sigmas, [Fraction(rng.randint(-4, 4))
-                                for _ in sigmas])
-        pi = _combine(pis, [Fraction(rng.randint(-4, 4)) for _ in pis])
-        if pi.compose(sig).is_invertible():
-            return _normalized_pair(x, sig, pi)
-    return _symbolic_split(x, sigmas, pis, seed)
-
-
-def _combine(maps: List[BimoduleMap], coeffs) -> BimoduleMap:
-    out = maps[0].scale(coeffs[0])
-    for c, f in zip(coeffs[1:], maps[1:]):
-        out = out.add(f.scale(c))
-    return out
-
-
-def _symbolic_split(x: Bimodule, sigmas, pis, seed: int):
-    """Genericity certificate: a generic pi o sig is invertible iff every
-    vertex determinant is a nonzero polynomial in the coefficients."""
-    import sympy
-
-    p, q = len(sigmas), len(pis)
-    avars = sympy.symbols(f"a0:{p}")
-    bvars = sympy.symbols(f"b0:{q}")
-    pair_comp = {}
-    for si in range(p):
-        for pj in range(q):
-            pair_comp[(si, pj)] = pis[pj].compose(sigmas[si])
-    for v, d in sorted(x.dims.items()):
-        m = sympy.zeros(d, d)
-        for (si, pj), cc in pair_comp.items():
-            comp = cc.component(*v)
-            coeff = avars[si] * bvars[pj]
-            for r in range(d):
-                for c in range(d):
-                    val = comp.get(r, c)
-                    if val:
-                        m[r, c] += coeff * sympy.Rational(
-                            val.numerator, val.denominator)
-        if sympy.expand(m.det()) == 0:
-            return None
-    rng = random.Random(seed + 99991)
-    for attempt in range(400):
-        bound = 2 + attempt // 10
-        sig = _combine(sigmas, [Fraction(rng.randint(-bound, bound))
-                                for _ in range(p)])
-        pi = _combine(pis, [Fraction(rng.randint(-bound, bound))
-                            for _ in range(q)])
-        if pi.compose(sig).is_invertible():
-            return _normalized_pair(x, sig, pi)
-    return None
-
-
-# ---------------------------------------------------------------------------
-# peeling
-# ---------------------------------------------------------------------------
-
-def _complement(current: Bimodule, sig: BimoduleMap, pi: BimoduleMap):
-    """Split current as im(sig) (+) K and return (K, iota, rho).
-
-    The idempotent p = sig o pi is a bimodule endomorphism, so its kernel
-    is a subrepresentation; rho projects along the image, with
-    rho o iota = identity of K.
-    """
-    n = current.n
-    p = sig.compose(pi)
-    incl: Dict[tuple, ExactMatrix] = {}
-    proj: Dict[tuple, ExactMatrix] = {}
-    kdims = {}
-    for v, d in current.dims.items():
-        pv = p.component(*v)
-        vecs = kernel_basis(pv)
-        kd = len(vecs)
-        if not kd:
-            continue
-        kdims[v] = kd
-        incl[v] = ExactMatrix(d, kd, [vecs[c][r]
-                                      for r in range(d) for c in range(kd)])
-        one_minus = ExactMatrix.identity(d).sub(pv)
-        cols = []
-        for c in range(d):
-            rhs = tuple(one_minus.get(r, c) for r in range(d))
-            y = solve(incl[v], rhs)
-            if y is None:
-                raise RuntimeError("projection onto complement failed")
-            cols.append(y)
-        proj[v] = ExactMatrix(kd, d, [cols[c][r]
-                                      for r in range(kd) for c in range(d)])
-    maps = {}
-    for (i, j), kd in kdims.items():
-        for kind in ("v", "h"):
-            tv = (residue(i + 1, n), j) if kind == "v" \
-                else (i, residue(j - 1, n))
-            if not kdims.get(tv):
-                continue
-            a_cur = current.vmap(i, j) if kind == "v" else current.hmap(i, j)
-            mat = proj[tv].mul(a_cur).mul(incl[(i, j)])
-            if not mat.is_zero():
-                maps[(kind, i, j)] = mat
-    comp = Bimodule(n, kdims, maps)
-    comp.check_relations()
-    iota = BimoduleMap(comp, current, incl)
-    rho = BimoduleMap(current, comp, proj)
-    return comp, iota, rho
+    return _split_pair(x, sigmas, pis, g)
 
 
 @dataclass
 class DecompositionReport:
-    """Outcome of a decomposition: summand labels in peel order, the
-    certifying split pairs (global against the input), and the residual."""
+    """Outcome of a decomposition: summand labels with multiplicity, in
+    candidate order; one certifying split pair per distinct label, taken
+    against the input; and the dimension the catalog left unaccounted."""
 
     n: int
     input_dim: int
     summands: List[StringLabel]
     split_pairs: List[Tuple[StringLabel, BimoduleMap, BimoduleMap]]
-    residual: Optional[Bimodule]
+    residual_dim: int
 
     def multiset(self) -> Counter:
         return Counter(self.summands)
-
-    @property
-    def residual_dim(self) -> int:
-        return 0 if self.residual is None else self.residual.total_dim
 
     def summands_in_cell(self, cell: CellTag) -> List[StringLabel]:
         return [lab for lab in self.summands if cell_of(lab) == cell]
@@ -270,55 +152,60 @@ class DecompositionReport:
                 "residual_dim": self.residual_dim, "cells": cells}
 
 
-def decompose(t: Bimodule, max_valleys: int,
-              seed: int = DEFAULT_SEED) -> DecompositionReport:
-    """Peel catalog summands off t, largest dimension first.
+def decompose(t: Bimodule, max_valleys: int) -> DecompositionReport:
+    """Multiplicities of the catalog members in t, by pairing rank.
 
+    Candidates run largest dimension first.  One whose dimension vector
+    does not fit in what is still unaccounted for cannot be a summand and
+    is skipped.  The multiplicities times the dimension vectors must fit
+    inside dim t (dimension balance); the rest is the residual.
     max_valleys bounds the catalog that is searched; any string summand
     has dimension at least 2k+1, so 2*max_valleys + 3 >= dim t always
-    suffices.  A part matching nothing in the bounded catalog ends up as
-    the residual.
+    suffices.
     """
     n = t.n
-    cands = []
-    for label in catalog_labels(n, max_valleys):
-        x = construct(label, n)
-        if x.total_dim <= t.total_dim:
-            cands.append((label, x))
+    cands = [(label, construct(label, n))
+             for label in catalog_labels(n, max_valleys)]
     cands.sort(key=lambda lx: -lx[1].total_dim)
+    left = dict(t.dims)
     summands: List[StringLabel] = []
     pairs: List[Tuple[StringLabel, BimoduleMap, BimoduleMap]] = []
-    iotas: List[BimoduleMap] = []
-    rhos: List[BimoduleMap] = []
-    current = t
-    progress = True
-    while progress and not current.is_zero():
-        progress = False
-        for label, x in cands:
-            if x.total_dim > current.total_dim:
-                continue
-            if any(d > current.dims.get(v, 0) for v, d in x.dims.items()):
-                continue
-            found = split_pair_search(x, current, seed, local_end=True)
-            if found is None:
-                continue
-            sig, pi = found
-            gsig = sig
-            for io in reversed(iotas):
-                gsig = io.compose(gsig)
-            gpi = pi
-            for rh in reversed(rhos):
-                gpi = gpi.compose(rh)
-            comp, iota, rho = _complement(current, sig, pi)
-            summands.append(label)
-            pairs.append((label, gsig, gpi))
-            iotas.append(iota)
-            rhos.append(rho)
-            current = comp
-            progress = True
+    for label, x in cands:
+        if not any(left.values()):
             break
-    residual = None if current.is_zero() else current
-    return DecompositionReport(n, t.total_dim, summands, pairs, residual)
+        if any(d > left.get(v, 0) for v, d in x.dims.items()):
+            continue
+        sigmas, pis, g = trace_pairing(x, t)
+        mult = rank(g)
+        if not mult:
+            continue
+        summands.extend([label] * mult)
+        pairs.append((label, *_split_pair(x, sigmas, pis, g)))
+        for v, d in x.dims.items():
+            left[v] -= mult * d
+            if left[v] < 0:
+                raise RuntimeError(
+                    f"dimension balance fails at {v}: {label} occurs "
+                    f"{mult} times in a bimodule of dimension {t.total_dim}")
+    return DecompositionReport(n, t.total_dim, summands, pairs,
+                               sum(left.values()))
+
+
+def decompose_product(u: StringLabel, v: StringLabel,
+                      n: int) -> DecompositionReport:
+    """Decompose construct(u) (x) construct(v).
+
+    Products of catalog members never gain valleys beyond the factors, so
+    the tight catalog comes first; only when a residual survives does the
+    search widen to the bound forced by the dimension.
+    """
+    t = tensor(construct(u, n), construct(v, n))
+    tight = max(u.k or 0, v.k or 0, 1)
+    rep = decompose(t, tight)
+    wide = (t.total_dim - 1) // 2
+    if rep.residual_dim and wide > tight:
+        rep = decompose(t, wide)
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +215,8 @@ def decompose(t: Bimodule, max_valleys: int,
 _PRODUCT_CACHE: Dict[tuple, Tuple[StringLabel, ...]] = {}
 
 
-def product_summands(u_label: StringLabel, v_label: StringLabel, n: int,
-                     seed: int = DEFAULT_SEED) -> List[StringLabel]:
+def product_summands(u_label: StringLabel, v_label: StringLabel,
+                     n: int) -> List[StringLabel]:
     """Summands of construct(u) (x) construct(v), fully decomposed.
 
     Products are translation equivariant: shifting both anchors by the
@@ -345,15 +232,8 @@ def product_summands(u_label: StringLabel, v_label: StringLabel, n: int,
     if key not in _PRODUCT_CACHE:
         u0 = StringLabel(u.family, 1, e, u.k).normalized(n)
         v0 = StringLabel(v.family, 1, 1, v.k).normalized(n)
-        t = tensor(construct(u0, n), construct(v0, n))
-        # products of catalog members never gain valleys beyond the
-        # factors, so try a tight catalog first and only fall back to the
-        # dimension-forced bound if a residual survives
-        tight = max(u.k or 0, v.k or 0, 1)
-        rep = decompose(t, tight, seed)
-        if rep.residual is not None:
-            rep = decompose(t, max(tight, (t.total_dim - 1) // 2), seed)
-        if rep.residual is not None:
+        rep = decompose_product(u0, v0, n)
+        if rep.residual_dim:
             raise RuntimeError(
                 f"unexpected residual of dim {rep.residual_dim} in "
                 f"{u0} (x) {v0} at n={n}")
@@ -375,7 +255,7 @@ def expected_product_family(fam_u: str, fam_v: str) -> str:
     return "W"
 
 
-def multable_check(n: int, k: int, seed: int = DEFAULT_SEED) -> dict:
+def multable_check(n: int, k: int) -> dict:
     """Sweep all products of valley-k string pairs against the table.
 
     For U anchored at i|j and V at r|s the valley-k part of the product
@@ -395,7 +275,7 @@ def multable_check(n: int, k: int, seed: int = DEFAULT_SEED) -> dict:
                         for s in rng:
                             u = StringLabel(fam_u, i, j, k)
                             v = StringLabel(fam_v, r, s, k)
-                            summ = product_summands(u, v, n, seed)
+                            summ = product_summands(u, v, n)
                             apex = [lab for lab in summ
                                     if cell_of(lab) == ("J", k)]
                             want = [StringLabel(want_fam, i, s,

@@ -97,20 +97,11 @@ class ExactMatrix:
             out.extend(acc)
         return ExactMatrix(self.rows, other.cols, out)
 
-    def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        return self.mul(other)
-
     def add(self, other: "ExactMatrix") -> "ExactMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in add")
         return ExactMatrix(self.rows, self.cols,
                            [a + b for a, b in zip(self.entries, other.entries)])
-
-    def sub(self, other: "ExactMatrix") -> "ExactMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in sub")
-        return ExactMatrix(self.rows, self.cols,
-                           [a - b for a, b in zip(self.entries, other.entries)])
 
     def scale(self, s) -> "ExactMatrix":
         s = _frac(s)

@@ -12,7 +12,7 @@ import random
 import time
 from collections import Counter
 
-from nakayama.bimodules import DEFAULT_SEED, StringLabel, catalog_labels
+from nakayama.bimodules import StringLabel, catalog_labels
 from nakayama.bireps import (
     LocalizationSpec,
     action_matrix,
@@ -28,6 +28,7 @@ from nakayama.decomposition import cell_of, multable_check, product_summands
 from nakayama.linalg import ExactMatrix
 
 FAMILIES = ("W", "S", "N", "M")
+SEED = 1729
 
 
 def verdict(capsys, num, ok, text):
@@ -209,7 +210,7 @@ def test_criterion_7_localization_ranks(capsys):
 
 def test_criterion_8_random_matrix_module_agreement(capsys):
     n = 2
-    rng = random.Random(DEFAULT_SEED)
+    rng = random.Random(SEED)
     catalog = [lab for lab in catalog_labels(n, 1)
                if cell_of(lab) == ("J", 1)]
     assert len(catalog) == 16

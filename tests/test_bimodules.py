@@ -21,9 +21,11 @@ from nakayama.bimodules import (
     parse_label,
     regular_bimodule,
     restrict_left,
+    trace_pairing,
     zero_bimodule,
     _walk,
 )
+from nakayama.linalg import rank
 
 
 def L(i, j):
@@ -210,6 +212,56 @@ def test_iso_rejects_semisimple_fake():
 
 def test_iso_zero_modules():
     assert is_isomorphic(zero_bimodule(2), zero_bimodule(2))
+
+
+def pairing_rank(x, y):
+    return rank(trace_pairing(x, y)[2])
+
+
+def test_pairing_rank_one_on_indecomposables():
+    for label in catalog_labels(2, 1):
+        x = construct(label, 2)
+        assert pairing_rank(x, x) == 1, label
+    for n in (1, 2, 3):
+        assert pairing_rank(regular_bimodule(n), regular_bimodule(n)) == 1
+
+
+def test_pairing_rank_counts_squared_multiplicity():
+    reg = regular_bimodule(2)
+    assert pairing_rank(direct_sum(reg, reg), direct_sum(reg, reg)) == 4
+
+
+def test_trace_pairing_entries_are_traces():
+    n = 2
+    x = construct(lab("N", 1, 1, 1), n)
+    t = direct_sum(x, construct(L(1, 1), n), x)
+    fs, gs, g = trace_pairing(x, t)
+    assert (g.rows, g.cols) == (len(fs), len(gs))
+    for a, f in enumerate(fs):
+        for b, h in enumerate(gs):
+            comp = h.compose(f)
+            want = sum(comp.component(*v).get(r, r)
+                       for v, d in x.dims.items() for r in range(d))
+            assert g.get(a, b) == want
+
+
+def test_iso_of_swapped_sum_is_decided_by_rank():
+    n = 2
+    w = construct(lab("W", 1, 1, 1), n)
+    s = construct(L(1, 1), n)
+    x, y = direct_sum(w, s), direct_sum(s, w)
+    assert not any(f.is_invertible() for f in hom_basis(x, y))
+    assert is_isomorphic(x, y)
+
+
+def test_iso_rejects_decomposable_pair_with_equal_dims():
+    n = 2
+    x = direct_sum(construct(lab("W", 1, 1, 1), n), construct(L(2, 1), n))
+    y = direct_sum(construct(lab("S", 1, 1, 0), n),
+                   construct(lab("N", 2, 2, 0), n))
+    assert x.dim_vector() == y.dim_vector()
+    assert hom_basis(x, y)
+    assert not is_isomorphic(x, y)
 
 
 # -- duality -----------------------------------------------------------------

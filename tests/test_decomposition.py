@@ -86,7 +86,7 @@ def test_split_pair_in_tensor_square_of_n():
 def test_decompose_zero():
     rep = decompose(zero_bimodule(2), 1)
     assert not rep.summands
-    assert rep.residual is None
+    assert rep.residual_dim == 0
 
 
 def test_decompose_explicit_sum_of_simples():
@@ -94,14 +94,14 @@ def test_decompose_explicit_sum_of_simples():
     s = construct(lab("L", 1, 1), n)
     rep = decompose(direct_sum(s, s), 1)
     assert rep.multiset() == Counter({lab("L", 1, 1): 2})
-    assert rep.residual is None
+    assert rep.residual_dim == 0
 
 
 def test_decompose_single_catalog_member():
     n = 3
     rep = decompose(construct(lab("P", 2, 1), n), 2)
     assert rep.summands == [lab("P", 2, 1)]
-    assert rep.residual is None
+    assert rep.residual_dim == 0
     label, sig, pi = rep.split_pairs[0]
     comp = pi.compose(sig)
     for v in comp.source.dims:
@@ -113,7 +113,7 @@ def test_decompose_w_square_spec_example():
     n = 2
     w = construct(lab("W", 1, 1, 1), n)
     rep = decompose(tensor(w, w), 1)
-    assert rep.residual is None
+    assert rep.residual_dim == 0
     apex = rep.summands_in_cell(("J", 1))
     assert apex == [lab("W", 1, 1, 1)]
     for other in rep.summands:
@@ -141,10 +141,29 @@ def test_decompose_idempotence():
     t = tensor(construct(lab("S", 1, 1, 1), n),
                construct(lab("N", 1, 1, 1), n))
     rep = decompose(t, 2)
-    assert rep.residual is None
+    assert rep.residual_dim == 0
     rebuilt = direct_sum(*[construct(l, n) for l in rep.summands])
     rep2 = decompose(rebuilt, 2)
     assert rep2.multiset() == rep.multiset()
+
+
+def test_decompose_counts_repeated_string():
+    n = 2
+    w = construct(lab("W", 1, 1, 1), n)
+    t = direct_sum(w, construct(lab("L", 2, 1), n), w, w)
+    rep = decompose(t, 1)
+    assert rep.multiset() == Counter({lab("W", 1, 1, 1): 3,
+                                      lab("L", 2, 1): 1})
+    assert rep.residual_dim == 0
+    pairs = {label: (sig, pi) for label, sig, pi in rep.split_pairs}
+    assert set(pairs) == set(rep.multiset())
+    sig, pi = pairs[lab("W", 1, 1, 1)]
+    assert sig.target == t and pi.source == t
+    sig.check()
+    pi.check()
+    comp = pi.compose(sig)
+    for v in w.dims:
+        assert comp.component(*v).is_identity()
 
 
 def test_decompose_order_independent_on_sums():
