@@ -63,9 +63,11 @@ class QuotientHomSpace:
         cache = hom_cache if hom_cache is not None else {}
 
         def homs(a: Bimodule, b: Bimodule, key):
+            # the entry holds both modules, so no other module can take
+            # over an id in its key while the entry exists
             if key not in cache:
-                cache[key] = HomSpace(a, b).maps
-            return cache[key]
+                cache[key] = (a, b, HomSpace(a, b).maps)
+            return cache[key][2]
 
         rows = []
         for lab in greater:
@@ -117,7 +119,10 @@ def _canonical_epi(m_label: StringLabel, n_label: StringLabel,
     tgt = construct(n_label, n)
     pts_m, _ = _walk(m_label.normalized(n))
     pts_n, _ = _walk(n_label.normalized(n))
-    assert len(pts_m) == len(pts_n) + 1
+    if len(pts_m) != len(pts_n) + 1:
+        raise CartanError(
+            f"{m_label} has {len(pts_m)} walk points and {n_label} has "
+            f"{len(pts_n)}; an epimorphism needs exactly one more")
 
     def layout(points):
         seen: Counter = Counter()
@@ -130,7 +135,9 @@ def _canonical_epi(m_label: StringLabel, n_label: StringLabel,
 
     entries: Dict[tuple, Dict[Tuple[int, int], Fraction]] = {}
     for (v_m, l_m), (v_n, l_n) in zip(layout(pts_m), layout(pts_n)):
-        assert v_m == v_n
+        if v_m != v_n:
+            raise CartanError(
+                f"the walks of {m_label} and {n_label} part at {v_m} and {v_n}")
         entries.setdefault(v_m, {})[(l_n, l_m)] = ONE
     comps = {}
     for v in set(src.dims) | set(tgt.dims):
@@ -146,10 +153,21 @@ def _canonical_epi(m_label: StringLabel, n_label: StringLabel,
     return out
 
 
+ActionEntries = Tuple[Tuple[int, int, int], ...]
+
+
+def _matrix_from_entries(size: int, entries: ActionEntries) -> ExactMatrix:
+    flat = [ZERO] * (size * size)
+    for r, c, m in entries:
+        flat[r * size + c] += m
+    return ExactMatrix(size, size, flat)
+
+
 class _BirepCore:
     """Shared data behind every birep on one column: object bimodules,
-    quotient hom spaces, canonical arrows, uncontracted action matrices,
-    and a lazily filled scalar table for the morphism-level action."""
+    quotient hom spaces, canonical arrows, the uncontracted action as
+    integer entries and as matrices, and a lazily filled scalar table for
+    the morphism-level action."""
 
     def __init__(self, n: int, k: int, column: int):
         self.n, self.k, self.column = n, k, column
@@ -184,7 +202,10 @@ class _BirepCore:
              for r in range(1, n + 1)
              for s in range(1, n + 1)),
             key=_label_sort_key)
-        self.action = {u: self._object_action(u) for u in self.generators}
+        self.action_entries = {u: self._object_action(u)
+                               for u in self.generators}
+        self.action = {u: _matrix_from_entries(2 * n, entries)
+                       for u, entries in self.action_entries.items()}
         self._scalars: Dict[StringLabel, Fraction] = {}
 
     def _assert_cartan(self):
@@ -198,9 +219,11 @@ class _BirepCore:
                         f"hom({self.object_labels[a]}, {self.object_labels[b]})"
                         f" has quotient dimension {got}, expected {want}")
 
-    def _object_action(self, u: StringLabel) -> ExactMatrix:
+    def _object_action(self, u: StringLabel) -> ActionEntries:
+        """The nonzero entries (row, col, multiplicity) of u's action on
+        the objects, in row-major order."""
         n = self.n
-        grid = [[ZERO] * (2 * n) for _ in range(2 * n)]
+        counts: Counter = Counter()
         for c, xlab in enumerate(self.object_labels):
             for summand in product_summands(u, xlab, n):
                 if cell_of(summand) != ("J", self.k):
@@ -210,8 +233,8 @@ class _BirepCore:
                     raise CartanError(
                         f"{u} (x) {xlab} has valley-cell summand {summand} "
                         "outside the column")
-                grid[r][c] += ONE
-        return ExactMatrix.from_rows(grid)
+                counts[(r, c)] += 1
+        return tuple((r, c, m) for (r, c), m in sorted(counts.items()))
 
     def arrow_scalar(self, u: StringLabel) -> Fraction:
         """The scalar by which u acts on the arrow of its source column.
@@ -316,11 +339,32 @@ class FinitaryBirep:
     def generator_labels(self) -> List[StringLabel]:
         return sorted(self.action_obj, key=_label_sort_key)
 
-    def f_matrix(self) -> ExactMatrix:
-        total = ExactMatrix.zeros(self.rank, self.rank)
+    def _action_support(self):
+        """One pass over the nonzero entries of the generator matrices.
+
+        Returns the nonzero entries of the total action matrix, keyed by
+        flat row-major index, and for each object position the positions
+        some generator sends it to.
+        """
+        size = self.rank
+        total: Dict[int, Fraction] = {}
+        reach: Dict[int, set] = {}
         for mat in self.action_obj.values():
-            total = total.add(mat)
-        return total
+            if (mat.rows, mat.cols) != (size, size):
+                raise ValueError(
+                    f"action matrix is {mat.rows}x{mat.cols}, "
+                    f"expected {size}x{size}")
+            for idx, e in enumerate(mat.entries):
+                if e:
+                    total[idx] = total.get(idx, ZERO) + e
+                    reach.setdefault(idx % size, set()).add(idx // size)
+        return total, reach
+
+    def f_matrix(self) -> ExactMatrix:
+        total, _ = self._action_support()
+        return ExactMatrix(self.rank, self.rank,
+                           [total.get(idx, ZERO)
+                            for idx in range(self.rank * self.rank)])
 
     def cartan(self) -> ExactMatrix:
         grid = [[ZERO] * self.rank for _ in range(self.rank)]
@@ -402,20 +446,6 @@ def _merge_groups(n: int, contracted: FrozenSet[int]):
     return slots, groups
 
 
-def _merge_matrix(mat: ExactMatrix, groups: List[List[int]]) -> ExactMatrix:
-    for group in groups:
-        if len(group) > 1:
-            a, b = group
-            for r in range(mat.rows):
-                if mat.get(r, a) != mat.get(r, b):
-                    raise StabilityError(
-                        "cannot contract a pair whose columns act differently")
-    # rows are summed over the group; columns are identical, so one is kept
-    merged = [[sum((mat.get(r, cg[0]) for r in rg), ZERO) for cg in groups]
-              for rg in groups]
-    return ExactMatrix.from_rows(merged)
-
-
 def localize(b: FinitaryBirep, spec: LocalizationSpec) -> FinitaryBirep:
     """Contract the arrows of the given components.
 
@@ -447,8 +477,24 @@ def localize(b: FinitaryBirep, spec: LocalizationSpec) -> FinitaryBirep:
             core.arrow_scalar(u)
 
     slots, groups = _merge_groups(b.n, total)
-    action = {u: _merge_matrix(core.action[u], groups)
-              for u in core.generators}
+    size = len(groups)
+    new_pos = {old: new for new, group in enumerate(groups) for old in group}
+    pairs = [group for group in groups if len(group) > 1]
+    action = {}
+    for u in core.generators:
+        entries = core.action_entries[u]
+        columns: Dict[int, Dict[int, int]] = {}
+        for r, c, m in entries:
+            columns.setdefault(c, {})[r] = m
+        for a, c in pairs:
+            if columns.get(a) != columns.get(c):
+                raise StabilityError(
+                    "cannot contract a pair whose columns act differently")
+        # rows are summed over the group; columns are identical, so the
+        # group's first one is kept
+        action[u] = _matrix_from_entries(
+            size, [(new_pos[r], new_pos[c], m) for r, c, m in entries
+                   if groups[new_pos[c]][0] == c])
     return FinitaryBirep(b.n, b.k, b.column, total, slots, action, core)
 
 
@@ -460,55 +506,49 @@ def action_matrix(b: FinitaryBirep, u: StringLabel) -> ExactMatrix:
     return b.action_obj[lab]
 
 
+def _ideal_objects(b: FinitaryBirep, s: int,
+                   reach: Dict[int, set]) -> set:
+    """Objects whose identities lie in the ideal generated by the arrow of
+    component s.
+
+    The seeds are the objects of the generators from column s that send
+    the arrow to a nonzero multiple of an identity; the ideal then takes
+    in every object some generator reaches from one already in it.
+    """
+    ids = set()
+    for u in b.core.generators:
+        if u.j != s or b.core.arrow_scalar(u) == ZERO:
+            continue
+        kind = "O" if u.i in b.contracted else \
+            ("N" if u.family in "WN" else "M")
+        ids.add(b.object_index(kind, u.i))
+    frontier = list(ids)
+    while frontier:
+        for r in reach.get(frontier.pop(), ()):
+            if r not in ids:
+                ids.add(r)
+                frontier.append(r)
+    return ids
+
+
 def is_simple_transitive(b: FinitaryBirep) -> bool:
     """Transitivity of the object action plus absence of stable ideals.
 
     Transitivity asks every entry of the total action matrix to be
-    positive.  For simplicity, each radical arrow generates an ideal that
-    is closed under the generator action and composition; the flag
-    closure must reach the identity of some object.
+    positive.  For simplicity, the arrow of each surviving component
+    generates an ideal closed under the generator action; it must reach
+    the identity of some object.
     """
-    f = b.f_matrix()
-    for r in range(f.rows):
-        for c in range(f.cols):
-            if f.get(r, c) < ONE:
-                return False
+    total, reach = b._action_support()
+    if any(total.get(idx, ZERO) < ONE for idx in range(b.rank * b.rank)):
+        return False
 
     survivors = [i for i in range(1, b.n + 1) if i not in b.contracted]
     if not survivors:
         return True
     if b.core is None:
         raise ValueError("this birep carries no morphism-level data")
-
-    for s in survivors:
-        arrows = {s}
-        ids: set = set()
-        while True:
-            grown = False
-            for s2 in sorted(arrows):
-                for u in b.core.generators:
-                    if u.j != s2:
-                        continue
-                    if b.core.arrow_scalar(u) == ZERO:
-                        continue
-                    kind = "O" if u.i in b.contracted else \
-                        ("N" if u.family in "WN" else "M")
-                    pos = b.object_index(kind, u.i)
-                    if pos not in ids:
-                        ids.add(pos)
-                        grown = True
-            for pos in sorted(ids):
-                for u in b.core.generators:
-                    mat = b.action_obj[u]
-                    for r in range(mat.rows):
-                        if mat.get(r, pos) != ZERO and r not in ids:
-                            ids.add(r)
-                            grown = True
-            if not grown:
-                break
-        if not ids:
-            return False
-    return True
+    return all(_ideal_objects(b, s, reach) for s in survivors)
 
 
 @dataclass

@@ -1,16 +1,30 @@
 """Tests for cell birepresentations, localization, and classification."""
 
+import copy
+import dataclasses
+import itertools
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from nakayama.bimodules import StringLabel, catalog_labels, construct, parse_label
+from nakayama.bimodules import (
+    Bimodule,
+    StringLabel,
+    catalog_labels,
+    construct,
+    parse_label,
+    zero_bimodule,
+)
 from nakayama.bireps import (
+    CartanError,
     FinitaryBirep,
     LocalizationSpec,
     ObjectSlot,
     QuotientHomSpace,
+    StabilityError,
+    _canonical_epi,
+    _ideal_objects,
     action_matrix,
     cell_birep,
     classify,
@@ -19,7 +33,7 @@ from nakayama.bireps import (
     verify_adjunction_consequences,
     verify_block_structure,
 )
-from nakayama.linalg import ExactMatrix, ZERO
+from nakayama.linalg import ONE, ExactMatrix, ZERO
 
 
 def ints(mat):
@@ -36,6 +50,31 @@ def test_quotient_hom_dims_form_disjoint_a2():
     assert QuotientHomSpace(n1, m1, greater).dim == 0
     assert QuotientHomSpace(n1, n1, greater).dim == 1
     assert QuotientHomSpace(m1, n2, greater).dim == 0
+
+
+def test_shared_hom_cache_matches_fresh_caches():
+    # each zero module dies before the next module is built, so CPython
+    # hands its id straight on; its cached empty hom lists must not be
+    # read back for the new module
+    n = 2
+    greater = catalog_labels(n, 0)
+    labels = [StringLabel(f, i, 1, 1) for f in "WSNM" for i in (1, 2)]
+    shared: dict = {}
+    for a, b in itertools.product(labels, repeat=2):
+        x, y = construct(a, n), construct(b, n)
+        QuotientHomSpace(zero_bimodule(n), y, greater, shared)
+        copy_x = Bimodule(n, x.dims, x.arrow_maps)
+        assert QuotientHomSpace(copy_x, y, greater, shared).dim == \
+            QuotientHomSpace(x, y, greater).dim, (a, b)
+
+
+@pytest.mark.parametrize("m_label,n_label", [
+    (StringLabel("N", 1, 1, 1), StringLabel("N", 1, 1, 1)),
+    (StringLabel("M", 1, 1, 1), StringLabel("N", 2, 1, 1)),
+])
+def test_canonical_epi_rejects_mismatched_labels(m_label, n_label):
+    with pytest.raises(CartanError):
+        _canonical_epi(m_label, n_label, 2)
 
 
 def test_cell_birep_objects_and_rank():
@@ -125,6 +164,45 @@ def test_localizations_compose_by_union():
     assert two_step.rank == 2
 
 
+def _reference_merge(mat, groups):
+    """The dense merge: rows summed over each group, first column kept."""
+    return ExactMatrix.from_rows(
+        [[sum((mat.get(r, cg[0]) for r in rg), ZERO) for cg in groups]
+         for rg in groups])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sparse_merge_matches_dense_reference(n):
+    b = cell_birep(n, 1)
+    for size in range(1, n + 1):
+        for combo in itertools.combinations(range(1, n + 1), size):
+            loc = localize(b, LocalizationSpec(combo))
+            groups = [[i - 1, n + i - 1] if i in combo else [i - 1]
+                      for i in range(1, n + 1)]
+            groups += [[n + i - 1] for i in range(1, n + 1)
+                       if i not in combo]
+            for u, mat in b.action_obj.items():
+                assert len(b.core.action_entries[u]) <= 4
+                got = loc.action_obj[u]
+                assert isinstance(got, ExactMatrix)
+                assert all(isinstance(e, Fraction) for e in got.entries)
+                assert got == _reference_merge(mat, groups), (combo, u)
+
+
+def test_sparse_merge_rejects_unequal_contracted_columns():
+    b = cell_birep(2, 1)
+    u = StringLabel("N", 1, 1, 1)
+    core = copy.copy(b.core)
+    core.action_entries = dict(core.action_entries)
+    # N_1|1 sends N_1 and M_1 to N_1; drop the entry in M_1's column
+    assert core.action_entries[u] == ((0, 0, 1), (0, 2, 1))
+    core.action_entries[u] = ((0, 0, 1),)
+    tampered = dataclasses.replace(b, core=core)
+    with pytest.raises(StabilityError):
+        localize(tampered, LocalizationSpec({1}))
+    localize(tampered, LocalizationSpec({2}))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_rank_drops_by_contracted_count(n):
     b = cell_birep(n, 1)
@@ -186,7 +264,7 @@ def test_localized_bireps_stay_simple_transitive(n, contract):
     assert is_simple_transitive(loc)
 
 
-def test_disjoint_double_is_not_simple_transitive():
+def _doubled_fixture():
     base = cell_birep(1, 1)
 
     def doubled(mat):
@@ -197,14 +275,107 @@ def test_disjoint_double_is_not_simple_transitive():
             rows.append([ZERO, ZERO, mat.get(r, 0), mat.get(r, 1)])
         return ExactMatrix.from_rows(rows)
 
-    fixture = FinitaryBirep(
+    return FinitaryBirep(
         n=1, k=1, column=1, contracted=frozenset(),
         objects=[ObjectSlot("N", 1), ObjectSlot("M", 1),
                  ObjectSlot("N", 1), ObjectSlot("M", 1)],
         action_obj={lab: doubled(mat)
                     for lab, mat in base.action_obj.items()},
         core=base.core)
-    assert not is_simple_transitive(fixture)
+
+
+def test_disjoint_double_is_not_simple_transitive():
+    assert not is_simple_transitive(_doubled_fixture())
+
+
+def _reference_closure(b, s):
+    """The closure loop of the dense implementation, kept as an oracle."""
+    arrows = {s}
+    ids: set = set()
+    while True:
+        grown = False
+        for s2 in sorted(arrows):
+            for u in b.core.generators:
+                if u.j != s2:
+                    continue
+                if b.core.arrow_scalar(u) == ZERO:
+                    continue
+                kind = "O" if u.i in b.contracted else \
+                    ("N" if u.family in "WN" else "M")
+                pos = b.object_index(kind, u.i)
+                if pos not in ids:
+                    ids.add(pos)
+                    grown = True
+        for pos in sorted(ids):
+            for u in b.core.generators:
+                mat = b.action_obj[u]
+                for r in range(mat.rows):
+                    if mat.get(r, pos) != ZERO and r not in ids:
+                        ids.add(r)
+                        grown = True
+        if not grown:
+            break
+    return ids
+
+
+def _reference_is_simple_transitive(b):
+    f = ExactMatrix.zeros(b.rank, b.rank)
+    for mat in b.action_obj.values():
+        f = f.add(mat)
+    for r in range(f.rows):
+        for c in range(f.cols):
+            if f.get(r, c) < ONE:
+                return False
+    return all(_reference_closure(b, s)
+               for s in range(1, b.n + 1) if s not in b.contracted)
+
+
+class _ZeroedScalars:
+    """A core stand-in whose arrow scalars vanish on chosen generators."""
+
+    def __init__(self, core, zeroed):
+        self.generators = core.generators
+        self._core = core
+        self._zeroed = zeroed
+
+    def arrow_scalar(self, u):
+        return ZERO if u in self._zeroed else self._core.arrow_scalar(u)
+
+
+def _closure_cases():
+    for n in (1, 2, 3):
+        b = cell_birep(n, 1)
+        for size in range(n + 1):
+            for combo in itertools.combinations(range(1, n + 1), size):
+                yield localize(b, LocalizationSpec(combo))
+    yield _doubled_fixture()
+    loc = localize(cell_birep(2, 1), LocalizationSpec({2}))
+    for zeroed in ([u for u in loc.core.generators if u.j == 1],
+                   [u for u in loc.core.generators
+                    if u.j == 1 and u.family in "WN"],
+                   [u for u in loc.core.generators if u.i == u.j == 1]):
+        yield dataclasses.replace(
+            loc, core=_ZeroedScalars(loc.core, set(zeroed)))
+    # only W and N act, so M_1 reaches N_1 but not back; the seed is M_1
+    base = cell_birep(1, 1)
+    top = {u: mat if u.family in "WN" else ExactMatrix.zeros(2, 2)
+           for u, mat in base.action_obj.items()}
+    yield dataclasses.replace(
+        base, action_obj=top,
+        core=_ZeroedScalars(base.core, {u for u in top if u.family in "WN"}))
+
+
+def test_simple_transitivity_matches_reference_loop():
+    verdicts = []
+    for b in _closure_cases():
+        _, reach = b._action_support()
+        for s in range(1, b.n + 1):
+            if s not in b.contracted:
+                assert _ideal_objects(b, s, reach) == _reference_closure(b, s)
+        verdict = is_simple_transitive(b)
+        assert verdict == _reference_is_simple_transitive(b)
+        verdicts.append(verdict)
+    assert verdicts.count(False) == 3
 
 
 def test_classify_rank_one():
@@ -214,7 +385,7 @@ def test_classify_rank_one():
     assert all(e["simple_transitive"] for e in report.entries)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_classify_counts_are_binomial(n):
     report = classify(n, 1)
     assert len(report.entries) == 2 ** n
