@@ -6,6 +6,7 @@ computes the two-sided cell structure of the resulting bicategory, and
 classifies the simple transitive quotients of its cell birepresentations.
 """
 
+from . import bimodules, bireps, decomposition
 from .algebras import (
     NakayamaAlgebra,
     TorusAlgebra,
@@ -60,6 +61,15 @@ from .decomposition import (
 from .linalg import ExactMatrix
 from .tensoring import tensor, tensor_map
 
+
+def clear_caches() -> None:
+    """Empty every process-wide cache: constructed bimodules, canonical
+    products, decomposition candidates and birep cores."""
+    for cache in (bimodules._CONSTRUCT_CACHE, decomposition._PRODUCT_CACHE,
+                  decomposition._CANDIDATE_CACHE, bireps._CORE_CACHE):
+        cache.clear()
+
+
 __all__ = [
     "Bimodule",
     "BimoduleMap",
@@ -84,6 +94,7 @@ __all__ = [
     "cell_name",
     "cell_of",
     "classify",
+    "clear_caches",
     "compute_cells",
     "construct",
     "decompose",

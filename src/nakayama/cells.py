@@ -10,15 +10,26 @@ among them) sit strictly below everything listed here and are excluded.
 
 Mutual comparability carves the catalog into left cells, right cells,
 and two-sided cells; the two-sided cells form a chain.
+
+Products are translation equivariant, so the sweep runs over translation
+orbits rather than ordered pairs: each canonical product (two kinds and
+an offset) is decomposed once, and each anchor shift of it becomes one
+bitmask of catalog summands, shared by the n pairs with that shift.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .bimodules import StringLabel, catalog_labels
-from .decomposition import _label_sort_key, cell_name, cell_of, product_summands
+from .decomposition import (
+    _label_sort_key,
+    canonical_summands,
+    cell_name,
+    cell_of,
+    product_summands,
+)
 
 BAND_NOTE = "band-type bimodules lie below every listed cell and are not enumerated"
 
@@ -55,6 +66,52 @@ def _mutual_classes(reach: List[int], count: int) -> List[List[int]]:
             assigned[j] = True
         classes.append(members)
     return classes
+
+
+def _divisibility_edges(labels: Sequence[StringLabel],
+                        n: int) -> Tuple[List[int], List[int]]:
+    """One-step divisibility bitmasks over a catalog, one orbit at a time.
+
+    Bit g of ``up_left[b]`` (``up_right[a]``) is set when labels[g] is a
+    summand of labels[a] (x) labels[b], and every label is above itself.
+    ``labels`` must be normalized and closed under torus translation, as
+    ``catalog_labels`` is.  For U of one kind anchored at i|j and V of
+    another at r|s, the product depends on the kinds and on
+    e = j - r + 1 only, up to the shift of every summand by (i-1, s-1).
+    So each canonical product is looked up once and each shift (i, s)
+    turns it into one bitmask.  The n pairs with that shift are U along
+    row i and V along column s, so the mask goes to U's row and V's column.
+    """
+    pos = {(x.family, x.k, x.i, x.j): b for b, x in enumerate(labels)}
+    kinds = list(dict.fromkeys((x.family, x.k) for x in labels))
+    anchors = range(1, n + 1)
+    row_masks: Dict[tuple, int] = {}  # (family, k, i) of U -> summands
+    col_masks: Dict[tuple, int] = {}  # (family, k, s) of V -> summands
+    for fam_u, k_u in kinds:
+        for fam_v, k_v in kinds:
+            for e in anchors:
+                summands = canonical_summands(n, fam_u, k_u, e, fam_v, k_v)
+                for i in anchors:
+                    for s in anchors:
+                        mask = 0
+                        for lab in summands:
+                            # Summands below the valley bound lie in
+                            # deeper cells and carry no information
+                            # about the catalog range.
+                            g = pos.get((lab.family, lab.k,
+                                         (lab.i + i - 2) % n + 1,
+                                         (lab.j + s - 2) % n + 1))
+                            if g is not None:
+                                mask |= 1 << g
+                        row = (fam_u, k_u, i)
+                        row_masks[row] = row_masks.get(row, 0) | mask
+                        col = (fam_v, k_v, s)
+                        col_masks[col] = col_masks.get(col, 0) | mask
+    up_left = [1 << b | col_masks[(x.family, x.k, x.j)]
+               for b, x in enumerate(labels)]
+    up_right = [1 << b | row_masks[(x.family, x.k, x.i)]
+                for b, x in enumerate(labels)]
+    return up_left, up_right
 
 
 @dataclass
@@ -140,27 +197,13 @@ class CellStructure:
 def compute_cells(n: int, max_valleys: int) -> CellStructure:
     """Compute the cell structure of the catalog with at most max_valleys valleys.
 
-    Sweeps every ordered pair of catalog members, decomposes the product,
-    and records divisibility edges; closures of the edge relations give
-    the left, right, and two-sided preorders.
+    Records the divisibility edges of every ordered pair of catalog
+    members (see ``_divisibility_edges``); closures of the edge relations
+    give the left, right, and two-sided preorders.
     """
     labels = catalog_labels(n, max_valleys)
-    index = {lab: i for i, lab in enumerate(labels)}
     count = len(labels)
-
-    up_left = [1 << i for i in range(count)]
-    up_right = [1 << i for i in range(count)]
-    for a in labels:
-        for b in labels:
-            for summand in product_summands(a, b, n):
-                gi = index.get(summand)
-                if gi is None:
-                    # Products can only shed summands below the valley
-                    # bound into deeper cells, which carry no information
-                    # about the catalog range.
-                    continue
-                up_left[index[b]] |= 1 << gi
-                up_right[index[a]] |= 1 << gi
+    up_left, up_right = _divisibility_edges(labels, n)
 
     reach_left = _close_reachability(up_left, count)
     reach_right = _close_reachability(up_right, count)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .algebras import residue
 from .bimodules import (
@@ -152,6 +152,28 @@ class DecompositionReport:
                 "residual_dim": self.residual_dim, "cells": cells}
 
 
+Candidates = Tuple[Tuple[StringLabel, Bimodule], ...]
+
+_CANDIDATE_CACHE: Dict[Tuple[int, int], Candidates] = {}
+
+
+def _candidates(n: int, max_valleys: int) -> Candidates:
+    """The catalog as (label, construct(label)) pairs, largest first.
+
+    Built once per (n, max_valleys) and shared; the tuple keeps callers
+    from reordering or extending it.
+    """
+    key = (n, max_valleys)
+    cands = _CANDIDATE_CACHE.get(key)
+    if cands is None:
+        cands = tuple(sorted(
+            ((label, construct(label, n))
+             for label in catalog_labels(n, max_valleys)),
+            key=lambda lx: -lx[1].total_dim))
+        _CANDIDATE_CACHE[key] = cands
+    return cands
+
+
 def decompose(t: Bimodule, max_valleys: int) -> DecompositionReport:
     """Multiplicities of the catalog members in t, by pairing rank.
 
@@ -163,14 +185,10 @@ def decompose(t: Bimodule, max_valleys: int) -> DecompositionReport:
     has dimension at least 2k+1, so 2*max_valleys + 3 >= dim t always
     suffices.
     """
-    n = t.n
-    cands = [(label, construct(label, n))
-             for label in catalog_labels(n, max_valleys)]
-    cands.sort(key=lambda lx: -lx[1].total_dim)
     left = dict(t.dims)
     summands: List[StringLabel] = []
     pairs: List[Tuple[StringLabel, BimoduleMap, BimoduleMap]] = []
-    for label, x in cands:
+    for label, x in _candidates(t.n, max_valleys):
         if not any(left.values()):
             break
         if any(d > left.get(v, 0) for v, d in x.dims.items()):
@@ -187,7 +205,7 @@ def decompose(t: Bimodule, max_valleys: int) -> DecompositionReport:
                 raise RuntimeError(
                     f"dimension balance fails at {v}: {label} occurs "
                     f"{mult} times in a bimodule of dimension {t.total_dim}")
-    return DecompositionReport(n, t.total_dim, summands, pairs,
+    return DecompositionReport(t.n, t.total_dim, summands, pairs,
                                sum(left.values()))
 
 
@@ -215,6 +233,29 @@ def decompose_product(u: StringLabel, v: StringLabel,
 _PRODUCT_CACHE: Dict[tuple, Tuple[StringLabel, ...]] = {}
 
 
+def canonical_summands(n: int, fam_u: str, k_u: Optional[int], e: int,
+                       fam_v: str,
+                       k_v: Optional[int]) -> Tuple[StringLabel, ...]:
+    """Summands of U (x) V for U = fam_u^(k_u) at 1|e and V = fam_v^(k_v)
+    at 1|1, decomposed once and cached.
+
+    The arguments are those of normalized labels.  This is the one place
+    that fills the product cache.
+    """
+    key = (n, fam_u, k_u, e, fam_v, k_v)
+    summands = _PRODUCT_CACHE.get(key)
+    if summands is None:
+        u0 = StringLabel(fam_u, 1, e, k_u)
+        v0 = StringLabel(fam_v, 1, 1, k_v)
+        rep = decompose_product(u0, v0, n)
+        if rep.residual_dim:
+            raise RuntimeError(
+                f"unexpected residual of dim {rep.residual_dim} in "
+                f"{u0} (x) {v0} at n={n}")
+        summands = _PRODUCT_CACHE[key] = tuple(rep.summands)
+    return summands
+
+
 def product_summands(u_label: StringLabel, v_label: StringLabel,
                      n: int) -> List[StringLabel]:
     """Summands of construct(u) (x) construct(v), fully decomposed.
@@ -228,18 +269,9 @@ def product_summands(u_label: StringLabel, v_label: StringLabel,
     u = u_label.normalized(n)
     v = v_label.normalized(n)
     e = residue(u.j - v.i + 1, n)
-    key = (n, u.family, u.k, e, v.family, v.k)
-    if key not in _PRODUCT_CACHE:
-        u0 = StringLabel(u.family, 1, e, u.k).normalized(n)
-        v0 = StringLabel(v.family, 1, 1, v.k).normalized(n)
-        rep = decompose_product(u0, v0, n)
-        if rep.residual_dim:
-            raise RuntimeError(
-                f"unexpected residual of dim {rep.residual_dim} in "
-                f"{u0} (x) {v0} at n={n}")
-        _PRODUCT_CACHE[key] = tuple(rep.summands)
     di, dj = u.i - 1, v.j - 1
-    return [lab.shifted(di, dj, n) for lab in _PRODUCT_CACHE[key]]
+    return [lab.shifted(di, dj, n) for lab in
+            canonical_summands(n, u.family, u.k, e, v.family, v.k)]
 
 
 def expected_product_family(fam_u: str, fam_v: str) -> str:

@@ -35,7 +35,7 @@ class ExactMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows: int, cols: int, entries: Iterable) -> None:
-        ent = tuple(_frac(x) for x in entries)
+        ent = tuple(map(_frac, entries))
         if len(ent) != rows * cols:
             raise ValueError(
                 f"expected {rows * cols} entries, got {len(ent)}")

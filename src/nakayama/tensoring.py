@@ -49,15 +49,20 @@ class TensorSpace:
         self.sections: Dict[Vertex, ExactMatrix] = {}
         self.projections: Dict[Vertex, ExactMatrix] = {}
         self.qdims: Dict[Vertex, int] = {}
-        for i in range(1, n + 1):
-            for l in range(1, n + 1):
-                basis: List[PairKey] = []
-                for j in range(1, n + 1):
-                    for xa in range(x.dim(i, j)):
-                        for yb in range(y.dim(j, l)):
-                            basis.append((j, xa, yb))
-                if not basis:
-                    continue
+        # only the supports are scanned: x by row, y by row then column
+        x_rows: Dict[int, List[Tuple[int, int]]] = {}
+        for (i, j), d in sorted(x.dims.items()):
+            x_rows.setdefault(i, []).append((j, d))
+        y_rows: Dict[int, Dict[int, int]] = {}
+        for (j, l), d in y.dims.items():
+            y_rows.setdefault(j, {})[l] = d
+        for i in sorted(x_rows):
+            row_i = x_rows[i]
+            ls = sorted({l for j, _ in row_i for l in y_rows.get(j, ())})
+            for l in ls:
+                basis: List[PairKey] = [
+                    (j, xa, yb) for j, dx in row_i for xa in range(dx)
+                    for yb in range(y_rows.get(j, {}).get(l, 0))]
                 v = (i, l)
                 idx = {p: t for t, p in enumerate(basis)}
                 self.pair_bases[v] = basis
@@ -65,17 +70,20 @@ class TensorSpace:
                 rows = []
                 for a in range(1, n + 1):
                     ap = residue(a + 1, n)
+                    dx, dy = x.dims.get((i, ap), 0), y.dims.get((a, l), 0)
+                    if not (dx and dy):
+                        continue
                     hx = x.hmap(i, ap)
                     vy = y.vmap(a, l)
-                    for xa in range(x.dim(i, ap)):
-                        for yb in range(y.dim(a, l)):
+                    for xa in range(dx):
+                        for yb in range(dy):
                             row = {}
-                            for s in range(x.dim(i, a)):
+                            for s in range(x.dims.get((i, a), 0)):
                                 c = hx.get(s, xa)
                                 if c:
                                     t = idx[(a, s, yb)]
                                     row[t] = row.get(t, ZERO) + c
-                            for tt in range(y.dim(ap, l)):
+                            for tt in range(y.dims.get((ap, l), 0)):
                                 c = vy.get(tt, yb)
                                 if c:
                                     t = idx[(ap, xa, tt)]

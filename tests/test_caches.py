@@ -1,0 +1,53 @@
+"""clear_caches empties every process-wide cache and changes no answer."""
+
+import json
+
+import pytest
+
+import nakayama
+from nakayama import classify, clear_caches, compute_cells
+from nakayama.bimodules import _CONSTRUCT_CACHE
+from nakayama.bireps import _CORE_CACHE
+from nakayama.decomposition import _CANDIDATE_CACHE, _PRODUCT_CACHE
+
+CACHES = {
+    "construct": _CONSTRUCT_CACHE,
+    "product": _PRODUCT_CACHE,
+    "candidate": _CANDIDATE_CACHE,
+    "core": _CORE_CACHE,
+}
+
+
+@pytest.fixture
+def restored_caches():
+    """Hand the test the caches and put their old entries back after it,
+    so the rest of the suite keeps its warm caches."""
+    saved = {name: dict(cache) for name, cache in CACHES.items()}
+    yield CACHES
+    for name, cache in CACHES.items():
+        cache.clear()
+        cache.update(saved[name])
+
+
+def _dump(doc) -> str:
+    return json.dumps(doc, sort_keys=True)
+
+
+def test_clear_caches_empties_every_cache(restored_caches):
+    assert "clear_caches" in nakayama.__all__
+    compute_cells(1, 1)
+    classify(2, 1)
+    for name, cache in restored_caches.items():
+        assert cache, f"{name} cache was not filled"
+    clear_caches()
+    for name, cache in restored_caches.items():
+        assert not cache, f"{name} cache is not empty"
+
+
+def test_answers_equal_cold_and_warm(restored_caches):
+    clear_caches()
+    cold_cells = _dump(compute_cells(2, 1).to_json())
+    cold_classify = _dump(classify(3, 1).to_json())
+    assert all(restored_caches.values())
+    assert _dump(compute_cells(2, 1).to_json()) == cold_cells
+    assert _dump(classify(3, 1).to_json()) == cold_classify

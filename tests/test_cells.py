@@ -2,9 +2,14 @@
 
 import pytest
 
-from nakayama.bimodules import StringLabel
-from nakayama.cells import CellStructure, compute_cells, is_idempotent_cell
-from nakayama.decomposition import cell_name, cell_of
+from nakayama.bimodules import StringLabel, catalog_labels
+from nakayama.cells import (
+    CellStructure,
+    _divisibility_edges,
+    compute_cells,
+    is_idempotent_cell,
+)
+from nakayama.decomposition import cell_name, cell_of, product_summands
 
 
 @pytest.fixture(scope="module")
@@ -127,3 +132,26 @@ def test_json_round_trip_is_deterministic(structures):
     assert blob["catalog_relative"] is True
     assert "below every listed cell" in blob["band_note"]
     assert len(blob["elements"]) == 52
+
+
+def _all_pairs_edges(labels, n):
+    """The sweep as it was before orbits: one product per ordered pair."""
+    index = {lab: i for i, lab in enumerate(labels)}
+    up_left = [1 << i for i in range(len(labels))]
+    up_right = [1 << i for i in range(len(labels))]
+    for a in labels:
+        for b in labels:
+            for summand in product_summands(a, b, n):
+                gi = index.get(summand)
+                if gi is None:
+                    continue
+                up_left[index[b]] |= 1 << gi
+                up_right[index[a]] |= 1 << gi
+    return up_left, up_right
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("max_valleys", [1, 2])
+def test_orbit_sweep_matches_all_pairs_sweep(n, max_valleys):
+    labels = catalog_labels(n, max_valleys)
+    assert _divisibility_edges(labels, n) == _all_pairs_edges(labels, n)

@@ -6,12 +6,15 @@ import pytest
 
 from nakayama.bimodules import (
     StringLabel,
+    catalog_labels,
     construct,
     direct_sum,
     regular_bimodule,
     zero_bimodule,
 )
 from nakayama.decomposition import (
+    _CANDIDATE_CACHE,
+    _candidates,
     cell_chain_position,
     cell_name,
     cell_of,
@@ -247,3 +250,15 @@ def test_f_ij_tensor_f_jl_gives_four_of_each():
                 if cell_of(s) == ("J", k):
                     apex[s] += 1
     assert apex == Counter({lab(f, i, l, k): 4 for f in fams})
+
+
+def test_candidate_cache_is_immutable_and_largest_first():
+    cands = _candidates(2, 1)
+    assert _candidates(2, 1) is cands
+    assert _CANDIDATE_CACHE[(2, 1)] is cands
+    for entries in _CANDIDATE_CACHE.values():
+        assert isinstance(entries, tuple)
+        assert all(isinstance(entry, tuple) for entry in entries)
+    dims = [x.total_dim for _, x in cands]
+    assert dims == sorted(dims, reverse=True)
+    assert {label for label, _ in cands} == set(catalog_labels(2, 1))

@@ -8,6 +8,7 @@ import pytest
 
 from nakayama.bimodules import (
     StringLabel,
+    catalog_labels,
     construct,
     hom_basis,
     identity_map,
@@ -15,7 +16,7 @@ from nakayama.bimodules import (
     regular_bimodule,
     zero_bimodule,
 )
-from nakayama.tensoring import tensor, tensor_map
+from nakayama.tensoring import TensorSpace, tensor, tensor_map
 
 
 def lab(fam, i, j, k=None):
@@ -154,3 +155,24 @@ def test_tensor_map_respects_composition():
     rhs = tensor_map(x, g).compose(tensor_map(x, f))
     for v in lhs.source.dims:
         assert lhs.component(*v) == rhs.component(*v)
+
+
+@pytest.mark.parametrize("n,max_valleys", [(1, 2), (2, 1)])
+def test_pair_bases_match_full_vertex_scan(n, max_valleys):
+    """The support scan gives the pair bases of a scan over all n^3
+    (i, j, l), in the same vertex and pair order."""
+    mods = [construct(x, n) for x in catalog_labels(n, max_valleys)]
+    mods.append(regular_bimodule(n))
+    rng = range(1, n + 1)
+    for x in mods:
+        for y in mods:
+            want = {}
+            for i in rng:
+                for l in rng:
+                    basis = [(j, xa, yb) for j in rng
+                             for xa in range(x.dim(i, j))
+                             for yb in range(y.dim(j, l))]
+                    if basis:
+                        want[(i, l)] = basis
+            got = TensorSpace(x, y).pair_bases
+            assert list(got.items()) == list(want.items())
