@@ -21,6 +21,7 @@ from .bimodules import (
     HomSpace,
     LeftDecomposition,
     StringLabel,
+    adjunction_command,
     catalog_labels,
     construct,
     direct_sum,
@@ -48,7 +49,6 @@ from .bireps import (
     verify_block_structure,
 )
 from .cells import CellStructure, compute_cells, is_idempotent_cell
-from .cli import adjunction_command
 from .decomposition import (
     DecompositionReport,
     cell_name,

@@ -14,18 +14,15 @@ import argparse
 import json
 import os
 import sys
-from collections import Counter
 from typing import List, Optional
 
-from .algebras import build_nakayama, build_torus, residue
+from .algebras import build_nakayama, build_torus
 from .bimodules import (
     StringLabel,
+    adjunction_command,
     catalog_labels,
     construct,
-    hom_to_algebra,
-    is_isomorphic,
     parse_label,
-    restrict_left,
 )
 from .bireps import (
     LocalizationSpec,
@@ -155,29 +152,6 @@ def _cmd_cells(args) -> int:
                 f"{str(entry[0]) if entry else '-':<12}" for entry in line))
     _emit(payload, args, lines)
     return 0 if cs.chain_is_total else 1
-
-
-def adjunction_command(n: int, k: int) -> dict:
-    """Check the restriction and dual-hom identities for every anchor.
-
-    Restricting the bottom-bar string to a left module gives consecutive
-    projectives, and its algebra-valued hom is the left-bar string with
-    reflected anchor; both facts are verified for all i, j.
-    """
-    pairs = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            s_lab = StringLabel("S", i, j, k).normalized(n)
-            s_mod = construct(s_lab, n)
-            dec = restrict_left(s_mod)
-            expected = Counter(residue(i + t, n) for t in range(k + 1))
-            restrict_ok = dec.projectives == expected and not dec.simples
-            target = construct(StringLabel("N", j, i, k).normalized(n), n)
-            hom_ok = is_isomorphic(hom_to_algebra(s_mod), target)
-            pairs.append({"i": i, "j": j,
-                          "restrict_ok": restrict_ok, "hom_ok": hom_ok})
-    ok = all(p["restrict_ok"] and p["hom_ok"] for p in pairs)
-    return {"n": n, "k": k, "pairs": pairs, "ok": ok}
 
 
 def _cmd_adjunction(args) -> int:

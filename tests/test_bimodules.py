@@ -25,7 +25,14 @@ from nakayama.bimodules import (
     zero_bimodule,
     _walk,
 )
-from nakayama.linalg import rank
+from nakayama.algebras import residue
+from nakayama.linalg import (
+    ONE,
+    ZERO,
+    ExactMatrix,
+    rank,
+    sparse_kernel_with_frees,
+)
 
 
 def L(i, j):
@@ -149,6 +156,65 @@ def test_json_round_trip():
     for label in [P(1, 1), lab("M", 2, 1, 1), L(1, 1)]:
         x = construct(label, 2)
         assert Bimodule.from_json(x.to_json()) == x
+
+
+# -- torus relations ---------------------------------------------------------
+
+def _m(*rows):
+    return ExactMatrix.from_rows([list(r) for r in rows])
+
+
+# (n, dims, arrows, message); at n = 1 every arrow is a loop at 1|1
+BROKEN_RELATIONS = {
+    "vertical": (3, {(1, 1): 1, (2, 1): 1, (3, 1): 1},
+                 {("v", 1, 1): _m([1]), ("v", 2, 1): _m([1])},
+                 "vertical square nonzero"),
+    "horizontal": (3, {(1, 1): 1, (1, 3): 1, (1, 2): 1},
+                   {("h", 1, 1): _m([1]), ("h", 1, 3): _m([1])},
+                   "horizontal square nonzero"),
+    "both_paths": (3, {(1, 2): 1, (2, 2): 1, (1, 1): 1, (2, 1): 1},
+                   {("v", 1, 2): _m([1]), ("h", 2, 2): _m([1]),
+                    ("h", 1, 2): _m([1]), ("v", 1, 1): _m([2])},
+                   "does not commute"),
+    "one_path": (3, {(1, 2): 1, (2, 2): 1, (1, 1): 1, (2, 1): 1},
+                 {("v", 1, 2): _m([1]), ("h", 2, 2): _m([1])},
+                 "does not commute"),
+    "other_path": (3, {(1, 2): 1, (2, 2): 1, (1, 1): 1, (2, 1): 1},
+                   {("h", 1, 2): _m([1]), ("v", 1, 1): _m([1])},
+                   "does not commute"),
+    "n1_vertical": (1, {(1, 1): 3},
+                    {("v", 1, 1): _m([0, 0, 0], [1, 0, 0], [0, 1, 0])},
+                    "vertical square nonzero"),
+    "n1_horizontal": (1, {(1, 1): 3},
+                      {("h", 1, 1): _m([0, 0, 0], [1, 0, 0], [0, 1, 0])},
+                      "horizontal square nonzero"),
+    # v: e0 -> e1 and h: e1 -> e2, so h v sends e0 to e2 but v h = 0
+    "n1_square": (1, {(1, 1): 3},
+                  {("v", 1, 1): _m([0, 0, 0], [1, 0, 0], [0, 0, 0]),
+                   ("h", 1, 1): _m([0, 0, 0], [0, 0, 0], [0, 1, 0])},
+                  "does not commute"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_RELATIONS))
+def test_check_relations_rejects_broken_module(case):
+    n, dims, arrows, message = BROKEN_RELATIONS[case]
+    x = Bimodule(n, dims, arrows)
+    assert len(x.arrow_maps) == len(arrows)
+    with pytest.raises(ValueError, match=message):
+        x.check_relations()
+
+
+def test_check_relations_accepts_paths_composing_to_zero():
+    # n = 1: both paths of the square are stored and both are zero
+    x = Bimodule(1, {(1, 1): 2}, {("v", 1, 1): _m([0, 0], [1, 0]),
+                                  ("h", 1, 1): _m([0, 0], [1, 0])})
+    x.check_relations()
+    # only one path is stored, and it composes to zero
+    y = Bimodule(3, {(1, 2): 1, (2, 2): 2, (2, 1): 1},
+                 {("v", 1, 2): _m([1], [0]), ("h", 2, 2): _m([0, 1])})
+    assert len(y.arrow_maps) == 2
+    y.check_relations()
 
 
 # -- hom spaces --------------------------------------------------------------
@@ -380,6 +446,151 @@ def test_hom_to_algebra_kills_nothing_on_squares():
     out = hom_to_algebra(construct(P(1, 1), n))
     assert out.total_dim == 4
     out.check_relations()
+
+
+# The all-pairs Hom(-, A) builder that hom_to_algebra replaced: one column
+# hom for every (a, b) on the torus, Le_b spelled out at every vertex.
+
+def _reference_projective_spaces(n, b):
+    spaces = {i: [] for i in range(1, n + 1)}
+    spaces[b].append(("e", b))
+    spaces[residue(b + 1, n)].append(("a", b))
+    return spaces
+
+
+def _reference_projective_arrows(n, b):
+    spaces = _reference_projective_spaces(n, b)
+    mats = {}
+    for i in range(1, n + 1):
+        src, tgt = spaces[i], spaces[residue(i + 1, n)]
+        rows = [[ZERO] * len(src) for _ in tgt]
+        for c, item in enumerate(src):
+            if item == ("e", b) and i == b:
+                rows[tgt.index(("a", b))][c] = ONE
+        mats[i] = ExactMatrix.from_rows(rows) if tgt else \
+            ExactMatrix.zeros(0, len(src))
+    return mats
+
+
+def _reference_right_mult(n, b):
+    bm = residue(b - 1, n)
+    src = _reference_projective_spaces(n, b)
+    tgt = _reference_projective_spaces(n, bm)
+    mats = {}
+    for i in range(1, n + 1):
+        rows = [[ZERO] * len(src[i]) for _ in tgt[i]]
+        for c, item in enumerate(src[i]):
+            if item == ("e", b) and ("a", bm) in tgt[i]:
+                rows[tgt[i].index(("a", bm))][c] = ONE
+        mats[i] = ExactMatrix.from_rows(rows) if tgt[i] else \
+            ExactMatrix.zeros(0, len(src[i]))
+    return mats
+
+
+class _ReferenceColumnHom:
+    def __init__(self, x, a, b):
+        n = x.n
+        spaces = _reference_projective_spaces(n, b)
+        arrows = _reference_projective_arrows(n, b)
+        offs, total = {}, 0
+        for i in range(1, n + 1):
+            ds, dt = x.dim(i, a), len(spaces[i])
+            if ds and dt:
+                offs[i] = total
+                total += ds * dt
+        rows = []
+        for i in range(1, n + 1):
+            ip = residue(i + 1, n)
+            ds, dt_next = x.dim(i, a), len(spaces[ip])
+            if ds == 0 or dt_next == 0:
+                continue
+            xa, ba = x.vmap(i, a), arrows[i]
+            dxt, dys = x.dim(ip, a), len(spaces[i])
+            for p in range(dt_next):
+                for q in range(ds):
+                    row = {}
+                    if ip in offs:
+                        for m in range(dxt):
+                            if xa.get(m, q):
+                                idx = offs[ip] + p * dxt + m
+                                row[idx] = row.get(idx, ZERO) + xa.get(m, q)
+                    if i in offs:
+                        for l in range(dys):
+                            if ba.get(p, l):
+                                idx = offs[i] + l * ds + q
+                                row[idx] = row.get(idx, ZERO) - ba.get(p, l)
+                    if row:
+                        rows.append(row)
+        self.vectors, self.frees = sparse_kernel_with_frees(rows, total)
+        self.offsets, self.spaces, self.x, self.a = offs, spaces, x, a
+
+    @property
+    def dim(self):
+        return len(self.vectors)
+
+    def component(self, vec, i):
+        ds, dt = self.x.dim(i, self.a), len(self.spaces[i])
+        if i not in self.offsets:
+            return ExactMatrix.zeros(dt, ds)
+        off = self.offsets[i]
+        return ExactMatrix(dt, ds, [vec.get(off + p * ds + q, ZERO)
+                                    for p in range(dt) for q in range(ds)])
+
+    def coords(self, vec):
+        return tuple(vec.get(fr, ZERO) for fr in self.frees)
+
+
+def _reference_hom_to_algebra(x):
+    n = x.n
+    homs = {(a, b): _ReferenceColumnHom(x, a, b)
+            for a in range(1, n + 1) for b in range(1, n + 1)}
+    dims = {ab: h.dim for ab, h in homs.items() if h.dim}
+    maps = {}
+    for (a, b), h in homs.items():
+        if h.dim == 0:
+            continue
+        ap, bm = residue(a + 1, n), residue(b - 1, n)
+        rho = _reference_right_mult(n, b)
+        for key, tgt in ((("v", a, b), homs[(ap, b)]),
+                         (("h", a, b), homs[(a, bm)])):
+            if not tgt.dim:
+                continue
+            cols = []
+            for vec in h.vectors:
+                comp_vec = {}
+                for i in range(1, n + 1):
+                    if i not in tgt.offsets:
+                        continue
+                    phi_i = h.component(vec, i)
+                    if key[0] == "v":
+                        mat, ds = phi_i.mul(x.hmap(i, ap)), x.dim(i, ap)
+                    else:
+                        mat, ds = rho[i].mul(phi_i), x.dim(i, a)
+                    for p in range(mat.rows):
+                        for q in range(ds):
+                            if mat.get(p, q):
+                                comp_vec[tgt.offsets[i] + p * ds + q] = \
+                                    mat.get(p, q)
+                cols.append(tgt.coords(comp_vec))
+            maps[key] = ExactMatrix(
+                tgt.dim, h.dim,
+                [cols[c][r] for r in range(tgt.dim) for c in range(h.dim)])
+    return Bimodule(n, dims, maps)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_hom_to_algebra_matches_all_pairs_reference(n):
+    # n = 1 and n = 2 make b - 1, b and b + 1 collide; n >= 3 wraps
+    mods = [construct(label, n) for label in catalog_labels(n, 2)]
+    mods.append(regular_bimodule(n))
+    if n == 3:
+        mods.append(direct_sum(regular_bimodule(n),
+                               construct(lab("S", 3, 1, 2), n),
+                               construct(P(1, 3), n)))
+    for x in mods:
+        out, ref = hom_to_algebra(x), _reference_hom_to_algebra(x)
+        assert out.dims == ref.dims, x
+        assert out.arrow_maps == ref.arrow_maps, x
 
 
 # -- direct sums -------------------------------------------------------------

@@ -104,7 +104,7 @@ def test_cells_json_matches_schema(capsys):
     assert blob["chain"] == ["J_split", "J_M0", "J_1"]
 
 
-@pytest.mark.parametrize("n,k", [(2, 1), (1, 2), (3, 0)])
+@pytest.mark.parametrize("n,k", [(2, 1), (1, 2), (3, 0), (5, 6)])
 def test_adjunction_command_passes(n, k):
     report = adjunction_command(n, k)
     assert report["ok"]
