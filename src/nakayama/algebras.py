@@ -34,6 +34,17 @@ def residue(a: int, n: int) -> int:
     return (a - 1) % n + 1
 
 
+def arrow_target(kind: str, i: int, j: int, n: int) -> Vertex:
+    """Target of the torus arrow of the given kind ("v" or "h") at (i, j).
+
+    >>> arrow_target("v", 3, 1, 3), arrow_target("h", 1, 1, 3)
+    ((1, 1), (1, 3))
+    """
+    if kind == "v":
+        return (residue(i + 1, n), j)
+    return (i, residue(j - 1, n))
+
+
 @dataclass(frozen=True)
 class CoverVertex:
     """A vertex of the universal cover Z x Z of the torus quiver."""
@@ -163,21 +174,20 @@ class TorusAlgebra:
         self.vertical: Dict[ArrowKey, Tuple[Vertex, Vertex]] = {}
         self.horizontal: Dict[ArrowKey, Tuple[Vertex, Vertex]] = {}
         for (i, j) in self.vertices:
-            self.vertical[("v", i, j)] = ((i, j), (residue(i + 1, n), j))
-            self.horizontal[("h", i, j)] = ((i, j), (i, residue(j - 1, n)))
+            for kind, table in (("v", self.vertical), ("h", self.horizontal)):
+                table[(kind, i, j)] = ((i, j), arrow_target(kind, i, j, n))
         self.relations = self._relations()
 
     def _relations(self):
         n = self.n
         rels = []
         for (i, j) in self.vertices:
-            up = residue(i + 1, n)
-            down_j = residue(j - 1, n)
-            rels.append(("vv", i, j, (("v", up, j), ("v", i, j))))
-            rels.append(("hh", i, j, (("h", i, down_j), ("h", i, j))))
+            up, left = arrow_target("v", i, j, n), arrow_target("h", i, j, n)
+            rels.append(("vv", i, j, (("v", *up), ("v", i, j))))
+            rels.append(("hh", i, j, (("h", *left), ("h", i, j))))
             rels.append(("square", i, j,
-                         (("h", up, j), ("v", i, j)),
-                         (("v", i, down_j), ("h", i, j))))
+                         (("h", *up), ("v", i, j)),
+                         (("v", *left), ("h", i, j))))
         return rels
 
     def arrow_source(self, key: ArrowKey) -> Vertex:

@@ -21,6 +21,10 @@ Walk shapes, all anchored at i|j and listed in the stored basis order:
   M^(k):  both extensions, basis order y, x_0, ..., x_{2k}, z.
   P:      the commuting square on (i,j-1), (i,j), (i+1,j-1), (i+1,j) with
           all four maps the identity.
+
+Both kinds of hom space, bimodule maps in ``HomSpace`` and left-module maps
+into the projectives of the algebra in ``_ColumnHom``, are kernels of one
+intertwining system built by ``_intertwiners``.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .algebras import CoverVertex, Vertex, project, residue
+from .algebras import CoverVertex, Vertex, arrow_target, project, residue
 from .linalg import (
     ExactMatrix,
     ONE,
@@ -130,10 +134,8 @@ class Bimodule:
         for key, mat in arrow_maps.items():
             kind, i, j = key
             i, j = residue(i, n), residue(j, n)
-            src = (i, j)
-            tgt = (residue(i + 1, n), j) if kind == "v" \
-                else (i, residue(j - 1, n))
-            ds, dt = self.dims.get(src, 0), self.dims.get(tgt, 0)
+            ds = self.dims.get((i, j), 0)
+            dt = self.dims.get(arrow_target(kind, i, j, n), 0)
             if mat.rows != dt or mat.cols != ds:
                 raise ValueError(
                     f"arrow {key}: expected {dt}x{ds}, got "
@@ -193,15 +195,15 @@ class Bimodule:
             return None if outer is None or inner is None else outer.mul(inner)
 
         for (i, j) in self.dims:
-            ip, jm = residue(i + 1, n), residue(j - 1, n)
-            vv = path(("v", ip, j), ("v", i, j))
+            up, left = arrow_target("v", i, j, n), arrow_target("h", i, j, n)
+            vv = path(("v", *up), ("v", i, j))
             if vv is not None and not vv.is_zero():
                 raise ValueError(f"vertical square nonzero at {i}|{j}")
-            hh = path(("h", i, jm), ("h", i, j))
+            hh = path(("h", *left), ("h", i, j))
             if hh is not None and not hh.is_zero():
                 raise ValueError(f"horizontal square nonzero at {i}|{j}")
-            one_way = path(("h", ip, j), ("v", i, j))
-            other = path(("v", i, jm), ("h", i, j))
+            one_way = path(("h", *up), ("v", i, j))
+            other = path(("v", *left), ("h", i, j))
             if one_way is None or other is None:
                 lone = other if one_way is None else one_way
                 commutes = lone is None or lone.is_zero()
@@ -299,16 +301,10 @@ class BimoduleMap:
     def check(self) -> None:
         """Verify the intertwining identities against every arrow."""
         x, y = self.source, self.target
-        n = x.n
-        verts = set(x.dims) | set(y.dims)
-        for (i, j) in verts:
-            for kind in ("v", "h"):
-                if kind == "v":
-                    tv = (residue(i + 1, n), j)
-                    xa, ya = x.vmap(i, j), y.vmap(i, j)
-                else:
-                    tv = (i, residue(j - 1, n))
-                    xa, ya = x.hmap(i, j), y.hmap(i, j)
+        for (i, j) in set(x.dims) | set(y.dims):
+            for kind, xa, ya in (("v", x.vmap(i, j), y.vmap(i, j)),
+                                 ("h", x.hmap(i, j), y.hmap(i, j))):
+                tv = arrow_target(kind, i, j, x.n)
                 lhs = self.component(*tv).mul(xa)
                 rhs = ya.mul(self.component(i, j))
                 if lhs != rhs:
@@ -401,23 +397,23 @@ def construct(label: StringLabel, n: int) -> Bimodule:
     for v in verts:
         local.append(dims.get(v, 0))
         dims[v] = dims.get(v, 0) + 1
-    cells: Dict[ArrowKey, Dict[Tuple[int, int], int]] = {}
+    cells: Dict[ArrowKey, List[Tuple[int, int]]] = {}
     for (a, b, kind) in edges:
-        sv = verts[a]
-        key = (kind, sv[0], sv[1])
-        cells.setdefault(key, {})[(local[b], local[a])] = 1
-    maps = {}
-    for key, entries in cells.items():
-        kind, i, j = key
-        tv = (residue(i + 1, n), j) if kind == "v" else (i, residue(j - 1, n))
-        mat = [[ONE if (r, c) in entries else ZERO
-                for c in range(dims[(i, j)])]
-               for r in range(dims[tv])]
-        maps[key] = ExactMatrix.from_rows(mat) if mat else \
-            ExactMatrix.zeros(dims[tv], dims[(i, j)])
+        cells.setdefault((kind, *verts[a]), []).append((local[b], local[a]))
+    out = _CONSTRUCT_CACHE[(lab, n)] = _zero_one_module(n, dims, cells)
+    return out
+
+
+def _zero_one_module(n: int, dims: Dict[Vertex, int],
+                     cells: Dict[ArrowKey, List[Tuple[int, int]]]) -> Bimodule:
+    """The module whose arrow (kind, i, j) has a 1 at each listed
+    (row, col) position and 0 elsewhere, with its relations checked."""
+    maps = {(kind, i, j): ExactMatrix.from_entries(
+                dims[arrow_target(kind, i, j, n)], dims[(i, j)],
+                ((r, c, ONE) for r, c in spots))
+            for (kind, i, j), spots in cells.items()}
     out = Bimodule(n, dims, maps)
     out.check_relations()
-    _CONSTRUCT_CACHE[(lab, n)] = out
     return out
 
 
@@ -428,40 +424,18 @@ def regular_bimodule(n: int) -> Bimodule:
     multiplication by a_j sends e_j to a_j, right multiplication by a_{j-1}
     sends e_j to a_{j-1}; products of two arrows vanish.
     """
-    items: Dict[Vertex, List] = {}
-
-    def put(v: Vertex, tag) -> int:
-        items.setdefault(v, [])
-        items[v].append(tag)
-        return len(items[v]) - 1
-
-    pos = {}
+    dims: Dict[Vertex, int] = {}
+    a_local: Dict[Vertex, int] = {}
     for j in range(1, n + 1):
-        pos[("e", j)] = ((j, j), put((j, j), ("e", j)))
-        va = (residue(j + 1, n), j)
-        pos[("a", j)] = (va, put(va, ("a", j)))
-    dims = {v: len(lst) for v, lst in items.items()}
-    cells: Dict[ArrowKey, Dict[Tuple[int, int], int]] = {}
-    for j in range(1, n + 1):
-        (sv, si) = pos[("e", j)]
-        # left action of a_j on e_j
-        (tv, ti) = pos[("a", j)]
-        cells.setdefault(("v", sv[0], sv[1]), {})[(ti, si)] = 1
-        # right action of a_{j-1} on e_j
-        jm = residue(j - 1, n)
-        (tv2, ti2) = pos[("a", jm)]
-        cells.setdefault(("h", sv[0], sv[1]), {})[(ti2, si)] = 1
-    maps = {}
-    for key, entries in cells.items():
-        kind, i, j = key
-        tv = (residue(i + 1, n), j) if kind == "v" else (i, residue(j - 1, n))
-        mat = [[ONE if (r, c) in entries else ZERO
-                for c in range(dims[(i, j)])]
-               for r in range(dims[tv])]
-        maps[key] = ExactMatrix.from_rows(mat)
-    out = Bimodule(n, dims, maps)
-    out.check_relations()
-    return out
+        dims[(j, j)] = 1
+        va = arrow_target("v", j, j, n)
+        a_local[va] = dims.get(va, 0)
+        dims[va] = a_local[va] + 1
+    # both arrows at (j, j) send e_j, the first item there, to the arrow
+    # of the algebra sitting at their target
+    cells = {(kind, j, j): [(a_local[arrow_target(kind, j, j, n)], 0)]
+             for j in range(1, n + 1) for kind in ("v", "h")}
+    return _zero_one_module(n, dims, cells)
 
 
 def catalog_labels(n: int, max_valleys: int) -> List[StringLabel]:
@@ -486,6 +460,59 @@ def catalog_labels(n: int, max_valleys: int) -> List[StringLabel]:
 # hom spaces
 # ---------------------------------------------------------------------------
 
+def _intertwiners(src_dims: Dict, tgt_dims: Dict, arrows):
+    """Kernel of the intertwining system between two quiver representations.
+
+    src_dims and tgt_dims give the nonzero dimensions at each vertex.
+    arrows yields (s, t, xa, ya) for each arrow s -> t, with xa its matrix
+    on the source representation and ya its matrix on the target, None for
+    zero.  The unknowns are one (dim tgt x dim src) block per common
+    vertex, in sorted vertex order, each row-major; every arrow gives the
+    equations f_t xa = ya f_s.  Returns (offsets, vectors, frees), the
+    block offsets and the kernel basis with its free unknowns.
+    """
+    offsets: Dict = {}
+    total = 0
+    for v in sorted(src_dims.keys() & tgt_dims.keys()):
+        offsets[v] = total
+        total += src_dims[v] * tgt_dims[v]
+    rows = []
+    for s, t, xa, ya in arrows:
+        ds, dt = src_dims.get(s, 0), tgt_dims.get(t, 0)
+        t_off = offsets.get(t) if xa is not None else None
+        s_off = offsets.get(s) if ya is not None else None
+        if not (ds and dt) or (t_off is None and s_off is None):
+            continue
+        # the nonzero entries of each column of xa and each row of ya
+        dxt = src_dims.get(t, 0)
+        x_cols = [[(m, xa.entries[m * ds + q]) for m in range(dxt)
+                   if xa.entries[m * ds + q]] for q in range(ds)] \
+            if t_off is not None else [()] * ds
+        y_rows = [[(l, e) for l, e in enumerate(ya.row(p)) if e]
+                  for p in range(dt)] if s_off is not None else [()] * dt
+        for p in range(dt):
+            for q in range(ds):
+                row = {t_off + p * dxt + m: e for m, e in x_cols[q]}
+                for l, e in y_rows[p]:
+                    idx = s_off + l * ds + q
+                    val = row.get(idx, ZERO) - e
+                    if val:
+                        row[idx] = val
+                    else:
+                        del row[idx]
+                if row:
+                    rows.append(row)
+    vectors, frees = sparse_kernel_with_frees(rows, total)
+    return offsets, vectors, frees
+
+
+def _block(vec: Dict[int, Fraction], off: int, rows: int,
+           cols: int) -> ExactMatrix:
+    """The rows x cols block of a kernel vector stored row-major at off."""
+    return ExactMatrix(rows, cols, [vec.get(off + k, ZERO)
+                                    for k in range(rows * cols)])
+
+
 class HomSpace:
     """Basis of Hom(x, y) with coordinate bookkeeping.
 
@@ -498,78 +525,29 @@ class HomSpace:
         if x.n != y.n:
             raise ValueError("hom between bimodules over different n")
         self.x, self.y = x, y
-        n = x.n
-        offs: Dict[Vertex, int] = {}
-        total = 0
-        for v in sorted(set(x.dims) & set(y.dims)):
-            offs[v] = total
-            total += x.dims[v] * y.dims[v]
-        self._offsets = offs
-        self._total = total
-        rows = []
-        verts = set(x.dims) | set(y.dims)
-        for (i, j) in sorted(verts):
-            for kind in ("v", "h"):
-                tv = (residue(i + 1, n), j) if kind == "v" \
-                    else (i, residue(j - 1, n))
-                ds_x = x.dims.get((i, j), 0)
-                dt_y = y.dims.get(tv, 0)
-                if ds_x == 0 or dt_y == 0:
-                    continue
-                xa = x.vmap(i, j) if kind == "v" else x.hmap(i, j)
-                ya = y.vmap(i, j) if kind == "v" else y.hmap(i, j)
-                src_c = offs.get((i, j))
-                tgt_c = offs.get(tv)
-                dxt = x.dims.get(tv, 0)
-                dys = y.dims.get((i, j), 0)
-                for p in range(dt_y):
-                    for q in range(ds_x):
-                        row: Dict[int, Fraction] = {}
-                        if tgt_c is not None:
-                            for m in range(dxt):
-                                coef = xa.get(m, q)
-                                if coef:
-                                    idx = tgt_c + p * dxt + m
-                                    row[idx] = row.get(idx, ZERO) + coef
-                        if src_c is not None:
-                            for l in range(dys):
-                                coef = ya.get(p, l)
-                                if coef:
-                                    idx = src_c + l * ds_x + q
-                                    row[idx] = row.get(idx, ZERO) - coef
-                        if row:
-                            rows.append(row)
-        self.vectors, self.frees = sparse_kernel_with_frees(rows, total)
-        self.maps = [self._to_map(vec) for vec in self.vectors]
-
-    def _to_map(self, vec: Dict[int, Fraction]) -> BimoduleMap:
-        comps = {}
-        for v, off in self._offsets.items():
-            dx, dy = self.x.dims[v], self.y.dims[v]
-            mat = [[vec.get(off + r * dx + c, ZERO) for c in range(dx)]
-                   for r in range(dy)]
-            comps[v] = ExactMatrix.from_rows(mat) if dy and dx else \
-                ExactMatrix.zeros(dy, dx)
-        return BimoduleMap(self.x, self.y, comps)
+        arrows = (((i, j), arrow_target(kind, i, j, x.n),
+                   x.arrow_maps.get((kind, i, j)),
+                   y.arrow_maps.get((kind, i, j)))
+                  for kind, i, j in sorted(x.arrow_maps.keys()
+                                           | y.arrow_maps.keys()))
+        self._offsets, self.vectors, self.frees = _intertwiners(
+            x.dims, y.dims, arrows)
+        self.maps = [BimoduleMap(x, y, {
+            v: _block(vec, off, y.dims[v], x.dims[v])
+            for v, off in self._offsets.items()}) for vec in self.vectors]
 
     @property
     def dim(self) -> int:
         return len(self.maps)
 
-    def flatten(self, f: BimoduleMap) -> List[Fraction]:
-        vec = [ZERO] * self._total
-        for v, off in self._offsets.items():
-            dx = self.x.dims[v]
-            mat = f.component(*v)
-            for r in range(mat.rows):
-                for c in range(mat.cols):
-                    vec[off + r * dx + c] = mat.get(r, c)
-        return vec
-
     def coords_of(self, f: BimoduleMap) -> Tuple[Fraction, ...]:
         """Coordinates of an intertwiner in this basis (reads free slots)."""
-        vec = self.flatten(f)
-        return tuple(vec[fr] for fr in self.frees)
+        vec: Dict[int, Fraction] = {}
+        for v, off in self._offsets.items():
+            mat = f.components.get(v)
+            if mat is not None:
+                vec.update(enumerate(mat.entries, off))
+        return tuple(vec.get(fr, ZERO) for fr in self.frees)
 
 
 def hom_basis(x: Bimodule, y: Bimodule) -> List[BimoduleMap]:
@@ -729,69 +707,38 @@ def dualize(x: Bimodule) -> Bimodule:
 # Hom(-, algebra) as a bimodule
 # ---------------------------------------------------------------------------
 
-def _left_projective_spaces(n: int, b: int) -> Dict[int, List]:
-    """Ordered basis of the left projective Le_b at the cyclic-quiver
-    vertices where it lives: e_b at b, a_b at b+1 (both at 1 when n = 1).
-    Its one nonzero arrow is a_b, sending e_b to a_b."""
-    spaces: Dict[int, List] = {b: [("e", b)]}
-    spaces.setdefault(residue(b + 1, n), []).append(("a", b))
-    return spaces
+# Le_b: e_b at vertex b and a_b at b+1, both at 1 when n = 1; its one
+# arrow, a_b, sends e_b to a_b
+_LE_ARROW = ExactMatrix(1, 1, [ONE])
+_LE_ARROW_LOOP = ExactMatrix(2, 2, [ZERO, ZERO, ONE, ZERO])
 
 
 class _ColumnHom:
-    """Hom of left modules from a column of x into Le_b, with coordinates."""
+    """Hom of left modules from column a of x into Le_b, with coordinates."""
 
     def __init__(self, x: Bimodule, a: int, b: int):
         n = x.n
-        tgt_spaces = _left_projective_spaces(n, b)
-        offs = {}
-        total = 0
-        for i in sorted(tgt_spaces):
-            ds = x.dims.get((i, a), 0)
-            if ds:
-                offs[i] = total
-                total += ds * len(tgt_spaces[i])
-        rows = []
-        # one block of equations per arrow a_i whose target carries Le_b
-        for i in sorted({residue(v - 1, n) for v in tgt_spaces}):
-            ip = residue(i + 1, n)
-            ds = x.dims.get((i, a), 0)
-            if ds == 0:
-                continue
-            xa = x.arrow_maps.get(("v", i, a))
-            dxt = x.dims.get((ip, a), 0)
-            for p, item in enumerate(tgt_spaces[ip]):
-                for q in range(ds):
-                    row: Dict[int, Fraction] = {}
-                    if ip in offs and xa is not None:
-                        for m in range(dxt):
-                            if xa.get(m, q):
-                                idx = offs[ip] + p * dxt + m
-                                row[idx] = row.get(idx, ZERO) + xa.get(m, q)
-                    # a_b sends e_b, the first item at b, to item a_b
-                    if i == b and i in offs and item == ("a", b):
-                        idx = offs[i] + q
-                        row[idx] = row.get(idx, ZERO) - ONE
-                    if row:
-                        rows.append(row)
-        self.vectors, self.frees = sparse_kernel_with_frees(rows, total)
-        self.offsets = offs
+        bp, bm = residue(b + 1, n), residue(b - 1, n)
         self.x, self.a = x, a
-        self.tgt_spaces = tgt_spaces
+        self.tgt_dims = {1: 2} if n == 1 else {b: 1, bp: 1}
+        src_dims = {i: x.dims[(i, a)] for i in (bm, b, bp) if (i, a) in x.dims}
+        # the arrows into Le_b's support: a_b, and a_{b-1} unless n = 1
+        arrows = [(b, bp, x.arrow_maps.get(("v", b, a)),
+                   _LE_ARROW_LOOP if n == 1 else _LE_ARROW)]
+        if n > 1:
+            arrows.append((bm, b, x.arrow_maps.get(("v", bm, a)), None))
+        self.offsets, self.vectors, self.frees = _intertwiners(
+            src_dims, self.tgt_dims, arrows)
 
     @property
     def dim(self) -> int:
         return len(self.vectors)
 
     def component(self, vec: Dict[int, Fraction], i: int) -> ExactMatrix:
-        """The vertex-i matrix (target dim x source dim) of a hom vector."""
-        ds = self.x.dims.get((i, self.a), 0)
-        dt = len(self.tgt_spaces[i])
-        if i not in self.offsets:
-            return ExactMatrix.zeros(dt, ds)
-        off = self.offsets[i]
-        return ExactMatrix(dt, ds, [vec.get(off + p * ds + q, ZERO)
-                                    for p in range(dt) for q in range(ds)])
+        """The vertex-i matrix (target dim x source dim) of a hom vector;
+        column a of x must be nonzero at i."""
+        return _block(vec, self.offsets[i], self.tgt_dims[i],
+                      self.x.dims[(i, self.a)])
 
     def coords(self, vec: Dict[int, Fraction]) -> Tuple[Fraction, ...]:
         return tuple(vec.get(fr, ZERO) for fr in self.frees)
@@ -821,42 +768,39 @@ def hom_to_algebra(x: Bimodule) -> Bimodule:
         if h.dim == 0:
             continue
         # vertical: phi -> phi o (right action of a_a), lands in Hom(col a+1)
-        ap = residue(a + 1, n)
-        tgt = homs.get((ap, b))
+        up = arrow_target("v", a, b, n)
+        tgt = homs.get(up)
         if tgt is not None and tgt.dim:
             cols = []
             for vec in h.vectors:
                 comp_vec: Dict[int, Fraction] = {}
                 for i, off in tgt.offsets.items():
-                    phi_i = h.component(vec, i)
-                    step = x.hmap(i, ap)  # column a+1 -> column a at vertex i
-                    mat = phi_i.mul(step)
-                    ds = x.dims[(i, ap)]
-                    for p in range(mat.rows):
-                        for q in range(ds):
-                            val = mat.get(p, q)
-                            if val:
-                                comp_vec[off + p * ds + q] = val
+                    # column a+1 -> column a at vertex i
+                    step = x.arrow_maps.get(("h", i, up[0]))
+                    if step is not None:
+                        mat = h.component(vec, i).mul(step)
+                        comp_vec.update((off + k, e) for k, e in
+                                        enumerate(mat.entries) if e)
                 cols.append(tgt.coords(comp_vec))
             maps[("v", a, b)] = ExactMatrix(
                 tgt.dim, h.dim,
                 [cols[c][r] for r in range(tgt.dim) for c in range(h.dim)])
         # horizontal: phi -> (right mult by a_{b-1}) o phi; e_b a_{b-1}
         # is a_{b-1} at vertex b and a_b a_{b-1} = 0, so only the e_b row
-        # of phi at b survives, as the a_{b-1} row of the image
-        bm = residue(b - 1, n)
-        tgt2 = homs.get((a, bm))
+        # of phi at b survives, as the a_{b-1} row of the image, the last
+        # item of Le_{b-1} at b
+        tgt2 = homs.get(arrow_target("h", a, b, n))
         if tgt2 is not None and tgt2.dim:
             cols = []
             for vec in h.vectors:
                 comp_vec = {}
                 if b in h.offsets and b in tgt2.offsets:
                     ds = x.dims[(b, a)]
-                    p = tgt2.tgt_spaces[b].index(("a", bm))
+                    off = tgt2.offsets[b] + (tgt2.tgt_dims[b] - 1) * ds
                     for q in range(ds):
                         val = vec.get(h.offsets[b] + q, ZERO)
                         if val:
-                            comp_vec[tgt2.offsets[b] + p * ds + q] = val
+                            comp_vec[off + q] = val
                 cols.append(tgt2.coords(comp_vec))
             maps[("h", a, b)] = ExactMatrix(
                 tgt2.dim, h.dim,
@@ -899,27 +843,20 @@ def direct_sum(*mods: Bimodule) -> Bimodule:
     n = mods[0].n
     if any(m.n != n for m in mods):
         raise ValueError("mixed n")
-    verts = sorted(set().union(*[set(m.dims) for m in mods]))
-    dims = {v: sum(m.dims.get(v, 0) for m in mods) for v in verts}
-    maps = {}
-    for (i, j) in verts:
-        for kind in ("v", "h"):
-            tv = (residue(i + 1, n), j) if kind == "v" \
-                else (i, residue(j - 1, n))
-            dt = dims.get(tv, 0)
-            ds = dims[(i, j)]
-            if not (dt and ds):
-                continue
-            rows = [[ZERO] * ds for _ in range(dt)]
-            ro = co = 0
-            for m in mods:
-                blk = m.vmap(i, j) if kind == "v" else m.hmap(i, j)
-                for r in range(blk.rows):
-                    for c in range(blk.cols):
-                        rows[ro + r][co + c] = blk.get(r, c)
-                ro += m.dims.get(tv, 0)
-                co += m.dims.get((i, j), 0)
-            mat = ExactMatrix.from_rows(rows)
-            if not mat.is_zero():
-                maps[(kind, i, j)] = mat
-    return Bimodule(n, dims, maps)
+    # each summand's basis follows those of the summands before it
+    entries: Dict[ArrowKey, list] = {}
+    offset: Dict[Vertex, int] = {}
+    for m in mods:
+        for (kind, i, j), mat in m.arrow_maps.items():
+            ro = offset.get(arrow_target(kind, i, j, n), 0)
+            co = offset.get((i, j), 0)
+            entries.setdefault((kind, i, j), []).extend(
+                (ro + k // mat.cols, co + k % mat.cols, e)
+                for k, e in enumerate(mat.entries) if e)
+        for v, d in m.dims.items():
+            offset[v] = offset.get(v, 0) + d
+    dims = dict(sorted(offset.items()))
+    return Bimodule(n, dims, {
+        (kind, i, j): ExactMatrix.from_entries(
+            dims[arrow_target(kind, i, j, n)], dims[(i, j)], ents)
+        for (kind, i, j), ents in entries.items()})

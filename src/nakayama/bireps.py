@@ -133,34 +133,20 @@ def _canonical_epi(m_label: StringLabel, n_label: StringLabel,
             seen[v] += 1
         return out
 
-    entries: Dict[tuple, Dict[Tuple[int, int], Fraction]] = {}
+    entries: Dict[tuple, List[Tuple[int, int, Fraction]]] = {}
     for (v_m, l_m), (v_n, l_n) in zip(layout(pts_m), layout(pts_n)):
         if v_m != v_n:
             raise CartanError(
                 f"the walks of {m_label} and {n_label} part at {v_m} and {v_n}")
-        entries.setdefault(v_m, {})[(l_n, l_m)] = ONE
-    comps = {}
-    for v in set(src.dims) | set(tgt.dims):
-        rows = tgt.dims.get(v, 0)
-        cols = src.dims.get(v, 0)
-        here = entries.get(v, {})
-        comps[v] = ExactMatrix.from_rows(
-            [[here.get((r, c), ZERO) for c in range(cols)]
-             for r in range(rows)]) if rows and cols else \
-            ExactMatrix.zeros(rows, cols)
-    out = BimoduleMap(src, tgt, comps)
+        entries.setdefault(v_m, []).append((l_n, l_m, ONE))
+    out = BimoduleMap(src, tgt, {
+        v: ExactMatrix.from_entries(tgt.dims[v], src.dims[v], here)
+        for v, here in entries.items()})
     out.check()
     return out
 
 
 ActionEntries = Tuple[Tuple[int, int, int], ...]
-
-
-def _matrix_from_entries(size: int, entries: ActionEntries) -> ExactMatrix:
-    flat = [ZERO] * (size * size)
-    for r, c, m in entries:
-        flat[r * size + c] += m
-    return ExactMatrix(size, size, flat)
 
 
 class _BirepCore:
@@ -204,7 +190,7 @@ class _BirepCore:
             key=_label_sort_key)
         self.action_entries = {u: self._object_action(u)
                                for u in self.generators}
-        self.action = {u: _matrix_from_entries(2 * n, entries)
+        self.action = {u: ExactMatrix.from_entries(2 * n, 2 * n, entries)
                        for u, entries in self.action_entries.items()}
         self._scalars: Dict[StringLabel, Fraction] = {}
 
@@ -339,16 +325,11 @@ class FinitaryBirep:
     def generator_labels(self) -> List[StringLabel]:
         return sorted(self.action_obj, key=_label_sort_key)
 
-    def _action_support(self):
-        """One pass over the nonzero entries of the generator matrices.
-
-        Returns the nonzero entries of the total action matrix, keyed by
-        flat row-major index, and for each object position the positions
-        some generator sends it to.
-        """
+    def _action_support(self) -> Dict[int, Fraction]:
+        """The nonzero entries of the total action matrix, keyed by flat
+        row-major index, from one pass over the generator matrices."""
         size = self.rank
         total: Dict[int, Fraction] = {}
-        reach: Dict[int, set] = {}
         for mat in self.action_obj.values():
             if (mat.rows, mat.cols) != (size, size):
                 raise ValueError(
@@ -357,11 +338,10 @@ class FinitaryBirep:
             for idx, e in enumerate(mat.entries):
                 if e:
                     total[idx] = total.get(idx, ZERO) + e
-                    reach.setdefault(idx % size, set()).add(idx // size)
-        return total, reach
+        return total
 
     def f_matrix(self) -> ExactMatrix:
-        total, _ = self._action_support()
+        total = self._action_support()
         return ExactMatrix(self.rank, self.rank,
                            [total.get(idx, ZERO)
                             for idx in range(self.rank * self.rank)])
@@ -492,9 +472,9 @@ def localize(b: FinitaryBirep, spec: LocalizationSpec) -> FinitaryBirep:
                     "cannot contract a pair whose columns act differently")
         # rows are summed over the group; columns are identical, so the
         # group's first one is kept
-        action[u] = _matrix_from_entries(
-            size, [(new_pos[r], new_pos[c], m) for r, c, m in entries
-                   if groups[new_pos[c]][0] == c])
+        action[u] = ExactMatrix.from_entries(
+            size, size, [(new_pos[r], new_pos[c], m) for r, c, m in entries
+                         if groups[new_pos[c]][0] == c])
     return FinitaryBirep(b.n, b.k, b.column, total, slots, action, core)
 
 
@@ -506,40 +486,19 @@ def action_matrix(b: FinitaryBirep, u: StringLabel) -> ExactMatrix:
     return b.action_obj[lab]
 
 
-def _ideal_objects(b: FinitaryBirep, s: int,
-                   reach: Dict[int, set]) -> set:
-    """Objects whose identities lie in the ideal generated by the arrow of
-    component s.
-
-    The seeds are the objects of the generators from column s that send
-    the arrow to a nonzero multiple of an identity; the ideal then takes
-    in every object some generator reaches from one already in it.
-    """
-    ids = set()
-    for u in b.core.generators:
-        if u.j != s or b.core.arrow_scalar(u) == ZERO:
-            continue
-        kind = "O" if u.i in b.contracted else \
-            ("N" if u.family in "WN" else "M")
-        ids.add(b.object_index(kind, u.i))
-    frontier = list(ids)
-    while frontier:
-        for r in reach.get(frontier.pop(), ()):
-            if r not in ids:
-                ids.add(r)
-                frontier.append(r)
-    return ids
-
-
 def is_simple_transitive(b: FinitaryBirep) -> bool:
     """Transitivity of the object action plus absence of stable ideals.
 
     Transitivity asks every entry of the total action matrix to be
-    positive.  For simplicity, the arrow of each surviving component
-    generates an ideal closed under the generator action; it must reach
-    the identity of some object.
+    positive.  For simplicity, the arrow of each surviving component s
+    must generate an ideal that contains the identity of some object.
+    ``arrow_scalar`` sends the arrow, under each generator from column s,
+    to a scalar multiple of an identity, and raises CartanError for any
+    other shape; so the ideal contains an identity exactly when one of
+    those scalars is nonzero.  Every such scalar is computed, so every
+    shape check runs.
     """
-    total, reach = b._action_support()
+    total = b._action_support()
     if any(total.get(idx, ZERO) < ONE for idx in range(b.rank * b.rank)):
         return False
 
@@ -548,7 +507,9 @@ def is_simple_transitive(b: FinitaryBirep) -> bool:
         return True
     if b.core is None:
         raise ValueError("this birep carries no morphism-level data")
-    return all(_ideal_objects(b, s, reach) for s in survivors)
+    scalars = [(u.j, b.core.arrow_scalar(u)) for u in b.core.generators
+               if u.j in survivors]
+    return all(any(lam for j, lam in scalars if j == s) for s in survivors)
 
 
 @dataclass

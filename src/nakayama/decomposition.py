@@ -32,7 +32,6 @@ from .bimodules import (
     catalog_labels,
     construct,
     trace_pairing,
-    zero_map,
 )
 from .linalg import ExactMatrix, rank
 from .tensoring import tensor
@@ -104,23 +103,6 @@ def _split_pair(x: Bimodule, sigmas: List[BimoduleMap],
     c = pi.compose(sig)
     inv = BimoduleMap(x, x, {v: c.component(*v).inverse() for v in x.dims})
     return sig, inv.compose(pi)
-
-
-def split_pair_search(x: Bimodule, t: Bimodule):
-    """Find (section, retraction) exhibiting x as a direct summand of t.
-
-    Returns (sig, pi) with pi o sig the identity of x, or None.  End(x)
-    must be local, as it is for every catalog member: then x is a summand
-    exactly when the trace pairing of Hom(x, t) with Hom(t, x) is nonzero.
-    """
-    if x.n != t.n:
-        raise ValueError("split pair across different n")
-    if x.is_zero():
-        return zero_map(x, t), zero_map(t, x)
-    sigmas, pis, g = trace_pairing(x, t)
-    if g.is_zero():
-        return None
-    return _split_pair(x, sigmas, pis, g)
 
 
 @dataclass

@@ -5,7 +5,8 @@ rank / kernel / solve questions for smallish matrices with Fraction entries.
 Two representations coexist here:
 
 * ``ExactMatrix``, a dense immutable matrix, the public currency of the
-  package;
+  package; ``ExactMatrix.from_entries`` assembles one from sparse
+  (row, col, value) triples;
 * sparse row-dicts (column index -> scalar), used internally because the
   intertwining and balancing systems are very sparse and are cheaper to
   eliminate without materialising zeros.
@@ -55,6 +56,19 @@ class ExactMatrix:
                 raise ValueError("ragged rows")
             flat.extend(row)
         return cls(r, c, flat)
+
+    @classmethod
+    def from_entries(cls, rows: int, cols: int,
+                     triples: Iterable) -> "ExactMatrix":
+        """The rows x cols matrix with the given (row, col, value) entries
+        and zeros elsewhere; values at a repeated position add up."""
+        flat = [ZERO] * (rows * cols)
+        for r, c, v in triples:
+            if not (0 <= r < rows and 0 <= c < cols):
+                raise IndexError(f"entry ({r}, {c}) outside {rows}x{cols}")
+            k = r * cols + c
+            flat[k] = flat[k] + v if flat[k] else v
+        return cls(rows, cols, flat)
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from .algebras import Vertex, residue
+from .algebras import Vertex, arrow_target, residue
 from .bimodules import Bimodule, BimoduleMap
 from .linalg import ExactMatrix, ONE, ZERO, sparse_rref
 
@@ -98,75 +98,54 @@ class TensorSpace:
                     continue
                 qdim = len(frees)
                 free_pos = {f: t for t, f in enumerate(frees)}
-                sec = [[ZERO] * qdim for _ in basis]
-                for t, f in enumerate(frees):
-                    sec[f][t] = ONE
-                proj = [[ZERO] * len(basis) for _ in range(qdim)]
-                for t, f in enumerate(frees):
-                    proj[t][f] = ONE
-                for rrow, p in zip(rref_rows, pivots):
-                    for col, coef in rrow.items():
-                        if col != p:
-                            proj[free_pos[col]][p] = -coef
-                self.sections[v] = ExactMatrix.from_rows(sec)
-                self.projections[v] = ExactMatrix.from_rows(proj)
+                self.sections[v] = ExactMatrix.from_entries(
+                    len(basis), qdim,
+                    [(f, t, ONE) for t, f in enumerate(frees)])
+                self.projections[v] = ExactMatrix.from_entries(
+                    qdim, len(basis),
+                    [(t, f, ONE) for t, f in enumerate(frees)]
+                    + [(free_pos[col], p, -coef)
+                       for rrow, p in zip(rref_rows, pivots)
+                       for col, coef in rrow.items() if col != p])
                 self.qdims[v] = qdim
 
     # -- raw (pair-level) maps --------------------------------------------
 
-    def _raw_vertical(self, i: int, l: int) -> ExactMatrix:
-        """Left action of a_i on the pair space at (i, l)."""
-        n = self.n
+    def _raw(self, kind: str, i: int, l: int) -> ExactMatrix:
+        """Left action of a_i ("v") or right action of a_{l-1} ("h") on
+        the pair space at (i, l)."""
         src = self.pair_bases[(i, l)]
-        tv = (residue(i + 1, n), l)
+        tv = arrow_target(kind, i, l, self.n)
         tgt_idx = self.pair_index.get(tv, {})
-        tgt_dim = len(self.pair_bases.get(tv, []))
-        ent = [[ZERO] * len(src) for _ in range(tgt_dim)]
+        triples = []
         for c, (j, xa, yb) in enumerate(src):
-            vx = self.x.vmap(i, j)
-            for s in range(self.x.dim(i + 1, j)):
-                coef = vx.get(s, xa)
+            if kind == "v":
+                mat, col = self.x.arrow_maps.get(("v", i, j)), xa
+            else:
+                mat, col = self.y.arrow_maps.get(("h", j, l)), yb
+            if mat is None:
+                continue
+            for s in range(mat.rows):
+                coef = mat.get(s, col)
                 if coef:
-                    ent[tgt_idx[(j, s, yb)]][c] += coef
-        return ExactMatrix.from_rows(ent) if tgt_dim else \
-            ExactMatrix.zeros(0, len(src))
-
-    def _raw_horizontal(self, i: int, l: int) -> ExactMatrix:
-        """Right action of a_{l-1} on the pair space at (i, l)."""
-        n = self.n
-        src = self.pair_bases[(i, l)]
-        tv = (i, residue(l - 1, n))
-        tgt_idx = self.pair_index.get(tv, {})
-        tgt_dim = len(self.pair_bases.get(tv, []))
-        ent = [[ZERO] * len(src) for _ in range(tgt_dim)]
-        for c, (j, xa, yb) in enumerate(src):
-            hy = self.y.hmap(j, l)
-            for t in range(self.y.dim(j, l - 1)):
-                coef = hy.get(t, yb)
-                if coef:
-                    ent[tgt_idx[(j, xa, t)]][c] += coef
-        return ExactMatrix.from_rows(ent) if tgt_dim else \
-            ExactMatrix.zeros(0, len(src))
+                    key = (j, s, yb) if kind == "v" else (j, xa, s)
+                    triples.append((tgt_idx[key], c, coef))
+        return ExactMatrix.from_entries(len(self.pair_bases.get(tv, ())),
+                                        len(src), triples)
 
     def assemble(self) -> Bimodule:
         """The tensor product as a torus representation."""
-        n = self.n
         maps = {}
         for (i, l) in self.qdims:
             for kind in ("v", "h"):
-                if kind == "v":
-                    tv = (residue(i + 1, n), l)
-                else:
-                    tv = (i, residue(l - 1, n))
+                tv = arrow_target(kind, i, l, self.n)
                 if tv not in self.qdims:
                     continue
-                raw = self._raw_vertical(i, l) if kind == "v" \
-                    else self._raw_horizontal(i, l)
-                mat = self.projections[tv].mul(raw).mul(
+                mat = self.projections[tv].mul(self._raw(kind, i, l)).mul(
                     self.sections[(i, l)])
                 if not mat.is_zero():
                     maps[(kind, i, l)] = mat
-        return Bimodule(n, dict(self.qdims), maps)
+        return Bimodule(self.n, dict(self.qdims), maps)
 
 
 def tensor(x: Bimodule, y: Bimodule) -> Bimodule:
@@ -198,16 +177,17 @@ def tensor_map(x: Bimodule, f: BimoduleMap) -> BimoduleMap:
         if v not in src_space.qdims or v not in tgt_space.qdims:
             continue
         tgt_idx = tgt_space.pair_index[v]
-        tgt_dim = len(tgt_space.pair_bases[v])
-        ent = [[ZERO] * len(src_basis) for _ in range(tgt_dim)]
+        triples = []
         for c, (j, xa, yb) in enumerate(src_basis):
-            comp = f.component(j, v[1])
+            comp = f.components.get((j, v[1]))
+            if comp is None:
+                continue
             for cc in range(comp.rows):
                 coef = comp.get(cc, yb)
                 if coef:
-                    ent[tgt_idx[(j, xa, cc)]][c] += coef
-        raw = ExactMatrix.from_rows(ent) if tgt_dim else \
-            ExactMatrix.zeros(0, len(src_basis))
+                    triples.append((tgt_idx[(j, xa, cc)], c, coef))
+        raw = ExactMatrix.from_entries(len(tgt_space.pair_bases[v]),
+                                       len(src_basis), triples)
         mat = tgt_space.projections[v].mul(raw).mul(src_space.sections[v])
         comps[v] = mat
     return BimoduleMap(src, tgt, comps)

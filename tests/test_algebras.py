@@ -2,6 +2,7 @@ import pytest
 
 from nakayama.algebras import (
     CoverVertex,
+    arrow_target,
     build_nakayama,
     build_torus,
     project,
@@ -97,6 +98,14 @@ def test_torus_arrow_directions():
     t = build_torus(2)
     assert t.arrow_target(("v", 2, 1)) == (1, 1)  # wraps upward
     assert t.arrow_target(("h", 1, 1)) == (1, 2)  # wraps leftward
+    # the shared helper against the tables, read as cover steps pushed down
+    for n in (1, 2, 3):
+        t = build_torus(n)
+        for (i, j) in t.vertices:
+            for kind, step in (("v", (1, 0)), ("h", (0, -1))):
+                cover = CoverVertex(i, j).shifted(*step)
+                assert arrow_target(kind, i, j, n) == project(cover, n) \
+                    == t.arrow_target((kind, i, j))
 
 
 def test_torus_json_roundtrip_fields():

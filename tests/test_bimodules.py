@@ -9,6 +9,7 @@ import pytest
 
 from nakayama.bimodules import (
     Bimodule,
+    HomSpace,
     StringLabel,
     catalog_labels,
     construct,
@@ -25,7 +26,7 @@ from nakayama.bimodules import (
     zero_bimodule,
     _walk,
 )
-from nakayama.algebras import residue
+from nakayama.algebras import CoverVertex, project, residue
 from nakayama.linalg import (
     ONE,
     ZERO,
@@ -604,3 +605,115 @@ def test_direct_sum_dims_and_relations():
     s.check_relations()
     for v in set(x.dims) | set(y.dims):
         assert s.dims[v] == x.dims.get(v, 0) + y.dims.get(v, 0)
+
+
+# The dense direct sum and the hand-built HomSpace system that the shared
+# assembler and intertwiner builder replaced; arrow targets are read off
+# the cover here, independently of the package helper.
+
+def _reference_target(kind, i, j, n):
+    step = (1, 0) if kind == "v" else (0, -1)
+    return project(CoverVertex(i, j).shifted(*step), n)
+
+
+def _reference_direct_sum(*mods):
+    n = mods[0].n
+    verts = sorted(set().union(*[set(m.dims) for m in mods]))
+    dims = {v: sum(m.dims.get(v, 0) for m in mods) for v in verts}
+    maps = {}
+    for (i, j) in verts:
+        for kind in ("v", "h"):
+            tv = _reference_target(kind, i, j, n)
+            dt, ds = dims.get(tv, 0), dims[(i, j)]
+            if not (dt and ds):
+                continue
+            rows = [[ZERO] * ds for _ in range(dt)]
+            ro = co = 0
+            for m in mods:
+                blk = m.vmap(i, j) if kind == "v" else m.hmap(i, j)
+                for r in range(blk.rows):
+                    for c in range(blk.cols):
+                        rows[ro + r][co + c] = blk.get(r, c)
+                ro += m.dims.get(tv, 0)
+                co += m.dims.get((i, j), 0)
+            mat = ExactMatrix.from_rows(rows)
+            if not mat.is_zero():
+                maps[(kind, i, j)] = mat
+    return Bimodule(n, dims, maps)
+
+
+def _reference_hom_system(x, y):
+    n = x.n
+    offs, total = {}, 0
+    for v in sorted(set(x.dims) & set(y.dims)):
+        offs[v] = total
+        total += x.dims[v] * y.dims[v]
+    rows = []
+    for (i, j) in sorted(set(x.dims) | set(y.dims)):
+        for kind in ("v", "h"):
+            tv = _reference_target(kind, i, j, n)
+            ds_x, dt_y = x.dims.get((i, j), 0), y.dims.get(tv, 0)
+            if ds_x == 0 or dt_y == 0:
+                continue
+            xa = x.vmap(i, j) if kind == "v" else x.hmap(i, j)
+            ya = y.vmap(i, j) if kind == "v" else y.hmap(i, j)
+            src_c, tgt_c = offs.get((i, j)), offs.get(tv)
+            dxt, dys = x.dims.get(tv, 0), y.dims.get((i, j), 0)
+            for p in range(dt_y):
+                for q in range(ds_x):
+                    row = {}
+                    if tgt_c is not None:
+                        for m in range(dxt):
+                            if xa.get(m, q):
+                                idx = tgt_c + p * dxt + m
+                                row[idx] = row.get(idx, ZERO) + xa.get(m, q)
+                    if src_c is not None:
+                        for l in range(dys):
+                            if ya.get(p, l):
+                                idx = src_c + l * ds_x + q
+                                row[idx] = row.get(idx, ZERO) - ya.get(p, l)
+                    if row:
+                        rows.append(row)
+    vectors, frees = sparse_kernel_with_frees(rows, total)
+    return offs, vectors, frees
+
+
+def _three_terms(n):
+    return (regular_bimodule(n), construct(lab("S", n, 1, 2), n),
+            construct(P(1, n), n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_direct_sum_matches_dense_reference(n):
+    mods = [construct(label, n) for label in catalog_labels(n, 1)]
+    mods += [regular_bimodule(n), zero_bimodule(n)]
+    cases = [(x, y) for x in mods[::3] for y in mods[1::4]]
+    cases += [_three_terms(n), (construct(lab("N", 1, 1, 2), n),) * 3]
+    for parts in cases:
+        out, ref = direct_sum(*parts), _reference_direct_sum(*parts)
+        assert list(out.dims.items()) == list(ref.dims.items()), parts
+        assert out.arrow_maps == ref.arrow_maps, parts
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_hom_space_system_matches_reference(n):
+    mods = [construct(label, n) for label in catalog_labels(n, 2)]
+    extra = [regular_bimodule(n), direct_sum(*_three_terms(n))]
+    pairs = [(x, y) for x in mods for y in mods]
+    pairs += [(x, y) for x in extra for y in mods + extra]
+    pairs += [(y, x) for x in extra for y in mods]
+    for x, y in pairs:
+        space = HomSpace(x, y)
+        offs, vectors, frees = _reference_hom_system(x, y)
+        assert list(space._offsets.items()) == list(offs.items())
+        assert space.vectors == vectors and space.frees == frees, (x, y)
+
+
+def test_hom_space_of_loop_with_nonzero_diagonal():
+    # at n = 1 a loop may have nonzero diagonal entries; the two terms of
+    # an equation then cancel, and the builder must drop the zero entry
+    x = Bimodule(1, {(1, 1): 2},
+                 {("v", 1, 1): ExactMatrix.from_rows([[1, 1], [-1, -1]])})
+    x.check_relations()
+    assert HomSpace(x, x).dim == 2
+    assert is_isomorphic(x, construct(lab("S", 1, 1, 0), 1))

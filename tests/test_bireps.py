@@ -24,7 +24,6 @@ from nakayama.bireps import (
     QuotientHomSpace,
     StabilityError,
     _canonical_epi,
-    _ideal_objects,
     action_matrix,
     cell_birep,
     classify,
@@ -368,10 +367,6 @@ def _closure_cases():
 def test_simple_transitivity_matches_reference_loop():
     verdicts = []
     for b in _closure_cases():
-        _, reach = b._action_support()
-        for s in range(1, b.n + 1):
-            if s not in b.contracted:
-                assert _ideal_objects(b, s, reach) == _reference_closure(b, s)
         verdict = is_simple_transitive(b)
         assert verdict == _reference_is_simple_transitive(b)
         verdicts.append(verdict)

@@ -10,6 +10,7 @@ from nakayama.bimodules import (
     construct,
     direct_sum,
     regular_bimodule,
+    trace_pairing,
     zero_bimodule,
 )
 from nakayama.decomposition import (
@@ -23,7 +24,6 @@ from nakayama.decomposition import (
     is_strictly_greater,
     multable_check,
     product_summands,
-    split_pair_search,
 )
 from nakayama.tensoring import tensor
 
@@ -58,9 +58,17 @@ def test_cell_chain_order():
 
 # -- split pairs -------------------------------------------------------------
 
+def _split_pair_of(label, t, max_valleys):
+    """The split pair that decompose keeps for label, against t."""
+    rep = decompose(t, max_valleys)
+    return next((sig, pi) for found, sig, pi in rep.split_pairs
+                if found == label)
+
+
 def test_split_pair_on_itself():
-    x = construct(lab("S", 1, 1, 1), 2)
-    sig, pi = split_pair_search(x, x)
+    label = lab("S", 1, 1, 1)
+    x = construct(label, 2)
+    sig, pi = _split_pair_of(label, x, 1)
     comp = pi.compose(sig)
     for v, d in x.dims.items():
         assert comp.component(*v).is_identity()
@@ -68,17 +76,16 @@ def test_split_pair_on_itself():
 
 def test_split_pair_absent_when_hom_vanishes():
     n = 2
-    assert split_pair_search(construct(lab("L", 1, 1), n),
-                             construct(lab("L", 1, 2), n)) is None
+    _, _, g = trace_pairing(construct(lab("L", 1, 1), n),
+                            construct(lab("L", 1, 2), n))
+    assert g.is_zero()
 
 
 def test_split_pair_in_tensor_square_of_n():
     n = 2
-    x = construct(lab("N", 1, 1, 1), n)
-    t = tensor(x, x)
-    found = split_pair_search(x, t)
-    assert found is not None
-    sig, pi = found
+    label = lab("N", 1, 1, 1)
+    x = construct(label, n)
+    sig, pi = _split_pair_of(label, tensor(x, x), 1)
     comp = pi.compose(sig)
     for v, d in x.dims.items():
         assert comp.component(*v).is_identity()

@@ -106,6 +106,26 @@ def test_matrix_shape_validation():
         ExactMatrix.from_rows([[1, 2], [3]])
 
 
+def test_from_entries_adds_repeated_positions():
+    m = ExactMatrix.from_entries(2, 3, [(0, 1, 2), (1, 2, Fraction(1, 2)),
+                                        (0, 1, 3), (1, 2, Fraction(1, 2))])
+    assert m == ExactMatrix.from_rows([[0, 5, 0], [0, 0, 1]])
+    assert ExactMatrix.from_entries(1, 1, [(0, 0, 1), (0, 0, -1)]).is_zero()
+
+
+@pytest.mark.parametrize("rows,cols", [(0, 0), (0, 3), (3, 0)])
+def test_from_entries_accepts_empty_shapes(rows, cols):
+    m = ExactMatrix.from_entries(rows, cols, [])
+    assert (m.rows, m.cols, m.entries) == (rows, cols, ())
+    assert m == ExactMatrix.zeros(rows, cols)
+
+
+@pytest.mark.parametrize("triple", [(2, 0, 1), (0, 3, 1), (-1, 0, 1)])
+def test_from_entries_rejects_positions_outside(triple):
+    with pytest.raises(IndexError):
+        ExactMatrix.from_entries(2, 3, [triple])
+
+
 def test_mul_and_inverse():
     m = ExactMatrix.from_rows([[2, 1], [1, 1]])
     inv = m.inverse()
