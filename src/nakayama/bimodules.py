@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -513,12 +514,15 @@ def _block(vec: Dict[int, Fraction], off: int, rows: int,
                                     for k in range(rows * cols)])
 
 
-class HomSpace:
+class HomSpace(Sequence):
     """Basis of Hom(x, y) with coordinate bookkeeping.
 
-    The intertwining system's kernel basis has an identity pattern on its
-    free unknowns, so coordinates of any other intertwiner in this basis can
-    be read off directly; ``coords_of`` does that.
+    A read-only sequence of maps: the kernel vectors of the intertwining
+    system are kept, and ``space[a]`` builds the a-th basis map from its
+    vector on every call, so no shared map exists for a caller to change.
+    The kernel basis has an identity pattern on its free unknowns, so
+    coordinates of any other intertwiner in this basis can be read off
+    directly; ``coords_of`` does that.
     """
 
     def __init__(self, x: Bimodule, y: Bimodule):
@@ -532,13 +536,27 @@ class HomSpace:
                                            | y.arrow_maps.keys()))
         self._offsets, self.vectors, self.frees = _intertwiners(
             x.dims, y.dims, arrows)
-        self.maps = [BimoduleMap(x, y, {
-            v: _block(vec, off, y.dims[v], x.dims[v])
-            for v, off in self._offsets.items()}) for vec in self.vectors]
+
+    def __len__(self) -> int:
+        return len(self.vectors)
+
+    def __getitem__(self, a: int) -> BimoduleMap:
+        return BimoduleMap(self.x, self.y, self.components(a))
+
+    def components(self, a: int) -> Dict[Vertex, ExactMatrix]:
+        """The vertex blocks of the a-th basis map, built fresh."""
+        vec, x, y = self.vectors[a], self.x, self.y
+        return {v: _block(vec, off, y.dims[v], x.dims[v])
+                for v, off in self._offsets.items()}
 
     @property
     def dim(self) -> int:
-        return len(self.maps)
+        return len(self.vectors)
+
+    @property
+    def maps(self) -> List[BimoduleMap]:
+        """Every basis map, in a fresh list."""
+        return list(self)
 
     def coords_of(self, f: BimoduleMap) -> Tuple[Fraction, ...]:
         """Coordinates of an intertwiner in this basis (reads free slots)."""
@@ -556,15 +574,16 @@ def hom_basis(x: Bimodule, y: Bimodule) -> List[BimoduleMap]:
 
 
 def trace_pairing(x: Bimodule, y: Bimodule):
-    """Hom bases both ways and the exact trace pairing between them.
+    """Hom spaces both ways and the exact trace pairing between them.
 
-    Returns (fs, gs, g) with fs a basis of Hom(x, y), gs a basis of
+    Returns (fs, gs, g) with fs the HomSpace of Hom(x, y), gs that of
     Hom(y, x), and g the matrix with g[a][b] = tr(gs[b] o fs[a]).  Its
     rank counts, with the dimensions of the residue division rings as
     weights, the indecomposable summands x and y share: a composite with
     nonzero trace is not nilpotent, and maps through the radical have
     trace zero.  The entries are dot products of the flattened
-    components, the x -> y layout transposed onto the y -> x one.
+    components, the x -> y layout transposed onto the y -> x one, so no
+    map is built here.
     """
     fwd, back = HomSpace(x, y), HomSpace(y, x)
     swap: Dict[int, int] = {}
@@ -577,7 +596,7 @@ def trace_pairing(x: Bimodule, y: Bimodule):
                for vec in fwd.vectors]
     entries = [sum((a * gv[idx] for idx, a in fv.items() if idx in gv), ZERO)
                for fv in flipped for gv in back.vectors]
-    return (fwd.maps, back.maps,
+    return (fwd, back,
             ExactMatrix(len(fwd.vectors), len(back.vectors), entries))
 
 
@@ -589,15 +608,17 @@ def is_isomorphic(x: Bimodule, y: Bimodule) -> bool:
     """Decide x = y up to isomorphism, exactly.
 
     Unequal dimension vectors rule it out, and an invertible element of
-    the Hom(x, y) basis proves it.  Otherwise the pairing ranks decide:
-    rank(x, y) is the weighted inner product of the multiplicity vectors
-    of x and y, so x = y exactly when rank(x, y) = rank(x, x) = rank(y, y).
+    the Hom(x, y) basis proves it; the basis maps are built one at a time
+    and the search stops at the first invertible one.  Otherwise the
+    pairing ranks decide: rank(x, y) is the weighted inner product of the
+    multiplicity vectors of x and y, so x = y exactly when
+    rank(x, y) = rank(x, x) = rank(y, y).
     """
     if x.dim_vector() != y.dim_vector():
         return False
     if x.is_zero():
         return True
-    if any(f.is_invertible() for f in hom_basis(x, y)):
+    if any(f.is_invertible() for f in HomSpace(x, y)):
         return True
     r_xy, r_xx, r_yy = (rank(trace_pairing(a, b)[2])
                         for a, b in ((x, y), (x, x), (y, y)))

@@ -51,14 +51,14 @@ class QuotientHomSpace:
     through single indecomposable summands, and a summand admitting
     nonzero maps from the source and to the target has dimension at most
     dim(source) + dim(target), so the scan over factoring objects stops
-    there.
+    there.  greater holds the (label, module) pairs of the factoring
+    objects.
     """
 
     def __init__(self, x: Bimodule, y: Bimodule,
-                 greater: Sequence[StringLabel],
+                 greater: Sequence[Tuple[StringLabel, Bimodule]],
                  hom_cache: Optional[dict] = None):
         self.space = HomSpace(x, y)
-        n = x.n
         bound = x.total_dim + y.total_dim
         cache = hom_cache if hom_cache is not None else {}
 
@@ -70,8 +70,7 @@ class QuotientHomSpace:
             return cache[key][2]
 
         rows = []
-        for lab in greater:
-            z = construct(lab, n)
+        for lab, z in greater:
             if z.total_dim > bound:
                 continue
             into = homs(x, z, ("in", id(x), lab))
@@ -165,7 +164,8 @@ class _BirepCore:
         self.modules = [construct(lab, n) for lab in self.object_labels]
         self.position = {lab: p for p, lab in enumerate(self.object_labels)}
 
-        greater = catalog_labels(n, k - 1)
+        greater = [(lab, construct(lab, n))
+                   for lab in catalog_labels(n, k - 1)]
         hom_cache: dict = {}
         self.qhoms: Dict[Tuple[int, int], QuotientHomSpace] = {}
         for a, xa in enumerate(self.modules):

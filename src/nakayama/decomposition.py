@@ -28,6 +28,7 @@ from .algebras import residue
 from .bimodules import (
     Bimodule,
     BimoduleMap,
+    HomSpace,
     StringLabel,
     catalog_labels,
     construct,
@@ -90,19 +91,22 @@ def _label_sort_key(label: StringLabel):
 # split pairs and multiplicities
 # ---------------------------------------------------------------------------
 
-def _split_pair(x: Bimodule, sigmas: List[BimoduleMap],
-                pis: List[BimoduleMap], g: ExactMatrix):
+def _split_pair(x: Bimodule, sigmas: HomSpace, pis: HomSpace,
+                g: ExactMatrix):
     """(sig, pi) with pi o sig the identity, from the first nonzero g[a][b].
 
-    g is the trace pairing of the two bases.  A nonzero trace makes
+    g is the trace pairing of the two hom spaces.  A nonzero trace makes
     pis[b] o sigmas[a] non-nilpotent, hence invertible when End(x) is
-    local; the retraction is rescaled by its inverse.
+    local; the retraction is rescaled by its inverse, vertex by vertex,
+    so only the two returned maps are built.
     """
     a, b = next(divmod(pos, g.cols) for pos, e in enumerate(g.entries) if e)
-    sig, pi = sigmas[a], pis[b]
-    c = pi.compose(sig)
-    inv = BimoduleMap(x, x, {v: c.component(*v).inverse() for v in x.dims})
-    return sig, inv.compose(pi)
+    sig, pi = sigmas[a], pis.components(b)
+    retraction = {}
+    for v in x.dims:
+        p = pi[v]
+        retraction[v] = p.mul(sig.component(*v)).inverse().mul(p)
+    return sig, BimoduleMap(pis.x, x, retraction)
 
 
 @dataclass
@@ -159,19 +163,21 @@ def _candidates(n: int, max_valleys: int) -> Candidates:
 def decompose(t: Bimodule, max_valleys: int) -> DecompositionReport:
     """Multiplicities of the catalog members in t, by pairing rank.
 
-    Candidates run largest dimension first.  One whose dimension vector
-    does not fit in what is still unaccounted for cannot be a summand and
-    is skipped.  The multiplicities times the dimension vectors must fit
-    inside dim t (dimension balance); the rest is the residual.
+    Candidates run largest dimension first, until nothing of t is left
+    unaccounted for.  One whose dimension vector does not fit in what is
+    still unaccounted for cannot be a summand and is skipped.  The
+    multiplicities times the dimension vectors must fit inside dim t
+    (dimension balance); the rest is the residual.
     max_valleys bounds the catalog that is searched; any string summand
     has dimension at least 2k+1, so 2*max_valleys + 3 >= dim t always
     suffices.
     """
     left = dict(t.dims)
+    remaining = t.total_dim
     summands: List[StringLabel] = []
     pairs: List[Tuple[StringLabel, BimoduleMap, BimoduleMap]] = []
     for label, x in _candidates(t.n, max_valleys):
-        if not any(left.values()):
+        if not remaining:
             break
         if any(d > left.get(v, 0) for v, d in x.dims.items()):
             continue
@@ -187,8 +193,8 @@ def decompose(t: Bimodule, max_valleys: int) -> DecompositionReport:
                 raise RuntimeError(
                     f"dimension balance fails at {v}: {label} occurs "
                     f"{mult} times in a bimodule of dimension {t.total_dim}")
-    return DecompositionReport(t.n, t.total_dim, summands, pairs,
-                               sum(left.values()))
+        remaining -= mult * x.total_dim
+    return DecompositionReport(t.n, t.total_dim, summands, pairs, remaining)
 
 
 def decompose_product(u: StringLabel, v: StringLabel,

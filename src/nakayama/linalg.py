@@ -12,7 +12,12 @@ Two representations coexist here:
   eliminate without materialising zeros.
 
 Both go through the same reduced-row-echelon routine, so kernel bases and
-pivot choices are deterministic everywhere.
+pivot choices are deterministic everywhere.  That routine keeps its reduced
+rows keyed by pivot column, each with a 1 at its own pivot and a 0 at every
+other pivot column.  Eliminating with one reduced row therefore never
+changes a new row's entries at the other pivot columns, so the pivot hits
+of a new row are found by looking its columns up among the pivots, not by
+scanning every pivot.
 """
 
 from __future__ import annotations
@@ -193,21 +198,24 @@ def sparse_rref(rows: list, ncols: int):
     (rref_rows, pivot_cols) where rref_rows[i] has leading 1 in column
     pivot_cols[i], pivot columns strictly increasing, and every pivot column
     is cleared from all other rows.  Input rows are not mutated.
+
+    A new row's pivot entries are read once, before elimination, by the
+    invariant in the module docstring.  The RREF of a row space is unique,
+    so the order of the eliminations does not change the result.
     """
-    work = [dict(r) for r in rows if r]
-    rref: list = []
-    pivots: list = []
-    for row in work:
+    rref: dict = {}
+    for src in rows:
+        if not src:
+            continue
+        row = dict(src)
         # eliminate existing pivots
-        for p, prow in zip(pivots, rref):
-            c = row.get(p)
-            if c:
-                for col, val in prow.items():
-                    nv = row.get(col, ZERO) - c * val
-                    if nv:
-                        row[col] = nv
-                    else:
-                        row.pop(col, None)
+        for p, c in [(p, row[p]) for p in row if p in rref]:
+            for col, val in rref[p].items():
+                nv = row.get(col, ZERO) - c * val
+                if nv:
+                    row[col] = nv
+                else:
+                    row.pop(col, None)
         if not row:
             continue
         p = min(row)
@@ -215,7 +223,7 @@ def sparse_rref(rows: list, ncols: int):
         if inv != 1:
             row = {col: val / inv for col, val in row.items()}
         # back-clean earlier rows
-        for i, prow in enumerate(rref):
+        for q, prow in rref.items():
             c = prow.get(p)
             if c:
                 newr = dict(prow)
@@ -225,14 +233,10 @@ def sparse_rref(rows: list, ncols: int):
                         newr[col] = nv
                     else:
                         newr.pop(col, None)
-                rref[i] = newr
-        # insert keeping pivot order
-        pos = 0
-        while pos < len(pivots) and pivots[pos] < p:
-            pos += 1
-        pivots.insert(pos, p)
-        rref.insert(pos, row)
-    return rref, pivots
+                rref[q] = newr
+        rref[p] = row
+    pivots = sorted(rref)
+    return [rref[p] for p in pivots], pivots
 
 
 def sparse_kernel_with_frees(rows: list, ncols: int):
@@ -245,19 +249,14 @@ def sparse_kernel_with_frees(rows: list, ncols: int):
     """
     rref, pivots = sparse_rref(rows, ncols)
     pivset = set(pivots)
-    basis = []
-    frees = []
-    for f in range(ncols):
-        if f in pivset:
-            continue
-        vec = {f: ONE}
-        for p, prow in zip(pivots, rref):
-            c = prow.get(f)
-            if c:
-                vec[p] = -c
-        basis.append(vec)
-        frees.append(f)
-    return basis, frees
+    basis = {f: {f: ONE} for f in range(ncols) if f not in pivset}
+    for p, prow in zip(pivots, rref):
+        # a reduced row is zero on the other pivots: its other columns
+        # are free
+        for f, c in prow.items():
+            if f != p:
+                basis[f][p] = -c
+    return list(basis.values()), list(basis)
 
 
 def sparse_kernel_basis(rows: list, ncols: int) -> list:

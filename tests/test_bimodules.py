@@ -9,6 +9,7 @@ import pytest
 
 from nakayama.bimodules import (
     Bimodule,
+    BimoduleMap,
     HomSpace,
     StringLabel,
     catalog_labels,
@@ -24,6 +25,7 @@ from nakayama.bimodules import (
     restrict_left,
     trace_pairing,
     zero_bimodule,
+    _block,
     _walk,
 )
 from nakayama.algebras import CoverVertex, project, residue
@@ -241,6 +243,31 @@ def test_hom_basis_members_intertwine():
     assert len(fs) >= 1  # at least the epi collapsing the final point
     for f in fs:
         f.check()
+
+
+def _same_map(f, g):
+    return (f.source is g.source and f.target is g.target
+            and f.components == g.components)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_hom_space_builds_each_map_on_demand(n):
+    mods = [construct(label, n) for label in catalog_labels(n, 1)]
+    for x in mods:
+        for y in mods:
+            space = HomSpace(x, y)
+            assert len(space) == space.dim == len(space.vectors)
+            for a, vec in enumerate(space.vectors):
+                eager = BimoduleMap(x, y, {
+                    v: _block(vec, off, y.dims[v], x.dims[v])
+                    for v, off in space._offsets.items()})
+                f, g = space[a], space[a]
+                assert _same_map(f, eager) and _same_map(f, g)
+                assert f is not g and f.components is not g.components
+                f.check()
+            with pytest.raises(IndexError):
+                space[len(space)]
+            assert all(_same_map(f, g) for f, g in zip(space.maps, space))
 
 
 def test_identity_and_composition():

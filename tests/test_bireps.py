@@ -41,7 +41,7 @@ def ints(mat):
 
 def test_quotient_hom_dims_form_disjoint_a2():
     n = 2
-    greater = catalog_labels(n, 0)
+    greater = [(lab, construct(lab, n)) for lab in catalog_labels(n, 0)]
     m1 = construct(StringLabel("M", 1, 1, 1), n)
     n1 = construct(StringLabel("N", 1, 1, 1), n)
     n2 = construct(StringLabel("N", 2, 1, 1), n)
@@ -56,7 +56,7 @@ def test_shared_hom_cache_matches_fresh_caches():
     # hands its id straight on; its cached empty hom lists must not be
     # read back for the new module
     n = 2
-    greater = catalog_labels(n, 0)
+    greater = [(lab, construct(lab, n)) for lab in catalog_labels(n, 0)]
     labels = [StringLabel(f, i, 1, 1) for f in "WSNM" for i in (1, 2)]
     shared: dict = {}
     for a, b in itertools.product(labels, repeat=2):

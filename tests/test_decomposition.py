@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 from nakayama.bimodules import (
+    BimoduleMap,
     StringLabel,
     catalog_labels,
     construct,
@@ -105,6 +106,27 @@ def test_decompose_explicit_sum_of_simples():
     rep = decompose(direct_sum(s, s), 1)
     assert rep.multiset() == Counter({lab("L", 1, 1): 2})
     assert rep.residual_dim == 0
+
+
+@pytest.mark.parametrize("n,u,v", [
+    (1, lab("L", 1, 1), lab("L", 1, 1)),
+    (2, lab("L", 1, 1), lab("L", 1, 1)),
+    # many candidates fit at n = 1, and most of them pair to rank 0
+    (1, lab("W", 1, 1, 1), lab("M", 1, 1, 1)),
+])
+def test_decompose_builds_only_the_split_pairs(monkeypatch, n, u, v):
+    t = tensor(construct(u, n), construct(v, n))
+    built = []
+    init = BimoduleMap.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(BimoduleMap, "__init__", counting_init)
+    rep = decompose(t, 1)
+    assert rep.split_pairs and rep.residual_dim == 0
+    assert len(built) <= 2 * len(rep.multiset())
 
 
 def test_decompose_single_catalog_member():

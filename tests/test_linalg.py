@@ -1,9 +1,11 @@
 """Exact linear algebra: frozen small cases plus randomized structural sweeps."""
 
+import copy
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nakayama.linalg import (
     ExactMatrix,
@@ -180,3 +182,48 @@ def test_sparse_kernel_matches_dense():
         assert len(dense) == len(sparse)
         for dv, sv in zip(dense, sparse):
             assert dv == tuple(sv.get(j, Fraction(0)) for j in range(c))
+
+
+def _dense_rref(rows, ncols):
+    """Textbook Gauss-Jordan on dense lists: the reference for sparse_rref."""
+    m = [[row.get(c, Fraction(0)) for c in range(ncols)] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        top = len(pivots)
+        hit = next((r for r in range(top, len(m)) if m[r][c]), None)
+        if hit is None:
+            continue
+        m[top], m[hit] = m[hit], m[top]
+        m[top] = [v / m[top][c] for v in m[top]]
+        for r in range(len(m)):
+            if r != top and m[r][c]:
+                f = m[r][c]
+                m[r] = [a - f * b for a, b in zip(m[r], m[top])]
+        pivots.append(c)
+    return ([{c: v for c, v in enumerate(row) if v}
+             for row in m[:len(pivots)]], pivots)
+
+
+@st.composite
+def _sparse_systems(draw):
+    """Sparse rational rows, among them zero rows and duplicate rows."""
+    ncols = draw(st.integers(1, 7))
+    entry = st.one_of(st.just(Fraction(0)),
+                      st.fractions(-3, 3, max_denominator=4))
+    dense = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                          max_size=7))
+    if dense:
+        dense += draw(st.lists(st.sampled_from(dense), max_size=3))
+    dense += [[Fraction(0)] * ncols] * draw(st.integers(0, 2))
+    dense = draw(st.permutations(dense))
+    return [{c: v for c, v in enumerate(row) if v} for row in dense], ncols
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_sparse_systems())
+def test_sparse_rref_matches_dense_gauss_jordan(system):
+    rows, ncols = system
+    before = copy.deepcopy(rows)
+    rref, pivots = sparse_rref(rows, ncols)
+    assert rows == before
+    assert (rref, pivots) == _dense_rref(rows, ncols)
