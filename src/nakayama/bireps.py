@@ -6,14 +6,19 @@ member permutes these objects up to summands in greater cells, which the
 quotient hom spaces kill.  Contracting the arrows M_i -> N_i for a chosen
 set of components produces the localized birepresentations; ranging over
 all subsets gives the full classification.
+
+Each generator's object-level action is stored once, as sorted integer
+(row, column, multiplicity) triples; matrices are built only on demand.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .algebras import project, residue
@@ -26,11 +31,12 @@ from .bimodules import (
     catalog_labels,
     construct,
     identity_map,
+    trace_pairing,
 )
-from .decomposition import _label_sort_key, cell_of, decompose
+from .decomposition import _label_sort_key, _split_pair, cell_of
 from .decomposition import product_summands
-from .linalg import ONE, ZERO, ExactMatrix, sparse_rref
-from .tensoring import tensor, tensor_map
+from .linalg import ONE, ZERO, ExactMatrix, rank, sparse_rref
+from .tensoring import tensor_map
 
 
 class CartanError(RuntimeError):
@@ -82,8 +88,7 @@ class QuotientHomSpace:
                     row = {c: v for c, v in enumerate(coords) if v}
                     if row:
                         rows.append(row)
-        reduced, pivots = sparse_rref(rows, self.space.dim)
-        self._reduced = reduced
+        self._reduced, pivots = sparse_rref(rows, self.space.dim)
         self._pivots = list(pivots)
         taken = set(self._pivots)
         self._free = [c for c in range(self.space.dim) if c not in taken]
@@ -125,12 +130,9 @@ def _canonical_epi(m_label: StringLabel, n_label: StringLabel,
 
     def layout(points):
         seen: Counter = Counter()
-        out = []
-        for p in points:
-            v = project(p, n)
-            out.append((v, seen[v]))
+        for v in (project(p, n) for p in points):
+            yield v, seen[v]
             seen[v] += 1
-        return out
 
     entries: Dict[tuple, List[Tuple[int, int, Fraction]]] = {}
     for (v_m, l_m), (v_n, l_n) in zip(layout(pts_m), layout(pts_n)):
@@ -150,17 +152,14 @@ ActionEntries = Tuple[Tuple[int, int, int], ...]
 
 class _BirepCore:
     """Shared data behind every birep on one column: object bimodules,
-    quotient hom spaces, canonical arrows, the uncontracted action as
-    integer entries and as matrices, and a lazily filled scalar table for
-    the morphism-level action."""
+    quotient hom spaces, canonical arrows, the generators by column, their
+    uncontracted action as read-only integer triples, and a lazily filled
+    scalar table for the morphism-level action."""
 
     def __init__(self, n: int, k: int, column: int):
         self.n, self.k, self.column = n, k, column
-        self.object_labels = (
-            [StringLabel("N", i, column, k).normalized(n)
-             for i in range(1, n + 1)]
-            + [StringLabel("M", i, column, k).normalized(n)
-               for i in range(1, n + 1)])
+        self.object_labels = [StringLabel(f, i, column, k).normalized(n)
+                              for f in "NM" for i in range(1, n + 1)]
         self.modules = [construct(lab, n) for lab in self.object_labels]
         self.position = {lab: p for p, lab in enumerate(self.object_labels)}
 
@@ -182,16 +181,17 @@ class _BirepCore:
                 raise CartanError(
                     f"canonical arrow {i + 1} is radical at n={n}, k={k}")
 
-        self.generators = sorted(
+        self.generators = tuple(sorted(
             (StringLabel(f, r, s, k).normalized(n)
              for f in "WSNM"
              for r in range(1, n + 1)
              for s in range(1, n + 1)),
-            key=_label_sort_key)
-        self.action_entries = {u: self._object_action(u)
-                               for u in self.generators}
-        self.action = {u: ExactMatrix.from_entries(2 * n, 2 * n, entries)
-                       for u, entries in self.action_entries.items()}
+            key=_label_sort_key))
+        self.by_column = MappingProxyType({
+            s: tuple(u for u in self.generators if u.j == s)
+            for s in range(1, n + 1)})
+        self.action_entries = MappingProxyType(
+            {u: self._object_action(u) for u in self.generators})
         self._scalars: Dict[StringLabel, Fraction] = {}
 
     def _assert_cartan(self):
@@ -225,38 +225,41 @@ class _BirepCore:
     def arrow_scalar(self, u: StringLabel) -> Fraction:
         """The scalar by which u acts on the arrow of its source column.
 
-        Tensoring u with the arrow alpha_s (s = u's column index) gives a
-        map between two copies of the same object; transporting along the
-        split pairs of both decompositions and reading the result against
-        the identity in the quotient endomorphism space yields the scalar.
+        u (x) alpha_s, for the arrow alpha_s : M_s -> N_s of u's column s,
+        joins two copies of the valley-cell object y that the stored action
+        puts in one row of both columns.  A rank-1 trace pairing of y with
+        each side gives the split pairs; the composite through them, read
+        against the identity of End(y) modulo greater cells, is the scalar.
         """
-        u = u.normalized(self.n)
-        if u in self._scalars:
-            return self._scalars[u]
+        lam = self._scalars.get(u)
+        if lam is None:
+            u = u.normalized(self.n)
+            lam = self._scalars.get(u)
+        if lam is not None:
+            return lam
         n, s = self.n, u.j
-        alpha = self.alphas[s - 1]
-        umod = construct(u, n)
-        t_m = tensor(umod, self.modules[n + s - 1])
-        t_n = tensor(umod, self.modules[s - 1])
-        phi = tensor_map(umod, alpha)
-        rep_m = decompose(t_m, self.k)
-        rep_n = decompose(t_n, self.k)
-        if rep_m.residual_dim or rep_n.residual_dim:
-            raise CartanError(f"{u} (x) arrow {s} leaves a residual")
-        tops_m = rep_m.summands_in_cell(("J", self.k))
-        tops_n = rep_n.summands_in_cell(("J", self.k))
-        if len(tops_m) != 1 or tops_m != tops_n:
+        sides = (s - 1, n + s - 1)
+        hits = [e for e in self.action_entries[u] if e[1] in sides]
+        ypos = hits[0][0] if hits else None
+        if hits != [(ypos, s - 1, 1), (ypos, n + s - 1, 1)]:
             raise CartanError(
                 f"{u} (x) arrow {s} does not join two copies of one "
-                f"valley-cell summand: {tops_m} and {tops_n}")
-        y_lab = tops_m[0]
-        sig_m = next(sig for lab, sig, _ in rep_m.split_pairs if lab == y_lab)
-        pi_n = next(pi for lab, _, pi in rep_n.split_pairs if lab == y_lab)
-        composite = pi_n.compose(phi).compose(sig_m)
-        ypos = self.position[y_lab]
+                f"valley-cell summand: {hits}")
+        y = self.modules[ypos]
+        phi = tensor_map(construct(u, n), self.alphas[s - 1])
+        split = []
+        for t in (phi.source, phi.target):
+            t.check_relations()
+            sigmas, pis, g = trace_pairing(y, t)
+            if rank(g) != 1:
+                raise CartanError(
+                    f"{self.object_labels[ypos]} occurs {rank(g)} times in "
+                    f"{u} (x) the ends of arrow {s}")
+            split.append(_split_pair(y, sigmas, pis, g))
+        composite = split[1][1].compose(phi).compose(split[0][0])
         qend = self.qhoms[(ypos, ypos)]
         target = qend.qcoords(composite)
-        unit = qend.qcoords(identity_map(self.modules[ypos]))
+        unit = qend.qcoords(identity_map(y))
         pivot = next(i for i, v in enumerate(unit) if v)
         lam = target[pivot] / unit[pivot]
         if any(t != lam * v for t, v in zip(target, unit)):
@@ -295,6 +298,23 @@ class LocalizationSpec:
         object.__setattr__(self, "contract", frozenset(int(i) for i in contract))
 
 
+class _ActionMatrices(Mapping):
+    """Read-only matrices of a birep, built afresh from triples on access."""
+
+    def __init__(self, action: Mapping, size: int):
+        self._action, self._size = action, size
+
+    def __getitem__(self, u: StringLabel) -> ExactMatrix:
+        return ExactMatrix.from_entries(self._size, self._size,
+                                        self._action[u])
+
+    def __iter__(self):
+        return iter(self._action)
+
+    def __len__(self) -> int:
+        return len(self._action)
+
+
 @dataclass
 class FinitaryBirep:
     """A birepresentation of the k-valley cell on one left-cell column.
@@ -302,6 +322,9 @@ class FinitaryBirep:
     contracted lists the components whose arrow was inverted; their two
     objects merged into a single O slot.  The object order is the N/O
     slots for components 1..n followed by the surviving M slots.
+
+    action, the only stored form, maps each generator to the sorted
+    (row, col, multiplicity) ints of its matrix; action_obj builds those.
     """
 
     n: int
@@ -309,12 +332,20 @@ class FinitaryBirep:
     column: int
     contracted: FrozenSet[int]
     objects: List[ObjectSlot]
-    action_obj: Dict[StringLabel, ExactMatrix]
+    action: Mapping[StringLabel, ActionEntries]
     core: Optional[_BirepCore] = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if not isinstance(self.action, MappingProxyType):
+            self.action = MappingProxyType(dict(self.action))
 
     @property
     def rank(self) -> int:
         return len(self.objects)
+
+    @property
+    def action_obj(self) -> Mapping[StringLabel, ExactMatrix]:
+        return _ActionMatrices(self.action, self.rank)
 
     def object_index(self, kind: str, component: int) -> int:
         for pos, slot in enumerate(self.objects):
@@ -323,47 +354,38 @@ class FinitaryBirep:
         raise KeyError(f"no object {kind}_{component}")
 
     def generator_labels(self) -> List[StringLabel]:
-        return sorted(self.action_obj, key=_label_sort_key)
+        return sorted(self.action, key=_label_sort_key)
 
-    def _action_support(self) -> Dict[int, Fraction]:
-        """The nonzero entries of the total action matrix, keyed by flat
-        row-major index, from one pass over the generator matrices."""
+    def _action_support(self) -> Dict[int, int]:
+        """Nonzero entries of the total action matrix by flat index."""
         size = self.rank
-        total: Dict[int, Fraction] = {}
-        for mat in self.action_obj.values():
-            if (mat.rows, mat.cols) != (size, size):
-                raise ValueError(
-                    f"action matrix is {mat.rows}x{mat.cols}, "
-                    f"expected {size}x{size}")
-            for idx, e in enumerate(mat.entries):
-                if e:
-                    total[idx] = total.get(idx, ZERO) + e
+        total: Counter = Counter()
+        for entries in self.action.values():
+            for r, c, m in entries:
+                if not (0 <= r < size and 0 <= c < size):
+                    raise ValueError(
+                        f"action entry {(r, c)} outside {size}x{size}")
+                total[r * size + c] += m
         return total
 
     def f_matrix(self) -> ExactMatrix:
+        size = self.rank
         total = self._action_support()
-        return ExactMatrix(self.rank, self.rank,
-                           [total.get(idx, ZERO)
-                            for idx in range(self.rank * self.rank)])
+        return ExactMatrix.from_entries(
+            size, size, [(*divmod(idx, size), m) for idx, m in total.items()])
 
     def cartan(self) -> ExactMatrix:
-        grid = [[ZERO] * self.rank for _ in range(self.rank)]
-        for pos in range(self.rank):
-            grid[pos][pos] = ONE
-        for i in range(1, self.n + 1):
-            if i not in self.contracted:
-                grid[self.object_index("M", i)][self.object_index("N", i)] = ONE
-        return ExactMatrix.from_rows(grid)
+        units = [(p, p, 1) for p in range(self.rank)]
+        arrows = [(self.object_index("M", i), self.object_index("N", i), 1)
+                  for i in range(1, self.n + 1) if i not in self.contracted]
+        return ExactMatrix.from_entries(self.rank, self.rank, units + arrows)
 
     def fingerprint(self) -> List[int]:
         """Components whose M and N generators act identically."""
-        out = []
-        for r in range(1, self.n + 1):
-            if all(self.action_obj[StringLabel("M", r, s, self.k)]
-                   == self.action_obj[StringLabel("N", r, s, self.k)]
-                   for s in range(1, self.n + 1)):
-                out.append(r)
-        return out
+        return [r for r in range(1, self.n + 1)
+                if all(self.action[StringLabel("M", r, s, self.k)]
+                       == self.action[StringLabel("N", r, s, self.k)]
+                       for s in range(1, self.n + 1))]
 
     def arrow_scalar(self, u: StringLabel) -> Fraction:
         if self.core is None:
@@ -402,28 +424,21 @@ def cell_birep(n: int, k: int, j: int = 1) -> FinitaryBirep:
     if key not in _CORE_CACHE:
         _CORE_CACHE[key] = _BirepCore(n, k, column)
     core = _CORE_CACHE[key]
-    objects = ([ObjectSlot("N", i) for i in range(1, n + 1)]
-               + [ObjectSlot("M", i) for i in range(1, n + 1)])
+    objects = [ObjectSlot(f, i) for f in "NM" for i in range(1, n + 1)]
     return FinitaryBirep(n, k, column, frozenset(), objects,
-                         dict(core.action), core)
+                         core.action_entries, core)
 
 
 def _merge_groups(n: int, contracted: FrozenSet[int]):
     """Old-position groups for each new object, in the new object order."""
-    groups = []
-    slots = []
-    for i in range(1, n + 1):
-        if i in contracted:
-            groups.append([i - 1, n + i - 1])
-            slots.append(ObjectSlot("O", i))
-        else:
-            groups.append([i - 1])
-            slots.append(ObjectSlot("N", i))
-    for i in range(1, n + 1):
-        if i not in contracted:
-            groups.append([n + i - 1])
-            slots.append(ObjectSlot("M", i))
-    return slots, groups
+    slots = ([ObjectSlot("O" if i in contracted else "N", i)
+              for i in range(1, n + 1)]
+             + [ObjectSlot("M", i) for i in range(1, n + 1)
+                if i not in contracted])
+    # an N object sits at i - 1, an M object at n + i - 1, and O has both
+    offsets = {"N": (0,), "M": (n,), "O": (0, n)}
+    return slots, [[off + slot.component - 1 for off in offsets[slot.kind]]
+                   for slot in slots]
 
 
 def localize(b: FinitaryBirep, spec: LocalizationSpec) -> FinitaryBirep:
@@ -431,7 +446,8 @@ def localize(b: FinitaryBirep, spec: LocalizationSpec) -> FinitaryBirep:
 
     Contractions accumulate: localizing an already localized birep works
     from the union of the two index sets, rebuilt from the uncontracted
-    data.  The stability of the contracted collection is checked first;
+    triples.  The stability of the contracted collection is checked
+    first; the two columns of each contracted pair must act alike, and
     every image component must be an isomorphism, a multiple of a
     contracted arrow, or zero.
     """
@@ -446,35 +462,37 @@ def localize(b: FinitaryBirep, spec: LocalizationSpec) -> FinitaryBirep:
         raise ValueError("this birep carries no morphism-level data")
     core = b.core
 
+    slots, groups = _merge_groups(b.n, total)
+    new_pos = {old: new for new, group in enumerate(groups) for old in group}
+    kept = {group[0] for group in groups}
+    # each column of a contracted pair, mapped to the other one
+    partner = {c: group[1 - t] for group in groups if len(group) > 1
+               for t, c in enumerate(group)}
+    action = {}
+    for u, entries in core.action_entries.items():
+        columns: Dict[int, Dict[int, int]] = {}
+        for r, c, m in entries:
+            columns.setdefault(c, {})[r] = m
+        if any(columns.get(partner[c]) != rows
+               for c, rows in columns.items() if c in partner):
+            raise StabilityError(
+                "cannot contract a pair whose columns act differently")
+        # rows are summed over the group; columns are identical, so the
+        # group's first one is kept
+        merged: Dict[Tuple[int, int], int] = {}
+        for r, c, m in entries:
+            if c in kept:
+                key = (new_pos[r], new_pos[c])
+                merged[key] = merged.get(key, 0) + m
+        action[u] = tuple((r, c, m) for (r, c), m in sorted(merged.items()))
+
     for i in sorted(total):
-        for u in core.generators:
-            if u.j != i:
-                continue  # u acts by zero on this component's arrow
+        for u in core.by_column[i]:
             # the image morphism has a single component, a scalar times
             # the identity of the target object: an isomorphism when the
             # scalar is nonzero and the zero map otherwise; any other
             # shape would be a stability failure
             core.arrow_scalar(u)
-
-    slots, groups = _merge_groups(b.n, total)
-    size = len(groups)
-    new_pos = {old: new for new, group in enumerate(groups) for old in group}
-    pairs = [group for group in groups if len(group) > 1]
-    action = {}
-    for u in core.generators:
-        entries = core.action_entries[u]
-        columns: Dict[int, Dict[int, int]] = {}
-        for r, c, m in entries:
-            columns.setdefault(c, {})[r] = m
-        for a, c in pairs:
-            if columns.get(a) != columns.get(c):
-                raise StabilityError(
-                    "cannot contract a pair whose columns act differently")
-        # rows are summed over the group; columns are identical, so the
-        # group's first one is kept
-        action[u] = ExactMatrix.from_entries(
-            size, size, [(new_pos[r], new_pos[c], m) for r, c, m in entries
-                         if groups[new_pos[c]][0] == c])
     return FinitaryBirep(b.n, b.k, b.column, total, slots, action, core)
 
 
@@ -499,7 +517,7 @@ def is_simple_transitive(b: FinitaryBirep) -> bool:
     shape check runs.
     """
     total = b._action_support()
-    if any(total.get(idx, ZERO) < ONE for idx in range(b.rank * b.rank)):
+    if any(total.get(idx, 0) < 1 for idx in range(b.rank * b.rank)):
         return False
 
     survivors = [i for i in range(1, b.n + 1) if i not in b.contracted]
@@ -561,13 +579,9 @@ def classify(n: int, k: int) -> ClassificationReport:
 
 def _component_blocks(b: FinitaryBirep) -> List[List[int]]:
     """Object positions by component, N/O row first, M row second."""
-    blocks = []
-    for i in range(1, b.n + 1):
-        if i in b.contracted:
-            blocks.append([b.object_index("O", i)])
-        else:
-            blocks.append([b.object_index("N", i), b.object_index("M", i)])
-    return blocks
+    return [[b.object_index("O", i)] if i in b.contracted
+            else [b.object_index("N", i), b.object_index("M", i)]
+            for i in range(1, b.n + 1)]
 
 
 def verify_block_structure(b: FinitaryBirep) -> dict:
@@ -583,14 +597,12 @@ def verify_block_structure(b: FinitaryBirep) -> dict:
     failures: List[str] = []
 
     for u in b.generator_labels():
-        mat = b.action_obj[u]
         r, s = u.i, u.j
-        inside = {(a, c) for a in blocks[r - 1] for c in blocks[s - 1]}
-        for a in range(mat.rows):
-            for c in range(mat.cols):
-                if (a, c) not in inside and mat.get(a, c) != ZERO:
-                    failures.append(f"{u}: entry outside block at {(a, c)}")
-        got = [[int(mat.get(a, c)) for c in blocks[s - 1]]
+        entries = {(a, c): m for a, c, m in b.action[u]}
+        failures += [f"{u}: entry outside block at {(a, c)}"
+                     for a, c in entries
+                     if a not in blocks[r - 1] or c not in blocks[s - 1]]
+        got = [[entries.get((a, c), 0) for c in blocks[s - 1]]
                for a in blocks[r - 1]]
         top = u.family in "WN"
         if r in b.contracted and s in b.contracted:
@@ -606,8 +618,7 @@ def verify_block_structure(b: FinitaryBirep) -> dict:
 
     f = b.f_matrix()
     trace = sum((f.get(i, i) for i in range(f.rows)), ZERO)
-    f_entries_positive = all(f.get(r, c) >= ONE
-                             for r in range(f.rows) for c in range(f.cols))
+    f_entries_positive = all(e >= ONE for e in f.entries)
     f_squares = f.mul(f) == f.scale(Fraction(4 * n))
     if trace != 4 * n:
         failures.append(f"total matrix trace {trace}, expected {4 * n}")
@@ -667,12 +678,11 @@ def verify_adjunction_consequences(b: FinitaryBirep) -> dict:
     failures: List[str] = []
     for r in range(1, b.n + 1):
         for s in range(1, b.n + 1):
-            if b.action_obj[StringLabel("N", r, s, b.k)] != \
-               b.action_obj[StringLabel("W", r, s, b.k)]:
-                failures.append(f"N and W matrices differ at {r}|{s}")
-            if b.action_obj[StringLabel("S", r, s, b.k)] != \
-               b.action_obj[StringLabel("M", r, s, b.k)]:
-                failures.append(f"S and M matrices differ at {r}|{s}")
+            for one, other in (("N", "W"), ("S", "M")):
+                if b.action[StringLabel(one, r, s, b.k)] != \
+                   b.action[StringLabel(other, r, s, b.k)]:
+                    failures.append(
+                        f"{one} and {other} matrices differ at {r}|{s}")
     pairs_ok = not failures
 
     cartan = b.cartan()

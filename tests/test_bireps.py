@@ -13,6 +13,7 @@ from nakayama.bimodules import (
     StringLabel,
     catalog_labels,
     construct,
+    identity_map,
     parse_label,
     zero_bimodule,
 )
@@ -32,7 +33,12 @@ from nakayama.bireps import (
     verify_adjunction_consequences,
     verify_block_structure,
 )
+from nakayama.decomposition import decompose
 from nakayama.linalg import ONE, ExactMatrix, ZERO
+from nakayama.tensoring import tensor, tensor_map
+
+# every (n, k) on which the column-by-column cross-checks run
+SMALL_CELLS = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1)]
 
 
 def ints(mat):
@@ -202,6 +208,94 @@ def test_sparse_merge_rejects_unequal_contracted_columns():
     localize(tampered, LocalizationSpec({2}))
 
 
+def test_arrow_scalar_normalizes_its_label():
+    core = cell_birep(2, 1).core
+    u = StringLabel("N", 1, 3, 1)
+    assert core.arrow_scalar(u) == core.arrow_scalar(u.normalized(2)) == 1
+    assert u not in core._scalars
+
+
+@pytest.mark.parametrize("entries", [
+    ((0, 0, 1), (0, 2, 1), (1, 0, 1)),  # two valley-cell rows in column s
+    ((0, 0, 1), (1, 2, 1)),  # the two sides land in different rows
+    ((0, 0, 2), (0, 2, 2)),  # a valley-cell summand occurring twice
+    ((0, 0, 1),),  # nothing on the M side
+    ((1, 0, 1), (1, 2, 1)),  # N_2, which is no summand: pairing rank 0
+])
+def test_arrow_scalar_rejects_a_misshapen_valley_cell_summand(entries):
+    b = cell_birep(2, 1)
+    u = StringLabel("N", 1, 1, 1)
+    core = copy.copy(b.core)
+    core._scalars = {}
+    core.action_entries = dict(core.action_entries)
+    assert core.action_entries[u] == ((0, 0, 1), (0, 2, 1))
+    core.action_entries[u] = entries
+    with pytest.raises(CartanError):
+        core.arrow_scalar(u)
+    assert b.core.arrow_scalar(u) == 1
+
+
+def _reference_arrow_scalar(core, u):
+    """The decompose-based arrow scalar of the earlier implementation,
+    kept as an oracle: decompose u (x) M_s and u (x) N_s whole, take the
+    split pairs of their one valley-cell summand and transport along
+    them."""
+    u = u.normalized(core.n)
+    n, s = core.n, u.j
+    alpha = core.alphas[s - 1]
+    umod = construct(u, n)
+    t_m = tensor(umod, core.modules[n + s - 1])
+    t_n = tensor(umod, core.modules[s - 1])
+    phi = tensor_map(umod, alpha)
+    rep_m = decompose(t_m, core.k)
+    rep_n = decompose(t_n, core.k)
+    assert not rep_m.residual_dim and not rep_n.residual_dim
+    tops_m = rep_m.summands_in_cell(("J", core.k))
+    tops_n = rep_n.summands_in_cell(("J", core.k))
+    assert len(tops_m) == 1 and tops_m == tops_n
+    y_lab = tops_m[0]
+    sig_m = next(sig for lab, sig, _ in rep_m.split_pairs if lab == y_lab)
+    pi_n = next(pi for lab, _, pi in rep_n.split_pairs if lab == y_lab)
+    composite = pi_n.compose(phi).compose(sig_m)
+    ypos = core.position[y_lab]
+    qend = core.qhoms[(ypos, ypos)]
+    target = qend.qcoords(composite)
+    unit = qend.qcoords(identity_map(core.modules[ypos]))
+    pivot = next(i for i, v in enumerate(unit) if v)
+    lam = target[pivot] / unit[pivot]
+    assert all(t == lam * v for t, v in zip(target, unit))
+    return lam
+
+
+@pytest.mark.parametrize("n,k", SMALL_CELLS)
+def test_arrow_scalars_match_decompose_reference(n, k):
+    for j in range(1, n + 1):
+        core = cell_birep(n, k, j).core
+        for u in core.generators:
+            got = core.arrow_scalar(u)
+            assert type(got) is Fraction
+            assert got == _reference_arrow_scalar(core, u), (j, u)
+
+
+def _localizations(n, k, j):
+    base = cell_birep(n, k, j)
+    out = []
+    for size in range(n + 1):
+        for combo in itertools.combinations(range(1, n + 1), size):
+            loc = localize(base, LocalizationSpec(combo))
+            out.append((combo, loc.rank, is_simple_transitive(loc),
+                        loc.fingerprint()))
+    return out
+
+
+@pytest.mark.parametrize("n,k", SMALL_CELLS)
+def test_localizations_agree_across_left_cells(n, k):
+    first = _localizations(n, k, 1)
+    assert len(first) == 2 ** n
+    for j in range(2, n + 1):
+        assert _localizations(n, k, j) == first, j
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_rank_drops_by_contracted_count(n):
     b = cell_birep(n, 1)
@@ -266,25 +360,55 @@ def test_localized_bireps_stay_simple_transitive(n, contract):
 def _doubled_fixture():
     base = cell_birep(1, 1)
 
-    def doubled(mat):
-        rows = []
-        for r in range(2):
-            rows.append([mat.get(r, 0), mat.get(r, 1), ZERO, ZERO])
-        for r in range(2):
-            rows.append([ZERO, ZERO, mat.get(r, 0), mat.get(r, 1)])
-        return ExactMatrix.from_rows(rows)
+    def doubled(entries):
+        # two disjoint copies, block diagonal; still sorted row-major
+        return entries + tuple((r + 2, c + 2, m) for r, c, m in entries)
 
     return FinitaryBirep(
         n=1, k=1, column=1, contracted=frozenset(),
         objects=[ObjectSlot("N", 1), ObjectSlot("M", 1),
                  ObjectSlot("N", 1), ObjectSlot("M", 1)],
-        action_obj={lab: doubled(mat)
-                    for lab, mat in base.action_obj.items()},
+        action={lab: doubled(entries)
+                for lab, entries in base.action.items()},
         core=base.core)
 
 
 def test_disjoint_double_is_not_simple_transitive():
     assert not is_simple_transitive(_doubled_fixture())
+
+
+def _support_cases():
+    for n in (1, 2, 3):
+        b = cell_birep(n, 1)
+        for size in range(n + 1):
+            for combo in itertools.combinations(range(1, n + 1), size):
+                yield localize(b, LocalizationSpec(combo))
+    yield _doubled_fixture()
+
+
+def test_sparse_support_matches_dense_matrices():
+    for b in _support_cases():
+        dense = ExactMatrix.zeros(b.rank, b.rank)
+        for mat in b.action_obj.values():
+            dense = dense.add(mat)
+        support = b._action_support()
+        assert support == {idx: e for idx, e in enumerate(dense.entries) if e}
+        assert b.f_matrix() == dense
+        want = [r for r in range(1, b.n + 1)
+                if all(b.action_obj[StringLabel("M", r, s, b.k)]
+                       == b.action_obj[StringLabel("N", r, s, b.k)]
+                       for s in range(1, b.n + 1))]
+        assert b.fingerprint() == want
+
+
+@pytest.mark.parametrize("entry", [(0, 2, 1), (2, 0, 1), (-1, 0, 1)])
+def test_action_support_rejects_entries_outside_the_rank(entry):
+    b = cell_birep(1, 1)
+    u = StringLabel("N", 1, 1, 1)
+    action = dict(b.action)
+    action[u] = action[u] + (entry,)
+    with pytest.raises(ValueError):
+        dataclasses.replace(b, action=action)._action_support()
 
 
 def _reference_closure(b, s):
@@ -357,10 +481,10 @@ def _closure_cases():
             loc, core=_ZeroedScalars(loc.core, set(zeroed)))
     # only W and N act, so M_1 reaches N_1 but not back; the seed is M_1
     base = cell_birep(1, 1)
-    top = {u: mat if u.family in "WN" else ExactMatrix.zeros(2, 2)
-           for u, mat in base.action_obj.items()}
+    top = {u: entries if u.family in "WN" else ()
+           for u, entries in base.action.items()}
     yield dataclasses.replace(
-        base, action_obj=top,
+        base, action=top,
         core=_ZeroedScalars(base.core, {u for u in top if u.family in "WN"}))
 
 

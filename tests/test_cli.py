@@ -1,5 +1,6 @@
 """Tests for the command line interface and its JSON contracts."""
 
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -161,6 +162,16 @@ def test_json_output_is_deterministic(capsys):
     main(argv)
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_classify_frontier_output_is_byte_stable(capsys):
+    # n = 8 merges 256 generators in each of 256 localizations, about seven
+    # times the n = 6 benchmark, so the sparse action is pinned at scale
+    status = main(["classify", "--n", "8", "--k", "1", "--json"])
+    out = capsys.readouterr().out
+    assert status == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "d7de3c79e8c51ab756ccc2850c741eb0d1ab308e550cf318392112bd51d32e28")
 
 
 def test_out_flag_writes_file(tmp_path, capsys):
