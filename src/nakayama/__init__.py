@@ -39,7 +39,6 @@ from .bireps import (
     CartanError,
     ClassificationReport,
     FinitaryBirep,
-    LocalizationSpec,
     StabilityError,
     cell_birep,
     classify,
@@ -81,7 +80,6 @@ __all__ = [
     "FinitaryBirep",
     "HomSpace",
     "LeftDecomposition",
-    "LocalizationSpec",
     "NakayamaAlgebra",
     "StabilityError",
     "StringLabel",

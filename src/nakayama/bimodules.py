@@ -130,6 +130,10 @@ class Bimodule:
     def __init__(self, n: int, dims: Dict[Vertex, int],
                  arrow_maps: Dict[ArrowKey, ExactMatrix]) -> None:
         self.n = n
+        for (i, j), d in dims.items():
+            if not (1 <= i <= n and 1 <= j <= n) or d < 0:
+                raise ValueError(f"dimension {d} at vertex {i}|{j} of the "
+                                 f"{n} x {n} torus")
         self.dims = {v: d for v, d in dims.items() if d}
         maps = {}
         for key, mat in arrow_maps.items():

@@ -3,9 +3,11 @@
 The objects are the members of one left-cell column: the strings with a
 left bar, in the order N_1 .. N_n, M_1 .. M_n.  Tensoring with a cell
 member permutes these objects up to summands in greater cells, which the
-quotient hom spaces kill.  Contracting the arrows M_i -> N_i for a chosen
-set of components produces the localized birepresentations; ranging over
-all subsets gives the full classification.
+quotient hom spaces kill; ``quotient_hom_spaces`` builds them for every
+pair of objects in one sweep over the greater-cell objects.  Contracting
+the arrows M_i -> N_i for a chosen set of components produces the
+localized birepresentations; ranging over all subsets gives the full
+classification.
 
 Each generator's object-level action is stored once, as sorted integer
 (row, column, multiplicity) triples; matrices are built only on demand.
@@ -19,7 +21,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from .algebras import project, residue
 from .bimodules import (
@@ -53,45 +55,16 @@ class QuotientHomSpace:
     """Hom space between two catalog bimodules, modulo the maps that
     factor through an indecomposable in a strictly greater cell.
 
-    A factorization through a direct sum refines to factorizations
-    through single indecomposable summands, and a summand admitting
-    nonzero maps from the source and to the target has dimension at most
-    dim(source) + dim(target), so the scan over factoring objects stops
-    there.  greater holds the (label, module) pairs of the factoring
-    objects.
+    rows holds the coordinates, in space, of composites through greater
+    objects; their span is the subspace divided out.
     """
 
-    def __init__(self, x: Bimodule, y: Bimodule,
-                 greater: Sequence[Tuple[StringLabel, Bimodule]],
-                 hom_cache: Optional[dict] = None):
-        self.space = HomSpace(x, y)
-        bound = x.total_dim + y.total_dim
-        cache = hom_cache if hom_cache is not None else {}
-
-        def homs(a: Bimodule, b: Bimodule, key):
-            # the entry holds both modules, so no other module can take
-            # over an id in its key while the entry exists
-            if key not in cache:
-                cache[key] = (a, b, HomSpace(a, b).maps)
-            return cache[key][2]
-
-        rows = []
-        for lab, z in greater:
-            if z.total_dim > bound:
-                continue
-            into = homs(x, z, ("in", id(x), lab))
-            if not into:
-                continue
-            for g in homs(z, y, ("out", lab, id(y))):
-                for h in into:
-                    coords = self.space.coords_of(g.compose(h))
-                    row = {c: v for c, v in enumerate(coords) if v}
-                    if row:
-                        rows.append(row)
-        self._reduced, pivots = sparse_rref(rows, self.space.dim)
+    def __init__(self, space: HomSpace, rows: List[Dict[int, Fraction]]):
+        self.space = space
+        self._reduced, pivots = sparse_rref(rows, space.dim)
         self._pivots = list(pivots)
         taken = set(self._pivots)
-        self._free = [c for c in range(self.space.dim) if c not in taken]
+        self._free = [c for c in range(space.dim) if c not in taken]
 
     @property
     def dim(self) -> int:
@@ -109,6 +82,39 @@ class QuotientHomSpace:
 
     def is_radical(self, f: BimoduleMap) -> bool:
         return all(v == ZERO for v in self.qcoords(f))
+
+
+def quotient_hom_spaces(modules: Sequence[Bimodule],
+                        greater: Iterable[Bimodule]
+                        ) -> Dict[Tuple[int, int], QuotientHomSpace]:
+    """The quotient hom space of every ordered pair of modules, by index.
+
+    A factorization through a direct sum refines to ones through single
+    summands, so greater lists the indecomposables of the greater cells.
+    Each is visited once: the homs into it from every module and, if any
+    is nonzero, the homs out of it; each composite goes onto the rows of
+    its pair.
+    """
+    spaces = {(a, b): HomSpace(x, y) for a, x in enumerate(modules)
+              for b, y in enumerate(modules)}
+    rows: Dict[Tuple[int, int], List[Dict[int, Fraction]]] = {
+        pair: [] for pair in spaces}
+    for z in greater:
+        into = [HomSpace(x, z).maps for x in modules]
+        if not any(into):
+            continue
+        out_of = [HomSpace(z, y).maps for y in modules]
+        for a, hs in enumerate(into):
+            for b, gs in enumerate(out_of):
+                space = spaces[(a, b)]
+                for g in gs:
+                    for h in hs:
+                        coords = space.coords_of(g.compose(h))
+                        row = {c: v for c, v in enumerate(coords) if v}
+                        if row:
+                            rows[(a, b)].append(row)
+    return {pair: QuotientHomSpace(space, rows[pair])
+            for pair, space in spaces.items()}
 
 
 def _canonical_epi(m_label: StringLabel, n_label: StringLabel,
@@ -153,8 +159,10 @@ ActionEntries = Tuple[Tuple[int, int, int], ...]
 class _BirepCore:
     """Shared data behind every birep on one column: object bimodules,
     quotient hom spaces, canonical arrows, the generators by column, their
-    uncontracted action as read-only integer triples, and a lazily filled
-    scalar table for the morphism-level action."""
+    uncontracted action as read-only integer triples, the components whose
+    two columns act alike, the (M_{r|s}, N_{r|s}) generator pairs of each
+    row r, and a lazily filled scalar table for the morphism-level
+    action."""
 
     def __init__(self, n: int, k: int, column: int):
         self.n, self.k, self.column = n, k, column
@@ -163,14 +171,9 @@ class _BirepCore:
         self.modules = [construct(lab, n) for lab in self.object_labels]
         self.position = {lab: p for p, lab in enumerate(self.object_labels)}
 
-        greater = [(lab, construct(lab, n))
-                   for lab in catalog_labels(n, k - 1)]
-        hom_cache: dict = {}
-        self.qhoms: Dict[Tuple[int, int], QuotientHomSpace] = {}
-        for a, xa in enumerate(self.modules):
-            for b, xb in enumerate(self.modules):
-                self.qhoms[(a, b)] = QuotientHomSpace(
-                    xa, xb, greater, hom_cache)
+        self.qhoms = quotient_hom_spaces(
+            self.modules,
+            [construct(lab, n) for lab in catalog_labels(n, k - 1)])
         self._assert_cartan()
 
         self.alphas = [
@@ -192,6 +195,11 @@ class _BirepCore:
             for s in range(1, n + 1)})
         self.action_entries = MappingProxyType(
             {u: self._object_action(u) for u in self.generators})
+        self.contractible = self._contractible()
+        self.mn_pairs = tuple(
+            tuple((StringLabel("M", r, s, k), StringLabel("N", r, s, k))
+                  for s in range(1, n + 1))
+            for r in range(1, n + 1))
         self._scalars: Dict[StringLabel, Fraction] = {}
 
     def _assert_cartan(self):
@@ -221,6 +229,18 @@ class _BirepCore:
                         "outside the column")
                 counts[(r, c)] += 1
         return tuple((r, c, m) for (r, c), m in sorted(counts.items()))
+
+    def _contractible(self) -> FrozenSet[int]:
+        """Components whose N and M columns every generator acts on alike."""
+        n = self.n
+
+        def column(entries: ActionEntries, c: int):
+            return [(r, m) for r, cc, m in entries if cc == c]
+
+        return frozenset(
+            i for i in range(1, n + 1)
+            if all(column(entries, i - 1) == column(entries, n + i - 1)
+                   for entries in self.action_entries.values()))
 
     def arrow_scalar(self, u: StringLabel) -> Fraction:
         """The scalar by which u acts on the arrow of its source column.
@@ -288,16 +308,6 @@ class ObjectSlot:
         return f"{self.kind}_{self.component}"
 
 
-@dataclass(frozen=True)
-class LocalizationSpec:
-    """Which components to contract."""
-
-    contract: FrozenSet[int]
-
-    def __init__(self, contract: Iterable[int]):
-        object.__setattr__(self, "contract", frozenset(int(i) for i in contract))
-
-
 class _ActionMatrices(Mapping):
     """Read-only matrices of a birep, built afresh from triples on access."""
 
@@ -333,7 +343,7 @@ class FinitaryBirep:
     contracted: FrozenSet[int]
     objects: List[ObjectSlot]
     action: Mapping[StringLabel, ActionEntries]
-    core: Optional[_BirepCore] = field(default=None, repr=False, compare=False)
+    core: _BirepCore = field(repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.action, MappingProxyType):
@@ -382,14 +392,10 @@ class FinitaryBirep:
 
     def fingerprint(self) -> List[int]:
         """Components whose M and N generators act identically."""
-        return [r for r in range(1, self.n + 1)
-                if all(self.action[StringLabel("M", r, s, self.k)]
-                       == self.action[StringLabel("N", r, s, self.k)]
-                       for s in range(1, self.n + 1))]
+        return [r for r, pairs in enumerate(self.core.mn_pairs, 1)
+                if all(self.action[m] == self.action[nn] for m, nn in pairs)]
 
     def arrow_scalar(self, u: StringLabel) -> Fraction:
-        if self.core is None:
-            raise ValueError("this birep carries no morphism-level data")
         return self.core.arrow_scalar(u)
 
     def to_json(self) -> dict:
@@ -441,8 +447,8 @@ def _merge_groups(n: int, contracted: FrozenSet[int]):
                    for slot in slots]
 
 
-def localize(b: FinitaryBirep, spec: LocalizationSpec) -> FinitaryBirep:
-    """Contract the arrows of the given components.
+def localize(b: FinitaryBirep, contract: Iterable[int]) -> FinitaryBirep:
+    """Contract the arrows of the given set of components.
 
     Contractions accumulate: localizing an already localized birep works
     from the union of the two index sets, rebuilt from the uncontracted
@@ -451,32 +457,25 @@ def localize(b: FinitaryBirep, spec: LocalizationSpec) -> FinitaryBirep:
     every image component must be an isomorphism, a multiple of a
     contracted arrow, or zero.
     """
-    extra = spec.contract
+    extra = frozenset(contract)
     bad = [i for i in extra if not 1 <= i <= b.n]
     if bad:
         raise ValueError(f"component indices out of range: {sorted(bad)}")
     total = b.contracted | extra
     if total == b.contracted:
         return b
-    if b.core is None:
-        raise ValueError("this birep carries no morphism-level data")
     core = b.core
+    unequal = total - core.contractible
+    if unequal:
+        raise StabilityError(
+            f"cannot contract components {sorted(unequal)}, whose two "
+            "columns act differently")
 
     slots, groups = _merge_groups(b.n, total)
     new_pos = {old: new for new, group in enumerate(groups) for old in group}
     kept = {group[0] for group in groups}
-    # each column of a contracted pair, mapped to the other one
-    partner = {c: group[1 - t] for group in groups if len(group) > 1
-               for t, c in enumerate(group)}
     action = {}
     for u, entries in core.action_entries.items():
-        columns: Dict[int, Dict[int, int]] = {}
-        for r, c, m in entries:
-            columns.setdefault(c, {})[r] = m
-        if any(columns.get(partner[c]) != rows
-               for c, rows in columns.items() if c in partner):
-            raise StabilityError(
-                "cannot contract a pair whose columns act differently")
         # rows are summed over the group; columns are identical, so the
         # group's first one is kept
         merged: Dict[Tuple[int, int], int] = {}
@@ -523,8 +522,6 @@ def is_simple_transitive(b: FinitaryBirep) -> bool:
     survivors = [i for i in range(1, b.n + 1) if i not in b.contracted]
     if not survivors:
         return True
-    if b.core is None:
-        raise ValueError("this birep carries no morphism-level data")
     scalars = [(u.j, b.core.arrow_scalar(u)) for u in b.core.generators
                if u.j in survivors]
     return all(any(lam for j, lam in scalars if j == s) for s in survivors)
@@ -559,7 +556,7 @@ def classify(n: int, k: int) -> ClassificationReport:
     seen_prints = {}
     for size in range(n + 1):
         for combo in itertools.combinations(range(1, n + 1), size):
-            loc = localize(base, LocalizationSpec(combo))
+            loc = localize(base, combo)
             print_ = loc.fingerprint()
             key = tuple(print_)
             if key in seen_prints:

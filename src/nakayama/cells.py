@@ -134,8 +134,6 @@ class CellStructure:
     two_sided_cells: List[List[StringLabel]]
     two_sided_order: List[Tuple[str, str]]
     chain_is_total: bool
-    catalog_relative: bool = True
-    band_note: str = BAND_NOTE
 
     @property
     def cell_names(self) -> List[str]:
@@ -189,8 +187,8 @@ class CellStructure:
             "two_sided_order": [list(pair) for pair in self.two_sided_order],
             "chain": self.cell_names if self.chain_is_total else None,
             "chain_is_total": self.chain_is_total,
-            "catalog_relative": self.catalog_relative,
-            "band_note": self.band_note,
+            "catalog_relative": True,
+            "band_note": BAND_NOTE,
         }
 
 

@@ -25,7 +25,6 @@ from .bimodules import (
     parse_label,
 )
 from .bireps import (
-    LocalizationSpec,
     cell_birep,
     classify,
     is_simple_transitive,
@@ -205,7 +204,7 @@ def _parse_contract(text: str) -> List[int]:
 
 def _cmd_localize(args) -> int:
     base = cell_birep(args.n, args.k, args.j)
-    loc = localize(base, LocalizationSpec(args.contract))
+    loc = localize(base, args.contract)
     verdict = is_simple_transitive(loc)
     blocks = verify_block_structure(loc)
     adj = verify_adjunction_consequences(loc)

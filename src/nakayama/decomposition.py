@@ -202,16 +202,11 @@ def decompose_product(u: StringLabel, v: StringLabel,
     """Decompose construct(u) (x) construct(v).
 
     Products of catalog members never gain valleys beyond the factors, so
-    the tight catalog comes first; only when a residual survives does the
-    search widen to the bound forced by the dimension.
+    the catalog up to the larger valley count of the two (and at least 1)
+    is searched; a residual, if any, is reported.
     """
     t = tensor(construct(u, n), construct(v, n))
-    tight = max(u.k or 0, v.k or 0, 1)
-    rep = decompose(t, tight)
-    wide = (t.total_dim - 1) // 2
-    if rep.residual_dim and wide > tight:
-        rep = decompose(t, wide)
-    return rep
+    return decompose(t, max(u.k or 0, v.k or 0, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,13 @@ Idempotent balancing is absorbed by the grading and squares of arrows
 vanish, so these rows span every balancing relation.
 
 Everything is deterministic: pair bases are ordered lexicographically by
-(middle residue, left index, right index) and the quotient basis consists
-of the non-pivot pairs of a reduced echelon form, so equal inputs always
-give equal outputs, and a map produced by ``tensor_map`` has source and
-target equal (not merely isomorphic) to the corresponding ``tensor``
-results.
+(middle residue, left index, right index) and the quotient basis is the
+classes of the free columns, the non-pivot pairs of a reduced echelon
+form.  A map out of the quotient is built on the free columns of its
+source only and read into the target quotient through its projection.
+Equal inputs always give equal outputs, and a map produced by
+``tensor_map`` has source and target equal (not merely isomorphic) to
+the corresponding ``tensor`` results.
 """
 
 from __future__ import annotations
@@ -34,8 +36,9 @@ class TensorSpace:
     """Pair bases and the balancing quotient of x (x) y, vertex by vertex.
 
     Holds, for every torus vertex with a nonzero quotient: the ordered pair
-    basis, a section of the quotient map (matrix pairdim x qdim) and the
-    projection (qdim x pairdim), with projection . section = identity.
+    basis, the free columns (the pairs whose classes form the quotient
+    basis) and the projection (qdim x pairdim), which is the identity on
+    the free columns.
     """
 
     def __init__(self, x: Bimodule, y: Bimodule) -> None:
@@ -46,7 +49,7 @@ class TensorSpace:
         self.n = n
         self.pair_bases: Dict[Vertex, List[PairKey]] = {}
         self.pair_index: Dict[Vertex, Dict[PairKey, int]] = {}
-        self.sections: Dict[Vertex, ExactMatrix] = {}
+        self.frees: Dict[Vertex, List[int]] = {}
         self.projections: Dict[Vertex, ExactMatrix] = {}
         self.qdims: Dict[Vertex, int] = {}
         # only the supports are scanned: x by row, y by row then column
@@ -98,9 +101,7 @@ class TensorSpace:
                     continue
                 qdim = len(frees)
                 free_pos = {f: t for t, f in enumerate(frees)}
-                self.sections[v] = ExactMatrix.from_entries(
-                    len(basis), qdim,
-                    [(f, t, ONE) for t, f in enumerate(frees)])
+                self.frees[v] = frees
                 self.projections[v] = ExactMatrix.from_entries(
                     qdim, len(basis),
                     [(t, f, ONE) for t, f in enumerate(frees)]
@@ -113,12 +114,13 @@ class TensorSpace:
 
     def _raw(self, kind: str, i: int, l: int) -> ExactMatrix:
         """Left action of a_i ("v") or right action of a_{l-1} ("h") on
-        the pair space at (i, l)."""
+        the free columns of the pair space at (i, l)."""
         src = self.pair_bases[(i, l)]
+        frees = self.frees[(i, l)]
         tv = arrow_target(kind, i, l, self.n)
         tgt_idx = self.pair_index.get(tv, {})
         triples = []
-        for c, (j, xa, yb) in enumerate(src):
+        for c, (j, xa, yb) in enumerate(src[p] for p in frees):
             if kind == "v":
                 mat, col = self.x.arrow_maps.get(("v", i, j)), xa
             else:
@@ -131,7 +133,7 @@ class TensorSpace:
                     key = (j, s, yb) if kind == "v" else (j, xa, s)
                     triples.append((tgt_idx[key], c, coef))
         return ExactMatrix.from_entries(len(self.pair_bases.get(tv, ())),
-                                        len(src), triples)
+                                        len(frees), triples)
 
     def assemble(self) -> Bimodule:
         """The tensor product as a torus representation."""
@@ -141,8 +143,7 @@ class TensorSpace:
                 tv = arrow_target(kind, i, l, self.n)
                 if tv not in self.qdims:
                     continue
-                mat = self.projections[tv].mul(self._raw(kind, i, l)).mul(
-                    self.sections[(i, l)])
+                mat = self.projections[tv].mul(self._raw(kind, i, l))
                 if not mat.is_zero():
                     maps[(kind, i, l)] = mat
         return Bimodule(self.n, dict(self.qdims), maps)
@@ -177,8 +178,9 @@ def tensor_map(x: Bimodule, f: BimoduleMap) -> BimoduleMap:
         if v not in src_space.qdims or v not in tgt_space.qdims:
             continue
         tgt_idx = tgt_space.pair_index[v]
+        frees = src_space.frees[v]
         triples = []
-        for c, (j, xa, yb) in enumerate(src_basis):
+        for c, (j, xa, yb) in enumerate(src_basis[p] for p in frees):
             comp = f.components.get((j, v[1]))
             if comp is None:
                 continue
@@ -187,7 +189,6 @@ def tensor_map(x: Bimodule, f: BimoduleMap) -> BimoduleMap:
                 if coef:
                     triples.append((tgt_idx[(j, xa, cc)], c, coef))
         raw = ExactMatrix.from_entries(len(tgt_space.pair_bases[v]),
-                                       len(src_basis), triples)
-        mat = tgt_space.projections[v].mul(raw).mul(src_space.sections[v])
-        comps[v] = mat
+                                       len(frees), triples)
+        comps[v] = tgt_space.projections[v].mul(raw)
     return BimoduleMap(src, tgt, comps)

@@ -14,7 +14,6 @@ from collections import Counter
 
 from nakayama.bimodules import StringLabel, catalog_labels
 from nakayama.bireps import (
-    LocalizationSpec,
     action_matrix,
     cell_birep,
     classify,
@@ -144,7 +143,7 @@ def test_criterion_5_action_matrix_block_identities(capsys):
         base = cell_birep(n, 1)
         for size in range(n + 1):
             for combo in itertools.combinations(range(1, n + 1), size):
-                loc = localize(base, LocalizationSpec(combo))
+                loc = localize(base, combo)
                 report = verify_block_structure(loc)
                 if not report["ok"]:
                     bad.append((n, combo, report["failures"]))
@@ -191,14 +190,14 @@ def test_criterion_7_localization_ranks(capsys):
     bad = []
     for n in (1, 2, 3):
         base = cell_birep(n, 1)
-        full = localize(base, LocalizationSpec(range(1, n + 1)))
+        full = localize(base, range(1, n + 1))
         if full.rank != n:
             bad.append((n, "full contraction rank", full.rank))
-        if localize(base, LocalizationSpec(())) is not base:
+        if localize(base, ()) is not base:
             bad.append((n, "empty contraction is not the original"))
         for size in range(n + 1):
             for combo in itertools.combinations(range(1, n + 1), size):
-                loc = localize(base, LocalizationSpec(combo))
+                loc = localize(base, combo)
                 if loc.rank != 2 * n - size:
                     bad.append((n, combo, loc.rank))
     ok = not bad
@@ -218,7 +217,7 @@ def test_criterion_8_random_matrix_module_agreement(capsys):
     bireps = {}
     base = cell_birep(n, 1)
     for combo in subsets:
-        bireps[combo] = localize(base, LocalizationSpec(combo))
+        bireps[combo] = localize(base, combo)
     bad = []
     for trial in range(200):
         u = rng.choice(catalog)

@@ -161,6 +161,20 @@ def test_json_round_trip():
         assert Bimodule.from_json(x.to_json()) == x
 
 
+@pytest.mark.parametrize("dims", [
+    {(3, 1): 1, (1, 1): 2},  # a vertex outside the 2 x 2 torus
+    {(1, 0): 1},
+    {(1, 1): -1},  # a negative dimension
+])
+def test_bimodule_rejects_bad_dimension_vectors(dims):
+    with pytest.raises(ValueError):
+        Bimodule(2, dims, {})
+    doc = {"n": 2, "dims": {f"{i}|{j}": d for (i, j), d in dims.items()},
+           "arrows": []}
+    with pytest.raises(ValueError):
+        Bimodule.from_json(doc)
+
+
 # -- torus relations ---------------------------------------------------------
 
 def _m(*rows):

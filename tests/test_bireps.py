@@ -9,20 +9,17 @@ from math import comb
 import pytest
 
 from nakayama.bimodules import (
-    Bimodule,
+    HomSpace,
     StringLabel,
     catalog_labels,
     construct,
     identity_map,
     parse_label,
-    zero_bimodule,
 )
 from nakayama.bireps import (
     CartanError,
     FinitaryBirep,
-    LocalizationSpec,
     ObjectSlot,
-    QuotientHomSpace,
     StabilityError,
     _canonical_epi,
     action_matrix,
@@ -30,11 +27,12 @@ from nakayama.bireps import (
     classify,
     is_simple_transitive,
     localize,
+    quotient_hom_spaces,
     verify_adjunction_consequences,
     verify_block_structure,
 )
 from nakayama.decomposition import decompose
-from nakayama.linalg import ONE, ExactMatrix, ZERO
+from nakayama.linalg import ONE, ExactMatrix, ZERO, sparse_rref
 from nakayama.tensoring import tensor, tensor_map
 
 # every (n, k) on which the column-by-column cross-checks run
@@ -47,30 +45,57 @@ def ints(mat):
 
 def test_quotient_hom_dims_form_disjoint_a2():
     n = 2
-    greater = [(lab, construct(lab, n)) for lab in catalog_labels(n, 0)]
+    greater = [construct(lab, n) for lab in catalog_labels(n, 0)]
     m1 = construct(StringLabel("M", 1, 1, 1), n)
     n1 = construct(StringLabel("N", 1, 1, 1), n)
     n2 = construct(StringLabel("N", 2, 1, 1), n)
-    assert QuotientHomSpace(m1, n1, greater).dim == 1
-    assert QuotientHomSpace(n1, m1, greater).dim == 0
-    assert QuotientHomSpace(n1, n1, greater).dim == 1
-    assert QuotientHomSpace(m1, n2, greater).dim == 0
+    qhoms = quotient_hom_spaces([m1, n1, n2], greater)
+    assert qhoms[(0, 1)].dim == 1
+    assert qhoms[(1, 0)].dim == 0
+    assert qhoms[(1, 1)].dim == 1
+    assert qhoms[(0, 2)].dim == 0
 
 
-def test_shared_hom_cache_matches_fresh_caches():
-    # each zero module dies before the next module is built, so CPython
-    # hands its id straight on; its cached empty hom lists must not be
-    # read back for the new module
-    n = 2
-    greater = [(lab, construct(lab, n)) for lab in catalog_labels(n, 0)]
-    labels = [StringLabel(f, i, 1, 1) for f in "WSNM" for i in (1, 2)]
-    shared: dict = {}
-    for a, b in itertools.product(labels, repeat=2):
-        x, y = construct(a, n), construct(b, n)
-        QuotientHomSpace(zero_bimodule(n), y, greater, shared)
-        copy_x = Bimodule(n, x.dims, x.arrow_maps)
-        assert QuotientHomSpace(copy_x, y, greater, shared).dim == \
-            QuotientHomSpace(x, y, greater).dim, (a, b)
+class _ReferenceQuotientHomSpace:
+    """The per-pair quotient hom space of the earlier implementation,
+    kept as an oracle: every greater object within the dimension bound is
+    scanned for this pair alone, with fresh hom spaces."""
+
+    def __init__(self, x, y, greater):
+        self.space = HomSpace(x, y)
+        bound = x.total_dim + y.total_dim
+        rows = []
+        for z in greater:
+            if z.total_dim > bound:
+                continue
+            into = HomSpace(x, z).maps
+            if not into:
+                continue
+            for g in HomSpace(z, y).maps:
+                for h in into:
+                    coords = self.space.coords_of(g.compose(h))
+                    row = {c: v for c, v in enumerate(coords) if v}
+                    if row:
+                        rows.append(row)
+        self._reduced, pivots = sparse_rref(rows, self.space.dim)
+        self._pivots = list(pivots)
+        self.dim = self.space.dim - len(self._pivots)
+
+
+@pytest.mark.parametrize("n,k", SMALL_CELLS)
+def test_quotient_hom_spaces_match_per_pair_reference(n, k):
+    core = cell_birep(n, k).core
+    greater = [construct(lab, n) for lab in catalog_labels(n, k - 1)]
+    got = quotient_hom_spaces(core.modules, greater)
+    assert list(got) == [(a, b) for a in range(2 * n) for b in range(2 * n)]
+    for (a, b), q in got.items():
+        ref = _ReferenceQuotientHomSpace(core.modules[a], core.modules[b],
+                                         greater)
+        assert q.space.vectors == ref.space.vectors, (a, b)
+        assert q.dim == ref.dim, (a, b)
+        assert q._pivots == ref._pivots, (a, b)
+        assert q._reduced == ref._reduced, (a, b)
+        assert q.dim == core.qhoms[(a, b)].dim
 
 
 @pytest.mark.parametrize("m_label,n_label", [
@@ -142,12 +167,12 @@ def test_other_columns_look_the_same():
 
 def test_localize_empty_set_is_identity():
     b = cell_birep(2, 1)
-    assert localize(b, LocalizationSpec(())) is b
+    assert localize(b, ()) is b
 
 
 def test_localize_merges_objects():
     b = cell_birep(2, 1)
-    loc = localize(b, LocalizationSpec({1}))
+    loc = localize(b, {1})
     assert loc.rank == 3
     assert [s.name for s in loc.objects] == ["O_1", "N_2", "M_2"]
     assert ints(loc.f_matrix()) == [[4, 4, 4], [2, 2, 2], [2, 2, 2]]
@@ -156,14 +181,13 @@ def test_localize_merges_objects():
 def test_localize_rejects_bad_component():
     b = cell_birep(2, 1)
     with pytest.raises(ValueError):
-        localize(b, LocalizationSpec({5}))
+        localize(b, {5})
 
 
 def test_localizations_compose_by_union():
     b = cell_birep(2, 1)
-    two_step = localize(localize(b, LocalizationSpec({1})),
-                        LocalizationSpec({2}))
-    one_step = localize(b, LocalizationSpec({1, 2}))
+    two_step = localize(localize(b, {1}), {2})
+    one_step = localize(b, {1, 2})
     assert two_step.contracted == one_step.contracted == frozenset({1, 2})
     assert two_step.action_obj == one_step.action_obj
     assert two_step.rank == 2
@@ -181,7 +205,7 @@ def test_sparse_merge_matches_dense_reference(n):
     b = cell_birep(n, 1)
     for size in range(1, n + 1):
         for combo in itertools.combinations(range(1, n + 1), size):
-            loc = localize(b, LocalizationSpec(combo))
+            loc = localize(b, combo)
             groups = [[i - 1, n + i - 1] if i in combo else [i - 1]
                       for i in range(1, n + 1)]
             groups += [[n + i - 1] for i in range(1, n + 1)
@@ -202,10 +226,24 @@ def test_sparse_merge_rejects_unequal_contracted_columns():
     # N_1|1 sends N_1 and M_1 to N_1; drop the entry in M_1's column
     assert core.action_entries[u] == ((0, 0, 1), (0, 2, 1))
     core.action_entries[u] = ((0, 0, 1),)
+    core.contractible = core._contractible()
+    assert core.contractible == {2}
     tampered = dataclasses.replace(b, core=core)
     with pytest.raises(StabilityError):
-        localize(tampered, LocalizationSpec({1}))
-    localize(tampered, LocalizationSpec({2}))
+        localize(tampered, {1})
+    localize(tampered, {2})
+
+
+@pytest.mark.parametrize("n,k", SMALL_CELLS)
+def test_contractible_matches_column_comparison(n, k):
+    for j in range(1, n + 1):
+        b = cell_birep(n, k, j)
+        want = {i for i in range(1, n + 1)
+                if all([mat.get(r, i - 1) for r in range(2 * n)]
+                       == [mat.get(r, n + i - 1) for r in range(2 * n)]
+                       for mat in b.action_obj.values())}
+        assert b.core.contractible == want, j
+        assert want == set(range(1, n + 1)), j
 
 
 def test_arrow_scalar_normalizes_its_label():
@@ -282,7 +320,7 @@ def _localizations(n, k, j):
     out = []
     for size in range(n + 1):
         for combo in itertools.combinations(range(1, n + 1), size):
-            loc = localize(base, LocalizationSpec(combo))
+            loc = localize(base, combo)
             out.append((combo, loc.rank, is_simple_transitive(loc),
                         loc.fingerprint()))
     return out
@@ -302,12 +340,12 @@ def test_rank_drops_by_contracted_count(n):
     import itertools
     for size in range(n + 1):
         for combo in itertools.combinations(range(1, n + 1), size):
-            loc = localize(b, LocalizationSpec(combo))
+            loc = localize(b, combo)
             assert loc.rank == 2 * n - size
 
 
 def test_mixed_contraction_block_shapes():
-    loc = localize(cell_birep(2, 1), LocalizationSpec({1}))
+    loc = localize(cell_birep(2, 1), {1})
     act = loc.action_obj
     assert ints(act[StringLabel("N", 1, 1, 1)]) == [
         [1, 0, 0], [0, 0, 0], [0, 0, 0]]
@@ -326,7 +364,7 @@ def test_block_structure_for_every_subset(n):
     b = cell_birep(n, 1)
     for size in range(n + 1):
         for combo in itertools.combinations(range(1, n + 1), size):
-            loc = localize(b, LocalizationSpec(combo))
+            loc = localize(b, combo)
             report = verify_block_structure(loc)
             assert report["ok"], report["failures"]
             assert report["f_trace"] == 4 * n
@@ -335,7 +373,7 @@ def test_block_structure_for_every_subset(n):
 
 
 def test_fully_contracted_blocks_are_units():
-    loc = localize(cell_birep(2, 1), LocalizationSpec({1, 2}))
+    loc = localize(cell_birep(2, 1), {1, 2})
     for u in loc.generator_labels():
         mat = loc.action_obj[u]
         assert ints(mat)[u.i - 1][u.j - 1] == 1
@@ -353,7 +391,7 @@ def test_arrow_scalars_make_the_cell_birep_simple():
 @pytest.mark.parametrize("n,contract", [(1, ()), (1, (1,)), (2, (2,)),
                                         (3, (1, 3))])
 def test_localized_bireps_stay_simple_transitive(n, contract):
-    loc = localize(cell_birep(n, 1), LocalizationSpec(contract))
+    loc = localize(cell_birep(n, 1), contract)
     assert is_simple_transitive(loc)
 
 
@@ -382,7 +420,7 @@ def _support_cases():
         b = cell_birep(n, 1)
         for size in range(n + 1):
             for combo in itertools.combinations(range(1, n + 1), size):
-                yield localize(b, LocalizationSpec(combo))
+                yield localize(b, combo)
     yield _doubled_fixture()
 
 
@@ -470,9 +508,9 @@ def _closure_cases():
         b = cell_birep(n, 1)
         for size in range(n + 1):
             for combo in itertools.combinations(range(1, n + 1), size):
-                yield localize(b, LocalizationSpec(combo))
+                yield localize(b, combo)
     yield _doubled_fixture()
-    loc = localize(cell_birep(2, 1), LocalizationSpec({2}))
+    loc = localize(cell_birep(2, 1), {2})
     for zeroed in ([u for u in loc.core.generators if u.j == 1],
                    [u for u in loc.core.generators
                     if u.j == 1 and u.family in "WN"],
@@ -529,7 +567,7 @@ def test_classification_json_shape():
 
 
 def test_birep_json_shape():
-    blob = localize(cell_birep(2, 1), LocalizationSpec({2})).to_json()
+    blob = localize(cell_birep(2, 1), {2}).to_json()
     assert blob["rank"] == 3
     assert blob["contracted"] == [2]
     assert blob["objects"] == ["N_1", "O_2", "M_1"]

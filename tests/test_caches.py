@@ -7,7 +7,7 @@ import pytest
 import nakayama
 from nakayama import classify, clear_caches, compute_cells
 from nakayama.bimodules import StringLabel, _CONSTRUCT_CACHE
-from nakayama.bireps import _CORE_CACHE, LocalizationSpec, cell_birep, localize
+from nakayama.bireps import _CORE_CACHE, cell_birep, localize
 from nakayama.decomposition import _CANDIDATE_CACHE, _PRODUCT_CACHE
 
 CACHES = {
@@ -57,7 +57,7 @@ def test_shared_action_data_rejects_writes(restored_caches):
     clear_caches()
     cold = _dump(classify(3, 1).to_json())
     b = cell_birep(3, 1)
-    loc = localize(b, LocalizationSpec({2}))
+    loc = localize(b, {2})
     u = StringLabel("N", 1, 1, 1)
     assert b.action is b.core.action_entries
     for mapping in (b.core.action_entries, b.core.by_column, b.action,

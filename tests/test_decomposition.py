@@ -21,6 +21,7 @@ from nakayama.decomposition import (
     cell_name,
     cell_of,
     decompose,
+    decompose_product,
     expected_product_family,
     is_strictly_greater,
     multable_check,
@@ -238,6 +239,20 @@ def test_product_summands_matches_direct_decomposition():
     t = tensor(construct(u, n), construct(v, n))
     direct = decompose(t, max(1, (t.total_dim - 1) // 2)).multiset()
     assert via_cache == direct
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_canonical_products_leave_no_residual(n):
+    # U anchored at 1|e and V at 1|1, for every pair of kinds of the
+    # catalog with at most two valleys, P and L included
+    kinds = sorted({(x.family, x.k) for x in catalog_labels(n, 2)},
+                   key=lambda fk: (fk[1] is not None, fk))
+    for fam_u, k_u in kinds:
+        for fam_v, k_v in kinds:
+            for e in range(1, n + 1):
+                u, v = lab(fam_u, 1, e, k_u), lab(fam_v, 1, 1, k_v)
+                rep = decompose_product(u, v, n)
+                assert rep.residual_dim == 0, (u, v)
 
 
 def test_product_summands_translation_consistency():
