@@ -89,7 +89,8 @@ class StringLabel:
             return 4
         if self.family == "L":
             return 1
-        assert self.k is not None
+        if self.k is None:
+            raise ValueError(f"{self.family} label without a valley count")
         return {"W": 2 * self.k + 1, "S": 2 * self.k + 2,
                 "N": 2 * self.k + 2, "M": 2 * self.k + 3}[self.family]
 
@@ -356,7 +357,8 @@ def _walk(label: StringLabel):
         return pts, edges
     if fam == "L":
         return [CoverVertex(i, j)], []
-    assert k is not None
+    if k is None:
+        raise ValueError(f"{fam} label without a valley count")
     xs = []
     for m in range(2 * k + 1):
         half, odd = divmod(m, 2)
@@ -585,8 +587,9 @@ def trace_pairing(x: Bimodule, y: Bimodule):
     rank counts, with the dimensions of the residue division rings as
     weights, the indecomposable summands x and y share: a composite with
     nonzero trace is not nilpotent, and maps through the radical have
-    trace zero.  The entries are dot products of the flattened
-    components, the x -> y layout transposed onto the y -> x one, so no
+    trace zero.  The entries are one sparse product: the back vectors are
+    indexed once by unknown, and each forward vector, its x -> y layout
+    transposed onto the y -> x one, adds its products into its row, so no
     map is built here.
     """
     fwd, back = HomSpace(x, y), HomSpace(y, x)
@@ -596,12 +599,19 @@ def trace_pairing(x: Bimodule, y: Bimodule):
         for r in range(dy):
             for c in range(dx):
                 swap[off + r * dx + c] = off + c * dy + r
-    flipped = [{swap[idx]: a for idx, a in vec.items()}
-               for vec in fwd.vectors]
-    entries = [sum((a * gv[idx] for idx, a in fv.items() if idx in gv), ZERO)
-               for fv in flipped for gv in back.vectors]
-    return (fwd, back,
-            ExactMatrix(len(fwd.vectors), len(back.vectors), entries))
+    by_unknown: Dict[int, List[Tuple[int, Fraction]]] = {}
+    for b, gv in enumerate(back.vectors):
+        for idx, val in gv.items():
+            by_unknown.setdefault(idx, []).append((b, val))
+    width = len(back.vectors)
+    entries: List[Fraction] = []
+    for fv in fwd.vectors:
+        row = [ZERO] * width
+        for idx, a in fv.items():
+            for b, val in by_unknown.get(swap[idx], ()):
+                row[b] += a * val
+        entries.extend(row)
+    return fwd, back, ExactMatrix(len(fwd.vectors), width, entries)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,17 @@ other pivot column.  Eliminating with one reduced row therefore never
 changes a new row's entries at the other pivot columns, so the pivot hits
 of a new row are found by looking its columns up among the pivots, not by
 scanning every pivot.
+
+One shape of system skips that routine.  When every row has at most two
+entries and every two-entry row reads x_a = +-x_b, the kernel is read off a
+signed union-find of the columns: a class is zero when a one-entry row or a
+cycle of contradicting signs touches it, and otherwise carries one basis
+vector of +-1 entries.  The intertwining systems between string modules all
+have this shape, since string modules act on their walk basis by partial
+permutation matrices.  The RREF of such a system has a row x_m -+ x_f for
+every member m of a class below its largest column f, and a row x_m for
+every member of a zero class, so its free columns are the classes' largest
+columns and the signed kernel returns exactly the RREF kernel.
 """
 
 from __future__ import annotations
@@ -245,8 +256,18 @@ def sparse_kernel_with_frees(rows: list, ncols: int):
     One basis vector per free column f: entry 1 at f and -coefficient at each
     pivot column, read straight off the RREF.  The identity pattern on free
     columns means the f-coordinates of any kernel element ARE its coordinates
-    in this basis, which the hom-space code exploits.
+    in this basis, which the hom-space code exploits.  Systems of the shape
+    in the module docstring take ``signed_kernel_with_frees``, which gives
+    the same vectors without any elimination.
     """
+    signed = signed_kernel_with_frees(rows, ncols)
+    if signed is not None:
+        return signed
+    return rref_kernel_with_frees(rows, ncols)
+
+
+def rref_kernel_with_frees(rows: list, ncols: int):
+    """``sparse_kernel_with_frees`` by elimination, for rows of any shape."""
     rref, pivots = sparse_rref(rows, ncols)
     pivset = set(pivots)
     basis = {f: {f: ONE} for f in range(ncols) if f not in pivset}
@@ -257,6 +278,74 @@ def sparse_kernel_with_frees(rows: list, ncols: int):
             if f != p:
                 basis[f][p] = -c
     return list(basis.values()), list(basis)
+
+
+def signed_kernel_with_frees(rows: list, ncols: int):
+    """``sparse_kernel_with_frees`` by a signed union-find of the columns,
+    or None when some row has more than two entries or a two-entry row has
+    a coefficient other than +-1.
+
+    Each class that no one-entry row and no odd cycle makes zero gives one
+    vector: 1 at its largest column f, the free column of the RREF, and
+    the sign of x_m relative to x_f at every other member m, with keys in
+    the order f, then the members ascending.  Signs are plain ints.
+
+    >>> signed_kernel_with_frees([{0: 1, 1: 1}, {2: 5}], 3)
+    ([{1: Fraction(1, 1), 0: Fraction(-1, 1)}], [1])
+    """
+    parent = list(range(ncols))
+    sign = [1] * ncols       # x_c = sign[c] * x_parent[c]; 1 at a root
+    zero = [False] * ncols   # meaningful at roots only
+
+    def find(c):
+        # path halving; returns the root r and s with x_c = s * x_r
+        s = 1
+        while parent[c] != c:
+            p = parent[c]
+            sign[c] *= sign[p]
+            parent[c] = parent[p]
+            s *= sign[c]
+            c = parent[c]
+        return c, s
+
+    for row in rows:
+        if len(row) == 1:
+            (c,) = row
+            zero[find(c)[0]] = True
+        elif len(row) == 2:
+            (a, va), (b, vb) = row.items()
+            if not ((va == 1 or va == -1) and (vb == 1 or vb == -1)):
+                return None
+            ra, sa = find(a)
+            rb, sb = find(b)
+            # va x_a + vb x_b = 0 says x_a = s x_b
+            s = -1 if va == vb else 1
+            if ra == rb:
+                if sa != s * sb:
+                    zero[ra] = True
+            else:
+                parent[ra], sign[ra] = rb, sa * s * sb
+                zero[rb] |= zero[ra]
+        elif row:
+            return None
+    members: dict = {}
+    signs = [0] * ncols
+    for c in range(ncols):
+        r, signs[c] = find(c)
+        members.setdefault(r, []).append(c)
+    minus_one = -ONE
+    vectors, frees = [], []
+    for r, cols in sorted(members.items(), key=lambda item: item[1][-1]):
+        if zero[r]:
+            continue
+        f = cols.pop()
+        sf = signs[f]
+        vec = {f: ONE}
+        for m in cols:
+            vec[m] = ONE if signs[m] == sf else minus_one
+        vectors.append(vec)
+        frees.append(f)
+    return vectors, frees
 
 
 def sparse_kernel_basis(rows: list, ncols: int) -> list:

@@ -29,6 +29,7 @@ from nakayama.bimodules import (
     _walk,
 )
 from nakayama.algebras import CoverVertex, project, residue
+from nakayama.tensoring import tensor
 from nakayama.linalg import (
     ONE,
     ZERO,
@@ -67,6 +68,20 @@ def test_label_normalization_folds_w0():
     assert lab("W", 1, 1, 0).normalized(2) == L(1, 1)
     assert lab("S", 4, 1, 1).normalized(3) == lab("S", 1, 1, 1)
     assert P(0, 5).normalized(3) == P(3, 2)
+
+
+@pytest.mark.parametrize("family", ["W", "S", "N", "M"])
+def test_label_without_valley_count_raises_under_python_O(family):
+    # a frozen label forced past its own validation must still be refused
+    # by a check that python -O keeps
+    label = lab(family, 1, 1, 1)
+    object.__setattr__(label, "k", None)
+    with pytest.raises(ValueError):
+        label.dimension
+    with pytest.raises(ValueError):
+        _walk(label)
+    with pytest.raises(ValueError):
+        construct(label, 2)
 
 
 def test_label_dimensions():
@@ -339,10 +354,20 @@ def test_pairing_rank_counts_squared_multiplicity():
     assert pairing_rank(direct_sum(reg, reg), direct_sum(reg, reg)) == 4
 
 
-def test_trace_pairing_entries_are_traces():
-    n = 2
-    x = construct(lab("N", 1, 1, 1), n)
-    t = direct_sum(x, construct(L(1, 1), n), x)
+def _w1_tensor_square():
+    w = construct(lab("W", 1, 1, 1), 1)
+    return tensor(w, w), w
+
+
+@pytest.mark.parametrize("make", [
+    lambda: (construct(lab("N", 1, 1, 1), 2), construct(L(1, 1), 2)),
+    # at n = 1 walk points collide on the one vertex and every arrow is a
+    # loop, so the transposed layout maps a block onto itself
+    _w1_tensor_square,
+], ids=["N1-at-n2", "W1-tensor-W1-at-n1"])
+def test_trace_pairing_entries_are_traces(make):
+    x, other = make()
+    t = direct_sum(x, other, x)
     fs, gs, g = trace_pairing(x, t)
     assert (g.rows, g.cols) == (len(fs), len(gs))
     for a, f in enumerate(fs):

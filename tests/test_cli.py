@@ -174,6 +174,16 @@ def test_classify_frontier_output_is_byte_stable(capsys):
         "d7de3c79e8c51ab756ccc2850c741eb0d1ab308e550cf318392112bd51d32e28")
 
 
+def test_multable_wrapping_output_is_byte_stable(capsys):
+    # at n = 1 with k = 3 every walk wraps the torus several times, so the
+    # hom solves and trace pairings of the decomposition are pinned there
+    status = main(["multable", "--n", "1", "--k", "3", "--json"])
+    out = capsys.readouterr().out
+    assert status == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "a749c614dd80d3b17766fead251840e7b57af896503858fd165d11c5b718e019")
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     status = main(["multable", "--n", "1", "--k", "1",

@@ -12,8 +12,11 @@ from nakayama.linalg import (
     kernel_basis,
     kernel_basis_with_frees,
     rank,
+    rref_kernel_with_frees,
+    signed_kernel_with_frees,
     solve,
     sparse_kernel_basis,
+    sparse_kernel_with_frees,
     sparse_rref,
 )
 
@@ -227,3 +230,62 @@ def test_sparse_rref_matches_dense_gauss_jordan(system):
     rref, pivots = sparse_rref(rows, ncols)
     assert rows == before
     assert (rref, pivots) == _dense_rref(rows, ncols)
+
+
+_SIGNS = (Fraction(1), Fraction(-1))
+
+
+@st.composite
+def _signed_systems(draw):
+    """Rows of one entry, or of two +-1 entries: among them repeated rows,
+    rows on the same pair, sign cycles (odd ones half the time) and
+    untouched columns, under a random relabelling of the columns."""
+    used = draw(st.integers(1, 8))
+    ncols = used + draw(st.integers(0, 2))
+    col = st.integers(0, used - 1)
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        a, b = draw(col), draw(col)
+        if a == b:
+            rows.append({a: draw(st.sampled_from(
+                _SIGNS + (Fraction(2), Fraction(-1, 3))))})
+        else:
+            rows.append({a: draw(st.sampled_from(_SIGNS)),
+                         b: draw(st.sampled_from(_SIGNS))})
+    if used >= 2:
+        cycle = draw(st.lists(col, min_size=2, max_size=4, unique=True))
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            rows.append({a: draw(st.sampled_from(_SIGNS)),
+                         b: draw(st.sampled_from(_SIGNS))})
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=3))
+    perm = draw(st.permutations(range(ncols)))
+    rows = [{perm[c]: v for c, v in row.items()}
+            for row in draw(st.permutations(rows))]
+    return rows, ncols
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_signed_systems())
+def test_signed_kernel_matches_rref_kernel(system):
+    rows, ncols = system
+    before = copy.deepcopy(rows)
+    vectors, frees = signed_kernel_with_frees(rows, ncols)
+    assert rows == before
+    want_vectors, want_frees = rref_kernel_with_frees(rows, ncols)
+    assert frees == want_frees
+    assert vectors == want_vectors
+    assert [list(v) for v in vectors] == [list(v) for v in want_vectors]
+    assert all(type(x) is Fraction for v in vectors for x in v.values())
+    assert sparse_kernel_with_frees(rows, ncols) == (vectors, frees)
+
+
+@pytest.mark.parametrize("rows", [
+    [{0: Fraction(1), 1: Fraction(1), 2: Fraction(-1)}],
+    [{0: Fraction(2), 1: Fraction(1)}, {1: Fraction(1), 3: Fraction(-1)}],
+], ids=["three-entry-row", "coefficient-two"])
+def test_other_row_shapes_take_the_rref_kernel(rows):
+    assert signed_kernel_with_frees(rows, 4) is None
+    vectors, frees = sparse_kernel_with_frees(rows, 4)
+    assert (vectors, frees) == rref_kernel_with_frees(rows, 4)
+    assert len(frees) == 4 - len(rows)
