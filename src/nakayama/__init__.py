@@ -26,14 +26,12 @@ from .bimodules import (
     construct,
     direct_sum,
     dualize,
-    hom_basis,
     hom_to_algebra,
     identity_map,
     is_isomorphic,
     parse_label,
     regular_bimodule,
     restrict_left,
-    zero_map,
 )
 from .bireps import (
     CartanError,
@@ -99,7 +97,6 @@ __all__ = [
     "direct_sum",
     "dualize",
     "expected_product_family",
-    "hom_basis",
     "hom_to_algebra",
     "identity_map",
     "is_idempotent_cell",
@@ -117,5 +114,4 @@ __all__ = [
     "tensor_map",
     "verify_adjunction_consequences",
     "verify_block_structure",
-    "zero_map",
 ]

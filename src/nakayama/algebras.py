@@ -120,10 +120,6 @@ class NakayamaAlgebra:
                         return False
         return True
 
-    def unit_components(self) -> Tuple[BasisLabel, ...]:
-        """The unit is the sum of the vertex idempotents."""
-        return tuple(("e", i) for i in range(1, self.n + 1))
-
     def to_json(self) -> dict:
         def name(lbl: BasisLabel) -> str:
             kind, i = lbl
@@ -197,10 +193,6 @@ class TorusAlgebra:
     def arrow_target(self, key: ArrowKey) -> Vertex:
         table = self.vertical if key[0] == "v" else self.horizontal
         return table[key][1]
-
-    @property
-    def arrow_count(self) -> int:
-        return len(self.vertical) + len(self.horizontal)
 
     @property
     def dimension(self) -> int:

@@ -34,6 +34,7 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Dict, List, Optional, Tuple
 
 from .algebras import CoverVertex, Vertex, arrow_target, project, residue
@@ -43,6 +44,7 @@ from .linalg import (
     ZERO,
     rank,
     sparse_kernel_with_frees,
+    sparse_rank,
 )
 
 FAMILIES = ("P", "L", "W", "S", "N", "M")
@@ -126,7 +128,8 @@ ArrowKey = Tuple[str, int, int]
 
 
 class Bimodule:
-    """A representation of the torus quiver; immutable by convention."""
+    """A representation of the torus quiver; ``dims`` and ``arrow_maps``
+    are read-only views, so a shared cached module cannot be changed."""
 
     def __init__(self, n: int, dims: Dict[Vertex, int],
                  arrow_maps: Dict[ArrowKey, ExactMatrix]) -> None:
@@ -135,7 +138,7 @@ class Bimodule:
             if not (1 <= i <= n and 1 <= j <= n) or d < 0:
                 raise ValueError(f"dimension {d} at vertex {i}|{j} of the "
                                  f"{n} x {n} torus")
-        self.dims = {v: d for v, d in dims.items() if d}
+        self.dims = MappingProxyType({v: d for v, d in dims.items() if d})
         maps = {}
         for key, mat in arrow_maps.items():
             kind, i, j = key
@@ -148,7 +151,7 @@ class Bimodule:
                     f"{mat.rows}x{mat.cols}")
             if ds and dt and not mat.is_zero():
                 maps[(kind, i, j)] = mat
-        self.arrow_maps = maps
+        self.arrow_maps = MappingProxyType(maps)
 
     # -- basic geometry ----------------------------------------------------
 
@@ -231,20 +234,6 @@ class Bimodule:
             })
         return {"n": self.n, "dims": dims, "arrows": arrows}
 
-    @classmethod
-    def from_json(cls, doc: dict) -> "Bimodule":
-        n = doc["n"]
-        dims = {}
-        for key, d in doc["dims"].items():
-            i, j = key.split("|")
-            dims[(int(i), int(j))] = d
-        maps = {}
-        for a in doc["arrows"]:
-            rows = [[Fraction(x) for x in row] for row in a["matrix"]]
-            maps[(a["kind"], a["i"], a["j"])] = ExactMatrix.from_rows(rows) \
-                if rows else ExactMatrix.zeros(0, 0)
-        return cls(n, dims, maps)
-
     # -- dunder ------------------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -264,12 +253,9 @@ class Bimodule:
         return f"Bimodule(n={self.n}, dim={self.total_dim}, [{dv}])"
 
 
-def zero_bimodule(n: int) -> Bimodule:
-    return Bimodule(n, {}, {})
-
-
 class BimoduleMap:
-    """A homomorphism of bimodules: one matrix per torus vertex."""
+    """A homomorphism of bimodules: one matrix per torus vertex, in the
+    read-only view ``components``."""
 
     def __init__(self, source: Bimodule, target: Bimodule,
                  components: Dict[Vertex, ExactMatrix]) -> None:
@@ -282,7 +268,7 @@ class BimoduleMap:
                 raise ValueError(f"component at {v}: wrong shape")
             if ds and dt and not mat.is_zero():
                 comps[v] = mat
-        self.components = comps
+        self.components = MappingProxyType(comps)
 
     def component(self, i: int, j: int) -> ExactMatrix:
         n = self.source.n
@@ -336,10 +322,6 @@ def identity_map(x: Bimodule) -> BimoduleMap:
                               for v, d in x.dims.items()})
 
 
-def zero_map(x: Bimodule, y: Bimodule) -> BimoduleMap:
-    return BimoduleMap(x, y, {})
-
-
 # ---------------------------------------------------------------------------
 # construction of the catalog
 # ---------------------------------------------------------------------------
@@ -390,8 +372,8 @@ def construct(label: StringLabel, n: int) -> Bimodule:
 
     The walk is laid out on the cover and projected; when several walk
     points land on one torus vertex (small n, long walks) they stack up in
-    walk order, so all arrow matrices are 0/1.  Results are cached; treat
-    them as immutable, like every other Bimodule.
+    walk order, so all arrow matrices are 0/1.  Results are cached and
+    shared, which is safe because a Bimodule is read-only.
     """
     lab = label.normalized(n)
     cached = _CONSTRUCT_CACHE.get((lab, n))
@@ -574,23 +556,20 @@ class HomSpace(Sequence):
         return tuple(vec.get(fr, ZERO) for fr in self.frees)
 
 
-def hom_basis(x: Bimodule, y: Bimodule) -> List[BimoduleMap]:
-    """A basis of the space of bimodule homomorphisms x -> y."""
-    return HomSpace(x, y).maps
-
-
 def trace_pairing(x: Bimodule, y: Bimodule):
     """Hom spaces both ways and the exact trace pairing between them.
 
     Returns (fs, gs, g) with fs the HomSpace of Hom(x, y), gs that of
-    Hom(y, x), and g the matrix with g[a][b] = tr(gs[b] o fs[a]).  Its
-    rank counts, with the dimensions of the residue division rings as
-    weights, the indecomposable summands x and y share: a composite with
-    nonzero trace is not nilpotent, and maps through the radical have
-    trace zero.  The entries are one sparse product: the back vectors are
-    indexed once by unknown, and each forward vector, its x -> y layout
-    transposed onto the y -> x one, adds its products into its row, so no
-    map is built here.
+    Hom(y, x), and g the pairing as sparse rows: g[a] is the dict
+    {b: tr(gs[b] o fs[a])} of the nonzero traces, one row per forward
+    basis vector, so ``sparse_rank(g, len(gs))`` is its rank.  That rank
+    counts, with the dimensions of the residue division rings as weights,
+    the indecomposable summands x and y share: a composite with nonzero
+    trace is not nilpotent, and maps through the radical have trace zero.
+    The entries are one sparse product: the back vectors are indexed once
+    by unknown, and each forward vector, its x -> y layout transposed onto
+    the y -> x one, adds its products into its row, so no map and no
+    dense matrix is built here.
     """
     fwd, back = HomSpace(x, y), HomSpace(y, x)
     swap: Dict[int, int] = {}
@@ -603,15 +582,14 @@ def trace_pairing(x: Bimodule, y: Bimodule):
     for b, gv in enumerate(back.vectors):
         for idx, val in gv.items():
             by_unknown.setdefault(idx, []).append((b, val))
-    width = len(back.vectors)
-    entries: List[Fraction] = []
+    pairing: List[Dict[int, Fraction]] = []
     for fv in fwd.vectors:
-        row = [ZERO] * width
+        row: Dict[int, Fraction] = {}
         for idx, a in fv.items():
             for b, val in by_unknown.get(swap[idx], ()):
-                row[b] += a * val
-        entries.extend(row)
-    return fwd, back, ExactMatrix(len(fwd.vectors), width, entries)
+                row[b] = row.get(b, ZERO) + a * val
+        pairing.append({b: val for b, val in row.items() if val})
+    return fwd, back, pairing
 
 
 # ---------------------------------------------------------------------------
@@ -634,9 +612,11 @@ def is_isomorphic(x: Bimodule, y: Bimodule) -> bool:
         return True
     if any(f.is_invertible() for f in HomSpace(x, y)):
         return True
-    r_xy, r_xx, r_yy = (rank(trace_pairing(a, b)[2])
-                        for a, b in ((x, y), (x, x), (y, y)))
-    return r_xy == r_xx == r_yy
+    ranks = set()
+    for a, b in ((x, y), (x, x), (y, y)):
+        _, back, g = trace_pairing(a, b)
+        ranks.add(sparse_rank(g, len(back)))
+    return len(ranks) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -654,14 +634,6 @@ class LeftDecomposition:
     @property
     def total_dim(self) -> int:
         return 2 * sum(self.projectives.values()) + sum(self.simples.values())
-
-    def as_multiset(self) -> Tuple:
-        out = []
-        for i in sorted(self.projectives):
-            out.extend([("proj", i)] * self.projectives[i])
-        for i in sorted(self.simples):
-            out.extend([("simple", i)] * self.simples[i])
-        return tuple(out)
 
     def __str__(self) -> str:
         parts = []

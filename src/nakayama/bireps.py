@@ -37,7 +37,7 @@ from .bimodules import (
 )
 from .decomposition import _label_sort_key, _split_pair, cell_of
 from .decomposition import product_summands
-from .linalg import ONE, ZERO, ExactMatrix, rank, sparse_rref
+from .linalg import ONE, ZERO, ExactMatrix, sparse_rank, sparse_rref
 from .tensoring import tensor_map
 
 
@@ -271,9 +271,10 @@ class _BirepCore:
         for t in (phi.source, phi.target):
             t.check_relations()
             sigmas, pis, g = trace_pairing(y, t)
-            if rank(g) != 1:
+            mult = sparse_rank(g, len(pis))
+            if mult != 1:
                 raise CartanError(
-                    f"{self.object_labels[ypos]} occurs {rank(g)} times in "
+                    f"{self.object_labels[ypos]} occurs {mult} times in "
                     f"{u} (x) the ends of arrow {s}")
             split.append(_split_pair(y, sigmas, pis, g))
         composite = split[1][1].compose(phi).compose(split[0][0])

@@ -34,7 +34,7 @@ from .bimodules import (
     construct,
     trace_pairing,
 )
-from .linalg import ExactMatrix, rank
+from .linalg import sparse_rank
 from .tensoring import tensor
 
 CellTag = Tuple
@@ -69,10 +69,6 @@ def cell_chain_position(cell: CellTag) -> int:
     return cell[1] + 1
 
 
-def is_strictly_greater(a: CellTag, b: CellTag) -> bool:
-    return cell_chain_position(a) < cell_chain_position(b)
-
-
 def cell_name(cell: CellTag) -> str:
     if cell == ("split",):
         return "J_split"
@@ -91,16 +87,17 @@ def _label_sort_key(label: StringLabel):
 # split pairs and multiplicities
 # ---------------------------------------------------------------------------
 
-def _split_pair(x: Bimodule, sigmas: HomSpace, pis: HomSpace,
-                g: ExactMatrix):
+def _split_pair(x: Bimodule, sigmas: HomSpace, pis: HomSpace, g: list):
     """(sig, pi) with pi o sig the identity, from the first nonzero g[a][b].
 
-    g is the trace pairing of the two hom spaces.  A nonzero trace makes
-    pis[b] o sigmas[a] non-nilpotent, hence invertible when End(x) is
-    local; the retraction is rescaled by its inverse, vertex by vertex,
-    so only the two returned maps are built.
+    g is the trace pairing of the two hom spaces, as the sparse rows of
+    ``trace_pairing``; a is its first nonempty row and b the least column
+    in it.  A nonzero trace makes pis[b] o sigmas[a] non-nilpotent, hence
+    invertible when End(x) is local; the retraction is rescaled by its
+    inverse, vertex by vertex, so only the two returned maps are built.
     """
-    a, b = next(divmod(pos, g.cols) for pos, e in enumerate(g.entries) if e)
+    a, row = next((a, row) for a, row in enumerate(g) if row)
+    b = min(row)
     sig, pi = sigmas[a], pis.components(b)
     retraction = {}
     for v in x.dims:
@@ -123,9 +120,6 @@ class DecompositionReport:
 
     def multiset(self) -> Counter:
         return Counter(self.summands)
-
-    def summands_in_cell(self, cell: CellTag) -> List[StringLabel]:
-        return [lab for lab in self.summands if cell_of(lab) == cell]
 
     def to_json(self) -> dict:
         counts = self.multiset()
@@ -182,7 +176,7 @@ def decompose(t: Bimodule, max_valleys: int) -> DecompositionReport:
         if any(d > left.get(v, 0) for v, d in x.dims.items()):
             continue
         sigmas, pis, g = trace_pairing(x, t)
-        mult = rank(g)
+        mult = sparse_rank(g, len(pis))
         if not mult:
             continue
         summands.extend([label] * mult)

@@ -4,20 +4,21 @@ Everything downstream (hom spaces, tensor quotients, split pairs) reduces to
 rank / kernel / solve questions for smallish matrices with Fraction entries.
 Two representations coexist here:
 
-* ``ExactMatrix``, a dense immutable matrix, the public currency of the
-  package; ``ExactMatrix.from_entries`` assembles one from sparse
-  (row, col, value) triples;
-* sparse row-dicts (column index -> scalar), used internally because the
-  intertwining and balancing systems are very sparse and are cheaper to
-  eliminate without materialising zeros.
+* ``ExactMatrix``, a dense immutable matrix, the currency of module maps:
+  arrow matrices and map components; ``ExactMatrix.from_entries``
+  assembles one from sparse (row, col, value) triples;
+* sparse row-dicts (column index -> nonzero scalar), the currency of
+  systems: the intertwining and balancing systems, trace pairings and
+  solves are very sparse and are cheaper to eliminate without
+  materialising zeros.
 
-Both go through the same reduced-row-echelon routine, so kernel bases and
-pivot choices are deterministic everywhere.  That routine keeps its reduced
-rows keyed by pivot column, each with a 1 at its own pivot and a 0 at every
-other pivot column.  Eliminating with one reduced row therefore never
-changes a new row's entries at the other pivot columns, so the pivot hits
-of a new row are found by looking its columns up among the pivots, not by
-scanning every pivot.
+Every elimination goes through one reduced-row-echelon routine, so kernel
+bases, ranks, solutions and pivot choices are deterministic everywhere.
+That routine keeps its reduced rows keyed by pivot column, each with a 1 at
+its own pivot and a 0 at every other pivot column.  Eliminating with one
+reduced row therefore never changes a new row's entries at the other pivot
+columns, so the pivot hits of a new row are found by looking its columns up
+among the pivots, not by scanning every pivot.
 
 One shape of system skips that routine.  When every row has at most two
 entries and every two-entry row reads x_a = +-x_b, the kernel is read off a
@@ -144,42 +145,18 @@ class ExactMatrix:
                             for c in range(self.cols)
                             for r in range(self.rows)])
 
-    def apply(self, vec: Sequence) -> tuple:
-        """Matrix times column vector."""
-        if len(vec) != self.cols:
-            raise ValueError("vector length mismatch")
-        v = [_frac(x) for x in vec]
-        return tuple(
-            sum((a * b for a, b in zip(self.row(r), v)), ZERO)
-            for r in range(self.rows))
-
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.entries)
 
-    def is_identity(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        return all(self.get(r, c) == (ONE if r == c else ZERO)
-                   for r in range(self.rows) for c in range(self.cols))
-
-    def is_invertible(self) -> bool:
-        return self.rows == self.cols and rank(self) == self.rows
-
     def inverse(self) -> "ExactMatrix":
         if self.rows != self.cols:
             raise ValueError("not square")
-        n = self.rows
-        cols = []
-        for j in range(n):
-            e = [ONE if i == j else ZERO for i in range(n)]
-            x = solve(self, e)
-            if x is None:
-                raise ValueError("matrix is singular")
-            cols.append(x)
-        return ExactMatrix(n, n, [cols[j][i]
-                                  for i in range(n) for j in range(n)])
+        inv = solve(self, ExactMatrix.identity(self.rows))
+        if inv is None:
+            raise ValueError("matrix is singular")
+        return inv
 
     # -- dunder ------------------------------------------------------------
 
@@ -348,22 +325,19 @@ def signed_kernel_with_frees(rows: list, ncols: int):
     return vectors, frees
 
 
-def sparse_kernel_basis(rows: list, ncols: int) -> list:
-    basis, _ = sparse_kernel_with_frees(rows, ncols)
-    return basis
-
-
-def _dense_to_sparse_rows(m: ExactMatrix) -> list:
-    out = []
-    for r in range(m.rows):
-        row = {c: v for c, v in enumerate(m.row(r)) if v}
-        out.append(row)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
+
+def sparse_rank(rows: list, ncols: int) -> int:
+    """Rank over the rationals of a list of sparse rows.
+
+    >>> two = Fraction(2)
+    >>> sparse_rank([{0: ONE, 1: two}, {}, {0: two, 1: 2 * two}], 2)
+    1
+    """
+    return len(sparse_rref(rows, ncols)[1])
+
 
 def rank(m: ExactMatrix) -> int:
     """Rank over the rationals, computed exactly.
@@ -371,47 +345,31 @@ def rank(m: ExactMatrix) -> int:
     >>> rank(ExactMatrix.from_rows([[1, 2], [2, 4]]))
     1
     """
-    _, pivots = sparse_rref(_dense_to_sparse_rows(m), m.cols)
-    return len(pivots)
+    return sparse_rank([{c: v for c, v in enumerate(m.row(r)) if v}
+                        for r in range(m.rows)], m.cols)
 
 
-def kernel_basis(m: ExactMatrix) -> list:
-    """Basis of the null space {v : m v = 0}, as tuples of Fractions.
+def solve(m: ExactMatrix, b: ExactMatrix) -> Optional[ExactMatrix]:
+    """Some exact solution X of m X = b, or None when inconsistent.
 
-    The count is always cols - rank.  Vectors carry an identity pattern on
-    the free columns, which lets callers read off coordinates of any other
-    kernel element without solving.
+    The right-hand sides are the columns of b, and one elimination of the
+    sparse rows of [m | b] solves them all: the system is inconsistent
+    exactly when a reduced row has its pivot among b's columns, and
+    otherwise each pivot row reads its unknown off those columns.  Free
+    variables are set to zero, so the answer is deterministic.
+
+    >>> solve(ExactMatrix.from_rows([[2, 0], [0, 1]]),
+    ...       ExactMatrix.from_rows([[1, 4], [3, 0]]))
+    ExactMatrix(2x2: 1/2 2; 3 0)
     """
-    sparse = sparse_kernel_basis(_dense_to_sparse_rows(m), m.cols)
-    return [tuple(v.get(c, ZERO) for c in range(m.cols)) for v in sparse]
-
-
-def solve(m: ExactMatrix, b: Sequence) -> Optional[tuple]:
-    """Some exact solution x of m x = b, or None when inconsistent.
-
-    Free variables are set to zero, so the answer is deterministic.
-    """
-    if len(b) != m.rows:
-        raise ValueError("right-hand side has wrong length")
-    aug_col = m.cols
-    rows = []
-    for r in range(m.rows):
-        row = {c: v for c, v in enumerate(m.row(r)) if v}
-        bv = _frac(b[r])
-        if bv:
-            row[aug_col] = bv
-        rows.append(row)
-    rref, pivots = sparse_rref(rows, m.cols + 1)
-    if aug_col in pivots:
+    if b.rows != m.rows:
+        raise ValueError("right-hand side has the wrong number of rows")
+    n = m.cols
+    rows = [{c: v for c, v in enumerate(m.row(r) + b.row(r)) if v}
+            for r in range(m.rows)]
+    rref, pivots = sparse_rref(rows, n + b.cols)
+    if pivots and pivots[-1] >= n:
         return None
-    x = [ZERO] * m.cols
-    for p, row in zip(pivots, rref):
-        x[p] = row.get(aug_col, ZERO)
-    return tuple(x)
-
-
-def kernel_basis_with_frees(m: ExactMatrix):
-    """Dense variant of sparse_kernel_with_frees; see that docstring."""
-    sparse, frees = sparse_kernel_with_frees(_dense_to_sparse_rows(m), m.cols)
-    vecs = [tuple(v.get(c, ZERO) for c in range(m.cols)) for v in sparse]
-    return vecs, frees
+    return ExactMatrix.from_entries(n, b.cols, (
+        (p, c - n, v) for p, row in zip(pivots, rref)
+        for c, v in row.items() if c >= n))

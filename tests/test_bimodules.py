@@ -16,7 +16,6 @@ from nakayama.bimodules import (
     construct,
     direct_sum,
     dualize,
-    hom_basis,
     hom_to_algebra,
     identity_map,
     is_isomorphic,
@@ -24,7 +23,6 @@ from nakayama.bimodules import (
     regular_bimodule,
     restrict_left,
     trace_pairing,
-    zero_bimodule,
     _block,
     _walk,
 )
@@ -34,8 +32,8 @@ from nakayama.linalg import (
     ONE,
     ZERO,
     ExactMatrix,
-    rank,
     sparse_kernel_with_frees,
+    sparse_rank,
 )
 
 
@@ -170,12 +168,6 @@ def test_regular_bimodule_shape():
         (1, 1): 1, (2, 2): 1, (2, 1): 1, (1, 2): 1}
 
 
-def test_json_round_trip():
-    for label in [P(1, 1), lab("M", 2, 1, 1), L(1, 1)]:
-        x = construct(label, 2)
-        assert Bimodule.from_json(x.to_json()) == x
-
-
 @pytest.mark.parametrize("dims", [
     {(3, 1): 1, (1, 1): 2},  # a vertex outside the 2 x 2 torus
     {(1, 0): 1},
@@ -184,10 +176,6 @@ def test_json_round_trip():
 def test_bimodule_rejects_bad_dimension_vectors(dims):
     with pytest.raises(ValueError):
         Bimodule(2, dims, {})
-    doc = {"n": 2, "dims": {f"{i}|{j}": d for (i, j), d in dims.items()},
-           "arrows": []}
-    with pytest.raises(ValueError):
-        Bimodule.from_json(doc)
 
 
 # -- torus relations ---------------------------------------------------------
@@ -253,22 +241,22 @@ def test_check_relations_accepts_paths_composing_to_zero():
 
 def test_schur_for_simples():
     n = 2
-    assert len(hom_basis(construct(L(1, 1), n), construct(L(1, 1), n))) == 1
-    assert len(hom_basis(construct(L(1, 1), n), construct(L(1, 2), n))) == 0
+    assert len(HomSpace(construct(L(1, 1), n), construct(L(1, 1), n))) == 1
+    assert len(HomSpace(construct(L(1, 1), n), construct(L(1, 2), n))) == 0
 
 
 def test_end_of_square():
     # no loops on the torus once n > 1, so End(P) is one-dimensional
-    assert len(hom_basis(construct(P(1, 1), 2), construct(P(1, 1), 2))) == 1
+    assert len(HomSpace(construct(P(1, 1), 2), construct(P(1, 1), 2))) == 1
     # at n = 1 every path is a loop and End(P) is the whole vertex algebra
-    assert len(hom_basis(construct(P(1, 1), 1), construct(P(1, 1), 1))) == 4
+    assert len(HomSpace(construct(P(1, 1), 1), construct(P(1, 1), 1))) == 4
 
 
 def test_hom_basis_members_intertwine():
     n = 3
     x = construct(lab("M", 1, 1, 1), n)
     y = construct(lab("N", 1, 1, 1), n)
-    fs = hom_basis(x, y)
+    fs = HomSpace(x, y).maps
     assert len(fs) >= 1  # at least the epi collapsing the final point
     for f in fs:
         f.check()
@@ -303,7 +291,7 @@ def test_identity_and_composition():
     x = construct(lab("S", 1, 2, 1), 3)
     ident = identity_map(x)
     ident.check()
-    for f in hom_basis(x, x):
+    for f in HomSpace(x, x).maps:
         g = f.compose(ident)
         assert g.component(1, 2) == f.component(1, 2)
 
@@ -334,11 +322,12 @@ def test_iso_rejects_semisimple_fake():
 
 
 def test_iso_zero_modules():
-    assert is_isomorphic(zero_bimodule(2), zero_bimodule(2))
+    assert is_isomorphic(Bimodule(2, {}, {}), Bimodule(2, {}, {}))
 
 
 def pairing_rank(x, y):
-    return rank(trace_pairing(x, y)[2])
+    _, gs, g = trace_pairing(x, y)
+    return sparse_rank(g, len(gs))
 
 
 def test_pairing_rank_one_on_indecomposables():
@@ -369,13 +358,15 @@ def test_trace_pairing_entries_are_traces(make):
     x, other = make()
     t = direct_sum(x, other, x)
     fs, gs, g = trace_pairing(x, t)
-    assert (g.rows, g.cols) == (len(fs), len(gs))
+    assert len(g) == len(fs)
+    assert all(0 <= b < len(gs) and val for row in g
+               for b, val in row.items())
     for a, f in enumerate(fs):
         for b, h in enumerate(gs):
             comp = h.compose(f)
             want = sum(comp.component(*v).get(r, r)
                        for v, d in x.dims.items() for r in range(d))
-            assert g.get(a, b) == want
+            assert g[a].get(b, 0) == want
 
 
 def test_iso_of_swapped_sum_is_decided_by_rank():
@@ -383,7 +374,7 @@ def test_iso_of_swapped_sum_is_decided_by_rank():
     w = construct(lab("W", 1, 1, 1), n)
     s = construct(L(1, 1), n)
     x, y = direct_sum(w, s), direct_sum(s, w)
-    assert not any(f.is_invertible() for f in hom_basis(x, y))
+    assert not any(f.is_invertible() for f in HomSpace(x, y))
     assert is_isomorphic(x, y)
 
 
@@ -393,7 +384,7 @@ def test_iso_rejects_decomposable_pair_with_equal_dims():
     y = direct_sum(construct(lab("S", 1, 1, 0), n),
                    construct(lab("N", 2, 2, 0), n))
     assert x.dim_vector() == y.dim_vector()
-    assert hom_basis(x, y)
+    assert HomSpace(x, y).maps
     assert not is_isomorphic(x, y)
 
 
@@ -483,7 +474,7 @@ def test_restrict_left_of_n_string():
 
 def test_restrict_left_multiset_view():
     dec = restrict_left(construct(lab("S", 1, 1, 1), 3))
-    assert dec.as_multiset() == (("proj", 1), ("proj", 2))
+    assert dec.projectives == {1: 1, 2: 1} and not dec.simples
     assert "Le_1" in str(dec)
 
 
@@ -752,7 +743,7 @@ def _three_terms(n):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_direct_sum_matches_dense_reference(n):
     mods = [construct(label, n) for label in catalog_labels(n, 1)]
-    mods += [regular_bimodule(n), zero_bimodule(n)]
+    mods += [regular_bimodule(n), Bimodule(n, {}, {})]
     cases = [(x, y) for x in mods[::3] for y in mods[1::4]]
     cases += [_three_terms(n), (construct(lab("N", 1, 1, 2), n),) * 3]
     for parts in cases:

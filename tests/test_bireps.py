@@ -31,7 +31,7 @@ from nakayama.bireps import (
     verify_adjunction_consequences,
     verify_block_structure,
 )
-from nakayama.decomposition import decompose
+from nakayama.decomposition import cell_of, decompose
 from nakayama.linalg import ONE, ExactMatrix, ZERO, sparse_rref
 from nakayama.tensoring import tensor, tensor_map
 
@@ -288,8 +288,8 @@ def _reference_arrow_scalar(core, u):
     rep_m = decompose(t_m, core.k)
     rep_n = decompose(t_n, core.k)
     assert not rep_m.residual_dim and not rep_n.residual_dim
-    tops_m = rep_m.summands_in_cell(("J", core.k))
-    tops_n = rep_n.summands_in_cell(("J", core.k))
+    tops_m = [y for y in rep_m.summands if cell_of(y) == ("J", core.k)]
+    tops_n = [y for y in rep_n.summands if cell_of(y) == ("J", core.k)]
     assert len(tops_m) == 1 and tops_m == tops_n
     y_lab = tops_m[0]
     sig_m = next(sig for lab, sig, _ in rep_m.split_pairs if lab == y_lab)

@@ -6,9 +6,15 @@ import pytest
 
 import nakayama
 from nakayama import classify, clear_caches, compute_cells
-from nakayama.bimodules import StringLabel, _CONSTRUCT_CACHE
+from nakayama.bimodules import (
+    StringLabel,
+    _CONSTRUCT_CACHE,
+    construct,
+    identity_map,
+)
 from nakayama.bireps import _CORE_CACHE, cell_birep, localize
 from nakayama.decomposition import _CANDIDATE_CACHE, _PRODUCT_CACHE
+from nakayama.linalg import ExactMatrix
 
 CACHES = {
     "construct": _CONSTRUCT_CACHE,
@@ -65,3 +71,21 @@ def test_shared_action_data_rejects_writes(restored_caches):
         with pytest.raises(TypeError):
             mapping[u] = ()
     assert _dump(classify(3, 1).to_json()) == cold
+
+
+def test_constructed_modules_reject_writes():
+    label = StringLabel("M", 1, 1, 1)
+    x = construct(label, 2)
+    dims, maps = dict(x.dims), dict(x.arrow_maps)
+    vertex, key = next(iter(dims)), next(iter(maps))
+    with pytest.raises(TypeError):
+        x.dims[vertex] = 5
+    with pytest.raises(TypeError):
+        del x.dims[vertex]
+    with pytest.raises(TypeError):
+        x.arrow_maps[key] = ExactMatrix.zeros(1, 1)
+    with pytest.raises(TypeError):
+        identity_map(x).components[vertex] = ExactMatrix.identity(1)
+    again = construct(label, 2)
+    assert again is x
+    assert dict(again.dims) == dims and dict(again.arrow_maps) == maps

@@ -184,6 +184,16 @@ def test_multable_wrapping_output_is_byte_stable(capsys):
         "a749c614dd80d3b17766fead251840e7b57af896503858fd165d11c5b718e019")
 
 
+def test_cells_at_one_vertex_output_is_byte_stable(capsys):
+    # at n = 1 most catalog candidates fit and pair to rank 0, so the
+    # sparse pairing ranks and split pairs of decompose are pinned there
+    status = main(["cells", "--n", "1", "--max-valleys", "2", "--json"])
+    out = capsys.readouterr().out
+    assert status == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "9576b5301e79ead153fac560c19500b96d107c02ccfd5a7131f716d78869d75a")
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     status = main(["multable", "--n", "1", "--k", "1",

@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 from nakayama.bimodules import (
+    Bimodule,
     BimoduleMap,
     StringLabel,
     catalog_labels,
@@ -12,7 +13,6 @@ from nakayama.bimodules import (
     direct_sum,
     regular_bimodule,
     trace_pairing,
-    zero_bimodule,
 )
 from nakayama.decomposition import (
     _CANDIDATE_CACHE,
@@ -23,15 +23,20 @@ from nakayama.decomposition import (
     decompose,
     decompose_product,
     expected_product_family,
-    is_strictly_greater,
     multable_check,
     product_summands,
 )
+from nakayama.linalg import ExactMatrix
 from nakayama.tensoring import tensor
 
 
 def lab(fam, i, j, k=None):
     return StringLabel(fam, i, j, k)
+
+
+def _is_identity(m):
+    """The identity test of a map component, compared entry by entry."""
+    return m == ExactMatrix.identity(m.rows)
 
 
 # -- cell tagging ------------------------------------------------------------
@@ -51,10 +56,7 @@ def test_cell_chain_order():
     chain = [("split",), ("M0",), ("J", 1), ("J", 2)]
     positions = [cell_chain_position(c) for c in chain]
     assert positions == sorted(positions)
-    assert is_strictly_greater(("split",), ("M0",))
-    assert is_strictly_greater(("M0",), ("J", 1))
-    assert is_strictly_greater(("J", 1), ("J", 2))
-    assert not is_strictly_greater(("J", 1), ("J", 1))
+    assert positions[0] < positions[1] < positions[2] < positions[3]
     assert [cell_name(c) for c in chain] == ["J_split", "J_M0", "J_1", "J_2"]
 
 
@@ -73,14 +75,14 @@ def test_split_pair_on_itself():
     sig, pi = _split_pair_of(label, x, 1)
     comp = pi.compose(sig)
     for v, d in x.dims.items():
-        assert comp.component(*v).is_identity()
+        assert _is_identity(comp.component(*v))
 
 
 def test_split_pair_absent_when_hom_vanishes():
     n = 2
     _, _, g = trace_pairing(construct(lab("L", 1, 1), n),
                             construct(lab("L", 1, 2), n))
-    assert g.is_zero()
+    assert not any(g)
 
 
 def test_split_pair_in_tensor_square_of_n():
@@ -90,13 +92,13 @@ def test_split_pair_in_tensor_square_of_n():
     sig, pi = _split_pair_of(label, tensor(x, x), 1)
     comp = pi.compose(sig)
     for v, d in x.dims.items():
-        assert comp.component(*v).is_identity()
+        assert _is_identity(comp.component(*v))
 
 
 # -- decompose ---------------------------------------------------------------
 
 def test_decompose_zero():
-    rep = decompose(zero_bimodule(2), 1)
+    rep = decompose(Bimodule(2, {}, {}), 1)
     assert not rep.summands
     assert rep.residual_dim == 0
 
@@ -138,7 +140,7 @@ def test_decompose_single_catalog_member():
     label, sig, pi = rep.split_pairs[0]
     comp = pi.compose(sig)
     for v in comp.source.dims:
-        assert comp.component(*v).is_identity()
+        assert _is_identity(comp.component(*v))
 
 
 def test_decompose_w_square_spec_example():
@@ -147,7 +149,7 @@ def test_decompose_w_square_spec_example():
     w = construct(lab("W", 1, 1, 1), n)
     rep = decompose(tensor(w, w), 1)
     assert rep.residual_dim == 0
-    apex = rep.summands_in_cell(("J", 1))
+    apex = [label for label in rep.summands if cell_of(label) == ("J", 1)]
     assert apex == [lab("W", 1, 1, 1)]
     for other in rep.summands:
         if other != lab("W", 1, 1, 1):
@@ -166,7 +168,7 @@ def test_decompose_soundness_certificate():
         assert pi.source == t
         comp = pi.compose(sig)
         for v in comp.source.dims:
-            assert comp.component(*v).is_identity()
+            assert _is_identity(comp.component(*v))
 
 
 def test_decompose_idempotence():
@@ -196,7 +198,7 @@ def test_decompose_counts_repeated_string():
     pi.check()
     comp = pi.compose(sig)
     for v in w.dims:
-        assert comp.component(*v).is_identity()
+        assert _is_identity(comp.component(*v))
 
 
 def test_decompose_order_independent_on_sums():

@@ -7,18 +7,38 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nakayama import linalg
 from nakayama.linalg import (
     ExactMatrix,
-    kernel_basis,
-    kernel_basis_with_frees,
     rank,
     rref_kernel_with_frees,
     signed_kernel_with_frees,
     solve,
-    sparse_kernel_basis,
     sparse_kernel_with_frees,
     sparse_rref,
 )
+
+
+def _rows(m):
+    """The sparse rows of a dense matrix."""
+    return [{c: v for c, v in enumerate(m.row(r)) if v}
+            for r in range(m.rows)]
+
+
+def _kernel(m):
+    """The kernel basis of m as dense tuples, with its free columns."""
+    vecs, frees = sparse_kernel_with_frees(_rows(m), m.cols)
+    return [tuple(v.get(c, Fraction(0)) for c in range(m.cols))
+            for v in vecs], frees
+
+
+def _column(*values):
+    return ExactMatrix(len(values), 1, values)
+
+
+def _apply(m, vec):
+    """m times a column vector, as a tuple."""
+    return m.mul(_column(*vec)).entries
 
 
 def test_rank_identity():
@@ -38,44 +58,50 @@ def test_rank_frozen_3col():
     # reduced by hand: second row is twice the first
     m = ExactMatrix.from_rows([[1, 2, 3], [2, 4, 6]])
     assert rank(m) == 1
-    assert kernel_basis(m) == [
+    assert _kernel(m)[0] == [
         (Fraction(-2), Fraction(1), Fraction(0)),
         (Fraction(-3), Fraction(0), Fraction(1)),
     ]
 
 
 def test_kernel_identity_empty():
-    assert kernel_basis(ExactMatrix.identity(2)) == []
+    assert _kernel(ExactMatrix.identity(2)) == ([], [])
 
 
 def test_kernel_zero_full():
-    vecs = kernel_basis(ExactMatrix.zeros(2, 2))
+    vecs, _ = _kernel(ExactMatrix.zeros(2, 2))
     assert len(vecs) == 2
 
 
 def test_kernel_one_one():
-    (v,) = kernel_basis(ExactMatrix.from_rows([[1, 1]]))
+    (v,), _ = _kernel(ExactMatrix.from_rows([[1, 1]]))
     assert v[0] == -v[1] != 0
 
 
 def test_solve_identity():
     m = ExactMatrix.identity(3)
-    assert solve(m, [1, 2, 3]) == (1, 2, 3)
+    assert solve(m, _column(1, 2, 3)) == _column(1, 2, 3)
 
 
 def test_solve_inconsistent():
-    assert solve(ExactMatrix.zeros(2, 2), [1, 0]) is None
+    assert solve(ExactMatrix.zeros(2, 2), _column(1, 0)) is None
 
 
 def test_solve_scalar_half():
-    assert solve(ExactMatrix.from_rows([[2]]), [1]) == (Fraction(1, 2),)
+    assert solve(ExactMatrix.from_rows([[2]]), _column(1)) == \
+        _column(Fraction(1, 2))
 
 
 def test_solve_underdetermined_is_exact():
     m = ExactMatrix.from_rows([[1, 1, 0], [0, 1, 1]])
-    x = solve(m, [2, 3])
+    x = solve(m, _column(2, 3))
     assert x is not None
-    assert m.apply(x) == (2, 3)
+    assert m.mul(x) == _column(2, 3)
+
+
+def test_solve_rejects_a_right_hand_side_of_the_wrong_height():
+    with pytest.raises(ValueError):
+        solve(ExactMatrix.identity(2), _column(1, 2, 3))
 
 
 def test_rank_plus_nullity():
@@ -84,10 +110,10 @@ def test_rank_plus_nullity():
         r = rng.randrange(1, 6)
         c = rng.randrange(1, 6)
         m = ExactMatrix(r, c, [rng.randrange(-2, 3) for _ in range(r * c)])
-        vecs = kernel_basis(m)
+        vecs, _ = _kernel(m)
         assert rank(m) + len(vecs) == c
         for v in vecs:
-            assert all(x == 0 for x in m.apply(v))
+            assert all(x == 0 for x in _apply(m, v))
 
 
 def test_solve_satisfies_system():
@@ -98,10 +124,10 @@ def test_solve_satisfies_system():
         m = ExactMatrix(r, c, [rng.randrange(-3, 4) for _ in range(r * c)])
         xs = [Fraction(rng.randrange(-3, 4), rng.randrange(1, 3))
               for _ in range(c)]
-        b = m.apply(xs)
-        x = solve(m, b)
+        b = _apply(m, xs)
+        x = solve(m, _column(*b))
         assert x is not None
-        assert m.apply(x) == b
+        assert _apply(m, x.entries) == b
 
 
 def test_matrix_shape_validation():
@@ -134,13 +160,75 @@ def test_from_entries_rejects_positions_outside(triple):
 def test_mul_and_inverse():
     m = ExactMatrix.from_rows([[2, 1], [1, 1]])
     inv = m.inverse()
-    assert m.mul(inv).is_identity()
-    assert inv.mul(m).is_identity()
+    assert m.mul(inv) == ExactMatrix.identity(2)
+    assert inv.mul(m) == ExactMatrix.identity(2)
 
 
 def test_inverse_singular_raises():
     with pytest.raises(ValueError):
         ExactMatrix.from_rows([[1, 2], [2, 4]]).inverse()
+
+
+def test_inverse_eliminates_once(monkeypatch):
+    widths = []
+    eliminate = linalg.sparse_rref
+
+    def counting(rows, ncols):
+        widths.append(ncols)
+        return eliminate(rows, ncols)
+
+    monkeypatch.setattr(linalg, "sparse_rref", counting)
+    m = ExactMatrix.from_rows([[2, 1, 0, 0], [1, 1, 0, 0],
+                               [0, 0, 1, 3], [0, 0, 0, 1]])
+    m.inverse()
+    assert widths == [8]  # one RREF of [m | I]
+
+
+_ENTRIES = st.one_of(st.just(Fraction(0)),
+                     st.fractions(-3, 3, max_denominator=3))
+
+
+@st.composite
+def _matrices(draw, rows, cols):
+    return ExactMatrix(rows, cols, draw(st.lists(
+        _ENTRIES, min_size=rows * cols, max_size=rows * cols)))
+
+
+@st.composite
+def _square_matrices(draw):
+    """Small square matrices; a copied row makes singular ones common."""
+    n = draw(st.integers(1, 5))
+    rows = draw(_matrices(n, n)).to_lists()
+    if n > 1 and draw(st.booleans()):
+        rows[draw(st.integers(1, n - 1))] = rows[0]
+    return ExactMatrix.from_rows(rows)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_square_matrices())
+def test_inverse_is_two_sided_or_singular(m):
+    n = m.rows
+    if rank(m) < n:
+        with pytest.raises(ValueError):
+            m.inverse()
+        return
+    inv = m.inverse()
+    for product in (m.mul(inv), inv.mul(m)):
+        assert (product.rows, product.cols) == (n, n)
+        for r in range(n):
+            for c in range(n):
+                assert product.get(r, c) == (1 if r == c else 0)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_solve_reproduces_every_right_hand_side(data):
+    rows, cols, sides = (data.draw(st.integers(1, 5)) for _ in range(3))
+    m = data.draw(_matrices(rows, cols))
+    b = m.mul(data.draw(_matrices(cols, sides)))
+    x = solve(m, b)
+    assert x is not None and (x.rows, x.cols) == (cols, sides)
+    assert m.mul(x) == b
 
 
 def test_transpose_involution():
@@ -163,28 +251,11 @@ def test_sparse_rref_pivots_sorted_and_cleared():
 
 def test_kernel_frees_identity_pattern():
     m = ExactMatrix.from_rows([[1, 0, 2, 0], [0, 1, 1, 0]])
-    vecs, frees = kernel_basis_with_frees(m)
+    vecs, frees = _kernel(m)
     assert frees == [2, 3]
     for i, f in enumerate(frees):
         for k, v in enumerate(vecs):
             assert v[f] == (1 if k == i else 0)
-
-
-def test_sparse_kernel_matches_dense():
-    rng = random.Random(3)
-    for _ in range(10):
-        r, c = rng.randrange(1, 5), rng.randrange(1, 6)
-        flat = [rng.randrange(-2, 3) for _ in range(r * c)]
-        m = ExactMatrix(r, c, flat)
-        sparse_rows = [
-            {j: Fraction(flat[i * c + j]) for j in range(c)
-             if flat[i * c + j]}
-            for i in range(r)]
-        dense = kernel_basis(m)
-        sparse = sparse_kernel_basis(sparse_rows, c)
-        assert len(dense) == len(sparse)
-        for dv, sv in zip(dense, sparse):
-            assert dv == tuple(sv.get(j, Fraction(0)) for j in range(c))
 
 
 def _dense_rref(rows, ncols):
