@@ -24,7 +24,11 @@ Walk shapes, all anchored at i|j and listed in the stored basis order:
 
 Both kinds of hom space, bimodule maps in ``HomSpace`` and left-module maps
 into the projectives of the algebra in ``_ColumnHom``, are kernels of one
-intertwining system built by ``_intertwiners``.
+intertwining system built by ``_intertwiners``.  The builder reads no dense
+matrix: each arrow arrives as the ``ArrowView`` its module built once, at
+construction, with the nonzero entries of every column and every row and
+an int for every integral value, so the equations of a system between
+0/1 modules carry int coefficients.
 """
 
 from __future__ import annotations
@@ -127,9 +131,35 @@ def parse_label(text: str) -> StringLabel:
 ArrowKey = Tuple[str, int, int]
 
 
+# The nonzero entries of an arrow matrix as a pair (cols, rows): cols[c]
+# holds the (row, value) pairs of column c and rows[r] the (col, value)
+# pairs of row r, both ascending.  A value is an int when it is integral
+# and a Fraction otherwise.
+ArrowView = Tuple[tuple, tuple]
+
+
+def _arrow_view(mat: ExactMatrix) -> Optional[ArrowView]:
+    """The view of a matrix, or None when it is zero."""
+    entries = mat.entries
+    spots = [k for k, e in enumerate(entries) if e]
+    if not spots:
+        return None
+    width = mat.cols
+    cols = [()] * width
+    rows = [()] * mat.rows
+    for k in spots:
+        r, c = divmod(k, width)
+        e = entries[k]
+        v = e.numerator if e.denominator == 1 else e
+        cols[c] += ((r, v),)
+        rows[r] += ((c, v),)
+    return tuple(cols), tuple(rows)
+
+
 class Bimodule:
-    """A representation of the torus quiver; ``dims`` and ``arrow_maps``
-    are read-only views, so a shared cached module cannot be changed."""
+    """A representation of the torus quiver; ``dims``, ``arrow_maps`` and
+    ``arrow_views`` (the ``ArrowView`` of each arrow, same keys) are
+    read-only views, so a shared cached module cannot be changed."""
 
     def __init__(self, n: int, dims: Dict[Vertex, int],
                  arrow_maps: Dict[ArrowKey, ExactMatrix]) -> None:
@@ -139,7 +169,7 @@ class Bimodule:
                 raise ValueError(f"dimension {d} at vertex {i}|{j} of the "
                                  f"{n} x {n} torus")
         self.dims = MappingProxyType({v: d for v, d in dims.items() if d})
-        maps = {}
+        maps, views = {}, {}
         for key, mat in arrow_maps.items():
             kind, i, j = key
             i, j = residue(i, n), residue(j, n)
@@ -149,9 +179,12 @@ class Bimodule:
                 raise ValueError(
                     f"arrow {key}: expected {dt}x{ds}, got "
                     f"{mat.rows}x{mat.cols}")
-            if ds and dt and not mat.is_zero():
+            view = _arrow_view(mat)
+            if view is not None:
                 maps[(kind, i, j)] = mat
+                views[(kind, i, j)] = view
         self.arrow_maps = MappingProxyType(maps)
+        self.arrow_views = MappingProxyType(views)
 
     # -- basic geometry ----------------------------------------------------
 
@@ -453,12 +486,15 @@ def _intertwiners(src_dims: Dict, tgt_dims: Dict, arrows):
     """Kernel of the intertwining system between two quiver representations.
 
     src_dims and tgt_dims give the nonzero dimensions at each vertex.
-    arrows yields (s, t, xa, ya) for each arrow s -> t, with xa its matrix
-    on the source representation and ya its matrix on the target, None for
-    zero.  The unknowns are one (dim tgt x dim src) block per common
-    vertex, in sorted vertex order, each row-major; every arrow gives the
-    equations f_t xa = ya f_s.  Returns (offsets, vectors, frees), the
-    block offsets and the kernel basis with its free unknowns.
+    arrows yields (s, t, xv, yv) for each arrow s -> t, with xv the
+    ``ArrowView`` of its matrix on the source representation and yv that
+    on the target, None for zero.  The unknowns are one (dim tgt x dim
+    src) block per common vertex, in sorted vertex order, each row-major;
+    every arrow gives the equations f_t xa = ya f_s, one for each entry
+    (p, q), and only the equations with a nonzero column q of xa or a
+    nonzero row p of ya are visited.  Integral arrows give int
+    coefficients.  Returns (offsets, vectors, frees), the block offsets
+    and the kernel basis with its free unknowns.
     """
     offsets: Dict = {}
     total = 0
@@ -466,25 +502,22 @@ def _intertwiners(src_dims: Dict, tgt_dims: Dict, arrows):
         offsets[v] = total
         total += src_dims[v] * tgt_dims[v]
     rows = []
-    for s, t, xa, ya in arrows:
+    for s, t, xv, yv in arrows:
         ds, dt = src_dims.get(s, 0), tgt_dims.get(t, 0)
-        t_off = offsets.get(t) if xa is not None else None
-        s_off = offsets.get(s) if ya is not None else None
+        t_off = offsets.get(t) if xv is not None else None
+        s_off = offsets.get(s) if yv is not None else None
         if not (ds and dt) or (t_off is None and s_off is None):
             continue
-        # the nonzero entries of each column of xa and each row of ya
         dxt = src_dims.get(t, 0)
-        x_cols = [[(m, xa.entries[m * ds + q]) for m in range(dxt)
-                   if xa.entries[m * ds + q]] for q in range(ds)] \
-            if t_off is not None else [()] * ds
-        y_rows = [[(l, e) for l, e in enumerate(ya.row(p)) if e]
-                  for p in range(dt)] if s_off is not None else [()] * dt
-        for p in range(dt):
-            for q in range(ds):
+        x_cols = xv[0] if t_off is not None else ((),) * ds
+        y_rows = yv[1] if s_off is not None else ((),) * dt
+        x_live = [q for q, col in enumerate(x_cols) if col]
+        for p, y_row in enumerate(y_rows):
+            for q in (range(ds) if y_row else x_live):
                 row = {t_off + p * dxt + m: e for m, e in x_cols[q]}
-                for l, e in y_rows[p]:
+                for l, e in y_row:
                     idx = s_off + l * ds + q
-                    val = row.get(idx, ZERO) - e
+                    val = row.get(idx, 0) - e
                     if val:
                         row[idx] = val
                     else:
@@ -518,10 +551,10 @@ class HomSpace(Sequence):
             raise ValueError("hom between bimodules over different n")
         self.x, self.y = x, y
         arrows = (((i, j), arrow_target(kind, i, j, x.n),
-                   x.arrow_maps.get((kind, i, j)),
-                   y.arrow_maps.get((kind, i, j)))
-                  for kind, i, j in sorted(x.arrow_maps.keys()
-                                           | y.arrow_maps.keys()))
+                   x.arrow_views.get((kind, i, j)),
+                   y.arrow_views.get((kind, i, j)))
+                  for kind, i, j in sorted(x.arrow_views.keys()
+                                           | y.arrow_views.keys()))
         self._offsets, self.vectors, self.frees = _intertwiners(
             x.dims, y.dims, arrows)
 
@@ -716,8 +749,8 @@ def dualize(x: Bimodule) -> Bimodule:
 
 # Le_b: e_b at vertex b and a_b at b+1, both at 1 when n = 1; its one
 # arrow, a_b, sends e_b to a_b
-_LE_ARROW = ExactMatrix(1, 1, [ONE])
-_LE_ARROW_LOOP = ExactMatrix(2, 2, [ZERO, ZERO, ONE, ZERO])
+_LE_ARROW = _arrow_view(ExactMatrix(1, 1, [ONE]))
+_LE_ARROW_LOOP = _arrow_view(ExactMatrix(2, 2, [ZERO, ZERO, ONE, ZERO]))
 
 
 class _ColumnHom:
@@ -730,10 +763,10 @@ class _ColumnHom:
         self.tgt_dims = {1: 2} if n == 1 else {b: 1, bp: 1}
         src_dims = {i: x.dims[(i, a)] for i in (bm, b, bp) if (i, a) in x.dims}
         # the arrows into Le_b's support: a_b, and a_{b-1} unless n = 1
-        arrows = [(b, bp, x.arrow_maps.get(("v", b, a)),
+        arrows = [(b, bp, x.arrow_views.get(("v", b, a)),
                    _LE_ARROW_LOOP if n == 1 else _LE_ARROW)]
         if n > 1:
-            arrows.append((bm, b, x.arrow_maps.get(("v", bm, a)), None))
+            arrows.append((bm, b, x.arrow_views.get(("v", bm, a)), None))
         self.offsets, self.vectors, self.frees = _intertwiners(
             src_dims, self.tgt_dims, arrows)
 

@@ -161,8 +161,9 @@ class _BirepCore:
     quotient hom spaces, canonical arrows, the generators by column, their
     uncontracted action as read-only integer triples, the components whose
     two columns act alike, the (M_{r|s}, N_{r|s}) generator pairs of each
-    row r, and a lazily filled scalar table for the morphism-level
-    action."""
+    row r, and lazily filled tables for the morphism-level action: the
+    arrow scalar of each generator and, per column, whether one of them
+    is nonzero."""
 
     def __init__(self, n: int, k: int, column: int):
         self.n, self.k, self.column = n, k, column
@@ -201,6 +202,7 @@ class _BirepCore:
                   for s in range(1, n + 1))
             for r in range(1, n + 1))
         self._scalars: Dict[StringLabel, Fraction] = {}
+        self._verdicts: Dict[int, bool] = {}
 
     def _assert_cartan(self):
         n = self.n
@@ -288,6 +290,20 @@ class _BirepCore:
                 f"{u} maps arrow {s} to no multiple of the identity")
         self._scalars[u] = lam
         return lam
+
+    def column_verdict(self, s: int) -> bool:
+        """Whether some generator of column s acts on the arrow of its
+        column by a nonzero scalar.
+
+        The first ask computes the scalar of every generator of the
+        column, so every shape check of ``arrow_scalar`` runs; later asks
+        read the stored verdict.
+        """
+        verdict = self._verdicts.get(s)
+        if verdict is None:
+            verdict = any([self.arrow_scalar(u) for u in self.by_column[s]])
+            self._verdicts[s] = verdict
+        return verdict
 
 
 _CORE_CACHE: Dict[tuple, _BirepCore] = {}
@@ -487,12 +503,12 @@ def localize(b: FinitaryBirep, contract: Iterable[int]) -> FinitaryBirep:
         action[u] = tuple((r, c, m) for (r, c), m in sorted(merged.items()))
 
     for i in sorted(total):
-        for u in core.by_column[i]:
-            # the image morphism has a single component, a scalar times
-            # the identity of the target object: an isomorphism when the
-            # scalar is nonzero and the zero map otherwise; any other
-            # shape would be a stability failure
-            core.arrow_scalar(u)
+        # under each generator of column i the image morphism has a
+        # single component, a scalar times the identity of the target
+        # object: an isomorphism when the scalar is nonzero and the zero
+        # map otherwise; any other shape would be a stability failure,
+        # and the column's verdict checks every scalar once
+        core.column_verdict(i)
     return FinitaryBirep(b.n, b.k, b.column, total, slots, action, core)
 
 
@@ -513,19 +529,16 @@ def is_simple_transitive(b: FinitaryBirep) -> bool:
     ``arrow_scalar`` sends the arrow, under each generator from column s,
     to a scalar multiple of an identity, and raises CartanError for any
     other shape; so the ideal contains an identity exactly when one of
-    those scalars is nonzero.  Every such scalar is computed, so every
-    shape check runs.
+    those scalars is nonzero, which is the core's ``column_verdict``.
+    The verdict of every surviving column is asked before they are
+    combined, so every shape check runs.
     """
     total = b._action_support()
     if any(total.get(idx, 0) < 1 for idx in range(b.rank * b.rank)):
         return False
 
-    survivors = [i for i in range(1, b.n + 1) if i not in b.contracted]
-    if not survivors:
-        return True
-    scalars = [(u.j, b.core.arrow_scalar(u)) for u in b.core.generators
-               if u.j in survivors]
-    return all(any(lam for j, lam in scalars if j == s) for s in survivors)
+    return all([b.core.column_verdict(s) for s in range(1, b.n + 1)
+                if s not in b.contracted])
 
 
 @dataclass

@@ -159,7 +159,8 @@ def decompose(t: Bimodule, max_valleys: int) -> DecompositionReport:
 
     Candidates run largest dimension first, until nothing of t is left
     unaccounted for.  One whose dimension vector does not fit in what is
-    still unaccounted for cannot be a summand and is skipped.  The
+    still unaccounted for cannot be a summand and is skipped; its total
+    dimension is tested first, as the cheaper half of that test.  The
     multiplicities times the dimension vectors must fit inside dim t
     (dimension balance); the rest is the residual.
     max_valleys bounds the catalog that is searched; any string summand
@@ -173,7 +174,8 @@ def decompose(t: Bimodule, max_valleys: int) -> DecompositionReport:
     for label, x in _candidates(t.n, max_valleys):
         if not remaining:
             break
-        if any(d > left.get(v, 0) for v, d in x.dims.items()):
+        if x.total_dim > remaining or any(
+                d > left.get(v, 0) for v, d in x.dims.items()):
             continue
         sigmas, pis, g = trace_pairing(x, t)
         mult = sparse_rank(g, len(pis))

@@ -10,7 +10,10 @@ Two representations coexist here:
 * sparse row-dicts (column index -> nonzero scalar), the currency of
   systems: the intertwining and balancing systems, trace pairings and
   solves are very sparse and are cheaper to eliminate without
-  materialising zeros.
+  materialising zeros.  The rows of a kernel system may carry int
+  coefficients, as the intertwining systems between 0/1 modules do;
+  ``sparse_kernel_with_frees`` turns them into Fractions before any
+  division, and its vectors are Fractions either way.
 
 Every elimination goes through one reduced-row-echelon routine, so kernel
 bases, ranks, solutions and pivot choices are deterministic everywhere.
@@ -235,12 +238,18 @@ def sparse_kernel_with_frees(rows: list, ncols: int):
     columns means the f-coordinates of any kernel element ARE its coordinates
     in this basis, which the hom-space code exploits.  Systems of the shape
     in the module docstring take ``signed_kernel_with_frees``, which gives
-    the same vectors without any elimination.
+    the same vectors without any elimination.  Row values may be ints or
+    Fractions; the elimination gets every value as a Fraction, since an
+    int divided by an int pivot would give a float.
+
+    >>> sparse_kernel_with_frees([{0: 2, 1: -1}], 2)
+    ([{1: Fraction(1, 1), 0: Fraction(1, 2)}], [1])
     """
     signed = signed_kernel_with_frees(rows, ncols)
     if signed is not None:
         return signed
-    return rref_kernel_with_frees(rows, ncols)
+    return rref_kernel_with_frees(
+        [{c: _frac(v) for c, v in row.items()} for row in rows], ncols)
 
 
 def rref_kernel_with_frees(rows: list, ncols: int):
@@ -265,7 +274,8 @@ def signed_kernel_with_frees(rows: list, ncols: int):
     Each class that no one-entry row and no odd cycle makes zero gives one
     vector: 1 at its largest column f, the free column of the RREF, and
     the sign of x_m relative to x_f at every other member m, with keys in
-    the order f, then the members ascending.  Signs are plain ints.
+    the order f, then the members ascending.  Row values may be ints or
+    Fractions, and the vectors hold the Fractions 1 and -1.
 
     >>> signed_kernel_with_frees([{0: 1, 1: 1}, {2: 5}], 3)
     ([{1: Fraction(1, 1), 0: Fraction(-1, 1)}], [1])

@@ -5,6 +5,8 @@ the cover walks (reflect the walk, swap peaks and valleys, re-anchor) and
 are frozen here as oracles.
 """
 
+from fractions import Fraction
+
 import pytest
 
 from nakayama.bimodules import (
@@ -23,10 +25,11 @@ from nakayama.bimodules import (
     regular_bimodule,
     restrict_left,
     trace_pairing,
+    _ColumnHom,
     _block,
     _walk,
 )
-from nakayama.algebras import CoverVertex, project, residue
+from nakayama.algebras import CoverVertex, arrow_target, project, residue
 from nakayama.tensoring import tensor
 from nakayama.linalg import (
     ONE,
@@ -774,3 +777,176 @@ def test_hom_space_of_loop_with_nonzero_diagonal():
     x.check_relations()
     assert HomSpace(x, x).dim == 2
     assert is_isomorphic(x, construct(lab("S", 1, 1, 0), 1))
+
+
+# -- the intertwiner builder against its dense predecessor -------------------
+
+def _reference_intertwiners(src_dims, tgt_dims, arrows):
+    """The dense builder that arrow views replaced: arrows are (s, t, xa,
+    ya) with ExactMatrix arrows or None, and every entry is tested."""
+    offsets = {}
+    total = 0
+    for v in sorted(src_dims.keys() & tgt_dims.keys()):
+        offsets[v] = total
+        total += src_dims[v] * tgt_dims[v]
+    rows = []
+    for s, t, xa, ya in arrows:
+        ds, dt = src_dims.get(s, 0), tgt_dims.get(t, 0)
+        t_off = offsets.get(t) if xa is not None else None
+        s_off = offsets.get(s) if ya is not None else None
+        if not (ds and dt) or (t_off is None and s_off is None):
+            continue
+        dxt = src_dims.get(t, 0)
+        x_cols = [[(m, xa.entries[m * ds + q]) for m in range(dxt)
+                   if xa.entries[m * ds + q]] for q in range(ds)] \
+            if t_off is not None else [()] * ds
+        y_rows = [[(l, e) for l, e in enumerate(ya.row(p)) if e]
+                  for p in range(dt)] if s_off is not None else [()] * dt
+        for p in range(dt):
+            for q in range(ds):
+                row = {t_off + p * dxt + m: e for m, e in x_cols[q]}
+                for l, e in y_rows[p]:
+                    idx = s_off + l * ds + q
+                    val = row.get(idx, ZERO) - e
+                    if val:
+                        row[idx] = val
+                    else:
+                        del row[idx]
+                if row:
+                    rows.append(row)
+    vectors, frees = sparse_kernel_with_frees(rows, total)
+    return offsets, vectors, frees
+
+
+def _reference_hom_space(x, y):
+    arrows = [((i, j), arrow_target(kind, i, j, x.n),
+               x.arrow_maps.get((kind, i, j)), y.arrow_maps.get((kind, i, j)))
+              for kind, i, j in sorted(x.arrow_maps.keys()
+                                       | y.arrow_maps.keys())]
+    return _reference_intertwiners(x.dims, y.dims, arrows)
+
+
+def _reference_column_hom(x, a, b):
+    n = x.n
+    bp, bm = residue(b + 1, n), residue(b - 1, n)
+    tgt_dims = {1: 2} if n == 1 else {b: 1, bp: 1}
+    src_dims = {i: x.dims[(i, a)] for i in (bm, b, bp) if (i, a) in x.dims}
+    le = ExactMatrix.from_rows([[0, 0], [1, 0]] if n == 1 else [[1]])
+    arrows = [(b, bp, x.arrow_maps.get(("v", b, a)), le)]
+    if n > 1:
+        arrows.append((bm, b, x.arrow_maps.get(("v", bm, a)), None))
+    return _reference_intertwiners(src_dims, tgt_dims, arrows)
+
+
+def _assert_same_system(got, want, context):
+    (offs, vectors, frees), (r_offs, r_vectors, r_frees) = got, want
+    assert list(offs.items()) == list(r_offs.items()), context
+    assert [list(v.items()) for v in vectors] == \
+        [list(v.items()) for v in r_vectors], context
+    assert frees == r_frees, context
+    assert all(type(val) is Fraction
+               for v in vectors for val in v.values()), context
+
+
+def _assert_hom_matches_reference(x, y):
+    space = HomSpace(x, y)
+    _assert_same_system((space._offsets, space.vectors, space.frees),
+                        _reference_hom_space(x, y), (x, y))
+
+
+def _assert_column_homs_match_reference(x):
+    for (i, a) in x.dims:
+        b = residue(i - 1, x.n)
+        h = _ColumnHom(x, a, b)
+        _assert_same_system((h.offsets, h.vectors, h.frees),
+                            _reference_column_hom(x, a, b), (x, a, b))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_intertwiners_match_dense_reference_on_the_catalog(n):
+    mods = [construct(label, n) for label in catalog_labels(n, 1)]
+    for x in mods:
+        for y in mods:
+            _assert_hom_matches_reference(x, y)
+        _assert_column_homs_match_reference(x)
+
+
+@pytest.mark.parametrize("u, v", [
+    (lab("W", 1, 1, 2), lab("M", 1, 1, 2)),
+    (lab("S", 1, 1, 1), lab("N", 1, 1, 2)),
+    (lab("M", 1, 1, 2), lab("M", 1, 1, 2)),
+])
+def test_intertwiners_match_dense_reference_on_loop_products(u, v):
+    # at n = 1 every arrow is a loop, so the x and y blocks of an
+    # equation share their offsets
+    n = 1
+    t = tensor(construct(u, n), construct(v, n))
+    for label in catalog_labels(n, 2):
+        x = construct(label, n)
+        _assert_hom_matches_reference(x, t)
+        _assert_hom_matches_reference(t, x)
+
+
+def test_intertwiners_match_dense_reference_on_hom_to_algebra():
+    # the arrows of hom_to_algebra are read off kernel coordinates
+    n = 3
+    h = hom_to_algebra(construct(lab("S", 1, 1, 2), n))
+    _assert_hom_matches_reference(h, h)
+    _assert_column_homs_match_reference(h)
+    for label in catalog_labels(n, 2):
+        x = construct(label, n)
+        _assert_hom_matches_reference(h, x)
+        _assert_hom_matches_reference(x, h)
+
+
+def _rescaled(label, n, key, scalar):
+    base = construct(label, n)
+    maps = dict(base.arrow_maps)
+    maps[key] = ExactMatrix(1, 1, [scalar])
+    out = Bimodule(n, dict(base.dims), maps)
+    out.check_relations()
+    return out
+
+
+@pytest.mark.parametrize("base", [lab("S", 1, 1, 0), lab("S", 1, 1, 1)])
+@pytest.mark.parametrize("scalar", [Fraction(2), Fraction(1, 3)])
+def test_hom_space_with_a_non_unit_arrow_stays_exact(base, scalar):
+    # a coefficient other than +-1 sends the system to elimination, whose
+    # divisions must see Fractions, not int coefficients
+    n = 2
+    x = _rescaled(base, n, ("v", 1, 1), scalar)
+    assert x.arrow_views[("v", 1, 1)] == ((((0, scalar),),),) * 2
+    others = [construct(lab("S", 1, 1, 0), n), construct(base, n), x]
+    for y in others:
+        _assert_hom_matches_reference(x, y)
+        _assert_hom_matches_reference(y, x)
+
+
+def test_arrow_views_hold_the_nonzero_entries_of_the_arrows():
+    n = 2
+    x = _rescaled(lab("S", 1, 1, 1), n, ("v", 1, 1), Fraction(1, 3))
+    zero_arrow = Bimodule(n, dict(x.dims), {
+        **x.arrow_maps, ("h", 2, 2): ExactMatrix.zeros(1, 1)})
+    loop = Bimodule(1, {(1, 1): 2},
+                    {("v", 1, 1): ExactMatrix.from_rows([[1, 1], [-1, -1]])})
+    for mod in (x, zero_arrow, loop, regular_bimodule(3),
+                construct(lab("M", 1, 1, 2), 1)):
+        assert mod.arrow_views.keys() == mod.arrow_maps.keys()
+        for key, mat in mod.arrow_maps.items():
+            cols, rows = mod.arrow_views[key]
+            entries = {(r, c): mat.get(r, c) for r in range(mat.rows)
+                       for c in range(mat.cols) if mat.get(r, c)}
+            assert {(r, c): v for c, col in enumerate(cols)
+                    for r, v in col} == entries
+            assert {(r, c): v for r, row in enumerate(rows)
+                    for c, v in row} == entries
+            values = [v for col in cols for _, v in col]
+            assert all(type(v) is (int if v.denominator == 1 else Fraction)
+                       for v in values)
+            assert all(type(part) is tuple
+                       for part in (cols, rows, *cols, *rows))
+    assert ("h", 2, 2) not in zero_arrow.arrow_views
+    with pytest.raises(TypeError):
+        x.arrow_views[("v", 1, 1)] = x.arrow_views[("h", 2, 2)]
+    with pytest.raises(TypeError):
+        del x.arrow_views[("v", 1, 1)]

@@ -8,6 +8,7 @@ from math import comb
 
 import pytest
 
+import nakayama
 from nakayama.bimodules import (
     HomSpace,
     StringLabel,
@@ -21,6 +22,7 @@ from nakayama.bireps import (
     FinitaryBirep,
     ObjectSlot,
     StabilityError,
+    _BirepCore,
     _canonical_epi,
     action_matrix,
     cell_birep,
@@ -492,15 +494,20 @@ def _reference_is_simple_transitive(b):
 
 
 class _ZeroedScalars:
-    """A core stand-in whose arrow scalars vanish on chosen generators."""
+    """A core stand-in whose arrow scalars vanish on chosen generators;
+    its column verdicts are the core's, read from those scalars."""
 
     def __init__(self, core, zeroed):
         self.generators = core.generators
+        self.by_column = core.by_column
         self._core = core
         self._zeroed = zeroed
+        self._verdicts = {}
 
     def arrow_scalar(self, u):
         return ZERO if u in self._zeroed else self._core.arrow_scalar(u)
+
+    column_verdict = _BirepCore.column_verdict
 
 
 def _closure_cases():
@@ -533,6 +540,41 @@ def test_simple_transitivity_matches_reference_loop():
         assert verdict == _reference_is_simple_transitive(b)
         verdicts.append(verdict)
     assert verdicts.count(False) == 3
+
+
+def test_simple_transitivity_checks_every_surviving_column():
+    # column 1 has no nonzero scalar, so its verdict alone decides; the
+    # shape failure in column 2 must still be raised
+    b = cell_birep(2, 1)
+    zeroed = {u for u in b.core.generators if u.j == 1}
+    broken = b.core.by_column[2][-1]
+
+    class _BrokenColumn(_ZeroedScalars):
+        def arrow_scalar(self, u):
+            if u == broken:
+                raise CartanError(f"{u} is misshapen")
+            return super().arrow_scalar(u)
+
+    stand_in = dataclasses.replace(b, core=_BrokenColumn(b.core, zeroed))
+    with pytest.raises(CartanError):
+        is_simple_transitive(stand_in)
+
+
+def test_classify_computes_each_arrow_scalar_once(monkeypatch):
+    n = 3
+    asked = []
+    arrow_scalar = _BirepCore.arrow_scalar
+
+    def counting(self, u):
+        asked.append(u)
+        return arrow_scalar(self, u)
+
+    monkeypatch.setattr(_BirepCore, "arrow_scalar", counting)
+    nakayama.clear_caches()
+    report = classify(n, 1)
+    assert all(e["simple_transitive"] for e in report.entries)
+    generators = cell_birep(n, 1).core.generators
+    assert sorted(asked) == sorted(generators)
 
 
 def test_classify_rank_one():

@@ -26,7 +26,8 @@ from nakayama.decomposition import (
     multable_check,
     product_summands,
 )
-from nakayama.linalg import ExactMatrix
+from nakayama import decomposition
+from nakayama.linalg import ExactMatrix, sparse_rank
 from nakayama.tensoring import tensor
 
 
@@ -130,6 +131,32 @@ def test_decompose_builds_only_the_split_pairs(monkeypatch, n, u, v):
     rep = decompose(t, 1)
     assert rep.split_pairs and rep.residual_dim == 0
     assert len(built) <= 2 * len(rep.multiset())
+
+
+@pytest.mark.parametrize("n, u, v, max_valleys", [
+    (1, lab("L", 1, 1), lab("L", 1, 1), 1),
+    (2, lab("L", 1, 1), lab("L", 1, 1), 1),
+    # one of the products the cells workload decomposes
+    (6, lab("M", 1, 1, 2), lab("S", 1, 1, 2), 2),
+])
+def test_decompose_pairs_no_candidate_larger_than_what_is_left(
+        monkeypatch, n, u, v, max_valleys):
+    t = tensor(construct(u, n), construct(v, n))
+    calls = []
+
+    def counting_pairing(x, y):
+        out = trace_pairing(x, y)
+        calls.append((x.total_dim, sparse_rank(out[2], len(out[1]))))
+        return out
+
+    monkeypatch.setattr(decomposition, "trace_pairing", counting_pairing)
+    rep = decompose(t, max_valleys)
+    assert calls and rep.residual_dim == 0
+    remaining = t.total_dim
+    for dim, mult in calls:
+        assert dim <= remaining
+        remaining -= mult * dim
+    assert remaining == 0
 
 
 def test_decompose_single_catalog_member():
