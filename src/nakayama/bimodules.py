@@ -1,9 +1,9 @@
 """Bimodules over the cyclic Nakayama algebra, as torus quiver representations.
 
 A bimodule is stored as one vector space per torus vertex (i, j), namely the
-piece e_i X e_j, together with a matrix for every vertical arrow (left action
+piece e_i X e_j, together with a map for every vertical arrow (left action
 of a_i) and every horizontal arrow (right action of a_{j-1}); the three torus
-relation families must hold.
+relation families must hold.  Each arrow is kept only as its ``ArrowView``.
 
 The named catalog consists of the projective-injectives P_{i|j}, the simples
 L_{i|j}, and the string families W/S/N/M with a valley count k.  Each string
@@ -24,11 +24,10 @@ Walk shapes, all anchored at i|j and listed in the stored basis order:
 
 Both kinds of hom space, bimodule maps in ``HomSpace`` and left-module maps
 into the projectives of the algebra in ``_ColumnHom``, are kernels of one
-intertwining system built by ``_intertwiners``.  The builder reads no dense
-matrix: each arrow arrives as the ``ArrowView`` its module built once, at
-construction, with the nonzero entries of every column and every row and
-an int for every integral value, so the equations of a system between
-0/1 modules carry int coefficients.
+intertwining system built by ``_intertwiners``.  It reads the arrow views,
+as the relation check, restriction, direct sums and ``hom_to_algebra`` do, so
+the equations of a system between 0/1 modules carry int coefficients;
+``vmap`` and ``hmap`` build dense matrices for the map check and duality.
 """
 
 from __future__ import annotations
@@ -157,20 +156,22 @@ def _arrow_view(mat: ExactMatrix) -> Optional[ArrowView]:
 
 
 class Bimodule:
-    """A representation of the torus quiver; ``dims``, ``arrow_maps`` and
-    ``arrow_views`` (the ``ArrowView`` of each arrow, same keys) are
-    read-only views, so a shared cached module cannot be changed."""
+    """A representation of the torus quiver.  Its arrows are given as
+    matrices and kept only in ``arrow_views``, one ``ArrowView`` per nonzero
+    arrow; ``dims`` and ``arrow_views`` are read-only views, so a shared
+    cached module cannot be changed."""
 
     def __init__(self, n: int, dims: Dict[Vertex, int],
-                 arrow_maps: Dict[ArrowKey, ExactMatrix]) -> None:
+                 arrows: Dict[ArrowKey, ExactMatrix]) -> None:
         self.n = n
         for (i, j), d in dims.items():
             if not (1 <= i <= n and 1 <= j <= n) or d < 0:
                 raise ValueError(f"dimension {d} at vertex {i}|{j} of the "
                                  f"{n} x {n} torus")
         self.dims = MappingProxyType({v: d for v, d in dims.items() if d})
-        maps, views = {}, {}
-        for key, mat in arrow_maps.items():
+        self.total_dim = sum(self.dims.values())
+        views = {}
+        for key, mat in arrows.items():
             kind, i, j = key
             i, j = residue(i, n), residue(j, n)
             ds = self.dims.get((i, j), 0)
@@ -181,9 +182,7 @@ class Bimodule:
                     f"{mat.rows}x{mat.cols}")
             view = _arrow_view(mat)
             if view is not None:
-                maps[(kind, i, j)] = mat
                 views[(kind, i, j)] = view
-        self.arrow_maps = MappingProxyType(maps)
         self.arrow_views = MappingProxyType(views)
 
     # -- basic geometry ----------------------------------------------------
@@ -191,92 +190,84 @@ class Bimodule:
     def dim(self, i: int, j: int) -> int:
         return self.dims.get((residue(i, self.n), residue(j, self.n)), 0)
 
-    @property
-    def total_dim(self) -> int:
-        return sum(self.dims.values())
-
     def dim_vector(self) -> Dict[Vertex, int]:
         return dict(sorted(self.dims.items()))
-
-    @property
-    def support(self) -> List[Vertex]:
-        return sorted(self.dims)
 
     def is_zero(self) -> bool:
         return not self.dims
 
     def vmap(self, i: int, j: int) -> ExactMatrix:
-        n = self.n
-        i, j = residue(i, n), residue(j, n)
-        mat = self.arrow_maps.get(("v", i, j))
-        if mat is None:
-            return ExactMatrix.zeros(self.dim(i + 1, j), self.dim(i, j))
-        return mat
+        return self._matrix("v", i, j)
 
     def hmap(self, i: int, j: int) -> ExactMatrix:
+        return self._matrix("h", i, j)
+
+    def _matrix(self, kind: str, i: int, j: int) -> ExactMatrix:
+        """The dense matrix of an arrow, zero where there is no view."""
         n = self.n
         i, j = residue(i, n), residue(j, n)
-        mat = self.arrow_maps.get(("h", i, j))
-        if mat is None:
-            return ExactMatrix.zeros(self.dim(i, j - 1), self.dim(i, j))
-        return mat
+        view = self.arrow_views.get((kind, i, j))
+        cols = view[0] if view is not None else ()
+        return ExactMatrix.from_entries(
+            self.dim(*arrow_target(kind, i, j, n)), self.dim(i, j),
+            ((r, c, v) for c, col in enumerate(cols) for r, v in col))
 
     # -- validation --------------------------------------------------------
 
     def check_relations(self) -> None:
         """Raise ValueError if any torus relation fails.
 
-        A missing arrow is the zero map, so a path through one is zero and
-        is neither built nor multiplied; a square with one stored path
-        commutes exactly when that path is zero.
+        Each length-two path is a sparse product of column views.  A
+        missing arrow is the zero map, so a path through one is zero and is
+        not built; a square with one stored path commutes exactly when that
+        path is zero.
         """
-        n, maps = self.n, self.arrow_maps
+        n, views = self.n, self.arrow_views
 
-        def path(second: ArrowKey, first: ArrowKey) -> Optional[ExactMatrix]:
-            outer, inner = maps.get(second), maps.get(first)
-            return None if outer is None or inner is None else outer.mul(inner)
+        def path(second: ArrowKey, first: ArrowKey) -> Optional[List[dict]]:
+            # the columns of second o first as dicts {row: nonzero value}
+            outer, inner = views.get(second), views.get(first)
+            if outer is None or inner is None:
+                return None
+            out = []
+            for col in inner[0]:
+                acc: dict = {}
+                for m, a in col:
+                    for r, b in outer[0][m]:
+                        acc[r] = acc.get(r, 0) + a * b
+                out.append({r: v for r, v in acc.items() if v})
+            return out
 
         for (i, j) in self.dims:
             up, left = arrow_target("v", i, j, n), arrow_target("h", i, j, n)
             vv = path(("v", *up), ("v", i, j))
-            if vv is not None and not vv.is_zero():
+            if vv is not None and any(vv):
                 raise ValueError(f"vertical square nonzero at {i}|{j}")
             hh = path(("h", *left), ("h", i, j))
-            if hh is not None and not hh.is_zero():
+            if hh is not None and any(hh):
                 raise ValueError(f"horizontal square nonzero at {i}|{j}")
             one_way = path(("h", *up), ("v", i, j))
             other = path(("v", *left), ("h", i, j))
             if one_way is None or other is None:
                 lone = other if one_way is None else one_way
-                commutes = lone is None or lone.is_zero()
+                commutes = lone is None or not any(lone)
             else:
                 commutes = one_way == other
             if not commutes:
                 raise ValueError(f"square does not commute at {i}|{j}")
 
-    # -- serialization -----------------------------------------------------
-
-    def to_json(self) -> dict:
-        dims = {f"{i}|{j}": d for (i, j), d in sorted(self.dims.items())}
-        arrows = []
-        for (kind, i, j), mat in sorted(self.arrow_maps.items()):
-            arrows.append({
-                "kind": kind, "i": i, "j": j,
-                "matrix": [[str(x) for x in mat.row(r)]
-                           for r in range(mat.rows)],
-            })
-        return {"n": self.n, "dims": dims, "arrows": arrows}
-
     # -- dunder ------------------------------------------------------------
 
+    # a view holds exactly the nonzero entries, an int wherever a value is
+    # integral, so equal views mean equal matrices
     def __eq__(self, other) -> bool:
         return (isinstance(other, Bimodule) and self.n == other.n
                 and self.dims == other.dims
-                and self.arrow_maps == other.arrow_maps)
+                and self.arrow_views == other.arrow_views)
 
     def __hash__(self) -> int:
         return hash((self.n, tuple(sorted(self.dims.items())),
-                     tuple(sorted(self.arrow_maps.items()))))
+                     tuple(sorted(self.arrow_views.items()))))
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -690,11 +681,13 @@ def restrict_left(x: Bimodule) -> LeftDecomposition:
     col_dims: Counter = Counter()
     for (i, _j), d in x.dims.items():
         col_dims[i] += d
-    # a_i acts block-diagonally over the columns
+    # a_i acts block-diagonally over the columns; its rank is read off the
+    # row view, as Fractions, since elimination divides
     ranks: Counter = Counter()
-    for (kind, i, _j), mat in x.arrow_maps.items():
+    for (kind, i, _j), (cols, rows) in x.arrow_views.items():
         if kind == "v":
-            ranks[i] += rank(mat)
+            ranks[i] += sparse_rank([{c: Fraction(v) for c, v in row}
+                                     for row in rows], len(cols))
     projs: Counter = Counter()
     simples: Counter = Counter()
     for i in range(1, n + 1):
@@ -759,7 +752,6 @@ class _ColumnHom:
     def __init__(self, x: Bimodule, a: int, b: int):
         n = x.n
         bp, bm = residue(b + 1, n), residue(b - 1, n)
-        self.x, self.a = x, a
         self.tgt_dims = {1: 2} if n == 1 else {b: 1, bp: 1}
         src_dims = {i: x.dims[(i, a)] for i in (bm, b, bp) if (i, a) in x.dims}
         # the arrows into Le_b's support: a_b, and a_{b-1} unless n = 1
@@ -773,12 +765,6 @@ class _ColumnHom:
     @property
     def dim(self) -> int:
         return len(self.vectors)
-
-    def component(self, vec: Dict[int, Fraction], i: int) -> ExactMatrix:
-        """The vertex-i matrix (target dim x source dim) of a hom vector;
-        column a of x must be nonzero at i."""
-        return _block(vec, self.offsets[i], self.tgt_dims[i],
-                      self.x.dims[(i, self.a)])
 
     def coords(self, vec: Dict[int, Fraction]) -> Tuple[Fraction, ...]:
         return tuple(vec.get(fr, ZERO) for fr in self.frees)
@@ -815,12 +801,18 @@ def hom_to_algebra(x: Bimodule) -> Bimodule:
             for vec in h.vectors:
                 comp_vec: Dict[int, Fraction] = {}
                 for i, off in tgt.offsets.items():
-                    # column a+1 -> column a at vertex i
-                    step = x.arrow_maps.get(("h", i, up[0]))
-                    if step is not None:
-                        mat = h.component(vec, i).mul(step)
-                        comp_vec.update((off + k, e) for k, e in
-                                        enumerate(mat.entries) if e)
+                    # column a+1 -> column a at vertex i: entry (p, q) of
+                    # the block is row p of phi_i times column q of step
+                    step = x.arrow_views.get(("h", i, up[0]))
+                    if step is None:
+                        continue
+                    h_off, ds, dq = h.offsets[i], x.dims[(i, a)], len(step[0])
+                    for p in range(h.tgt_dims[i]):
+                        for q, col in enumerate(step[0]):
+                            val = sum(vec.get(h_off + p * ds + m, 0) * e
+                                      for m, e in col)
+                            if val:
+                                comp_vec[off + p * dq + q] = val
                 cols.append(tgt.coords(comp_vec))
             maps[("v", a, b)] = ExactMatrix(
                 tgt.dim, h.dim,
@@ -887,12 +879,12 @@ def direct_sum(*mods: Bimodule) -> Bimodule:
     entries: Dict[ArrowKey, list] = {}
     offset: Dict[Vertex, int] = {}
     for m in mods:
-        for (kind, i, j), mat in m.arrow_maps.items():
+        for (kind, i, j), (cols, _rows) in m.arrow_views.items():
             ro = offset.get(arrow_target(kind, i, j, n), 0)
             co = offset.get((i, j), 0)
             entries.setdefault((kind, i, j), []).extend(
-                (ro + k // mat.cols, co + k % mat.cols, e)
-                for k, e in enumerate(mat.entries) if e)
+                (ro + r, co + c, e)
+                for c, col in enumerate(cols) for r, e in col)
         for v, d in m.dims.items():
             offset[v] = offset.get(v, 0) + d
     dims = dict(sorted(offset.items()))

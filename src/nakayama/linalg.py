@@ -4,16 +4,17 @@ Everything downstream (hom spaces, tensor quotients, split pairs) reduces to
 rank / kernel / solve questions for smallish matrices with Fraction entries.
 Two representations coexist here:
 
-* ``ExactMatrix``, a dense immutable matrix, the currency of module maps:
-  arrow matrices and map components; ``ExactMatrix.from_entries``
-  assembles one from sparse (row, col, value) triples;
+* ``ExactMatrix``, a dense immutable matrix, the form of map components;
+  ``ExactMatrix.from_entries`` assembles one from sparse (row, col,
+  value) triples;
 * sparse row-dicts (column index -> nonzero scalar), the currency of
   systems: the intertwining and balancing systems, trace pairings and
   solves are very sparse and are cheaper to eliminate without
-  materialising zeros.  The rows of a kernel system may carry int
-  coefficients, as the intertwining systems between 0/1 modules do;
-  ``sparse_kernel_with_frees`` turns them into Fractions before any
-  division, and its vectors are Fractions either way.
+  materialising zeros.  The intertwining systems of hom spaces and the
+  balancing systems of tensor products both take their kernels from
+  ``sparse_kernel_with_frees``, which turns int coefficients, as 0/1
+  modules give, into Fractions before any division; its vectors are
+  Fractions either way.
 
 Every elimination goes through one reduced-row-echelon routine, so kernel
 bases, ranks, solutions and pivot choices are deterministic everywhere.
@@ -29,7 +30,8 @@ signed union-find of the columns: a class is zero when a one-entry row or a
 cycle of contradicting signs touches it, and otherwise carries one basis
 vector of +-1 entries.  The intertwining systems between string modules all
 have this shape, since string modules act on their walk basis by partial
-permutation matrices.  The RREF of such a system has a row x_m -+ x_f for
+permutation matrices, and so do the balancing systems of their tensor
+products.  The RREF of such a system has a row x_m -+ x_f for
 every member m of a class below its largest column f, and a row x_m for
 every member of a zero class, so its free columns are the classes' largest
 columns and the signed kernel returns exactly the RREF kernel.

@@ -12,9 +12,11 @@ Idempotent balancing is absorbed by the grading and squares of arrows
 vanish, so these rows span every balancing relation.
 
 Everything is deterministic: pair bases are ordered lexicographically by
-(middle residue, left index, right index) and the quotient basis is the
-classes of the free columns, the non-pivot pairs of a reduced echelon
-form.  A map out of the quotient is built on the free columns of its
+(middle residue, left index, right index).  The rows are read off the arrow
+views of the two factors, and ``sparse_kernel_with_frees``, the kernel
+routine of the hom spaces, gives the quotient: its basis is the classes of
+the free columns, and the projection row of a free column is its kernel
+vector.  A map out of the quotient is built on the free columns of its
 source only and read into the target quotient through its projection.
 Equal inputs always give equal outputs, and a map produced by
 ``tensor_map`` has source and target equal (not merely isomorphic) to
@@ -27,7 +29,7 @@ from typing import Dict, List, Tuple
 
 from .algebras import Vertex, arrow_target, residue
 from .bimodules import Bimodule, BimoduleMap
-from .linalg import ExactMatrix, ONE, ZERO, sparse_rref
+from .linalg import ExactMatrix, sparse_kernel_with_frees
 
 PairKey = Tuple[int, int, int]
 
@@ -37,8 +39,8 @@ class TensorSpace:
 
     Holds, for every torus vertex with a nonzero quotient: the ordered pair
     basis, the free columns (the pairs whose classes form the quotient
-    basis) and the projection (qdim x pairdim), which is the identity on
-    the free columns.
+    basis) and the projection (qdim x pairdim), whose rows are the kernel
+    vectors, so it is the identity on the free columns.
     """
 
     def __init__(self, x: Bimodule, y: Bimodule) -> None:
@@ -76,39 +78,34 @@ class TensorSpace:
                     dx, dy = x.dims.get((i, ap), 0), y.dims.get((a, l), 0)
                     if not (dx and dy):
                         continue
-                    hx = x.hmap(i, ap)
-                    vy = y.vmap(a, l)
+                    # the columns of the h arrow of x at (i, a+1) and of
+                    # the v arrow of y at (a, l)
+                    hv = x.arrow_views.get(("h", i, ap))
+                    vv = y.arrow_views.get(("v", a, l))
+                    hx = hv[0] if hv is not None else ((),) * dx
+                    vy = vv[0] if vv is not None else ((),) * dy
                     for xa in range(dx):
                         for yb in range(dy):
                             row = {}
-                            for s in range(x.dims.get((i, a), 0)):
-                                c = hx.get(s, xa)
-                                if c:
-                                    t = idx[(a, s, yb)]
-                                    row[t] = row.get(t, ZERO) + c
-                            for tt in range(y.dims.get((ap, l), 0)):
-                                c = vy.get(tt, yb)
-                                if c:
-                                    t = idx[(ap, xa, tt)]
-                                    row[t] = row.get(t, ZERO) - c
+                            for s, c in hx[xa]:
+                                t = idx[(a, s, yb)]
+                                row[t] = row.get(t, 0) + c
+                            for tt, c in vy[yb]:
+                                t = idx[(ap, xa, tt)]
+                                row[t] = row.get(t, 0) - c
                             row = {t: c for t, c in row.items() if c}
                             if row:
                                 rows.append(row)
-                rref_rows, pivots = sparse_rref(rows, len(basis))
-                pivot_set = set(pivots)
-                frees = [c for c in range(len(basis)) if c not in pivot_set]
+                # the projection row of a free column is its kernel vector
+                vectors, frees = sparse_kernel_with_frees(rows, len(basis))
                 if not frees:
                     continue
-                qdim = len(frees)
-                free_pos = {f: t for t, f in enumerate(frees)}
                 self.frees[v] = frees
                 self.projections[v] = ExactMatrix.from_entries(
-                    qdim, len(basis),
-                    [(t, f, ONE) for t, f in enumerate(frees)]
-                    + [(free_pos[col], p, -coef)
-                       for rrow, p in zip(rref_rows, pivots)
-                       for col, coef in rrow.items() if col != p])
-                self.qdims[v] = qdim
+                    len(frees), len(basis),
+                    ((t, c, val) for t, vec in enumerate(vectors)
+                     for c, val in vec.items()))
+                self.qdims[v] = len(frees)
 
     # -- raw (pair-level) maps --------------------------------------------
 
@@ -122,16 +119,14 @@ class TensorSpace:
         triples = []
         for c, (j, xa, yb) in enumerate(src[p] for p in frees):
             if kind == "v":
-                mat, col = self.x.arrow_maps.get(("v", i, j)), xa
+                view, col = self.x.arrow_views.get(("v", i, j)), xa
             else:
-                mat, col = self.y.arrow_maps.get(("h", j, l)), yb
-            if mat is None:
+                view, col = self.y.arrow_views.get(("h", j, l)), yb
+            if view is None:
                 continue
-            for s in range(mat.rows):
-                coef = mat.get(s, col)
-                if coef:
-                    key = (j, s, yb) if kind == "v" else (j, xa, s)
-                    triples.append((tgt_idx[key], c, coef))
+            for s, coef in view[0][col]:
+                key = (j, s, yb) if kind == "v" else (j, xa, s)
+                triples.append((tgt_idx[key], c, coef))
         return ExactMatrix.from_entries(len(self.pair_bases.get(tv, ())),
                                         len(frees), triples)
 

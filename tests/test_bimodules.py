@@ -140,7 +140,7 @@ def test_construct_dimensions_match_labels(n):
 def test_simple_has_no_arrows():
     x = construct(L(1, 2), 3)
     assert x.dim_vector() == {(1, 2): 1}
-    assert not x.arrow_maps
+    assert not x.arrow_views
 
 
 def test_square_support():
@@ -187,6 +187,12 @@ def _m(*rows):
     return ExactMatrix.from_rows([list(r) for r in rows])
 
 
+def _arrow_matrices(mod):
+    """Every stored arrow as a dense matrix, read through vmap and hmap."""
+    return {(kind, i, j): (mod.vmap if kind == "v" else mod.hmap)(i, j)
+            for kind, i, j in mod.arrow_views}
+
+
 # (n, dims, arrows, message); at n = 1 every arrow is a loop at 1|1
 BROKEN_RELATIONS = {
     "vertical": (3, {(1, 1): 1, (2, 1): 1, (3, 1): 1},
@@ -211,6 +217,11 @@ BROKEN_RELATIONS = {
     "n1_horizontal": (1, {(1, 1): 3},
                       {("h", 1, 1): _m([0, 0, 0], [1, 0, 0], [0, 1, 0])},
                       "horizontal square nonzero"),
+    # both paths of the square are stored, and they read 6 and 3
+    "paths_6_and_3": (3, {(1, 2): 1, (2, 2): 1, (1, 1): 1, (2, 1): 1},
+                      {("v", 1, 2): _m([2]), ("h", 2, 2): _m([3]),
+                       ("h", 1, 2): _m([1]), ("v", 1, 1): _m([3])},
+                      "does not commute"),
     # v: e0 -> e1 and h: e1 -> e2, so h v sends e0 to e2 but v h = 0
     "n1_square": (1, {(1, 1): 3},
                   {("v", 1, 1): _m([0, 0, 0], [1, 0, 0], [0, 0, 0]),
@@ -223,7 +234,7 @@ BROKEN_RELATIONS = {
 def test_check_relations_rejects_broken_module(case):
     n, dims, arrows, message = BROKEN_RELATIONS[case]
     x = Bimodule(n, dims, arrows)
-    assert len(x.arrow_maps) == len(arrows)
+    assert len(x.arrow_views) == len(arrows)
     with pytest.raises(ValueError, match=message):
         x.check_relations()
 
@@ -236,8 +247,34 @@ def test_check_relations_accepts_paths_composing_to_zero():
     # only one path is stored, and it composes to zero
     y = Bimodule(3, {(1, 2): 1, (2, 2): 2, (2, 1): 1},
                  {("v", 1, 2): _m([1], [0]), ("h", 2, 2): _m([0, 1])})
-    assert len(y.arrow_maps) == 2
+    assert len(y.arrow_views) == 2
     y.check_relations()
+
+
+def test_check_relations_accepts_equal_paths_of_non_unit_values():
+    # both paths read 6, one as 12 * 1/2 and the other as 3 * 2
+    x = Bimodule(3, {(1, 2): 1, (2, 2): 1, (1, 1): 1, (2, 1): 1},
+                 {("v", 1, 2): _m([Fraction(1, 2)]), ("h", 2, 2): _m([12]),
+                  ("h", 1, 2): _m([2]), ("v", 1, 1): _m([3])})
+    assert len(x.arrow_views) == 4
+    x.check_relations()
+
+
+def test_vmap_and_hmap_return_the_given_matrices():
+    # the dense matrices are rebuilt from the views; a zero or missing
+    # arrow reads as the zero matrix of its shape
+    n = 2
+    dims = {(1, 1): 2, (2, 1): 2, (1, 2): 1}
+    v11 = _m([Fraction(1, 3), 0], [0, -2])
+    h11 = _m([5, 0])
+    x = Bimodule(n, dims, {("v", 1, 1): v11, ("h", 1, 1): h11,
+                           ("v", 1, 2): ExactMatrix.zeros(0, 1)})
+    assert x.vmap(1, 1) == v11 and x.hmap(3, 1) == h11
+    assert all(type(e) is Fraction for e in x.vmap(1, 1).entries)
+    assert x.vmap(1, 2) == ExactMatrix.zeros(0, 1)
+    assert x.hmap(2, 1) == ExactMatrix.zeros(0, 2)
+    assert x.vmap(2, 1) == ExactMatrix.zeros(2, 2)
+    assert set(x.arrow_views) == {("v", 1, 1), ("h", 1, 1)}
 
 
 # -- hom spaces --------------------------------------------------------------
@@ -651,7 +688,7 @@ def test_hom_to_algebra_matches_all_pairs_reference(n):
     for x in mods:
         out, ref = hom_to_algebra(x), _reference_hom_to_algebra(x)
         assert out.dims == ref.dims, x
-        assert out.arrow_maps == ref.arrow_maps, x
+        assert _arrow_matrices(out) == _arrow_matrices(ref), x
 
 
 # -- direct sums -------------------------------------------------------------
@@ -752,7 +789,7 @@ def test_direct_sum_matches_dense_reference(n):
     for parts in cases:
         out, ref = direct_sum(*parts), _reference_direct_sum(*parts)
         assert list(out.dims.items()) == list(ref.dims.items()), parts
-        assert out.arrow_maps == ref.arrow_maps, parts
+        assert _arrow_matrices(out) == _arrow_matrices(ref), parts
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -819,10 +856,10 @@ def _reference_intertwiners(src_dims, tgt_dims, arrows):
 
 
 def _reference_hom_space(x, y):
+    x_maps, y_maps = _arrow_matrices(x), _arrow_matrices(y)
     arrows = [((i, j), arrow_target(kind, i, j, x.n),
-               x.arrow_maps.get((kind, i, j)), y.arrow_maps.get((kind, i, j)))
-              for kind, i, j in sorted(x.arrow_maps.keys()
-                                       | y.arrow_maps.keys())]
+               x_maps.get((kind, i, j)), y_maps.get((kind, i, j)))
+              for kind, i, j in sorted(x_maps.keys() | y_maps.keys())]
     return _reference_intertwiners(x.dims, y.dims, arrows)
 
 
@@ -832,9 +869,10 @@ def _reference_column_hom(x, a, b):
     tgt_dims = {1: 2} if n == 1 else {b: 1, bp: 1}
     src_dims = {i: x.dims[(i, a)] for i in (bm, b, bp) if (i, a) in x.dims}
     le = ExactMatrix.from_rows([[0, 0], [1, 0]] if n == 1 else [[1]])
-    arrows = [(b, bp, x.arrow_maps.get(("v", b, a)), le)]
+    x_maps = _arrow_matrices(x)
+    arrows = [(b, bp, x_maps.get(("v", b, a)), le)]
     if n > 1:
-        arrows.append((bm, b, x.arrow_maps.get(("v", bm, a)), None))
+        arrows.append((bm, b, x_maps.get(("v", bm, a)), None))
     return _reference_intertwiners(src_dims, tgt_dims, arrows)
 
 
@@ -901,7 +939,7 @@ def test_intertwiners_match_dense_reference_on_hom_to_algebra():
 
 def _rescaled(label, n, key, scalar):
     base = construct(label, n)
-    maps = dict(base.arrow_maps)
+    maps = _arrow_matrices(base)
     maps[key] = ExactMatrix(1, 1, [scalar])
     out = Bimodule(n, dict(base.dims), maps)
     out.check_relations()
@@ -926,13 +964,14 @@ def test_arrow_views_hold_the_nonzero_entries_of_the_arrows():
     n = 2
     x = _rescaled(lab("S", 1, 1, 1), n, ("v", 1, 1), Fraction(1, 3))
     zero_arrow = Bimodule(n, dict(x.dims), {
-        **x.arrow_maps, ("h", 2, 2): ExactMatrix.zeros(1, 1)})
+        **_arrow_matrices(x), ("h", 2, 2): ExactMatrix.zeros(1, 1)})
     loop = Bimodule(1, {(1, 1): 2},
                     {("v", 1, 1): ExactMatrix.from_rows([[1, 1], [-1, -1]])})
     for mod in (x, zero_arrow, loop, regular_bimodule(3),
                 construct(lab("M", 1, 1, 2), 1)):
-        assert mod.arrow_views.keys() == mod.arrow_maps.keys()
-        for key, mat in mod.arrow_maps.items():
+        matrices = _arrow_matrices(mod)
+        assert mod.arrow_views.keys() == matrices.keys()
+        for key, mat in matrices.items():
             cols, rows = mod.arrow_views[key]
             entries = {(r, c): mat.get(r, c) for r in range(mat.rows)
                        for c in range(mat.cols) if mat.get(r, c)}

@@ -76,16 +76,16 @@ def test_shared_action_data_rejects_writes(restored_caches):
 def test_constructed_modules_reject_writes():
     label = StringLabel("M", 1, 1, 1)
     x = construct(label, 2)
-    dims, maps = dict(x.dims), dict(x.arrow_maps)
-    vertex, key = next(iter(dims)), next(iter(maps))
+    dims, views = dict(x.dims), dict(x.arrow_views)
+    vertex, key = next(iter(dims)), next(iter(views))
     with pytest.raises(TypeError):
         x.dims[vertex] = 5
     with pytest.raises(TypeError):
         del x.dims[vertex]
     with pytest.raises(TypeError):
-        x.arrow_maps[key] = ExactMatrix.zeros(1, 1)
+        x.arrow_views[key] = ExactMatrix.zeros(1, 1)
     with pytest.raises(TypeError):
         identity_map(x).components[vertex] = ExactMatrix.identity(1)
     again = construct(label, 2)
     assert again is x
-    assert dict(again.dims) == dims and dict(again.arrow_maps) == maps
+    assert dict(again.dims) == dims and dict(again.arrow_views) == views

@@ -8,7 +8,6 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from nakayama.bimodules import StringLabel, construct
 from nakayama.cli import adjunction_command, main
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
@@ -49,11 +48,6 @@ def test_algebra_json_matches_schema(capsys):
     assert blob["associative"] is True
     assert blob["nakayama"]["dimension"] == 4
     assert blob["torus"]["dimension"] == 16
-
-
-def test_bimodule_serialization_matches_schema():
-    blob = construct(StringLabel("M", 1, 1, 1), 2).to_json()
-    jsonschema.validate(blob, load_schema("bimodule"))
 
 
 def test_tensor_reports_summands(capsys):

@@ -4,8 +4,12 @@ The frozen expectations were computed by hand on the pair bases (walk by
 walk); they pin down both the dimensions and the anchor indices.
 """
 
+from fractions import Fraction
+
 import pytest
 
+from nakayama import linalg
+from nakayama.algebras import residue
 from nakayama.bimodules import (
     Bimodule,
     HomSpace,
@@ -16,7 +20,7 @@ from nakayama.bimodules import (
     is_isomorphic,
     regular_bimodule,
 )
-from nakayama.linalg import ExactMatrix
+from nakayama.linalg import ONE, ZERO, ExactMatrix, sparse_rref
 from nakayama.tensoring import TensorSpace, tensor, tensor_map
 
 
@@ -177,3 +181,125 @@ def test_pair_bases_match_full_vertex_scan(n, max_valleys):
                         want[(i, l)] = basis
             got = TensorSpace(x, y).pair_bases
             assert list(got.items()) == list(want.items())
+
+
+# -- the balancing quotient against its reduced echelon form ----------------
+
+def _reference_quotient(x, y):
+    """Pair bases, frees, quotient dimensions and projections of x (x) y by
+    a scan over every vertex, dense arrows and one reduced echelon form per
+    vertex, with the projection assembled from the reduced rows."""
+    n = x.n
+    rng = range(1, n + 1)
+    bases, frees, qdims, projections = {}, {}, {}, {}
+    for i in rng:
+        for l in rng:
+            basis = [(j, xa, yb) for j in rng for xa in range(x.dim(i, j))
+                     for yb in range(y.dim(j, l))]
+            if not basis:
+                continue
+            v = (i, l)
+            bases[v] = basis
+            idx = {p: t for t, p in enumerate(basis)}
+            rows = []
+            for a in rng:
+                ap = residue(a + 1, n)
+                hx, vy = x.hmap(i, ap), y.vmap(a, l)
+                for xa in range(x.dim(i, ap)):
+                    for yb in range(y.dim(a, l)):
+                        row = {}
+                        for s in range(x.dim(i, a)):
+                            c = hx.get(s, xa)
+                            if c:
+                                t = idx[(a, s, yb)]
+                                row[t] = row.get(t, ZERO) + c
+                        for tt in range(y.dim(ap, l)):
+                            c = vy.get(tt, yb)
+                            if c:
+                                t = idx[(ap, xa, tt)]
+                                row[t] = row.get(t, ZERO) - c
+                        row = {t: c for t, c in row.items() if c}
+                        if row:
+                            rows.append(row)
+            rref_rows, pivots = sparse_rref(rows, len(basis))
+            free = [c for c in range(len(basis)) if c not in set(pivots)]
+            if not free:
+                continue
+            pos = {f: t for t, f in enumerate(free)}
+            frees[v], qdims[v] = free, len(free)
+            projections[v] = ExactMatrix.from_entries(
+                len(free), len(basis),
+                [(t, f, ONE) for t, f in enumerate(free)]
+                + [(pos[col], p, -coef)
+                   for rrow, p in zip(rref_rows, pivots)
+                   for col, coef in rrow.items() if col != p])
+    return bases, frees, qdims, projections
+
+
+def _assert_quotient_matches_reference(x, y):
+    space = TensorSpace(x, y)
+    bases, frees, qdims, projections = _reference_quotient(x, y)
+    assert list(space.pair_bases.items()) == list(bases.items()), (x, y)
+    assert space.frees == frees and space.qdims == qdims, (x, y)
+    assert space.projections.keys() == projections.keys(), (x, y)
+    for v, mat in space.projections.items():
+        assert (mat.rows, mat.cols) == (projections[v].rows,
+                                        projections[v].cols), (x, y, v)
+        assert mat.entries == projections[v].entries, (x, y, v)
+        assert all(type(e) is Fraction for e in mat.entries), (x, y, v)
+
+
+@pytest.mark.parametrize("n,max_valleys", [(1, 1), (2, 1), (1, 2)])
+def test_tensor_quotient_matches_rref_reference_on_the_catalog(n,
+                                                               max_valleys):
+    # n = 1 with two valleys gives the long loop products
+    mods = [construct(label, n) for label in catalog_labels(n, max_valleys)]
+    for x in mods:
+        for y in mods:
+            _assert_quotient_matches_reference(x, y)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_tensor_quotient_matches_rref_reference_on_the_unit(n):
+    reg = regular_bimodule(n)
+    for label in catalog_labels(n, 1):
+        x = construct(label, n)
+        _assert_quotient_matches_reference(reg, x)
+        _assert_quotient_matches_reference(x, reg)
+    _assert_quotient_matches_reference(reg, reg)
+
+
+def _rescaled(label, key, scalar):
+    n = 2
+    base = construct(label, n)
+    maps = {k: (base.vmap if k[0] == "v" else base.hmap)(*k[1:])
+            for k in base.arrow_views}
+    maps[key] = ExactMatrix(1, 1, [scalar])
+    out = Bimodule(n, dict(base.dims), maps)
+    out.check_relations()
+    return out
+
+
+def test_tensor_quotient_with_non_unit_arrows_matches_rref_reference(
+        monkeypatch):
+    # a balancing row with a coefficient 2, 3 or 1/3 is not signed, so the
+    # kernel falls back to elimination; the arrows of 3 sit where they
+    # become pivots, and dividing by an int 3 would leave an inexact float
+    fallbacks = []
+    rref_kernel = linalg.rref_kernel_with_frees
+
+    def counted(rows, ncols):
+        fallbacks.append(len(rows))
+        return rref_kernel(rows, ncols)
+
+    monkeypatch.setattr(linalg, "rref_kernel_with_frees", counted)
+    scaled = [_rescaled(lab("S", 1, 1, 0), ("v", 1, 1), Fraction(2)),
+              _rescaled(lab("N", 1, 1, 0), ("h", 1, 1), Fraction(1, 3)),
+              _rescaled(lab("S", 2, 1, 0), ("v", 2, 1), Fraction(3)),
+              _rescaled(lab("N", 1, 2, 0), ("h", 1, 2), Fraction(3))]
+    mods = [construct(label, 2) for label in catalog_labels(2, 1)] + scaled
+    for x in scaled:
+        for y in mods:
+            _assert_quotient_matches_reference(x, y)
+            _assert_quotient_matches_reference(y, x)
+    assert fallbacks
