@@ -616,6 +616,22 @@ def trace_pairing(x: Bimodule, y: Bimodule):
     return fwd, back, pairing
 
 
+def composite_trace(back: HomSpace, b: int, f: BimoduleMap,
+                    fwd: HomSpace, a: int) -> Fraction:
+    """tr(back[b] o f o fwd[a]), for fwd into f's source and back out of
+    f's target, read off the two kernel vectors with no map built."""
+    sig, pi, total = fwd.vectors[a], back.vectors[b], ZERO
+    for v, mat in f.components.items():
+        if v in fwd._offsets and v in back._offsets:
+            s_off, p_off, dy = fwd._offsets[v], back._offsets[v], fwd.x.dims[v]
+            for idx, e in enumerate(mat.entries):
+                j, k = divmod(idx, mat.cols)
+                for i in range(dy):
+                    if e and (p := pi.get(p_off + i * mat.rows + j)):
+                        total += p * e * sig.get(s_off + k * dy + i, 0)
+    return total
+
+
 # ---------------------------------------------------------------------------
 # isomorphism testing
 # ---------------------------------------------------------------------------
@@ -723,14 +739,11 @@ def dualize(x: Bimodule) -> Bimodule:
     dims = {}
     for (j, i), d in x.dims.items():
         dims[(i, j)] = d
+    # a zero arrow keeps no view, so every arrow can be passed
     maps = {}
     for (i, j) in dims:
-        vm = x.hmap(j, i + 1).transpose()
-        if not vm.is_zero():
-            maps[("v", i, j)] = vm
-        hm = x.vmap(j - 1, i).transpose()
-        if not hm.is_zero():
-            maps[("h", i, j)] = hm
+        maps[("v", i, j)] = x.hmap(j, i + 1).transpose()
+        maps[("h", i, j)] = x.vmap(j - 1, i).transpose()
     out = Bimodule(n, dims, maps)
     out.check_relations()
     return out

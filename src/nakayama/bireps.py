@@ -31,11 +31,11 @@ from .bimodules import (
     StringLabel,
     _walk,
     catalog_labels,
+    composite_trace,
     construct,
-    identity_map,
     trace_pairing,
 )
-from .decomposition import _label_sort_key, _split_pair, cell_of
+from .decomposition import _label_sort_key, cell_of
 from .decomposition import product_summands
 from .linalg import ONE, ZERO, ExactMatrix, sparse_rank, sparse_rref
 from .tensoring import tensor_map
@@ -91,19 +91,22 @@ def quotient_hom_spaces(modules: Sequence[Bimodule],
 
     A factorization through a direct sum refines to ones through single
     summands, so greater lists the indecomposables of the greater cells.
-    Each is visited once: the homs into it from every module and, if any
-    is nonzero, the homs out of it; each composite goes onto the rows of
-    its pair.
+    Each is visited once: the homs into it from every module that shares
+    a vertex with it and, if any is nonzero, the homs out of it; each
+    composite goes onto the rows of its pair.
     """
     spaces = {(a, b): HomSpace(x, y) for a, x in enumerate(modules)
               for b, y in enumerate(modules)}
     rows: Dict[Tuple[int, int], List[Dict[int, Fraction]]] = {
         pair: [] for pair in spaces}
     for z in greater:
-        into = [HomSpace(x, z).maps for x in modules]
+        # modules with no common vertex have only the zero map
+        into = [[] if z.dims.keys().isdisjoint(x.dims) else HomSpace(x, z).maps
+                for x in modules]
         if not any(into):
             continue
-        out_of = [HomSpace(z, y).maps for y in modules]
+        out_of = [[] if z.dims.keys().isdisjoint(y.dims)
+                  else HomSpace(z, y).maps for y in modules]
         for a, hs in enumerate(into):
             for b, gs in enumerate(out_of):
                 space = spaces[(a, b)]
@@ -247,12 +250,16 @@ class _BirepCore:
     def arrow_scalar(self, u: StringLabel) -> Fraction:
         """The scalar by which u acts on the arrow of its source column.
 
-        u (x) alpha_s, for the arrow alpha_s : M_s -> N_s of u's column s,
-        joins two copies of the valley-cell object y that the stored action
-        puts in one row of both columns.  A rank-1 trace pairing of y with
-        each side gives the split pairs; the composite through them, read
-        against the identity of End(y) modulo greater cells, is the scalar.
-        """
+        phi = u (x) alpha_s, for the arrow M_s -> N_s of u's column s, joins
+        two copies of the valley-cell object y that the stored action puts
+        in one row of both columns; y pairs to rank 1 with each end.  The
+        scalar is tr(pi phi sigma) / tr(pi sigma'): sigma and sigma' are the
+        first maps from y to the M and N ends that pair nonzero, and pi the
+        first map back that sigma' pairs with.  End(y) is local, and by
+        ``_assert_cartan`` its greater-cell ideal, of codimension 1, is the
+        radical, whose maps are nilpotent and have trace 0; so each trace
+        is dim y times an identity coefficient, and the ratio is that of
+        the split-pair composite (pi sigma')^-1 pi phi sigma."""
         lam = self._scalars.get(u)
         if lam is None:
             u = u.normalized(self.n)
@@ -269,36 +276,29 @@ class _BirepCore:
                 f"valley-cell summand: {hits}")
         y = self.modules[ypos]
         phi = tensor_map(construct(u, n), self.alphas[s - 1])
-        split = []
+        ends = []
         for t in (phi.source, phi.target):
             t.check_relations()
             sigmas, pis, g = trace_pairing(y, t)
-            mult = sparse_rank(g, len(pis))
-            if mult != 1:
+            if (mult := sparse_rank(g, len(pis))) != 1:
                 raise CartanError(
                     f"{self.object_labels[ypos]} occurs {mult} times in "
                     f"{u} (x) the ends of arrow {s}")
-            split.append(_split_pair(y, sigmas, pis, g))
-        composite = split[1][1].compose(phi).compose(split[0][0])
-        qend = self.qhoms[(ypos, ypos)]
-        target = qend.qcoords(composite)
-        unit = qend.qcoords(identity_map(y))
-        pivot = next(i for i, v in enumerate(unit) if v)
-        lam = target[pivot] / unit[pivot]
-        if any(t != lam * v for t, v in zip(target, unit)):
-            raise CartanError(
-                f"{u} maps arrow {s} to no multiple of the identity")
+            a, row = next((a, row) for a, row in enumerate(g) if row)
+            ends.append((sigmas, pis, a, row))
+        (sigmas, _, a, _), (_, pis, _, row) = ends
+        b = min(row)
+        lam = composite_trace(pis, b, phi, sigmas, a) / row[b]
         self._scalars[u] = lam
         return lam
 
     def column_verdict(self, s: int) -> bool:
         """Whether some generator of column s acts on the arrow of its
-        column by a nonzero scalar.
+        column by a nonzero scalar, read as a trace ratio.
 
-        The first ask computes the scalar of every generator of the
-        column, so every shape check of ``arrow_scalar`` runs; later asks
-        read the stored verdict.
-        """
+        The first ask computes the scalar of every generator of the column,
+        so every certificate of ``arrow_scalar`` runs; later asks read the
+        stored verdict."""
         verdict = self._verdicts.get(s)
         if verdict is None:
             verdict = any([self.arrow_scalar(u) for u in self.by_column[s]])
@@ -526,10 +526,10 @@ def is_simple_transitive(b: FinitaryBirep) -> bool:
     Transitivity asks every entry of the total action matrix to be
     positive.  For simplicity, the arrow of each surviving component s
     must generate an ideal that contains the identity of some object.
-    ``arrow_scalar`` sends the arrow, under each generator from column s,
-    to a scalar multiple of an identity, and raises CartanError for any
-    other shape; so the ideal contains an identity exactly when one of
-    those scalars is nonzero, which is the core's ``column_verdict``.
+    A generator from column s sends it to a scalar times an identity plus
+    a radical map of trace 0, and ``arrow_scalar`` reads the scalar as a
+    trace ratio, raising CartanError on any other shape; so the ideal has
+    an identity exactly when the core's ``column_verdict`` holds.
     The verdict of every surviving column is asked before they are
     combined, so every shape check runs.
     """

@@ -284,43 +284,48 @@ def signed_kernel_with_frees(rows: list, ncols: int):
     """
     parent = list(range(ncols))
     sign = [1] * ncols       # x_c = sign[c] * x_parent[c]; 1 at a root
+    size = [1] * ncols       # class sizes, meaningful at roots only
     zero = [False] * ncols   # meaningful at roots only
-
-    def find(c):
-        # path halving; returns the root r and s with x_c = s * x_r
-        s = 1
-        while parent[c] != c:
-            p = parent[c]
-            sign[c] *= sign[p]
-            parent[c] = parent[p]
-            s *= sign[c]
-            c = parent[c]
-        return c, s
-
+    # union by size keeps every tree O(log ncols) deep, so each lookup is
+    # a plain walk up to the root, inlined
     for row in rows:
-        if len(row) == 1:
-            (c,) = row
-            zero[find(c)[0]] = True
-        elif len(row) == 2:
+        if len(row) == 2:
             (a, va), (b, vb) = row.items()
             if not ((va == 1 or va == -1) and (vb == 1 or vb == -1)):
                 return None
-            ra, sa = find(a)
-            rb, sb = find(b)
-            # va x_a + vb x_b = 0 says x_a = s x_b
+            # va x_a + vb x_b = 0 says x_a = s x_b; the walks carry s over
+            # to the two roots
             s = -1 if va == vb else 1
-            if ra == rb:
-                if sa != s * sb:
-                    zero[ra] = True
+            while parent[a] != a:
+                s *= sign[a]
+                a = parent[a]
+            while parent[b] != b:
+                s *= sign[b]
+                b = parent[b]
+            if a == b:
+                zero[a] |= s != 1
             else:
-                parent[ra], sign[ra] = rb, sa * s * sb
-                zero[rb] |= zero[ra]
+                # x_a = s x_b is symmetric, so the roots may swap
+                if size[a] > size[b]:
+                    a, b = b, a
+                parent[a], sign[a] = b, s
+                size[b] += size[a]
+                zero[b] |= zero[a]
+        elif len(row) == 1:
+            (c,) = row
+            while parent[c] != c:
+                c = parent[c]
+            zero[c] = True
         elif row:
             return None
     members: dict = {}
-    signs = [0] * ncols
     for c in range(ncols):
-        r, signs[c] = find(c)
+        r, s = c, 1
+        while parent[r] != r:
+            s *= sign[r]
+            r = parent[r]
+        # c now hangs off its root, so later walks through it stop there
+        parent[c], sign[c] = r, s
         members.setdefault(r, []).append(c)
     minus_one = -ONE
     vectors, frees = [], []
@@ -328,10 +333,9 @@ def signed_kernel_with_frees(rows: list, ncols: int):
         if zero[r]:
             continue
         f = cols.pop()
-        sf = signs[f]
-        vec = {f: ONE}
+        sf, vec = sign[f], {f: ONE}
         for m in cols:
-            vec[m] = ONE if signs[m] == sf else minus_one
+            vec[m] = ONE if sign[m] == sf else minus_one
         vectors.append(vec)
         frees.append(f)
     return vectors, frees

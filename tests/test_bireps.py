@@ -10,6 +10,7 @@ import pytest
 
 import nakayama
 from nakayama.bimodules import (
+    BimoduleMap,
     HomSpace,
     StringLabel,
     catalog_labels,
@@ -315,6 +316,38 @@ def test_arrow_scalars_match_decompose_reference(n, k):
             got = core.arrow_scalar(u)
             assert type(got) is Fraction
             assert got == _reference_arrow_scalar(core, u), (j, u)
+
+
+def _with_first_arrow(core, arrow):
+    """A copy of core whose arrow of component 1 is replaced, with empty
+    scalar and verdict tables; the cached core is left alone."""
+    out = copy.copy(core)
+    out._scalars, out._verdicts = {}, {}
+    out.alphas = [arrow] + core.alphas[1:]
+    return out
+
+
+@pytest.mark.parametrize("n,k", [(1, 1), (1, 2), (2, 2)])
+def test_arrow_scalar_follows_the_arrow(n, k):
+    # every catalog scalar is 1, so a formula that ignored the arrow could
+    # pass the oracle test; 2 alpha + r and r alone, for a radical map r of
+    # Hom(M_1, N_1), must read 2 and 0
+    core = cell_birep(n, k).core
+    qhom = core.qhoms[(n, 0)]
+    r = next(f for f in qhom.space if qhom.is_radical(f))
+    alpha = core.alphas[0]
+    doubled = BimoduleMap(alpha.source, alpha.target, {
+        v: alpha.component(*v).scale(2).add(r.component(*v))
+        for v in alpha.source.dims})
+    doubled.check()
+    twice = _with_first_arrow(core, doubled)
+    for u in twice.by_column[1]:
+        assert twice.arrow_scalar(u) == 2 == _reference_arrow_scalar(twice, u)
+    radical = _with_first_arrow(core, r)
+    for u in radical.by_column[1]:
+        assert radical.arrow_scalar(u) == 0
+    assert radical.column_verdict(1) is False
+    assert core.column_verdict(1) is True
 
 
 def _localizations(n, k, j):

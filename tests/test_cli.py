@@ -168,6 +168,17 @@ def test_classify_frontier_output_is_byte_stable(capsys):
         "d7de3c79e8c51ab756ccc2850c741eb0d1ab308e550cf318392112bd51d32e28")
 
 
+def test_classify_at_three_valleys_output_is_byte_stable(capsys):
+    # at k = 3 the greater-cell objects include strings of one and two
+    # valleys, so the quotient hom spaces and arrow scalars behind every
+    # verdict are pinned beyond k = 1
+    status = main(["classify", "--n", "4", "--k", "3", "--json"])
+    out = capsys.readouterr().out
+    assert status == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "2d20a35d1e063f220a3a9f4d2fe84ff9f9d06ba58ebca3adabfea47cdddaa1ed")
+
+
 def test_multable_wrapping_output_is_byte_stable(capsys):
     # at n = 1 with k = 3 every walk wraps the torus several times, so the
     # hom solves and trace pairings of the decomposition are pinned there
