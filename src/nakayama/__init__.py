@@ -27,7 +27,6 @@ from .bimodules import (
     direct_sum,
     dualize,
     hom_to_algebra,
-    identity_map,
     is_isomorphic,
     parse_label,
     regular_bimodule,
@@ -98,7 +97,6 @@ __all__ = [
     "dualize",
     "expected_product_family",
     "hom_to_algebra",
-    "identity_map",
     "is_idempotent_cell",
     "is_isomorphic",
     "is_simple_transitive",

@@ -23,11 +23,14 @@ Walk shapes, all anchored at i|j and listed in the stored basis order:
           all four maps the identity.
 
 Both kinds of hom space, bimodule maps in ``HomSpace`` and left-module maps
-into the projectives of the algebra in ``_ColumnHom``, are kernels of one
-intertwining system built by ``_intertwiners``.  It reads the arrow views,
-as the relation check, restriction, direct sums and ``hom_to_algebra`` do, so
-the equations of a system between 0/1 modules carry int coefficients;
-``vmap`` and ``hmap`` build dense matrices for the map check and duality.
+into the projectives of the algebra in ``_ColumnHom``, are kernels of the
+systems that ``_intertwining_rows`` builds, and ``BimoduleMap.check`` asks
+every row of the ``HomSpace`` system to vanish on a map.  The rows are read
+off the arrow views, as the relation check, restriction, duality, direct
+sums and ``hom_to_algebra`` read them, so the equations of a system between
+0/1 modules carry int coefficients.  Every producer hands ``Bimodule`` its
+arrows as sparse (row, col, value) entries: no dense matrix is built to
+make, transpose or check an arrow.
 """
 
 from __future__ import annotations
@@ -38,12 +41,11 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .algebras import CoverVertex, Vertex, arrow_target, project, residue
 from .linalg import (
     ExactMatrix,
-    ONE,
     ZERO,
     rank,
     sparse_kernel_with_frees,
@@ -137,32 +139,35 @@ ArrowKey = Tuple[str, int, int]
 ArrowView = Tuple[tuple, tuple]
 
 
-def _arrow_view(mat: ExactMatrix) -> Optional[ArrowView]:
-    """The view of a matrix, or None when it is zero."""
-    entries = mat.entries
-    spots = [k for k, e in enumerate(entries) if e]
+def _arrow_view(rows: int, cols: int, entries) -> Optional[ArrowView]:
+    """The view of the rows x cols matrix with the given (row, col, value)
+    entries, or None when it is zero; values at a repeated position add
+    up, and an entry outside the shape raises ValueError."""
+    sums: Dict[Tuple[int, int], Fraction] = {}
+    for r, c, v in entries:
+        if not (0 <= r < rows and 0 <= c < cols):
+            raise ValueError(f"entry ({r}, {c}) outside {rows}x{cols}")
+        sums[(r, c)] = sums.get((r, c), 0) + v
+    spots = sorted((rc, e) for rc, e in sums.items() if e)
     if not spots:
         return None
-    width = mat.cols
-    cols = [()] * width
-    rows = [()] * mat.rows
-    for k in spots:
-        r, c = divmod(k, width)
-        e = entries[k]
+    by_col, by_row = [()] * cols, [()] * rows
+    for (r, c), e in spots:
         v = e.numerator if e.denominator == 1 else e
-        cols[c] += ((r, v),)
-        rows[r] += ((c, v),)
-    return tuple(cols), tuple(rows)
+        by_col[c] += ((r, v),)
+        by_row[r] += ((c, v),)
+    return tuple(by_col), tuple(by_row)
 
 
 class Bimodule:
-    """A representation of the torus quiver.  Its arrows are given as
-    matrices and kept only in ``arrow_views``, one ``ArrowView`` per nonzero
-    arrow; ``dims`` and ``arrow_views`` are read-only views, so a shared
-    cached module cannot be changed."""
+    """A representation of the torus quiver.  Each arrow is given as an
+    iterable of (row, col, value) entries, with the rules of
+    ``ExactMatrix.from_entries``, and kept only in ``arrow_views``, one
+    ``ArrowView`` per nonzero arrow; ``dims`` and ``arrow_views`` are
+    read-only views, so a shared cached module cannot be changed."""
 
     def __init__(self, n: int, dims: Dict[Vertex, int],
-                 arrows: Dict[ArrowKey, ExactMatrix]) -> None:
+                 arrows: Dict[ArrowKey, Iterable]) -> None:
         self.n = n
         for (i, j), d in dims.items():
             if not (1 <= i <= n and 1 <= j <= n) or d < 0:
@@ -171,16 +176,11 @@ class Bimodule:
         self.dims = MappingProxyType({v: d for v, d in dims.items() if d})
         self.total_dim = sum(self.dims.values())
         views = {}
-        for key, mat in arrows.items():
-            kind, i, j = key
+        for (kind, i, j), entries in arrows.items():
             i, j = residue(i, n), residue(j, n)
             ds = self.dims.get((i, j), 0)
             dt = self.dims.get(arrow_target(kind, i, j, n), 0)
-            if mat.rows != dt or mat.cols != ds:
-                raise ValueError(
-                    f"arrow {key}: expected {dt}x{ds}, got "
-                    f"{mat.rows}x{mat.cols}")
-            view = _arrow_view(mat)
+            view = _arrow_view(dt, ds, entries)
             if view is not None:
                 views[(kind, i, j)] = view
         self.arrow_views = MappingProxyType(views)
@@ -195,22 +195,6 @@ class Bimodule:
 
     def is_zero(self) -> bool:
         return not self.dims
-
-    def vmap(self, i: int, j: int) -> ExactMatrix:
-        return self._matrix("v", i, j)
-
-    def hmap(self, i: int, j: int) -> ExactMatrix:
-        return self._matrix("h", i, j)
-
-    def _matrix(self, kind: str, i: int, j: int) -> ExactMatrix:
-        """The dense matrix of an arrow, zero where there is no view."""
-        n = self.n
-        i, j = residue(i, n), residue(j, n)
-        view = self.arrow_views.get((kind, i, j))
-        cols = view[0] if view is not None else ()
-        return ExactMatrix.from_entries(
-            self.dim(*arrow_target(kind, i, j, n)), self.dim(i, j),
-            ((r, c, v) for c, col in enumerate(cols) for r, v in col))
 
     # -- validation --------------------------------------------------------
 
@@ -315,17 +299,14 @@ class BimoduleMap:
         return all(m.is_zero() for m in self.components.values())
 
     def check(self) -> None:
-        """Verify the intertwining identities against every arrow."""
-        x, y = self.source, self.target
-        for (i, j) in set(x.dims) | set(y.dims):
-            for kind, xa, ya in (("v", x.vmap(i, j), y.vmap(i, j)),
-                                 ("h", x.hmap(i, j), y.hmap(i, j))):
-                tv = arrow_target(kind, i, j, x.n)
-                lhs = self.component(*tv).mul(xa)
-                rhs = ya.mul(self.component(i, j))
-                if lhs != rhs:
-                    raise ValueError(
-                        f"not a bimodule map: {kind} arrow at {i}|{j}")
+        """Raise ValueError unless every row of the intertwining system
+        that ``HomSpace`` solves vanishes on the blocks of this map."""
+        offsets, _, rows = _hom_rows(self.source, self.target)
+        vec = _unknowns(self, offsets)
+        for row in rows:
+            if sum(c * vec.get(u, 0) for u, c in row.items()):
+                raise ValueError("not a bimodule map: an intertwining "
+                                 "equation fails")
 
     def is_invertible(self) -> bool:
         x, y = self.source, self.target
@@ -339,11 +320,6 @@ class BimoduleMap:
     def __repr__(self) -> str:
         return (f"BimoduleMap({self.source!r} -> {self.target!r}, "
                 f"{'zero' if self.is_zero() else 'nonzero'})")
-
-
-def identity_map(x: Bimodule) -> BimoduleMap:
-    return BimoduleMap(x, x, {v: ExactMatrix.identity(d)
-                              for v, d in x.dims.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -421,11 +397,8 @@ def _zero_one_module(n: int, dims: Dict[Vertex, int],
                      cells: Dict[ArrowKey, List[Tuple[int, int]]]) -> Bimodule:
     """The module whose arrow (kind, i, j) has a 1 at each listed
     (row, col) position and 0 elsewhere, with its relations checked."""
-    maps = {(kind, i, j): ExactMatrix.from_entries(
-                dims[arrow_target(kind, i, j, n)], dims[(i, j)],
-                ((r, c, ONE) for r, c in spots))
-            for (kind, i, j), spots in cells.items()}
-    out = Bimodule(n, dims, maps)
+    out = Bimodule(n, dims, {key: [(r, c, 1) for r, c in spots]
+                             for key, spots in cells.items()})
     out.check_relations()
     return out
 
@@ -473,8 +446,8 @@ def catalog_labels(n: int, max_valleys: int) -> List[StringLabel]:
 # hom spaces
 # ---------------------------------------------------------------------------
 
-def _intertwiners(src_dims: Dict, tgt_dims: Dict, arrows):
-    """Kernel of the intertwining system between two quiver representations.
+def _intertwining_rows(src_dims: Dict, tgt_dims: Dict, arrows):
+    """The intertwining system between two quiver representations.
 
     src_dims and tgt_dims give the nonzero dimensions at each vertex.
     arrows yields (s, t, xv, yv) for each arrow s -> t, with xv the
@@ -484,8 +457,8 @@ def _intertwiners(src_dims: Dict, tgt_dims: Dict, arrows):
     every arrow gives the equations f_t xa = ya f_s, one for each entry
     (p, q), and only the equations with a nonzero column q of xa or a
     nonzero row p of ya are visited.  Integral arrows give int
-    coefficients.  Returns (offsets, vectors, frees), the block offsets
-    and the kernel basis with its free unknowns.
+    coefficients.  Returns (offsets, total, rows): the block offsets, the
+    number of unknowns and the equations as sparse rows.
     """
     offsets: Dict = {}
     total = 0
@@ -515,8 +488,28 @@ def _intertwiners(src_dims: Dict, tgt_dims: Dict, arrows):
                         del row[idx]
                 if row:
                     rows.append(row)
-    vectors, frees = sparse_kernel_with_frees(rows, total)
-    return offsets, vectors, frees
+    return offsets, total, rows
+
+
+def _hom_rows(x: Bimodule, y: Bimodule):
+    """``_intertwining_rows`` for the bimodule maps x -> y."""
+    arrows = (((i, j), arrow_target(kind, i, j, x.n),
+               x.arrow_views.get((kind, i, j)),
+               y.arrow_views.get((kind, i, j)))
+              for kind, i, j in sorted(x.arrow_views.keys()
+                                       | y.arrow_views.keys()))
+    return _intertwining_rows(x.dims, y.dims, arrows)
+
+
+def _unknowns(f: BimoduleMap, offsets: Dict) -> Dict[int, Fraction]:
+    """The blocks of f laid out as the unknowns of its intertwining
+    system; an unknown of a zero block is missing."""
+    vec: Dict[int, Fraction] = {}
+    for v, off in offsets.items():
+        mat = f.components.get(v)
+        if mat is not None:
+            vec.update(enumerate(mat.entries, off))
+    return vec
 
 
 def _block(vec: Dict[int, Fraction], off: int, rows: int,
@@ -541,13 +534,8 @@ class HomSpace(Sequence):
         if x.n != y.n:
             raise ValueError("hom between bimodules over different n")
         self.x, self.y = x, y
-        arrows = (((i, j), arrow_target(kind, i, j, x.n),
-                   x.arrow_views.get((kind, i, j)),
-                   y.arrow_views.get((kind, i, j)))
-                  for kind, i, j in sorted(x.arrow_views.keys()
-                                           | y.arrow_views.keys()))
-        self._offsets, self.vectors, self.frees = _intertwiners(
-            x.dims, y.dims, arrows)
+        self._offsets, total, rows = _hom_rows(x, y)
+        self.vectors, self.frees = sparse_kernel_with_frees(rows, total)
 
     def __len__(self) -> int:
         return len(self.vectors)
@@ -572,11 +560,7 @@ class HomSpace(Sequence):
 
     def coords_of(self, f: BimoduleMap) -> Tuple[Fraction, ...]:
         """Coordinates of an intertwiner in this basis (reads free slots)."""
-        vec: Dict[int, Fraction] = {}
-        for v, off in self._offsets.items():
-            mat = f.components.get(v)
-            if mat is not None:
-                vec.update(enumerate(mat.entries, off))
+        vec = _unknowns(f, self._offsets)
         return tuple(vec.get(fr, ZERO) for fr in self.frees)
 
 
@@ -734,17 +718,15 @@ def dualize(x: Bimodule) -> Bimodule:
 
         v at (i,j) on the dual  =  transpose of h at (j, i+1) on x,
         h at (i,j) on the dual  =  transpose of v at (j-1, i) on x.
+
+    Each view is passed on as its entries with row and column swapped.
     """
-    n = x.n
-    dims = {}
-    for (j, i), d in x.dims.items():
-        dims[(i, j)] = d
-    # a zero arrow keeps no view, so every arrow can be passed
+    dims = {(i, j): d for (j, i), d in x.dims.items()}
     maps = {}
-    for (i, j) in dims:
-        maps[("v", i, j)] = x.hmap(j, i + 1).transpose()
-        maps[("h", i, j)] = x.vmap(j - 1, i).transpose()
-    out = Bimodule(n, dims, maps)
+    for (kind, p, q), (cols, _rows) in x.arrow_views.items():
+        key = ("v", q - 1, p) if kind == "h" else ("h", q, p + 1)
+        maps[key] = [(c, r, e) for c, col in enumerate(cols) for r, e in col]
+    out = Bimodule(x.n, dims, maps)
     out.check_relations()
     return out
 
@@ -755,8 +737,8 @@ def dualize(x: Bimodule) -> Bimodule:
 
 # Le_b: e_b at vertex b and a_b at b+1, both at 1 when n = 1; its one
 # arrow, a_b, sends e_b to a_b
-_LE_ARROW = _arrow_view(ExactMatrix(1, 1, [ONE]))
-_LE_ARROW_LOOP = _arrow_view(ExactMatrix(2, 2, [ZERO, ZERO, ONE, ZERO]))
+_LE_ARROW = _arrow_view(1, 1, [(0, 0, 1)])
+_LE_ARROW_LOOP = _arrow_view(2, 2, [(1, 0, 1)])
 
 
 class _ColumnHom:
@@ -772,8 +754,9 @@ class _ColumnHom:
                    _LE_ARROW_LOOP if n == 1 else _LE_ARROW)]
         if n > 1:
             arrows.append((bm, b, x.arrow_views.get(("v", bm, a)), None))
-        self.offsets, self.vectors, self.frees = _intertwiners(
+        self.offsets, total, rows = _intertwining_rows(
             src_dims, self.tgt_dims, arrows)
+        self.vectors, self.frees = sparse_kernel_with_frees(rows, total)
 
     @property
     def dim(self) -> int:
@@ -802,7 +785,7 @@ def hom_to_algebra(x: Bimodule) -> Bimodule:
     live = sorted({(a, residue(i - 1, n)) for (i, a) in x.dims})
     homs = {(a, b): _ColumnHom(x, a, b) for (a, b) in live}
     dims = {(a, b): h.dim for (a, b), h in homs.items() if h.dim}
-    maps: Dict[ArrowKey, ExactMatrix] = {}
+    maps: Dict[ArrowKey, list] = {}
     for (a, b), h in homs.items():
         if h.dim == 0:
             continue
@@ -827,9 +810,8 @@ def hom_to_algebra(x: Bimodule) -> Bimodule:
                             if val:
                                 comp_vec[off + p * dq + q] = val
                 cols.append(tgt.coords(comp_vec))
-            maps[("v", a, b)] = ExactMatrix(
-                tgt.dim, h.dim,
-                [cols[c][r] for r in range(tgt.dim) for c in range(h.dim)])
+            maps[("v", a, b)] = [(r, c, e) for c, col in enumerate(cols)
+                                 for r, e in enumerate(col)]
         # horizontal: phi -> (right mult by a_{b-1}) o phi; e_b a_{b-1}
         # is a_{b-1} at vertex b and a_b a_{b-1} = 0, so only the e_b row
         # of phi at b survives, as the a_{b-1} row of the image, the last
@@ -847,9 +829,8 @@ def hom_to_algebra(x: Bimodule) -> Bimodule:
                         if val:
                             comp_vec[off + q] = val
                 cols.append(tgt2.coords(comp_vec))
-            maps[("h", a, b)] = ExactMatrix(
-                tgt2.dim, h.dim,
-                [cols[c][r] for r in range(tgt2.dim) for c in range(h.dim)])
+            maps[("h", a, b)] = [(r, c, e) for c, col in enumerate(cols)
+                                 for r, e in enumerate(col)]
     out = Bimodule(n, dims, maps)
     out.check_relations()
     return out
@@ -900,8 +881,4 @@ def direct_sum(*mods: Bimodule) -> Bimodule:
                 for c, col in enumerate(cols) for r, e in col)
         for v, d in m.dims.items():
             offset[v] = offset.get(v, 0) + d
-    dims = dict(sorted(offset.items()))
-    return Bimodule(n, dims, {
-        (kind, i, j): ExactMatrix.from_entries(
-            dims[arrow_target(kind, i, j, n)], dims[(i, j)], ents)
-        for (kind, i, j), ents in entries.items()})
+    return Bimodule(n, dict(sorted(offset.items())), entries)

@@ -4,9 +4,10 @@ Everything downstream (hom spaces, tensor quotients, split pairs) reduces to
 rank / kernel / solve questions for smallish matrices with Fraction entries.
 Two representations coexist here:
 
-* ``ExactMatrix``, a dense immutable matrix, the form of map components;
-  ``ExactMatrix.from_entries`` assembles one from sparse (row, col,
-  value) triples;
+* ``ExactMatrix``, a dense immutable matrix, the form of map components
+  and birep matrices; ``ExactMatrix.from_entries`` assembles one from
+  sparse (row, col, value) triples.  Bimodule arrows never take this
+  form: they are built and read as sparse entries;
 * sparse row-dicts (column index -> nonzero scalar), the currency of
   systems: the intertwining and balancing systems, trace pairings and
   solves are very sparse and are cheaper to eliminate without
@@ -133,22 +134,10 @@ class ExactMatrix:
             out.extend(acc)
         return ExactMatrix(self.rows, other.cols, out)
 
-    def add(self, other: "ExactMatrix") -> "ExactMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in add")
-        return ExactMatrix(self.rows, self.cols,
-                           [a + b for a, b in zip(self.entries, other.entries)])
-
     def scale(self, s) -> "ExactMatrix":
         s = _frac(s)
         return ExactMatrix(self.rows, self.cols,
                            [s * a for a in self.entries])
-
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(self.cols, self.rows,
-                           [self.get(r, c)
-                            for c in range(self.cols)
-                            for r in range(self.rows)])
 
     # -- predicates --------------------------------------------------------
 

@@ -16,22 +16,27 @@ Everything is deterministic: pair bases are ordered lexicographically by
 views of the two factors, and ``sparse_kernel_with_frees``, the kernel
 routine of the hom spaces, gives the quotient: its basis is the classes of
 the free columns, and the projection row of a free column is its kernel
-vector.  A map out of the quotient is built on the free columns of its
-source only and read into the target quotient through its projection.
-Equal inputs always give equal outputs, and a map produced by
-``tensor_map`` has source and target equal (not merely isomorphic) to
-the corresponding ``tensor`` results.
+vector.  The projection is kept sparse, as the (quotient index, value) hits
+of each pair column.  A map out of the quotient is built on the free
+columns of its source only, as (pair index, col, value) entries, and
+``TensorSpace.project`` reads them into the target quotient; no dense
+matrix is multiplied.  Equal inputs always give equal outputs, and a map
+produced by ``tensor_map`` has source and target equal (not merely
+isomorphic) to the corresponding ``tensor`` results.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from fractions import Fraction
+from typing import Dict, Iterable, List, Tuple
 
 from .algebras import Vertex, arrow_target, residue
 from .bimodules import Bimodule, BimoduleMap
 from .linalg import ExactMatrix, sparse_kernel_with_frees
 
 PairKey = Tuple[int, int, int]
+# a (row, col, value) entry of a matrix
+Entry = Tuple[int, int, Fraction]
 
 
 class TensorSpace:
@@ -39,8 +44,9 @@ class TensorSpace:
 
     Holds, for every torus vertex with a nonzero quotient: the ordered pair
     basis, the free columns (the pairs whose classes form the quotient
-    basis) and the projection (qdim x pairdim), whose rows are the kernel
-    vectors, so it is the identity on the free columns.
+    basis) and the projection, whose rows are the kernel vectors, so it is
+    the identity on the free columns.  ``projections[v][t]`` lists the
+    (quotient index, value) hits of pair column t.
     """
 
     def __init__(self, x: Bimodule, y: Bimodule) -> None:
@@ -52,7 +58,7 @@ class TensorSpace:
         self.pair_bases: Dict[Vertex, List[PairKey]] = {}
         self.pair_index: Dict[Vertex, Dict[PairKey, int]] = {}
         self.frees: Dict[Vertex, List[int]] = {}
-        self.projections: Dict[Vertex, ExactMatrix] = {}
+        self.projections: Dict[Vertex, List[List[Tuple[int, Fraction]]]] = {}
         self.qdims: Dict[Vertex, int] = {}
         # only the supports are scanned: x by row, y by row then column
         x_rows: Dict[int, List[Tuple[int, int]]] = {}
@@ -100,24 +106,30 @@ class TensorSpace:
                 vectors, frees = sparse_kernel_with_frees(rows, len(basis))
                 if not frees:
                     continue
+                hits: List[List[Tuple[int, Fraction]]] = [[] for _ in basis]
+                for q, vec in enumerate(vectors):
+                    for t, val in vec.items():
+                        hits[t].append((q, val))
                 self.frees[v] = frees
-                self.projections[v] = ExactMatrix.from_entries(
-                    len(frees), len(basis),
-                    ((t, c, val) for t, vec in enumerate(vectors)
-                     for c, val in vec.items()))
+                self.projections[v] = hits
                 self.qdims[v] = len(frees)
+
+    def project(self, v: Vertex, raw: Iterable[Entry]) -> List[Entry]:
+        """The quotient entries at v of raw (pair index, col, value)
+        entries; values at a repeated position are left to add up."""
+        hits = self.projections[v]
+        return [(q, c, h * val) for t, c, val in raw for q, h in hits[t]]
 
     # -- raw (pair-level) maps --------------------------------------------
 
-    def _raw(self, kind: str, i: int, l: int) -> ExactMatrix:
+    def _raw(self, kind: str, i: int, l: int) -> List[Entry]:
         """Left action of a_i ("v") or right action of a_{l-1} ("h") on
-        the free columns of the pair space at (i, l)."""
+        the free columns of the pair space at (i, l), as (pair index, col,
+        value) entries."""
         src = self.pair_bases[(i, l)]
-        frees = self.frees[(i, l)]
-        tv = arrow_target(kind, i, l, self.n)
-        tgt_idx = self.pair_index.get(tv, {})
+        tgt_idx = self.pair_index.get(arrow_target(kind, i, l, self.n), {})
         triples = []
-        for c, (j, xa, yb) in enumerate(src[p] for p in frees):
+        for c, (j, xa, yb) in enumerate(src[p] for p in self.frees[(i, l)]):
             if kind == "v":
                 view, col = self.x.arrow_views.get(("v", i, j)), xa
             else:
@@ -127,8 +139,7 @@ class TensorSpace:
             for s, coef in view[0][col]:
                 key = (j, s, yb) if kind == "v" else (j, xa, s)
                 triples.append((tgt_idx[key], c, coef))
-        return ExactMatrix.from_entries(len(self.pair_bases.get(tv, ())),
-                                        len(frees), triples)
+        return triples
 
     def assemble(self) -> Bimodule:
         """The tensor product as a torus representation."""
@@ -136,11 +147,9 @@ class TensorSpace:
         for (i, l) in self.qdims:
             for kind in ("v", "h"):
                 tv = arrow_target(kind, i, l, self.n)
-                if tv not in self.qdims:
-                    continue
-                mat = self.projections[tv].mul(self._raw(kind, i, l))
-                if not mat.is_zero():
-                    maps[(kind, i, l)] = mat
+                if tv in self.qdims:
+                    maps[(kind, i, l)] = self.project(
+                        tv, self._raw(kind, i, l))
         return Bimodule(self.n, dict(self.qdims), maps)
 
 
@@ -169,11 +178,11 @@ def tensor_map(x: Bimodule, f: BimoduleMap) -> BimoduleMap:
     src = src_space.assemble()
     tgt = tgt_space.assemble()
     comps = {}
-    for v, src_basis in src_space.pair_bases.items():
-        if v not in src_space.qdims or v not in tgt_space.qdims:
+    for v, frees in src_space.frees.items():
+        if v not in tgt_space.qdims:
             continue
+        src_basis = src_space.pair_bases[v]
         tgt_idx = tgt_space.pair_index[v]
-        frees = src_space.frees[v]
         triples = []
         for c, (j, xa, yb) in enumerate(src_basis[p] for p in frees):
             comp = f.components.get((j, v[1]))
@@ -183,7 +192,6 @@ def tensor_map(x: Bimodule, f: BimoduleMap) -> BimoduleMap:
                 coef = comp.get(cc, yb)
                 if coef:
                     triples.append((tgt_idx[(j, xa, cc)], c, coef))
-        raw = ExactMatrix.from_entries(len(tgt_space.pair_bases[v]),
-                                       len(frees), triples)
-        comps[v] = tgt_space.projections[v].mul(raw)
+        comps[v] = ExactMatrix.from_entries(
+            tgt_space.qdims[v], len(frees), tgt_space.project(v, triples))
     return BimoduleMap(src, tgt, comps)

@@ -19,7 +19,6 @@ from nakayama.bimodules import (
     direct_sum,
     dualize,
     hom_to_algebra,
-    identity_map,
     is_isomorphic,
     parse_label,
     regular_bimodule,
@@ -30,6 +29,7 @@ from nakayama.bimodules import (
     _walk,
 )
 from nakayama.algebras import CoverVertex, arrow_target, project, residue
+from nakayama.bireps import _canonical_epi
 from nakayama.tensoring import tensor
 from nakayama.linalg import (
     ONE,
@@ -37,6 +37,13 @@ from nakayama.linalg import (
     ExactMatrix,
     sparse_kernel_with_frees,
     sparse_rank,
+)
+
+from dense_helpers import (
+    dense_arrow,
+    identity_map,
+    module_from_matrices,
+    rescaled,
 )
 
 
@@ -188,9 +195,8 @@ def _m(*rows):
 
 
 def _arrow_matrices(mod):
-    """Every stored arrow as a dense matrix, read through vmap and hmap."""
-    return {(kind, i, j): (mod.vmap if kind == "v" else mod.hmap)(i, j)
-            for kind, i, j in mod.arrow_views}
+    """Every stored arrow as a dense matrix."""
+    return {key: dense_arrow(mod, *key) for key in mod.arrow_views}
 
 
 # (n, dims, arrows, message); at n = 1 every arrow is a loop at 1|1
@@ -233,7 +239,7 @@ BROKEN_RELATIONS = {
 @pytest.mark.parametrize("case", sorted(BROKEN_RELATIONS))
 def test_check_relations_rejects_broken_module(case):
     n, dims, arrows, message = BROKEN_RELATIONS[case]
-    x = Bimodule(n, dims, arrows)
+    x = module_from_matrices(n, dims, arrows)
     assert len(x.arrow_views) == len(arrows)
     with pytest.raises(ValueError, match=message):
         x.check_relations()
@@ -241,40 +247,71 @@ def test_check_relations_rejects_broken_module(case):
 
 def test_check_relations_accepts_paths_composing_to_zero():
     # n = 1: both paths of the square are stored and both are zero
-    x = Bimodule(1, {(1, 1): 2}, {("v", 1, 1): _m([0, 0], [1, 0]),
-                                  ("h", 1, 1): _m([0, 0], [1, 0])})
+    x = module_from_matrices(1, {(1, 1): 2},
+                             {("v", 1, 1): _m([0, 0], [1, 0]),
+                              ("h", 1, 1): _m([0, 0], [1, 0])})
     x.check_relations()
     # only one path is stored, and it composes to zero
-    y = Bimodule(3, {(1, 2): 1, (2, 2): 2, (2, 1): 1},
-                 {("v", 1, 2): _m([1], [0]), ("h", 2, 2): _m([0, 1])})
+    y = module_from_matrices(3, {(1, 2): 1, (2, 2): 2, (2, 1): 1},
+                             {("v", 1, 2): _m([1], [0]),
+                              ("h", 2, 2): _m([0, 1])})
     assert len(y.arrow_views) == 2
     y.check_relations()
 
 
 def test_check_relations_accepts_equal_paths_of_non_unit_values():
     # both paths read 6, one as 12 * 1/2 and the other as 3 * 2
-    x = Bimodule(3, {(1, 2): 1, (2, 2): 1, (1, 1): 1, (2, 1): 1},
-                 {("v", 1, 2): _m([Fraction(1, 2)]), ("h", 2, 2): _m([12]),
-                  ("h", 1, 2): _m([2]), ("v", 1, 1): _m([3])})
+    x = module_from_matrices(
+        3, {(1, 2): 1, (2, 2): 1, (1, 1): 1, (2, 1): 1},
+        {("v", 1, 2): _m([Fraction(1, 2)]), ("h", 2, 2): _m([12]),
+         ("h", 1, 2): _m([2]), ("v", 1, 1): _m([3])})
     assert len(x.arrow_views) == 4
     x.check_relations()
 
 
-def test_vmap_and_hmap_return_the_given_matrices():
-    # the dense matrices are rebuilt from the views; a zero or missing
-    # arrow reads as the zero matrix of its shape
+def test_bimodule_takes_arrows_as_entries():
+    # values at a repeated position add up, an arrow whose entries sum to
+    # zero keeps no view, and a missing arrow reads as the zero matrix of
+    # its shape
     n = 2
     dims = {(1, 1): 2, (2, 1): 2, (1, 2): 1}
-    v11 = _m([Fraction(1, 3), 0], [0, -2])
-    h11 = _m([5, 0])
-    x = Bimodule(n, dims, {("v", 1, 1): v11, ("h", 1, 1): h11,
-                           ("v", 1, 2): ExactMatrix.zeros(0, 1)})
-    assert x.vmap(1, 1) == v11 and x.hmap(3, 1) == h11
-    assert all(type(e) is Fraction for e in x.vmap(1, 1).entries)
-    assert x.vmap(1, 2) == ExactMatrix.zeros(0, 1)
-    assert x.hmap(2, 1) == ExactMatrix.zeros(0, 2)
-    assert x.vmap(2, 1) == ExactMatrix.zeros(2, 2)
-    assert set(x.arrow_views) == {("v", 1, 1), ("h", 1, 1)}
+    x = Bimodule(n, dims, {
+        ("v", 1, 1): [(1, 1, -2), (0, 0, Fraction(1, 6)),
+                      (0, 0, Fraction(1, 6))],
+        ("h", 3, 1): iter([(0, 0, 5)]),
+        ("v", 2, 1): [(0, 1, 4), (0, 1, -4)],
+        ("v", 1, 2): []})
+    assert dict(x.arrow_views) == {
+        ("v", 1, 1): ((((0, Fraction(1, 3)),), ((1, -2),)),
+                      (((0, Fraction(1, 3)),), ((1, -2),))),
+        ("h", 1, 1): ((((0, 5),), ()), (((0, 5),),))}
+    assert type(x.arrow_views[("v", 1, 1)][0][1][0][1]) is int
+    assert dense_arrow(x, "v", 1, 1) == _m([Fraction(1, 3), 0], [0, -2])
+    assert dense_arrow(x, "h", 3, 1) == _m([5, 0])
+    assert all(type(e) is Fraction
+               for e in dense_arrow(x, "v", 1, 1).entries)
+    assert dense_arrow(x, "v", 1, 2) == ExactMatrix.zeros(0, 1)
+    assert dense_arrow(x, "h", 2, 1) == ExactMatrix.zeros(0, 2)
+    assert dense_arrow(x, "v", 2, 1) == ExactMatrix.zeros(2, 2)
+
+
+@pytest.mark.parametrize("arrows", [
+    {("v", 1, 1): [(2, 0, 1)]},  # row outside the 2 x 2 arrow
+    {("v", 1, 1): [(0, 2, 1)]},  # column outside it
+    {("h", 1, 1): [(-1, 0, 1)]},
+    # the target 1|2 of the arrow has dimension 0, so every row is outside,
+    # even for an entry that would add up to zero
+    {("h", 1, 1): [(0, 0, 1), (0, 0, -1)]},
+    {("v", 2, 2): [(0, 0, 1)]},  # an arrow out of a vertex of dimension 0
+])
+def test_bimodule_rejects_entries_outside_the_arrow(arrows):
+    with pytest.raises(ValueError, match="outside"):
+        Bimodule(2, {(1, 1): 2, (2, 1): 2}, arrows)
+
+
+def test_bimodule_rejects_a_matrix_for_an_arrow():
+    with pytest.raises(TypeError):
+        Bimodule(2, {(1, 1): 1, (2, 1): 1}, {("v", 1, 1): _m([1])})
 
 
 # -- hom spaces --------------------------------------------------------------
@@ -334,6 +371,40 @@ def test_identity_and_composition():
     for f in HomSpace(x, x).maps:
         g = f.compose(ident)
         assert g.component(1, 2) == f.component(1, 2)
+
+
+def _with_block(f, v, block):
+    comps = dict(f.components)
+    comps[v] = block
+    return BimoduleMap(f.source, f.target, comps)
+
+
+def test_check_rejects_an_identity_with_one_block_doubled():
+    # every vertex of the string touches a nonzero arrow, so doubling any
+    # one block breaks an intertwining equation
+    x = construct(lab("S", 1, 2, 1), 3)
+    ident = identity_map(x)
+    ident.check()
+    for v in x.dims:
+        bad = _with_block(ident, v, ident.component(*v).scale(2))
+        with pytest.raises(ValueError, match="not a bimodule map"):
+            bad.check()
+
+
+def test_check_rejects_an_epimorphism_with_one_entry_moved():
+    # at n = 1 the epi M^(1) -> N^(1) is one 4 x 5 block [I | 0] that
+    # kills z, the last point; sending z to x_2, the last point of N, and
+    # x_2 to zero breaks f v = v f on the arrow x_2 -> z
+    epi = _canonical_epi(lab("M", 1, 1, 1), lab("N", 1, 1, 1), 1)
+    epi.check()
+    block = epi.component(1, 1)
+    assert (block.rows, block.cols) == (4, 5)
+    assert block == ExactMatrix.from_entries(4, 5, [(r, r, 1)
+                                                    for r in range(4)])
+    moved = ExactMatrix.from_entries(4, 5, [(0, 0, 1), (1, 1, 1),
+                                            (2, 2, 1), (3, 4, 1)])
+    with pytest.raises(ValueError, match="not a bimodule map"):
+        _with_block(epi, (1, 1), moved).check()
 
 
 # -- isomorphism testing -----------------------------------------------------
@@ -450,11 +521,39 @@ def test_duality_on_catalog(n, arg, expected):
     assert is_isomorphic(d, construct(expected, n))
 
 
-def test_double_dual_is_identity_up_to_iso():
-    n = 2
-    for label in catalog_labels(n, 1):
-        x = construct(label, n)
-        assert is_isomorphic(dualize(dualize(x)), x)
+def _reference_dualize(x):
+    """The dense dual that transposed whole arrow matrices."""
+    dims = {(i, j): d for (j, i), d in x.dims.items()}
+    maps = {}
+    for (i, j) in dims:
+        for kind, arrow in (("v", dense_arrow(x, "h", j, i + 1)),
+                            ("h", dense_arrow(x, "v", j - 1, i))):
+            maps[(kind, i, j)] = ExactMatrix.from_entries(
+                arrow.cols, arrow.rows,
+                [(c, r, arrow.get(r, c)) for r in range(arrow.rows)
+                 for c in range(arrow.cols)])
+    return module_from_matrices(x.n, dims, maps)
+
+
+def _duality_inputs(n):
+    mods = [construct(label, n) for label in catalog_labels(n, 2)]
+    mods.append(regular_bimodule(n))
+    if n == 2:
+        mods += [rescaled(lab("S", 1, 1, 1), n, ("v", 1, 1), Fraction(1, 3)),
+                 rescaled(lab("N", 1, 1, 0), n, ("h", 1, 1), Fraction(2))]
+    return mods
+
+
+def test_double_dual_is_the_identity():
+    for n in (1, 2, 3):
+        for x in _duality_inputs(n):
+            assert dualize(dualize(x)) == x, x
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_dualize_matches_dense_transpose_reference(n):
+    for x in _duality_inputs(n):
+        assert dualize(x) == _reference_dualize(x), x
 
 
 def test_dual_of_regular():
@@ -602,7 +701,7 @@ class _ReferenceColumnHom:
             ds, dt_next = x.dim(i, a), len(spaces[ip])
             if ds == 0 or dt_next == 0:
                 continue
-            xa, ba = x.vmap(i, a), arrows[i]
+            xa, ba = dense_arrow(x, "v", i, a), arrows[i]
             dxt, dys = x.dim(ip, a), len(spaces[i])
             for p in range(dt_next):
                 for q in range(ds):
@@ -661,7 +760,8 @@ def _reference_hom_to_algebra(x):
                         continue
                     phi_i = h.component(vec, i)
                     if key[0] == "v":
-                        mat, ds = phi_i.mul(x.hmap(i, ap)), x.dim(i, ap)
+                        mat = phi_i.mul(dense_arrow(x, "h", i, ap))
+                        ds = x.dim(i, ap)
                     else:
                         mat, ds = rho[i].mul(phi_i), x.dim(i, a)
                     for p in range(mat.rows):
@@ -673,7 +773,7 @@ def _reference_hom_to_algebra(x):
             maps[key] = ExactMatrix(
                 tgt.dim, h.dim,
                 [cols[c][r] for r in range(tgt.dim) for c in range(h.dim)])
-    return Bimodule(n, dims, maps)
+    return module_from_matrices(n, dims, maps)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -727,7 +827,7 @@ def _reference_direct_sum(*mods):
             rows = [[ZERO] * ds for _ in range(dt)]
             ro = co = 0
             for m in mods:
-                blk = m.vmap(i, j) if kind == "v" else m.hmap(i, j)
+                blk = dense_arrow(m, kind, i, j)
                 for r in range(blk.rows):
                     for c in range(blk.cols):
                         rows[ro + r][co + c] = blk.get(r, c)
@@ -736,7 +836,7 @@ def _reference_direct_sum(*mods):
             mat = ExactMatrix.from_rows(rows)
             if not mat.is_zero():
                 maps[(kind, i, j)] = mat
-    return Bimodule(n, dims, maps)
+    return module_from_matrices(n, dims, maps)
 
 
 def _reference_hom_system(x, y):
@@ -752,8 +852,7 @@ def _reference_hom_system(x, y):
             ds_x, dt_y = x.dims.get((i, j), 0), y.dims.get(tv, 0)
             if ds_x == 0 or dt_y == 0:
                 continue
-            xa = x.vmap(i, j) if kind == "v" else x.hmap(i, j)
-            ya = y.vmap(i, j) if kind == "v" else y.hmap(i, j)
+            xa, ya = dense_arrow(x, kind, i, j), dense_arrow(y, kind, i, j)
             src_c, tgt_c = offs.get((i, j)), offs.get(tv)
             dxt, dys = x.dims.get(tv, 0), y.dims.get((i, j), 0)
             for p in range(dt_y):
@@ -809,8 +908,8 @@ def test_hom_space_system_matches_reference(n):
 def test_hom_space_of_loop_with_nonzero_diagonal():
     # at n = 1 a loop may have nonzero diagonal entries; the two terms of
     # an equation then cancel, and the builder must drop the zero entry
-    x = Bimodule(1, {(1, 1): 2},
-                 {("v", 1, 1): ExactMatrix.from_rows([[1, 1], [-1, -1]])})
+    x = module_from_matrices(
+        1, {(1, 1): 2}, {("v", 1, 1): _m([1, 1], [-1, -1])})
     x.check_relations()
     assert HomSpace(x, x).dim == 2
     assert is_isomorphic(x, construct(lab("S", 1, 1, 0), 1))
@@ -937,22 +1036,13 @@ def test_intertwiners_match_dense_reference_on_hom_to_algebra():
         _assert_hom_matches_reference(x, h)
 
 
-def _rescaled(label, n, key, scalar):
-    base = construct(label, n)
-    maps = _arrow_matrices(base)
-    maps[key] = ExactMatrix(1, 1, [scalar])
-    out = Bimodule(n, dict(base.dims), maps)
-    out.check_relations()
-    return out
-
-
 @pytest.mark.parametrize("base", [lab("S", 1, 1, 0), lab("S", 1, 1, 1)])
 @pytest.mark.parametrize("scalar", [Fraction(2), Fraction(1, 3)])
 def test_hom_space_with_a_non_unit_arrow_stays_exact(base, scalar):
     # a coefficient other than +-1 sends the system to elimination, whose
     # divisions must see Fractions, not int coefficients
     n = 2
-    x = _rescaled(base, n, ("v", 1, 1), scalar)
+    x = rescaled(base, n, ("v", 1, 1), scalar)
     assert x.arrow_views[("v", 1, 1)] == ((((0, scalar),),),) * 2
     others = [construct(lab("S", 1, 1, 0), n), construct(base, n), x]
     for y in others:
@@ -962,11 +1052,11 @@ def test_hom_space_with_a_non_unit_arrow_stays_exact(base, scalar):
 
 def test_arrow_views_hold_the_nonzero_entries_of_the_arrows():
     n = 2
-    x = _rescaled(lab("S", 1, 1, 1), n, ("v", 1, 1), Fraction(1, 3))
-    zero_arrow = Bimodule(n, dict(x.dims), {
+    x = rescaled(lab("S", 1, 1, 1), n, ("v", 1, 1), Fraction(1, 3))
+    zero_arrow = module_from_matrices(n, dict(x.dims), {
         **_arrow_matrices(x), ("h", 2, 2): ExactMatrix.zeros(1, 1)})
-    loop = Bimodule(1, {(1, 1): 2},
-                    {("v", 1, 1): ExactMatrix.from_rows([[1, 1], [-1, -1]])})
+    loop = module_from_matrices(1, {(1, 1): 2},
+                                {("v", 1, 1): _m([1, 1], [-1, -1])})
     for mod in (x, zero_arrow, loop, regular_bimodule(3),
                 construct(lab("M", 1, 1, 2), 1)):
         matrices = _arrow_matrices(mod)

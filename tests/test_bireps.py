@@ -15,7 +15,6 @@ from nakayama.bimodules import (
     StringLabel,
     catalog_labels,
     construct,
-    identity_map,
     parse_label,
 )
 from nakayama.bireps import (
@@ -37,6 +36,8 @@ from nakayama.bireps import (
 from nakayama.decomposition import cell_of, decompose
 from nakayama.linalg import ONE, ExactMatrix, ZERO, sparse_rref
 from nakayama.tensoring import tensor, tensor_map
+
+from dense_helpers import add, identity_map
 
 # every (n, k) on which the column-by-column cross-checks run
 SMALL_CELLS = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1)]
@@ -337,7 +338,7 @@ def test_arrow_scalar_follows_the_arrow(n, k):
     r = next(f for f in qhom.space if qhom.is_radical(f))
     alpha = core.alphas[0]
     doubled = BimoduleMap(alpha.source, alpha.target, {
-        v: alpha.component(*v).scale(2).add(r.component(*v))
+        v: add(alpha.component(*v).scale(2), r.component(*v))
         for v in alpha.source.dims})
     doubled.check()
     twice = _with_first_arrow(core, doubled)
@@ -463,7 +464,7 @@ def test_sparse_support_matches_dense_matrices():
     for b in _support_cases():
         dense = ExactMatrix.zeros(b.rank, b.rank)
         for mat in b.action_obj.values():
-            dense = dense.add(mat)
+            dense = add(dense, mat)
         support = b._action_support()
         assert support == {idx: e for idx, e in enumerate(dense.entries) if e}
         assert b.f_matrix() == dense
@@ -517,7 +518,7 @@ def _reference_closure(b, s):
 def _reference_is_simple_transitive(b):
     f = ExactMatrix.zeros(b.rank, b.rank)
     for mat in b.action_obj.values():
-        f = f.add(mat)
+        f = add(f, mat)
     for r in range(f.rows):
         for c in range(f.cols):
             if f.get(r, c) < ONE:

@@ -10,11 +10,12 @@ from nakayama.bimodules import (
     StringLabel,
     _CONSTRUCT_CACHE,
     construct,
-    identity_map,
 )
 from nakayama.bireps import _CORE_CACHE, cell_birep, localize
 from nakayama.decomposition import _CANDIDATE_CACHE, _PRODUCT_CACHE
 from nakayama.linalg import ExactMatrix
+
+from dense_helpers import identity_map
 
 CACHES = {
     "construct": _CONSTRUCT_CACHE,

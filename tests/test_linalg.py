@@ -231,11 +231,6 @@ def test_solve_reproduces_every_right_hand_side(data):
     assert m.mul(x) == b
 
 
-def test_transpose_involution():
-    m = ExactMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
-    assert m.transpose().transpose() == m
-
-
 def test_sparse_rref_pivots_sorted_and_cleared():
     rows = [{0: Fraction(2), 2: Fraction(4)},
             {0: Fraction(1), 1: Fraction(1)},

@@ -16,12 +16,13 @@ from nakayama.bimodules import (
     StringLabel,
     catalog_labels,
     construct,
-    identity_map,
     is_isomorphic,
     regular_bimodule,
 )
 from nakayama.linalg import ONE, ZERO, ExactMatrix, sparse_rref
 from nakayama.tensoring import TensorSpace, tensor, tensor_map
+
+from dense_helpers import dense_arrow, identity_map, rescaled
 
 
 def lab(fam, i, j, k=None):
@@ -204,7 +205,7 @@ def _reference_quotient(x, y):
             rows = []
             for a in rng:
                 ap = residue(a + 1, n)
-                hx, vy = x.hmap(i, ap), y.vmap(a, l)
+                hx, vy = dense_arrow(x, "h", i, ap), dense_arrow(y, "v", a, l)
                 for xa in range(x.dim(i, ap)):
                     for yb in range(y.dim(a, l)):
                         row = {}
@@ -242,11 +243,17 @@ def _assert_quotient_matches_reference(x, y):
     assert list(space.pair_bases.items()) == list(bases.items()), (x, y)
     assert space.frees == frees and space.qdims == qdims, (x, y)
     assert space.projections.keys() == projections.keys(), (x, y)
-    for v, mat in space.projections.items():
-        assert (mat.rows, mat.cols) == (projections[v].rows,
-                                        projections[v].cols), (x, y, v)
-        assert mat.entries == projections[v].entries, (x, y, v)
-        assert all(type(e) is Fraction for e in mat.entries), (x, y, v)
+    for v, hits in space.projections.items():
+        # the sparse hits of each pair column, densified
+        want = projections[v]
+        assert len(hits) == want.cols, (x, y, v)
+        assert all(type(h) is Fraction
+                   for column in hits for _, h in column), (x, y, v)
+        mat = ExactMatrix.from_entries(
+            qdims[v], len(hits),
+            [(q, t, h) for t, column in enumerate(hits) for q, h in column])
+        assert mat.rows == want.rows, (x, y, v)
+        assert mat.entries == want.entries, (x, y, v)
 
 
 @pytest.mark.parametrize("n,max_valleys", [(1, 1), (2, 1), (1, 2)])
@@ -269,17 +276,6 @@ def test_tensor_quotient_matches_rref_reference_on_the_unit(n):
     _assert_quotient_matches_reference(reg, reg)
 
 
-def _rescaled(label, key, scalar):
-    n = 2
-    base = construct(label, n)
-    maps = {k: (base.vmap if k[0] == "v" else base.hmap)(*k[1:])
-            for k in base.arrow_views}
-    maps[key] = ExactMatrix(1, 1, [scalar])
-    out = Bimodule(n, dict(base.dims), maps)
-    out.check_relations()
-    return out
-
-
 def test_tensor_quotient_with_non_unit_arrows_matches_rref_reference(
         monkeypatch):
     # a balancing row with a coefficient 2, 3 or 1/3 is not signed, so the
@@ -293,10 +289,10 @@ def test_tensor_quotient_with_non_unit_arrows_matches_rref_reference(
         return rref_kernel(rows, ncols)
 
     monkeypatch.setattr(linalg, "rref_kernel_with_frees", counted)
-    scaled = [_rescaled(lab("S", 1, 1, 0), ("v", 1, 1), Fraction(2)),
-              _rescaled(lab("N", 1, 1, 0), ("h", 1, 1), Fraction(1, 3)),
-              _rescaled(lab("S", 2, 1, 0), ("v", 2, 1), Fraction(3)),
-              _rescaled(lab("N", 1, 2, 0), ("h", 1, 2), Fraction(3))]
+    scaled = [rescaled(lab("S", 1, 1, 0), 2, ("v", 1, 1), Fraction(2)),
+              rescaled(lab("N", 1, 1, 0), 2, ("h", 1, 1), Fraction(1, 3)),
+              rescaled(lab("S", 2, 1, 0), 2, ("v", 2, 1), Fraction(3)),
+              rescaled(lab("N", 1, 2, 0), 2, ("h", 1, 2), Fraction(3))]
     mods = [construct(label, 2) for label in catalog_labels(2, 1)] + scaled
     for x in scaled:
         for y in mods:
