@@ -60,8 +60,10 @@ from .tensoring import tensor, tensor_map
 
 def clear_caches() -> None:
     """Empty every process-wide cache: constructed bimodules, canonical
-    products, decomposition candidates and birep cores."""
+    products, summands by product module, decomposition candidates and
+    birep cores."""
     for cache in (bimodules._CONSTRUCT_CACHE, decomposition._PRODUCT_CACHE,
+                  decomposition._SUMMANDS_CACHE,
                   decomposition._CANDIDATE_CACHE, bireps._CORE_CACHE):
         cache.clear()
 

@@ -165,8 +165,10 @@ class _BirepCore:
     uncontracted action as read-only integer triples, the components whose
     two columns act alike, the (M_{r|s}, N_{r|s}) generator pairs of each
     row r, and lazily filled tables for the morphism-level action: the
-    arrow scalar of each generator and, per column, whether one of them
-    is nonzero."""
+    arrow scalar of each generator, per column whether one of them is
+    nonzero, and the checked pairing of each distinct (object position,
+    arrow end) pair, keyed by the end's value, since many generators
+    share an end."""
 
     def __init__(self, n: int, k: int, column: int):
         self.n, self.k, self.column = n, k, column
@@ -206,6 +208,7 @@ class _BirepCore:
             for r in range(1, n + 1))
         self._scalars: Dict[StringLabel, Fraction] = {}
         self._verdicts: Dict[int, bool] = {}
+        self._ends: Dict[Tuple[int, Bimodule], tuple] = {}
 
     def _assert_cartan(self):
         n = self.n
@@ -259,7 +262,11 @@ class _BirepCore:
         ``_assert_cartan`` its greater-cell ideal, of codimension 1, is the
         radical, whose maps are nilpotent and have trace 0; so each trace
         is dim y times an identity coefficient, and the ratio is that of
-        the split-pair composite (pi sigma')^-1 pi phi sigma."""
+        the split-pair composite (pi sigma')^-1 pi phi sigma.
+
+        Each end's relations and rank-1 pairing with y are checked once
+        per distinct (y, end); a failed check stores nothing, so it fails
+        again on every ask."""
         lam = self._scalars.get(u)
         if lam is None:
             u = u.normalized(self.n)
@@ -274,18 +281,20 @@ class _BirepCore:
             raise CartanError(
                 f"{u} (x) arrow {s} does not join two copies of one "
                 f"valley-cell summand: {hits}")
-        y = self.modules[ypos]
         phi = tensor_map(construct(u, n), self.alphas[s - 1])
         ends = []
         for t in (phi.source, phi.target):
-            t.check_relations()
-            sigmas, pis, g = trace_pairing(y, t)
-            if (mult := sparse_rank(g, len(pis))) != 1:
-                raise CartanError(
-                    f"{self.object_labels[ypos]} occurs {mult} times in "
-                    f"{u} (x) the ends of arrow {s}")
-            a, row = next((a, row) for a, row in enumerate(g) if row)
-            ends.append((sigmas, pis, a, row))
+            end = self._ends.get((ypos, t))
+            if end is None:
+                t.check_relations()
+                sigmas, pis, g = trace_pairing(self.modules[ypos], t)
+                if (mult := sparse_rank(g, len(pis))) != 1:
+                    raise CartanError(
+                        f"{self.object_labels[ypos]} occurs {mult} times in "
+                        f"{u} (x) the ends of arrow {s}")
+                a, row = next((a, row) for a, row in enumerate(g) if row)
+                end = self._ends[(ypos, t)] = (sigmas, pis, a, row)
+            ends.append(end)
         (sigmas, _, a, _), (_, pis, _, row) = ends
         b = min(row)
         lam = composite_trace(pis, b, phi, sigmas, a) / row[b]

@@ -13,8 +13,9 @@ and two-sided cells; the two-sided cells form a chain.
 
 Products are translation equivariant, so the sweep runs over translation
 orbits rather than ordered pairs: each canonical product (two kinds and
-an offset) is decomposed once, and each anchor shift of it becomes one
-bitmask of catalog summands, shared by the n pairs with that shift.
+an offset) is looked up once, and each anchor shift of a nonzero one
+becomes one bitmask of catalog summands, shared by the n pairs with that
+shift.  Canonical products equal as bimodules are decomposed only once.
 """
 
 from __future__ import annotations
@@ -35,7 +36,11 @@ BAND_NOTE = "band-type bimodules lie below every listed cell and are not enumera
 
 
 def _close_reachability(adjacency: List[int], count: int) -> List[int]:
-    """Reflexive-transitive closure of a bitmask adjacency list."""
+    """Reflexive-transitive closure of a bitmask adjacency list.
+
+    Closures are found in index order, so a frontier node below the start
+    already has its final closure, which is taken whole, not expanded.
+    """
     closed = []
     for start in range(count):
         seen = 1 << start
@@ -46,7 +51,11 @@ def _close_reachability(adjacency: List[int], count: int) -> List[int]:
             rest = frontier
             while rest:
                 low = rest & -rest
-                step |= adjacency[low.bit_length() - 1]
+                node = low.bit_length() - 1
+                if node < start:
+                    seen |= closed[node]
+                else:
+                    step |= adjacency[node]
                 rest ^= low
             frontier = step & ~seen
         closed.append(seen)
@@ -91,6 +100,8 @@ def _divisibility_edges(labels: Sequence[StringLabel],
         for fam_v, k_v in kinds:
             for e in anchors:
                 summands = canonical_summands(n, fam_u, k_u, e, fam_v, k_v)
+                if not summands:  # every shift of it has mask 0
+                    continue
                 for i in anchors:
                     for s in anchors:
                         mask = 0
@@ -107,9 +118,9 @@ def _divisibility_edges(labels: Sequence[StringLabel],
                         row_masks[row] = row_masks.get(row, 0) | mask
                         col = (fam_v, k_v, s)
                         col_masks[col] = col_masks.get(col, 0) | mask
-    up_left = [1 << b | col_masks[(x.family, x.k, x.j)]
+    up_left = [1 << b | col_masks.get((x.family, x.k, x.j), 0)
                for b, x in enumerate(labels)]
-    up_right = [1 << b | row_masks[(x.family, x.k, x.i)]
+    up_right = [1 << b | row_masks.get((x.family, x.k, x.i), 0)
                 for b, x in enumerate(labels)]
     return up_left, up_right
 
@@ -161,7 +172,8 @@ class CellStructure:
         members = set(self.cell_with_name(name))
         rows = [c for c in self.right_cells if set(c) <= members]
         cols = [c for c in self.left_cells if set(c) <= members]
-        grid = [[[x for x in row if x in set(col)] for col in cols]
+        col_sets = [set(col) for col in cols]
+        grid = [[[x for x in row if x in col] for col in col_sets]
                 for row in rows]
         placed = sum(len(entry) for line in grid for entry in line)
         if placed != len(members):

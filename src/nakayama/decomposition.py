@@ -201,8 +201,14 @@ def decompose_product(u: StringLabel, v: StringLabel,
     the catalog up to the larger valley count of the two (and at least 1)
     is searched; a residual, if any, is reported.
     """
-    t = tensor(construct(u, n), construct(v, n))
-    return decompose(t, max(u.k or 0, v.k or 0, 1))
+    return decompose(*_product(u, v, n))
+
+
+def _product(u: StringLabel, v: StringLabel,
+             n: int) -> Tuple[Bimodule, int]:
+    """construct(u) (x) construct(v) and the valley bound to search it by."""
+    return (tensor(construct(u, n), construct(v, n)),
+            max(u.k or 0, v.k or 0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +216,7 @@ def decompose_product(u: StringLabel, v: StringLabel,
 # ---------------------------------------------------------------------------
 
 _PRODUCT_CACHE: Dict[tuple, Tuple[StringLabel, ...]] = {}
+_SUMMANDS_CACHE: Dict[Tuple[Bimodule, int], Tuple[StringLabel, ...]] = {}
 
 
 def canonical_summands(n: int, fam_u: str, k_u: Optional[int], e: int,
@@ -219,19 +226,27 @@ def canonical_summands(n: int, fam_u: str, k_u: Optional[int], e: int,
     at 1|1, decomposed once and cached.
 
     The arguments are those of normalized labels.  This is the one place
-    that fills the product cache.
+    that fills the product cache.  Many products are equal as bimodules
+    (most of them zero), so a miss looks its product up by value, with
+    its valley bound, in the summand cache, and only a product not seen
+    before is decomposed and certified; a ``Bimodule`` is read-only and
+    hashes by its dimensions and arrow views.
     """
     key = (n, fam_u, k_u, e, fam_v, k_v)
     summands = _PRODUCT_CACHE.get(key)
     if summands is None:
         u0 = StringLabel(fam_u, 1, e, k_u)
         v0 = StringLabel(fam_v, 1, 1, k_v)
-        rep = decompose_product(u0, v0, n)
-        if rep.residual_dim:
-            raise RuntimeError(
-                f"unexpected residual of dim {rep.residual_dim} in "
-                f"{u0} (x) {v0} at n={n}")
-        summands = _PRODUCT_CACHE[key] = tuple(rep.summands)
+        product = _product(u0, v0, n)
+        summands = _SUMMANDS_CACHE.get(product)
+        if summands is None:
+            rep = decompose(*product)
+            if rep.residual_dim:
+                raise RuntimeError(
+                    f"unexpected residual of dim {rep.residual_dim} in "
+                    f"{u0} (x) {v0} at n={n}")
+            summands = _SUMMANDS_CACHE[product] = tuple(rep.summands)
+        _PRODUCT_CACHE[key] = summands
     return summands
 
 

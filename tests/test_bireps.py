@@ -9,13 +9,17 @@ from math import comb
 import pytest
 
 import nakayama
+from nakayama import bireps
 from nakayama.bimodules import (
+    Bimodule,
     BimoduleMap,
     HomSpace,
     StringLabel,
     catalog_labels,
     construct,
+    direct_sum,
     parse_label,
+    trace_pairing,
 )
 from nakayama.bireps import (
     CartanError,
@@ -609,6 +613,56 @@ def test_classify_computes_each_arrow_scalar_once(monkeypatch):
     assert all(e["simple_transitive"] for e in report.entries)
     generators = cell_birep(n, 1).core.generators
     assert sorted(asked) == sorted(generators)
+
+
+def test_classify_checks_each_distinct_arrow_end_once(monkeypatch):
+    pairings, checked = [], []
+    check_relations = Bimodule.check_relations
+
+    def counting_pairing(y, t):
+        pairings.append((y, t))
+        return trace_pairing(y, t)
+
+    def counting_check(self):
+        checked.append(self)
+        return check_relations(self)
+
+    nakayama.clear_caches()
+    monkeypatch.setattr(bireps, "trace_pairing", counting_pairing)
+    monkeypatch.setattr(Bimodule, "check_relations", counting_check)
+    classify(3, 1)
+    core = cell_birep(3, 1).core
+    ends = set()
+    for u in core.generators:
+        s = u.j
+        ypos = next(r for r, c, _ in core.action_entries[u] if c == s - 1)
+        umod = construct(u, 3)
+        for obj in (core.modules[3 + s - 1], core.modules[s - 1]):
+            ends.add((core.modules[ypos], tensor(umod, obj)))
+    assert len(pairings) == len(set(pairings)) == len(ends)
+    assert set(pairings) == ends
+    assert len(ends) < 2 * len(core.generators)
+    for _, t in pairings:
+        assert sum(c is t for c in checked) == 1
+
+
+def test_arrow_end_of_rank_two_fails_on_every_ask(monkeypatch):
+    # y pairs with t (+) y to rank 2; a failed end must store nothing
+    core = copy.copy(cell_birep(2, 1).core)
+    core._scalars, core._ends = {}, {}
+    asked = []
+
+    def doubled(y, t):
+        asked.append(t)
+        return trace_pairing(y, direct_sum(t, y))
+
+    monkeypatch.setattr(bireps, "trace_pairing", doubled)
+    u = core.by_column[1][0]
+    for ask in (1, 2):
+        with pytest.raises(CartanError, match="occurs 2 times"):
+            core.arrow_scalar(u)
+        assert len(asked) == ask
+        assert not core._ends and not core._scalars
 
 
 def test_classify_rank_one():

@@ -12,7 +12,11 @@ from nakayama.bimodules import (
     construct,
 )
 from nakayama.bireps import _CORE_CACHE, cell_birep, localize
-from nakayama.decomposition import _CANDIDATE_CACHE, _PRODUCT_CACHE
+from nakayama.decomposition import (
+    _CANDIDATE_CACHE,
+    _PRODUCT_CACHE,
+    _SUMMANDS_CACHE,
+)
 from nakayama.linalg import ExactMatrix
 
 from dense_helpers import identity_map
@@ -20,6 +24,7 @@ from dense_helpers import identity_map
 CACHES = {
     "construct": _CONSTRUCT_CACHE,
     "product": _PRODUCT_CACHE,
+    "summands": _SUMMANDS_CACHE,
     "candidate": _CANDIDATE_CACHE,
     "core": _CORE_CACHE,
 }

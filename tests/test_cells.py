@@ -1,10 +1,12 @@
 """Tests for the cell structure computation."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nakayama.bimodules import StringLabel, catalog_labels
 from nakayama.cells import (
     CellStructure,
+    _close_reachability,
     _divisibility_edges,
     compute_cells,
     is_idempotent_cell,
@@ -155,3 +157,32 @@ def _all_pairs_edges(labels, n):
 def test_orbit_sweep_matches_all_pairs_sweep(n, max_valleys):
     labels = catalog_labels(n, max_valleys)
     assert _divisibility_edges(labels, n) == _all_pairs_edges(labels, n)
+
+
+def _warshall_closure(adjacency):
+    """Reflexive-transitive closure by Floyd-Warshall over bitmask rows."""
+    reach = [row | 1 << i for i, row in enumerate(adjacency)]
+    for m in range(len(reach)):
+        for i in range(len(reach)):
+            if reach[i] >> m & 1:
+                reach[i] |= reach[m]
+    return reach
+
+
+@st.composite
+def _digraphs(draw):
+    """Bitmask adjacency lists of up to 40 nodes; cycles and self-loops
+    arise freely."""
+    count = draw(st.integers(1, 40))
+    node = st.integers(0, count - 1)
+    adjacency = [0] * count
+    for a, b in draw(st.lists(st.tuples(node, node), max_size=2 * count)):
+        adjacency[a] |= 1 << b
+    return adjacency
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_digraphs())
+def test_close_reachability_matches_floyd_warshall(adjacency):
+    assert (_close_reachability(adjacency, len(adjacency))
+            == _warshall_closure(adjacency))

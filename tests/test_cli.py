@@ -199,6 +199,17 @@ def test_cells_at_one_vertex_output_is_byte_stable(capsys):
         "9576b5301e79ead153fac560c19500b96d107c02ccfd5a7131f716d78869d75a")
 
 
+def test_cells_at_three_valleys_output_is_byte_stable(capsys):
+    # at n = 3 with three valleys many canonical products are equal as
+    # bimodules and share one decomposition, so those shared answers are
+    # pinned
+    status = main(["cells", "--n", "3", "--max-valleys", "3", "--json"])
+    out = capsys.readouterr().out
+    assert status == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "9eb5db0b911fb6250f796b8dd5f96958b570733579a878c562ae14882ffc0d5d")
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     status = main(["multable", "--n", "1", "--k", "1",

@@ -16,7 +16,10 @@ from nakayama.bimodules import (
 )
 from nakayama.decomposition import (
     _CANDIDATE_CACHE,
+    _PRODUCT_CACHE,
+    _SUMMANDS_CACHE,
     _candidates,
+    canonical_summands,
     cell_chain_position,
     cell_name,
     cell_of,
@@ -26,7 +29,9 @@ from nakayama.decomposition import (
     multable_check,
     product_summands,
 )
+import nakayama
 from nakayama import decomposition
+from nakayama.cells import compute_cells
 from nakayama.linalg import ExactMatrix, sparse_rank
 from nakayama.tensoring import tensor
 
@@ -282,6 +287,43 @@ def test_canonical_products_leave_no_residual(n):
                 u, v = lab(fam_u, 1, e, k_u), lab(fam_v, 1, 1, k_v)
                 rep = decompose_product(u, v, n)
                 assert rep.residual_dim == 0, (u, v)
+
+
+def _canonical_product(n, fam_u, k_u, e, fam_v, k_v):
+    """The canonical product module and its valley bound, built afresh."""
+    u, v = lab(fam_u, 1, e, k_u), lab(fam_v, 1, 1, k_v)
+    return (tensor(construct(u, n), construct(v, n)),
+            max(k_u or 0, k_v or 0, 1))
+
+
+def test_cells_decompose_each_distinct_product_once(monkeypatch):
+    calls = []
+
+    def counting(t, max_valleys):
+        calls.append((t, max_valleys))
+        return decompose(t, max_valleys)
+
+    nakayama.clear_caches()
+    monkeypatch.setattr(decomposition, "decompose", counting)
+    compute_cells(3, 2)
+    distinct = {_canonical_product(*key) for key in _PRODUCT_CACHE}
+    assert len(calls) == len(set(calls)) == len(distinct)
+    assert set(calls) == distinct == set(_SUMMANDS_CACHE)
+    assert len(distinct) < len(_PRODUCT_CACHE)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_memoized_summands_match_a_fresh_decomposition(n):
+    nakayama.clear_caches()
+    kinds = sorted({(x.family, x.k) for x in catalog_labels(n, 2)},
+                   key=lambda fk: (fk[1] is not None, fk))
+    for fam_u, k_u in kinds:
+        for fam_v, k_v in kinds:
+            for e in range(1, n + 1):
+                key = (n, fam_u, k_u, e, fam_v, k_v)
+                fresh = decompose(*_canonical_product(*key))
+                assert canonical_summands(*key) == tuple(fresh.summands), key
+    assert len(_SUMMANDS_CACHE) < len(_PRODUCT_CACHE)
 
 
 def test_product_summands_translation_consistency():
