@@ -164,10 +164,13 @@ class Bimodule:
     iterable of (row, col, value) entries, with the rules of
     ``ExactMatrix.from_entries``, and kept only in ``arrow_views``, one
     ``ArrowView`` per nonzero arrow; ``dims`` and ``arrow_views`` are
-    read-only views, so a shared cached module cannot be changed."""
+    read-only views, so a shared cached module cannot be changed.
+    ``views`` stands in for ``arrows`` with views that already fit
+    ``dims`` under reduced keys, as ``translated`` passes them on."""
 
     def __init__(self, n: int, dims: Dict[Vertex, int],
-                 arrows: Dict[ArrowKey, Iterable]) -> None:
+                 arrows: Dict[ArrowKey, Iterable], *,
+                 views: Optional[Dict[ArrowKey, ArrowView]] = None) -> None:
         self.n = n
         for (i, j), d in dims.items():
             if not (1 <= i <= n and 1 <= j <= n) or d < 0:
@@ -175,14 +178,17 @@ class Bimodule:
                                  f"{n} x {n} torus")
         self.dims = MappingProxyType({v: d for v, d in dims.items() if d})
         self.total_dim = sum(self.dims.values())
-        views = {}
-        for (kind, i, j), entries in arrows.items():
-            i, j = residue(i, n), residue(j, n)
-            ds = self.dims.get((i, j), 0)
-            dt = self.dims.get(arrow_target(kind, i, j, n), 0)
-            view = _arrow_view(dt, ds, entries)
-            if view is not None:
-                views[(kind, i, j)] = view
+        if views is None:
+            views = {}
+            for (kind, i, j), entries in arrows.items():
+                i, j = residue(i, n), residue(j, n)
+                ds = self.dims.get((i, j), 0)
+                dt = self.dims.get(arrow_target(kind, i, j, n), 0)
+                view = _arrow_view(dt, ds, entries)
+                if view is not None:
+                    views[(kind, i, j)] = view
+        elif arrows:
+            raise ValueError("give a module arrows or views, not both")
         self.arrow_views = MappingProxyType(views)
 
     # -- basic geometry ----------------------------------------------------
@@ -239,6 +245,16 @@ class Bimodule:
                 commutes = one_way == other
             if not commutes:
                 raise ValueError(f"square does not commute at {i}|{j}")
+
+    def translated(self, di: int, dj: int) -> "Bimodule":
+        """This module moved by (di, dj) along the torus, a quiver
+        automorphism: every view carries over, keys keep their order."""
+        n = self.n
+        moved = {(i, j): (residue(i + di, n), residue(j + dj, n))
+                 for (i, j) in self.dims}  # every arrow starts in dims
+        return Bimodule(n, {moved[v]: d for v, d in self.dims.items()}, {},
+                        views={(kind, *moved[i, j]): view for (kind, i, j),
+                               view in self.arrow_views.items()})
 
     # -- dunder ------------------------------------------------------------
 
@@ -370,16 +386,30 @@ _CONSTRUCT_CACHE: Dict[Tuple[StringLabel, int], Bimodule] = {}
 def construct(label: StringLabel, n: int) -> Bimodule:
     """Build the catalog bimodule named by the label, for the given n.
 
-    The walk is laid out on the cover and projected; when several walk
-    points land on one torus vertex (small n, long walks) they stack up in
-    walk order, so all arrow matrices are 0/1.  Results are cached and
-    shared, which is safe because a Bimodule is read-only.
+    Only the walk at anchor 1|1 is built and checked, once per family, k
+    and n; the walk at i|j is that walk moved along the torus, so its
+    module is the 1|1 module translated by (i-1, j-1), in the same stored
+    order.  Results are cached and shared, which is safe because a
+    Bimodule is read-only.
     """
     lab = label.normalized(n)
     cached = _CONSTRUCT_CACHE.get((lab, n))
     if cached is not None:
         return cached
-    pts, edges = _walk(lab)
+    origin = StringLabel(lab.family, 1, 1, lab.k)
+    out = _CONSTRUCT_CACHE.get((origin, n))
+    if out is None:
+        out = _CONSTRUCT_CACHE[(origin, n)] = _walk_module(origin, n)
+    if lab != origin:
+        out = _CONSTRUCT_CACHE[(lab, n)] = out.translated(lab.i - 1,
+                                                          lab.j - 1)
+    return out
+
+
+def _walk_module(label: StringLabel, n: int) -> Bimodule:
+    """The label's walk laid out on the cover and projected: points on one
+    torus vertex stack up in walk order, so every arrow matrix is 0/1."""
+    pts, edges = _walk(label)
     verts = [project(p, n) for p in pts]
     local: List[int] = []
     dims: Dict[Vertex, int] = {}
@@ -389,8 +419,7 @@ def construct(label: StringLabel, n: int) -> Bimodule:
     cells: Dict[ArrowKey, List[Tuple[int, int]]] = {}
     for (a, b, kind) in edges:
         cells.setdefault((kind, *verts[a]), []).append((local[b], local[a]))
-    out = _CONSTRUCT_CACHE[(lab, n)] = _zero_one_module(n, dims, cells)
-    return out
+    return _zero_one_module(n, dims, cells)
 
 
 def _zero_one_module(n: int, dims: Dict[Vertex, int],
@@ -623,16 +652,17 @@ def composite_trace(back: HomSpace, b: int, f: BimoduleMap,
 def is_isomorphic(x: Bimodule, y: Bimodule) -> bool:
     """Decide x = y up to isomorphism, exactly.
 
-    Unequal dimension vectors rule it out, and an invertible element of
-    the Hom(x, y) basis proves it; the basis maps are built one at a time
-    and the search stops at the first invertible one.  Otherwise the
-    pairing ranks decide: rank(x, y) is the weighted inner product of the
-    multiplicity vectors of x and y, so x = y exactly when
-    rank(x, y) = rank(x, x) = rank(y, y).
+    Unequal dimension vectors rule it out.  Equal modules are isomorphic
+    by the identity map, so no hom is solved for them.  Otherwise an
+    invertible element of the Hom(x, y) basis proves it; the basis maps
+    are built one at a time and the search stops at the first invertible
+    one.  Failing that, the pairing ranks decide: rank(x, y) is the
+    weighted inner product of the multiplicity vectors of x and y, so
+    x = y exactly when rank(x, y) = rank(x, x) = rank(y, y).
     """
     if x.dim_vector() != y.dim_vector():
         return False
-    if x.is_zero():
+    if x == y or x.is_zero():
         return True
     if any(f.is_invertible() for f in HomSpace(x, y)):
         return True
@@ -741,22 +771,36 @@ _LE_ARROW = _arrow_view(1, 1, [(0, 0, 1)])
 _LE_ARROW_LOOP = _arrow_view(2, 2, [(1, 0, 1)])
 
 
+_COLUMN_HOM_CACHE: Dict[tuple, tuple] = {}
+
+
 class _ColumnHom:
-    """Hom of left modules from column a of x into Le_b, with coordinates."""
+    """Hom of left modules from column a of x into Le_b, with coordinates.
+    Its system reads only n, b, the dimensions of column a at b-1, b, b+1
+    and the views of a_b and a_{b-1} on it, so its read-only (offsets,
+    vectors, frees) are cached under exactly those."""
 
     def __init__(self, x: Bimodule, a: int, b: int):
         n = x.n
         bp, bm = residue(b + 1, n), residue(b - 1, n)
         self.tgt_dims = {1: 2} if n == 1 else {b: 1, bp: 1}
-        src_dims = {i: x.dims[(i, a)] for i in (bm, b, bp) if (i, a) in x.dims}
-        # the arrows into Le_b's support: a_b, and a_{b-1} unless n = 1
-        arrows = [(b, bp, x.arrow_views.get(("v", b, a)),
-                   _LE_ARROW_LOOP if n == 1 else _LE_ARROW)]
-        if n > 1:
-            arrows.append((bm, b, x.arrow_views.get(("v", bm, a)), None))
-        self.offsets, total, rows = _intertwining_rows(
-            src_dims, self.tgt_dims, arrows)
-        self.vectors, self.frees = sparse_kernel_with_frees(rows, total)
+        col = tuple(x.dims.get((i, a), 0) for i in (bm, b, bp))
+        up, low = (x.arrow_views.get(("v", i, a)) for i in (b, bm))
+        key = (n, b, col, up, low)
+        solved = _COLUMN_HOM_CACHE.get(key)
+        if solved is None:
+            # the arrows into Le_b's support: a_b, and a_{b-1} unless n = 1
+            arrows = [(b, bp, up, _LE_ARROW_LOOP if n == 1 else _LE_ARROW)]
+            if n > 1:
+                arrows.append((bm, b, low, None))
+            offsets, total, rows = _intertwining_rows(
+                {i: d for i, d in zip((bm, b, bp), col) if d},
+                self.tgt_dims, arrows)
+            vectors, frees = sparse_kernel_with_frees(rows, total)
+            solved = _COLUMN_HOM_CACHE[key] = (
+                MappingProxyType(offsets),
+                tuple(map(MappingProxyType, vectors)), tuple(frees))
+        self.offsets, self.vectors, self.frees = solved
 
     @property
     def dim(self) -> int:

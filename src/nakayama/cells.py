@@ -9,7 +9,10 @@ catalog members is missed.  Band-type bimodules (the regular bimodule
 among them) sit strictly below everything listed here and are excluded.
 
 Mutual comparability carves the catalog into left cells, right cells,
-and two-sided cells; the two-sided cells form a chain.
+and two-sided cells; the two-sided cells form a chain.  Each two-sided
+cell is named by its computed position in the chain, and
+``compute_cells`` raises unless that is the position the valley count
+of every member predicts.
 
 Products are translation equivariant, so the sweep runs over translation
 orbits rather than ordered pairs: each canonical product (two kinds and
@@ -27,8 +30,10 @@ from .bimodules import StringLabel, catalog_labels
 from .decomposition import (
     _label_sort_key,
     canonical_summands,
+    cell_chain_position,
     cell_name,
     cell_of,
+    chain_cell,
     product_summands,
 )
 
@@ -148,7 +153,9 @@ class CellStructure:
 
     @property
     def cell_names(self) -> List[str]:
-        return [cell_name(cell_of(cell[0])) for cell in self.two_sided_cells]
+        """The name of each two-sided cell, read off its chain position."""
+        return [cell_name(chain_cell(p))
+                for p in range(len(self.two_sided_cells))]
 
     def chain(self) -> List[str]:
         """Cell names from greatest to least; requires a total order."""
@@ -157,10 +164,10 @@ class CellStructure:
         return self.cell_names
 
     def cell_with_name(self, name: str) -> List[StringLabel]:
-        for cell in self.two_sided_cells:
-            if cell_name(cell_of(cell[0])) == name:
-                return cell
-        raise KeyError(f"no two-sided cell named {name!r}")
+        names = self.cell_names
+        if name not in names:
+            raise KeyError(f"no two-sided cell named {name!r}")
+        return self.two_sided_cells[names.index(name)]
 
     def egg_box(self, name: str):
         """Rows (right cells), columns (left cells), and the grid of a cell.
@@ -193,8 +200,8 @@ class CellStructure:
             "left_cells": [cell_literals(c) for c in self.left_cells],
             "right_cells": [cell_literals(c) for c in self.right_cells],
             "two_sided_cells": [
-                {"name": cell_name(cell_of(c[0])), "members": cell_literals(c)}
-                for c in self.two_sided_cells
+                {"name": name, "members": cell_literals(c)}
+                for name, c in zip(self.cell_names, self.two_sided_cells)
             ],
             "two_sided_order": [list(pair) for pair in self.two_sided_order],
             "chain": self.cell_names if self.chain_is_total else None,
@@ -249,13 +256,19 @@ def compute_cells(n: int, max_valleys: int) -> CellStructure:
                                       for cj in range(len(two_classes))))
     two_sided = [sorted((labels[i] for i in two_classes[ci]),
                         key=_label_sort_key) for ci in order]
+    # each cell is named by its computed chain position, which must be the
+    # position that the valley count of every member predicts
+    for pos, cell in enumerate(two_sided):
+        wrong = [x for x in cell if cell_chain_position(cell_of(x)) != pos]
+        if wrong:
+            raise RuntimeError(
+                f"{wrong[0]} lies in the cell at chain position {pos}, "
+                f"{cell_name(chain_cell(pos))}, not in "
+                f"{cell_name(cell_of(wrong[0]))}")
     rank = {ci: pos for pos, ci in enumerate(order)}
-    pairs = sorted(
-        (cell_name(cell_of(labels[two_classes[ci][0]])),
-         cell_name(cell_of(labels[two_classes[cj][0]])))
-        for (ci, cj) in above
-        if rank[ci] < rank[cj]
-    )
+    pairs = sorted((cell_name(chain_cell(rank[ci])),
+                    cell_name(chain_cell(rank[cj])))
+                   for (ci, cj) in above if rank[ci] < rank[cj])
 
     return CellStructure(
         n=n,

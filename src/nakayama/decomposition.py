@@ -69,6 +69,19 @@ def cell_chain_position(cell: CellTag) -> int:
     return cell[1] + 1
 
 
+def chain_cell(position: int) -> CellTag:
+    """The cell at a chain position, the inverse of ``cell_chain_position``.
+
+    >>> [chain_cell(p) for p in range(4)]
+    [('split',), ('M0',), ('J', 1), ('J', 2)]
+    """
+    if position == 0:
+        return ("split",)
+    if position == 1:
+        return ("M0",)
+    return ("J", position - 1)
+
+
 def cell_name(cell: CellTag) -> str:
     if cell == ("split",):
         return "J_split"

@@ -9,11 +9,13 @@ from fractions import Fraction
 
 import pytest
 
+from nakayama import bimodules
 from nakayama.bimodules import (
     Bimodule,
     BimoduleMap,
     HomSpace,
     StringLabel,
+    adjunction_command,
     catalog_labels,
     construct,
     direct_sum,
@@ -166,6 +168,51 @@ def test_construct_reduces_indices():
     a = construct(lab("S", 4, 1, 1), 3)
     b = construct(lab("S", 1, 1, 1), 3)
     assert a == b
+
+
+def _walk_built(label, n):
+    """The module of the walk at the label's own anchor, pushed down to
+    the torus with stacked points in walk order; ``construct`` walks only
+    at 1|1 and translates, so this is its independent oracle."""
+    pts, edges = _walk(label.normalized(n))
+    verts = [project(p, n) for p in pts]
+    local, dims = [], {}
+    for v in verts:
+        local.append(dims.get(v, 0))
+        dims[v] = dims.get(v, 0) + 1
+    arrows = {}
+    for a, b, kind in edges:
+        arrows.setdefault((kind, *verts[a]), []).append(
+            (local[b], local[a], 1))
+    out = Bimodule(n, dims, arrows)
+    out.check_relations()
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_construct_equals_the_walk_at_every_anchor(n):
+    # at n = 1 and 2 the walks wrap and their points stack, so the
+    # translated module must keep the stacking order of the walk
+    labels = catalog_labels(n, 3) + [lab("S", 1 - n, 2 * n + 3, 2),
+                                     lab("W", n + 2, 0, 0)]
+    for label in labels:
+        got, want = construct(label, n), _walk_built(label, n)
+        assert got == want, label
+        assert list(got.dims.items()) == list(want.dims.items()), label
+        assert list(got.arrow_views.items()) == \
+            list(want.arrow_views.items()), label
+        assert got.total_dim == want.total_dim == label.dimension
+
+
+def test_translated_moves_every_vertex_and_arrow():
+    n = 3
+    x = construct(lab("M", 1, 1, 1), n)
+    y = x.translated(1, 2)
+    assert y == _walk_built(lab("M", 2, 3, 1), n)
+    assert y.translated(-1, -2) == x
+    with pytest.raises(ValueError, match="not both"):
+        Bimodule(n, dict(y.dims), {("v", 2, 3): [(0, 0, 1)]},
+                 views=dict(y.arrow_views))
 
 
 def test_regular_bimodule_shape():
@@ -409,10 +456,65 @@ def test_check_rejects_an_epimorphism_with_one_entry_moved():
 
 # -- isomorphism testing -----------------------------------------------------
 
+def _rebased(x, vertex, scalar):
+    """x after scaling its basis at one vertex by scalar: arrows out of the
+    vertex scale by scalar and arrows into it by its inverse."""
+    mats = {}
+    for key in x.arrow_views:
+        mat = dense_arrow(x, *key)
+        factor = Fraction(1)
+        if key[1:] == vertex:
+            factor *= scalar
+        if arrow_target(key[0], key[1], key[2], x.n) == vertex:
+            factor /= scalar
+        mats[key] = ExactMatrix(mat.rows, mat.cols,
+                                [e * factor for e in mat.entries])
+    out = module_from_matrices(x.n, dict(x.dims), mats)
+    out.check_relations()
+    return out
+
+
 def test_iso_reflexive_across_catalog():
+    # the rebased twin is the same module in another basis, so it is
+    # isomorphic but unequal, and the identity is no witness for it
     for label in catalog_labels(2, 1):
         x = construct(label, 2)
         assert is_isomorphic(x, construct(label, 2))
+        if not x.arrow_views:
+            continue
+        source = next(iter(x.arrow_views))[1:]
+        twin = _rebased(x, source, Fraction(3))
+        assert twin != x, label
+        assert is_isomorphic(x, twin) and is_isomorphic(twin, x), label
+
+
+@pytest.mark.parametrize("label, key", [
+    (lab("W", 1, 1, 1), ("h", 2, 2)),
+    (lab("M", 1, 2, 1), ("v", 1, 2)),
+    (lab("S", 2, 1, 0), ("v", 2, 1)),
+])
+def test_iso_of_a_rescaled_copy_is_witnessed_by_a_basis_map(label, key):
+    n = 2
+    x, y = construct(label, n), rescaled(label, n, key, Fraction(-5, 2))
+    assert x != y
+    assert any(f.is_invertible() for f in HomSpace(x, y))
+    assert is_isomorphic(x, y) and is_isomorphic(y, x)
+
+
+def test_iso_of_equal_modules_builds_no_hom_space(monkeypatch):
+    def no_hom_space(*args):
+        raise AssertionError("a hom space was solved for equal modules")
+
+    monkeypatch.setattr(bimodules, "HomSpace", no_hom_space)
+    for label in catalog_labels(2, 1):
+        x = construct(label, 2)
+        twin = _walk_built(label, 2)
+        assert twin is not x and is_isomorphic(x, twin), label
+    # Hom(S_{i|j}, A) comes out equal to N_{j|i}, not only isomorphic
+    assert adjunction_command(4, 2)["ok"]
+    with pytest.raises(AssertionError, match="hom space"):
+        is_isomorphic(construct(lab("W", 1, 1, 1), 2),
+                      rescaled(lab("W", 1, 1, 1), 2, ("v", 1, 1), 3))
 
 
 def test_iso_rejects_different_dim_vectors():
@@ -485,6 +587,7 @@ def test_iso_of_swapped_sum_is_decided_by_rank():
     w = construct(lab("W", 1, 1, 1), n)
     s = construct(L(1, 1), n)
     x, y = direct_sum(w, s), direct_sum(s, w)
+    assert x != y
     assert not any(f.is_invertible() for f in HomSpace(x, y))
     assert is_isomorphic(x, y)
 
@@ -635,6 +738,25 @@ def test_hom_to_algebra_swaps_s_into_n(n, i, j, k):
     src = construct(lab("S", i, j, k), n)
     expected = construct(lab("N", j, i, k), n)
     assert is_isomorphic(hom_to_algebra(src), expected)
+
+
+def test_adjunction_solves_each_column_hom_once(monkeypatch):
+    # every anchor's hom comes out equal to its N string, so no HomSpace
+    # is solved and each kernel solve is a column hom seen for the first
+    # time
+    solved = []
+    real = bimodules.sparse_kernel_with_frees
+
+    def counting(rows, ncols):
+        solved.append(ncols)
+        return real(rows, ncols)
+
+    monkeypatch.setattr(bimodules, "_COLUMN_HOM_CACHE", {})
+    monkeypatch.setattr(bimodules, "sparse_kernel_with_frees", counting)
+    assert adjunction_command(5, 3)["ok"]
+    assert 0 < len(solved) == len(bimodules._COLUMN_HOM_CACHE)
+    assert adjunction_command(5, 3)["ok"]
+    assert len(solved) == len(bimodules._COLUMN_HOM_CACHE)
 
 
 def test_hom_to_algebra_kills_nothing_on_squares():
@@ -980,7 +1102,7 @@ def _assert_same_system(got, want, context):
     assert list(offs.items()) == list(r_offs.items()), context
     assert [list(v.items()) for v in vectors] == \
         [list(v.items()) for v in r_vectors], context
-    assert frees == r_frees, context
+    assert list(frees) == list(r_frees), context
     assert all(type(val) is Fraction
                for v in vectors for val in v.values()), context
 

@@ -1,6 +1,9 @@
 """clear_caches empties every process-wide cache and changes no answer."""
 
+import importlib
 import json
+import pkgutil
+import re
 
 import pytest
 
@@ -8,7 +11,10 @@ import nakayama
 from nakayama import classify, clear_caches, compute_cells
 from nakayama.bimodules import (
     StringLabel,
+    _COLUMN_HOM_CACHE,
     _CONSTRUCT_CACHE,
+    _ColumnHom,
+    adjunction_command,
     construct,
 )
 from nakayama.bireps import _CORE_CACHE, cell_birep, localize
@@ -23,6 +29,7 @@ from dense_helpers import identity_map
 
 CACHES = {
     "construct": _CONSTRUCT_CACHE,
+    "column hom": _COLUMN_HOM_CACHE,
     "product": _PRODUCT_CACHE,
     "summands": _SUMMANDS_CACHE,
     "candidate": _CANDIDATE_CACHE,
@@ -49,6 +56,7 @@ def test_clear_caches_empties_every_cache(restored_caches):
     assert "clear_caches" in nakayama.__all__
     compute_cells(1, 1)
     classify(2, 1)
+    adjunction_command(2, 1)
     for name, cache in restored_caches.items():
         assert cache, f"{name} cache was not filled"
     clear_caches()
@@ -60,9 +68,11 @@ def test_answers_equal_cold_and_warm(restored_caches):
     clear_caches()
     cold_cells = _dump(compute_cells(2, 1).to_json())
     cold_classify = _dump(classify(3, 1).to_json())
+    cold_adjunction = _dump(adjunction_command(3, 2))
     assert all(restored_caches.values())
     assert _dump(compute_cells(2, 1).to_json()) == cold_cells
     assert _dump(classify(3, 1).to_json()) == cold_classify
+    assert _dump(adjunction_command(3, 2)) == cold_adjunction
 
 
 def test_shared_action_data_rejects_writes(restored_caches):
@@ -95,3 +105,42 @@ def test_constructed_modules_reject_writes():
     again = construct(label, 2)
     assert again is x
     assert dict(again.dims) == dims and dict(again.arrow_views) == views
+
+
+def _module_caches():
+    """Every module-level dict of the package named like _NAME_CACHE."""
+    found = {}
+    for info in pkgutil.iter_modules(nakayama.__path__):
+        module = importlib.import_module(f"nakayama.{info.name}")
+        for attr, value in vars(module).items():
+            if re.fullmatch(r"_\w+_CACHE", attr) and isinstance(value, dict):
+                found[f"{info.name}.{attr}"] = value
+    return found
+
+
+def test_clear_caches_reaches_every_module_cache(restored_caches):
+    found = _module_caches()
+    assert "bimodules._COLUMN_HOM_CACHE" in found
+    registered = [id(cache) for cache in restored_caches.values()]
+    for name, cache in found.items():
+        assert id(cache) in registered, f"{name} is missing from CACHES"
+        cache[("sentinel", name)] = None
+    clear_caches()
+    for name, cache in found.items():
+        assert not cache, f"clear_caches leaves {name} filled"
+
+
+def test_cached_column_homs_reject_writes(restored_caches):
+    x = construct(StringLabel("S", 1, 1, 2), 3)
+    h = _ColumnHom(x, 1, 1)
+    assert h.dim
+    with pytest.raises(TypeError):
+        h.vectors[0][h.frees[0]] = 5
+    with pytest.raises(TypeError):
+        h.vectors[0] = {}
+    with pytest.raises(TypeError):
+        h.offsets[1] = 0
+    with pytest.raises(AttributeError):
+        h.frees.append(0)
+    again = _ColumnHom(x, 1, 1)
+    assert again.vectors is h.vectors and again.offsets is h.offsets

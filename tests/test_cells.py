@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nakayama.bimodules import StringLabel, catalog_labels
+from nakayama import cells
 from nakayama.cells import (
     CellStructure,
     _close_reachability,
@@ -11,7 +12,13 @@ from nakayama.cells import (
     compute_cells,
     is_idempotent_cell,
 )
-from nakayama.decomposition import cell_name, cell_of, product_summands
+from nakayama.decomposition import (
+    cell_chain_position,
+    cell_name,
+    cell_of,
+    chain_cell,
+    product_summands,
+)
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +55,31 @@ def test_m0_is_the_unique_non_idempotent_cell(structures, n):
     flags = {cell_name(cell_of(cell[0])): is_idempotent_cell(cell, cs)
              for cell in cs.two_sided_cells}
     assert flags == {"J_split": True, "J_M0": False, "J_1": True, "J_2": True}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cells_are_named_by_chain_position(structures, n):
+    cs = structures[n]
+    for pos, (name, cell) in enumerate(zip(cs.cell_names,
+                                           cs.two_sided_cells)):
+        assert name == cell_name(chain_cell(pos))
+        assert cell_chain_position(chain_cell(pos)) == pos
+        assert all(cell_chain_position(cell_of(x)) == pos for x in cell)
+        assert cs.cell_with_name(name) is cell
+    with pytest.raises(KeyError):
+        cs.cell_with_name("J_9")
+
+
+def test_a_cell_off_its_predicted_position_raises(monkeypatch):
+    # predict the one-valley strings one cell too deep: the computed
+    # chain no longer agrees with the prediction
+    def shifted(label):
+        tag = cell_of(label)
+        return ("J", 2) if tag == ("J", 1) else tag
+
+    monkeypatch.setattr(cells, "cell_of", shifted)
+    with pytest.raises(RuntimeError, match="chain position 2"):
+        compute_cells(2, 1)
 
 
 def test_partitions_cover_and_are_disjoint(structures):

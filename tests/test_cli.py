@@ -210,6 +210,26 @@ def test_cells_at_three_valleys_output_is_byte_stable(capsys):
         "9eb5db0b911fb6250f796b8dd5f96958b570733579a878c562ae14882ffc0d5d")
 
 
+def test_cellrep_output_is_byte_stable(capsys):
+    # the cell birep reads every generator's module from construct, which
+    # translates the module built at anchor 1|1
+    status = main(["cellrep", "--n", "3", "--k", "2", "--json"])
+    out = capsys.readouterr().out
+    assert status == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "228d94e1dff70797ea372698218cbc624af232d6c6da5d15e5baec7d9a5d390b")
+
+
+def test_adjunction_wrapping_output_is_byte_stable(capsys):
+    # at n = 2 with k = 3 the walks wrap the torus, so translated modules
+    # and cached column homs meet stacked points
+    status = main(["adjunction", "--n", "2", "--k", "3", "--json"])
+    out = capsys.readouterr().out
+    assert status == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "ac225c4bf414b3f8c8580841514ef63e733912e71c7c48254348d24b897a9107")
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     status = main(["multable", "--n", "1", "--k", "1",
