@@ -30,7 +30,8 @@ off the arrow views, as the relation check, restriction, duality, direct
 sums and ``hom_to_algebra`` read them, so the equations of a system between
 0/1 modules carry int coefficients.  Every producer hands ``Bimodule`` its
 arrows as sparse (row, col, value) entries: no dense matrix is built to
-make, transpose or check an arrow.
+make, transpose or check an arrow, and ``BimoduleMap`` keeps its vertex
+blocks as views too.
 """
 
 from __future__ import annotations
@@ -44,13 +45,7 @@ from types import MappingProxyType
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .algebras import CoverVertex, Vertex, arrow_target, project, residue
-from .linalg import (
-    ExactMatrix,
-    ZERO,
-    rank,
-    sparse_kernel_with_frees,
-    sparse_rank,
-)
+from .linalg import ZERO, sparse_kernel_with_frees, sparse_rank
 
 FAMILIES = ("P", "L", "W", "S", "N", "M")
 
@@ -141,8 +136,8 @@ ArrowView = Tuple[tuple, tuple]
 
 def _arrow_view(rows: int, cols: int, entries) -> Optional[ArrowView]:
     """The view of the rows x cols matrix with the given (row, col, value)
-    entries, or None when it is zero; values at a repeated position add
-    up, and an entry outside the shape raises ValueError."""
+    entries, or None when it is zero; values at one position add up, and
+    any entry off the shape raises ValueError."""
     sums: Dict[Tuple[int, int], Fraction] = {}
     for r, c, v in entries:
         if not (0 <= r < rows and 0 <= c < cols):
@@ -159,11 +154,32 @@ def _arrow_view(rows: int, cols: int, entries) -> Optional[ArrowView]:
     return tuple(by_col), tuple(by_row)
 
 
+def _view_product(outer: Optional[ArrowView],
+                  inner: Optional[ArrowView]) -> Optional[List[dict]]:
+    """The columns of outer times inner, as dicts; None if either is None."""
+    if outer is None or inner is None:
+        return None
+    out = []
+    for col in inner[0]:
+        acc: dict = {}
+        for m, a in col:
+            for r, b in outer[0][m]:
+                acc[r] = acc.get(r, 0) + a * b
+        out.append({r: v for r, v in acc.items() if v})
+    return out
+
+
+def _view_rank(view: ArrowView) -> int:
+    """The rank of a view's matrix, over Fractions, as elimination divides."""
+    return sparse_rank([{c: Fraction(v) for c, v in row} for row in view[1]],
+                       len(view[0]))
+
+
 class Bimodule:
     """A representation of the torus quiver.  Each arrow is given as an
-    iterable of (row, col, value) entries, with the rules of
-    ``ExactMatrix.from_entries``, and kept only in ``arrow_views``, one
-    ``ArrowView`` per nonzero arrow; ``dims`` and ``arrow_views`` are
+    iterable of (row, col, value) entries, under the rule of
+    ``_arrow_view``, and kept only in ``arrow_views``, one ``ArrowView``
+    per nonzero arrow; ``dims`` and ``arrow_views`` are
     read-only views, so a shared cached module cannot be changed.
     ``views`` stands in for ``arrows`` with views that already fit
     ``dims`` under reduced keys, as ``translated`` passes them on."""
@@ -212,32 +228,17 @@ class Bimodule:
         not built; a square with one stored path commutes exactly when that
         path is zero.
         """
-        n, views = self.n, self.arrow_views
-
-        def path(second: ArrowKey, first: ArrowKey) -> Optional[List[dict]]:
-            # the columns of second o first as dicts {row: nonzero value}
-            outer, inner = views.get(second), views.get(first)
-            if outer is None or inner is None:
-                return None
-            out = []
-            for col in inner[0]:
-                acc: dict = {}
-                for m, a in col:
-                    for r, b in outer[0][m]:
-                        acc[r] = acc.get(r, 0) + a * b
-                out.append({r: v for r, v in acc.items() if v})
-            return out
-
+        n, get = self.n, self.arrow_views.get
         for (i, j) in self.dims:
             up, left = arrow_target("v", i, j, n), arrow_target("h", i, j, n)
-            vv = path(("v", *up), ("v", i, j))
+            vv = _view_product(get(("v", *up)), get(("v", i, j)))
             if vv is not None and any(vv):
                 raise ValueError(f"vertical square nonzero at {i}|{j}")
-            hh = path(("h", *left), ("h", i, j))
+            hh = _view_product(get(("h", *left)), get(("h", i, j)))
             if hh is not None and any(hh):
                 raise ValueError(f"horizontal square nonzero at {i}|{j}")
-            one_way = path(("h", *up), ("v", i, j))
-            other = path(("v", *left), ("h", i, j))
+            one_way = _view_product(get(("h", *up)), get(("v", i, j)))
+            other = _view_product(get(("v", *left)), get(("h", i, j)))
             if one_way is None or other is None:
                 lone = other if one_way is None else one_way
                 commutes = lone is None or not any(lone)
@@ -278,41 +279,34 @@ class Bimodule:
 
 
 class BimoduleMap:
-    """A homomorphism of bimodules: one matrix per torus vertex, in the
-    read-only view ``components``."""
+    """A homomorphism of bimodules.  Each vertex block is given as (row,
+    col, value) entries, under the rule of ``_arrow_view``, and kept as its
+    ``ArrowView`` in the read-only view ``components``."""
 
     def __init__(self, source: Bimodule, target: Bimodule,
-                 components: Dict[Vertex, ExactMatrix]) -> None:
+                 blocks: Dict[Vertex, Iterable]) -> None:
         self.source = source
         self.target = target
-        comps = {}
-        for v, mat in components.items():
-            ds, dt = source.dims.get(v, 0), target.dims.get(v, 0)
-            if mat.rows != dt or mat.cols != ds:
-                raise ValueError(f"component at {v}: wrong shape")
-            if ds and dt and not mat.is_zero():
-                comps[v] = mat
-        self.components = MappingProxyType(comps)
-
-    def component(self, i: int, j: int) -> ExactMatrix:
-        n = self.source.n
-        v = (residue(i, n), residue(j, n))
-        mat = self.components.get(v)
-        if mat is None:
-            return ExactMatrix.zeros(self.target.dims.get(v, 0),
-                                     self.source.dims.get(v, 0))
-        return mat
+        views = {}
+        for v, entries in blocks.items():
+            view = _arrow_view(target.dims.get(v, 0), source.dims.get(v, 0),
+                               entries)
+            if view is not None:
+                views[v] = view
+        self.components = MappingProxyType(views)
 
     def compose(self, other: "BimoduleMap") -> "BimoduleMap":
-        """self after other."""
-        comps = {}
-        for v in other.source.dims:
-            if self.target.dims.get(v, 0) and other.source.dims.get(v, 0):
-                comps[v] = self.component(*v).mul(other.component(*v))
-        return BimoduleMap(other.source, self.target, comps)
+        """self after other, block by block as sparse view products."""
+        blocks = {}
+        for v, inner in other.components.items():
+            cols = _view_product(self.components.get(v), inner)
+            if cols is not None:
+                blocks[v] = [(r, c, e) for c, col in enumerate(cols)
+                             for r, e in col.items()]
+        return BimoduleMap(other.source, self.target, blocks)
 
     def is_zero(self) -> bool:
-        return all(m.is_zero() for m in self.components.values())
+        return not self.components
 
     def check(self) -> None:
         """Raise ValueError unless every row of the intertwining system
@@ -328,10 +322,9 @@ class BimoduleMap:
         x, y = self.source, self.target
         if x.dim_vector() != y.dim_vector():
             return False
-        for v, d in x.dims.items():
-            if rank(self.component(*v)) != d:
-                return False
-        return True
+        views = self.components
+        return all(v in views and _view_rank(views[v]) == d
+                   for v, d in x.dims.items())
 
     def __repr__(self) -> str:
         return (f"BimoduleMap({self.source!r} -> {self.target!r}, "
@@ -535,17 +528,12 @@ def _unknowns(f: BimoduleMap, offsets: Dict) -> Dict[int, Fraction]:
     system; an unknown of a zero block is missing."""
     vec: Dict[int, Fraction] = {}
     for v, off in offsets.items():
-        mat = f.components.get(v)
-        if mat is not None:
-            vec.update(enumerate(mat.entries, off))
+        view = f.components.get(v)
+        if view is not None:
+            ds = len(view[0])
+            vec.update((off + r * ds + c, e)
+                       for r, row in enumerate(view[1]) for c, e in row)
     return vec
-
-
-def _block(vec: Dict[int, Fraction], off: int, rows: int,
-           cols: int) -> ExactMatrix:
-    """The rows x cols block of a kernel vector stored row-major at off."""
-    return ExactMatrix(rows, cols, [vec.get(off + k, ZERO)
-                                    for k in range(rows * cols)])
 
 
 class HomSpace(Sequence):
@@ -570,13 +558,17 @@ class HomSpace(Sequence):
         return len(self.vectors)
 
     def __getitem__(self, a: int) -> BimoduleMap:
-        return BimoduleMap(self.x, self.y, self.components(a))
+        return BimoduleMap(self.x, self.y, self.blocks(a))
 
-    def components(self, a: int) -> Dict[Vertex, ExactMatrix]:
-        """The vertex blocks of the a-th basis map, built fresh."""
+    def blocks(self, a: int) -> Dict[Vertex, List[Tuple[int, int, Fraction]]]:
+        """The blocks of the a-th basis map, as entries of its vector."""
         vec, x, y = self.vectors[a], self.x, self.y
-        return {v: _block(vec, off, y.dims[v], x.dims[v])
-                for v, off in self._offsets.items()}
+        out = {}
+        for v, off in self._offsets.items():
+            ds = x.dims[v]
+            out[v] = [(k // ds, k % ds, e) for k in range(ds * y.dims[v])
+                      if (e := vec.get(off + k))]
+        return out
 
     @property
     def dim(self) -> int:
@@ -588,9 +580,9 @@ class HomSpace(Sequence):
         return list(self)
 
     def coords_of(self, f: BimoduleMap) -> Tuple[Fraction, ...]:
-        """Coordinates of an intertwiner in this basis (reads free slots)."""
+        """Coordinates of f in this basis, as Fractions (reads free slots)."""
         vec = _unknowns(f, self._offsets)
-        return tuple(vec.get(fr, ZERO) for fr in self.frees)
+        return tuple(Fraction(vec.get(fr, 0)) for fr in self.frees)
 
 
 def trace_pairing(x: Bimodule, y: Bimodule):
@@ -634,14 +626,14 @@ def composite_trace(back: HomSpace, b: int, f: BimoduleMap,
     """tr(back[b] o f o fwd[a]), for fwd into f's source and back out of
     f's target, read off the two kernel vectors with no map built."""
     sig, pi, total = fwd.vectors[a], back.vectors[b], ZERO
-    for v, mat in f.components.items():
+    for v, (cols, rows) in f.components.items():
         if v in fwd._offsets and v in back._offsets:
             s_off, p_off, dy = fwd._offsets[v], back._offsets[v], fwd.x.dims[v]
-            for idx, e in enumerate(mat.entries):
-                j, k = divmod(idx, mat.cols)
-                for i in range(dy):
-                    if e and (p := pi.get(p_off + i * mat.rows + j)):
-                        total += p * e * sig.get(s_off + k * dy + i, 0)
+            for k, col in enumerate(cols):
+                for j, e in col:
+                    for i in range(dy):
+                        if p := pi.get(p_off + i * len(rows) + j):
+                            total += p * e * sig.get(s_off + k * dy + i, 0)
     return total
 
 
@@ -711,13 +703,11 @@ def restrict_left(x: Bimodule) -> LeftDecomposition:
     col_dims: Counter = Counter()
     for (i, _j), d in x.dims.items():
         col_dims[i] += d
-    # a_i acts block-diagonally over the columns; its rank is read off the
-    # row view, as Fractions, since elimination divides
+    # a_i acts block-diagonally over the columns
     ranks: Counter = Counter()
-    for (kind, i, _j), (cols, rows) in x.arrow_views.items():
+    for (kind, i, _j), view in x.arrow_views.items():
         if kind == "v":
-            ranks[i] += sparse_rank([{c: Fraction(v) for c, v in row}
-                                     for row in rows], len(cols))
+            ranks[i] += _view_rank(view)
     projs: Counter = Counter()
     simples: Counter = Counter()
     for i in range(1, n + 1):
@@ -904,7 +894,7 @@ def adjunction_command(n: int, k: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# direct sums (artifact plumbing used by tests and the decomposer)
+# direct sums (plumbing for building test modules)
 # ---------------------------------------------------------------------------
 
 def direct_sum(*mods: Bimodule) -> Bimodule:

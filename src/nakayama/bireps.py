@@ -149,9 +149,7 @@ def _canonical_epi(m_label: StringLabel, n_label: StringLabel,
             raise CartanError(
                 f"the walks of {m_label} and {n_label} part at {v_m} and {v_n}")
         entries.setdefault(v_m, []).append((l_n, l_m, ONE))
-    out = BimoduleMap(src, tgt, {
-        v: ExactMatrix.from_entries(tgt.dims[v], src.dims[v], here)
-        for v, here in entries.items()})
+    out = BimoduleMap(src, tgt, entries)
     out.check()
     return out
 

@@ -5,10 +5,11 @@ into projective-injectives, simples, and strings; no bands appear.  Each
 catalog member X has a local endomorphism ring with residue field Q, so
 the multiplicity of X in T is the rank of the exact trace pairing between
 Hom(X, T) and Hom(T, X).  The decomposer reads off those ranks, largest
-candidates first, and certifies the result twice: by a split pair for each
-summand found, and by dimension balance, since the multiplicities times
-the dimension vectors must fit inside dim T.  Whatever the catalog does
-not account for is reported as a residual dimension, never guessed at.
+candidates first, and certifies them twice: by a split pair per summand,
+whose retraction is solved on sparse rows with no dense matrix, and by
+dimension balance, since the multiplicities times the dimension vectors
+must fit inside dim T.  Whatever the catalog does not account for is
+reported as a residual dimension, never guessed at.
 
 Cells are tagged by position in the linear chain
 
@@ -34,7 +35,7 @@ from .bimodules import (
     construct,
     trace_pairing,
 )
-from .linalg import sparse_rank
+from .linalg import ONE, solve, sparse_rank
 from .tensoring import tensor
 
 CellTag = Tuple
@@ -105,17 +106,28 @@ def _split_pair(x: Bimodule, sigmas: HomSpace, pis: HomSpace, g: list):
 
     g is the trace pairing of the two hom spaces, as the sparse rows of
     ``trace_pairing``; a is its first nonempty row and b the least column
-    in it.  A nonzero trace makes pis[b] o sigmas[a] non-nilpotent, hence
-    invertible when End(x) is local; the retraction is rescaled by its
-    inverse, vertex by vertex, so only the two returned maps are built.
+    in it.  The nonzero trace makes p sig invertible, for p = pis[b] and
+    sig = sigmas[a], when End(x) is local.  One solve of [(p sig)_v | I |
+    p_v] per vertex v, with p read off its kernel vector and no map built,
+    certifies that (or raises RuntimeError) and gives (p sig)_v^-1 p_v.
     """
     a, row = next((a, row) for a, row in enumerate(g) if row)
-    b = min(row)
-    sig, pi = sigmas[a], pis.components(b)
+    sig, p = sigmas[a], pis.blocks(min(row))
     retraction = {}
-    for v in x.dims:
-        p = pi[v]
-        retraction[v] = p.mul(sig.component(*v)).inverse().mul(p)
+    for v, d in x.dims.items():
+        # the rows of [(p sig)_v | I | p_v]; m X = I has a solution
+        # exactly when the square (p sig)_v is invertible
+        sig_v = sig.components.get(v)
+        rows: List[dict] = [{d + r: ONE} for r in range(d)]
+        for r, c, e in p[v]:
+            rows[r][2 * d + c] = e
+            for k, s in sig_v[1][c] if sig_v else ():
+                rows[r][k] = rows[r].get(k, 0) + e * s
+        out = solve([{c: e for c, e in row.items() if e} for row in rows],
+                    d, 2 * d + pis.x.dims[v])
+        if out is None:
+            raise RuntimeError(f"p sig is singular at {v}: no split pair")
+        retraction[v] = [(r, c - d, e) for r, c, e in out if c >= d]
     return sig, BimoduleMap(pis.x, x, retraction)
 
 

@@ -4,10 +4,10 @@ Everything downstream (hom spaces, tensor quotients, split pairs) reduces to
 rank / kernel / solve questions for smallish matrices with Fraction entries.
 Two representations coexist here:
 
-* ``ExactMatrix``, a dense immutable matrix, the form of map components
-  and birep matrices; ``ExactMatrix.from_entries`` assembles one from
-  sparse (row, col, value) triples.  Bimodule arrows never take this
-  form: they are built and read as sparse entries;
+* ``ExactMatrix``, a dense immutable matrix, the form of the matrices a
+  birep reports; ``ExactMatrix.from_entries`` assembles one from sparse
+  (row, col, value) triples.  Bimodule arrows and the blocks of bimodule
+  maps never take this form: they are built and read as sparse entries;
 * sparse row-dicts (column index -> nonzero scalar), the currency of
   systems: the intertwining and balancing systems, trace pairings and
   solves are very sparse and are cheaper to eliminate without
@@ -42,8 +42,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
-
-Scalar = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -93,15 +91,6 @@ class ExactMatrix:
             flat[k] = flat[k] + v if flat[k] else v
         return cls(rows, cols, flat)
 
-    @classmethod
-    def identity(cls, n: int) -> "ExactMatrix":
-        return cls(n, n, [ONE if i == j else ZERO
-                          for i in range(n) for j in range(n)])
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
-        return cls(rows, cols, [ZERO] * (rows * cols))
-
     # -- access ------------------------------------------------------------
 
     def get(self, r: int, c: int) -> Fraction:
@@ -143,14 +132,6 @@ class ExactMatrix:
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.entries)
-
-    def inverse(self) -> "ExactMatrix":
-        if self.rows != self.cols:
-            raise ValueError("not square")
-        inv = solve(self, ExactMatrix.identity(self.rows))
-        if inv is None:
-            raise ValueError("matrix is singular")
-        return inv
 
     # -- dunder ------------------------------------------------------------
 
@@ -344,37 +325,21 @@ def sparse_rank(rows: list, ncols: int) -> int:
     return len(sparse_rref(rows, ncols)[1])
 
 
-def rank(m: ExactMatrix) -> int:
-    """Rank over the rationals, computed exactly.
+def solve(rows: list, n: int, ncols: int) -> Optional[list]:
+    """Some exact solution X of m X = b, as its nonzero (row, col, value)
+    entries, or None when the system is inconsistent.
 
-    >>> rank(ExactMatrix.from_rows([[1, 2], [2, 4]]))
-    1
+    rows are the sparse rows of [m | b], of Fractions, ncols wide, with m
+    in the columns below n.  One elimination solves for every column of b:
+    a reduced row with its pivot among b's columns is inconsistent, and
+    otherwise each pivot row reads its unknown off them; free ones are 0.
+
+    >>> two = Fraction(2)
+    >>> solve([{0: two, 2: ONE, 3: 4 * ONE}, {1: ONE, 2: 3 * ONE}], 2, 4)
+    [(0, 0, Fraction(1, 2)), (0, 1, Fraction(2, 1)), (1, 0, Fraction(3, 1))]
     """
-    return sparse_rank([{c: v for c, v in enumerate(m.row(r)) if v}
-                        for r in range(m.rows)], m.cols)
-
-
-def solve(m: ExactMatrix, b: ExactMatrix) -> Optional[ExactMatrix]:
-    """Some exact solution X of m X = b, or None when inconsistent.
-
-    The right-hand sides are the columns of b, and one elimination of the
-    sparse rows of [m | b] solves them all: the system is inconsistent
-    exactly when a reduced row has its pivot among b's columns, and
-    otherwise each pivot row reads its unknown off those columns.  Free
-    variables are set to zero, so the answer is deterministic.
-
-    >>> solve(ExactMatrix.from_rows([[2, 0], [0, 1]]),
-    ...       ExactMatrix.from_rows([[1, 4], [3, 0]]))
-    ExactMatrix(2x2: 1/2 2; 3 0)
-    """
-    if b.rows != m.rows:
-        raise ValueError("right-hand side has the wrong number of rows")
-    n = m.cols
-    rows = [{c: v for c, v in enumerate(m.row(r) + b.row(r)) if v}
-            for r in range(m.rows)]
-    rref, pivots = sparse_rref(rows, n + b.cols)
+    rref, pivots = sparse_rref(rows, ncols)
     if pivots and pivots[-1] >= n:
         return None
-    return ExactMatrix.from_entries(n, b.cols, (
-        (p, c - n, v) for p, row in zip(pivots, rref)
-        for c, v in row.items() if c >= n))
+    return [(p, c - n, v) for p, row in zip(pivots, rref)
+            for c, v in row.items() if c >= n]

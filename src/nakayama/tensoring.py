@@ -17,12 +17,12 @@ views of the two factors, and ``sparse_kernel_with_frees``, the kernel
 routine of the hom spaces, gives the quotient: its basis is the classes of
 the free columns, and the projection row of a free column is its kernel
 vector.  The projection is kept sparse, as the (quotient index, value) hits
-of each pair column.  A map out of the quotient is built on the free
-columns of its source only, as (pair index, col, value) entries, and
-``TensorSpace.project`` reads them into the target quotient; no dense
-matrix is multiplied.  Equal inputs always give equal outputs, and a map
-produced by ``tensor_map`` has source and target equal (not merely
-isomorphic) to the corresponding ``tensor`` results.
+of each pair column.  An arrow or map block out of the quotient is built
+on the free columns of its source only, as (pair index, col, value)
+entries read off views, and ``TensorSpace.project`` reads them into the
+target quotient; no dense matrix is built.  Equal inputs always give equal
+outputs, and a map produced by ``tensor_map`` has source and target equal
+(not merely isomorphic) to the corresponding ``tensor`` results.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import Dict, Iterable, List, Tuple
 
 from .algebras import Vertex, arrow_target, residue
 from .bimodules import Bimodule, BimoduleMap
-from .linalg import ExactMatrix, sparse_kernel_with_frees
+from .linalg import sparse_kernel_with_frees
 
 PairKey = Tuple[int, int, int]
 # a (row, col, value) entry of a matrix
@@ -177,7 +177,7 @@ def tensor_map(x: Bimodule, f: BimoduleMap) -> BimoduleMap:
     tgt_space = TensorSpace(x, f.target)
     src = src_space.assemble()
     tgt = tgt_space.assemble()
-    comps = {}
+    blocks = {}
     for v, frees in src_space.frees.items():
         if v not in tgt_space.qdims:
             continue
@@ -185,13 +185,9 @@ def tensor_map(x: Bimodule, f: BimoduleMap) -> BimoduleMap:
         tgt_idx = tgt_space.pair_index[v]
         triples = []
         for c, (j, xa, yb) in enumerate(src_basis[p] for p in frees):
-            comp = f.components.get((j, v[1]))
-            if comp is None:
-                continue
-            for cc in range(comp.rows):
-                coef = comp.get(cc, yb)
-                if coef:
-                    triples.append((tgt_idx[(j, xa, cc)], c, coef))
-        comps[v] = ExactMatrix.from_entries(
-            tgt_space.qdims[v], len(frees), tgt_space.project(v, triples))
-    return BimoduleMap(src, tgt, comps)
+            view = f.components.get((j, v[1]))
+            if view is not None:
+                triples.extend((tgt_idx[(j, xa, cc)], c, coef)
+                               for cc, coef in view[0][yb])
+        blocks[v] = tgt_space.project(v, triples)
+    return BimoduleMap(src, tgt, blocks)

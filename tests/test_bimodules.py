@@ -8,6 +8,7 @@ are frozen here as oracles.
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nakayama import bimodules
 from nakayama.bimodules import (
@@ -27,7 +28,6 @@ from nakayama.bimodules import (
     restrict_left,
     trace_pairing,
     _ColumnHom,
-    _block,
     _walk,
 )
 from nakayama.algebras import CoverVertex, arrow_target, project, residue
@@ -42,10 +42,17 @@ from nakayama.linalg import (
 )
 
 from dense_helpers import (
+    catalog_homs,
+    combination,
     dense_arrow,
+    dense_block,
+    dense_rank,
     identity_map,
+    kernel_block,
+    map_from_matrices,
     module_from_matrices,
     rescaled,
+    zeros,
 )
 
 
@@ -337,9 +344,9 @@ def test_bimodule_takes_arrows_as_entries():
     assert dense_arrow(x, "h", 3, 1) == _m([5, 0])
     assert all(type(e) is Fraction
                for e in dense_arrow(x, "v", 1, 1).entries)
-    assert dense_arrow(x, "v", 1, 2) == ExactMatrix.zeros(0, 1)
-    assert dense_arrow(x, "h", 2, 1) == ExactMatrix.zeros(0, 2)
-    assert dense_arrow(x, "v", 2, 1) == ExactMatrix.zeros(2, 2)
+    assert dense_arrow(x, "v", 1, 2) == zeros(0, 1)
+    assert dense_arrow(x, "h", 2, 1) == zeros(0, 2)
+    assert dense_arrow(x, "v", 2, 1) == zeros(2, 2)
 
 
 @pytest.mark.parametrize("arrows", [
@@ -399,8 +406,8 @@ def test_hom_space_builds_each_map_on_demand(n):
             space = HomSpace(x, y)
             assert len(space) == space.dim == len(space.vectors)
             for a, vec in enumerate(space.vectors):
-                eager = BimoduleMap(x, y, {
-                    v: _block(vec, off, y.dims[v], x.dims[v])
+                eager = map_from_matrices(x, y, {
+                    v: kernel_block(vec, off, y.dims[v], x.dims[v])
                     for v, off in space._offsets.items()})
                 f, g = space[a], space[a]
                 assert _same_map(f, eager) and _same_map(f, g)
@@ -417,13 +424,70 @@ def test_identity_and_composition():
     ident.check()
     for f in HomSpace(x, x).maps:
         g = f.compose(ident)
-        assert g.component(1, 2) == f.component(1, 2)
+        assert dense_block(g, 1, 2) == dense_block(f, 1, 2)
+
+
+def _dense_is_invertible(f):
+    return (f.source.dim_vector() == f.target.dim_vector()
+            and all(dense_rank(dense_block(f, *v)) == d
+                    for v, d in f.source.dims.items()))
+
+
+def _basis_map_or_combination(maps):
+    coeffs = st.lists(st.integers(-2, 2), min_size=len(maps),
+                      max_size=len(maps))
+    return st.sampled_from(maps) | coeffs.map(
+        lambda cs: combination(maps, cs))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_compose_and_is_invertible_match_the_dense_blocks(data):
+    # g o f for maps f: y -> z and g: z -> w of the catalog, each a hom
+    # basis map or a combination of the basis, so that products of blocks
+    # add up several terms; the endomorphism draws make invertible maps
+    # common
+    homs = catalog_homs(data.draw(st.sampled_from([1, 2])))
+    if data.draw(st.booleans()):
+        homs = [hom for hom in homs if hom[0] is hom[1]]
+    y, z, fs = data.draw(st.sampled_from(homs))
+    _, w, gs = data.draw(st.sampled_from([h for h in homs if h[0] is z]))
+    f, g = (data.draw(_basis_map_or_combination(maps)) for maps in (fs, gs))
+    gf = g.compose(f)
+    assert gf.source is y and gf.target is w
+    for v in y.dims.keys() | w.dims.keys():
+        assert dense_block(gf, *v) == dense_block(g, *v).mul(
+            dense_block(f, *v))
+    for h in (f, g, gf):
+        assert h.is_invertible() == _dense_is_invertible(h)
+
+
+def test_map_blocks_reject_entries_outside_their_shape():
+    n = 2
+    x = construct(lab("S", 1, 1, 1), n)
+    y = construct(L(1, 1), n)
+    only_x = next(v for v in x.dims if v not in y.dims)
+    for bad in ({(1, 1): [(1, 0, 1)]},              # row past dim y = 1
+                {(1, 1): [(0, x.dims[(1, 1)], 1)]},  # column past dim x
+                {(1, 1): [(0, -1, 1)]},
+                {only_x: [(0, 0, 1)]}):              # a vertex y lacks
+        with pytest.raises(ValueError, match="outside"):
+            BimoduleMap(x, y, bad)
+    with pytest.raises(ValueError, match="outside"):
+        BimoduleMap(y, x, {only_x: [(0, 0, 1)]})     # a vertex y lacks
+    # the views of an identity hold ints; its coordinates are Fractions
+    ident = identity_map(x)
+    assert all(type(e) is int for view in ident.components.values()
+               for col in view[0] for _, e in col)
+    coords = HomSpace(x, x).coords_of(ident)
+    assert coords and all(type(c) is Fraction for c in coords)
+    assert ident.is_invertible() and not ident.is_zero()
 
 
 def _with_block(f, v, block):
-    comps = dict(f.components)
-    comps[v] = block
-    return BimoduleMap(f.source, f.target, comps)
+    blocks = {u: dense_block(f, *u) for u in f.components}
+    blocks[v] = block
+    return map_from_matrices(f.source, f.target, blocks)
 
 
 def test_check_rejects_an_identity_with_one_block_doubled():
@@ -433,7 +497,7 @@ def test_check_rejects_an_identity_with_one_block_doubled():
     ident = identity_map(x)
     ident.check()
     for v in x.dims:
-        bad = _with_block(ident, v, ident.component(*v).scale(2))
+        bad = _with_block(ident, v, dense_block(ident, *v).scale(2))
         with pytest.raises(ValueError, match="not a bimodule map"):
             bad.check()
 
@@ -444,7 +508,7 @@ def test_check_rejects_an_epimorphism_with_one_entry_moved():
     # x_2 to zero breaks f v = v f on the arrow x_2 -> z
     epi = _canonical_epi(lab("M", 1, 1, 1), lab("N", 1, 1, 1), 1)
     epi.check()
-    block = epi.component(1, 1)
+    block = dense_block(epi, 1, 1)
     assert (block.rows, block.cols) == (4, 5)
     assert block == ExactMatrix.from_entries(4, 5, [(r, r, 1)
                                                     for r in range(4)])
@@ -577,7 +641,7 @@ def test_trace_pairing_entries_are_traces(make):
     for a, f in enumerate(fs):
         for b, h in enumerate(gs):
             comp = h.compose(f)
-            want = sum(comp.component(*v).get(r, r)
+            want = sum(dense_block(comp, *v).get(r, r)
                        for v, d in x.dims.items() for r in range(d))
             assert g[a].get(b, 0) == want
 
@@ -787,7 +851,7 @@ def _reference_projective_arrows(n, b):
             if item == ("e", b) and i == b:
                 rows[tgt.index(("a", b))][c] = ONE
         mats[i] = ExactMatrix.from_rows(rows) if tgt else \
-            ExactMatrix.zeros(0, len(src))
+            zeros(0, len(src))
     return mats
 
 
@@ -802,7 +866,7 @@ def _reference_right_mult(n, b):
             if item == ("e", b) and ("a", bm) in tgt[i]:
                 rows[tgt[i].index(("a", bm))][c] = ONE
         mats[i] = ExactMatrix.from_rows(rows) if tgt[i] else \
-            ExactMatrix.zeros(0, len(src[i]))
+            zeros(0, len(src[i]))
     return mats
 
 
@@ -850,7 +914,7 @@ class _ReferenceColumnHom:
     def component(self, vec, i):
         ds, dt = self.x.dim(i, self.a), len(self.spaces[i])
         if i not in self.offsets:
-            return ExactMatrix.zeros(dt, ds)
+            return zeros(dt, ds)
         off = self.offsets[i]
         return ExactMatrix(dt, ds, [vec.get(off + p * ds + q, ZERO)
                                     for p in range(dt) for q in range(ds)])
@@ -1176,7 +1240,7 @@ def test_arrow_views_hold_the_nonzero_entries_of_the_arrows():
     n = 2
     x = rescaled(lab("S", 1, 1, 1), n, ("v", 1, 1), Fraction(1, 3))
     zero_arrow = module_from_matrices(n, dict(x.dims), {
-        **_arrow_matrices(x), ("h", 2, 2): ExactMatrix.zeros(1, 1)})
+        **_arrow_matrices(x), ("h", 2, 2): zeros(1, 1)})
     loop = module_from_matrices(1, {(1, 1): 2},
                                 {("v", 1, 1): _m([1, 1], [-1, -1])})
     for mod in (x, zero_arrow, loop, regular_bimodule(3),

@@ -12,7 +12,6 @@ import nakayama
 from nakayama import bireps
 from nakayama.bimodules import (
     Bimodule,
-    BimoduleMap,
     HomSpace,
     StringLabel,
     catalog_labels,
@@ -41,7 +40,13 @@ from nakayama.decomposition import cell_of, decompose
 from nakayama.linalg import ONE, ExactMatrix, ZERO, sparse_rref
 from nakayama.tensoring import tensor, tensor_map
 
-from dense_helpers import add, identity_map
+from dense_helpers import (
+    add,
+    dense_block,
+    identity_map,
+    map_from_matrices,
+    zeros,
+)
 
 # every (n, k) on which the column-by-column cross-checks run
 SMALL_CELLS = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1)]
@@ -341,8 +346,8 @@ def test_arrow_scalar_follows_the_arrow(n, k):
     qhom = core.qhoms[(n, 0)]
     r = next(f for f in qhom.space if qhom.is_radical(f))
     alpha = core.alphas[0]
-    doubled = BimoduleMap(alpha.source, alpha.target, {
-        v: add(alpha.component(*v).scale(2), r.component(*v))
+    doubled = map_from_matrices(alpha.source, alpha.target, {
+        v: add(dense_block(alpha, *v).scale(2), dense_block(r, *v))
         for v in alpha.source.dims})
     doubled.check()
     twice = _with_first_arrow(core, doubled)
@@ -466,7 +471,7 @@ def _support_cases():
 
 def test_sparse_support_matches_dense_matrices():
     for b in _support_cases():
-        dense = ExactMatrix.zeros(b.rank, b.rank)
+        dense = zeros(b.rank, b.rank)
         for mat in b.action_obj.values():
             dense = add(dense, mat)
         support = b._action_support()
@@ -520,7 +525,7 @@ def _reference_closure(b, s):
 
 
 def _reference_is_simple_transitive(b):
-    f = ExactMatrix.zeros(b.rank, b.rank)
+    f = zeros(b.rank, b.rank)
     for mat in b.action_obj.values():
         f = add(f, mat)
     for r in range(f.rows):

@@ -1,12 +1,14 @@
 """Decomposition, split pairs, cached products, multiplication table."""
 
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from nakayama.bimodules import (
     Bimodule,
     BimoduleMap,
+    HomSpace,
     StringLabel,
     catalog_labels,
     construct,
@@ -32,8 +34,10 @@ from nakayama.decomposition import (
 import nakayama
 from nakayama import decomposition
 from nakayama.cells import compute_cells
-from nakayama.linalg import ExactMatrix, sparse_rank
+from nakayama.linalg import sparse_rank
 from nakayama.tensoring import tensor
+
+from dense_helpers import dense_block, dense_split_pair, identity
 
 
 def lab(fam, i, j, k=None):
@@ -42,7 +46,7 @@ def lab(fam, i, j, k=None):
 
 def _is_identity(m):
     """The identity test of a map component, compared entry by entry."""
-    return m == ExactMatrix.identity(m.rows)
+    return m == identity(m.rows)
 
 
 # -- cell tagging ------------------------------------------------------------
@@ -81,7 +85,36 @@ def test_split_pair_on_itself():
     sig, pi = _split_pair_of(label, x, 1)
     comp = pi.compose(sig)
     for v, d in x.dims.items():
-        assert _is_identity(comp.component(*v))
+        assert _is_identity(dense_block(comp, *v))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_split_pairs_match_the_dense_reference(n):
+    # every product of two catalog members with at most one valley, up to
+    # translation: u anchored in row 1 and v at 1|1
+    labels = catalog_labels(n, 1)
+    products = {tensor(construct(u, n), construct(v, n))
+                for u in labels if u.i == 1 for v in labels
+                if (v.i, v.j) == (1, 1)}
+    checked = 0
+    for t in products:
+        for label, sig, pi in decompose(t, 1).split_pairs:
+            x = construct(label, n)
+            want_sig, want_pi = dense_split_pair(x, *trace_pairing(x, t))
+            assert sig.components == want_sig.components
+            for v in t.dims:
+                assert dense_block(pi, *v) == dense_block(want_pi, *v)
+            checked += 1
+    assert checked
+
+
+def test_split_pair_raises_unless_the_composite_is_invertible():
+    # End(L + L) is all 2 x 2 matrices, whose first basis map is a matrix
+    # unit; a pairing that points at it and itself gives p sig of rank 1
+    x = direct_sum(*[construct(lab("L", 1, 1), 1)] * 2)
+    space = HomSpace(x, x)
+    with pytest.raises(RuntimeError, match="no split pair"):
+        decomposition._split_pair(x, space, space, [{0: Fraction(1)}])
 
 
 def test_split_pair_absent_when_hom_vanishes():
@@ -98,7 +131,7 @@ def test_split_pair_in_tensor_square_of_n():
     sig, pi = _split_pair_of(label, tensor(x, x), 1)
     comp = pi.compose(sig)
     for v, d in x.dims.items():
-        assert _is_identity(comp.component(*v))
+        assert _is_identity(dense_block(comp, *v))
 
 
 # -- decompose ---------------------------------------------------------------
@@ -172,7 +205,7 @@ def test_decompose_single_catalog_member():
     label, sig, pi = rep.split_pairs[0]
     comp = pi.compose(sig)
     for v in comp.source.dims:
-        assert _is_identity(comp.component(*v))
+        assert _is_identity(dense_block(comp, *v))
 
 
 def test_decompose_w_square_spec_example():
@@ -200,7 +233,7 @@ def test_decompose_soundness_certificate():
         assert pi.source == t
         comp = pi.compose(sig)
         for v in comp.source.dims:
-            assert _is_identity(comp.component(*v))
+            assert _is_identity(dense_block(comp, *v))
 
 
 def test_decompose_idempotence():
@@ -230,7 +263,7 @@ def test_decompose_counts_repeated_string():
     pi.check()
     comp = pi.compose(sig)
     for v in w.dims:
-        assert _is_identity(comp.component(*v))
+        assert _is_identity(dense_block(comp, *v))
 
 
 def test_decompose_order_independent_on_sums():

@@ -48,3 +48,23 @@ def test_package_has_no_unused_imports():
         found += [f"{path.name}:{line} {name}"
                   for name, line in imported.items() if name not in used]
     assert not found, found
+
+
+def test_only_the_birep_edges_name_exact_matrix():
+    # arrows and map blocks are sparse views; a dense matrix is built only
+    # where a birep reports one, so only these modules may name it
+    allowed = {"__init__.py", "bireps.py", "linalg.py"}
+    found = set()
+    for path in sorted(Path(nakayama.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                names = [getattr(node, "id", None)]
+            if "ExactMatrix" in names:
+                found.add(path.name)
+    assert found <= allowed, sorted(found - allowed)
+    assert "linalg.py" in found

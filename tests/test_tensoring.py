@@ -7,6 +7,7 @@ walk); they pin down both the dimensions and the anchor indices.
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from nakayama import linalg
 from nakayama.algebras import residue
@@ -22,7 +23,17 @@ from nakayama.bimodules import (
 from nakayama.linalg import ONE, ZERO, ExactMatrix, sparse_rref
 from nakayama.tensoring import TensorSpace, tensor, tensor_map
 
-from dense_helpers import dense_arrow, identity_map, rescaled
+from dense_helpers import (
+    catalog_homs,
+    combination,
+    dense_arrow,
+    dense_block,
+    dense_tensor_map,
+    identity,
+    identity_map,
+    rescaled,
+    zeros,
+)
 
 
 def lab(fam, i, j, k=None):
@@ -107,13 +118,20 @@ def test_mismatched_anchors_need_not_vanish_but_dims_drop():
 
 # -- associativity -----------------------------------------------------------
 
-@pytest.mark.parametrize("labels", [
-    (lab("S", 1, 1, 0), lab("N", 1, 1, 0), lab("P", 1, 1)),
-    (lab("W", 1, 1, 1), lab("W", 1, 1, 1), lab("S", 1, 2, 1)),
-    (lab("M", 1, 2, 0), lab("M", 2, 1, 0), lab("M", 1, 1, 0)),
-])
-def test_associativity_samples(labels):
-    n = 2
+_TRIPLES = st.sampled_from([1, 2]).flatmap(lambda n: st.tuples(
+    st.just(n), st.tuples(*[st.sampled_from(catalog_labels(n, 1))] * 3)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_TRIPLES)
+@example((2, (lab("S", 1, 1, 0), lab("N", 1, 1, 0), lab("P", 1, 1))))
+@example((2, (lab("W", 1, 1, 1), lab("W", 1, 1, 1), lab("S", 1, 2, 1))))
+@example((2, (lab("M", 1, 2, 0), lab("M", 2, 1, 0), lab("M", 1, 1, 0))))
+def test_associativity_on_catalog_triples(triple):
+    # the two bracketings are built in different bases, so whenever they
+    # differ is_isomorphic has to find an invertible basis map or fall
+    # back to the pairing ranks
+    n, labels = triple
     x, y, z = (construct(l, n) for l in labels)
     left = tensor(tensor(x, y), z)
     right = tensor(x, tensor(y, z))
@@ -132,7 +150,7 @@ def test_tensor_map_of_identity():
     assert g.source == t
     assert g.target == t
     for v, d in t.dims.items():
-        assert g.component(*v) == ExactMatrix.identity(d)
+        assert dense_block(g, *v) == identity(d)
 
 
 def test_tensor_map_intertwines_and_matches_tensor():
@@ -160,7 +178,24 @@ def test_tensor_map_respects_composition():
     lhs = tensor_map(x, g.compose(f))
     rhs = tensor_map(x, g).compose(tensor_map(x, f))
     for v in lhs.source.dims:
-        assert lhs.component(*v) == rhs.component(*v)
+        assert dense_block(lhs, *v) == dense_block(rhs, *v)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_tensor_map_matches_the_dense_reference(data):
+    # x (x) f for a catalog member x and a combination f of a hom basis of
+    # the catalog
+    n = data.draw(st.sampled_from([1, 2]))
+    x = construct(data.draw(st.sampled_from(catalog_labels(n, 1))), n)
+    _, _, fs = data.draw(st.sampled_from(catalog_homs(n)))
+    f = combination(fs, data.draw(st.lists(
+        st.integers(-2, 2), min_size=len(fs), max_size=len(fs))))
+    g = tensor_map(x, f)
+    want = dense_tensor_map(x, f)
+    for v in g.source.dims.keys() | g.target.dims.keys():
+        block = want.get(v, zeros(g.target.dim(*v), g.source.dim(*v)))
+        assert dense_block(g, *v) == block
 
 
 @pytest.mark.parametrize("n,max_valleys", [(1, 2), (2, 1)])
