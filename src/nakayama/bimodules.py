@@ -170,9 +170,15 @@ def _view_product(outer: Optional[ArrowView],
 
 
 def _view_rank(view: ArrowView) -> int:
-    """The rank of a view's matrix, over Fractions, as elimination divides."""
-    return sparse_rank([{c: Fraction(v) for c, v in row} for row in view[1]],
-                       len(view[0]))
+    """The rank of a view's matrix.  When no row and no column holds two
+    entries, the nonzero entries sit on distinct rows and columns, so
+    their count is the rank; otherwise it is eliminated over Fractions."""
+    cols, rows = view
+    if all(len(col) < 2 for col in cols) and all(len(row) < 2
+                                                 for row in rows):
+        return sum(map(len, cols))
+    return sparse_rank([{c: Fraction(v) for c, v in row} for row in rows],
+                       len(cols))
 
 
 class Bimodule:

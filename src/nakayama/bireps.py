@@ -3,11 +3,18 @@
 The objects are the members of one left-cell column: the strings with a
 left bar, in the order N_1 .. N_n, M_1 .. M_n.  Tensoring with a cell
 member permutes these objects up to summands in greater cells, which the
-quotient hom spaces kill; ``quotient_hom_spaces`` builds them for every
-pair of objects in one sweep over the greater-cell objects.  Contracting
-the arrows M_i -> N_i for a chosen set of components produces the
-localized birepresentations; ranging over all subsets gives the full
-classification.
+quotient hom spaces kill.  Contracting the arrows M_i -> N_i for a chosen
+set of components produces the localized birepresentations; ranging over
+all subsets gives the full classification.
+
+Rotating the cyclic quiver is an automorphism of the algebra, so moving
+every anchor along the torus moves every product, hom space and trace
+with it.  A row shift maps the column's objects onto themselves, and a
+generator at r|s is the one at 1|1 moved by (r - 1, s - 1).  So the core
+works on one representative per translation orbit and shifts positions
+for the rest: the object action of the four generators at 1|1, the
+quotient hom spaces out of N_1 and M_1, and the arrow scalar of each
+family at 1|1 on the arrow of component 1.
 
 Each generator's object-level action is stored once, as sorted integer
 (row, column, multiplicity) triples; matrices are built only on demand.
@@ -85,29 +92,32 @@ class QuotientHomSpace:
 
 
 def quotient_hom_spaces(modules: Sequence[Bimodule],
-                        greater: Iterable[Bimodule]
+                        greater: Iterable[Bimodule],
+                        sources: Iterable[int]
                         ) -> Dict[Tuple[int, int], QuotientHomSpace]:
-    """The quotient hom space of every ordered pair of modules, by index.
+    """The quotient hom space from each source to every module, keyed by
+    the pair of indices into modules; sources lists the source indices.
 
     A factorization through a direct sum refines to ones through single
     summands, so greater lists the indecomposables of the greater cells.
-    Each is visited once: the homs into it from every module that shares
+    Each is visited once: the homs into it from every source that shares
     a vertex with it and, if any is nonzero, the homs out of it; each
     composite goes onto the rows of its pair.
     """
-    spaces = {(a, b): HomSpace(x, y) for a, x in enumerate(modules)
+    sources = list(sources)
+    spaces = {(a, b): HomSpace(modules[a], y) for a in sources
               for b, y in enumerate(modules)}
     rows: Dict[Tuple[int, int], List[Dict[int, Fraction]]] = {
         pair: [] for pair in spaces}
     for z in greater:
         # modules with no common vertex have only the zero map
-        into = [[] if z.dims.keys().isdisjoint(x.dims) else HomSpace(x, z).maps
-                for x in modules]
-        if not any(into):
+        into = {a: [] if z.dims.keys().isdisjoint(modules[a].dims)
+                else HomSpace(modules[a], z).maps for a in sources}
+        if not any(into.values()):
             continue
         out_of = [[] if z.dims.keys().isdisjoint(y.dims)
                   else HomSpace(z, y).maps for y in modules]
-        for a, hs in enumerate(into):
+        for a, hs in into.items():
             for b, gs in enumerate(out_of):
                 space = spaces[(a, b)]
                 for g in gs:
@@ -157,16 +167,35 @@ def _canonical_epi(m_label: StringLabel, n_label: StringLabel,
 ActionEntries = Tuple[Tuple[int, int, int], ...]
 
 
+def _shift(p: int, d: int, n: int) -> int:
+    """Object position p moved d components along its N or M half."""
+    return p - p % n + (p + d) % n
+
+
 class _BirepCore:
     """Shared data behind every birep on one column: object bimodules,
-    quotient hom spaces, canonical arrows, the generators by column, their
-    uncontracted action as read-only integer triples, the components whose
-    two columns act alike, the (M_{r|s}, N_{r|s}) generator pairs of each
-    row r, and lazily filled tables for the morphism-level action: the
-    arrow scalar of each generator, per column whether one of them is
+    quotient hom spaces, the canonical arrow, the generators by column,
+    their uncontracted action as read-only integer triples, the components
+    whose two columns act alike, the (M_{r|s}, N_{r|s}) generator pairs of
+    each row r, and lazily filled tables for the morphism-level action:
+    the arrow scalar of each generator, per column whether one of them is
     nonzero, and the checked pairing of each distinct (object position,
-    arrow end) pair, keyed by the end's value, since many generators
-    share an end."""
+    arrow end) pair, keyed by the end's value.
+
+    Everything is computed on one representative per translation orbit.
+    Rotating the quiver is an algebra automorphism; moved by (d, 0) along
+    the torus, the column's objects are the same objects with positions
+    shifted by d in each half.  So:
+
+    - the action of u at r|s is that of its family at 1|1 with row
+      positions shifted by r - 1 and column positions by s - 1;
+    - the quotient hom space of (a + d, b + d) is that of (a, b), so only
+      the pairs out of N_1 and M_1 are built, and ``qhom`` reads the rest;
+    - u at r|s (x) alpha_s is u at 1|s (x) alpha_s moved by (r - 1, 0),
+      and u at 1|s (x) M_{s|j} is u at 1|1 (x) M_{1|j} with the middle
+      index of the tensor rotated, so every arrow scalar of a family is
+      the trace ratio of its generator at 1|1 on alpha_1, the one
+      canonical arrow built."""
 
     def __init__(self, n: int, k: int, column: int):
         self.n, self.k, self.column = n, k, column
@@ -177,16 +206,14 @@ class _BirepCore:
 
         self.qhoms = quotient_hom_spaces(
             self.modules,
-            [construct(lab, n) for lab in catalog_labels(n, k - 1)])
+            [construct(lab, n) for lab in catalog_labels(n, k - 1)],
+            (0, n))
         self._assert_cartan()
 
-        self.alphas = [
-            _canonical_epi(self.object_labels[n + i], self.object_labels[i], n)
-            for i in range(n)]
-        for i, alpha in enumerate(self.alphas):
-            if self.qhoms[(n + i, i)].is_radical(alpha):
-                raise CartanError(
-                    f"canonical arrow {i + 1} is radical at n={n}, k={k}")
+        self.alpha = _canonical_epi(self.object_labels[n],
+                                    self.object_labels[0], n)
+        if self.qhoms[(n, 0)].is_radical(self.alpha):
+            raise CartanError(f"canonical arrow 1 is radical at n={n}, k={k}")
 
         self.generators = tuple(sorted(
             (StringLabel(f, r, s, k).normalized(n)
@@ -197,23 +224,35 @@ class _BirepCore:
         self.by_column = MappingProxyType({
             s: tuple(u for u in self.generators if u.j == s)
             for s in range(1, n + 1)})
-        self.action_entries = MappingProxyType(
-            {u: self._object_action(u) for u in self.generators})
+        base = {f: self._object_action(StringLabel(f, 1, 1, k))
+                for f in "WSNM"}
+        self.action_entries = MappingProxyType({
+            u: tuple(sorted((_shift(r, u.i - 1, n), _shift(c, u.j - 1, n), m)
+                            for r, c, m in base[u.family]))
+            for u in self.generators})
         self.contractible = self._contractible()
         self.mn_pairs = tuple(
             tuple((StringLabel("M", r, s, k), StringLabel("N", r, s, k))
                   for s in range(1, n + 1))
             for r in range(1, n + 1))
         self._scalars: Dict[StringLabel, Fraction] = {}
+        self._traces: Dict[Tuple[str, int], Fraction] = {}
         self._verdicts: Dict[int, bool] = {}
         self._ends: Dict[Tuple[int, Bimodule], tuple] = {}
+
+    def qhom(self, a: int, b: int) -> QuotientHomSpace:
+        """The quotient hom space of objects a and b, read from the pair
+        the row shift taking a to N_1 or M_1 gives; its maps run between
+        those two objects."""
+        d = a % self.n
+        return self.qhoms[(a - d, _shift(b, -d, self.n))]
 
     def _assert_cartan(self):
         n = self.n
         for a in range(2 * n):
             for b in range(2 * n):
                 want = 1 if (a == b or a == b + n) else 0
-                got = self.qhoms[(a, b)].dim
+                got = self.qhom(a, b).dim
                 if got != want:
                     raise CartanError(
                         f"hom({self.object_labels[a]}, {self.object_labels[b]})"
@@ -262,9 +301,14 @@ class _BirepCore:
         is dim y times an identity coefficient, and the ratio is that of
         the split-pair composite (pi sigma')^-1 pi phi sigma.
 
-        Each end's relations and rank-1 pairing with y are checked once
-        per distinct (y, end); a failed check stores nothing, so it fails
-        again on every ask."""
+        Every generator's action is checked for that shape.  The trace
+        ratio itself is taken once per family and y, on the family's
+        generator at 1|1, alpha_1 and y moved back by the row shift:
+        u at r|s (x) alpha_s is that phi moved along the torus with its
+        middle index rotated, which keeps every trace.  Each end's
+        relations and rank-1 pairing with y are checked once per distinct
+        (y, end); a failed check stores nothing, so it fails again on
+        every ask."""
         lam = self._scalars.get(u)
         if lam is None:
             u = u.normalized(self.n)
@@ -279,23 +323,28 @@ class _BirepCore:
             raise CartanError(
                 f"{u} (x) arrow {s} does not join two copies of one "
                 f"valley-cell summand: {hits}")
-        phi = tensor_map(construct(u, n), self.alphas[s - 1])
-        ends = []
-        for t in (phi.source, phi.target):
-            end = self._ends.get((ypos, t))
-            if end is None:
-                t.check_relations()
-                sigmas, pis, g = trace_pairing(self.modules[ypos], t)
-                if (mult := sparse_rank(g, len(pis))) != 1:
-                    raise CartanError(
-                        f"{self.object_labels[ypos]} occurs {mult} times in "
-                        f"{u} (x) the ends of arrow {s}")
-                a, row = next((a, row) for a, row in enumerate(g) if row)
-                end = self._ends[(ypos, t)] = (sigmas, pis, a, row)
-            ends.append(end)
-        (sigmas, _, a, _), (_, pis, _, row) = ends
-        b = min(row)
-        lam = composite_trace(pis, b, phi, sigmas, a) / row[b]
+        y = _shift(ypos, 1 - u.i, n)
+        lam = self._traces.get((u.family, y))
+        if lam is None:
+            base = StringLabel(u.family, 1, 1, self.k)
+            phi = tensor_map(construct(base, n), self.alpha)
+            ends = []
+            for t in (phi.source, phi.target):
+                end = self._ends.get((y, t))
+                if end is None:
+                    t.check_relations()
+                    sigmas, pis, g = trace_pairing(self.modules[y], t)
+                    if (mult := sparse_rank(g, len(pis))) != 1:
+                        raise CartanError(
+                            f"{self.object_labels[y]} occurs {mult} times "
+                            f"in {base} (x) the ends of arrow 1")
+                    a, row = next((a, row) for a, row in enumerate(g) if row)
+                    end = self._ends[(y, t)] = (sigmas, pis, a, row)
+                ends.append(end)
+            (sigmas, _, a, _), (_, pis, _, row) = ends
+            b = min(row)
+            lam = composite_trace(pis, b, phi, sigmas, a) / row[b]
+            self._traces[(u.family, y)] = lam
         self._scalars[u] = lam
         return lam
 

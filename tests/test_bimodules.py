@@ -8,7 +8,7 @@ are frozen here as oracles.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from nakayama import bimodules
 from nakayama.bimodules import (
@@ -782,6 +782,34 @@ def test_restrict_left_multiset_view():
     dec = restrict_left(construct(lab("S", 1, 1, 1), 3))
     assert dec.projectives == {1: 1, 2: 1} and not dec.simples
     assert "Le_1" in str(dec)
+
+
+_VIEW_VALUES = st.sampled_from([1, -1, 2, 3, Fraction(1, 2), Fraction(-2, 3)])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_view_rank_matches_sparse_rank(data):
+    # views with at most one entry per row and per column are counted,
+    # all others eliminated; both kinds must agree with sparse_rank
+    rows, cols = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+    scattered = data.draw(st.booleans())
+    if scattered:
+        rs = data.draw(st.permutations(range(rows)))
+        cs = data.draw(st.permutations(range(cols)))
+        m = data.draw(st.integers(1, min(rows, cols)))
+        entries = [(rs[t], cs[t], data.draw(_VIEW_VALUES)) for t in range(m)]
+    else:
+        entries = data.draw(st.lists(
+            st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1),
+                      _VIEW_VALUES), min_size=1, max_size=8))
+    view = bimodules._arrow_view(rows, cols, entries)
+    assume(view is not None)
+    if scattered:
+        assert all(len(line) < 2 for half in view for line in half)
+    want = sparse_rank([{c: Fraction(v) for c, v in row} for row in view[1]],
+                       cols)
+    assert bimodules._view_rank(view) == want
 
 
 # -- hom into the algebra ----------------------------------------------------

@@ -12,9 +12,11 @@ import nakayama
 from nakayama import bireps
 from nakayama.bimodules import (
     Bimodule,
+    BimoduleMap,
     HomSpace,
     StringLabel,
     catalog_labels,
+    composite_trace,
     construct,
     direct_sum,
     parse_label,
@@ -36,8 +38,8 @@ from nakayama.bireps import (
     verify_adjunction_consequences,
     verify_block_structure,
 )
-from nakayama.decomposition import cell_of, decompose
-from nakayama.linalg import ONE, ExactMatrix, ZERO, sparse_rref
+from nakayama.decomposition import cell_of, decompose, product_summands
+from nakayama.linalg import ONE, ExactMatrix, ZERO, sparse_rank, sparse_rref
 from nakayama.tensoring import tensor, tensor_map
 
 from dense_helpers import (
@@ -50,6 +52,9 @@ from dense_helpers import (
 
 # every (n, k) on which the column-by-column cross-checks run
 SMALL_CELLS = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1)]
+# the orbit-derived core against the per-generator path: the small cells,
+# the benchmark size, and two sizes whose walks wrap the torus
+ORBIT_CELLS = SMALL_CELLS + [(6, 1), (2, 3), (1, 3)]
 
 
 def ints(mat):
@@ -62,7 +67,7 @@ def test_quotient_hom_dims_form_disjoint_a2():
     m1 = construct(StringLabel("M", 1, 1, 1), n)
     n1 = construct(StringLabel("N", 1, 1, 1), n)
     n2 = construct(StringLabel("N", 2, 1, 1), n)
-    qhoms = quotient_hom_spaces([m1, n1, n2], greater)
+    qhoms = quotient_hom_spaces([m1, n1, n2], greater, range(3))
     assert qhoms[(0, 1)].dim == 1
     assert qhoms[(1, 0)].dim == 0
     assert qhoms[(1, 1)].dim == 1
@@ -95,20 +100,44 @@ class _ReferenceQuotientHomSpace:
         self.dim = self.space.dim - len(self._pivots)
 
 
+_ORACLE_QHOMS = {}
+
+
+def _oracle_qhoms(core):
+    """The quotient hom space of every ordered pair of the core's objects,
+    each built from its own source as the per-pair sweep did, memoized by
+    (n, k, column)."""
+    key = (core.n, core.k, core.column)
+    if key not in _ORACLE_QHOMS:
+        greater = [construct(lab, core.n)
+                   for lab in catalog_labels(core.n, core.k - 1)]
+        _ORACLE_QHOMS[key] = quotient_hom_spaces(
+            core.modules, greater, range(2 * core.n))
+    return _ORACLE_QHOMS[key]
+
+
 @pytest.mark.parametrize("n,k", SMALL_CELLS)
 def test_quotient_hom_spaces_match_per_pair_reference(n, k):
+    # the core builds the pairs out of N_1 and M_1; those match the
+    # reference exactly, and every pair's dimension, read through its
+    # canonical pair, matches the reference of that pair
     core = cell_birep(n, k).core
     greater = [construct(lab, n) for lab in catalog_labels(n, k - 1)]
-    got = quotient_hom_spaces(core.modules, greater)
-    assert list(got) == [(a, b) for a in range(2 * n) for b in range(2 * n)]
-    for (a, b), q in got.items():
-        ref = _ReferenceQuotientHomSpace(core.modules[a], core.modules[b],
-                                         greater)
-        assert q.space.vectors == ref.space.vectors, (a, b)
-        assert q.dim == ref.dim, (a, b)
-        assert q._pivots == ref._pivots, (a, b)
-        assert q._reduced == ref._reduced, (a, b)
-        assert q.dim == core.qhoms[(a, b)].dim
+    assert list(core.qhoms) == [(a, b) for a in (0, n) for b in range(2 * n)]
+    for a in range(2 * n):
+        for b in range(2 * n):
+            ref = _ReferenceQuotientHomSpace(core.modules[a], core.modules[b],
+                                             greater)
+            assert core.qhom(a, b).dim == ref.dim, (a, b)
+            q = core.qhoms.get((a, b))
+            if q is None:
+                continue
+            assert q.space.x is core.modules[a], (a, b)
+            assert q.space.y is core.modules[b], (a, b)
+            assert q.space.vectors == ref.space.vectors, (a, b)
+            assert q.dim == ref.dim, (a, b)
+            assert q._pivots == ref._pivots, (a, b)
+            assert q._reduced == ref._reduced, (a, b)
 
 
 @pytest.mark.parametrize("m_label,n_label", [
@@ -286,6 +315,17 @@ def test_arrow_scalar_rejects_a_misshapen_valley_cell_summand(entries):
     assert b.core.arrow_scalar(u) == 1
 
 
+def _alpha(core, s):
+    """The arrow M_s -> N_s of the core's column: the core's own arrow of
+    component 1, which tests may replace, and a fresh epimorphism for the
+    other components."""
+    if s == 1:
+        return core.alpha
+    n = core.n
+    return _canonical_epi(core.object_labels[n + s - 1],
+                          core.object_labels[s - 1], n)
+
+
 def _reference_arrow_scalar(core, u):
     """The decompose-based arrow scalar of the earlier implementation,
     kept as an oracle: decompose u (x) M_s and u (x) N_s whole, take the
@@ -293,7 +333,7 @@ def _reference_arrow_scalar(core, u):
     them."""
     u = u.normalized(core.n)
     n, s = core.n, u.j
-    alpha = core.alphas[s - 1]
+    alpha = _alpha(core, s)
     umod = construct(u, n)
     t_m = tensor(umod, core.modules[n + s - 1])
     t_n = tensor(umod, core.modules[s - 1])
@@ -309,7 +349,7 @@ def _reference_arrow_scalar(core, u):
     pi_n = next(pi for lab, _, pi in rep_n.split_pairs if lab == y_lab)
     composite = pi_n.compose(phi).compose(sig_m)
     ypos = core.position[y_lab]
-    qend = core.qhoms[(ypos, ypos)]
+    qend = _oracle_qhoms(core)[(ypos, ypos)]
     target = qend.qcoords(composite)
     unit = qend.qcoords(identity_map(core.modules[ypos]))
     pivot = next(i for i, v in enumerate(unit) if v)
@@ -332,8 +372,8 @@ def _with_first_arrow(core, arrow):
     """A copy of core whose arrow of component 1 is replaced, with empty
     scalar and verdict tables; the cached core is left alone."""
     out = copy.copy(core)
-    out._scalars, out._verdicts = {}, {}
-    out.alphas = [arrow] + core.alphas[1:]
+    out._scalars, out._traces, out._verdicts = {}, {}, {}
+    out.alpha = arrow
     return out
 
 
@@ -345,7 +385,7 @@ def test_arrow_scalar_follows_the_arrow(n, k):
     core = cell_birep(n, k).core
     qhom = core.qhoms[(n, 0)]
     r = next(f for f in qhom.space if qhom.is_radical(f))
-    alpha = core.alphas[0]
+    alpha = core.alpha
     doubled = map_from_matrices(alpha.source, alpha.target, {
         v: add(dense_block(alpha, *v).scale(2), dense_block(r, *v))
         for v in alpha.source.dims})
@@ -358,6 +398,52 @@ def test_arrow_scalar_follows_the_arrow(n, k):
         assert radical.arrow_scalar(u) == 0
     assert radical.column_verdict(1) is False
     assert core.column_verdict(1) is True
+
+
+def _per_generator_scalar(core, u):
+    """The arrow scalar of the earlier per-generator path, kept as an
+    oracle: the trace ratio of u (x) alpha_s on u's own column, paired
+    with u's own valley-cell object."""
+    n, s = core.n, u.j
+    ypos = next(r for r, c, _ in core._object_action(u) if c == s - 1)
+    phi = tensor_map(construct(u, n), _alpha(core, s))
+    (sigmas, back_m, g_m), (_, pis, g_n) = (
+        trace_pairing(core.modules[ypos], t) for t in (phi.source, phi.target))
+    assert sparse_rank(g_m, len(back_m)) == sparse_rank(g_n, len(pis)) == 1
+    a = next(a for a, row in enumerate(g_m) if row)
+    row = next(row for row in g_n if row)
+    b = min(row)
+    return composite_trace(pis, b, phi, sigmas, a) / row[b]
+
+
+@pytest.mark.parametrize("n,k", ORBIT_CELLS)
+def test_orbit_action_matches_every_generator(n, k):
+    for j in range(1, n + 1):
+        core = cell_birep(n, k, j).core
+        assert set(core.action_entries) == set(core.generators)
+        for u in core.generators:
+            assert core.action_entries[u] == core._object_action(u), (j, u)
+
+
+@pytest.mark.parametrize("n,k", ORBIT_CELLS)
+def test_orbit_quotient_dims_match_every_pair(n, k):
+    for j in range(1, n + 1):
+        core = cell_birep(n, k, j).core
+        full = _oracle_qhoms(core)
+        assert list(core.qhoms) == [(a, b) for a in (0, n)
+                                    for b in range(2 * n)]
+        for (a, b), q in full.items():
+            assert core.qhom(a, b).dim == q.dim, (j, a, b)
+
+
+@pytest.mark.parametrize("n,k", ORBIT_CELLS)
+def test_orbit_scalars_match_every_generator(n, k):
+    for j in range(1, n + 1):
+        core = cell_birep(n, k, j).core
+        for u in core.generators:
+            got = core.arrow_scalar(u)
+            assert type(got) is Fraction
+            assert got == _per_generator_scalar(core, u), (j, u)
 
 
 def _localizations(n, k, j):
@@ -604,20 +690,33 @@ def test_simple_transitivity_checks_every_surviving_column():
 
 
 def test_classify_computes_each_arrow_scalar_once(monkeypatch):
+    # every generator is asked once, and the trace ratio behind the
+    # answers is taken once per family, on its generator at 1|1 and the
+    # arrow of component 1
     n = 3
-    asked = []
+    asked, tensored = [], []
     arrow_scalar = _BirepCore.arrow_scalar
 
     def counting(self, u):
         asked.append(u)
         return arrow_scalar(self, u)
 
+    def counting_tensor_map(x, f):
+        tensored.append((x, f))
+        return tensor_map(x, f)
+
     monkeypatch.setattr(_BirepCore, "arrow_scalar", counting)
+    monkeypatch.setattr(bireps, "tensor_map", counting_tensor_map)
     nakayama.clear_caches()
     report = classify(n, 1)
     assert all(e["simple_transitive"] for e in report.entries)
-    generators = cell_birep(n, 1).core.generators
-    assert sorted(asked) == sorted(generators)
+    core = cell_birep(n, 1).core
+    assert sorted(asked) == sorted(core.generators)
+    bases = {construct(StringLabel(f, 1, 1, 1), n) for f in "WSNM"}
+    assert len(tensored) == len(bases) == 4
+    assert {x for x, _ in tensored} == bases
+    assert all(f is core.alpha for _, f in tensored)
+    assert len(core._traces) == 4
 
 
 def test_classify_checks_each_distinct_arrow_end_once(monkeypatch):
@@ -637,16 +736,17 @@ def test_classify_checks_each_distinct_arrow_end_once(monkeypatch):
     monkeypatch.setattr(Bimodule, "check_relations", counting_check)
     classify(3, 1)
     core = cell_birep(3, 1).core
+    # only the ends of the four generators at 1|1 on arrow 1 are paired
     ends = set()
-    for u in core.generators:
-        s = u.j
-        ypos = next(r for r, c, _ in core.action_entries[u] if c == s - 1)
+    for f in "WSNM":
+        u = StringLabel(f, 1, 1, 1)
+        ypos = next(r for r, c, _ in core.action_entries[u] if c == 0)
         umod = construct(u, 3)
-        for obj in (core.modules[3 + s - 1], core.modules[s - 1]):
+        for obj in (core.modules[3], core.modules[0]):
             ends.add((core.modules[ypos], tensor(umod, obj)))
     assert len(pairings) == len(set(pairings)) == len(ends)
     assert set(pairings) == ends
-    assert len(ends) < 2 * len(core.generators)
+    assert len(ends) < 2 * 4
     for _, t in pairings:
         assert sum(c is t for c in checked) == 1
 
@@ -654,7 +754,7 @@ def test_classify_checks_each_distinct_arrow_end_once(monkeypatch):
 def test_arrow_end_of_rank_two_fails_on_every_ask(monkeypatch):
     # y pairs with t (+) y to rank 2; a failed end must store nothing
     core = copy.copy(cell_birep(2, 1).core)
-    core._scalars, core._ends = {}, {}
+    core._scalars, core._traces, core._ends = {}, {}, {}
     asked = []
 
     def doubled(y, t):
@@ -667,7 +767,41 @@ def test_arrow_end_of_rank_two_fails_on_every_ask(monkeypatch):
         with pytest.raises(CartanError, match="occurs 2 times"):
             core.arrow_scalar(u)
         assert len(asked) == ask
-        assert not core._ends and not core._scalars
+        assert not core._ends and not core._scalars and not core._traces
+
+
+# -- each certificate of the orbit path shown to fire ------------------------
+
+def test_a_radical_canonical_arrow_is_refused(monkeypatch):
+    def zero_epi(m_label, n_label, n):
+        return BimoduleMap(construct(m_label, n), construct(n_label, n), {})
+
+    monkeypatch.setattr(bireps, "_canonical_epi", zero_epi)
+    with pytest.raises(CartanError, match="canonical arrow 1 is radical"):
+        _BirepCore(2, 1, 1)
+
+
+def test_a_quotient_hom_off_the_cartan_shape_is_refused(monkeypatch):
+    # with no greater-cell object nothing is divided out, so some hom
+    # between two objects keeps a dimension the A2 shape does not allow
+    monkeypatch.setattr(bireps, "catalog_labels", lambda n, k: [])
+    with pytest.raises(CartanError, match="quotient dimension"):
+        _BirepCore(2, 1, 1)
+
+
+def test_a_valley_cell_summand_outside_the_column_is_refused(monkeypatch):
+    def other_column(u, x, n):
+        return [lab.shifted(0, 1, n) for lab in product_summands(u, x, n)]
+
+    monkeypatch.setattr(bireps, "product_summands", other_column)
+    with pytest.raises(CartanError, match="outside the column"):
+        _BirepCore(2, 1, 1)
+
+
+def test_classify_refuses_a_fingerprint_collision(monkeypatch):
+    monkeypatch.setattr(FinitaryBirep, "fingerprint", lambda self: [])
+    with pytest.raises(RuntimeError, match="fingerprint collision"):
+        classify(2, 1)
 
 
 def test_classify_rank_one():

@@ -179,6 +179,16 @@ def test_classify_at_three_valleys_output_is_byte_stable(capsys):
         "2d20a35d1e063f220a3a9f4d2fe84ff9f9d06ba58ebca3adabfea47cdddaa1ed")
 
 
+def test_classify_wrapping_output_is_byte_stable(capsys):
+    # at n = 2 with k = 3 the walks wrap the torus, so the positions the
+    # birep core shifts along its translation orbits meet stacked points
+    status = main(["classify", "--n", "2", "--k", "3", "--json"])
+    out = capsys.readouterr().out
+    assert status == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "7e14f475d883805f318335adacd307a5c517262736aa9959f569cbb4a18276ce")
+
+
 def test_multable_wrapping_output_is_byte_stable(capsys):
     # at n = 1 with k = 3 every walk wraps the torus several times, so the
     # hom solves and trace pairings of the decomposition are pinned there

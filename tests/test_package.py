@@ -68,3 +68,29 @@ def test_only_the_birep_edges_name_exact_matrix():
                 found.add(path.name)
     assert found <= allowed, sorted(found - allowed)
     assert "linalg.py" in found
+
+
+def test_bireps_runs_each_orbit_sweep_from_one_place():
+    # the core decomposes only the generators at 1|1 and tensors only on
+    # the canonical arrow, so a per-generator sweep must not creep back:
+    # in bireps only _object_action calls product_summands and only
+    # arrow_scalar calls tensor_map
+    path = Path(nakayama.__file__).parent / "bireps.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    callers = {"product_summands": set(), "tensor_map": set()}
+
+    def visit(node, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            enclosing = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else \
+                getattr(func, "id", None)
+            if name in callers:
+                callers[name].add(enclosing)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    visit(tree, None)
+    assert callers == {"product_summands": {"_object_action"},
+                       "tensor_map": {"arrow_scalar"}}
