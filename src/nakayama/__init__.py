@@ -54,7 +54,6 @@ from .decomposition import (
     multable_check,
     product_summands,
 )
-from .linalg import ExactMatrix
 from .tensoring import tensor, tensor_map
 
 
@@ -75,7 +74,6 @@ __all__ = [
     "CellStructure",
     "ClassificationReport",
     "DecompositionReport",
-    "ExactMatrix",
     "FinitaryBirep",
     "HomSpace",
     "LeftDecomposition",

@@ -105,9 +105,6 @@ class NakayamaAlgebra:
     def dimension(self) -> int:
         return 2 * self.n
 
-    def multiply(self, x: BasisLabel, y: BasisLabel) -> Optional[BasisLabel]:
-        return self.mult[(x, y)]
-
     def is_associative(self) -> bool:
         for x in self.basis:
             for y in self.basis:

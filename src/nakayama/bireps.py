@@ -17,7 +17,9 @@ quotient hom spaces out of N_1 and M_1, and the arrow scalar of each
 family at 1|1 on the arrow of component 1.
 
 Each generator's object-level action is stored once, as sorted integer
-(row, column, multiplicity) triples; matrices are built only on demand.
+(row, column, multiplicity) triples, the only form of a birep matrix:
+whatever a birep reports or checks as a matrix is laid out from them as
+a plain list of int rows.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from .bimodules import (
 )
 from .decomposition import _label_sort_key, cell_of
 from .decomposition import product_summands
-from .linalg import ONE, ZERO, ExactMatrix, sparse_rank, sparse_rref
+from .linalg import ONE, sparse_rank, sparse_rref
 from .tensoring import tensor_map
 
 
@@ -68,27 +70,22 @@ class QuotientHomSpace:
 
     def __init__(self, space: HomSpace, rows: List[Dict[int, Fraction]]):
         self.space = space
-        self._reduced, pivots = sparse_rref(rows, space.dim)
-        self._pivots = list(pivots)
-        taken = set(self._pivots)
-        self._free = [c for c in range(space.dim) if c not in taken]
+        self._reduced, self._pivots = sparse_rref(rows, space.dim)
 
     @property
     def dim(self) -> int:
-        return len(self._free)
+        return self.space.dim - len(self._pivots)
 
-    def qcoords(self, f: BimoduleMap) -> Tuple[Fraction, ...]:
-        """Coordinates of f in the quotient (zero iff f is radical)."""
+    def is_radical(self, f: BimoduleMap) -> bool:
+        """Whether f lies in the subspace divided out: reduced by the
+        echelon rows, its coordinates vanish."""
         vec = list(self.space.coords_of(f))
         for row, p in zip(self._reduced, self._pivots):
             c = vec[p]
             if c:
                 for col, v in row.items():
                     vec[col] -= c * v
-        return tuple(vec[c] for c in self._free)
-
-    def is_radical(self, f: BimoduleMap) -> bool:
-        return all(v == ZERO for v in self.qcoords(f))
+        return not any(vec)
 
 
 def quotient_hom_spaces(modules: Sequence[Bimodule],
@@ -230,7 +227,7 @@ class _BirepCore:
             u: tuple(sorted((_shift(r, u.i - 1, n), _shift(c, u.j - 1, n), m)
                             for r, c, m in base[u.family]))
             for u in self.generators})
-        self.contractible = self._contractible()
+        self.contractible = self._contractible(base)
         self.mn_pairs = tuple(
             tuple((StringLabel("M", r, s, k), StringLabel("N", r, s, k))
                   for s in range(1, n + 1))
@@ -275,17 +272,21 @@ class _BirepCore:
                 counts[(r, c)] += 1
         return tuple((r, c, m) for (r, c), m in sorted(counts.items()))
 
-    def _contractible(self) -> FrozenSet[int]:
-        """Components whose N and M columns every generator acts on alike."""
+    def _contractible(self, base: Dict[str, ActionEntries]) -> FrozenSet[int]:
+        """Components whose N and M columns every generator acts on alike.
+
+        A generator's action is its family's at 1|1 with rows and columns
+        shifted, and a shift keeps each component's two columns together;
+        so either every component qualifies or none does, and the four
+        families at 1|1 decide which."""
         n = self.n
 
         def column(entries: ActionEntries, c: int):
             return [(r, m) for r, cc, m in entries if cc == c]
 
-        return frozenset(
-            i for i in range(1, n + 1)
-            if all(column(entries, i - 1) == column(entries, n + i - 1)
-                   for entries in self.action_entries.values()))
+        alike = all(column(entries, c) == column(entries, n + c)
+                    for entries in base.values() for c in range(n))
+        return frozenset(range(1, n + 1) if alike else ())
 
     def arrow_scalar(self, u: StringLabel) -> Fraction:
         """The scalar by which u acts on the arrow of its source column.
@@ -381,21 +382,23 @@ class ObjectSlot:
         return f"{self.kind}_{self.component}"
 
 
-class _ActionMatrices(Mapping):
-    """Read-only matrices of a birep, built afresh from triples on access."""
+def _dense(size: int, triples: Iterable[Tuple[int, int, int]]
+           ) -> List[List[int]]:
+    """The size x size int matrix, as a list of rows, with the given
+    (row, col, value) entries; values at a repeated position add up."""
+    out = [[0] * size for _ in range(size)]
+    for r, c, m in triples:
+        if not (0 <= r < size and 0 <= c < size):
+            raise ValueError(f"action entry {(r, c)} outside {size}x{size}")
+        out[r][c] += m
+    return out
 
-    def __init__(self, action: Mapping, size: int):
-        self._action, self._size = action, size
 
-    def __getitem__(self, u: StringLabel) -> ExactMatrix:
-        return ExactMatrix.from_entries(self._size, self._size,
-                                        self._action[u])
-
-    def __iter__(self):
-        return iter(self._action)
-
-    def __len__(self) -> int:
-        return len(self._action)
+def _matmul(a: List[List[int]], b: List[List[int]]) -> List[List[int]]:
+    """The product of two int matrices given as lists of rows."""
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols]
+            for row in a]
 
 
 @dataclass
@@ -407,7 +410,8 @@ class FinitaryBirep:
     slots for components 1..n followed by the surviving M slots.
 
     action, the only stored form, maps each generator to the sorted
-    (row, col, multiplicity) ints of its matrix; action_obj builds those.
+    (row, col, multiplicity) ints of its matrix; every matrix a birep
+    reports or checks is laid out from these as int lists.
     """
 
     n: int
@@ -426,10 +430,6 @@ class FinitaryBirep:
     def rank(self) -> int:
         return len(self.objects)
 
-    @property
-    def action_obj(self) -> Mapping[StringLabel, ExactMatrix]:
-        return _ActionMatrices(self.action, self.rank)
-
     def object_index(self, kind: str, component: int) -> int:
         for pos, slot in enumerate(self.objects):
             if slot.kind == kind and slot.component == component:
@@ -439,42 +439,23 @@ class FinitaryBirep:
     def generator_labels(self) -> List[StringLabel]:
         return sorted(self.action, key=_label_sort_key)
 
-    def _action_support(self) -> Dict[int, int]:
-        """Nonzero entries of the total action matrix by flat index."""
-        size = self.rank
-        total: Counter = Counter()
-        for entries in self.action.values():
-            for r, c, m in entries:
-                if not (0 <= r < size and 0 <= c < size):
-                    raise ValueError(
-                        f"action entry {(r, c)} outside {size}x{size}")
-                total[r * size + c] += m
-        return total
+    def f_matrix(self) -> List[List[int]]:
+        """The total action matrix, the sum over every generator."""
+        return _dense(self.rank, itertools.chain.from_iterable(
+            self.action.values()))
 
-    def f_matrix(self) -> ExactMatrix:
-        size = self.rank
-        total = self._action_support()
-        return ExactMatrix.from_entries(
-            size, size, [(*divmod(idx, size), m) for idx, m in total.items()])
-
-    def cartan(self) -> ExactMatrix:
+    def cartan(self) -> List[List[int]]:
         units = [(p, p, 1) for p in range(self.rank)]
         arrows = [(self.object_index("M", i), self.object_index("N", i), 1)
                   for i in range(1, self.n + 1) if i not in self.contracted]
-        return ExactMatrix.from_entries(self.rank, self.rank, units + arrows)
+        return _dense(self.rank, units + arrows)
 
     def fingerprint(self) -> List[int]:
         """Components whose M and N generators act identically."""
         return [r for r, pairs in enumerate(self.core.mn_pairs, 1)
                 if all(self.action[m] == self.action[nn] for m, nn in pairs)]
 
-    def arrow_scalar(self, u: StringLabel) -> Fraction:
-        return self.core.arrow_scalar(u)
-
     def to_json(self) -> dict:
-        def ints(mat: ExactMatrix) -> List[List[int]]:
-            return [[int(e) for e in row] for row in mat.to_lists()]
-
         return {
             "n": self.n,
             "k": self.k,
@@ -482,8 +463,8 @@ class FinitaryBirep:
             "contracted": sorted(self.contracted),
             "rank": self.rank,
             "objects": [slot.name for slot in self.objects],
-            "cartan": ints(self.cartan()),
-            "action": {u.literal(): ints(self.action_obj[u])
+            "cartan": self.cartan(),
+            "action": {u.literal(): _dense(self.rank, self.action[u])
                        for u in self.generator_labels()},
         }
 
@@ -568,14 +549,6 @@ def localize(b: FinitaryBirep, contract: Iterable[int]) -> FinitaryBirep:
     return FinitaryBirep(b.n, b.k, b.column, total, slots, action, core)
 
 
-def action_matrix(b: FinitaryBirep, u: StringLabel) -> ExactMatrix:
-    """The object-level matrix of a cell generator."""
-    lab = u.normalized(b.n)
-    if lab.family not in "WSNM" or lab.k != b.k:
-        raise ValueError(f"{u} lies outside the apex of this birep")
-    return b.action_obj[lab]
-
-
 def is_simple_transitive(b: FinitaryBirep) -> bool:
     """Transitivity of the object action plus absence of stable ideals.
 
@@ -589,8 +562,7 @@ def is_simple_transitive(b: FinitaryBirep) -> bool:
     The verdict of every surviving column is asked before they are
     combined, so every shape check runs.
     """
-    total = b._action_support()
-    if any(total.get(idx, 0) < 1 for idx in range(b.rank * b.rank)):
+    if any(e < 1 for row in b.f_matrix() for e in row):
         return False
 
     return all([b.core.column_verdict(s) for s in range(1, b.n + 1)
@@ -684,9 +656,9 @@ def verify_block_structure(b: FinitaryBirep) -> dict:
             failures.append(f"{u}: block {got}, expected {want}")
 
     f = b.f_matrix()
-    trace = sum((f.get(i, i) for i in range(f.rows)), ZERO)
-    f_entries_positive = all(e >= ONE for e in f.entries)
-    f_squares = f.mul(f) == f.scale(Fraction(4 * n))
+    trace = sum(f[i][i] for i in range(b.rank))
+    f_entries_positive = all(e >= 1 for row in f for e in row)
+    f_squares = _matmul(f, f) == [[4 * n * e for e in row] for row in f]
     if trace != 4 * n:
         failures.append(f"total matrix trace {trace}, expected {4 * n}")
     if not f_entries_positive:
@@ -696,27 +668,26 @@ def verify_block_structure(b: FinitaryBirep) -> dict:
 
     diagonal_ok = True
     for block in blocks:
-        sub = ExactMatrix.from_rows(
-            [[f.get(a, c) for c in block] for a in block])
-        if sub.mul(sub) != sub.scale(Fraction(4)):
+        sub = [[f[a][c] for c in block] for a in block]
+        if _matmul(sub, sub) != [[4 * e for e in row] for row in sub]:
             diagonal_ok = False
             failures.append("diagonal block of the total matrix is not "
                             "idempotent up to the factor 4")
 
     idem_ok, nilpotent_ok = True, True
     for u in b.generator_labels():
-        mat = b.action_obj[u]
+        mat = _dense(b.rank, b.action[u])
+        square = _matmul(mat, mat)
         if u.i == u.j:
-            if mat.mul(mat) != mat:
+            if square != mat:
                 idem_ok = False
                 failures.append(f"{u}: diagonal generator not idempotent")
-            diag_ones = sum(1 for a in range(mat.rows)
-                            if mat.get(a, a) == ONE)
+            diag_ones = sum(1 for a in range(b.rank) if mat[a][a] == 1)
             if diag_ones != 1:
                 idem_ok = False
                 failures.append(f"{u}: {diag_ones} diagonal units")
         else:
-            if not mat.mul(mat).is_zero():
+            if any(any(row) for row in square):
                 nilpotent_ok = False
                 failures.append(f"{u}: off-diagonal generator not nilpotent")
 
@@ -724,7 +695,7 @@ def verify_block_structure(b: FinitaryBirep) -> dict:
         "n": n,
         "k": b.k,
         "contracted": sorted(b.contracted),
-        "f_trace": int(trace),
+        "f_trace": trace,
         "f_entries_positive": f_entries_positive,
         "f_squares_to_4n": f_squares,
         "diagonal_blocks_ok": diagonal_ok,
@@ -756,12 +727,11 @@ def verify_adjunction_consequences(b: FinitaryBirep) -> dict:
     cartan_ok = True
     off = {(b.object_index("M", i), b.object_index("N", i))
            for i in range(1, b.n + 1) if i not in b.contracted}
-    for a in range(cartan.rows):
-        for c in range(cartan.cols):
-            want = ONE if a == c or (a, c) in off else ZERO
-            if cartan.get(a, c) != want:
+    for a, row in enumerate(cartan):
+        for c, got in enumerate(row):
+            if got != (1 if a == c or (a, c) in off else 0):
                 cartan_ok = False
-                failures.append(f"Cartan entry {(a, c)} is {cartan.get(a, c)}")
+                failures.append(f"Cartan entry {(a, c)} is {got}")
     for i in range(1, b.n + 1):
         a1 = i in b.contracted
         slots = [s for s in b.objects if s.component == i]

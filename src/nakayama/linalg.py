@@ -1,21 +1,16 @@
 """Exact linear algebra over the rationals.
 
 Everything downstream (hom spaces, tensor quotients, split pairs) reduces to
-rank / kernel / solve questions for smallish matrices with Fraction entries.
-Two representations coexist here:
-
-* ``ExactMatrix``, a dense immutable matrix, the form of the matrices a
-  birep reports; ``ExactMatrix.from_entries`` assembles one from sparse
-  (row, col, value) triples.  Bimodule arrows and the blocks of bimodule
-  maps never take this form: they are built and read as sparse entries;
-* sparse row-dicts (column index -> nonzero scalar), the currency of
-  systems: the intertwining and balancing systems, trace pairings and
-  solves are very sparse and are cheaper to eliminate without
-  materialising zeros.  The intertwining systems of hom spaces and the
-  balancing systems of tensor products both take their kernels from
-  ``sparse_kernel_with_frees``, which turns int coefficients, as 0/1
-  modules give, into Fractions before any division; its vectors are
-  Fractions either way.
+rank / kernel / solve questions for smallish systems with Fraction entries.
+A system is a list of sparse row-dicts (column index -> nonzero scalar):
+the intertwining and balancing systems, trace pairings and solves are very
+sparse and are cheaper to eliminate without materialising zeros.  No dense
+matrix type is kept: bimodule arrows and the blocks of bimodule maps are
+sparse entries, and the matrices a birep reports are small int lists.  The
+intertwining systems of hom spaces and the balancing systems of tensor
+products both take their kernels from ``sparse_kernel_with_frees``, which
+turns int coefficients, as 0/1 modules give, into Fractions before any
+division; its vectors are Fractions either way.
 
 Every elimination goes through one reduced-row-echelon routine, so kernel
 bases, ranks, solutions and pivot choices are deterministic everywhere.
@@ -41,7 +36,7 @@ columns and the signed kernel returns exactly the RREF kernel.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -49,105 +44,6 @@ ONE = Fraction(1)
 
 def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
-
-
-class ExactMatrix:
-    """Dense matrix of exact rationals, row-major, immutable after creation."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows: int, cols: int, entries: Iterable) -> None:
-        ent = tuple(map(_frac, entries))
-        if len(ent) != rows * cols:
-            raise ValueError(
-                f"expected {rows * cols} entries, got {len(ent)}")
-        self.rows = rows
-        self.cols = cols
-        self.entries = ent
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence]) -> "ExactMatrix":
-        r = len(rows)
-        c = len(rows[0]) if r else 0
-        flat = []
-        for row in rows:
-            if len(row) != c:
-                raise ValueError("ragged rows")
-            flat.extend(row)
-        return cls(r, c, flat)
-
-    @classmethod
-    def from_entries(cls, rows: int, cols: int,
-                     triples: Iterable) -> "ExactMatrix":
-        """The rows x cols matrix with the given (row, col, value) entries
-        and zeros elsewhere; values at a repeated position add up."""
-        flat = [ZERO] * (rows * cols)
-        for r, c, v in triples:
-            if not (0 <= r < rows and 0 <= c < cols):
-                raise IndexError(f"entry ({r}, {c}) outside {rows}x{cols}")
-            k = r * cols + c
-            flat[k] = flat[k] + v if flat[k] else v
-        return cls(rows, cols, flat)
-
-    # -- access ------------------------------------------------------------
-
-    def get(self, r: int, c: int) -> Fraction:
-        return self.entries[r * self.cols + c]
-
-    def row(self, r: int) -> tuple:
-        return self.entries[r * self.cols:(r + 1) * self.cols]
-
-    def to_lists(self) -> list:
-        return [list(self.row(r)) for r in range(self.rows)]
-
-    # -- algebra -----------------------------------------------------------
-
-    def mul(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.cols != other.rows:
-            raise ValueError(
-                f"shape mismatch: {self.rows}x{self.cols} times "
-                f"{other.rows}x{other.cols}")
-        out = []
-        orows = [other.row(i) for i in range(other.rows)]
-        for r in range(self.rows):
-            srow = self.row(r)
-            acc = [ZERO] * other.cols
-            for k, a in enumerate(srow):
-                if a:
-                    ok = orows[k]
-                    for c in range(other.cols):
-                        if ok[c]:
-                            acc[c] += a * ok[c]
-            out.extend(acc)
-        return ExactMatrix(self.rows, other.cols, out)
-
-    def scale(self, s) -> "ExactMatrix":
-        s = _frac(s)
-        return ExactMatrix(self.rows, self.cols,
-                           [s * a for a in self.entries])
-
-    # -- predicates --------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.entries)
-
-    # -- dunder ------------------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, ExactMatrix)
-                and self.rows == other.rows
-                and self.cols == other.cols
-                and self.entries == other.entries)
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.entries))
-
-    def __repr__(self) -> str:
-        body = "; ".join(
-            " ".join(str(x) for x in self.row(r)) for r in range(self.rows))
-        return f"ExactMatrix({self.rows}x{self.cols}: {body})"
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Dense matrix helpers for the tests and their reference implementations.
 
 The package builds and reads every bimodule arrow and every block of a
-bimodule map as sparse entries; the oracles of the tests are written with
-dense ``ExactMatrix`` matrices, and this module converts between the two.
-It also keeps the dense forms the package no longer has: identity and
-zero matrices, rank, solve and inverse of a dense matrix, the split pair
+bimodule map as sparse entries, and lays out a birep's matrices as int
+lists from its (row, col, multiplicity) triples; the oracles of the tests
+are written with the dense Fraction matrices of ``ExactMatrix``, which
+only the tests keep, and this module converts between the forms.  It also
+keeps the dense forms the package no longer has: identity and zero
+matrices, rank, solve and inverse of a dense matrix, the split pair
 (p s)^-1 p inverted densely, and ``tensor_map`` with dense blocks.  It
 holds no ``assert``: pytest rewrites asserts only in test modules, and
 ``python -O`` strips the rest, so every failure here is an exception.
@@ -21,8 +23,83 @@ from nakayama.bimodules import (
     catalog_labels,
     construct,
 )
-from nakayama.linalg import ExactMatrix, sparse_rank
+from nakayama.linalg import sparse_rank
 from nakayama.tensoring import TensorSpace
+
+
+class ExactMatrix:
+    """Dense matrix of exact rationals, row-major, immutable after creation."""
+
+    __slots__ = ("rows", "cols", "entries")
+
+    def __init__(self, rows, cols, entries):
+        ent = tuple(e if isinstance(e, Fraction) else Fraction(e)
+                    for e in entries)
+        if len(ent) != rows * cols:
+            raise ValueError(
+                f"expected {rows * cols} entries, got {len(ent)}")
+        self.rows = rows
+        self.cols = cols
+        self.entries = ent
+
+    @classmethod
+    def from_rows(cls, rows):
+        r = len(rows)
+        c = len(rows[0]) if r else 0
+        flat = []
+        for row in rows:
+            if len(row) != c:
+                raise ValueError("ragged rows")
+            flat.extend(row)
+        return cls(r, c, flat)
+
+    @classmethod
+    def from_entries(cls, rows, cols, triples):
+        """The rows x cols matrix with the given (row, col, value) entries
+        and zeros elsewhere; values at a repeated position add up."""
+        flat = [Fraction(0)] * (rows * cols)
+        for r, c, v in triples:
+            if not (0 <= r < rows and 0 <= c < cols):
+                raise IndexError(f"entry ({r}, {c}) outside {rows}x{cols}")
+            flat[r * cols + c] += v
+        return cls(rows, cols, flat)
+
+    def get(self, r, c):
+        return self.entries[r * self.cols + c]
+
+    def row(self, r):
+        return self.entries[r * self.cols:(r + 1) * self.cols]
+
+    def to_lists(self):
+        return [list(self.row(r)) for r in range(self.rows)]
+
+    def mul(self, other):
+        if self.cols != other.rows:
+            raise ValueError(
+                f"shape mismatch: {self.rows}x{self.cols} times "
+                f"{other.rows}x{other.cols}")
+        out = []
+        orows = [other.row(i) for i in range(other.rows)]
+        for r in range(self.rows):
+            acc = [Fraction(0)] * other.cols
+            for k, a in enumerate(self.row(r)):
+                if a:
+                    for c, b in enumerate(orows[k]):
+                        if b:
+                            acc[c] += a * b
+            out.extend(acc)
+        return ExactMatrix(self.rows, other.cols, out)
+
+    def scale(self, s):
+        return ExactMatrix(self.rows, self.cols, [s * a for a in self.entries])
+
+    def is_zero(self):
+        return not any(self.entries)
+
+    def __eq__(self, other):
+        return (isinstance(other, ExactMatrix)
+                and (self.rows, self.cols, self.entries)
+                == (other.rows, other.cols, other.entries))
 
 
 def _from_view(rows, cols, view):

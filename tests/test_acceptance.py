@@ -14,7 +14,6 @@ from collections import Counter
 
 from nakayama.bimodules import StringLabel, catalog_labels
 from nakayama.bireps import (
-    action_matrix,
     cell_birep,
     classify,
     is_simple_transitive,
@@ -25,10 +24,16 @@ from nakayama.cells import compute_cells, is_idempotent_cell
 from nakayama.cli import adjunction_command
 from nakayama.decomposition import cell_of, multable_check, product_summands
 
-from dense_helpers import add, zeros
+from dense_helpers import ExactMatrix, add, zeros
 
 FAMILIES = ("W", "S", "N", "M")
 SEED = 1729
+
+
+def action_matrix(b, u):
+    """The dense object-level matrix of the apex generator u on b."""
+    return ExactMatrix.from_entries(b.rank, b.rank,
+                                    b.action[u.normalized(b.n)])
 
 
 def verdict(capsys, num, ok, text):

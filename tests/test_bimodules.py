@@ -36,12 +36,12 @@ from nakayama.tensoring import tensor
 from nakayama.linalg import (
     ONE,
     ZERO,
-    ExactMatrix,
     sparse_kernel_with_frees,
     sparse_rank,
 )
 
 from dense_helpers import (
+    ExactMatrix,
     catalog_homs,
     combination,
     dense_arrow,
@@ -782,6 +782,23 @@ def test_restrict_left_multiset_view():
     dec = restrict_left(construct(lab("S", 1, 1, 1), 3))
     assert dec.projectives == {1: 1, 2: 1} and not dec.simples
     assert "Le_1" in str(dec)
+
+
+def test_restrict_left_refuses_a_loop_that_does_not_square_to_zero():
+    # at n = 1 the loop a_1 of rank 1 on a one-dimensional vertex leaves
+    # 1 - 1 - 1 = -1 simples there
+    x = Bimodule(1, {(1, 1): 1}, {("v", 1, 1): [(0, 0, 1)]})
+    with pytest.raises(ValueError, match="not radical-square-zero"):
+        restrict_left(x)
+
+
+def test_restrict_left_refuses_a_count_short_of_the_dimension():
+    # a hand-built module whose recorded total disagrees with its vertex
+    # dimensions: the projectives and simples cannot account for it
+    x = Bimodule(3, dict(construct(lab("S", 1, 1, 1), 3).dims), {})
+    x.total_dim += 1
+    with pytest.raises(ValueError, match="does not account for every"):
+        restrict_left(x)
 
 
 _VIEW_VALUES = st.sampled_from([1, -1, 2, 3, Fraction(1, 2), Fraction(-2, 3)])

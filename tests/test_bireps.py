@@ -29,7 +29,6 @@ from nakayama.bireps import (
     StabilityError,
     _BirepCore,
     _canonical_epi,
-    action_matrix,
     cell_birep,
     classify,
     is_simple_transitive,
@@ -39,10 +38,11 @@ from nakayama.bireps import (
     verify_block_structure,
 )
 from nakayama.decomposition import cell_of, decompose, product_summands
-from nakayama.linalg import ONE, ExactMatrix, ZERO, sparse_rank, sparse_rref
+from nakayama.linalg import ONE, ZERO, sparse_rank, sparse_rref
 from nakayama.tensoring import tensor, tensor_map
 
 from dense_helpers import (
+    ExactMatrix,
     add,
     dense_block,
     identity_map,
@@ -57,8 +57,38 @@ SMALL_CELLS = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1)]
 ORBIT_CELLS = SMALL_CELLS + [(6, 1), (2, 3), (1, 3)]
 
 
+def dense(b, u):
+    """The dense oracle form of u's action matrix on b, from its triples."""
+    return ExactMatrix.from_entries(b.rank, b.rank, b.action[u])
+
+
 def ints(mat):
     return [[int(e) for e in row] for row in mat.to_lists()]
+
+
+def swept_contractible(core):
+    """The components whose N and M columns every generator acts on
+    alike, compared generator by generator over the stored action."""
+    n = core.n
+
+    def column(entries, c):
+        return [(r, m) for r, cc, m in entries if cc == c]
+
+    return {i for i in range(1, n + 1)
+            if all(column(entries, i - 1) == column(entries, n + i - 1)
+                   for entries in core.action_entries.values())}
+
+
+def qcoords(q, f):
+    """The coordinates of f in the quotient q, one per free column of its
+    echelon rows; zero exactly when f is radical."""
+    vec = list(q.space.coords_of(f))
+    for row, p in zip(q._reduced, q._pivots):
+        c = vec[p]
+        if c:
+            for col, v in row.items():
+                vec[col] -= c * v
+    return tuple(vec[c] for c in range(q.space.dim) if c not in q._pivots)
 
 
 def test_quotient_hom_dims_form_disjoint_a2():
@@ -158,35 +188,37 @@ def test_cell_birep_objects_and_rank():
 
 def test_rank_one_component_action_matrices():
     b = cell_birep(1, 1)
-    assert ints(b.action_obj[StringLabel("N", 1, 1, 1)]) == [[1, 1], [0, 0]]
-    assert ints(b.action_obj[StringLabel("M", 1, 1, 1)]) == [[0, 0], [1, 1]]
-    assert ints(b.action_obj[StringLabel("W", 1, 1, 1)]) == [[1, 1], [0, 0]]
-    assert ints(b.action_obj[StringLabel("S", 1, 1, 1)]) == [[0, 0], [1, 1]]
+    assert ints(dense(b, StringLabel("N", 1, 1, 1))) == [[1, 1], [0, 0]]
+    assert ints(dense(b, StringLabel("M", 1, 1, 1))) == [[0, 0], [1, 1]]
+    assert ints(dense(b, StringLabel("W", 1, 1, 1))) == [[1, 1], [0, 0]]
+    assert ints(dense(b, StringLabel("S", 1, 1, 1))) == [[0, 0], [1, 1]]
+    assert b.to_json()["action"]["N:1|1:k=1"] == [[1, 1], [0, 0]]
 
 
 def test_total_action_matrix_facts():
     b = cell_birep(2, 1)
-    f = b.f_matrix()
-    assert ints(f) == [[2] * 4 for _ in range(4)]
+    assert b.f_matrix() == [[2] * 4 for _ in range(4)]
+    f = ExactMatrix.from_rows(b.f_matrix())
     assert f.mul(f) == f.scale(Fraction(8))
     assert sum(f.get(i, i) for i in range(4)) == 8
 
 
 def test_action_matrix_rejects_non_apex_input():
+    # the action is keyed by the normalized labels of the apex alone
     b = cell_birep(2, 1)
-    with pytest.raises(ValueError):
-        action_matrix(b, parse_label("P:1|1"))
-    with pytest.raises(ValueError):
-        action_matrix(b, StringLabel("N", 1, 1, 2))
-    got = action_matrix(b, StringLabel("N", 3, 3, 1))
-    assert got == b.action_obj[StringLabel("N", 1, 1, 1)]
+    with pytest.raises(KeyError):
+        b.action[parse_label("P:1|1")]
+    with pytest.raises(KeyError):
+        b.action[StringLabel("N", 1, 1, 2)]
+    got = b.action[StringLabel("N", 3, 3, 1).normalized(b.n)]
+    assert got == b.action[StringLabel("N", 1, 1, 1)]
 
 
 @pytest.mark.parametrize("r,s", [(1, 1), (2, 2), (1, 2), (2, 1)])
 def test_diagonal_generators_idempotent_off_diagonal_nilpotent(r, s):
     b = cell_birep(2, 1)
     for fam in "WSNM":
-        mat = b.action_obj[StringLabel(fam, r, s, 1)]
+        mat = dense(b, StringLabel(fam, r, s, 1))
         square = mat.mul(mat)
         if r == s:
             assert square == mat
@@ -204,7 +236,7 @@ def test_other_columns_look_the_same():
     left = cell_birep(2, 1, j=1)
     right = cell_birep(2, 1, j=2)
     assert right.column == 2
-    assert ints(left.f_matrix()) == ints(right.f_matrix())
+    assert left.f_matrix() == right.f_matrix()
 
 
 def test_localize_empty_set_is_identity():
@@ -217,7 +249,7 @@ def test_localize_merges_objects():
     loc = localize(b, {1})
     assert loc.rank == 3
     assert [s.name for s in loc.objects] == ["O_1", "N_2", "M_2"]
-    assert ints(loc.f_matrix()) == [[4, 4, 4], [2, 2, 2], [2, 2, 2]]
+    assert loc.f_matrix() == [[4, 4, 4], [2, 2, 2], [2, 2, 2]]
 
 
 def test_localize_rejects_bad_component():
@@ -231,7 +263,7 @@ def test_localizations_compose_by_union():
     two_step = localize(localize(b, {1}), {2})
     one_step = localize(b, {1, 2})
     assert two_step.contracted == one_step.contracted == frozenset({1, 2})
-    assert two_step.action_obj == one_step.action_obj
+    assert two_step.action == one_step.action
     assert two_step.rank == 2
 
 
@@ -252,12 +284,12 @@ def test_sparse_merge_matches_dense_reference(n):
                       for i in range(1, n + 1)]
             groups += [[n + i - 1] for i in range(1, n + 1)
                        if i not in combo]
-            for u, mat in b.action_obj.items():
+            for u in b.action:
                 assert len(b.core.action_entries[u]) <= 4
-                got = loc.action_obj[u]
-                assert isinstance(got, ExactMatrix)
-                assert all(isinstance(e, Fraction) for e in got.entries)
-                assert got == _reference_merge(mat, groups), (combo, u)
+                assert all(type(m) is int and m > 0
+                           for _, _, m in loc.action[u])
+                got = dense(loc, u)
+                assert got == _reference_merge(dense(b, u), groups), (combo, u)
 
 
 def test_sparse_merge_rejects_unequal_contracted_columns():
@@ -268,7 +300,11 @@ def test_sparse_merge_rejects_unequal_contracted_columns():
     # N_1|1 sends N_1 and M_1 to N_1; drop the entry in M_1's column
     assert core.action_entries[u] == ((0, 0, 1), (0, 2, 1))
     core.action_entries[u] = ((0, 0, 1),)
-    core.contractible = core._contractible()
+    # the orbit rule reads the generators at 1|1 and refuses every
+    # component; the sweep refuses component 1 alone
+    base = {f: core.action_entries[StringLabel(f, 1, 1, 1)] for f in "WSNM"}
+    assert core._contractible(base) == frozenset()
+    core.contractible = frozenset(swept_contractible(core))
     assert core.contractible == {2}
     tampered = dataclasses.replace(b, core=core)
     with pytest.raises(StabilityError):
@@ -283,9 +319,35 @@ def test_contractible_matches_column_comparison(n, k):
         want = {i for i in range(1, n + 1)
                 if all([mat.get(r, i - 1) for r in range(2 * n)]
                        == [mat.get(r, n + i - 1) for r in range(2 * n)]
-                       for mat in b.action_obj.values())}
+                       for mat in (dense(b, u) for u in b.action))}
         assert b.core.contractible == want, j
         assert want == set(range(1, n + 1)), j
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for k in (1, 2) for n in range(1, 7)]
+                         + [(8, 1)])
+def test_contractible_matches_per_generator_sweep(n, k):
+    # the core decides from the four generators at 1|1; the sweep compares
+    # the two columns of every component under all 4n^2 generators
+    for j in sorted({1, n}):
+        core = cell_birep(n, k, j).core
+        assert core.contractible == swept_contractible(core), j
+
+
+def test_contractible_reads_every_component_of_the_generators_at_1_1():
+    # a generator at 1|1 whose columns of component 2 differ makes every
+    # component uncontractible, as the sweep over its shifts finds
+    core = copy.copy(cell_birep(3, 1).core)
+    u = StringLabel("N", 1, 1, 1)
+    base = {f: core.action_entries[StringLabel(f, 1, 1, 1)] for f in "WSNM"}
+    base[u.family] = base[u.family] + ((2, 1, 1),)
+    assert core._contractible(base) == frozenset()
+    core.action_entries = {
+        v: tuple(sorted((bireps._shift(r, v.i - 1, 3),
+                         bireps._shift(c, v.j - 1, 3), m)
+                        for r, c, m in base[v.family]))
+        for v in core.generators}
+    assert swept_contractible(core) == set()
 
 
 def test_arrow_scalar_normalizes_its_label():
@@ -350,8 +412,8 @@ def _reference_arrow_scalar(core, u):
     composite = pi_n.compose(phi).compose(sig_m)
     ypos = core.position[y_lab]
     qend = _oracle_qhoms(core)[(ypos, ypos)]
-    target = qend.qcoords(composite)
-    unit = qend.qcoords(identity_map(core.modules[ypos]))
+    target = qcoords(qend, composite)
+    unit = qcoords(qend, identity_map(core.modules[ypos]))
     pivot = next(i for i, v in enumerate(unit) if v)
     lam = target[pivot] / unit[pivot]
     assert all(t == lam * v for t, v in zip(target, unit))
@@ -477,14 +539,13 @@ def test_rank_drops_by_contracted_count(n):
 
 def test_mixed_contraction_block_shapes():
     loc = localize(cell_birep(2, 1), {1})
-    act = loc.action_obj
-    assert ints(act[StringLabel("N", 1, 1, 1)]) == [
+    assert ints(dense(loc, StringLabel("N", 1, 1, 1))) == [
         [1, 0, 0], [0, 0, 0], [0, 0, 0]]
-    assert ints(act[StringLabel("N", 2, 2, 1)]) == [
+    assert ints(dense(loc, StringLabel("N", 2, 2, 1))) == [
         [0, 0, 0], [0, 1, 1], [0, 0, 0]]
-    assert ints(act[StringLabel("N", 1, 2, 1)]) == [
+    assert ints(dense(loc, StringLabel("N", 1, 2, 1))) == [
         [0, 1, 1], [0, 0, 0], [0, 0, 0]]
-    assert ints(act[StringLabel("N", 2, 1, 1)]) == [
+    assert ints(dense(loc, StringLabel("N", 2, 1, 1))) == [
         [0, 0, 0], [1, 0, 0], [0, 0, 0]]
     assert verify_block_structure(loc)["ok"]
 
@@ -503,19 +564,73 @@ def test_block_structure_for_every_subset(n):
             assert adj["ok"], adj["failures"]
 
 
+def _dense_block_flags(b):
+    """The product checks of ``verify_block_structure``, on dense
+    matrices."""
+    f = zeros(b.rank, b.rank)
+    for u in b.action:
+        f = add(f, dense(b, u))
+    subs = [ExactMatrix.from_rows([[f.get(a, c) for c in block]
+                                   for a in block])
+            for block in bireps._component_blocks(b)]
+    idem = nil = True
+    for u in b.action:
+        mat = dense(b, u)
+        square = mat.mul(mat)
+        if u.i == u.j:
+            units = sum(mat.get(a, a) == 1 for a in range(b.rank))
+            idem = idem and square == mat and units == 1
+        else:
+            nil = nil and square.is_zero()
+    return {"f_trace": sum(f.get(a, a) for a in range(b.rank)),
+            "f_squares_to_4n": f.mul(f) == f.scale(4 * b.n),
+            "diagonal_blocks_ok": all(s.mul(s) == s.scale(4) for s in subs),
+            "idempotent_diagonals_ok": idem,
+            "nilpotent_off_diagonals_ok": nil}
+
+
+def _tampered(b, u, entries):
+    action = dict(b.action)
+    action[u] = entries
+    return dataclasses.replace(b, action=action)
+
+
+def test_block_checks_match_the_dense_products():
+    # a diagonal generator with doubled entries has no unit on the
+    # diagonal, one with an entry from N_1 to M_1 keeps its one unit but
+    # squares to more than itself, and both break the total and its
+    # diagonal block; an entry from N_1 to N_2 makes an off-diagonal
+    # generator square to nonzero
+    b = cell_birep(2, 1)
+    diagonal, off = StringLabel("N", 1, 1, 1), StringLabel("N", 1, 2, 1)
+    assert b.action[off] == ((0, 1, 1), (0, 3, 1))
+    cases = [localize(b, combo) for combo in ((), (1,), (2,), (1, 2))]
+    cases += [_tampered(b, diagonal, ((0, 0, 2), (0, 2, 2))),
+              _tampered(b, diagonal, ((0, 0, 1), (0, 2, 1), (2, 0, 1))),
+              _tampered(b, off, ((0, 1, 1), (0, 3, 1), (1, 0, 1))),
+              _doubled_fixture()]
+    failed = set()
+    for case in cases:
+        report = verify_block_structure(case)
+        want = _dense_block_flags(case)
+        assert {key: report[key] for key in want} == want
+        failed |= {key for key, ok in want.items() if ok is False}
+    assert failed == set(want) - {"f_trace"}
+
+
 def test_fully_contracted_blocks_are_units():
     loc = localize(cell_birep(2, 1), {1, 2})
     for u in loc.generator_labels():
-        mat = loc.action_obj[u]
-        assert ints(mat)[u.i - 1][u.j - 1] == 1
-        assert sum(sum(row) for row in ints(mat)) == 1
-    assert ints(loc.f_matrix()) == [[4, 4], [4, 4]]
+        mat = ints(dense(loc, u))
+        assert mat[u.i - 1][u.j - 1] == 1
+        assert sum(sum(row) for row in mat) == 1
+    assert loc.f_matrix() == [[4, 4], [4, 4]]
 
 
 def test_arrow_scalars_make_the_cell_birep_simple():
     b = cell_birep(1, 1)
-    assert b.arrow_scalar(StringLabel("N", 1, 1, 1)) == 1
-    assert b.arrow_scalar(StringLabel("M", 1, 1, 1)) == 1
+    assert b.core.arrow_scalar(StringLabel("N", 1, 1, 1)) == 1
+    assert b.core.arrow_scalar(StringLabel("M", 1, 1, 1)) == 1
     assert is_simple_transitive(b)
 
 
@@ -557,15 +672,14 @@ def _support_cases():
 
 def test_sparse_support_matches_dense_matrices():
     for b in _support_cases():
-        dense = zeros(b.rank, b.rank)
-        for mat in b.action_obj.values():
-            dense = add(dense, mat)
-        support = b._action_support()
-        assert support == {idx: e for idx, e in enumerate(dense.entries) if e}
-        assert b.f_matrix() == dense
+        total = zeros(b.rank, b.rank)
+        for u in b.action:
+            total = add(total, dense(b, u))
+        assert ExactMatrix.from_rows(b.f_matrix()) == total
+        assert all(type(e) is int for row in b.f_matrix() for e in row)
         want = [r for r in range(1, b.n + 1)
-                if all(b.action_obj[StringLabel("M", r, s, b.k)]
-                       == b.action_obj[StringLabel("N", r, s, b.k)]
+                if all(dense(b, StringLabel("M", r, s, b.k))
+                       == dense(b, StringLabel("N", r, s, b.k))
                        for s in range(1, b.n + 1))]
         assert b.fingerprint() == want
 
@@ -577,7 +691,9 @@ def test_action_support_rejects_entries_outside_the_rank(entry):
     action = dict(b.action)
     action[u] = action[u] + (entry,)
     with pytest.raises(ValueError):
-        dataclasses.replace(b, action=action)._action_support()
+        dataclasses.replace(b, action=action).f_matrix()
+    with pytest.raises(ValueError):
+        dataclasses.replace(b, action=action).to_json()
 
 
 def _reference_closure(b, s):
@@ -600,7 +716,7 @@ def _reference_closure(b, s):
                     grown = True
         for pos in sorted(ids):
             for u in b.core.generators:
-                mat = b.action_obj[u]
+                mat = dense(b, u)
                 for r in range(mat.rows):
                     if mat.get(r, pos) != ZERO and r not in ids:
                         ids.add(r)
@@ -612,8 +728,8 @@ def _reference_closure(b, s):
 
 def _reference_is_simple_transitive(b):
     f = zeros(b.rank, b.rank)
-    for mat in b.action_obj.values():
-        f = add(f, mat)
+    for u in b.action:
+        f = add(f, dense(b, u))
     for r in range(f.rows):
         for c in range(f.cols):
             if f.get(r, c) < ONE:
@@ -848,6 +964,6 @@ def test_birep_json_shape():
 def test_two_valley_cell_birep_builds():
     b = cell_birep(1, 2)
     assert b.rank == 2
-    assert ints(b.action_obj[StringLabel("N", 1, 1, 2)]) == [[1, 1], [0, 0]]
+    assert ints(dense(b, StringLabel("N", 1, 1, 2))) == [[1, 1], [0, 0]]
     assert verify_block_structure(b)["ok"]
     assert verify_adjunction_consequences(b)["ok"]

@@ -82,7 +82,7 @@ def test_shared_action_data_rejects_writes(restored_caches):
     u = StringLabel("N", 1, 1, 1)
     assert b.action is b.core.action_entries
     for mapping in (b.core.action_entries, b.core.by_column, b.action,
-                    loc.action, loc.action_obj):
+                    loc.action):
         with pytest.raises(TypeError):
             mapping[u] = ()
     assert _dump(classify(3, 1).to_json()) == cold

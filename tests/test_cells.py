@@ -1,5 +1,7 @@
 """Tests for the cell structure computation."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -80,6 +82,22 @@ def test_a_cell_off_its_predicted_position_raises(monkeypatch):
     monkeypatch.setattr(cells, "cell_of", shifted)
     with pytest.raises(RuntimeError, match="chain position 2"):
         compute_cells(2, 1)
+
+
+def test_chain_refuses_an_order_that_is_not_total(structures):
+    partial = dataclasses.replace(structures[1], chain_is_total=False)
+    with pytest.raises(ValueError, match="not total"):
+        partial.chain()
+
+
+def test_egg_box_refuses_a_member_in_no_left_cell(structures):
+    # drop the left cell of one J_1 member: that member lands in no column
+    cs = structures[2]
+    lost = cs.cell_with_name("J_1")[0]
+    broken = dataclasses.replace(cs, left_cells=[
+        c for c in cs.left_cells if lost not in c])
+    with pytest.raises(RuntimeError, match="misplaces elements"):
+        broken.egg_box("J_1")
 
 
 def test_partitions_cover_and_are_disjoint(structures):

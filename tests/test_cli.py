@@ -230,6 +230,27 @@ def test_cellrep_output_is_byte_stable(capsys):
         "228d94e1dff70797ea372698218cbc624af232d6c6da5d15e5baec7d9a5d390b")
 
 
+def test_cellrep_text_output_is_byte_stable(capsys):
+    # the text summary prints the Cartan matrix and every action matrix,
+    # each laid out from the birep's integer triples
+    status = main(["cellrep", "--n", "3", "--k", "1"])
+    out = capsys.readouterr().out
+    assert status == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "86a0566db9d7d89731c5aedb48289cbd5893217d4d7a657f4ccb741b0d9d05e9")
+
+
+def test_localize_output_is_byte_stable(capsys):
+    # a localized birep merges the rows of its contracted components, so
+    # its action, Cartan matrix and verifier reports are pinned there
+    status = main(["localize", "--n", "4", "--k", "2", "--contract", "1,3",
+                   "--json"])
+    out = capsys.readouterr().out
+    assert status == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "b9bafc9baa556ccaa0204f53729e963322929cbf977d52faa734cb08848b7b23")
+
+
 def test_adjunction_wrapping_output_is_byte_stable(capsys):
     # at n = 2 with k = 3 the walks wrap the torus, so translated modules
     # and cached column homs meet stacked points

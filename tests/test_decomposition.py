@@ -345,6 +345,28 @@ def test_cells_decompose_each_distinct_product_once(monkeypatch):
     assert len(distinct) < len(_PRODUCT_CACHE)
 
 
+def test_decompose_refuses_a_multiplicity_past_the_dimension(monkeypatch):
+    # a pairing rank read twice too high claims two copies of the one
+    # summand, which no longer fit in the module's dimension vector
+    x = construct(lab("N", 1, 1, 1), 2)
+
+    def doubled(rows, ncols):
+        return 2 * sparse_rank(rows, ncols)
+
+    monkeypatch.setattr(decomposition, "sparse_rank", doubled)
+    with pytest.raises(RuntimeError, match="dimension balance fails"):
+        decompose(x, 1)
+
+
+def test_canonical_summands_refuse_a_residual(monkeypatch):
+    # with no catalog to search, the whole product is residual
+    nakayama.clear_caches()
+    monkeypatch.setattr(decomposition, "_candidates", lambda n, k: ())
+    with pytest.raises(RuntimeError, match="unexpected residual"):
+        canonical_summands(2, "N", 1, 1, "N", 1)
+    assert not _PRODUCT_CACHE and not _SUMMANDS_CACHE
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_memoized_summands_match_a_fresh_decomposition(n):
     nakayama.clear_caches()

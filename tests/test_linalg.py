@@ -9,14 +9,19 @@ from hypothesis import given, settings, strategies as st
 
 from nakayama import linalg
 from nakayama.linalg import (
-    ExactMatrix,
     rref_kernel_with_frees,
     signed_kernel_with_frees,
     sparse_kernel_with_frees,
     sparse_rref,
 )
 
-from dense_helpers import dense_rank, dense_solve, identity, zeros
+from dense_helpers import (
+    ExactMatrix,
+    dense_rank,
+    dense_solve,
+    identity,
+    zeros,
+)
 
 
 def _rows(m):

@@ -20,10 +20,11 @@ from nakayama.bimodules import (
     is_isomorphic,
     regular_bimodule,
 )
-from nakayama.linalg import ONE, ZERO, ExactMatrix, sparse_rref
+from nakayama.linalg import ONE, ZERO, sparse_rref
 from nakayama.tensoring import TensorSpace, tensor, tensor_map
 
 from dense_helpers import (
+    ExactMatrix,
     catalog_homs,
     combination,
     dense_arrow,
