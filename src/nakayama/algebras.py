@@ -52,9 +52,6 @@ class CoverVertex:
     a: int
     b: int
 
-    def shifted(self, da: int, db: int) -> "CoverVertex":
-        return CoverVertex(self.a + da, self.b + db)
-
 
 def project(c: CoverVertex, n: int) -> Vertex:
     """Push a cover vertex down to the torus, residues in {1..n}.

@@ -16,6 +16,12 @@ for the rest: the object action of the four generators at 1|1, the
 quotient hom spaces out of N_1 and M_1, and the arrow scalar of each
 family at 1|1 on the arrow of component 1.
 
+The core of a column is built whole, once, and shared by every birep on
+it: it computes and checks the arrow scalar of every generator and the
+per-column verdicts read from them when it is built, and nothing on it
+changes after that.  Localizing merges its triples; deciding simple
+transitivity reads its verdicts.
+
 Each generator's object-level action is stored once, as sorted integer
 (row, column, multiplicity) triples, the only form of a birep matrix:
 whatever a birep reports or checks as a matrix is laid out from them as
@@ -171,13 +177,13 @@ def _shift(p: int, d: int, n: int) -> int:
 
 class _BirepCore:
     """Shared data behind every birep on one column: object bimodules,
-    quotient hom spaces, the canonical arrow, the generators by column,
-    their uncontracted action as read-only integer triples, the components
-    whose two columns act alike, the (M_{r|s}, N_{r|s}) generator pairs of
-    each row r, and lazily filled tables for the morphism-level action:
-    the arrow scalar of each generator, per column whether one of them is
-    nonzero, and the checked pairing of each distinct (object position,
-    arrow end) pair, keyed by the end's value.
+    quotient hom spaces, the canonical arrow, the generators, their
+    uncontracted action as integer triples, the components whose two
+    columns act alike, the (M_{r|s}, N_{r|s}) generator pairs of each row
+    r, the arrow scalar of every generator, and per column whether one of
+    them is nonzero.  All of it is computed and checked when the core is
+    built and is read-only after that, so one core can be shared by every
+    caller.
 
     Everything is computed on one representative per translation orbit.
     Rotating the quiver is an algebra automorphism; moved by (d, 0) along
@@ -196,15 +202,16 @@ class _BirepCore:
 
     def __init__(self, n: int, k: int, column: int):
         self.n, self.k, self.column = n, k, column
-        self.object_labels = [StringLabel(f, i, column, k).normalized(n)
-                              for f in "NM" for i in range(1, n + 1)]
-        self.modules = [construct(lab, n) for lab in self.object_labels]
-        self.position = {lab: p for p, lab in enumerate(self.object_labels)}
+        self.object_labels = tuple(StringLabel(f, i, column, k).normalized(n)
+                                   for f in "NM" for i in range(1, n + 1))
+        self.modules = tuple(construct(lab, n) for lab in self.object_labels)
+        self.position = MappingProxyType(
+            {lab: p for p, lab in enumerate(self.object_labels)})
 
-        self.qhoms = quotient_hom_spaces(
+        self.qhoms = MappingProxyType(quotient_hom_spaces(
             self.modules,
             [construct(lab, n) for lab in catalog_labels(n, k - 1)],
-            (0, n))
+            (0, n)))
         self._assert_cartan()
 
         self.alpha = _canonical_epi(self.object_labels[n],
@@ -218,9 +225,6 @@ class _BirepCore:
              for r in range(1, n + 1)
              for s in range(1, n + 1)),
             key=_label_sort_key))
-        self.by_column = MappingProxyType({
-            s: tuple(u for u in self.generators if u.j == s)
-            for s in range(1, n + 1)})
         base = {f: self._object_action(StringLabel(f, 1, 1, k))
                 for f in "WSNM"}
         self.action_entries = MappingProxyType({
@@ -232,10 +236,10 @@ class _BirepCore:
             tuple((StringLabel("M", r, s, k), StringLabel("N", r, s, k))
                   for s in range(1, n + 1))
             for r in range(1, n + 1))
-        self._scalars: Dict[StringLabel, Fraction] = {}
-        self._traces: Dict[Tuple[str, int], Fraction] = {}
-        self._verdicts: Dict[int, bool] = {}
-        self._ends: Dict[Tuple[int, Bimodule], tuple] = {}
+        self.scalars = MappingProxyType(self._arrow_scalars())
+        self.verdicts = MappingProxyType({
+            s: any(lam for u, lam in self.scalars.items() if u.j == s)
+            for s in range(1, n + 1)})
 
     def qhom(self, a: int, b: int) -> QuotientHomSpace:
         """The quotient hom space of objects a and b, read from the pair
@@ -288,8 +292,9 @@ class _BirepCore:
                     for entries in base.values() for c in range(n))
         return frozenset(range(1, n + 1) if alike else ())
 
-    def arrow_scalar(self, u: StringLabel) -> Fraction:
-        """The scalar by which u acts on the arrow of its source column.
+    def _arrow_scalars(self) -> Dict[StringLabel, Fraction]:
+        """The scalar by which each generator acts on the arrow of its
+        source column.
 
         phi = u (x) alpha_s, for the arrow M_s -> N_s of u's column s, joins
         two copies of the valley-cell object y that the stored action puts
@@ -306,61 +311,44 @@ class _BirepCore:
         ratio itself is taken once per family and y, on the family's
         generator at 1|1, alpha_1 and y moved back by the row shift:
         u at r|s (x) alpha_s is that phi moved along the torus with its
-        middle index rotated, which keeps every trace.  Each end's
-        relations and rank-1 pairing with y are checked once per distinct
-        (y, end); a failed check stores nothing, so it fails again on
-        every ask."""
-        lam = self._scalars.get(u)
-        if lam is None:
-            u = u.normalized(self.n)
-            lam = self._scalars.get(u)
-        if lam is not None:
-            return lam
-        n, s = self.n, u.j
-        sides = (s - 1, n + s - 1)
-        hits = [e for e in self.action_entries[u] if e[1] in sides]
-        ypos = hits[0][0] if hits else None
-        if hits != [(ypos, s - 1, 1), (ypos, n + s - 1, 1)]:
-            raise CartanError(
-                f"{u} (x) arrow {s} does not join two copies of one "
-                f"valley-cell summand: {hits}")
-        y = _shift(ypos, 1 - u.i, n)
-        lam = self._traces.get((u.family, y))
-        if lam is None:
-            base = StringLabel(u.family, 1, 1, self.k)
-            phi = tensor_map(construct(base, n), self.alpha)
-            ends = []
-            for t in (phi.source, phi.target):
-                end = self._ends.get((y, t))
-                if end is None:
-                    t.check_relations()
-                    sigmas, pis, g = trace_pairing(self.modules[y], t)
-                    if (mult := sparse_rank(g, len(pis))) != 1:
-                        raise CartanError(
-                            f"{self.object_labels[y]} occurs {mult} times "
-                            f"in {base} (x) the ends of arrow 1")
-                    a, row = next((a, row) for a, row in enumerate(g) if row)
-                    end = self._ends[(y, t)] = (sigmas, pis, a, row)
-                ends.append(end)
-            (sigmas, _, a, _), (_, pis, _, row) = ends
-            b = min(row)
-            lam = composite_trace(pis, b, phi, sigmas, a) / row[b]
-            self._traces[(u.family, y)] = lam
-        self._scalars[u] = lam
-        return lam
-
-    def column_verdict(self, s: int) -> bool:
-        """Whether some generator of column s acts on the arrow of its
-        column by a nonzero scalar, read as a trace ratio.
-
-        The first ask computes the scalar of every generator of the column,
-        so every certificate of ``arrow_scalar`` runs; later asks read the
-        stored verdict."""
-        verdict = self._verdicts.get(s)
-        if verdict is None:
-            verdict = any([self.arrow_scalar(u) for u in self.by_column[s]])
-            self._verdicts[s] = verdict
-        return verdict
+        middle index rotated, which keeps every trace.  Each distinct
+        (y, end) has its relations and its rank-1 pairing with y checked
+        once."""
+        n = self.n
+        scalars: Dict[StringLabel, Fraction] = {}
+        traces: Dict[Tuple[str, int], Fraction] = {}
+        ends: Dict[Tuple[int, Bimodule], tuple] = {}
+        for u in self.generators:
+            s = u.j
+            sides = (s - 1, n + s - 1)
+            hits = [e for e in self.action_entries[u] if e[1] in sides]
+            ypos = hits[0][0] if hits else None
+            if hits != [(ypos, s - 1, 1), (ypos, n + s - 1, 1)]:
+                raise CartanError(
+                    f"{u} (x) arrow {s} does not join two copies of one "
+                    f"valley-cell summand: {hits}")
+            y = _shift(ypos, 1 - u.i, n)
+            if (u.family, y) not in traces:
+                base = StringLabel(u.family, 1, 1, self.k)
+                phi = tensor_map(construct(base, n), self.alpha)
+                for t in (phi.source, phi.target):
+                    if (y, t) not in ends:
+                        t.check_relations()
+                        sigmas, pis, g = trace_pairing(self.modules[y], t)
+                        if (mult := sparse_rank(g, len(pis))) != 1:
+                            raise CartanError(
+                                f"{self.object_labels[y]} occurs {mult} "
+                                f"times in {base} (x) the ends of arrow 1")
+                        a, row = next((a, row) for a, row in enumerate(g)
+                                      if row)
+                        ends[(y, t)] = (sigmas, pis, a, row)
+                (sigmas, _, a, _), (_, pis, _, row) = (
+                    ends[(y, phi.source)], ends[(y, phi.target)])
+                b = min(row)
+                traces[(u.family, y)] = (
+                    composite_trace(pis, b, phi, sigmas, a) / row[b])
+            scalars[u] = traces[(u.family, y)]
+        return scalars
 
 
 _CORE_CACHE: Dict[tuple, _BirepCore] = {}
@@ -507,9 +495,11 @@ def localize(b: FinitaryBirep, contract: Iterable[int]) -> FinitaryBirep:
     Contractions accumulate: localizing an already localized birep works
     from the union of the two index sets, rebuilt from the uncontracted
     triples.  The stability of the contracted collection is checked
-    first; the two columns of each contracted pair must act alike, and
-    every image component must be an isomorphism, a multiple of a
-    contracted arrow, or zero.
+    first: the two columns of each contracted pair must act alike.  Every
+    image component must also be an isomorphism, a multiple of a
+    contracted arrow, or zero: under each generator of a column the image
+    of its arrow is a scalar times the identity of one object, a shape
+    the core checked for every generator when it was built.
     """
     extra = frozenset(contract)
     bad = [i for i in extra if not 1 <= i <= b.n]
@@ -538,14 +528,6 @@ def localize(b: FinitaryBirep, contract: Iterable[int]) -> FinitaryBirep:
                 key = (new_pos[r], new_pos[c])
                 merged[key] = merged.get(key, 0) + m
         action[u] = tuple((r, c, m) for (r, c), m in sorted(merged.items()))
-
-    for i in sorted(total):
-        # under each generator of column i the image morphism has a
-        # single component, a scalar times the identity of the target
-        # object: an isomorphism when the scalar is nonzero and the zero
-        # map otherwise; any other shape would be a stability failure,
-        # and the column's verdict checks every scalar once
-        core.column_verdict(i)
     return FinitaryBirep(b.n, b.k, b.column, total, slots, action, core)
 
 
@@ -556,17 +538,15 @@ def is_simple_transitive(b: FinitaryBirep) -> bool:
     positive.  For simplicity, the arrow of each surviving component s
     must generate an ideal that contains the identity of some object.
     A generator from column s sends it to a scalar times an identity plus
-    a radical map of trace 0, and ``arrow_scalar`` reads the scalar as a
-    trace ratio, raising CartanError on any other shape; so the ideal has
-    an identity exactly when the core's ``column_verdict`` holds.
-    The verdict of every surviving column is asked before they are
-    combined, so every shape check runs.
+    a radical map of trace 0; the core read every such scalar as a trace
+    ratio when it was built, refusing any other shape, so the ideal has
+    an identity exactly when the core's verdict for column s holds.
     """
     if any(e < 1 for row in b.f_matrix() for e in row):
         return False
 
-    return all([b.core.column_verdict(s) for s in range(1, b.n + 1)
-                if s not in b.contracted])
+    return all(b.core.verdicts[s] for s in range(1, b.n + 1)
+               if s not in b.contracted)
 
 
 @dataclass

@@ -203,6 +203,9 @@ def _parse_contract(text: str) -> List[int]:
 
 
 def _cmd_localize(args) -> int:
+    bad = sorted({i for i in args.contract if not 1 <= i <= args.n})
+    if bad:
+        args.usage_error(f"--contract indices out of range 1..{args.n}: {bad}")
     base = cell_birep(args.n, args.k, args.j)
     loc = localize(base, args.contract)
     verdict = is_simple_transitive(loc)
@@ -328,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--contract", type=_parse_contract, default=[],
                    help="comma-separated component indices, e.g. 1,3")
     _add_common(p)
-    p.set_defaults(func=_cmd_localize)
+    p.set_defaults(func=_cmd_localize, usage_error=p.error)
 
     p = subs.add_parser("classify", help="enumerate all localizations "
                         "and tally ranks")

@@ -102,8 +102,8 @@ def test_torus_arrow_directions():
     for n in (1, 2, 3):
         t = build_torus(n)
         for (i, j) in t.vertices:
-            for kind, step in (("v", (1, 0)), ("h", (0, -1))):
-                cover = CoverVertex(i, j).shifted(*step)
+            for kind, (di, dj) in (("v", (1, 0)), ("h", (0, -1))):
+                cover = CoverVertex(i + di, j + dj)
                 assert arrow_target(kind, i, j, n) == project(cover, n) \
                     == t.arrow_target((kind, i, j))
 

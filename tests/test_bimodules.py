@@ -1035,13 +1035,28 @@ def test_direct_sum_dims_and_relations():
         assert s.dims[v] == x.dims.get(v, 0) + y.dims.get(v, 0)
 
 
+def test_direct_sum_refuses_no_summands_and_mixed_n():
+    with pytest.raises(ValueError, match="need at least one summand"):
+        direct_sum()
+    x = construct(lab("N", 1, 1, 1), 2)
+    with pytest.raises(ValueError, match="mixed n"):
+        direct_sum(x, construct(lab("N", 1, 1, 1), 3))
+
+
+def test_hom_space_refuses_bimodules_over_different_n():
+    x = construct(lab("N", 1, 1, 1), 2)
+    with pytest.raises(ValueError, match="hom between bimodules over "
+                                         "different n"):
+        HomSpace(x, construct(lab("N", 1, 1, 1), 3))
+
+
 # The dense direct sum and the hand-built HomSpace system that the shared
 # assembler and intertwiner builder replaced; arrow targets are read off
 # the cover here, independently of the package helper.
 
 def _reference_target(kind, i, j, n):
-    step = (1, 0) if kind == "v" else (0, -1)
-    return project(CoverVertex(i, j).shifted(*step), n)
+    di, dj = (1, 0) if kind == "v" else (0, -1)
+    return project(CoverVertex(i + di, j + dj), n)
 
 
 def _reference_direct_sum(*mods):

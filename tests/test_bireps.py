@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import itertools
+import re
 from fractions import Fraction
 from math import comb
 
@@ -350,11 +351,13 @@ def test_contractible_reads_every_component_of_the_generators_at_1_1():
     assert swept_contractible(core) == set()
 
 
-def test_arrow_scalar_normalizes_its_label():
+def test_arrow_scalars_are_keyed_by_normalized_generators():
     core = cell_birep(2, 1).core
-    u = StringLabel("N", 1, 3, 1)
-    assert core.arrow_scalar(u) == core.arrow_scalar(u.normalized(2)) == 1
-    assert u not in core._scalars
+    assert list(core.scalars) == list(core.generators)
+    assert core.scalars[StringLabel("N", 1, 1, 1)] == 1
+    with pytest.raises(KeyError):
+        core.scalars[StringLabel("N", 1, 3, 1)]
+    assert dict(core.verdicts) == {1: True, 2: True}
 
 
 @pytest.mark.parametrize("entries", [
@@ -364,17 +367,23 @@ def test_arrow_scalar_normalizes_its_label():
     ((0, 0, 1),),  # nothing on the M side
     ((1, 0, 1), (1, 2, 1)),  # N_2, which is no summand: pairing rank 0
 ])
-def test_arrow_scalar_rejects_a_misshapen_valley_cell_summand(entries):
-    b = cell_birep(2, 1)
+def test_arrow_scalar_rejects_a_misshapen_valley_cell_summand(monkeypatch,
+                                                             entries):
+    # N at 1|1, and with it every translate, gets the given action; N_2
+    # passes the shape check and the rank-1 pairing check refuses it,
+    # and the shape check refuses every other case
+    match = ("occurs 0 times" if entries == ((1, 0, 1), (1, 2, 1))
+             else "does not join")
     u = StringLabel("N", 1, 1, 1)
-    core = copy.copy(b.core)
-    core._scalars = {}
-    core.action_entries = dict(core.action_entries)
-    assert core.action_entries[u] == ((0, 0, 1), (0, 2, 1))
-    core.action_entries[u] = entries
-    with pytest.raises(CartanError):
-        core.arrow_scalar(u)
-    assert b.core.arrow_scalar(u) == 1
+    assert cell_birep(2, 1).core.action_entries[u] == ((0, 0, 1), (0, 2, 1))
+    object_action = _BirepCore._object_action
+
+    def tampered(self, v):
+        return entries if v == u else object_action(self, v)
+
+    monkeypatch.setattr(_BirepCore, "_object_action", tampered)
+    with pytest.raises(CartanError, match=match):
+        _BirepCore(2, 1, 1)
 
 
 def _alpha(core, s):
@@ -425,25 +434,18 @@ def test_arrow_scalars_match_decompose_reference(n, k):
     for j in range(1, n + 1):
         core = cell_birep(n, k, j).core
         for u in core.generators:
-            got = core.arrow_scalar(u)
+            got = core.scalars[u]
             assert type(got) is Fraction
             assert got == _reference_arrow_scalar(core, u), (j, u)
 
 
-def _with_first_arrow(core, arrow):
-    """A copy of core whose arrow of component 1 is replaced, with empty
-    scalar and verdict tables; the cached core is left alone."""
-    out = copy.copy(core)
-    out._scalars, out._traces, out._verdicts = {}, {}, {}
-    out.alpha = arrow
-    return out
-
-
 @pytest.mark.parametrize("n,k", [(1, 1), (1, 2), (2, 2)])
-def test_arrow_scalar_follows_the_arrow(n, k):
+def test_arrow_scalar_follows_the_arrow(monkeypatch, n, k):
     # every catalog scalar is 1, so a formula that ignored the arrow could
     # pass the oracle test; 2 alpha + r and r alone, for a radical map r of
-    # Hom(M_1, N_1), must read 2 and 0
+    # Hom(M_1, N_1), must read 2 and 0.  A core built on 2 alpha + r
+    # reads 2; r alone is refused as a canonical arrow, so its scalars are
+    # taken on a copy of the cached core, which is left alone
     core = cell_birep(n, k).core
     qhom = core.qhoms[(n, 0)]
     r = next(f for f in qhom.space if qhom.is_radical(f))
@@ -452,14 +454,17 @@ def test_arrow_scalar_follows_the_arrow(n, k):
         v: add(dense_block(alpha, *v).scale(2), dense_block(r, *v))
         for v in alpha.source.dims})
     doubled.check()
-    twice = _with_first_arrow(core, doubled)
-    for u in twice.by_column[1]:
-        assert twice.arrow_scalar(u) == 2 == _reference_arrow_scalar(twice, u)
-    radical = _with_first_arrow(core, r)
-    for u in radical.by_column[1]:
-        assert radical.arrow_scalar(u) == 0
-    assert radical.column_verdict(1) is False
-    assert core.column_verdict(1) is True
+    column_1 = [u for u in core.generators if u.j == 1]
+    monkeypatch.setattr(bireps, "_canonical_epi", lambda *args: doubled)
+    twice = _BirepCore(n, k, 1)
+    for u in column_1:
+        assert twice.scalars[u] == 2 == _reference_arrow_scalar(twice, u)
+    assert twice.verdicts[1] is True
+    radical = copy.copy(core)
+    radical.alpha = r
+    scalars = radical._arrow_scalars()
+    assert all(scalars[u] == 0 for u in column_1)
+    assert core.verdicts[1] is True
 
 
 def _per_generator_scalar(core, u):
@@ -503,7 +508,7 @@ def test_orbit_scalars_match_every_generator(n, k):
     for j in range(1, n + 1):
         core = cell_birep(n, k, j).core
         for u in core.generators:
-            got = core.arrow_scalar(u)
+            got = core.scalars[u]
             assert type(got) is Fraction
             assert got == _per_generator_scalar(core, u), (j, u)
 
@@ -629,8 +634,9 @@ def test_fully_contracted_blocks_are_units():
 
 def test_arrow_scalars_make_the_cell_birep_simple():
     b = cell_birep(1, 1)
-    assert b.core.arrow_scalar(StringLabel("N", 1, 1, 1)) == 1
-    assert b.core.arrow_scalar(StringLabel("M", 1, 1, 1)) == 1
+    assert b.core.scalars[StringLabel("N", 1, 1, 1)] == 1
+    assert b.core.scalars[StringLabel("M", 1, 1, 1)] == 1
+    assert b.core.verdicts == {1: True}
     assert is_simple_transitive(b)
 
 
@@ -659,6 +665,19 @@ def _doubled_fixture():
 
 def test_disjoint_double_is_not_simple_transitive():
     assert not is_simple_transitive(_doubled_fixture())
+
+
+def test_object_slot_refuses_an_unknown_kind():
+    with pytest.raises(ValueError, match="unknown object kind 'X'"):
+        ObjectSlot("X", 1)
+
+
+def test_object_index_refuses_a_missing_slot():
+    # contracting component 1 merges N_1 and M_1 into O_1
+    loc = localize(cell_birep(2, 1), {1})
+    assert loc.object_index("O", 1) == 0
+    with pytest.raises(KeyError, match="no object N_1"):
+        loc.object_index("N", 1)
 
 
 def _support_cases():
@@ -706,7 +725,7 @@ def _reference_closure(b, s):
             for u in b.core.generators:
                 if u.j != s2:
                     continue
-                if b.core.arrow_scalar(u) == ZERO:
+                if b.core.scalars[u] == ZERO:
                     continue
                 kind = "O" if u.i in b.contracted else \
                     ("N" if u.family in "WN" else "M")
@@ -740,19 +759,16 @@ def _reference_is_simple_transitive(b):
 
 class _ZeroedScalars:
     """A core stand-in whose arrow scalars vanish on chosen generators;
-    its column verdicts are the core's, read from those scalars."""
+    its column verdicts are read from those scalars as the core reads
+    its own."""
 
     def __init__(self, core, zeroed):
         self.generators = core.generators
-        self.by_column = core.by_column
-        self._core = core
-        self._zeroed = zeroed
-        self._verdicts = {}
-
-    def arrow_scalar(self, u):
-        return ZERO if u in self._zeroed else self._core.arrow_scalar(u)
-
-    column_verdict = _BirepCore.column_verdict
+        self.scalars = {u: ZERO if u in zeroed else lam
+                        for u, lam in core.scalars.items()}
+        self.verdicts = {s: any(self.scalars[u] for u in self.generators
+                                if u.j == s)
+                         for s in range(1, core.n + 1)}
 
 
 def _closure_cases():
@@ -787,52 +803,49 @@ def test_simple_transitivity_matches_reference_loop():
     assert verdicts.count(False) == 3
 
 
-def test_simple_transitivity_checks_every_surviving_column():
-    # column 1 has no nonzero scalar, so its verdict alone decides; the
-    # shape failure in column 2 must still be raised
-    b = cell_birep(2, 1)
-    zeroed = {u for u in b.core.generators if u.j == 1}
-    broken = b.core.by_column[2][-1]
-
-    class _BrokenColumn(_ZeroedScalars):
-        def arrow_scalar(self, u):
-            if u == broken:
-                raise CartanError(f"{u} is misshapen")
-            return super().arrow_scalar(u)
-
-    stand_in = dataclasses.replace(b, core=_BrokenColumn(b.core, zeroed))
-    with pytest.raises(CartanError):
-        is_simple_transitive(stand_in)
+def test_arrow_scalars_check_every_column():
+    # the last generator of column 2 gets a valley-cell summand occurring
+    # twice; the shape check of its column refuses it, although no
+    # verdict of another column depends on it
+    core = copy.copy(cell_birep(2, 1).core)
+    broken = [u for u in core.generators if u.j == 2][-1]
+    assert core.action_entries[broken] == ((3, 1, 1), (3, 3, 1))
+    core.action_entries = {**core.action_entries,
+                           broken: ((3, 1, 2), (3, 3, 2))}
+    with pytest.raises(CartanError,
+                       match=re.escape(f"{broken} (x) arrow 2 does not join")):
+        core._arrow_scalars()
 
 
 def test_classify_computes_each_arrow_scalar_once(monkeypatch):
-    # every generator is asked once, and the trace ratio behind the
-    # answers is taken once per family, on its generator at 1|1 and the
-    # arrow of component 1
+    # the core takes the scalar of every generator when it is built, and
+    # the trace ratio behind them once per family, on its generator at
+    # 1|1 and the arrow of component 1
     n = 3
-    asked, tensored = [], []
-    arrow_scalar = _BirepCore.arrow_scalar
-
-    def counting(self, u):
-        asked.append(u)
-        return arrow_scalar(self, u)
+    tensored, traced = [], []
 
     def counting_tensor_map(x, f):
         tensored.append((x, f))
         return tensor_map(x, f)
 
-    monkeypatch.setattr(_BirepCore, "arrow_scalar", counting)
+    def counting_trace(*args):
+        traced.append(args)
+        return composite_trace(*args)
+
     monkeypatch.setattr(bireps, "tensor_map", counting_tensor_map)
+    monkeypatch.setattr(bireps, "composite_trace", counting_trace)
     nakayama.clear_caches()
     report = classify(n, 1)
     assert all(e["simple_transitive"] for e in report.entries)
     core = cell_birep(n, 1).core
-    assert sorted(asked) == sorted(core.generators)
+    assert list(core.scalars) == list(core.generators)
+    assert all(type(lam) is Fraction for lam in core.scalars.values())
+    assert dict(core.verdicts) == {s: True for s in range(1, n + 1)}
     bases = {construct(StringLabel(f, 1, 1, 1), n) for f in "WSNM"}
     assert len(tensored) == len(bases) == 4
     assert {x for x, _ in tensored} == bases
     assert all(f is core.alpha for _, f in tensored)
-    assert len(core._traces) == 4
+    assert len(traced) == 4
 
 
 def test_classify_checks_each_distinct_arrow_end_once(monkeypatch):
@@ -868,9 +881,8 @@ def test_classify_checks_each_distinct_arrow_end_once(monkeypatch):
 
 
 def test_arrow_end_of_rank_two_fails_on_every_ask(monkeypatch):
-    # y pairs with t (+) y to rank 2; a failed end must store nothing
-    core = copy.copy(cell_birep(2, 1).core)
-    core._scalars, core._traces, core._ends = {}, {}, {}
+    # y pairs with t (+) y to rank 2, so the core refuses to build; a
+    # failed build caches nothing, and every ask builds and fails again
     asked = []
 
     def doubled(y, t):
@@ -878,12 +890,12 @@ def test_arrow_end_of_rank_two_fails_on_every_ask(monkeypatch):
         return trace_pairing(y, direct_sum(t, y))
 
     monkeypatch.setattr(bireps, "trace_pairing", doubled)
-    u = core.by_column[1][0]
+    monkeypatch.setattr(bireps, "_CORE_CACHE", {})
     for ask in (1, 2):
         with pytest.raises(CartanError, match="occurs 2 times"):
-            core.arrow_scalar(u)
+            cell_birep(2, 1)
         assert len(asked) == ask
-        assert not core._ends and not core._scalars and not core._traces
+        assert not bireps._CORE_CACHE
 
 
 # -- each certificate of the orbit path shown to fire ------------------------

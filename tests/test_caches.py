@@ -1,9 +1,11 @@
 """clear_caches empties every process-wide cache and changes no answer."""
 
+import copy
 import importlib
 import json
 import pkgutil
 import re
+from collections.abc import Mapping
 
 import pytest
 
@@ -17,7 +19,12 @@ from nakayama.bimodules import (
     adjunction_command,
     construct,
 )
-from nakayama.bireps import _CORE_CACHE, cell_birep, localize
+from nakayama.bireps import (
+    _CORE_CACHE,
+    cell_birep,
+    is_simple_transitive,
+    localize,
+)
 from nakayama.decomposition import (
     _CANDIDATE_CACHE,
     _PRODUCT_CACHE,
@@ -81,11 +88,40 @@ def test_shared_action_data_rejects_writes(restored_caches):
     loc = localize(b, {2})
     u = StringLabel("N", 1, 1, 1)
     assert b.action is b.core.action_entries
-    for mapping in (b.core.action_entries, b.core.by_column, b.action,
-                    loc.action):
+    for mapping in (b.core.action_entries, b.core.scalars, b.core.verdicts,
+                    b.core.qhoms, b.core.position, b.action, loc.action):
         with pytest.raises(TypeError):
             mapping[u] = ()
+    assert type(b.core.modules) is tuple
+    assert type(b.core.object_labels) is tuple
     assert _dump(classify(3, 1).to_json()) == cold
+
+
+def _snapshot(value):
+    """A copy of value's contents to compare with later; an object that
+    compares by identity is taken by its attributes."""
+    if isinstance(value, Mapping):
+        return dict(value)
+    if type(value).__eq__ is object.__eq__:
+        return {name: _snapshot(v) for name, v in vars(value).items()}
+    return copy.copy(value)
+
+
+def test_a_cached_core_is_unchanged_by_its_callers(restored_caches):
+    clear_caches()
+    core = cell_birep(3, 1).core
+    before = {name: (value, _snapshot(value))
+              for name, value in vars(core).items()}
+    classify(3, 1)
+    loc = localize(cell_birep(3, 1), {1, 3})
+    assert is_simple_transitive(loc)
+    assert is_simple_transitive(cell_birep(3, 1))
+    assert loc.core is core
+    assert vars(core).keys() == before.keys()
+    for name, value in vars(core).items():
+        old, snapshot = before[name]
+        assert value is old, name
+        assert _snapshot(value) == snapshot, name
 
 
 def test_constructed_modules_reject_writes():

@@ -293,3 +293,33 @@ def test_usage_errors_exit_with_code_two():
     with pytest.raises(SystemExit) as err:
         main([])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("contract,bad", [("3", "[3]"), ("0", "[0]"),
+                                          ("2,5,0,5", "[0, 5]")])
+def test_out_of_range_contract_indices_are_usage_errors(tmp_path, capsys,
+                                                        contract, bad):
+    # like a non-integer index: exit 2, no traceback, nothing on stdout
+    # and no --out file
+    target = tmp_path / "loc.json"
+    with pytest.raises(SystemExit) as err:
+        main(["localize", "--n", "2", "--contract", contract,
+              "--out", str(target)])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    named = [line for line in captured.err.splitlines() if bad in line]
+    assert named == [
+        f"nakayama localize: error: --contract indices out of range 1..2: "
+        f"{bad}"]
+    assert not target.exists()
+
+
+def test_a_negative_valley_bound_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["catalog", "--n", "1", "--max-valleys", "-1"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --max-valleys: must be at least 0" in captured.err

@@ -94,7 +94,7 @@ def test_bireps_runs_each_orbit_sweep_from_one_place():
     # the core decomposes only the generators at 1|1 and tensors only on
     # the canonical arrow, so a per-generator sweep must not creep back:
     # in bireps only _object_action calls product_summands and only
-    # arrow_scalar calls tensor_map
+    # _arrow_scalars calls tensor_map
     path = Path(nakayama.__file__).parent / "bireps.py"
     tree = ast.parse(path.read_text(), filename=str(path))
     callers = {"product_summands": set(), "tensor_map": set()}
@@ -113,4 +113,4 @@ def test_bireps_runs_each_orbit_sweep_from_one_place():
 
     visit(tree, None)
     assert callers == {"product_summands": {"_object_action"},
-                       "tensor_map": {"arrow_scalar"}}
+                       "tensor_map": {"_arrow_scalars"}}

@@ -67,6 +67,13 @@ def test_tensor_with_zero():
     assert tensor(Bimodule(n, {}, {}), x).is_zero()
 
 
+def test_tensor_space_refuses_bimodules_over_different_n():
+    x = construct(lab("S", 1, 1, 1), 2)
+    with pytest.raises(ValueError, match="tensor of bimodules over "
+                                         "different n"):
+        TensorSpace(x, construct(lab("S", 1, 1, 1), 3))
+
+
 # -- frozen products ---------------------------------------------------------
 
 def test_w_string_is_idempotent_without_wraparound():
