@@ -502,9 +502,9 @@ def localize(b: FinitaryBirep, contract: Iterable[int]) -> FinitaryBirep:
     the core checked for every generator when it was built.
     """
     extra = frozenset(contract)
-    bad = [i for i in extra if not 1 <= i <= b.n]
+    bad = sorted(i for i in extra if not 1 <= i <= b.n)
     if bad:
-        raise ValueError(f"component indices out of range: {sorted(bad)}")
+        raise ValueError(f"component indices out of range 1..{b.n}: {bad}")
     total = b.contracted | extra
     if total == b.contracted:
         return b

@@ -203,11 +203,11 @@ def _parse_contract(text: str) -> List[int]:
 
 
 def _cmd_localize(args) -> int:
-    bad = sorted({i for i in args.contract if not 1 <= i <= args.n})
-    if bad:
-        args.usage_error(f"--contract indices out of range 1..{args.n}: {bad}")
     base = cell_birep(args.n, args.k, args.j)
-    loc = localize(base, args.contract)
+    try:
+        loc = localize(base, args.contract)
+    except ValueError as err:
+        args.usage_error(f"--contract {err}")
     verdict = is_simple_transitive(loc)
     blocks = verify_block_structure(loc)
     adj = verify_adjunction_consequences(loc)

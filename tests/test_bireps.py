@@ -465,6 +465,9 @@ def test_arrow_scalar_follows_the_arrow(monkeypatch, n, k):
     scalars = radical._arrow_scalars()
     assert all(scalars[u] == 0 for u in column_1)
     assert core.verdicts[1] is True
+    # a core given those scalars reads column 1 as not simple
+    monkeypatch.setattr(_BirepCore, "_arrow_scalars", lambda self: scalars)
+    assert _BirepCore(n, k, 1).verdicts[1] is False
 
 
 def _per_generator_scalar(core, u):
@@ -757,18 +760,18 @@ def _reference_is_simple_transitive(b):
                for s in range(1, b.n + 1) if s not in b.contracted)
 
 
-class _ZeroedScalars:
-    """A core stand-in whose arrow scalars vanish on chosen generators;
-    its column verdicts are read from those scalars as the core reads
-    its own."""
+def _zeroed_core(core, zeroed):
+    """A fresh core of the same column whose arrow scalars vanish on the
+    chosen generators; the core builds its column verdicts from them."""
+    arrow_scalars = _BirepCore._arrow_scalars
 
-    def __init__(self, core, zeroed):
-        self.generators = core.generators
-        self.scalars = {u: ZERO if u in zeroed else lam
-                        for u, lam in core.scalars.items()}
-        self.verdicts = {s: any(self.scalars[u] for u in self.generators
-                                if u.j == s)
-                         for s in range(1, core.n + 1)}
+    def zeroing(self):
+        return {u: ZERO if u in zeroed else lam
+                for u, lam in arrow_scalars(self).items()}
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_BirepCore, "_arrow_scalars", zeroing)
+        return _BirepCore(core.n, core.k, core.column)
 
 
 def _closure_cases():
@@ -783,15 +786,14 @@ def _closure_cases():
                    [u for u in loc.core.generators
                     if u.j == 1 and u.family in "WN"],
                    [u for u in loc.core.generators if u.i == u.j == 1]):
-        yield dataclasses.replace(
-            loc, core=_ZeroedScalars(loc.core, set(zeroed)))
+        yield dataclasses.replace(loc, core=_zeroed_core(loc.core, zeroed))
     # only W and N act, so M_1 reaches N_1 but not back; the seed is M_1
     base = cell_birep(1, 1)
     top = {u: entries if u.family in "WN" else ()
            for u, entries in base.action.items()}
     yield dataclasses.replace(
         base, action=top,
-        core=_ZeroedScalars(base.core, {u for u in top if u.family in "WN"}))
+        core=_zeroed_core(base.core, {u for u in top if u.family in "WN"}))
 
 
 def test_simple_transitivity_matches_reference_loop():
@@ -801,6 +803,18 @@ def test_simple_transitivity_matches_reference_loop():
         assert verdict == _reference_is_simple_transitive(b)
         verdicts.append(verdict)
     assert verdicts.count(False) == 3
+
+
+def test_column_verdicts_read_the_scalars_of_their_column():
+    # a column's verdict holds when some generator of that column, u at
+    # r|s, acts on its arrow by a nonzero scalar
+    core = cell_birep(2, 1).core
+    column_1 = [u for u in core.generators if u.j == 1]
+    partly = [u for u in column_1 if u.family in "WN"]
+    assert _zeroed_core(core, partly).verdicts == {1: True, 2: True}
+    assert _zeroed_core(core, column_1).verdicts == {1: False, 2: True}
+    row_1 = [u for u in core.generators if u.i == 1]
+    assert _zeroed_core(core, row_1).verdicts == {1: True, 2: True}
 
 
 def test_arrow_scalars_check_every_column():

@@ -311,8 +311,8 @@ def test_out_of_range_contract_indices_are_usage_errors(tmp_path, capsys,
     assert "Traceback" not in captured.err
     named = [line for line in captured.err.splitlines() if bad in line]
     assert named == [
-        f"nakayama localize: error: --contract indices out of range 1..2: "
-        f"{bad}"]
+        "nakayama localize: error: --contract component indices out of "
+        f"range 1..2: {bad}"]
     assert not target.exists()
 
 
