@@ -58,11 +58,11 @@ from .tensoring import tensor, tensor_map
 
 
 def clear_caches() -> None:
-    """Empty every process-wide cache: constructed bimodules, column homs
-    into the algebra, canonical products, summands by product module,
-    decomposition candidates and birep cores."""
-    for cache in (bimodules._CONSTRUCT_CACHE, bimodules._COLUMN_HOM_CACHE,
-                  decomposition._PRODUCT_CACHE, decomposition._SUMMANDS_CACHE,
+    """Empty every process-wide cache: constructed bimodules, canonical
+    products, summands by product module, decomposition candidates and
+    birep cores."""
+    for cache in (bimodules._CONSTRUCT_CACHE, decomposition._PRODUCT_CACHE,
+                  decomposition._SUMMANDS_CACHE,
                   decomposition._CANDIDATE_CACHE, bireps._CORE_CACHE):
         cache.clear()
 

@@ -22,13 +22,14 @@ Walk shapes, all anchored at i|j and listed in the stored basis order:
   P:      the commuting square on (i,j-1), (i,j), (i+1,j-1), (i+1,j) with
           all four maps the identity.
 
-Both kinds of hom space, bimodule maps in ``HomSpace`` and left-module maps
-into the projectives of the algebra in ``_ColumnHom``, are kernels of the
-systems that ``_intertwining_rows`` builds, and ``BimoduleMap.check`` asks
-every row of the ``HomSpace`` system to vanish on a map.  The rows are read
-off the arrow views, as the relation check, restriction, duality, direct
-sums and ``hom_to_algebra`` read them, so the equations of a system between
-0/1 modules carry int coefficients.  Every producer hands ``Bimodule`` its
+A ``HomSpace`` of bimodule maps is the kernel of the system that
+``_hom_rows`` builds, and ``BimoduleMap.check`` asks every row of that
+system to vanish on a map.  The rows are read off the arrow views, as the
+relation check, restriction, duality and direct sums read them, so the
+equations of a system between 0/1 modules carry int coefficients.  Hom
+into the algebra needs no system: the algebra is self-injective with
+Nakayama automorphism the rotation e_j -> e_{j-1}, so ``hom_to_algebra``
+is the dual module moved by (0, -1).  Every producer hands ``Bimodule`` its
 arrows as sparse (row, col, value) entries: no dense matrix is built to
 make, transpose or check an arrow, and ``BimoduleMap`` keeps its vertex
 blocks as views too.
@@ -474,33 +475,33 @@ def catalog_labels(n: int, max_valleys: int) -> List[StringLabel]:
 # hom spaces
 # ---------------------------------------------------------------------------
 
-def _intertwining_rows(src_dims: Dict, tgt_dims: Dict, arrows):
-    """The intertwining system between two quiver representations.
+def _hom_rows(x: Bimodule, y: Bimodule):
+    """The intertwining system of the bimodule maps x -> y.
 
-    src_dims and tgt_dims give the nonzero dimensions at each vertex.
-    arrows yields (s, t, xv, yv) for each arrow s -> t, with xv the
-    ``ArrowView`` of its matrix on the source representation and yv that
-    on the target, None for zero.  The unknowns are one (dim tgt x dim
-    src) block per common vertex, in sorted vertex order, each row-major;
-    every arrow gives the equations f_t xa = ya f_s, one for each entry
-    (p, q), and only the equations with a nonzero column q of xa or a
-    nonzero row p of ya are visited.  Integral arrows give int
+    The unknowns are one (dim y x dim x) block per common vertex, in
+    sorted vertex order, each row-major; every arrow s -> t of the torus,
+    taken in sorted key order, gives the equations f_t xa = ya f_s, one
+    for each entry (p, q), and only the equations with a nonzero column q
+    of xa or a nonzero row p of ya are visited.  Integral arrows give int
     coefficients.  Returns (offsets, total, rows): the block offsets, the
     number of unknowns and the equations as sparse rows.
     """
     offsets: Dict = {}
     total = 0
-    for v in sorted(src_dims.keys() & tgt_dims.keys()):
+    for v in sorted(x.dims.keys() & y.dims.keys()):
         offsets[v] = total
-        total += src_dims[v] * tgt_dims[v]
+        total += x.dims[v] * y.dims[v]
     rows = []
-    for s, t, xv, yv in arrows:
-        ds, dt = src_dims.get(s, 0), tgt_dims.get(t, 0)
+    for kind, i, j in sorted(x.arrow_views.keys() | y.arrow_views.keys()):
+        s, t = (i, j), arrow_target(kind, i, j, x.n)
+        xv = x.arrow_views.get((kind, i, j))
+        yv = y.arrow_views.get((kind, i, j))
+        ds, dt = x.dims.get(s, 0), y.dims.get(t, 0)
         t_off = offsets.get(t) if xv is not None else None
         s_off = offsets.get(s) if yv is not None else None
         if not (ds and dt) or (t_off is None and s_off is None):
             continue
-        dxt = src_dims.get(t, 0)
+        dxt = x.dims.get(t, 0)
         x_cols = xv[0] if t_off is not None else ((),) * ds
         y_rows = yv[1] if s_off is not None else ((),) * dt
         x_live = [q for q, col in enumerate(x_cols) if col]
@@ -517,16 +518,6 @@ def _intertwining_rows(src_dims: Dict, tgt_dims: Dict, arrows):
                 if row:
                     rows.append(row)
     return offsets, total, rows
-
-
-def _hom_rows(x: Bimodule, y: Bimodule):
-    """``_intertwining_rows`` for the bimodule maps x -> y."""
-    arrows = (((i, j), arrow_target(kind, i, j, x.n),
-               x.arrow_views.get((kind, i, j)),
-               y.arrow_views.get((kind, i, j)))
-              for kind, i, j in sorted(x.arrow_views.keys()
-                                       | y.arrow_views.keys()))
-    return _intertwining_rows(x.dims, y.dims, arrows)
 
 
 def _unknowns(f: BimoduleMap, offsets: Dict) -> Dict[int, Fraction]:
@@ -761,119 +752,19 @@ def dualize(x: Bimodule) -> Bimodule:
 # Hom(-, algebra) as a bimodule
 # ---------------------------------------------------------------------------
 
-# Le_b: e_b at vertex b and a_b at b+1, both at 1 when n = 1; its one
-# arrow, a_b, sends e_b to a_b
-_LE_ARROW = _arrow_view(1, 1, [(0, 0, 1)])
-_LE_ARROW_LOOP = _arrow_view(2, 2, [(1, 0, 1)])
-
-
-_COLUMN_HOM_CACHE: Dict[tuple, tuple] = {}
-
-
-class _ColumnHom:
-    """Hom of left modules from column a of x into Le_b, with coordinates.
-    Its system reads only n, b, the dimensions of column a at b-1, b, b+1
-    and the views of a_b and a_{b-1} on it, so its read-only (offsets,
-    vectors, frees) are cached under exactly those."""
-
-    def __init__(self, x: Bimodule, a: int, b: int):
-        n = x.n
-        bp, bm = residue(b + 1, n), residue(b - 1, n)
-        self.tgt_dims = {1: 2} if n == 1 else {b: 1, bp: 1}
-        col = tuple(x.dims.get((i, a), 0) for i in (bm, b, bp))
-        up, low = (x.arrow_views.get(("v", i, a)) for i in (b, bm))
-        key = (n, b, col, up, low)
-        solved = _COLUMN_HOM_CACHE.get(key)
-        if solved is None:
-            # the arrows into Le_b's support: a_b, and a_{b-1} unless n = 1
-            arrows = [(b, bp, up, _LE_ARROW_LOOP if n == 1 else _LE_ARROW)]
-            if n > 1:
-                arrows.append((bm, b, low, None))
-            offsets, total, rows = _intertwining_rows(
-                {i: d for i, d in zip((bm, b, bp), col) if d},
-                self.tgt_dims, arrows)
-            vectors, frees = sparse_kernel_with_frees(rows, total)
-            solved = _COLUMN_HOM_CACHE[key] = (
-                MappingProxyType(offsets),
-                tuple(map(MappingProxyType, vectors)), tuple(frees))
-        self.offsets, self.vectors, self.frees = solved
-
-    @property
-    def dim(self) -> int:
-        return len(self.vectors)
-
-    def coords(self, vec: Dict[int, Fraction]) -> Tuple[Fraction, ...]:
-        return tuple(vec.get(fr, ZERO) for fr in self.frees)
-
-
 def hom_to_algebra(x: Bimodule) -> Bimodule:
     """Hom over the algebra from x into the algebra, with the bimodule
     structure (a . phi . b)(m) = phi(m a) b, returned as a torus
-    representation.
+    representation: the dual of x moved by (0, -1).
 
-    The (a, b) piece is the space of left-module maps from the a-th column
-    of x into the left projective Le_b; the vertical arrow precomposes with
-    the right action of a_a, the horizontal arrow postcomposes with right
-    multiplication a_{b-1} : Le_b -> Le_{b-1}.
-
-    Only the pieces that can be nonzero are built; a missing piece reads
-    as zero.  Le_b has simple socle, spanned by a_b at vertex b+1, so the
-    image of a nonzero map into it contains a_b, and the (a, b) piece is
-    zero unless column a of x is nonzero at b+1.
+    The algebra is self-injective with Nakayama automorphism the rotation
+    e_j -> e_{j-1}, so as a bimodule it is its own linear dual D(A) with
+    the right action twisted by that rotation.  Hence Hom_A(x, A) is
+    Hom_A(x, D(A)) twisted, which is D(x) twisted (Skowronski-Yamagata,
+    Frobenius Algebras I, 2011, IV.3); on the torus the twist of the
+    right action is the translation by (0, -1).
     """
-    n = x.n
-    live = sorted({(a, residue(i - 1, n)) for (i, a) in x.dims})
-    homs = {(a, b): _ColumnHom(x, a, b) for (a, b) in live}
-    dims = {(a, b): h.dim for (a, b), h in homs.items() if h.dim}
-    maps: Dict[ArrowKey, list] = {}
-    for (a, b), h in homs.items():
-        if h.dim == 0:
-            continue
-        # vertical: phi -> phi o (right action of a_a), lands in Hom(col a+1)
-        up = arrow_target("v", a, b, n)
-        tgt = homs.get(up)
-        if tgt is not None and tgt.dim:
-            cols = []
-            for vec in h.vectors:
-                comp_vec: Dict[int, Fraction] = {}
-                for i, off in tgt.offsets.items():
-                    # column a+1 -> column a at vertex i: entry (p, q) of
-                    # the block is row p of phi_i times column q of step
-                    step = x.arrow_views.get(("h", i, up[0]))
-                    if step is None:
-                        continue
-                    h_off, ds, dq = h.offsets[i], x.dims[(i, a)], len(step[0])
-                    for p in range(h.tgt_dims[i]):
-                        for q, col in enumerate(step[0]):
-                            val = sum(vec.get(h_off + p * ds + m, 0) * e
-                                      for m, e in col)
-                            if val:
-                                comp_vec[off + p * dq + q] = val
-                cols.append(tgt.coords(comp_vec))
-            maps[("v", a, b)] = [(r, c, e) for c, col in enumerate(cols)
-                                 for r, e in enumerate(col)]
-        # horizontal: phi -> (right mult by a_{b-1}) o phi; e_b a_{b-1}
-        # is a_{b-1} at vertex b and a_b a_{b-1} = 0, so only the e_b row
-        # of phi at b survives, as the a_{b-1} row of the image, the last
-        # item of Le_{b-1} at b
-        tgt2 = homs.get(arrow_target("h", a, b, n))
-        if tgt2 is not None and tgt2.dim:
-            cols = []
-            for vec in h.vectors:
-                comp_vec = {}
-                if b in h.offsets and b in tgt2.offsets:
-                    ds = x.dims[(b, a)]
-                    off = tgt2.offsets[b] + (tgt2.tgt_dims[b] - 1) * ds
-                    for q in range(ds):
-                        val = vec.get(h.offsets[b] + q, ZERO)
-                        if val:
-                            comp_vec[off + q] = val
-                cols.append(tgt2.coords(comp_vec))
-            maps[("h", a, b)] = [(r, c, e) for c, col in enumerate(cols)
-                                 for r, e in enumerate(col)]
-    out = Bimodule(n, dims, maps)
-    out.check_relations()
-    return out
+    return dualize(x).translated(0, -1)
 
 
 def adjunction_command(n: int, k: int) -> dict:

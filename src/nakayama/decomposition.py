@@ -27,6 +27,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .algebras import residue
 from .bimodules import (
+    FAMILIES,
     Bimodule,
     BimoduleMap,
     HomSpace,
@@ -92,9 +93,8 @@ def cell_name(cell: CellTag) -> str:
 
 
 def _label_sort_key(label: StringLabel):
-    fams = ("P", "L", "W", "S", "N", "M")
     return (label.k if label.k is not None else -1,
-            fams.index(label.family), label.i, label.j)
+            FAMILIES.index(label.family), label.i, label.j)
 
 
 # ---------------------------------------------------------------------------

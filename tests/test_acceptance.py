@@ -16,7 +16,6 @@ from nakayama.bimodules import StringLabel, catalog_labels
 from nakayama.bireps import (
     cell_birep,
     classify,
-    is_simple_transitive,
     localize,
     verify_block_structure,
 )

@@ -13,9 +13,7 @@ import nakayama
 from nakayama import classify, clear_caches, compute_cells
 from nakayama.bimodules import (
     StringLabel,
-    _COLUMN_HOM_CACHE,
     _CONSTRUCT_CACHE,
-    _ColumnHom,
     adjunction_command,
     construct,
 )
@@ -35,7 +33,6 @@ from dense_helpers import identity, identity_map, zeros
 
 CACHES = {
     "construct": _CONSTRUCT_CACHE,
-    "column hom": _COLUMN_HOM_CACHE,
     "product": _PRODUCT_CACHE,
     "summands": _SUMMANDS_CACHE,
     "candidate": _CANDIDATE_CACHE,
@@ -155,7 +152,7 @@ def _module_caches():
 
 def test_clear_caches_reaches_every_module_cache(restored_caches):
     found = _module_caches()
-    assert "bimodules._COLUMN_HOM_CACHE" in found
+    assert "bimodules._CONSTRUCT_CACHE" in found
     registered = [id(cache) for cache in restored_caches.values()]
     for name, cache in found.items():
         assert id(cache) in registered, f"{name} is missing from CACHES"
@@ -163,19 +160,3 @@ def test_clear_caches_reaches_every_module_cache(restored_caches):
     clear_caches()
     for name, cache in found.items():
         assert not cache, f"clear_caches leaves {name} filled"
-
-
-def test_cached_column_homs_reject_writes(restored_caches):
-    x = construct(StringLabel("S", 1, 1, 2), 3)
-    h = _ColumnHom(x, 1, 1)
-    assert h.dim
-    with pytest.raises(TypeError):
-        h.vectors[0][h.frees[0]] = 5
-    with pytest.raises(TypeError):
-        h.vectors[0] = {}
-    with pytest.raises(TypeError):
-        h.offsets[1] = 0
-    with pytest.raises(AttributeError):
-        h.frees.append(0)
-    again = _ColumnHom(x, 1, 1)
-    assert again.vectors is h.vectors and again.offsets is h.offsets

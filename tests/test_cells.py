@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from nakayama.bimodules import StringLabel, catalog_labels
 from nakayama import cells
 from nakayama.cells import (
-    CellStructure,
     _close_reachability,
     _divisibility_edges,
     compute_cells,

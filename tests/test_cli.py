@@ -2,7 +2,6 @@
 
 import hashlib
 import json
-import os
 from pathlib import Path
 
 import jsonschema
@@ -253,7 +252,7 @@ def test_localize_output_is_byte_stable(capsys):
 
 def test_adjunction_wrapping_output_is_byte_stable(capsys):
     # at n = 2 with k = 3 the walks wrap the torus, so translated modules
-    # and cached column homs meet stacked points
+    # and their translated duals meet stacked points
     status = main(["adjunction", "--n", "2", "--k", "3", "--json"])
     out = capsys.readouterr().out
     assert status == 0

@@ -4,8 +4,10 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nakayama.bimodules import (
+    FAMILIES,
     Bimodule,
     BimoduleMap,
     HomSpace,
@@ -274,6 +276,29 @@ def test_decompose_order_independent_on_sums():
     one = decompose(direct_sum(a, b, c), 1).multiset()
     two = decompose(direct_sum(c, a, b), 1).multiset()
     assert one == two
+
+
+@st.composite
+def _catalog_members(draw, n, max_valleys):
+    """A catalog label at any anchor, reduced mod n or not, W^(0) too."""
+    fam = draw(st.sampled_from(FAMILIES))
+    k = None if fam in ("P", "L") else draw(st.integers(0, max_valleys))
+    return StringLabel(fam, draw(st.integers(-3, 6)),
+                       draw(st.integers(-3, 6)), k)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_decompose_recovers_random_direct_sums(data):
+    # pairing multiplicities against dimension balance: a direct sum of
+    # catalog members splits into exactly those members, nothing left over
+    n, max_valleys = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 2))
+    labels = data.draw(st.lists(_catalog_members(n, max_valleys),
+                                min_size=1, max_size=4))
+    rep = decompose(direct_sum(*(construct(u, n) for u in labels)),
+                    max_valleys)
+    assert rep.multiset() == Counter(u.normalized(n) for u in labels)
+    assert rep.residual_dim == 0
 
 
 def test_regular_bimodule_is_honest_residual():

@@ -28,10 +28,14 @@ def test_package_has_no_assert_statements():
 
 
 def test_package_has_no_unused_imports():
-    # every module-level import must be used in its module; the names in
-    # the package's __all__ are its exports, so they count as used there
+    # every module-level import of the package, the tests and the tools
+    # must be used in its module; the names in the package's __all__ are
+    # its exports, so they count as used there
+    package = Path(nakayama.__file__).parent
+    tests = Path(__file__).parent
     found = []
-    for path in sorted(Path(nakayama.__file__).parent.glob("*.py")):
+    for path in sorted([*package.glob("*.py"), *tests.glob("*.py"),
+                        *(tests.parent / "tools").glob("*.py")]):
         tree = ast.parse(path.read_text(), filename=str(path))
         imported = {}
         for node in tree.body:
@@ -43,9 +47,9 @@ def test_package_has_no_unused_imports():
                     imported[name] = node.lineno
         used = {node.id for node in ast.walk(tree)
                 if isinstance(node, ast.Name)}
-        if path.name == "__init__.py":
+        if path == package / "__init__.py":
             used |= set(nakayama.__all__)
-        found += [f"{path.name}:{line} {name}"
+        found += [f"{path.parent.name}/{path.name}:{line} {name}"
                   for name, line in imported.items() if name not in used]
     assert not found, found
 
