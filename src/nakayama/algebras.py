@@ -144,15 +144,13 @@ def build_nakayama(n: int) -> NakayamaAlgebra:
     return NakayamaAlgebra(n)
 
 
-ArrowKey = Tuple[str, int, int]  # ("v"|"h", i, j)
-
-
 class TorusAlgebra:
     """The enveloping algebra, presented by the n x n torus quiver.
 
-    Arrows are keyed ("v", i, j) for (i,j) -> (i+1,j) and ("h", i, j) for
-    (i,j) -> (i,j-1).  The relation list enumerates, per vertex, the two
-    vanishing compositions and the commuting square.
+    Arrows are named v_{i|j} for (i,j) -> (i+1,j) and h_{i|j} for
+    (i,j) -> (i,j-1), with targets from ``arrow_target``.  The relation
+    list enumerates, per vertex, the two vanishing compositions and the
+    commuting square.
     """
 
     def __init__(self, n: int) -> None:
@@ -161,11 +159,6 @@ class TorusAlgebra:
         self.n = n
         self.vertices: Tuple[Vertex, ...] = tuple(
             (i, j) for i in range(1, n + 1) for j in range(1, n + 1))
-        self.vertical: Dict[ArrowKey, Tuple[Vertex, Vertex]] = {}
-        self.horizontal: Dict[ArrowKey, Tuple[Vertex, Vertex]] = {}
-        for (i, j) in self.vertices:
-            for kind, table in (("v", self.vertical), ("h", self.horizontal)):
-                table[(kind, i, j)] = ((i, j), arrow_target(kind, i, j, n))
         self.relations = self._relations()
 
     def _relations(self):
@@ -180,14 +173,6 @@ class TorusAlgebra:
                          (("v", *left), ("h", i, j))))
         return rels
 
-    def arrow_source(self, key: ArrowKey) -> Vertex:
-        table = self.vertical if key[0] == "v" else self.horizontal
-        return table[key][0]
-
-    def arrow_target(self, key: ArrowKey) -> Vertex:
-        table = self.vertical if key[0] == "v" else self.horizontal
-        return table[key][1]
-
     @property
     def dimension(self) -> int:
         # basis of the path algebra modulo relations: trivial paths, arrows,
@@ -199,16 +184,12 @@ class TorusAlgebra:
         def vname(v: Vertex) -> str:
             return f"{v[0]}|{v[1]}"
 
-        arrows = []
-        for key in sorted(self.vertical) + sorted(self.horizontal):
-            src = self.arrow_source(key)
-            tgt = self.arrow_target(key)
-            arrows.append({
-                "name": f"{key[0]}_{key[1]}|{key[2]}",
-                "kind": key[0],
-                "source": vname(src),
-                "target": vname(tgt),
-            })
+        arrows = [{
+            "name": f"{kind}_{i}|{j}",
+            "kind": kind,
+            "source": vname((i, j)),
+            "target": vname(arrow_target(kind, i, j, self.n)),
+        } for kind in "vh" for (i, j) in self.vertices]
         rels = []
         for rel in self.relations:
             if rel[0] == "square":

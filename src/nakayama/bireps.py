@@ -17,15 +17,13 @@ quotient hom spaces out of N_1 and M_1, and the arrow scalar of each
 family at 1|1 on the arrow of component 1.
 
 The core of a column is built whole, once, and shared by every birep on
-it: it computes and checks the arrow scalar of every generator and the
-per-column verdicts read from them when it is built, and nothing on it
-changes after that.  Localizing merges its triples; deciding simple
-transitivity reads its verdicts.
-
-Each generator's object-level action is stored once, as sorted integer
-(row, column, multiplicity) triples, the only form of a birep matrix:
-whatever a birep reports or checks as a matrix is laid out from them as
-a plain list of int rows.
+it, and nothing on it changes after that.  Its one form of the action is
+one 2x2 int block per family at 1|1, rows and columns N_1, M_1.  Each
+generator at r|s acts by its family's block at components r and s,
+merged by one rule according to which of the two are contracted.
+Localizing lays the merged blocks out as a birep's matrices, sorted int
+(row, column, multiplicity) triples; classifying reads the merged blocks
+alone, without laying out any localization.
 """
 
 from __future__ import annotations
@@ -168,6 +166,8 @@ def _canonical_epi(m_label: StringLabel, n_label: StringLabel,
 
 
 ActionEntries = Tuple[Tuple[int, int, int], ...]
+# a family's action on component 1: rows N_1, M_1 by columns N_1, M_1
+Block = Tuple[Tuple[int, int], Tuple[int, int]]
 
 
 def _shift(p: int, d: int, n: int) -> int:
@@ -177,21 +177,20 @@ def _shift(p: int, d: int, n: int) -> int:
 
 class _BirepCore:
     """Shared data behind every birep on one column: object bimodules,
-    quotient hom spaces, the canonical arrow, the generators, their
-    uncontracted action as integer triples, the components whose two
-    columns act alike, the (M_{r|s}, N_{r|s}) generator pairs of each row
-    r, the arrow scalar of every generator, and per column whether one of
-    them is nonzero.  All of it is computed and checked when the core is
-    built and is read-only after that, so one core can be shared by every
-    caller.
+    quotient hom spaces, the canonical arrow, the generators, the block of
+    each family at 1|1, their uncontracted action as integer triples, the
+    arrow scalar of every generator, and per column whether one of them is
+    nonzero.  All of it is computed and checked when the core is built and
+    is read-only after that, so one core can be shared by every caller.
 
     Everything is computed on one representative per translation orbit.
     Rotating the quiver is an algebra automorphism; moved by (d, 0) along
     the torus, the column's objects are the same objects with positions
     shifted by d in each half.  So:
 
-    - the action of u at r|s is that of its family at 1|1 with row
-      positions shifted by r - 1 and column positions by s - 1;
+    - u at r|s acts by its family's block at 1|1, held in ``blocks``,
+      moved to rows N_r, M_r and columns N_s, M_s; a generator at 1|1
+      with an entry outside rows and columns N_1, M_1 is refused;
     - the quotient hom space of (a + d, b + d) is that of (a, b), so only
       the pairs out of N_1 and M_1 are built, and ``qhom`` reads the rest;
     - u at r|s (x) alpha_s is u at 1|s (x) alpha_s moved by (r - 1, 0),
@@ -225,17 +224,9 @@ class _BirepCore:
              for r in range(1, n + 1)
              for s in range(1, n + 1)),
             key=_label_sort_key))
-        base = {f: self._object_action(StringLabel(f, 1, 1, k))
-                for f in "WSNM"}
-        self.action_entries = MappingProxyType({
-            u: tuple(sorted((_shift(r, u.i - 1, n), _shift(c, u.j - 1, n), m)
-                            for r, c, m in base[u.family]))
-            for u in self.generators})
-        self.contractible = self._contractible(base)
-        self.mn_pairs = tuple(
-            tuple((StringLabel("M", r, s, k), StringLabel("N", r, s, k))
-                  for s in range(1, n + 1))
-            for r in range(1, n + 1))
+        self.blocks = MappingProxyType(
+            {f: self._block(StringLabel(f, 1, 1, k)) for f in "WSNM"})
+        self.action_entries = MappingProxyType(_layout(self, frozenset()))
         self.scalars = MappingProxyType(self._arrow_scalars())
         self.verdicts = MappingProxyType({
             s: any(lam for u, lam in self.scalars.items() if u.j == s)
@@ -247,6 +238,14 @@ class _BirepCore:
         those two objects."""
         d = a % self.n
         return self.qhoms[(a - d, _shift(b, -d, self.n))]
+
+    @property
+    def contractible(self) -> FrozenSet[int]:
+        """Every component when each family's block has equal N and M
+        columns, and none otherwise: the four blocks decide them all."""
+        alike = all(nn == m for block in self.blocks.values()
+                    for nn, m in block)
+        return frozenset(range(1, self.n + 1) if alike else ())
 
     def _assert_cartan(self):
         n = self.n
@@ -276,79 +275,67 @@ class _BirepCore:
                 counts[(r, c)] += 1
         return tuple((r, c, m) for (r, c), m in sorted(counts.items()))
 
-    def _contractible(self, base: Dict[str, ActionEntries]) -> FrozenSet[int]:
-        """Components whose N and M columns every generator acts on alike.
-
-        A generator's action is its family's at 1|1 with rows and columns
-        shifted, and a shift keeps each component's two columns together;
-        so either every component qualifies or none does, and the four
-        families at 1|1 decide which."""
+    def _block(self, u: StringLabel) -> Block:
+        """The action of u, a generator at 1|1, as its block on component
+        1; an entry in any other row or column is refused."""
         n = self.n
-
-        def column(entries: ActionEntries, c: int):
-            return [(r, m) for r, cc, m in entries if cc == c]
-
-        alike = all(column(entries, c) == column(entries, n + c)
-                    for entries in base.values() for c in range(n))
-        return frozenset(range(1, n + 1) if alike else ())
+        block = [[0, 0], [0, 0]]
+        for r, c, m in self._object_action(u):
+            if r % n or c % n:
+                raise CartanError(
+                    f"{u} has entry {(r, c)} outside the block of "
+                    f"{self.object_labels[0]} and {self.object_labels[n]}")
+            block[r // n][c // n] = m
+        return (tuple(block[0]), tuple(block[1]))
 
     def _arrow_scalars(self) -> Dict[StringLabel, Fraction]:
         """The scalar by which each generator acts on the arrow of its
         source column.
 
         phi = u (x) alpha_s, for the arrow M_s -> N_s of u's column s, joins
-        two copies of the valley-cell object y that the stored action puts
-        in one row of both columns; y pairs to rank 1 with each end.  The
-        scalar is tr(pi phi sigma) / tr(pi sigma'): sigma and sigma' are the
-        first maps from y to the M and N ends that pair nonzero, and pi the
-        first map back that sigma' pairs with.  End(y) is local, and by
+        two copies of the valley-cell object y that the action puts in one
+        row of both columns; y pairs to rank 1 with each end.  The scalar
+        is tr(pi phi sigma) / tr(pi sigma'): sigma and sigma' are the first
+        maps from y to the M and N ends that pair nonzero, and pi the first
+        map back that sigma' pairs with.  End(y) is local, and by
         ``_assert_cartan`` its greater-cell ideal, of codimension 1, is the
         radical, whose maps are nilpotent and have trace 0; so each trace
         is dim y times an identity coefficient, and the ratio is that of
         the split-pair composite (pi sigma')^-1 pi phi sigma.
 
-        Every generator's action is checked for that shape.  The trace
-        ratio itself is taken once per family and y, on the family's
-        generator at 1|1, alpha_1 and y moved back by the row shift:
-        u at r|s (x) alpha_s is that phi moved along the torus with its
-        middle index rotated, which keeps every trace.  Each distinct
-        (y, end) has its relations and its rank-1 pairing with y checked
-        once."""
+        Each family's block is checked for that shape once: its N and M
+        columns are equal, and both are the unit vector of y, N_1 or M_1.
+        The trace ratio, taken on the family's generator at 1|1 and
+        alpha_1, is the scalar of all its generators, as the class
+        docstring explains.  Each distinct (y, end) has its relations and
+        its rank-1 pairing with y checked once."""
         n = self.n
-        scalars: Dict[StringLabel, Fraction] = {}
-        traces: Dict[Tuple[str, int], Fraction] = {}
+        traces: Dict[str, Fraction] = {}
         ends: Dict[Tuple[int, Bimodule], tuple] = {}
-        for u in self.generators:
-            s = u.j
-            sides = (s - 1, n + s - 1)
-            hits = [e for e in self.action_entries[u] if e[1] in sides]
-            ypos = hits[0][0] if hits else None
-            if hits != [(ypos, s - 1, 1), (ypos, n + s - 1, 1)]:
+        for family, block in self.blocks.items():
+            base = StringLabel(family, 1, 1, self.k)
+            column = [nn for nn, _ in block]
+            if [m for _, m in block] != column or sorted(column) != [0, 1]:
                 raise CartanError(
-                    f"{u} (x) arrow {s} does not join two copies of one "
-                    f"valley-cell summand: {hits}")
-            y = _shift(ypos, 1 - u.i, n)
-            if (u.family, y) not in traces:
-                base = StringLabel(u.family, 1, 1, self.k)
-                phi = tensor_map(construct(base, n), self.alpha)
-                for t in (phi.source, phi.target):
-                    if (y, t) not in ends:
-                        t.check_relations()
-                        sigmas, pis, g = trace_pairing(self.modules[y], t)
-                        if (mult := sparse_rank(g, len(pis))) != 1:
-                            raise CartanError(
-                                f"{self.object_labels[y]} occurs {mult} "
-                                f"times in {base} (x) the ends of arrow 1")
-                        a, row = next((a, row) for a, row in enumerate(g)
-                                      if row)
-                        ends[(y, t)] = (sigmas, pis, a, row)
-                (sigmas, _, a, _), (_, pis, _, row) = (
-                    ends[(y, phi.source)], ends[(y, phi.target)])
-                b = min(row)
-                traces[(u.family, y)] = (
-                    composite_trace(pis, b, phi, sigmas, a) / row[b])
-            scalars[u] = traces[(u.family, y)]
-        return scalars
+                    f"{base} (x) arrow 1 does not join two copies of one "
+                    f"valley-cell summand: block {block}")
+            y = n * column.index(1)
+            phi = tensor_map(construct(base, n), self.alpha)
+            for t in (phi.source, phi.target):
+                if (y, t) not in ends:
+                    t.check_relations()
+                    sigmas, pis, g = trace_pairing(self.modules[y], t)
+                    if (mult := sparse_rank(g, len(pis))) != 1:
+                        raise CartanError(
+                            f"{self.object_labels[y]} occurs {mult} "
+                            f"times in {base} (x) the ends of arrow 1")
+                    a, row = next((a, row) for a, row in enumerate(g) if row)
+                    ends[(y, t)] = (sigmas, pis, a, row)
+            (sigmas, _, a, _), (_, pis, _, row) = (
+                ends[(y, phi.source)], ends[(y, phi.target)])
+            b = min(row)
+            traces[family] = composite_trace(pis, b, phi, sigmas, a) / row[b]
+        return {u: traces[u.family] for u in self.generators}
 
 
 _CORE_CACHE: Dict[tuple, _BirepCore] = {}
@@ -438,11 +425,6 @@ class FinitaryBirep:
                   for i in range(1, self.n + 1) if i not in self.contracted]
         return _dense(self.rank, units + arrows)
 
-    def fingerprint(self) -> List[int]:
-        """Components whose M and N generators act identically."""
-        return [r for r, pairs in enumerate(self.core.mn_pairs, 1)
-                if all(self.action[m] == self.action[nn] for m, nn in pairs)]
-
     def to_json(self) -> dict:
         return {
             "n": self.n,
@@ -467,39 +449,71 @@ def cell_birep(n: int, k: int, j: int = 1) -> FinitaryBirep:
     """
     if k < 1:
         raise ValueError("the valley count k must be at least 1")
-    column = residue(j, n)
-    key = (n, k, column)
+    key = (n, k, residue(j, n))
     if key not in _CORE_CACHE:
-        _CORE_CACHE[key] = _BirepCore(n, k, column)
+        _CORE_CACHE[key] = _BirepCore(*key)
     core = _CORE_CACHE[key]
-    objects = [ObjectSlot(f, i) for f in "NM" for i in range(1, n + 1)]
-    return FinitaryBirep(n, k, column, frozenset(), objects,
-                         core.action_entries, core)
+    return FinitaryBirep(n, k, core.column, frozenset(),
+                         _slots(n, frozenset()), core.action_entries, core)
 
 
-def _merge_groups(n: int, contracted: FrozenSet[int]):
-    """Old-position groups for each new object, in the new object order."""
-    slots = ([ObjectSlot("O" if i in contracted else "N", i)
+def _merged(block: Block, row_contracted: bool,
+            col_contracted: bool) -> Tuple[Tuple[int, ...], ...]:
+    """A family's block at a component pair: a contracted row component
+    adds its two rows, and a contracted column component keeps its first
+    column, which the stability check found equal to the second."""
+    rows = [tuple(map(sum, zip(*block)))] if row_contracted else block
+    return tuple(row[:1] if col_contracted else row for row in rows)
+
+
+def _slots(n: int, contracted: FrozenSet[int]) -> List[ObjectSlot]:
+    """The objects after contracting: the N or O slot of each component,
+    then the surviving M slots."""
+    return ([ObjectSlot("O" if i in contracted else "N", i)
+             for i in range(1, n + 1)]
+            + [ObjectSlot("M", i) for i in range(1, n + 1)
+               if i not in contracted])
+
+
+def _layout(core: _BirepCore, contracted: FrozenSet[int]
+            ) -> Dict[StringLabel, ActionEntries]:
+    """Each generator's merged block placed at the object positions of its
+    two components, as sorted (row, col, multiplicity) triples."""
+    n = core.n
+    m_positions = itertools.count(n)
+    places = [(i - 1,) if i in contracted else (i - 1, next(m_positions))
               for i in range(1, n + 1)]
-             + [ObjectSlot("M", i) for i in range(1, n + 1)
-                if i not in contracted])
-    # an N object sits at i - 1, an M object at n + i - 1, and O has both
-    offsets = {"N": (0,), "M": (n,), "O": (0, n)}
-    return slots, [[off + slot.component - 1 for off in offsets[slot.kind]]
-                   for slot in slots]
+    action = {}
+    for u in core.generators:
+        block = _merged(core.blocks[u.family], u.i in contracted,
+                        u.j in contracted)
+        action[u] = tuple((r, c, m)
+                          for r, row in zip(places[u.i - 1], block)
+                          for c, m in zip(places[u.j - 1], row) if m)
+    return action
+
+
+def _check_stable(contractible: FrozenSet[int],
+                  contracted: FrozenSet[int]) -> None:
+    """Refuse to contract a component whose two columns act differently."""
+    unequal = contracted - contractible
+    if unequal:
+        raise StabilityError(
+            f"cannot contract components {sorted(unequal)}, whose two "
+            "columns act differently")
 
 
 def localize(b: FinitaryBirep, contract: Iterable[int]) -> FinitaryBirep:
     """Contract the arrows of the given set of components.
 
     Contractions accumulate: localizing an already localized birep works
-    from the union of the two index sets, rebuilt from the uncontracted
-    triples.  The stability of the contracted collection is checked
-    first: the two columns of each contracted pair must act alike.  Every
-    image component must also be an isomorphism, a multiple of a
-    contracted arrow, or zero: under each generator of a column the image
-    of its arrow is a scalar times the identity of one object, a shape
-    the core checked for every generator when it was built.
+    from the union of the two index sets, laid out afresh from the core's
+    blocks.  The stability of the contracted collection is checked first:
+    the two columns of each contracted pair must act alike.  Every image
+    component must also be an isomorphism, a multiple of a contracted
+    arrow, or zero: under each generator of a column the image of its
+    arrow is a scalar times the identity of one object, a shape the core
+    checked on every family's block when it was built.
     """
     extra = frozenset(contract)
     bad = sorted(i for i in extra if not 1 <= i <= b.n)
@@ -508,27 +522,9 @@ def localize(b: FinitaryBirep, contract: Iterable[int]) -> FinitaryBirep:
     total = b.contracted | extra
     if total == b.contracted:
         return b
-    core = b.core
-    unequal = total - core.contractible
-    if unequal:
-        raise StabilityError(
-            f"cannot contract components {sorted(unequal)}, whose two "
-            "columns act differently")
-
-    slots, groups = _merge_groups(b.n, total)
-    new_pos = {old: new for new, group in enumerate(groups) for old in group}
-    kept = {group[0] for group in groups}
-    action = {}
-    for u, entries in core.action_entries.items():
-        # rows are summed over the group; columns are identical, so the
-        # group's first one is kept
-        merged: Dict[Tuple[int, int], int] = {}
-        for r, c, m in entries:
-            if c in kept:
-                key = (new_pos[r], new_pos[c])
-                merged[key] = merged.get(key, 0) + m
-        action[u] = tuple((r, c, m) for (r, c), m in sorted(merged.items()))
-    return FinitaryBirep(b.n, b.k, b.column, total, slots, action, core)
+    _check_stable(b.core.contractible, total)
+    return FinitaryBirep(b.n, b.k, b.column, total, _slots(b.n, total),
+                         _layout(b.core, total), b.core)
 
 
 def is_simple_transitive(b: FinitaryBirep) -> bool:
@@ -568,18 +564,36 @@ class ClassificationReport:
 
 
 def classify(n: int, k: int) -> ClassificationReport:
-    """Localize by every subset of components and tally ranks.
+    """Every subset of components with its localization's rank, verdict
+    and fingerprint, read off the merged family blocks, and the tally.
 
-    The fingerprints of distinct subsets must all differ; a collision
-    would break the classification and raises instead of reporting.
+    In a localization each generator at r|s acts by its family's block
+    merged by whether r and whether s is contracted, so the four blocks
+    merged in each of those four states decide every subset.  Distinct
+    subsets must have distinct fingerprints; a collision would break the
+    classification and raises instead of reporting.
     """
-    base = cell_birep(n, k, 1)
+    core = cell_birep(n, k).core
+    contractible = core.contractible
+    alike, covers = {}, {}
+    for state in itertools.product((False, True), repeat=2):
+        merged = {f: _merged(block, *state) for f, block in core.blocks.items()}
+        # a row is in the fingerprint when M and N merge alike against
+        # every column state present; the localization is transitive when
+        # the merged total is at least 1 on every pair of states present
+        alike[state] = merged["M"] == merged["N"]
+        covers[state] = all(sum(es) >= 1 for rows in zip(*merged.values())
+                            for es in zip(*rows))
     entries = []
     seen_prints = {}
     for size in range(n + 1):
         for combo in itertools.combinations(range(1, n + 1), size):
-            loc = localize(base, combo)
-            print_ = loc.fingerprint()
+            contracted = frozenset(combo)
+            _check_stable(contractible, contracted)
+            present = {s in contracted for s in range(1, n + 1)}
+            # whether a row in each state present is in the fingerprint
+            kept = {a: all(alike[(a, c)] for c in present) for a in present}
+            print_ = [r for r in range(1, n + 1) if kept[r in contracted]]
             key = tuple(print_)
             if key in seen_prints:
                 raise RuntimeError(
@@ -588,8 +602,11 @@ def classify(n: int, k: int) -> ClassificationReport:
             seen_prints[key] = combo
             entries.append({
                 "I": list(combo),
-                "rank": loc.rank,
-                "simple_transitive": is_simple_transitive(loc),
+                "rank": 2 * n - size,
+                "simple_transitive": (
+                    all(covers[(a, c)] for a in present for c in present)
+                    and all(core.verdicts[s] for s in range(1, n + 1)
+                            if s not in contracted)),
                 "fingerprint": print_,
             })
     counts = Counter(e["rank"] for e in entries)

@@ -76,7 +76,7 @@ def test_arrow_head_tail_compatibility():
 def test_torus_counts(n, verts, arrows):
     t = build_torus(n)
     assert len(t.vertices) == verts
-    assert len(t.vertical) + len(t.horizontal) == arrows
+    assert len(t.to_json()["arrows"]) == arrows
     assert t.dimension == 4 * n * n
 
 
@@ -88,24 +88,34 @@ def test_torus_relation_counts():
     assert kinds.count("square") == 9
 
 
+def _arrow_ends(t):
+    """Each arrow of the torus JSON as its name -> (source, target)."""
+    return {a["name"]: (a["source"], a["target"])
+            for a in t.to_json()["arrows"]}
+
+
 def test_torus_n1_loops():
-    t = build_torus(1)
-    assert t.arrow_source(("v", 1, 1)) == t.arrow_target(("v", 1, 1)) == (1, 1)
-    assert t.arrow_source(("h", 1, 1)) == t.arrow_target(("h", 1, 1)) == (1, 1)
+    assert _arrow_ends(build_torus(1)) == {"v_1|1": ("1|1", "1|1"),
+                                           "h_1|1": ("1|1", "1|1")}
 
 
 def test_torus_arrow_directions():
-    t = build_torus(2)
-    assert t.arrow_target(("v", 2, 1)) == (1, 1)  # wraps upward
-    assert t.arrow_target(("h", 1, 1)) == (1, 2)  # wraps leftward
-    # the shared helper against the tables, read as cover steps pushed down
+    ends = _arrow_ends(build_torus(2))
+    assert ends["v_2|1"] == ("2|1", "1|1")  # wraps upward
+    assert ends["h_1|1"] == ("1|1", "1|2")  # wraps leftward
+    # the JSON arrows against the shared helper, read as cover steps
+    # pushed down, in vertical-then-horizontal order
     for n in (1, 2, 3):
         t = build_torus(n)
-        for (i, j) in t.vertices:
-            for kind, (di, dj) in (("v", (1, 0)), ("h", (0, -1))):
-                cover = CoverVertex(i + di, j + dj)
-                assert arrow_target(kind, i, j, n) == project(cover, n) \
-                    == t.arrow_target((kind, i, j))
+        want = []
+        for kind, (di, dj) in (("v", (1, 0)), ("h", (0, -1))):
+            for (i, j) in t.vertices:
+                target = arrow_target(kind, i, j, n)
+                assert target == project(CoverVertex(i + di, j + dj), n)
+                want.append({"name": f"{kind}_{i}|{j}", "kind": kind,
+                             "source": f"{i}|{j}",
+                             "target": f"{target[0]}|{target[1]}"})
+        assert t.to_json()["arrows"] == want
 
 
 def test_torus_json_roundtrip_fields():

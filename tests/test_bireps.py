@@ -6,6 +6,7 @@ import itertools
 import re
 from fractions import Fraction
 from math import comb
+from types import MappingProxyType
 
 import pytest
 
@@ -78,6 +79,26 @@ def swept_contractible(core):
     return {i for i in range(1, n + 1)
             if all(column(entries, i - 1) == column(entries, n + i - 1)
                    for entries in core.action_entries.values())}
+
+
+def _with_blocks(core, **blocks):
+    """A copy of core with the given family blocks in place of its own and
+    its uncontracted action laid out from them; the cached core is left
+    alone."""
+    out = copy.copy(core)
+    out.blocks = MappingProxyType({**core.blocks, **blocks})
+    out.action_entries = MappingProxyType(bireps._layout(out, frozenset()))
+    return out
+
+
+def _fingerprint(b):
+    """The components r whose M and N generators at r|s act identically
+    for every s: the birep-level fingerprint, kept as the oracle of the
+    one classify reads off the blocks."""
+    return [r for r in range(1, b.n + 1)
+            if all(b.action[StringLabel("M", r, s, b.k)]
+                   == b.action[StringLabel("N", r, s, b.k)]
+                   for s in range(1, b.n + 1))]
 
 
 def qcoords(q, f):
@@ -293,24 +314,23 @@ def test_sparse_merge_matches_dense_reference(n):
                 assert got == _reference_merge(dense(b, u), groups), (combo, u)
 
 
-def test_sparse_merge_rejects_unequal_contracted_columns():
+def test_sparse_merge_rejects_unequal_contracted_columns(monkeypatch):
+    # N's block sends N_1 and M_1 to N_1; dropping the entry in M_1's
+    # column leaves no component contractible, as the sweep over every
+    # generator finds too, and localize and classify both refuse
     b = cell_birep(2, 1)
-    u = StringLabel("N", 1, 1, 1)
-    core = copy.copy(b.core)
-    core.action_entries = dict(core.action_entries)
-    # N_1|1 sends N_1 and M_1 to N_1; drop the entry in M_1's column
-    assert core.action_entries[u] == ((0, 0, 1), (0, 2, 1))
-    core.action_entries[u] = ((0, 0, 1),)
-    # the orbit rule reads the generators at 1|1 and refuses every
-    # component; the sweep refuses component 1 alone
-    base = {f: core.action_entries[StringLabel(f, 1, 1, 1)] for f in "WSNM"}
-    assert core._contractible(base) == frozenset()
-    core.contractible = frozenset(swept_contractible(core))
-    assert core.contractible == {2}
-    tampered = dataclasses.replace(b, core=core)
-    with pytest.raises(StabilityError):
-        localize(tampered, {1})
-    localize(tampered, {2})
+    assert b.core.blocks["N"] == ((1, 1), (0, 0))
+    core = _with_blocks(b.core, N=((1, 0), (0, 0)))
+    assert core.contractible == frozenset()
+    assert swept_contractible(core) == set()
+    tampered = dataclasses.replace(b, action=core.action_entries, core=core)
+    for contract in ({1}, {2}):
+        with pytest.raises(StabilityError,
+                           match=re.escape(f"components {sorted(contract)}")):
+            localize(tampered, contract)
+    monkeypatch.setitem(bireps._CORE_CACHE, (2, 1, 1), core)
+    with pytest.raises(StabilityError, match=re.escape("components [1]")):
+        classify(2, 1)
 
 
 @pytest.mark.parametrize("n,k", SMALL_CELLS)
@@ -336,19 +356,13 @@ def test_contractible_matches_per_generator_sweep(n, k):
 
 
 def test_contractible_reads_every_component_of_the_generators_at_1_1():
-    # a generator at 1|1 whose columns of component 2 differ makes every
-    # component uncontractible, as the sweep over its shifts finds
-    core = copy.copy(cell_birep(3, 1).core)
-    u = StringLabel("N", 1, 1, 1)
-    base = {f: core.action_entries[StringLabel(f, 1, 1, 1)] for f in "WSNM"}
-    base[u.family] = base[u.family] + ((2, 1, 1),)
-    assert core._contractible(base) == frozenset()
-    core.action_entries = {
-        v: tuple(sorted((bireps._shift(r, v.i - 1, 3),
-                         bireps._shift(c, v.j - 1, 3), m)
-                        for r, c, m in base[v.family]))
-        for v in core.generators}
-    assert swept_contractible(core) == set()
+    # one family block at 1|1 whose two columns differ makes every
+    # component uncontractible, as the sweep over all its translates finds
+    core = cell_birep(3, 1).core
+    assert core.contractible == swept_contractible(core) == {1, 2, 3}
+    tampered = _with_blocks(core, M=((0, 0), (1, 0)))
+    assert tampered.contractible == frozenset()
+    assert swept_contractible(tampered) == set()
 
 
 def test_arrow_scalars_are_keyed_by_normalized_generators():
@@ -360,20 +374,38 @@ def test_arrow_scalars_are_keyed_by_normalized_generators():
     assert dict(core.verdicts) == {1: True, 2: True}
 
 
-@pytest.mark.parametrize("entries", [
-    ((0, 0, 1), (0, 2, 1), (1, 0, 1)),  # two valley-cell rows in column s
-    ((0, 0, 1), (1, 2, 1)),  # the two sides land in different rows
-    ((0, 0, 2), (0, 2, 2)),  # a valley-cell summand occurring twice
-    ((0, 0, 1),),  # nothing on the M side
-    ((1, 0, 1), (1, 2, 1)),  # N_2, which is no summand: pairing rank 0
-])
+# N's action at 1|1 on the objects N_1, N_2, M_1, M_2, and the error each
+# one raises
+MISSHAPEN = {
+    # a second valley-cell row, N_2, outside the block
+    ((0, 0, 1), (0, 2, 1), (1, 0, 1)): re.escape(
+        f"{StringLabel('N', 1, 1, 1)} has entry (1, 0) outside the block of "
+        f"{StringLabel('N', 1, 1, 1)} and {StringLabel('M', 1, 1, 1)}"),
+    # the two sides land in different rows, one of them N_2
+    ((0, 0, 1), (1, 2, 1)): re.escape("has entry (1, 2) outside the block"),
+    # a valley-cell summand occurring twice
+    ((0, 0, 2), (0, 2, 2)): "does not join",
+    # nothing on the M side
+    ((0, 0, 1),): "does not join",
+    # N_2, outside the block
+    ((1, 0, 1), (1, 2, 1)): re.escape("has entry (1, 0) outside the block"),
+    # M_1, in the block but no summand: pairing rank 0
+    ((2, 0, 1), (2, 2, 1)): re.escape(
+        f"{StringLabel('M', 1, 1, 1)} occurs 0 times"),
+    # a column outside the block, N_2's
+    ((0, 0, 1), (0, 1, 1), (0, 2, 1)): re.escape(
+        "has entry (0, 1) outside the block"),
+}
+
+
+@pytest.mark.parametrize("entries", list(MISSHAPEN))
 def test_arrow_scalar_rejects_a_misshapen_valley_cell_summand(monkeypatch,
                                                              entries):
-    # N at 1|1, and with it every translate, gets the given action; N_2
-    # passes the shape check and the rank-1 pairing check refuses it,
-    # and the shape check refuses every other case
-    match = ("occurs 0 times" if entries == ((1, 0, 1), (1, 2, 1))
-             else "does not join")
+    # N at 1|1, and with it every translate, gets the given action: the
+    # block-locality check refuses an entry outside rows and columns N_1
+    # and M_1, the shape check a block whose columns are not one unit
+    # vector twice, and the rank-1 pairing check the wrong object
+    match = MISSHAPEN[entries]
     u = StringLabel("N", 1, 1, 1)
     assert cell_birep(2, 1).core.action_entries[u] == ((0, 0, 1), (0, 2, 1))
     object_action = _BirepCore._object_action
@@ -523,7 +555,7 @@ def _localizations(n, k, j):
         for combo in itertools.combinations(range(1, n + 1), size):
             loc = localize(base, combo)
             out.append((combo, loc.rank, is_simple_transitive(loc),
-                        loc.fingerprint()))
+                        _fingerprint(loc)))
     return out
 
 
@@ -703,7 +735,7 @@ def test_sparse_support_matches_dense_matrices():
                 if all(dense(b, StringLabel("M", r, s, b.k))
                        == dense(b, StringLabel("N", r, s, b.k))
                        for s in range(1, b.n + 1))]
-        assert b.fingerprint() == want
+        assert _fingerprint(b) == want
 
 
 @pytest.mark.parametrize("entry", [(0, 2, 1), (2, 0, 1), (-1, 0, 1)])
@@ -818,17 +850,19 @@ def test_column_verdicts_read_the_scalars_of_their_column():
 
 
 def test_arrow_scalars_check_every_column():
-    # the last generator of column 2 gets a valley-cell summand occurring
-    # twice; the shape check of its column refuses it, although no
-    # verdict of another column depends on it
-    core = copy.copy(cell_birep(2, 1).core)
-    broken = [u for u in core.generators if u.j == 2][-1]
-    assert core.action_entries[broken] == ((3, 1, 1), (3, 3, 1))
-    core.action_entries = {**core.action_entries,
-                           broken: ((3, 1, 2), (3, 3, 2))}
-    with pytest.raises(CartanError,
-                       match=re.escape(f"{broken} (x) arrow 2 does not join")):
-        core._arrow_scalars()
+    # each family's block stands for all of its generators' columns, and
+    # the shape check refuses any one block with a valley-cell summand
+    # occurring twice or with unequal columns, although no other family's
+    # scalar depends on it
+    core = cell_birep(2, 1).core
+    for family, block in core.blocks.items():
+        twice = tuple(tuple(2 * m for m in row) for row in block)
+        for broken in (twice, ((1, 0), (0, 1))):
+            tampered = _with_blocks(core, **{family: broken})
+            with pytest.raises(CartanError, match=re.escape(
+                    f"{StringLabel(family, 1, 1, 1)} (x) arrow 1 "
+                    "does not join")):
+                tampered._arrow_scalars()
 
 
 def test_classify_computes_each_arrow_scalar_once(monkeypatch):
@@ -941,9 +975,41 @@ def test_a_valley_cell_summand_outside_the_column_is_refused(monkeypatch):
 
 
 def test_classify_refuses_a_fingerprint_collision(monkeypatch):
-    monkeypatch.setattr(FinitaryBirep, "fingerprint", lambda self: [])
-    with pytest.raises(RuntimeError, match="fingerprint collision"):
+    # M's block equal to N's puts every row in every fingerprint
+    core = cell_birep(2, 1).core
+    monkeypatch.setitem(bireps._CORE_CACHE, (2, 1, 1),
+                        _with_blocks(core, M=core.blocks["N"]))
+    with pytest.raises(RuntimeError, match=re.escape(
+            "fingerprint collision between () and (1,)")):
         classify(2, 1)
+
+
+def _classified(n, k):
+    return [(tuple(e["I"]), e["rank"], e["simple_transitive"],
+             e["fingerprint"]) for e in classify(n, k).entries]
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for k in (1, 2) for n in range(1, 7)]
+                         + [(8, 1)])
+def test_classify_matches_the_localized_bireps(n, k):
+    # classify reads the merged blocks; the oracle localizes by every
+    # subset and reads rank, verdict and fingerprint off the laid-out birep
+    assert _classified(n, k) == _localizations(n, k, 1)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_classify_matches_the_localized_bireps_without_a_verdict(monkeypatch,
+                                                                 n):
+    # with the scalars of column 1 zeroed, exactly the subsets that keep
+    # component 1 uncontracted are not simple, on both paths
+    core = _zeroed_core(cell_birep(n, 1).core,
+                        [u for u in cell_birep(n, 1).core.generators
+                         if u.j == 1])
+    monkeypatch.setitem(bireps._CORE_CACHE, (n, 1, 1), core)
+    got = _classified(n, 1)
+    assert got == _localizations(n, 1, 1)
+    assert [combo for combo, _, simple, _ in got if not simple] == [
+        combo for combo, *_ in got if 1 not in combo]
 
 
 def test_classify_rank_one():

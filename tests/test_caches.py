@@ -86,9 +86,13 @@ def test_shared_action_data_rejects_writes(restored_caches):
     u = StringLabel("N", 1, 1, 1)
     assert b.action is b.core.action_entries
     for mapping in (b.core.action_entries, b.core.scalars, b.core.verdicts,
-                    b.core.qhoms, b.core.position, b.action, loc.action):
+                    b.core.qhoms, b.core.position, b.core.blocks, b.action,
+                    loc.action):
         with pytest.raises(TypeError):
             mapping[u] = ()
+    assert all(type(block) is tuple and all(type(row) is tuple
+                                            for row in block)
+               for block in b.core.blocks.values())
     assert type(b.core.modules) is tuple
     assert type(b.core.object_labels) is tuple
     assert _dump(classify(3, 1).to_json()) == cold

@@ -158,13 +158,23 @@ def test_json_output_is_deterministic(capsys):
 
 
 def test_classify_frontier_output_is_byte_stable(capsys):
-    # n = 8 merges 256 generators in each of 256 localizations, about seven
-    # times the n = 6 benchmark, so the sparse action is pinned at scale
+    # n = 8 reads its 256 subsets off the merged family blocks, four times
+    # the n = 6 benchmark, so the block tables are pinned at scale
     status = main(["classify", "--n", "8", "--k", "1", "--json"])
     out = capsys.readouterr().out
     assert status == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "d7de3c79e8c51ab756ccc2850c741eb0d1ab308e550cf318392112bd51d32e28")
+
+
+def test_classify_at_twelve_components_output_is_byte_stable(capsys):
+    # n = 12 has 4,096 subsets; the digest is that of the earlier path,
+    # which localized by every subset and checked the laid-out birep
+    status = main(["classify", "--n", "12", "--k", "1", "--json"])
+    out = capsys.readouterr().out
+    assert status == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "278b98032188c3c82230f6f7f823eb391f12c415cc6c6b80596e6ea4259145ea")
 
 
 def test_classify_at_three_valleys_output_is_byte_stable(capsys):

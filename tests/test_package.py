@@ -94,14 +94,11 @@ def test_every_package_function_has_a_package_use():
     assert not unused, unused
 
 
-def test_bireps_runs_each_orbit_sweep_from_one_place():
-    # the core decomposes only the generators at 1|1 and tensors only on
-    # the canonical arrow, so a per-generator sweep must not creep back:
-    # in bireps only _object_action calls product_summands and only
-    # _arrow_scalars calls tensor_map
+def _bireps_callers():
+    """Each name called in bireps, mapped to the functions that call it."""
     path = Path(nakayama.__file__).parent / "bireps.py"
     tree = ast.parse(path.read_text(), filename=str(path))
-    callers = {"product_summands": set(), "tensor_map": set()}
+    callers = {}
 
     def visit(node, enclosing):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -110,11 +107,30 @@ def test_bireps_runs_each_orbit_sweep_from_one_place():
             func = node.func
             name = func.attr if isinstance(func, ast.Attribute) else \
                 getattr(func, "id", None)
-            if name in callers:
-                callers[name].add(enclosing)
+            callers.setdefault(name, set()).add(enclosing)
         for child in ast.iter_child_nodes(node):
             visit(child, enclosing)
 
     visit(tree, None)
-    assert callers == {"product_summands": {"_object_action"},
-                       "tensor_map": {"_arrow_scalars"}}
+    return callers
+
+
+def test_bireps_runs_each_orbit_sweep_from_one_place():
+    # the core decomposes only the generators at 1|1 and tensors only on
+    # the canonical arrow, so a per-generator sweep must not creep back:
+    # in bireps only _object_action calls product_summands and only
+    # _arrow_scalars calls tensor_map
+    callers = _bireps_callers()
+    assert callers["product_summands"] == {"_object_action"}
+    assert callers["tensor_map"] == {"_arrow_scalars"}
+
+
+def test_classify_reads_the_blocks_without_a_localized_birep():
+    # classify decides every subset from the merged family blocks, so it
+    # must not localize, run the birep-level check or build a birep; and
+    # the one merge rule is applied only where a birep is laid out and in
+    # classify
+    callers = _bireps_callers()
+    for name in ("localize", "is_simple_transitive", "FinitaryBirep"):
+        assert "classify" not in callers.get(name, set()), name
+    assert callers["_merged"] == {"_layout", "classify"}
