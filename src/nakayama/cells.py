@@ -14,17 +14,23 @@ cell is named by its computed position in the chain, and
 ``compute_cells`` raises unless that is the position the valley count
 of every member predicts.
 
-Products are translation equivariant, so the sweep runs over translation
-orbits rather than ordered pairs: each canonical product (two kinds and
-an offset) is looked up once, and each anchor shift of a nonzero one
-becomes one bitmask of catalog summands, shared by the n pairs with that
-shift.  Canonical products equal as bimodules are decomposed only once.
+Products are equivariant under independent row and column shifts, so
+both the products and the closures work on translation orbits.  Each
+canonical product (two kinds and an offset) is looked up once, and its
+in-catalog summands become steps between states: the left steps of a
+node depend only on its kind (family, k) and column, and reach whole
+columns; the right steps depend on its kind and row, and reach whole
+rows.  Reachability on these states is found once per kind, from column
+or row 1, and moved along the torus; a two-sided reach is a set of
+column states, row states and whole kinds.  No per-node reach set is
+built.  Canonical products equal as bimodules are decomposed only once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from itertools import chain
+from typing import Callable, FrozenSet, List, Sequence, Set, Tuple
 
 from .bimodules import StringLabel, catalog_labels
 from .decomposition import (
@@ -40,94 +46,171 @@ from .decomposition import (
 BAND_NOTE = "band-type bimodules lie below every listed cell and are not enumerated"
 
 
-def _close_reachability(adjacency: List[int], count: int) -> List[int]:
-    """Reflexive-transitive closure of a bitmask adjacency list.
+# A kind is a (family, k) pair, numbered in catalog order.  Node
+# kind * n * n + i * n + j is the label of that kind at (i + 1)|(j + 1),
+# which is where ``catalog_labels`` lists it.  A column state (kind, j)
+# stands for the n nodes of that kind in column j, a row state (kind, i)
+# for the n nodes in row i.  The left steps of a kind are the column
+# states one left step reaches from its nodes in column 0; from column j
+# each is moved by j.  Right steps work the same way on rows.
+Steps = Sequence[Set[Tuple[int, int]]]
 
-    Closures are found in index order, so a frontier node below the start
-    already has its final closure, which is taken whole, not expanded.
+
+def _product_steps(labels: Sequence[StringLabel],
+                   n: int) -> Tuple[List[set], List[set]]:
+    """The left and right steps of each kind of a catalog, read off its
+    canonical products.
+
+    For U of one kind anchored at i|j and V of another at r|s, the
+    product depends on the kinds and on e = j - r + 1 only, up to the
+    shift of every summand by (i-1, s-1).  With V at column 1 and U on
+    every row, a summand in column c is a left step of V's kind to the
+    column state c - 1; with U at row 1 and V on every column, a summand
+    in row r is a right step of U's kind to the row state r - 1.
     """
-    closed = []
-    for start in range(count):
-        seen = 1 << start
-        frontier = adjacency[start] & ~seen
+    kinds = list(dict.fromkeys((x.family, x.k) for x in labels))
+    number = {kind: a for a, kind in enumerate(kinds)}
+    left: List[set] = [set() for _ in kinds]
+    right: List[set] = [set() for _ in kinds]
+    for a, (fam_u, k_u) in enumerate(kinds):
+        for b, (fam_v, k_v) in enumerate(kinds):
+            for e in range(1, n + 1):
+                for lab in canonical_summands(n, fam_u, k_u, e, fam_v, k_v):
+                    g = number.get((lab.family, lab.k))
+                    # Summands below the valley bound lie in deeper cells
+                    # and carry no information about the catalog range.
+                    if g is not None:
+                        left[b].add((g, lab.j - 1))
+                        right[a].add((g, lab.i - 1))
+    return left, right
+
+
+def _state_reach(steps: Steps, n: int) -> List[FrozenSet[Tuple[int, int]]]:
+    """The states that one or more steps reach from each kind's state 0.
+
+    A state (kind, t) reaches the states of its kind's state 0 moved by t.
+    """
+    reach = []
+    for kind in range(len(steps)):
+        seen = set(steps[kind])
+        frontier = list(seen)
         while frontier:
-            seen |= frontier
-            step = 0
-            rest = frontier
-            while rest:
-                low = rest & -rest
-                node = low.bit_length() - 1
-                if node < start:
-                    seen |= closed[node]
-                else:
-                    step |= adjacency[node]
-                rest ^= low
-            frontier = step & ~seen
-        closed.append(seen)
-    return closed
+            g, t = frontier.pop()
+            for h, d in steps[g]:
+                state = (h, (t + d) % n)
+                if state not in seen:
+                    seen.add(state)
+                    frontier.append(state)
+        reach.append(frozenset(seen))
+    return reach
 
 
-def _mutual_classes(reach: List[int], count: int) -> List[List[int]]:
-    """Group indices that reach each other, preserving first appearance."""
-    assigned = [False] * count
+def _line_classes(reach: Sequence[FrozenSet[Tuple[int, int]]], n: int,
+                  node: Callable[[int, int, int], int]) -> List[List[int]]:
+    """The classes of nodes that reach each other by steps of one side.
+
+    ``node(kind, t, o)`` is the o-th node of state (kind, t).  The nodes
+    of the states in one strongly connected set of states on a cycle form
+    one class; a node of a state on no cycle is a class of its own.
+    """
     classes = []
-    for i in range(count):
-        if assigned[i]:
-            continue
-        members = [j for j in range(count)
-                   if reach[i] >> j & 1 and reach[j] >> i & 1]
-        for j in members:
-            assigned[j] = True
-        classes.append(members)
+    placed = set()
+    for kind, states in enumerate(reach):
+        cyclic = (kind, 0) in states
+        for t in range(n):
+            if not cyclic:
+                classes.extend([node(kind, t, o)] for o in range(n))
+            elif (kind, t) not in placed:
+                # (kind, t) reaches (g, t + d); (g, t + d) reaches back
+                # when (kind, -d) is in g's reach
+                strong = [(g, (t + d) % n) for g, d in states
+                          if (kind, -d % n) in reach[g]]
+                placed.update(strong)
+                classes.append([node(g, u, o) for g, u in strong
+                                for o in range(n)])
     return classes
 
 
-def _divisibility_edges(labels: Sequence[StringLabel],
-                        n: int) -> Tuple[List[int], List[int]]:
-    """One-step divisibility bitmasks over a catalog, one orbit at a time.
+def _orbit_cells(left_steps: Steps, right_steps: Steps, n: int):
+    """Left, right and two-sided classes of the nodes, and the order of
+    the two-sided ones.
 
-    Bit g of ``up_left[b]`` (``up_right[a]``) is set when labels[g] is a
-    summand of labels[a] (x) labels[b], and every label is above itself.
-    ``labels`` must be normalized and closed under torus translation, as
-    ``catalog_labels`` is.  For U of one kind anchored at i|j and V of
-    another at r|s, the product depends on the kinds and on
-    e = j - r + 1 only, up to the shift of every summand by (i-1, s-1).
-    So each canonical product is looked up once and each shift (i, s)
-    turns it into one bitmask.  The n pairs with that shift are U along
-    row i and V along column s, so the mask goes to U's row and V's column.
+    Returns ``(left, right, two_sided, above, total)``.  ``two_sided``
+    lists each class from its least node, in the order of those nodes;
+    ``above`` holds the index pairs (a, b) where class a lies strictly
+    above class b, and ``total`` is False when two classes are
+    incomparable.
+
+    Every reach is found once per kind and moved along the torus.  From
+    a node, left steps reach column states and right steps row states.
+    A right step out of a column state, or a left step out of a row
+    state, reaches every node of a kind, and so does any step out of a
+    whole kind.  So each kind's node at 0|0 has one reach triple: column
+    states, row states and whole kinds, and whether a node reaches
+    another is one test after the other is moved by its anchor.
     """
-    pos = {(x.family, x.k, x.i, x.j): b for b, x in enumerate(labels)}
-    kinds = list(dict.fromkeys((x.family, x.k) for x in labels))
-    anchors = range(1, n + 1)
-    row_masks: Dict[tuple, int] = {}  # (family, k, i) of U -> summands
-    col_masks: Dict[tuple, int] = {}  # (family, k, s) of V -> summands
-    for fam_u, k_u in kinds:
-        for fam_v, k_v in kinds:
-            for e in anchors:
-                summands = canonical_summands(n, fam_u, k_u, e, fam_v, k_v)
-                if not summands:  # every shift of it has mask 0
-                    continue
-                for i in anchors:
-                    for s in anchors:
-                        mask = 0
-                        for lab in summands:
-                            # Summands below the valley bound lie in
-                            # deeper cells and carry no information
-                            # about the catalog range.
-                            g = pos.get((lab.family, lab.k,
-                                         (lab.i + i - 2) % n + 1,
-                                         (lab.j + s - 2) % n + 1))
-                            if g is not None:
-                                mask |= 1 << g
-                        row = (fam_u, k_u, i)
-                        row_masks[row] = row_masks.get(row, 0) | mask
-                        col = (fam_v, k_v, s)
-                        col_masks[col] = col_masks.get(col, 0) | mask
-    up_left = [1 << b | col_masks.get((x.family, x.k, x.j), 0)
-               for b, x in enumerate(labels)]
-    up_right = [1 << b | row_masks.get((x.family, x.k, x.i), 0)
-                for b, x in enumerate(labels)]
-    return up_left, up_right
+    size = n * n
+    left_reach = _state_reach(left_steps, n)
+    right_reach = _state_reach(right_steps, n)
+    left = _line_classes(left_reach, n,
+                         lambda kind, t, o: kind * size + o * n + t)
+    right = _line_classes(right_reach, n,
+                          lambda kind, t, o: kind * size + t * n + o)
+
+    whole = []
+    for kind in range(len(left_steps)):
+        found = {h for g, _ in left_reach[kind] for h, _ in right_steps[g]}
+        found |= {h for g, _ in right_reach[kind] for h, _ in left_steps[g]}
+        frontier = list(found)
+        while frontier:
+            g = frontier.pop()
+            for h, _ in chain(left_steps[g], right_steps[g]):
+                if h not in found:
+                    found.add(h)
+                    frontier.append(h)
+        whole.append(found)
+
+    def reaches(b: int, g: int) -> bool:
+        """Whether node b reaches node g by steps of either side."""
+        kb, (ib, jb) = b // size, divmod(b % size, n)
+        kg, (ig, jg) = g // size, divmod(g % size, n)
+        return (b == g or kg in whole[kb]
+                or (kg, (jg - jb) % n) in left_reach[kb]
+                or (kg, (ig - ib) % n) in right_reach[kb])
+
+    count = len(left_steps) * size
+    # the class of each kind's node at 0|0; every other class is one of
+    # these moved along the torus
+    base = [[g for g in range(count)
+             if reaches(kind * size, g) and reaches(g, kind * size)]
+            for kind in range(len(left_steps))]
+    two_sided: List[List[int]] = []
+    reps = []  # the least node of each class
+    placed = [False] * count
+    for b in range(count):
+        if placed[b]:
+            continue
+        kind, (i, j) = b // size, divmod(b % size, n)
+        members = [g - g % size + (g % size // n + i) % n * n
+                   + (g % n + j) % n for g in base[kind]]
+        for g in members:
+            placed[g] = True
+        two_sided.append(members)
+        reps.append(b)
+
+    above = set()
+    total = True
+    for a, ra in enumerate(reps):
+        for b, rb in enumerate(reps):
+            if a == b:
+                continue
+            a_above_b = reaches(rb, ra)
+            b_above_a = reaches(ra, rb)
+            if a_above_b and not b_above_a:
+                above.add((a, b))
+            elif not a_above_b and not b_above_a:
+                total = False
+    return left, right, two_sided, above, total
 
 
 @dataclass
@@ -214,18 +297,14 @@ class CellStructure:
 def compute_cells(n: int, max_valleys: int) -> CellStructure:
     """Compute the cell structure of the catalog with at most max_valleys valleys.
 
-    Records the divisibility edges of every ordered pair of catalog
-    members (see ``_divisibility_edges``); closures of the edge relations
-    give the left, right, and two-sided preorders.
+    Reads the left and right steps of each kind off its canonical
+    products (see ``_product_steps``); reachability on column and row
+    states, found once per kind, gives the left, right, and two-sided
+    preorders (see ``_orbit_cells``).
     """
     labels = catalog_labels(n, max_valleys)
-    count = len(labels)
-    up_left, up_right = _divisibility_edges(labels, n)
-
-    reach_left = _close_reachability(up_left, count)
-    reach_right = _close_reachability(up_right, count)
-    merged = [up_left[i] | up_right[i] for i in range(count)]
-    reach_two = _close_reachability(merged, count)
+    left_classes, right_classes, two_classes, above, total = _orbit_cells(
+        *_product_steps(labels, n), n)
 
     def as_labels(classes: List[List[int]]) -> List[List[StringLabel]]:
         cells = [sorted((labels[i] for i in cls), key=_label_sort_key)
@@ -233,26 +312,11 @@ def compute_cells(n: int, max_valleys: int) -> CellStructure:
         cells.sort(key=lambda cell: _label_sort_key(cell[0]))
         return cells
 
-    left_cells = as_labels(_mutual_classes(reach_left, count))
-    right_cells = as_labels(_mutual_classes(reach_right, count))
-    two_classes = _mutual_classes(reach_two, count)
-
-    reps = [cls[0] for cls in two_classes]
-    above = {}
-    total = True
-    for ci, ri in enumerate(reps):
-        for cj, rj in enumerate(reps):
-            if ci == cj:
-                continue
-            i_above_j = bool(reach_two[rj] >> ri & 1)
-            j_above_i = bool(reach_two[ri] >> rj & 1)
-            if i_above_j and not j_above_i:
-                above[(ci, cj)] = True
-            elif not i_above_j and not j_above_i:
-                total = False
+    left_cells = as_labels(left_classes)
+    right_cells = as_labels(right_classes)
 
     order = sorted(range(len(two_classes)),
-                   key=lambda ci: sum(above.get((cj, ci), False)
+                   key=lambda ci: sum((cj, ci) in above
                                       for cj in range(len(two_classes))))
     two_sided = [sorted((labels[i] for i in two_classes[ci]),
                         key=_label_sort_key) for ci in order]

@@ -70,13 +70,17 @@ def lab(fam, i, j, k):
 # -- labels ------------------------------------------------------------------
 
 def test_label_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="P labels carry no valley count"):
         StringLabel("P", 1, 1, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need a valley count"):
         StringLabel("S", 1, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown family 'X'"):
         StringLabel("X", 1, 1)
-    with pytest.raises(ValueError):
+    # a valley count valid for a string family: only the family check
+    # refuses this one
+    with pytest.raises(ValueError, match="unknown family 'X'"):
+        StringLabel("X", 1, 1, 1)
+    with pytest.raises(ValueError, match="need a valley count"):
         StringLabel("M", 1, 1, -1)
 
 

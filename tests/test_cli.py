@@ -229,6 +229,33 @@ def test_cells_at_three_valleys_output_is_byte_stable(capsys):
         "9eb5db0b911fb6250f796b8dd5f96958b570733579a878c562ae14882ffc0d5d")
 
 
+def test_cells_at_twenty_four_components_output_is_byte_stable(capsys):
+    # 5,184 catalog nodes in nine kinds: the closures run on column and
+    # row states, each found once per kind and moved along the torus
+    status = main(["cells", "--n", "24", "--max-valleys", "1", "--json"])
+    out = capsys.readouterr().out
+    assert status == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "a0eea793bd706a722db0463abdb4a4c27ba032eae284fe85254172501b3881b1")
+
+
+def test_cells_at_sixteen_components_output_is_byte_stable(capsys):
+    status = main(["cells", "--n", "16", "--max-valleys", "2", "--json"])
+    out = capsys.readouterr().out
+    assert status == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "162e5d64c17e44cc3324fdb2a05894a844b89cfc8ca0ca98b810a46833100cca")
+
+
+def test_multable_at_twelve_components_output_is_byte_stable(capsys):
+    # 331,776 anchor quadruples decided by 192 canonical products
+    status = main(["multable", "--n", "12", "--k", "1", "--json"])
+    out = capsys.readouterr().out
+    assert status == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "fe01c3f716f049572b6055e517f8bf2c48b2f678670e415385d99feca3796505")
+
+
 def test_cellrep_output_is_byte_stable(capsys):
     # the cell birep reads every generator's module from construct, which
     # translates the module built at anchor 1|1

@@ -435,6 +435,79 @@ def test_multiplication_table_small(n, k):
     assert result["products"] == 16 * n ** 4
 
 
+def _per_anchor_multable(n, k):
+    """``multable_check`` as one product per anchor quadruple, the sweep
+    it was before it went over canonical products."""
+    families = ("W", "S", "N", "M")
+    mismatches = []
+    total = 0
+    rng = range(1, n + 1)
+    for fam_u in families:
+        for fam_v in families:
+            want_fam = decomposition.expected_product_family(fam_u, fam_v)
+            for i in rng:
+                for j in rng:
+                    for r in rng:
+                        for s in rng:
+                            u = StringLabel(fam_u, i, j, k)
+                            v = StringLabel(fam_v, r, s, k)
+                            apex = [x for x in product_summands(u, v, n)
+                                    if decomposition.cell_of(x) == ("J", k)]
+                            want = [StringLabel(want_fam, i, s,
+                                                k).normalized(n)] \
+                                if j == r else []
+                            total += 1
+                            if sorted(apex) != sorted(want):
+                                mismatches.append({
+                                    "u": u.literal(), "v": v.literal(),
+                                    "got": [x.literal() for x in apex],
+                                    "want": [x.literal() for x in want]})
+    return {"n": n, "k": k, "products": total,
+            "mismatches": mismatches, "ok": not mismatches}
+
+
+@pytest.mark.parametrize("n,k", [(1, 2), (3, 1), (2, 0)])
+def test_multable_matches_the_per_anchor_sweep(n, k):
+    # at k = 0 the apex lies in no valley cell, so every product with
+    # j = r mismatches: the W^(0) factors fold into L
+    assert multable_check(n, k) == _per_anchor_multable(n, k)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_wrong_table_entry_lists_every_anchor_in_sweep_order(
+        monkeypatch, n):
+    # two family pairs expect the wrong entry, so their anchors with
+    # j = r mismatch, interleaved with the matching ones
+    table = decomposition.expected_product_family
+
+    def wrong(fam_u, fam_v):
+        if (fam_u, fam_v) in (("S", "N"), ("M", "W")):
+            return "W"
+        return table(fam_u, fam_v)
+
+    monkeypatch.setattr(decomposition, "expected_product_family", wrong)
+    result = multable_check(n, 1)
+    assert not result["ok"]
+    assert len(result["mismatches"]) == 2 * n ** 3
+    assert result == _per_anchor_multable(n, 1)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_wrong_apex_lists_every_anchor_in_sweep_order(monkeypatch, n):
+    # count the summands of the greatest cell as valley-1 apex too, so
+    # products off the table (j != r) mismatch with a nonempty apex
+    real = decomposition.cell_of
+
+    def widened(label):
+        tag = real(label)
+        return ("J", 1) if tag == ("split",) else tag
+
+    monkeypatch.setattr(decomposition, "cell_of", widened)
+    result = multable_check(n, 1)
+    assert any(m["got"] and not m["want"] for m in result["mismatches"])
+    assert result == _per_anchor_multable(n, 1)
+
+
 def test_f_ij_tensor_f_jl_gives_four_of_each():
     n, k, i, j, l = 2, 1, 1, 2, 1
     fams = ("W", "S", "N", "M")
