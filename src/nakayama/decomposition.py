@@ -11,6 +11,18 @@ dimension balance, since the multiplicities times the dimension vectors
 must fit inside dim T.  Whatever the catalog does not account for is
 reported as a residual dimension, never guessed at.
 
+Before the scan, T is split into the pieces of its basis graph: the
+nodes are T's basis vectors and every nonzero arrow entry is an edge, so
+each connected piece is a sub-bimodule and T is their direct sum.  The
+string modules act on their walk bases by partial permutations (Butler
+and Ringel, Comm. Algebra 15, 1987), and the pair-class bases of the
+products ``tensor`` builds keep that, so a product's pieces are as a rule
+its summands.  Ranks and residuals add up over the pieces, and each
+piece is scanned alone, so a hom system pays for one piece instead of
+all of T.  Nothing is assumed of a piece: a connected T is scanned
+whole, and a piece that is indecomposable or a band is decomposed or
+left as residual just as it would be inside T.
+
 Cells are tagged by position in the linear chain
 
     J_split  >  J_M0  >  J_1  >  J_2  >  ...
@@ -25,7 +37,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .algebras import residue
+from .algebras import Vertex, arrow_target, residue
 from .bimodules import (
     FAMILIES,
     Bimodule,
@@ -40,6 +52,10 @@ from .linalg import ONE, solve, sparse_rank
 from .tensoring import tensor
 
 CellTag = Tuple
+
+# a piece's index map: at[v][r] is the index in the whole module of the
+# piece's r-th basis vector at v
+PieceMap = Dict[Vertex, Tuple[int, ...]]
 
 
 def cell_of(label: StringLabel) -> CellTag:
@@ -101,7 +117,8 @@ def _label_sort_key(label: StringLabel):
 # split pairs and multiplicities
 # ---------------------------------------------------------------------------
 
-def _split_pair(x: Bimodule, sigmas: HomSpace, pis: HomSpace, g: list):
+def _split_pair(x: Bimodule, sigmas: HomSpace, pis: HomSpace, g: list,
+                t: Optional[Bimodule] = None, at: Optional[PieceMap] = None):
     """(sig, pi) with pi o sig the identity, from the first nonzero g[a][b].
 
     g is the trace pairing of the two hom spaces, as the sparse rows of
@@ -110,25 +127,86 @@ def _split_pair(x: Bimodule, sigmas: HomSpace, pis: HomSpace, g: list):
     sig = sigmas[a], when End(x) is local.  One solve of [(p sig)_v | I |
     p_v] per vertex v, with p read off its kernel vector and no map built,
     certifies that (or raises RuntimeError) and gives (p sig)_v^-1 p_v.
+    The hom spaces are those of a piece y = sigmas.y of t with index map
+    at (see ``_pieces``); both maps are built once, in t's basis.  By
+    default t is y itself.
     """
+    y = sigmas.y
+    t = y if t is None else t
+    lift = {v: at[v] if at else range(d) for v, d in y.dims.items()}
     a, row = next((a, row) for a, row in enumerate(g) if row)
-    sig, p = sigmas[a], pis.blocks(min(row))
-    retraction = {}
+    sig, p = sigmas.blocks(a), pis.blocks(min(row))
+    section, retraction = {}, {}
     for v, d in x.dims.items():
         # the rows of [(p sig)_v | I | p_v]; m X = I has a solution
         # exactly when the square (p sig)_v is invertible
-        sig_v = sig.components.get(v)
+        sig_rows: Dict[int, list] = {}
+        for r, c, e in sig.get(v, ()):
+            sig_rows.setdefault(r, []).append((c, e))
         rows: List[dict] = [{d + r: ONE} for r in range(d)]
         for r, c, e in p[v]:
             rows[r][2 * d + c] = e
-            for k, s in sig_v[1][c] if sig_v else ():
+            for k, s in sig_rows.get(c, ()):
                 rows[r][k] = rows[r].get(k, 0) + e * s
         out = solve([{c: e for c, e in row.items() if e} for row in rows],
-                    d, 2 * d + pis.x.dims[v])
+                    d, 2 * d + y.dims[v])
         if out is None:
             raise RuntimeError(f"p sig is singular at {v}: no split pair")
-        retraction[v] = [(r, c - d, e) for r, c, e in out if c >= d]
-    return sig, BimoduleMap(pis.x, x, retraction)
+        section[v] = [(lift[v][r], c, e) for r, c, e in sig.get(v, ())]
+        retraction[v] = [(r, lift[v][c - d], e) for r, c, e in out if c >= d]
+    return BimoduleMap(x, t, section), BimoduleMap(t, x, retraction)
+
+
+def _pieces(t: Bimodule) -> List[Tuple[Bimodule, Optional[PieceMap]]]:
+    """The connected pieces of t's basis graph, each with its index map.
+
+    The graph has t's basis vectors as nodes and every nonzero arrow
+    entry as an edge.  A piece keeps, at each vertex, the basis vectors
+    of one connected part in ascending order, and at[v][r] is the index
+    in t of its r-th one.  No edge leaves a piece, so every piece is a
+    sub-bimodule and t is their direct sum.  Pieces come in the order of
+    their first basis vector, by vertex and then index.  A connected t
+    is its own one piece, with map None, and no module is rebuilt.
+    """
+    base: Dict[Vertex, int] = {}
+    nodes: List[Tuple[Vertex, int]] = []
+    for v in sorted(t.dims):
+        base[v] = len(nodes)
+        nodes.extend((v, r) for r in range(t.dims[v]))
+    # union-find whose roots are the least node of their class
+    parent = list(range(len(nodes)))
+
+    def root(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        return a
+
+    for (kind, i, j), (cols, _) in t.arrow_views.items():
+        src, tgt = base[(i, j)], base[arrow_target(kind, i, j, t.n)]
+        for c, col in enumerate(cols):
+            for r, _ in col:
+                a, b = root(src + c), root(tgt + r)
+                if a != b:
+                    parent[max(a, b)] = min(a, b)
+    groups: Dict[int, Dict[Vertex, List[int]]] = {}
+    for a, (v, r) in enumerate(nodes):
+        groups.setdefault(root(a), {}).setdefault(v, []).append(r)
+    if len(groups) == 1:
+        return [(t, None)]
+    piece_of, local = [0] * len(nodes), [0] * len(nodes)
+    for q, at in enumerate(groups.values()):
+        for v, rows in at.items():
+            for k, r in enumerate(rows):
+                piece_of[base[v] + r], local[base[v] + r] = q, k
+    arrows: List[dict] = [{} for _ in groups]
+    for (kind, i, j), (cols, _) in t.arrow_views.items():
+        src, tgt = base[(i, j)], base[arrow_target(kind, i, j, t.n)]
+        for c, col in enumerate(cols):
+            arrows[piece_of[src + c]].setdefault((kind, i, j), []).extend(
+                (local[tgt + r], local[src + c], e) for r, e in col)
+    return [(Bimodule(t.n, {v: len(rows) for v, rows in at.items()},
+                      arrows[q]), {v: tuple(rows) for v, rows in at.items()})
+            for q, at in enumerate(groups.values())]
 
 
 @dataclass
@@ -179,43 +257,74 @@ def _candidates(n: int, max_valleys: int) -> Candidates:
     return cands
 
 
+def _pair_site(sigmas: HomSpace, g: list, at: Optional[PieceMap]):
+    """Where in t the forward map of ``_split_pair`` sits: (vertex, row of
+    t, column of x) of its free unknown, ordered as the unknowns of
+    Hom(x, t), which lists its basis in the order of its free unknowns."""
+    f = sigmas.frees[next(a for a, row in enumerate(g) if row)]
+    off, v = max((off, v) for v, off in sigmas._offsets.items() if off <= f)
+    r, c = divmod(f - off, sigmas.x.dims[v])
+    return v, at[v][r] if at else r, c
+
+
 def decompose(t: Bimodule, max_valleys: int) -> DecompositionReport:
     """Multiplicities of the catalog members in t, by pairing rank.
 
-    Candidates run largest dimension first, until nothing of t is left
-    unaccounted for.  One whose dimension vector does not fit in what is
-    still unaccounted for cannot be a summand and is skipped; its total
-    dimension is tested first, as the cheaper half of that test.  The
-    multiplicities times the dimension vectors must fit inside dim t
-    (dimension balance); the rest is the residual.
+    t is split into the pieces of its basis graph (``_pieces``), and each
+    piece is scanned on its own.  Candidates run largest dimension first,
+    until nothing of the piece is left unaccounted for.  One whose
+    dimension vector does not fit in what is still unaccounted for cannot
+    be a summand and is skipped; its total dimension is tested first, as
+    the cheaper half of that test.  The multiplicities times the
+    dimension vectors must fit inside dim of the piece (dimension
+    balance); the rest is the piece's residual.  Multiplicities and
+    residuals add up over the pieces, and the summands come in candidate
+    order.  A label found in several pieces gets the split pair that a
+    scan of t whole would take: the one whose forward map comes first in
+    Hom(x, t), because the hom and pairing systems of t are those of its
+    pieces side by side.
     max_valleys bounds the catalog that is searched; any string summand
     has dimension at least 2k+1, so 2*max_valleys + 3 >= dim t always
     suffices.
     """
-    left = dict(t.dims)
-    remaining = t.total_dim
+    cands = _candidates(t.n, max_valleys)
+    found: Counter = Counter()  # candidate index -> multiplicity in t
+    sites: Dict[int, tuple] = {}  # candidate index -> its split pair's site
+    residual = 0
+    for piece, at in _pieces(t):
+        left = dict(piece.dims)
+        remaining = piece.total_dim
+        for idx, (label, x) in enumerate(cands):
+            if not remaining:
+                break
+            if x.total_dim > remaining or any(
+                    d > left.get(v, 0) for v, d in x.dims.items()):
+                continue
+            sigmas, pis, g = trace_pairing(x, piece)
+            mult = sparse_rank(g, len(pis))
+            if not mult:
+                continue
+            found[idx] += mult
+            site = _pair_site(sigmas, g, at)
+            if idx not in sites or site < sites[idx][0]:
+                sites[idx] = site, sigmas, pis, g, at
+            for v, d in x.dims.items():
+                left[v] -= mult * d
+                if left[v] < 0:
+                    raise RuntimeError(
+                        f"dimension balance fails at {v}: {label} occurs "
+                        f"{mult} times in a piece of dimension "
+                        f"{piece.total_dim}")
+            remaining -= mult * x.total_dim
+        residual += remaining
     summands: List[StringLabel] = []
     pairs: List[Tuple[StringLabel, BimoduleMap, BimoduleMap]] = []
-    for label, x in _candidates(t.n, max_valleys):
-        if not remaining:
-            break
-        if x.total_dim > remaining or any(
-                d > left.get(v, 0) for v, d in x.dims.items()):
-            continue
-        sigmas, pis, g = trace_pairing(x, t)
-        mult = sparse_rank(g, len(pis))
-        if not mult:
-            continue
-        summands.extend([label] * mult)
-        pairs.append((label, *_split_pair(x, sigmas, pis, g)))
-        for v, d in x.dims.items():
-            left[v] -= mult * d
-            if left[v] < 0:
-                raise RuntimeError(
-                    f"dimension balance fails at {v}: {label} occurs "
-                    f"{mult} times in a bimodule of dimension {t.total_dim}")
-        remaining -= mult * x.total_dim
-    return DecompositionReport(t.n, t.total_dim, summands, pairs, remaining)
+    for idx in sorted(found):
+        label, x = cands[idx]
+        summands.extend([label] * found[idx])
+        _, sigmas, pis, g, at = sites[idx]
+        pairs.append((label, *_split_pair(x, sigmas, pis, g, t, at)))
+    return DecompositionReport(t.n, t.total_dim, summands, pairs, residual)
 
 
 def decompose_product(u: StringLabel, v: StringLabel,

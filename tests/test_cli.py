@@ -229,6 +229,23 @@ def test_cells_at_three_valleys_output_is_byte_stable(capsys):
         "9eb5db0b911fb6250f796b8dd5f96958b570733579a878c562ae14882ffc0d5d")
 
 
+@pytest.mark.parametrize("argv, digest", [
+    # at n = 1 and 2 with four and three valleys the products are large
+    # and fall into many pieces of their basis graph, each scanned alone
+    (["cells", "--n", "1", "--max-valleys", "4"],
+     "80f4630839d3de7129292774add2904b00c9a3014a108a98a8734045eb5bb1a9"),
+    (["cells", "--n", "2", "--max-valleys", "3"],
+     "f203beddd42480090662e7c2864b5eac39c36a2ca699a3883314cd9289d0eee9"),
+    (["multable", "--n", "1", "--k", "6"],
+     "106b0efa0c3c2fcda32403cd65546f6aff606b5f91319d9c38bf7671c5a71281"),
+], ids=["cells-n1-v4", "cells-n2-v3", "multable-n1-k6"])
+def test_small_n_large_k_output_is_byte_stable(capsys, argv, digest):
+    status = main(argv + ["--json"])
+    out = capsys.readouterr().out
+    assert status == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_cells_at_twenty_four_components_output_is_byte_stable(capsys):
     # 5,184 catalog nodes in nine kinds: the closures run on column and
     # row states, each found once per kind and moved along the torus

@@ -15,6 +15,7 @@ from nakayama.bimodules import (
     catalog_labels,
     construct,
     direct_sum,
+    is_isomorphic,
     regular_bimodule,
     trace_pairing,
 )
@@ -35,11 +36,20 @@ from nakayama.decomposition import (
 )
 import nakayama
 from nakayama import decomposition
+from nakayama.algebras import arrow_target
 from nakayama.cells import compute_cells
 from nakayama.linalg import sparse_rank
 from nakayama.tensoring import tensor
 
-from dense_helpers import dense_block, dense_split_pair, identity
+from decompose_oracle import whole_module_decompose
+from dense_helpers import (
+    ExactMatrix,
+    dense_arrow,
+    dense_block,
+    dense_split_pair,
+    identity,
+    module_from_matrices,
+)
 
 
 def lab(fam, i, j, k=None):
@@ -287,6 +297,21 @@ def _catalog_members(draw, n, max_valleys):
                        draw(st.integers(-3, 6)), k)
 
 
+def _assert_same_report(got, want):
+    """got and want name the same summands in the same order, leave the
+    same residual and keep the same split pairs, block for block."""
+    assert got.summands == want.summands
+    assert got.residual_dim == want.residual_dim
+    assert got.to_json() == want.to_json()
+    assert len(got.split_pairs) == len(want.split_pairs)
+    for (label, sig, pi), (want_label, want_sig, want_pi) in zip(
+            got.split_pairs, want.split_pairs):
+        assert label == want_label
+        assert sig.source == want_sig.source and sig.target == want_sig.target
+        assert sig.components == want_sig.components
+        assert pi.components == want_pi.components
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_decompose_recovers_random_direct_sums(data):
@@ -295,10 +320,127 @@ def test_decompose_recovers_random_direct_sums(data):
     n, max_valleys = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 2))
     labels = data.draw(st.lists(_catalog_members(n, max_valleys),
                                 min_size=1, max_size=4))
-    rep = decompose(direct_sum(*(construct(u, n) for u in labels)),
-                    max_valleys)
+    t = direct_sum(*(construct(u, n) for u in labels))
+    rep = decompose(t, max_valleys)
     assert rep.multiset() == Counter(u.normalized(n) for u in labels)
     assert rep.residual_dim == 0
+    _assert_same_report(rep, whole_module_decompose(t, max_valleys))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_pieces_split_random_direct_sums(data):
+    n, max_valleys = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 2))
+    labels = data.draw(st.lists(_catalog_members(n, max_valleys),
+                                min_size=1, max_size=4))
+    t = direct_sum(*(construct(u, n) for u in labels))
+    pieces = decomposition._pieces(t)
+    maps = [at or {v: tuple(range(d)) for v, d in t.dims.items()}
+            for _, at in pieces]
+    # every basis vector of t lies in exactly one piece
+    owner = {(v, r): q for q, at in enumerate(maps)
+             for v, rows in at.items() for r in rows}
+    assert sorted(owner) == sorted((v, r) for v, d in t.dims.items()
+                                   for r in range(d))
+    assert sum((Counter(dict(piece.dims)) for piece, _ in pieces),
+               Counter()) == Counter(dict(t.dims))
+    # no arrow entry leaves its piece, and a piece's arrows are t's
+    # entries between its vectors
+    lifted = Counter()
+    for (piece, _), at in zip(pieces, maps):
+        for (kind, i, j), (cols, _) in piece.arrow_views.items():
+            w = arrow_target(kind, i, j, n)
+            lifted.update({(kind, i, j, at[w][r], at[(i, j)][c]): e
+                           for c, col in enumerate(cols) for r, e in col})
+    whole = Counter()
+    for (kind, i, j), (cols, _) in t.arrow_views.items():
+        w = arrow_target(kind, i, j, n)
+        for c, col in enumerate(cols):
+            for r, e in col:
+                assert owner[(w, r)] == owner[((i, j), c)]
+                whole[(kind, i, j, r, c)] = e
+    assert lifted == whole
+    assert is_isomorphic(direct_sum(*(piece for piece, _ in pieces)), t)
+    # an equal module rebuilt from scratch splits the same way
+    again = decomposition._pieces(
+        direct_sum(*(construct(u, n) for u in labels)))
+    assert again == pieces
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_a_band_is_residual_beside_strings(n):
+    band = regular_bimodule(n)
+    _assert_same_report(decompose(band, 2), whole_module_decompose(band, 2))
+    label = lab("S", 1, 2, 1).normalized(n)
+    t = direct_sum(construct(label, n), band, construct(label, n))
+    rep = decompose(t, 2)
+    _assert_same_report(rep, whole_module_decompose(t, 2))
+    assert rep.summands == [label, label]
+    assert rep.residual_dim == band.total_dim == 2 * n
+
+
+def _mixed(t, v, r, s):
+    """t moved along the change of coordinates g = I + E_{s,r} at v, the
+    identity elsewhere, which adds coordinate r to coordinate s: each
+    arrow A becomes g A g^-1, an isomorphic module."""
+    d = t.dims[v]
+    g = ExactMatrix.from_entries(d, d, [(q, q, 1) for q in range(d)]
+                                 + [(s, r, 1)])
+    g_inv = ExactMatrix.from_entries(d, d, [(q, q, 1) for q in range(d)]
+                                     + [(s, r, -1)])
+    mats = {}
+    for kind, i, j in t.arrow_views:
+        mat = dense_arrow(t, kind, i, j)
+        if arrow_target(kind, i, j, t.n) == v:
+            mat = g.mul(mat)
+        if (i, j) == v:
+            mat = mat.mul(g_inv)
+        mats[(kind, i, j)] = mat
+    out = module_from_matrices(t.n, dict(t.dims), mats)
+    out.check_relations()
+    return out
+
+
+@pytest.mark.parametrize("n, label", [
+    (1, lab("M", 1, 1, 1)),
+    (2, lab("S", 1, 1, 1)),
+    (3, lab("N", 2, 1, 2)),
+])
+def test_a_connected_sum_of_two_copies_still_splits(n, label):
+    # a basis change that mixes the two copies at one vertex joins their
+    # pieces, so the scan runs on the whole module and must still find
+    # both copies, each certified by a split pair
+    x = construct(label, n)
+    v = min(x.dims)
+    t = _mixed(direct_sum(x, x), v, 0, x.dims[v])
+    assert is_isomorphic(t, direct_sum(x, x))
+    assert len(decomposition._pieces(t)) == 1
+    rep = decompose(t, 2)
+    assert rep.multiset() == Counter({label: 2})
+    assert rep.residual_dim == 0
+    (found, sig, pi), = rep.split_pairs
+    assert found == label and sig.target == t and pi.source == t
+    sig.check()
+    pi.check()
+    comp = pi.compose(sig)
+    for w in x.dims:
+        assert _is_identity(dense_block(comp, *w))
+
+
+@pytest.mark.parametrize("n, u, v", [
+    (1, lab("S", 1, 1, 2), lab("S", 1, 1, 2)),
+    # P and N^(0) lie in two pieces each, and the first piece is not the
+    # one whose split pair a scan of the whole module takes
+    (2, lab("M", 1, 1, 2), lab("P", 1, 1)),
+    (2, lab("N", 1, 1, 2), lab("N", 1, 1, 2)),
+    (3, lab("W", 1, 3, 2), lab("M", 1, 1, 2)),
+])
+def test_one_piece_gives_the_same_report(monkeypatch, n, u, v):
+    t = tensor(construct(u, n), construct(v, n))
+    assert len(decomposition._pieces(t)) > 1
+    split = decompose(t, 2)
+    monkeypatch.setattr(decomposition, "_pieces", lambda t: [(t, None)])
+    _assert_same_report(split, decompose(t, 2))
 
 
 def test_regular_bimodule_is_honest_residual():
@@ -336,7 +478,8 @@ def test_product_summands_matches_direct_decomposition():
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_canonical_products_leave_no_residual(n):
     # U anchored at 1|e and V at 1|1, for every pair of kinds of the
-    # catalog with at most two valleys, P and L included
+    # catalog with at most two valleys, P and L included; the report is
+    # that of the whole-module scan
     kinds = sorted({(x.family, x.k) for x in catalog_labels(n, 2)},
                    key=lambda fk: (fk[1] is not None, fk))
     for fam_u, k_u in kinds:
@@ -345,6 +488,8 @@ def test_canonical_products_leave_no_residual(n):
                 u, v = lab(fam_u, 1, e, k_u), lab(fam_v, 1, 1, k_v)
                 rep = decompose_product(u, v, n)
                 assert rep.residual_dim == 0, (u, v)
+                _assert_same_report(rep, whole_module_decompose(
+                    *_canonical_product(n, fam_u, k_u, e, fam_v, k_v)))
 
 
 def _canonical_product(n, fam_u, k_u, e, fam_v, k_v):
