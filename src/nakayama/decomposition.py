@@ -23,6 +23,13 @@ all of T.  Nothing is assumed of a piece: a connected T is scanned
 whole, and a piece that is indecomposable or a band is decomposed or
 left as residual just as it would be inside T.
 
+The same few pieces recur across products, so a piece's scan is a
+function of the piece alone and is cached by its value: multiplicities,
+residual and split-pair entries in the piece's basis, all of them
+tuples.  Each piece that is equal to one seen before, in the same
+product or an earlier one, costs a lookup and the lifting of its
+entries into T's basis.
+
 Cells are tagged by position in the linear chain
 
     J_split  >  J_M0  >  J_1  >  J_2  >  ...
@@ -117,9 +124,9 @@ def _label_sort_key(label: StringLabel):
 # split pairs and multiplicities
 # ---------------------------------------------------------------------------
 
-def _split_pair(x: Bimodule, sigmas: HomSpace, pis: HomSpace, g: list,
-                t: Optional[Bimodule] = None, at: Optional[PieceMap] = None):
-    """(sig, pi) with pi o sig the identity, from the first nonzero g[a][b].
+def _split_pair(x: Bimodule, sigmas: HomSpace, pis: HomSpace, g: list):
+    """The entries of (sig, pi) with pi o sig the identity, from the first
+    nonzero g[a][b], in the basis of y = sigmas.y.
 
     g is the trace pairing of the two hom spaces, as the sparse rows of
     ``trace_pairing``; a is its first nonempty row and b the least column
@@ -127,16 +134,14 @@ def _split_pair(x: Bimodule, sigmas: HomSpace, pis: HomSpace, g: list,
     sig = sigmas[a], when End(x) is local.  One solve of [(p sig)_v | I |
     p_v] per vertex v, with p read off its kernel vector and no map built,
     certifies that (or raises RuntimeError) and gives (p sig)_v^-1 p_v.
-    The hom spaces are those of a piece y = sigmas.y of t with index map
-    at (see ``_pieces``); both maps are built once, in t's basis.  By
-    default t is y itself.
+    Each map is a tuple of (vertex, entries) over x's vertices, and the
+    entries of a block are (row, column, value) tuples, so a cached scan
+    can hold them; ``decompose`` lifts them into maps.
     """
     y = sigmas.y
-    t = y if t is None else t
-    lift = {v: at[v] if at else range(d) for v, d in y.dims.items()}
     a, row = next((a, row) for a, row in enumerate(g) if row)
     sig, p = sigmas.blocks(a), pis.blocks(min(row))
-    section, retraction = {}, {}
+    section, retraction = [], []
     for v, d in x.dims.items():
         # the rows of [(p sig)_v | I | p_v]; m X = I has a solution
         # exactly when the square (p sig)_v is invertible
@@ -152,9 +157,10 @@ def _split_pair(x: Bimodule, sigmas: HomSpace, pis: HomSpace, g: list,
                     d, 2 * d + y.dims[v])
         if out is None:
             raise RuntimeError(f"p sig is singular at {v}: no split pair")
-        section[v] = [(lift[v][r], c, e) for r, c, e in sig.get(v, ())]
-        retraction[v] = [(r, lift[v][c - d], e) for r, c, e in out if c >= d]
-    return BimoduleMap(x, t, section), BimoduleMap(t, x, retraction)
+        section.append((v, tuple(sig.get(v, ()))))
+        retraction.append((v, tuple((r, c - d, e) for r, c, e in out
+                                    if c >= d)))
+    return tuple(section), tuple(retraction)
 
 
 def _pieces(t: Bimodule) -> List[Tuple[Bimodule, Optional[PieceMap]]]:
@@ -257,74 +263,113 @@ def _candidates(n: int, max_valleys: int) -> Candidates:
     return cands
 
 
-def _pair_site(sigmas: HomSpace, g: list, at: Optional[PieceMap]):
-    """Where in t the forward map of ``_split_pair`` sits: (vertex, row of
-    t, column of x) of its free unknown, ordered as the unknowns of
-    Hom(x, t), which lists its basis in the order of its free unknowns."""
+def _pair_site(sigmas: HomSpace, g: list):
+    """Where in y = sigmas.y the forward map of ``_split_pair`` sits:
+    (vertex, row of y, column of x) of its free unknown, ordered as the
+    unknowns of Hom(x, y), which lists its basis in the order of its free
+    unknowns."""
     f = sigmas.frees[next(a for a, row in enumerate(g) if row)]
     off, v = max((off, v) for v, off in sigmas._offsets.items() if off <= f)
     r, c = divmod(f - off, sigmas.x.dims[v])
-    return v, at[v][r] if at else r, c
+    return v, r, c
+
+
+# a piece's scan: its residual dimension and, for each candidate index
+# with a nonzero multiplicity, in candidate order, (index, multiplicity,
+# site, section, retraction), the last three in the piece's basis
+Scan = Tuple[int, Tuple[Tuple[int, int, tuple, tuple, tuple], ...]]
+
+_SCAN_CACHE: Dict[Tuple[Bimodule, int], Scan] = {}
+
+
+def _scan(piece: Bimodule, max_valleys: int) -> Scan:
+    """The catalog scan of one piece, cached by the piece's value.
+
+    Candidates run largest dimension first, until nothing of the piece is
+    left unaccounted for.  One whose dimension vector does not fit in
+    what is still unaccounted for cannot be a summand and is skipped; its
+    total dimension is tested first, as the cheaper half of that test.
+    The multiplicity of the rest is the rank of their trace pairing with
+    the piece, and the multiplicities times the dimension vectors must fit
+    inside dim of the piece (dimension balance, or RuntimeError); the rest
+    is the piece's residual.  The key keeps max_valleys, since candidate
+    indices depend on it.  The scan is all tuples, so no caller can
+    change a cached one.
+    """
+    key = (piece, max_valleys)
+    scan = _SCAN_CACHE.get(key)
+    if scan is not None:
+        return scan
+    left = dict(piece.dims)
+    remaining = piece.total_dim
+    hits = []
+    for idx, (label, x) in enumerate(_candidates(piece.n, max_valleys)):
+        if not remaining:
+            break
+        if x.total_dim > remaining or any(
+                d > left.get(v, 0) for v, d in x.dims.items()):
+            continue
+        sigmas, pis, g = trace_pairing(x, piece)
+        mult = sparse_rank(g, len(pis))
+        if not mult:
+            continue
+        for v, d in x.dims.items():
+            left[v] -= mult * d
+            if left[v] < 0:
+                raise RuntimeError(
+                    f"dimension balance fails at {v}: {label} occurs "
+                    f"{mult} times in a piece of dimension "
+                    f"{piece.total_dim}")
+        remaining -= mult * x.total_dim
+        hits.append((idx, mult, _pair_site(sigmas, g),
+                     *_split_pair(x, sigmas, pis, g)))
+    scan = _SCAN_CACHE[key] = (remaining, tuple(hits))
+    return scan
 
 
 def decompose(t: Bimodule, max_valleys: int) -> DecompositionReport:
     """Multiplicities of the catalog members in t, by pairing rank.
 
     t is split into the pieces of its basis graph (``_pieces``), and each
-    piece is scanned on its own.  Candidates run largest dimension first,
-    until nothing of the piece is left unaccounted for.  One whose
-    dimension vector does not fit in what is still unaccounted for cannot
-    be a summand and is skipped; its total dimension is tested first, as
-    the cheaper half of that test.  The multiplicities times the
-    dimension vectors must fit inside dim of the piece (dimension
-    balance); the rest is the piece's residual.  Multiplicities and
-    residuals add up over the pieces, and the summands come in candidate
-    order.  A label found in several pieces gets the split pair that a
-    scan of t whole would take: the one whose forward map comes first in
-    Hom(x, t), because the hom and pairing systems of t are those of its
-    pieces side by side.
+    piece is scanned on its own (``_scan``); a piece equal to one scanned
+    before, in this product or an earlier one, is not scanned again.
+    Multiplicities and residuals add up over the pieces, and the summands
+    come in candidate order.  A label found in several pieces gets the
+    split pair that a scan of t whole would take: the one whose forward
+    map comes first in Hom(x, t), because the hom and pairing systems of
+    t are those of its pieces side by side.  The two maps of each split
+    pair are built once, in t's basis, from the piece's entries.
     max_valleys bounds the catalog that is searched; any string summand
     has dimension at least 2k+1, so 2*max_valleys + 3 >= dim t always
     suffices.
     """
-    cands = _candidates(t.n, max_valleys)
     found: Counter = Counter()  # candidate index -> multiplicity in t
-    sites: Dict[int, tuple] = {}  # candidate index -> its split pair's site
+    pairs: Dict[int, tuple] = {}  # candidate index -> its least split pair
     residual = 0
     for piece, at in _pieces(t):
-        left = dict(piece.dims)
-        remaining = piece.total_dim
-        for idx, (label, x) in enumerate(cands):
-            if not remaining:
-                break
-            if x.total_dim > remaining or any(
-                    d > left.get(v, 0) for v, d in x.dims.items()):
-                continue
-            sigmas, pis, g = trace_pairing(x, piece)
-            mult = sparse_rank(g, len(pis))
-            if not mult:
-                continue
-            found[idx] += mult
-            site = _pair_site(sigmas, g, at)
-            if idx not in sites or site < sites[idx][0]:
-                sites[idx] = site, sigmas, pis, g, at
-            for v, d in x.dims.items():
-                left[v] -= mult * d
-                if left[v] < 0:
-                    raise RuntimeError(
-                        f"dimension balance fails at {v}: {label} occurs "
-                        f"{mult} times in a piece of dimension "
-                        f"{piece.total_dim}")
-            remaining -= mult * x.total_dim
+        at = at or {v: range(d) for v, d in piece.dims.items()}
+        remaining, hits = _scan(piece, max_valleys)
         residual += remaining
+        for idx, mult, (v, r, c), section, retraction in hits:
+            found[idx] += mult
+            site = v, at[v][r], c
+            if idx not in pairs or site < pairs[idx][0]:
+                pairs[idx] = site, section, retraction, at
+    cands = _candidates(t.n, max_valleys)
     summands: List[StringLabel] = []
-    pairs: List[Tuple[StringLabel, BimoduleMap, BimoduleMap]] = []
+    split_pairs: List[Tuple[StringLabel, BimoduleMap, BimoduleMap]] = []
     for idx in sorted(found):
         label, x = cands[idx]
         summands.extend([label] * found[idx])
-        _, sigmas, pis, g, at = sites[idx]
-        pairs.append((label, *_split_pair(x, sigmas, pis, g, t, at)))
-    return DecompositionReport(t.n, t.total_dim, summands, pairs, residual)
+        _, section, retraction, at = pairs[idx]
+        sig = {v: [(at[v][r], c, e) for r, c, e in entries]
+               for v, entries in section}
+        pi = {v: [(r, at[v][c], e) for r, c, e in entries]
+              for v, entries in retraction}
+        split_pairs.append((label, BimoduleMap(x, t, sig),
+                            BimoduleMap(t, x, pi)))
+    return DecompositionReport(t.n, t.total_dim, summands, split_pairs,
+                               residual)
 
 
 def decompose_product(u: StringLabel, v: StringLabel,
@@ -364,7 +409,9 @@ def canonical_summands(n: int, fam_u: str, k_u: Optional[int], e: int,
     (most of them zero), so a miss looks its product up by value, with
     its valley bound, in the summand cache, and only a product not seen
     before is decomposed and certified; a ``Bimodule`` is read-only and
-    hashes by its dimensions and arrow views.
+    hashes by its dimensions and arrow views.  Such a product still
+    shares most of its pieces with products seen before, and their scans
+    come from the scan cache (``_scan``).
     """
     key = (n, fam_u, k_u, e, fam_v, k_v)
     summands = _PRODUCT_CACHE.get(key)

@@ -42,7 +42,9 @@ def whole_module_decompose(t: Bimodule,
         if not mult:
             continue
         summands.extend([label] * mult)
-        pairs.append((label, *_split_pair(x, sigmas, pis, g)))
+        section, retraction = _split_pair(x, sigmas, pis, g)
+        pairs.append((label, BimoduleMap(x, t, dict(section)),
+                      BimoduleMap(t, x, dict(retraction))))
         for v, d in x.dims.items():
             left[v] -= mult * d
             if left[v] < 0:

@@ -6,11 +6,12 @@ import json
 import pkgutil
 import re
 from collections.abc import Mapping
+from fractions import Fraction
 
 import pytest
 
 import nakayama
-from nakayama import classify, clear_caches, compute_cells
+from nakayama import classify, clear_caches, compute_cells, multable_check
 from nakayama.bimodules import (
     StringLabel,
     _CONSTRUCT_CACHE,
@@ -26,6 +27,7 @@ from nakayama.bireps import (
 from nakayama.decomposition import (
     _CANDIDATE_CACHE,
     _PRODUCT_CACHE,
+    _SCAN_CACHE,
     _SUMMANDS_CACHE,
 )
 
@@ -36,6 +38,7 @@ CACHES = {
     "product": _PRODUCT_CACHE,
     "summands": _SUMMANDS_CACHE,
     "candidate": _CANDIDATE_CACHE,
+    "scan": _SCAN_CACHE,
     "core": _CORE_CACHE,
 }
 
@@ -96,6 +99,22 @@ def test_shared_action_data_rejects_writes(restored_caches):
     assert type(b.core.modules) is tuple
     assert type(b.core.object_labels) is tuple
     assert _dump(classify(3, 1).to_json()) == cold
+
+
+def _frozen(value) -> bool:
+    """value is made of tuples, ints and Fractions alone."""
+    if type(value) is tuple:
+        return all(_frozen(item) for item in value)
+    return type(value) in (int, Fraction)
+
+
+def test_cached_scans_hold_only_tuples(restored_caches):
+    clear_caches()
+    compute_cells(2, 1)
+    multable_check(1, 2)
+    assert restored_caches["scan"]
+    for (piece, max_valleys), scan in restored_caches["scan"].items():
+        assert _frozen(scan), (piece, max_valleys)
 
 
 def _snapshot(value):

@@ -22,6 +22,7 @@ from nakayama.bimodules import (
 from nakayama.decomposition import (
     _CANDIDATE_CACHE,
     _PRODUCT_CACHE,
+    _SCAN_CACHE,
     _SUMMANDS_CACHE,
     _candidates,
     canonical_summands,
@@ -59,6 +60,16 @@ def lab(fam, i, j, k=None):
 def _is_identity(m):
     """The identity test of a map component, compared entry by entry."""
     return m == identity(m.rows)
+
+
+@pytest.fixture
+def cold_caches():
+    """Empty every cache before and after the test: a test that counts
+    calls sees a cold scan, and one that fakes a helper leaves no scan it
+    made behind."""
+    nakayama.clear_caches()
+    yield
+    nakayama.clear_caches()
 
 
 # -- cell tagging ------------------------------------------------------------
@@ -168,6 +179,7 @@ def test_decompose_explicit_sum_of_simples():
     # many candidates fit at n = 1, and most of them pair to rank 0
     (1, lab("W", 1, 1, 1), lab("M", 1, 1, 1)),
 ])
+@pytest.mark.usefixtures("cold_caches")
 def test_decompose_builds_only_the_split_pairs(monkeypatch, n, u, v):
     t = tensor(construct(u, n), construct(v, n))
     built = []
@@ -189,6 +201,7 @@ def test_decompose_builds_only_the_split_pairs(monkeypatch, n, u, v):
     # one of the products the cells workload decomposes
     (6, lab("M", 1, 1, 2), lab("S", 1, 1, 2), 2),
 ])
+@pytest.mark.usefixtures("cold_caches")
 def test_decompose_pairs_no_candidate_larger_than_what_is_left(
         monkeypatch, n, u, v, max_valleys):
     t = tensor(construct(u, n), construct(v, n))
@@ -443,6 +456,64 @@ def test_one_piece_gives_the_same_report(monkeypatch, n, u, v):
     _assert_same_report(split, decompose(t, 2))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cold_and_warm_scans_give_the_oracle_report(n):
+    # every canonical product with at most two valleys, decomposed with no
+    # piece scan cached and again with all of its scans cached
+    kinds = sorted({(x.family, x.k) for x in catalog_labels(n, 2)},
+                   key=lambda fk: (fk[1] is not None, fk))
+    for fam_u, k_u in kinds:
+        for fam_v, k_v in kinds:
+            for e in range(1, n + 1):
+                t, max_valleys = _canonical_product(n, fam_u, k_u, e,
+                                                    fam_v, k_v)
+                _SCAN_CACHE.clear()
+                cold = decompose(t, max_valleys)
+                warm = decompose(t, max_valleys)
+                _assert_same_report(cold, whole_module_decompose(
+                    t, max_valleys))
+                _assert_same_report(warm, cold)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_sums_in_either_order_share_their_scans(data):
+    # x + y and y + x hold the same pieces under different index maps, so
+    # the second is decomposed from the scans of the first
+    n, max_valleys = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 2))
+    u = data.draw(_catalog_members(n, max_valleys))
+    w = data.draw(_catalog_members(n, max_valleys))
+    x, y = construct(u, n), construct(w, n)
+    for t in (direct_sum(x, y), direct_sum(y, x)):
+        _assert_same_report(decompose(t, max_valleys),
+                            whole_module_decompose(t, max_valleys))
+    # x + x is two equal pieces: x is listed twice, with the first copy's
+    # split pair, whose maps touch no basis vector of the second copy
+    t = direct_sum(x, x)
+    rep = decompose(t, max_valleys)
+    _assert_same_report(rep, whole_module_decompose(t, max_valleys))
+    assert rep.summands == [u.normalized(n)] * 2
+    (_, sig, pi), = rep.split_pairs
+    for v, d in x.dims.items():
+        sig_cols, _ = sig.components[v]
+        pi_cols, _ = pi.components[v]
+        assert all(r < d for col in sig_cols for r, _ in col)
+        assert not any(pi_cols[d:])
+
+
+@pytest.mark.usefixtures("cold_caches")
+def test_a_cold_multable_pairs_each_piece_once(monkeypatch):
+    calls = []
+
+    def counting_pairing(x, y):
+        calls.append((x, y))
+        return trace_pairing(x, y)
+
+    monkeypatch.setattr(decomposition, "trace_pairing", counting_pairing)
+    assert multable_check(1, 3)["ok"]
+    assert calls and len(calls) == len(set(calls))
+
+
 def test_regular_bimodule_is_honest_residual():
     # the algebra itself is a band-type bimodule, outside the string
     # catalog; the decomposer must refuse to force it
@@ -515,6 +586,7 @@ def test_cells_decompose_each_distinct_product_once(monkeypatch):
     assert len(distinct) < len(_PRODUCT_CACHE)
 
 
+@pytest.mark.usefixtures("cold_caches")
 def test_decompose_refuses_a_multiplicity_past_the_dimension(monkeypatch):
     # a pairing rank read twice too high claims two copies of the one
     # summand, which no longer fit in the module's dimension vector
@@ -528,9 +600,9 @@ def test_decompose_refuses_a_multiplicity_past_the_dimension(monkeypatch):
         decompose(x, 1)
 
 
+@pytest.mark.usefixtures("cold_caches")
 def test_canonical_summands_refuse_a_residual(monkeypatch):
     # with no catalog to search, the whole product is residual
-    nakayama.clear_caches()
     monkeypatch.setattr(decomposition, "_candidates", lambda n, k: ())
     with pytest.raises(RuntimeError, match="unexpected residual"):
         canonical_summands(2, "N", 1, 1, "N", 1)
