@@ -6,7 +6,7 @@ computes the two-sided cell structure of the resulting bicategory, and
 classifies the simple transitive quotients of its cell birepresentations.
 """
 
-from . import bimodules, bireps, decomposition
+from . import bimodules, bireps, decomposition, tensoring
 from .algebras import (
     NakayamaAlgebra,
     TorusAlgebra,
@@ -58,10 +58,11 @@ from .tensoring import tensor, tensor_map
 
 
 def clear_caches() -> None:
-    """Empty every process-wide cache: constructed bimodules, canonical
-    products, summands by product module, decomposition candidates, piece
-    scans and birep cores."""
-    for cache in (bimodules._CONSTRUCT_CACHE, decomposition._PRODUCT_CACHE,
+    """Empty every process-wide cache: constructed bimodules, graded
+    pieces of tensor products, canonical products, summands by product
+    module, decomposition candidates, piece scans and birep cores."""
+    for cache in (bimodules._CONSTRUCT_CACHE, tensoring._PIECE_CACHE,
+                  decomposition._PRODUCT_CACHE,
                   decomposition._SUMMANDS_CACHE,
                   decomposition._CANDIDATE_CACHE, decomposition._SCAN_CACHE,
                   bireps._CORE_CACHE):

@@ -300,8 +300,12 @@ def compute_cells(n: int, max_valleys: int) -> CellStructure:
     Reads the left and right steps of each kind off its canonical
     products (see ``_product_steps``); reachability on column and row
     states, found once per kind, gives the left, right, and two-sided
-    preorders (see ``_orbit_cells``).
+    preorders (see ``_orbit_cells``).  max_valleys must be at least 1,
+    or ValueError: with no one-valley strings the computed chain need not
+    sit where the valley counts predict, and at n from 2 to 6 it does not.
     """
+    if max_valleys < 1:
+        raise ValueError(f"max_valleys must be at least 1, not {max_valleys}")
     labels = catalog_labels(n, max_valleys)
     left_classes, right_classes, two_classes, above, total = _orbit_cells(
         *_product_steps(labels, n), n)

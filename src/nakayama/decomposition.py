@@ -293,8 +293,9 @@ def _scan(piece: Bimodule, max_valleys: int) -> Scan:
     the piece, and the multiplicities times the dimension vectors must fit
     inside dim of the piece (dimension balance, or RuntimeError); the rest
     is the piece's residual.  The key keeps max_valleys, since candidate
-    indices depend on it.  The scan is all tuples, so no caller can
-    change a cached one.
+    indices depend on it; ``decompose`` passes the least bound that keeps
+    every candidate that fits (``_scan_bound``).  The scan is all tuples,
+    so no caller can change a cached one.
     """
     key = (piece, max_valleys)
     scan = _SCAN_CACHE.get(key)
@@ -327,11 +328,28 @@ def _scan(piece: Bimodule, max_valleys: int) -> Scan:
     return scan
 
 
+def _scan_bound(dim: int, max_valleys: int) -> int:
+    """The valley bound to scan a piece of dimension dim by.
+
+    A string with k valleys has dimension at least 2k+1, so a piece of
+    dimension dim holds none with k > (dim-1)//2.  The candidates of
+    dimension at most dim, the only ones a scan can visit, are the same
+    under this bound and under max_valleys, and they end both candidate
+    lists (the catalog under a lower bound is a prefix of the one under
+    a higher bound, and both are sorted largest first).  So the scans
+    agree, with indices shifted by the difference of the lists' lengths.
+    A bound is at least 1, unless max_valleys is lower, so that the small
+    pieces of products under every bound share one key.
+    """
+    return min(max_valleys, max(1, (dim - 1) // 2))
+
+
 def decompose(t: Bimodule, max_valleys: int) -> DecompositionReport:
     """Multiplicities of the catalog members in t, by pairing rank.
 
     t is split into the pieces of its basis graph (``_pieces``), and each
-    piece is scanned on its own (``_scan``); a piece equal to one scanned
+    piece is scanned on its own (``_scan``), under the valley bound its
+    dimension calls for (``_scan_bound``); a piece equal to one scanned
     before, in this product or an earlier one, is not scanned again.
     Multiplicities and residuals add up over the pieces, and the summands
     come in candidate order.  A label found in several pieces gets the
@@ -346,16 +364,20 @@ def decompose(t: Bimodule, max_valleys: int) -> DecompositionReport:
     found: Counter = Counter()  # candidate index -> multiplicity in t
     pairs: Dict[int, tuple] = {}  # candidate index -> its least split pair
     residual = 0
+    cands = _candidates(t.n, max_valleys)
     for piece, at in _pieces(t):
         at = at or {v: range(d) for v, d in piece.dims.items()}
-        remaining, hits = _scan(piece, max_valleys)
+        bound = _scan_bound(piece.total_dim, max_valleys)
+        remaining, hits = _scan(piece, bound)
+        # from indices under bound to those under max_valleys
+        shift = len(cands) - len(_candidates(t.n, bound))
         residual += remaining
         for idx, mult, (v, r, c), section, retraction in hits:
+            idx += shift
             found[idx] += mult
             site = v, at[v][r], c
             if idx not in pairs or site < pairs[idx][0]:
                 pairs[idx] = site, section, retraction, at
-    cands = _candidates(t.n, max_valleys)
     summands: List[StringLabel] = []
     split_pairs: List[Tuple[StringLabel, BimoduleMap, BimoduleMap]] = []
     for idx in sorted(found):

@@ -11,6 +11,17 @@ with m running over a basis of x at (i, j+1) and y over a basis at (j, l).
 Idempotent balancing is absorbed by the grading and squares of arrows
 vanish, so these rows span every balancing relation.
 
+That graded piece is e_i x (x) y e_l: the tensor of the right module e_i x,
+row i of x with its h arrows, and the left module y e_l, column l of y
+with its v arrows.  Its pair basis and balancing rows read nothing else,
+not the v arrows of x nor the h arrows of y, and not any other row or
+column.  The same rows and columns recur across the products of string
+bimodules, so a piece is a function of (n, row, column) and is cached by
+their values (``_piece``); its basis, index, free columns and projection
+are read-only, and every ``TensorSpace`` that meets the same two modules
+shares them.  Keys are built only for the vertices where the supports of
+row i and column l meet.
+
 Everything is deterministic: pair bases are ordered lexicographically by
 (middle residue, left index, right index).  The rows are read off the arrow
 views of the two factors, and ``sparse_kernel_with_frees``, the kernel
@@ -28,10 +39,12 @@ outputs, and a map produced by ``tensor_map`` has source and target equal
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, List, Tuple
+from types import MappingProxyType
+from typing import (Dict, Iterable, List, Mapping, NamedTuple, Optional,
+                    Tuple)
 
 from .algebras import Vertex, arrow_target, residue
-from .bimodules import Bimodule, BimoduleMap
+from .bimodules import ArrowView, Bimodule, BimoduleMap
 from .linalg import sparse_kernel_with_frees
 
 PairKey = Tuple[int, int, int]
@@ -39,14 +52,91 @@ PairKey = Tuple[int, int, int]
 Entry = Tuple[int, int, Fraction]
 
 
+# row i of x, a right module, or column l of y, a left module: the
+# (residue, dim, view) of each vertex of its support, ascending, where the
+# view is of the h arrow of the row or the v arrow of the column there
+# (None for a zero arrow)
+Strip = Tuple[Tuple[int, int, Optional[ArrowView]], ...]
+
+
+class Piece(NamedTuple):
+    """The balancing quotient e_i x (x) y e_l at one torus vertex.
+
+    ``basis`` is the ordered pair basis and ``index`` its read-only
+    inverse; ``frees`` are the pairs whose classes form the quotient
+    basis, and ``hits[t]`` lists the (quotient index, value) hits of pair
+    column t in the projection.  Everything is a tuple or a mapping proxy,
+    so a cached piece cannot be changed by the spaces that share it.
+    """
+
+    basis: Tuple[PairKey, ...]
+    index: Mapping[PairKey, int]
+    frees: Tuple[int, ...]
+    hits: Tuple[Tuple[Tuple[int, Fraction], ...], ...]
+
+
+_PIECE_CACHE: Dict[Tuple[int, Strip, Strip], Piece] = {}
+
+
+def _piece(n: int, row: Strip, col: Strip) -> Piece:
+    """The graded piece of row (x) col over the algebra, cached by value.
+
+    The balancing rows at a middle residue a join the h arrow of the row
+    at a+1 to the v arrow of the column at a, so these two strips are all
+    that the piece reads.
+    """
+    key = (n, row, col)
+    piece = _PIECE_CACHE.get(key)
+    if piece is not None:
+        return piece
+    x_at = {j: (d, view) for j, d, view in row}
+    y_at = {j: (d, view) for j, d, view in col}
+    basis = tuple([(j, xa, yb) for j, dx, _ in row if j in y_at
+                   for xa in range(dx) for yb in range(y_at[j][0])])
+    idx = {p: t for t, p in enumerate(basis)}
+    rows = []
+    for a in range(1, n + 1):
+        ap = residue(a + 1, n)
+        if ap not in x_at or a not in y_at:
+            continue
+        # the h arrow of x at (i, a+1) and the v arrow of y at (a, l)
+        (dx, hv), (dy, vv) = x_at[ap], y_at[a]
+        hx = hv[0] if hv is not None else ((),) * dx
+        vy = vv[0] if vv is not None else ((),) * dy
+        for xa in range(dx):
+            for yb in range(dy):
+                entries: Dict[int, Fraction] = {}
+                for s, c in hx[xa]:
+                    t = idx[(a, s, yb)]
+                    entries[t] = entries.get(t, 0) + c
+                for tt, c in vy[yb]:
+                    t = idx[(ap, xa, tt)]
+                    entries[t] = entries.get(t, 0) - c
+                entries = {t: c for t, c in entries.items() if c}
+                if entries:
+                    rows.append(entries)
+    # the projection row of a free column is its kernel vector
+    vectors, frees = sparse_kernel_with_frees(rows, len(basis))
+    hits: List[List[Tuple[int, Fraction]]] = [[] for _ in basis]
+    for q, vec in enumerate(vectors):
+        for t, val in vec.items():
+            hits[t].append((q, val))
+    piece = _PIECE_CACHE[key] = Piece(
+        basis, MappingProxyType(idx), tuple(frees),
+        tuple(map(tuple, hits)))
+    return piece
+
+
 class TensorSpace:
     """Pair bases and the balancing quotient of x (x) y, vertex by vertex.
 
-    Holds, for every torus vertex with a nonzero quotient: the ordered pair
-    basis, the free columns (the pairs whose classes form the quotient
+    Holds, for every torus vertex whose pair basis is nonempty, the
+    ordered pair basis and its index, and for every vertex with a nonzero
+    quotient the free columns (the pairs whose classes form the quotient
     basis) and the projection, whose rows are the kernel vectors, so it is
     the identity on the free columns.  ``projections[v][t]`` lists the
-    (quotient index, value) hits of pair column t.
+    (quotient index, value) hits of pair column t.  All of them are the
+    shared, read-only fields of the vertex's cached ``Piece``.
     """
 
     def __init__(self, x: Bimodule, y: Bimodule) -> None:
@@ -55,64 +145,34 @@ class TensorSpace:
         self.x, self.y = x, y
         n = x.n
         self.n = n
-        self.pair_bases: Dict[Vertex, List[PairKey]] = {}
-        self.pair_index: Dict[Vertex, Dict[PairKey, int]] = {}
-        self.frees: Dict[Vertex, List[int]] = {}
-        self.projections: Dict[Vertex, List[List[Tuple[int, Fraction]]]] = {}
+        self.pair_bases: Dict[Vertex, Tuple[PairKey, ...]] = {}
+        self.pair_index: Dict[Vertex, Mapping[PairKey, int]] = {}
+        self.frees: Dict[Vertex, Tuple[int, ...]] = {}
+        self.projections: Dict[Vertex, tuple] = {}
         self.qdims: Dict[Vertex, int] = {}
-        # only the supports are scanned: x by row, y by row then column
-        x_rows: Dict[int, List[Tuple[int, int]]] = {}
+        # only the supports are scanned: x by row, y by column
+        x_rows: Dict[int, list] = {}
+        y_cols: Dict[int, list] = {}
+        meets: Dict[int, List[int]] = {}  # row j of y -> its columns
         for (i, j), d in sorted(x.dims.items()):
-            x_rows.setdefault(i, []).append((j, d))
-        y_rows: Dict[int, Dict[int, int]] = {}
-        for (j, l), d in y.dims.items():
-            y_rows.setdefault(j, {})[l] = d
-        for i in sorted(x_rows):
-            row_i = x_rows[i]
-            ls = sorted({l for j, _ in row_i for l in y_rows.get(j, ())})
-            for l in ls:
-                basis: List[PairKey] = [
-                    (j, xa, yb) for j, dx in row_i for xa in range(dx)
-                    for yb in range(y_rows.get(j, {}).get(l, 0))]
+            x_rows.setdefault(i, []).append(
+                (j, d, x.arrow_views.get(("h", i, j))))
+        for (j, l), d in sorted(y.dims.items()):
+            y_cols.setdefault(l, []).append(
+                (j, d, y.arrow_views.get(("v", j, l))))
+            meets.setdefault(j, []).append(l)
+        cols = {l: tuple(col) for l, col in y_cols.items()}
+        for i, row in x_rows.items():
+            row = tuple(row)
+            for l in sorted({l for j, _, _ in row for l in meets.get(j, ())}):
+                piece = _piece(n, row, cols[l])
                 v = (i, l)
-                idx = {p: t for t, p in enumerate(basis)}
-                self.pair_bases[v] = basis
-                self.pair_index[v] = idx
-                rows = []
-                for a in range(1, n + 1):
-                    ap = residue(a + 1, n)
-                    dx, dy = x.dims.get((i, ap), 0), y.dims.get((a, l), 0)
-                    if not (dx and dy):
-                        continue
-                    # the columns of the h arrow of x at (i, a+1) and of
-                    # the v arrow of y at (a, l)
-                    hv = x.arrow_views.get(("h", i, ap))
-                    vv = y.arrow_views.get(("v", a, l))
-                    hx = hv[0] if hv is not None else ((),) * dx
-                    vy = vv[0] if vv is not None else ((),) * dy
-                    for xa in range(dx):
-                        for yb in range(dy):
-                            row = {}
-                            for s, c in hx[xa]:
-                                t = idx[(a, s, yb)]
-                                row[t] = row.get(t, 0) + c
-                            for tt, c in vy[yb]:
-                                t = idx[(ap, xa, tt)]
-                                row[t] = row.get(t, 0) - c
-                            row = {t: c for t, c in row.items() if c}
-                            if row:
-                                rows.append(row)
-                # the projection row of a free column is its kernel vector
-                vectors, frees = sparse_kernel_with_frees(rows, len(basis))
-                if not frees:
-                    continue
-                hits: List[List[Tuple[int, Fraction]]] = [[] for _ in basis]
-                for q, vec in enumerate(vectors):
-                    for t, val in vec.items():
-                        hits[t].append((q, val))
-                self.frees[v] = frees
-                self.projections[v] = hits
-                self.qdims[v] = len(frees)
+                self.pair_bases[v] = piece.basis
+                self.pair_index[v] = piece.index
+                if piece.frees:
+                    self.frees[v] = piece.frees
+                    self.projections[v] = piece.hits
+                    self.qdims[v] = len(piece.frees)
 
     def project(self, v: Vertex, raw: Iterable[Entry]) -> List[Entry]:
         """The quotient entries at v of raw (pair index, col, value)

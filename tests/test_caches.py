@@ -7,6 +7,7 @@ import pkgutil
 import re
 from collections.abc import Mapping
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 
@@ -30,11 +31,13 @@ from nakayama.decomposition import (
     _SCAN_CACHE,
     _SUMMANDS_CACHE,
 )
+from nakayama.tensoring import _PIECE_CACHE, tensor
 
-from dense_helpers import identity, identity_map, zeros
+from dense_helpers import identity, identity_map, rescaled, zeros
 
 CACHES = {
     "construct": _CONSTRUCT_CACHE,
+    "piece": _PIECE_CACHE,
     "product": _PRODUCT_CACHE,
     "summands": _SUMMANDS_CACHE,
     "candidate": _CANDIDATE_CACHE,
@@ -115,6 +118,36 @@ def test_cached_scans_hold_only_tuples(restored_caches):
     assert restored_caches["scan"]
     for (piece, max_valleys), scan in restored_caches["scan"].items():
         assert _frozen(scan), (piece, max_valleys)
+
+
+def _read_only(value) -> bool:
+    """value is made of tuples, ints, Fractions and mapping proxies alone;
+    a ``Piece`` is a named tuple."""
+    if isinstance(value, MappingProxyType):
+        return all(_read_only(key) and _read_only(item)
+                   for key, item in value.items())
+    if isinstance(value, tuple):
+        return all(_read_only(item) for item in value)
+    return type(value) in (int, Fraction)
+
+
+def test_cached_pieces_hold_only_tuples_and_proxies(restored_caches):
+    clear_caches()
+    compute_cells(2, 1)
+    classify(2, 1)
+    # an arrow of 2 gives a piece with a hit of 2
+    doubled = rescaled(StringLabel("S", 1, 1, 0), 2, ("v", 1, 1),
+                       Fraction(2))
+    tensor(construct(StringLabel("P", 1, 2), 2), doubled)
+    pieces = restored_caches["piece"].values()
+    assert pieces
+    assert any(h != 1 for piece in pieces for column in piece.hits
+               for _, h in column)
+    for piece in pieces:
+        assert _read_only(piece), piece
+        assert type(piece.index) is MappingProxyType
+        with pytest.raises(TypeError):
+            piece.index[(0, 0, 0)] = 0
 
 
 def _snapshot(value):

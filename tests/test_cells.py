@@ -278,21 +278,22 @@ def test_product_steps_expand_to_the_divisibility_edges(n, max_valleys):
             == _divisibility_edges(labels, n))
 
 
-def _outcome(compute, n, max_valleys):
-    try:
-        return compute(n, max_valleys)
-    except RuntimeError as exc:
-        return str(exc)
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("max_valleys", [1, 2])
+def test_orbit_cells_match_per_node_closures(n, max_valleys):
+    # every cell list, order pair and the totality flag
+    assert (compute_cells(n, max_valleys)
+            == oracle_compute_cells(n, max_valleys))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
-@pytest.mark.parametrize("max_valleys", [0, 1, 2])
-def test_orbit_cells_match_per_node_closures(n, max_valleys):
-    # every cell list, order pair and the totality flag, or the same
-    # refusal where a cell sits off its predicted chain position
-    # (max_valleys 0 at n >= 2, where the one-valley cell is missing)
-    assert (_outcome(compute_cells, n, max_valleys)
-            == _outcome(oracle_compute_cells, n, max_valleys))
+@pytest.mark.parametrize("max_valleys", [-1, 0])
+def test_compute_cells_refuses_a_bound_below_one(n, max_valleys):
+    # as the cells command does; without the one-valley strings the
+    # computed chain would not be the predicted one
+    with pytest.raises(ValueError, match=f"max_valleys must be at least 1, "
+                                         f"not {max_valleys}"):
+        compute_cells(n, max_valleys)
 
 
 @st.composite

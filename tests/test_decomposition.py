@@ -475,6 +475,20 @@ def test_cold_and_warm_scans_give_the_oracle_report(n):
                 _assert_same_report(warm, cold)
 
 
+@pytest.mark.usefixtures("cold_caches")
+def test_a_piece_is_scanned_once_across_valley_bounds():
+    # S^(1) + N^(1) has two pieces of dimension 4, which hold no string
+    # with two valleys, so each is scanned under the bound 1 for every
+    # bound from 1 to 3, with the same report as the whole-module scan
+    n = 2
+    t = direct_sum(construct(lab("S", 1, 1, 1), n),
+                   construct(lab("N", 1, 2, 1), n))
+    for max_valleys in (3, 1, 2):
+        _assert_same_report(decompose(t, max_valleys),
+                            whole_module_decompose(t, max_valleys))
+    assert sorted(bound for _, bound in _SCAN_CACHE) == [1, 1]
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_sums_in_either_order_share_their_scans(data):

@@ -21,7 +21,12 @@ from nakayama.bimodules import (
     regular_bimodule,
 )
 from nakayama.linalg import ONE, ZERO, sparse_rref
-from nakayama.tensoring import TensorSpace, tensor, tensor_map
+from nakayama.tensoring import (
+    _PIECE_CACHE,
+    TensorSpace,
+    tensor,
+    tensor_map,
+)
 
 from dense_helpers import (
     ExactMatrix,
@@ -234,7 +239,8 @@ def test_pair_bases_match_full_vertex_scan(n, max_valleys):
                     if basis:
                         want[(i, l)] = basis
             got = TensorSpace(x, y).pair_bases
-            assert list(got.items()) == list(want.items())
+            assert [(v, list(basis)) for v, basis in got.items()] \
+                == list(want.items())
 
 
 # -- the balancing quotient against its reduced echelon form ----------------
@@ -291,10 +297,17 @@ def _reference_quotient(x, y):
 
 
 def _assert_quotient_matches_reference(x, y):
+    # a space holds the tuples and index proxies of its cached pieces, so
+    # their contents are compared
     space = TensorSpace(x, y)
     bases, frees, qdims, projections = _reference_quotient(x, y)
-    assert list(space.pair_bases.items()) == list(bases.items()), (x, y)
-    assert space.frees == frees and space.qdims == qdims, (x, y)
+    assert [(v, list(basis)) for v, basis in space.pair_bases.items()] \
+        == list(bases.items()), (x, y)
+    assert {v: dict(index) for v, index in space.pair_index.items()} \
+        == {v: {p: t for t, p in enumerate(basis)}
+            for v, basis in bases.items()}, (x, y)
+    assert {v: list(free) for v, free in space.frees.items()} == frees, (x, y)
+    assert space.qdims == qdims, (x, y)
     assert space.projections.keys() == projections.keys(), (x, y)
     for v, hits in space.projections.items():
         # the sparse hits of each pair column, densified
@@ -329,6 +342,14 @@ def test_tensor_quotient_matches_rref_reference_on_the_unit(n):
     _assert_quotient_matches_reference(reg, reg)
 
 
+def _scaled_modules():
+    """Catalog modules at n = 2 with one arrow rescaled by 2, 3 or 1/3."""
+    return [rescaled(lab("S", 1, 1, 0), 2, ("v", 1, 1), Fraction(2)),
+            rescaled(lab("N", 1, 1, 0), 2, ("h", 1, 1), Fraction(1, 3)),
+            rescaled(lab("S", 2, 1, 0), 2, ("v", 2, 1), Fraction(3)),
+            rescaled(lab("N", 1, 2, 0), 2, ("h", 1, 2), Fraction(3))]
+
+
 def test_tensor_quotient_with_non_unit_arrows_matches_rref_reference(
         monkeypatch):
     # a balancing row with a coefficient 2, 3 or 1/3 is not signed, so the
@@ -342,13 +363,28 @@ def test_tensor_quotient_with_non_unit_arrows_matches_rref_reference(
         return rref_kernel(rows, ncols)
 
     monkeypatch.setattr(linalg, "rref_kernel_with_frees", counted)
-    scaled = [rescaled(lab("S", 1, 1, 0), 2, ("v", 1, 1), Fraction(2)),
-              rescaled(lab("N", 1, 1, 0), 2, ("h", 1, 1), Fraction(1, 3)),
-              rescaled(lab("S", 2, 1, 0), 2, ("v", 2, 1), Fraction(3)),
-              rescaled(lab("N", 1, 2, 0), 2, ("h", 1, 2), Fraction(3))]
+    # with no piece cached, every balancing system is solved here
+    _PIECE_CACHE.clear()
+    scaled = _scaled_modules()
     mods = [construct(label, 2) for label in catalog_labels(2, 1)] + scaled
     for x in scaled:
         for y in mods:
             _assert_quotient_matches_reference(x, y)
             _assert_quotient_matches_reference(y, x)
     assert fallbacks
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_warm_pieces_match_rref_reference_on_every_catalog_pair(n):
+    # a piece is cached by its row and column modules alone; with every
+    # pair's pieces cached first, each pair must still get its own
+    # quotient, also where two pairs differ only in an arrow's scalar
+    mods = [construct(label, n) for label in catalog_labels(n, 2)]
+    if n == 2:
+        mods += _scaled_modules()
+    for x in mods:
+        for y in mods:
+            TensorSpace(x, y)
+    for x in mods:
+        for y in mods:
+            _assert_quotient_matches_reference(x, y)
