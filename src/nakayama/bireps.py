@@ -671,20 +671,27 @@ def verify_block_structure(b: FinitaryBirep) -> dict:
             failures.append("diagonal block of the total matrix is not "
                             "idempotent up to the factor 4")
 
+    # a generator has few triples (at most four in a cell birep), so it is
+    # squared from them; Counters compare with a missing entry read as 0
     idem_ok, nilpotent_ok = True, True
     for u in b.generator_labels():
-        mat = _dense(b.rank, b.action[u])
-        square = _matmul(mat, mat)
+        mat, square = Counter(), Counter()
+        for r, c, m in b.action[u]:
+            mat[(r, c)] += m
+            for c2, d, m2 in b.action[u]:
+                if c2 == c:
+                    square[(r, d)] += m * m2
         if u.i == u.j:
             if square != mat:
                 idem_ok = False
                 failures.append(f"{u}: diagonal generator not idempotent")
-            diag_ones = sum(1 for a in range(b.rank) if mat[a][a] == 1)
+            diag_ones = sum(1 for (r, c), m in mat.items()
+                            if r == c and m == 1)
             if diag_ones != 1:
                 idem_ok = False
                 failures.append(f"{u}: {diag_ones} diagonal units")
         else:
-            if any(any(row) for row in square):
+            if any(square.values()):
                 nilpotent_ok = False
                 failures.append(f"{u}: off-diagonal generator not nilpotent")
 

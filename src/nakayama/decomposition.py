@@ -125,8 +125,8 @@ def _label_sort_key(label: StringLabel):
 # ---------------------------------------------------------------------------
 
 def _split_pair(x: Bimodule, sigmas: HomSpace, pis: HomSpace, g: list):
-    """The entries of (sig, pi) with pi o sig the identity, from the first
-    nonzero g[a][b], in the basis of y = sigmas.y.
+    """The site of sig and the entries of (sig, pi) with pi o sig the
+    identity, from the first nonzero g[a][b], in the basis of y = sigmas.y.
 
     g is the trace pairing of the two hom spaces, as the sparse rows of
     ``trace_pairing``; a is its first nonempty row and b the least column
@@ -134,9 +134,10 @@ def _split_pair(x: Bimodule, sigmas: HomSpace, pis: HomSpace, g: list):
     sig = sigmas[a], when End(x) is local.  One solve of [(p sig)_v | I |
     p_v] per vertex v, with p read off its kernel vector and no map built,
     certifies that (or raises RuntimeError) and gives (p sig)_v^-1 p_v.
-    Each map is a tuple of (vertex, entries) over x's vertices, and the
-    entries of a block are (row, column, value) tuples, so a cached scan
-    can hold them; ``decompose`` lifts them into maps.
+    The site is ``sigmas.site(a)``.  Each map is a tuple of (vertex,
+    entries) over x's vertices, and the entries of a block are (row,
+    column, value) tuples, so a cached scan can hold them; ``decompose``
+    lifts them into maps.
     """
     y = sigmas.y
     a, row = next((a, row) for a, row in enumerate(g) if row)
@@ -160,7 +161,7 @@ def _split_pair(x: Bimodule, sigmas: HomSpace, pis: HomSpace, g: list):
         section.append((v, tuple(sig.get(v, ()))))
         retraction.append((v, tuple((r, c - d, e) for r, c, e in out
                                     if c >= d)))
-    return tuple(section), tuple(retraction)
+    return sigmas.site(a), tuple(section), tuple(retraction)
 
 
 def _pieces(t: Bimodule) -> List[Tuple[Bimodule, Optional[PieceMap]]]:
@@ -263,17 +264,6 @@ def _candidates(n: int, max_valleys: int) -> Candidates:
     return cands
 
 
-def _pair_site(sigmas: HomSpace, g: list):
-    """Where in y = sigmas.y the forward map of ``_split_pair`` sits:
-    (vertex, row of y, column of x) of its free unknown, ordered as the
-    unknowns of Hom(x, y), which lists its basis in the order of its free
-    unknowns."""
-    f = sigmas.frees[next(a for a, row in enumerate(g) if row)]
-    off, v = max((off, v) for v, off in sigmas._offsets.items() if off <= f)
-    r, c = divmod(f - off, sigmas.x.dims[v])
-    return v, r, c
-
-
 # a piece's scan: its residual dimension and, for each candidate index
 # with a nonzero multiplicity, in candidate order, (index, multiplicity,
 # site, section, retraction), the last three in the piece's basis
@@ -322,8 +312,7 @@ def _scan(piece: Bimodule, max_valleys: int) -> Scan:
                     f"{mult} times in a piece of dimension "
                     f"{piece.total_dim}")
         remaining -= mult * x.total_dim
-        hits.append((idx, mult, _pair_site(sigmas, g),
-                     *_split_pair(x, sigmas, pis, g)))
+        hits.append((idx, mult, *_split_pair(x, sigmas, pis, g)))
     scan = _SCAN_CACHE[key] = (remaining, tuple(hits))
     return scan
 

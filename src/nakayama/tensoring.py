@@ -28,20 +28,21 @@ views of the two factors, and ``sparse_kernel_with_frees``, the kernel
 routine of the hom spaces, gives the quotient: its basis is the classes of
 the free columns, and the projection row of a free column is its kernel
 vector.  The projection is kept sparse, as the (quotient index, value) hits
-of each pair column.  An arrow or map block out of the quotient is built
-on the free columns of its source only, as (pair index, col, value)
-entries read off views, and ``TensorSpace.project`` reads them into the
-target quotient; no dense matrix is built.  Equal inputs always give equal
-outputs, and a map produced by ``tensor_map`` has source and target equal
-(not merely isomorphic) to the corresponding ``tensor`` results.
+of each pair column.  A ``TensorSpace`` maps each vertex to its cached
+piece.  Each arrow of the product and each block of an induced map is a
+map on one factor moved across the quotient (``_moved``): it is read off
+views on the free pairs of the source piece only and projected into the
+target piece's quotient; no dense matrix is built.  Equal inputs always
+give equal outputs, and a map produced by ``tensor_map`` has source and
+target equal (not merely isomorphic) to the corresponding ``tensor``
+results.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from types import MappingProxyType
-from typing import (Dict, Iterable, List, Mapping, NamedTuple, Optional,
-                    Tuple)
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from .algebras import Vertex, arrow_target, residue
 from .bimodules import ArrowView, Bimodule, BimoduleMap
@@ -127,29 +128,40 @@ def _piece(n: int, row: Strip, col: Strip) -> Piece:
     return piece
 
 
-class TensorSpace:
-    """Pair bases and the balancing quotient of x (x) y, vertex by vertex.
+def _moved(src: Piece, tgt: Piece, views: Mapping[int, ArrowView],
+           left: bool) -> List[Entry]:
+    """A map on one tensor factor moved across the quotient: views[j] acts
+    at middle residue j (zero if missing), on the left factor if left and
+    else on the right one.  Each free pair of src goes to its image pairs
+    in tgt, projected into tgt's quotient as (quotient index, col, value)
+    entries; values at a repeated position add up."""
+    basis, idx, hits = src.basis, tgt.index, tgt.hits
+    out = []
+    for c, p in enumerate(src.frees):
+        j, xa, yb = basis[p]
+        view = views.get(j)
+        if view is None:
+            continue
+        for s, coef in view[0][xa if left else yb]:
+            for q, h in hits[idx[(j, s, yb) if left else (j, xa, s)]]:
+                out.append((q, c, h * coef))
+    return out
 
-    Holds, for every torus vertex whose pair basis is nonempty, the
-    ordered pair basis and its index, and for every vertex with a nonzero
-    quotient the free columns (the pairs whose classes form the quotient
-    basis) and the projection, whose rows are the kernel vectors, so it is
-    the identity on the free columns.  ``projections[v][t]`` lists the
-    (quotient index, value) hits of pair column t.  All of them are the
-    shared, read-only fields of the vertex's cached ``Piece``.
+
+class TensorSpace:
+    """The balancing quotient of x (x) y, vertex by vertex.
+
+    ``pieces`` maps each torus vertex with a nonempty pair basis, in
+    ascending order, to the shared, read-only ``Piece`` of the cache, not
+    a copy; ``qdims`` holds the nonzero quotient dimensions.
     """
 
     def __init__(self, x: Bimodule, y: Bimodule) -> None:
         if x.n != y.n:
             raise ValueError("tensor of bimodules over different n")
         self.x, self.y = x, y
-        n = x.n
-        self.n = n
-        self.pair_bases: Dict[Vertex, Tuple[PairKey, ...]] = {}
-        self.pair_index: Dict[Vertex, Mapping[PairKey, int]] = {}
-        self.frees: Dict[Vertex, Tuple[int, ...]] = {}
-        self.projections: Dict[Vertex, tuple] = {}
-        self.qdims: Dict[Vertex, int] = {}
+        self.n = n = x.n
+        self.pieces: Dict[Vertex, Piece] = {}
         # only the supports are scanned: x by row, y by column
         x_rows: Dict[int, list] = {}
         y_cols: Dict[int, list] = {}
@@ -165,51 +177,30 @@ class TensorSpace:
         for i, row in x_rows.items():
             row = tuple(row)
             for l in sorted({l for j, _, _ in row for l in meets.get(j, ())}):
-                piece = _piece(n, row, cols[l])
-                v = (i, l)
-                self.pair_bases[v] = piece.basis
-                self.pair_index[v] = piece.index
-                if piece.frees:
-                    self.frees[v] = piece.frees
-                    self.projections[v] = piece.hits
-                    self.qdims[v] = len(piece.frees)
-
-    def project(self, v: Vertex, raw: Iterable[Entry]) -> List[Entry]:
-        """The quotient entries at v of raw (pair index, col, value)
-        entries; values at a repeated position are left to add up."""
-        hits = self.projections[v]
-        return [(q, c, h * val) for t, c, val in raw for q, h in hits[t]]
-
-    # -- raw (pair-level) maps --------------------------------------------
-
-    def _raw(self, kind: str, i: int, l: int) -> List[Entry]:
-        """Left action of a_i ("v") or right action of a_{l-1} ("h") on
-        the free columns of the pair space at (i, l), as (pair index, col,
-        value) entries."""
-        src = self.pair_bases[(i, l)]
-        tgt_idx = self.pair_index.get(arrow_target(kind, i, l, self.n), {})
-        triples = []
-        for c, (j, xa, yb) in enumerate(src[p] for p in self.frees[(i, l)]):
-            if kind == "v":
-                view, col = self.x.arrow_views.get(("v", i, j)), xa
-            else:
-                view, col = self.y.arrow_views.get(("h", j, l)), yb
-            if view is None:
-                continue
-            for s, coef in view[0][col]:
-                key = (j, s, yb) if kind == "v" else (j, xa, s)
-                triples.append((tgt_idx[key], c, coef))
-        return triples
+                self.pieces[(i, l)] = _piece(n, row, cols[l])
+        self.qdims: Dict[Vertex, int] = {
+            v: len(piece.frees) for v, piece in self.pieces.items()
+            if piece.frees}
 
     def assemble(self) -> Bimodule:
-        """The tensor product as a torus representation."""
+        """The tensor product as a torus representation: x acts on the
+        left factor, y on the right one."""
+        x_v: Dict[int, Dict[int, ArrowView]] = {}
+        y_h: Dict[int, Dict[int, ArrowView]] = {}
+        for (kind, i, j), view in self.x.arrow_views.items():
+            if kind == "v":
+                x_v.setdefault(i, {})[j] = view
+        for (kind, j, l), view in self.y.arrow_views.items():
+            if kind == "h":
+                y_h.setdefault(l, {})[j] = view
         maps = {}
         for (i, l) in self.qdims:
-            for kind in ("v", "h"):
+            for kind, views, left in (("v", x_v.get(i, {}), True),
+                                      ("h", y_h.get(l, {}), False)):
                 tv = arrow_target(kind, i, l, self.n)
                 if tv in self.qdims:
-                    maps[(kind, i, l)] = self.project(
-                        tv, self._raw(kind, i, l))
+                    maps[(kind, i, l)] = _moved(
+                        self.pieces[(i, l)], self.pieces[tv], views, left)
         return Bimodule(self.n, dict(self.qdims), maps)
 
 
@@ -235,19 +226,10 @@ def tensor_map(x: Bimodule, f: BimoduleMap) -> BimoduleMap:
     """
     src_space = TensorSpace(x, f.source)
     tgt_space = TensorSpace(x, f.target)
-    src = src_space.assemble()
-    tgt = tgt_space.assemble()
-    blocks = {}
-    for v, frees in src_space.frees.items():
-        if v not in tgt_space.qdims:
-            continue
-        src_basis = src_space.pair_bases[v]
-        tgt_idx = tgt_space.pair_index[v]
-        triples = []
-        for c, (j, xa, yb) in enumerate(src_basis[p] for p in frees):
-            view = f.components.get((j, v[1]))
-            if view is not None:
-                triples.extend((tgt_idx[(j, xa, cc)], c, coef)
-                               for cc, coef in view[0][yb])
-        blocks[v] = tgt_space.project(v, triples)
-    return BimoduleMap(src, tgt, blocks)
+    views: Dict[int, Dict[int, ArrowView]] = {}  # column l -> j -> f_{j|l}
+    for (j, l), view in f.components.items():
+        views.setdefault(l, {})[j] = view
+    blocks = {v: _moved(src_space.pieces[v], tgt_space.pieces[v],
+                        views.get(v[1], {}), False)
+              for v in src_space.qdims if v in tgt_space.qdims}
+    return BimoduleMap(src_space.assemble(), tgt_space.assemble(), blocks)

@@ -253,17 +253,18 @@ def dense_tensor_map(x, f):
     target quotient's projection, densified, takes it to the quotient."""
     src, tgt = TensorSpace(x, f.source), TensorSpace(x, f.target)
     out = {}
-    for v, frees in src.frees.items():
+    for v in src.qdims:
         if v not in tgt.qdims:
             continue
-        hits = tgt.projections[v]
+        mine, theirs = src.pieces[v], tgt.pieces[v]
+        hits = theirs.hits
         proj = ExactMatrix.from_entries(tgt.qdims[v], len(hits), [
             (q, t, h) for t, column in enumerate(hits) for q, h in column])
         raw = []
-        for c, (j, xa, yb) in enumerate(src.pair_bases[v][p] for p in frees):
+        for c, (j, xa, yb) in enumerate(mine.basis[p] for p in mine.frees):
             block = dense_block(f, j, v[1])
-            raw += [(tgt.pair_index[v][(j, xa, cc)], c, block.get(cc, yb))
+            raw += [(theirs.index[(j, xa, cc)], c, block.get(cc, yb))
                     for cc in range(block.rows)]
-        out[v] = proj.mul(ExactMatrix.from_entries(len(hits), len(frees),
-                                                   raw))
+        out[v] = proj.mul(ExactMatrix.from_entries(
+            len(hits), len(mine.frees), raw))
     return out

@@ -606,7 +606,7 @@ def test_block_structure_for_every_subset(n):
 
 def _dense_block_flags(b):
     """The product checks of ``verify_block_structure``, on dense
-    matrices."""
+    matrices: the failures of the generator squares and the flags."""
     f = zeros(b.rank, b.rank)
     for u in b.action:
         f = add(f, dense(b, u))
@@ -614,15 +614,22 @@ def _dense_block_flags(b):
                                    for a in block])
             for block in bireps._component_blocks(b)]
     idem = nil = True
-    for u in b.action:
+    messages = []  # the generator failures, in the verifier's order
+    for u in b.generator_labels():
         mat = dense(b, u)
         square = mat.mul(mat)
         if u.i == u.j:
             units = sum(mat.get(a, a) == 1 for a in range(b.rank))
             idem = idem and square == mat and units == 1
+            if square != mat:
+                messages.append(f"{u}: diagonal generator not idempotent")
+            if units != 1:
+                messages.append(f"{u}: {units} diagonal units")
         else:
             nil = nil and square.is_zero()
-    return {"f_trace": sum(f.get(a, a) for a in range(b.rank)),
+            if not square.is_zero():
+                messages.append(f"{u}: off-diagonal generator not nilpotent")
+    return messages, {"f_trace": sum(f.get(a, a) for a in range(b.rank)),
             "f_squares_to_4n": f.mul(f) == f.scale(4 * b.n),
             "diagonal_blocks_ok": all(s.mul(s) == s.scale(4) for s in subs),
             "idempotent_diagonals_ok": idem,
@@ -652,10 +659,30 @@ def test_block_checks_match_the_dense_products():
     failed = set()
     for case in cases:
         report = verify_block_structure(case)
-        want = _dense_block_flags(case)
+        messages, want = _dense_block_flags(case)
         assert {key: report[key] for key in want} == want
+        assert [m for m in report["failures"] if m.endswith(
+            ("not idempotent", "diagonal units", "not nilpotent"))] \
+            == messages
         failed |= {key for key, ok in want.items() if ok is False}
     assert failed == set(want) - {"f_trace"}
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_block_checks_match_the_dense_products_on_localizations(n, k):
+    # every subset up to n = 4; none, one and all of them beyond
+    b = cell_birep(n, k)
+    combos = [combo for size in range(n + 1)
+              for combo in itertools.combinations(range(1, n + 1), size)]
+    if n > 4:
+        combos = [(), (1,), tuple(range(1, n + 1))]
+    for combo in combos:
+        case = localize(b, combo)
+        report = verify_block_structure(case)
+        messages, want = _dense_block_flags(case)
+        assert {key: report[key] for key in want} == want, combo
+        assert report["failures"] == messages == [], combo
 
 
 def test_fully_contracted_blocks_are_units():

@@ -304,6 +304,22 @@ def test_localize_output_is_byte_stable(capsys):
         "b9bafc9baa556ccaa0204f53729e963322929cbf977d52faa734cb08848b7b23")
 
 
+@pytest.mark.parametrize("argv,digest", [
+    (["cellrep", "--n", "12", "--k", "1", "--json"],
+     "3a65730c06ed6d5176c03caed5794213d2c75f9d41ae2178ff6fa81ab2cec0c6"),
+    (["localize", "--n", "12", "--k", "1", "--contract", "1,3", "--json"],
+     "30ffc9a627a8df52ce13755e09875cd7e26b0033d6b14cbca16ee5518b54ccb3"),
+])
+def test_block_verifier_at_twelve_components_is_byte_stable(capsys, argv,
+                                                            digest):
+    # the block verifier squares 576 generator matrices of rank 24 here, so
+    # its flags and failures are pinned where a dense square cost the most
+    status = main(argv)
+    out = capsys.readouterr().out
+    assert status == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_adjunction_wrapping_output_is_byte_stable(capsys):
     # at n = 2 with k = 3 the walks wrap the torus, so translated modules
     # and their translated duals meet stacked points

@@ -74,6 +74,19 @@ def test_no_package_module_names_exact_matrix():
     assert "ExactMatrix" not in nakayama.__all__
 
 
+def test_only_bimodules_reads_the_hom_unknown_layout():
+    # the offsets of a hom space's unknowns are a layout private to
+    # bimodules; other modules ask HomSpace for blocks, coordinates or the
+    # site of a basis map
+    found = set()
+    for path in sorted(Path(nakayama.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if any(isinstance(node, ast.Attribute) and node.attr == "_offsets"
+               for node in ast.walk(tree)):
+            found.add(path.name)
+    assert found == {"bimodules.py"}
+
+
 def test_every_package_function_has_a_package_use():
     # a function or method only the tests call is surface the package
     # carries for nothing: each one must be a dunder, an export, or a name

@@ -5,6 +5,7 @@ walk); they pin down both the dimensions and the anchor indices.
 """
 
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +24,7 @@ from nakayama.bimodules import (
 from nakayama.linalg import ONE, ZERO, sparse_rref
 from nakayama.tensoring import (
     _PIECE_CACHE,
+    Piece,
     TensorSpace,
     tensor,
     tensor_map,
@@ -238,9 +240,33 @@ def test_pair_bases_match_full_vertex_scan(n, max_valleys):
                              for yb in range(y.dim(j, l))]
                     if basis:
                         want[(i, l)] = basis
-            got = TensorSpace(x, y).pair_bases
-            assert [(v, list(basis)) for v, basis in got.items()] \
+            got = TensorSpace(x, y).pieces
+            assert [(v, list(piece.basis)) for v, piece in got.items()] \
                 == list(want.items())
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_space_holds_the_cached_pieces_themselves(n):
+    # each per-vertex entry is the very object of the piece cache, so
+    # spaces that meet the same row and column share it, and it stays
+    # read-only however a space is used
+    mods = [construct(label, n) for label in catalog_labels(n, 1)]
+    for x in mods:
+        for y in mods:
+            space = TensorSpace(x, y)
+            tensor(x, y)
+            cached = {id(piece): piece for piece in _PIECE_CACHE.values()}
+            again = TensorSpace(x, y).pieces
+            assert space.pieces.keys() == again.keys()
+            for v, piece in space.pieces.items():
+                assert cached.get(id(piece)) is piece, (x, y, v)
+                assert again[v] is piece, (x, y, v)
+                assert type(piece) is Piece
+                assert type(piece.index) is MappingProxyType
+                with pytest.raises(AttributeError):
+                    piece.frees = ()
+                with pytest.raises(TypeError):
+                    piece.index[(0, 0, 0)] = 0
 
 
 # -- the balancing quotient against its reduced echelon form ----------------
@@ -300,16 +326,22 @@ def _assert_quotient_matches_reference(x, y):
     # a space holds the tuples and index proxies of its cached pieces, so
     # their contents are compared
     space = TensorSpace(x, y)
+    pieces = space.pieces
     bases, frees, qdims, projections = _reference_quotient(x, y)
-    assert [(v, list(basis)) for v, basis in space.pair_bases.items()] \
+    assert [(v, list(piece.basis)) for v, piece in pieces.items()] \
         == list(bases.items()), (x, y)
-    assert {v: dict(index) for v, index in space.pair_index.items()} \
+    assert {v: dict(piece.index) for v, piece in pieces.items()} \
         == {v: {p: t for t, p in enumerate(basis)}
             for v, basis in bases.items()}, (x, y)
-    assert {v: list(free) for v, free in space.frees.items()} == frees, (x, y)
+    assert {v: list(piece.frees) for v, piece in pieces.items()
+            if piece.frees} == frees, (x, y)
     assert space.qdims == qdims, (x, y)
-    assert space.projections.keys() == projections.keys(), (x, y)
-    for v, hits in space.projections.items():
+    # a piece with a zero quotient projects every pair column to nothing
+    hits_at = {v: piece.hits for v, piece in pieces.items() if piece.frees}
+    assert all(not any(piece.hits) for v, piece in pieces.items()
+               if v not in hits_at), (x, y)
+    assert hits_at.keys() == projections.keys(), (x, y)
+    for v, hits in hits_at.items():
         # the sparse hits of each pair column, densified
         want = projections[v]
         assert len(hits) == want.cols, (x, y, v)
