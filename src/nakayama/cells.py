@@ -29,9 +29,11 @@ built.  Canonical products equal as bimodules are decomposed only once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain
 from typing import Callable, FrozenSet, List, Sequence, Set, Tuple
 
+from .algebras import residue
 from .bimodules import StringLabel, catalog_labels
 from .decomposition import (
     _label_sort_key,
@@ -40,7 +42,6 @@ from .decomposition import (
     cell_name,
     cell_of,
     chain_cell,
-    product_summands,
 )
 
 BAND_NOTE = "band-type bimodules lie below every listed cell and are not enumerated"
@@ -352,11 +353,17 @@ def compute_cells(n: int, max_valleys: int) -> CellStructure:
 
 def is_idempotent_cell(cell: Sequence[StringLabel],
                        structure: CellStructure) -> bool:
-    """Whether some member of the cell divides a product of two members."""
-    members = set(cell)
-    for g in cell:
-        for h in cell:
-            summands = product_summands(g, h, structure.n)
-            if any(s in members for s in summands):
+    """Whether some member of the cell divides a product of two members.
+
+    Labels are compared normalized, and each product is the canonical
+    one of ``product_summands`` shifted, looked up once per call."""
+    n = structure.n
+    members = dict.fromkeys(x.normalized(n) for x in cell)
+    summands = cache(canonical_summands)  # a memo that ends with the call
+    for g in members:
+        for h in members:
+            e = residue(g.j - h.i + 1, n)
+            if any(s.shifted(g.i - 1, h.j - 1, n) in members for s in
+                   summands(n, g.family, g.k, e, h.family, h.k)):
                 return True
     return False

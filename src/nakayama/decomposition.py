@@ -27,8 +27,8 @@ The same few pieces recur across products, so a piece's scan is a
 function of the piece alone and is cached by its value: multiplicities,
 residual and split-pair entries in the piece's basis, all of them
 tuples.  Each piece that is equal to one seen before, in the same
-product or an earlier one, costs a lookup and the lifting of its
-entries into T's basis.
+product or an earlier one, costs a lookup, and ``decompose`` lifts its
+entries into T's basis; the summands of a product need no lifting.
 
 Cells are tagged by position in the linear chain
 
@@ -264,9 +264,10 @@ def _candidates(n: int, max_valleys: int) -> Candidates:
     return cands
 
 
-# a piece's scan: its residual dimension and, for each candidate index
-# with a nonzero multiplicity, in candidate order, (index, multiplicity,
-# site, section, retraction), the last three in the piece's basis
+# a piece's scan: its residual dimension and, for each candidate with a
+# nonzero multiplicity, in candidate order, (index, multiplicity, site,
+# section, retraction), the last three in the piece's basis; the index
+# counts from the end of the candidate list, so it is negative
 Scan = Tuple[int, Tuple[Tuple[int, int, tuple, tuple, tuple], ...]]
 
 _SCAN_CACHE: Dict[Tuple[Bimodule, int], Scan] = {}
@@ -282,10 +283,10 @@ def _scan(piece: Bimodule, max_valleys: int) -> Scan:
     The multiplicity of the rest is the rank of their trace pairing with
     the piece, and the multiplicities times the dimension vectors must fit
     inside dim of the piece (dimension balance, or RuntimeError); the rest
-    is the piece's residual.  The key keeps max_valleys, since candidate
-    indices depend on it; ``decompose`` passes the least bound that keeps
-    every candidate that fits (``_scan_bound``).  The scan is all tuples,
-    so no caller can change a cached one.
+    is the piece's residual.  A hit's index counts from the end of the
+    candidate list, so it is the same under every bound that keeps the
+    candidates that fit (``_scan_bound``).  The scan is all tuples, so no
+    caller can change a cached one.
     """
     key = (piece, max_valleys)
     scan = _SCAN_CACHE.get(key)
@@ -294,7 +295,8 @@ def _scan(piece: Bimodule, max_valleys: int) -> Scan:
     left = dict(piece.dims)
     remaining = piece.total_dim
     hits = []
-    for idx, (label, x) in enumerate(_candidates(piece.n, max_valleys)):
+    cands = _candidates(piece.n, max_valleys)
+    for idx, (label, x) in enumerate(cands, -len(cands)):
         if not remaining:
             break
         if x.total_dim > remaining or any(
@@ -326,53 +328,57 @@ def _scan_bound(dim: int, max_valleys: int) -> int:
     under this bound and under max_valleys, and they end both candidate
     lists (the catalog under a lower bound is a prefix of the one under
     a higher bound, and both are sorted largest first).  So the scans
-    agree, with indices shifted by the difference of the lists' lengths.
+    agree, with the same indices counted from the end of either list.
     A bound is at least 1, unless max_valleys is lower, so that the small
     pieces of products under every bound share one key.
     """
     return min(max_valleys, max(1, (dim - 1) // 2))
 
 
-def decompose(t: Bimodule, max_valleys: int) -> DecompositionReport:
-    """Multiplicities of the catalog members in t, by pairing rank.
+# a product's tally: each candidate found in it, in candidate order, with
+# its multiplicity and its least split pair as (site, section, retraction,
+# at), whose entries are in the basis of the piece that at maps into t
+Tally = List[Tuple[Tuple[StringLabel, Bimodule], int, tuple]]
 
-    t is split into the pieces of its basis graph (``_pieces``), and each
-    piece is scanned on its own (``_scan``), under the valley bound its
-    dimension calls for (``_scan_bound``); a piece equal to one scanned
-    before, in this product or an earlier one, is not scanned again.
-    Multiplicities and residuals add up over the pieces, and the summands
-    come in candidate order.  A label found in several pieces gets the
-    split pair that a scan of t whole would take: the one whose forward
-    map comes first in Hom(x, t), because the hom and pairing systems of
-    t are those of its pieces side by side.  The two maps of each split
-    pair are built once, in t's basis, from the piece's entries.
-    max_valleys bounds the catalog that is searched; any string summand
-    has dimension at least 2k+1, so 2*max_valleys + 3 >= dim t always
-    suffices.
+
+def _tally(t: Bimodule, max_valleys: int) -> Tuple[Tally, int]:
+    """The catalog members in t, by pairing rank, and t's residual.
+
+    Each piece of t's basis graph (``_pieces``) is scanned on its own
+    (``_scan``), under the valley bound its dimension calls for
+    (``_scan_bound``); a piece scanned before is not scanned again.
+    Multiplicities and residuals add up over the pieces.  A label found
+    in several pieces keeps the split pair that a scan of t whole would
+    take: the one whose forward map comes first in Hom(x, t), because the
+    hom and pairing systems of t are those of its pieces side by side.
     """
     found: Counter = Counter()  # candidate index -> multiplicity in t
     pairs: Dict[int, tuple] = {}  # candidate index -> its least split pair
     residual = 0
-    cands = _candidates(t.n, max_valleys)
     for piece, at in _pieces(t):
         at = at or {v: range(d) for v, d in piece.dims.items()}
-        bound = _scan_bound(piece.total_dim, max_valleys)
-        remaining, hits = _scan(piece, bound)
-        # from indices under bound to those under max_valleys
-        shift = len(cands) - len(_candidates(t.n, bound))
+        remaining, hits = _scan(piece, _scan_bound(piece.total_dim,
+                                                   max_valleys))
         residual += remaining
         for idx, mult, (v, r, c), section, retraction in hits:
-            idx += shift
             found[idx] += mult
             site = v, at[v][r], c
             if idx not in pairs or site < pairs[idx][0]:
                 pairs[idx] = site, section, retraction, at
+    cands = _candidates(t.n, max_valleys)
+    return [(cands[i], found[i], pairs[i]) for i in sorted(found)], residual
+
+
+def decompose(t: Bimodule, max_valleys: int) -> DecompositionReport:
+    """Multiplicities of the catalog members in t (``_tally``), each
+    distinct summand with its split pair built in t's basis.  max_valleys
+    bounds the catalog that is searched; any string summand has dimension
+    at least 2k+1, so 2*max_valleys + 3 >= dim t always suffices."""
+    tally, residual = _tally(t, max_valleys)
     summands: List[StringLabel] = []
     split_pairs: List[Tuple[StringLabel, BimoduleMap, BimoduleMap]] = []
-    for idx in sorted(found):
-        label, x = cands[idx]
-        summands.extend([label] * found[idx])
-        _, section, retraction, at = pairs[idx]
+    for (label, x), mult, (_, section, retraction, at) in tally:
+        summands.extend([label] * mult)
         sig = {v: [(at[v][r], c, e) for r, c, e in entries]
                for v, entries in section}
         pi = {v: [(r, at[v][c], e) for r, c, e in entries]
@@ -405,7 +411,6 @@ def _product(u: StringLabel, v: StringLabel,
 # cached products of catalog members
 # ---------------------------------------------------------------------------
 
-_PRODUCT_CACHE: Dict[tuple, Tuple[StringLabel, ...]] = {}
 _SUMMANDS_CACHE: Dict[Tuple[Bimodule, int], Tuple[StringLabel, ...]] = {}
 
 
@@ -413,32 +418,27 @@ def canonical_summands(n: int, fam_u: str, k_u: Optional[int], e: int,
                        fam_v: str,
                        k_v: Optional[int]) -> Tuple[StringLabel, ...]:
     """Summands of U (x) V for U = fam_u^(k_u) at 1|e and V = fam_v^(k_v)
-    at 1|1, decomposed once and cached.
+    at 1|1, read off the product's tally.
 
-    The arguments are those of normalized labels.  This is the one place
-    that fills the product cache.  Many products are equal as bimodules
-    (most of them zero), so a miss looks its product up by value, with
-    its valley bound, in the summand cache, and only a product not seen
-    before is decomposed and certified; a ``Bimodule`` is read-only and
-    hashes by its dimensions and arrow views.  Such a product still
-    shares most of its pieces with products seen before, and their scans
-    come from the scan cache (``_scan``).
+    The arguments are those of normalized labels.  Many products are
+    equal as bimodules (most of them zero), so a product is looked up by
+    value, with its valley bound, in the summand cache; a ``Bimodule`` is
+    read-only and hashes by its dimensions and arrow views.  Only a
+    product not seen before is tallied (``_tally``), with no map built,
+    and most of its pieces' scans come from the scan cache.
     """
-    key = (n, fam_u, k_u, e, fam_v, k_v)
-    summands = _PRODUCT_CACHE.get(key)
+    u0 = StringLabel(fam_u, 1, e, k_u)
+    v0 = StringLabel(fam_v, 1, 1, k_v)
+    product = _product(u0, v0, n)
+    summands = _SUMMANDS_CACHE.get(product)
     if summands is None:
-        u0 = StringLabel(fam_u, 1, e, k_u)
-        v0 = StringLabel(fam_v, 1, 1, k_v)
-        product = _product(u0, v0, n)
-        summands = _SUMMANDS_CACHE.get(product)
-        if summands is None:
-            rep = decompose(*product)
-            if rep.residual_dim:
-                raise RuntimeError(
-                    f"unexpected residual of dim {rep.residual_dim} in "
-                    f"{u0} (x) {v0} at n={n}")
-            summands = _SUMMANDS_CACHE[product] = tuple(rep.summands)
-        _PRODUCT_CACHE[key] = summands
+        tally, residual = _tally(*product)
+        if residual:
+            raise RuntimeError(
+                f"unexpected residual of dim {residual} in "
+                f"{u0} (x) {v0} at n={n}")
+        summands = _SUMMANDS_CACHE[product] = tuple(
+            label for (label, _), mult, _ in tally for _ in range(mult))
     return summands
 
 
@@ -449,7 +449,7 @@ def product_summands(u_label: StringLabel, v_label: StringLabel,
     Products are translation equivariant: shifting both anchors by the
     same torus translation shifts every summand accordingly.  Each product
     therefore reduces to a canonical representative anchored at row 1 /
-    column 1, and only those get decomposed; everything else is a cache
+    column 1, and only those get tallied; everything else is a cache
     hit plus a relabeling.
     """
     u = u_label.normalized(n)

@@ -27,7 +27,6 @@ from nakayama.bireps import (
 )
 from nakayama.decomposition import (
     _CANDIDATE_CACHE,
-    _PRODUCT_CACHE,
     _SCAN_CACHE,
     _SUMMANDS_CACHE,
 )
@@ -38,7 +37,6 @@ from dense_helpers import identity, identity_map, rescaled, zeros
 CACHES = {
     "construct": _CONSTRUCT_CACHE,
     "piece": _PIECE_CACHE,
-    "product": _PRODUCT_CACHE,
     "summands": _SUMMANDS_CACHE,
     "candidate": _CANDIDATE_CACHE,
     "scan": _SCAN_CACHE,

@@ -5,8 +5,9 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import nakayama
 from nakayama.bimodules import StringLabel, catalog_labels
-from nakayama import cells
+from nakayama import cells, decomposition
 from nakayama.cells import (
     _orbit_cells,
     _product_steps,
@@ -14,6 +15,7 @@ from nakayama.cells import (
     is_idempotent_cell,
 )
 from nakayama.decomposition import (
+    canonical_summands,
     cell_chain_position,
     cell_name,
     cell_of,
@@ -63,6 +65,52 @@ def test_m0_is_the_unique_non_idempotent_cell(structures, n):
     flags = {cell_name(cell_of(cell[0])): is_idempotent_cell(cell, cs)
              for cell in cs.two_sided_cells}
     assert flags == {"J_split": True, "J_M0": False, "J_1": True, "J_2": True}
+
+
+def _idempotent_by_pairs(cell, n):
+    """Whether a member divides a product of two members, one product of
+    every ordered pair after another."""
+    members = set(cell)
+    return any(s in members for g in cell for h in cell
+               for s in product_summands(g, h, n))
+
+
+@pytest.mark.parametrize("n, max_valleys", [(1, 3), (2, 2), (3, 2), (4, 1)])
+def test_idempotent_cells_match_the_pairwise_products(monkeypatch, n,
+                                                      max_valleys):
+    # cold and warm, with each canonical product looked up once per call,
+    # whichever module the lookup goes through
+    cs = compute_cells(n, max_valleys)
+    wants = [_idempotent_by_pairs(cell, n) for cell in cs.two_sided_cells]
+    calls = []
+
+    def counting(*key):
+        calls.append(key)
+        return canonical_summands(*key)
+
+    monkeypatch.setattr(cells, "canonical_summands", counting)
+    monkeypatch.setattr(decomposition, "canonical_summands", counting)
+    for cell, want in zip(cs.two_sided_cells, wants):
+        nakayama.clear_caches()
+        for _ in ("cold", "warm"):
+            calls.clear()
+            assert is_idempotent_cell(cell, cs) == want
+            assert calls and len(calls) == len(set(calls))
+
+
+def _as_written(x):
+    """x with both anchors moved by the torus period 2, and L as W^(0)."""
+    fam, k = ("W", 0) if x.family == "L" else (x.family, x.k)
+    return StringLabel(fam, x.i + 2, x.j + 2, k)
+
+
+def test_idempotent_cells_normalize_their_labels():
+    cs = compute_cells(2, 1)
+    flags = {name: is_idempotent_cell(
+                 [_as_written(x) for x in cs.cell_with_name(name)], cs)
+             for name in cs.chain()}
+    assert any(x.family == "L" for x in cs.cell_with_name("J_split"))
+    assert flags == {"J_split": True, "J_M0": False, "J_1": True}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -21,7 +21,6 @@ from nakayama.bimodules import (
 )
 from nakayama.decomposition import (
     _CANDIDATE_CACHE,
-    _PRODUCT_CACHE,
     _SCAN_CACHE,
     _SUMMANDS_CACHE,
     _candidates,
@@ -193,6 +192,26 @@ def test_decompose_builds_only_the_split_pairs(monkeypatch, n, u, v):
     rep = decompose(t, 1)
     assert rep.split_pairs and rep.residual_dim == 0
     assert len(built) <= 2 * len(rep.multiset())
+
+
+@pytest.mark.parametrize("sweep, n, k", [
+    (multable_check, 1, 2),
+    (compute_cells, 3, 2),
+    (compute_cells, 6, 2),
+], ids=["multable-1-2", "cells-3-2", "cells-6-2"])
+@pytest.mark.usefixtures("cold_caches")
+def test_products_are_tallied_with_no_map(monkeypatch, sweep, n, k):
+    # the table and the cells read only the summands of each product
+    built = []
+    init = BimoduleMap.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(BimoduleMap, "__init__", counting_init)
+    sweep(n, k)
+    assert decomposition._SUMMANDS_CACHE and not built
 
 
 @pytest.mark.parametrize("n, u, v, max_valleys", [
@@ -584,20 +603,31 @@ def _canonical_product(n, fam_u, k_u, e, fam_v, k_v):
             max(k_u or 0, k_v or 0, 1))
 
 
+def _canonical_keys(n, max_valleys):
+    """The canonical_summands arguments of every pair of kinds of the
+    catalog and every offset."""
+    kinds = sorted({(x.family, x.k) for x in catalog_labels(n, max_valleys)},
+                   key=lambda fk: (fk[1] is not None, fk))
+    return [(n, fam_u, k_u, e, fam_v, k_v) for fam_u, k_u in kinds
+            for fam_v, k_v in kinds for e in range(1, n + 1)]
+
+
 def test_cells_decompose_each_distinct_product_once(monkeypatch):
     calls = []
+    tally = decomposition._tally
 
     def counting(t, max_valleys):
         calls.append((t, max_valleys))
-        return decompose(t, max_valleys)
+        return tally(t, max_valleys)
 
     nakayama.clear_caches()
-    monkeypatch.setattr(decomposition, "decompose", counting)
+    monkeypatch.setattr(decomposition, "_tally", counting)
     compute_cells(3, 2)
-    distinct = {_canonical_product(*key) for key in _PRODUCT_CACHE}
+    keys = _canonical_keys(3, 2)
+    distinct = {_canonical_product(*key) for key in keys}
     assert len(calls) == len(set(calls)) == len(distinct)
     assert set(calls) == distinct == set(_SUMMANDS_CACHE)
-    assert len(distinct) < len(_PRODUCT_CACHE)
+    assert len(distinct) < len(keys)
 
 
 @pytest.mark.usefixtures("cold_caches")
@@ -620,21 +650,17 @@ def test_canonical_summands_refuse_a_residual(monkeypatch):
     monkeypatch.setattr(decomposition, "_candidates", lambda n, k: ())
     with pytest.raises(RuntimeError, match="unexpected residual"):
         canonical_summands(2, "N", 1, 1, "N", 1)
-    assert not _PRODUCT_CACHE and not _SUMMANDS_CACHE
+    assert not _SUMMANDS_CACHE
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_memoized_summands_match_a_fresh_decomposition(n):
     nakayama.clear_caches()
-    kinds = sorted({(x.family, x.k) for x in catalog_labels(n, 2)},
-                   key=lambda fk: (fk[1] is not None, fk))
-    for fam_u, k_u in kinds:
-        for fam_v, k_v in kinds:
-            for e in range(1, n + 1):
-                key = (n, fam_u, k_u, e, fam_v, k_v)
-                fresh = decompose(*_canonical_product(*key))
-                assert canonical_summands(*key) == tuple(fresh.summands), key
-    assert len(_SUMMANDS_CACHE) < len(_PRODUCT_CACHE)
+    keys = _canonical_keys(n, 2)
+    for key in keys:
+        fresh = decompose(*_canonical_product(*key))
+        assert canonical_summands(*key) == tuple(fresh.summands), key
+    assert len(_SUMMANDS_CACHE) < len(keys)
 
 
 def test_product_summands_translation_consistency():
