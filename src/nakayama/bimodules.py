@@ -46,7 +46,7 @@ from types import MappingProxyType
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .algebras import CoverVertex, Vertex, arrow_target, project, residue
-from .linalg import ZERO, sparse_kernel_with_frees, sparse_rank
+from .linalg import sparse_kernel_with_frees, sparse_rank
 
 FAMILIES = ("P", "L", "W", "S", "N", "M")
 
@@ -173,13 +173,12 @@ def _view_product(outer: Optional[ArrowView],
 def _view_rank(view: ArrowView) -> int:
     """The rank of a view's matrix.  When no row and no column holds two
     entries, the nonzero entries sit on distinct rows and columns, so
-    their count is the rank; otherwise it is eliminated over Fractions."""
+    their count is the rank; otherwise it is eliminated."""
     cols, rows = view
     if all(len(col) < 2 for col in cols) and all(len(row) < 2
                                                  for row in rows):
         return sum(map(len, cols))
-    return sparse_rank([{c: Fraction(v) for c, v in row} for row in rows],
-                       len(cols))
+    return sparse_rank([dict(row) for row in rows], len(cols))
 
 
 class Bimodule:
@@ -585,9 +584,9 @@ class HomSpace(Sequence):
         return list(self)
 
     def coords_of(self, f: BimoduleMap) -> Tuple[Fraction, ...]:
-        """Coordinates of f in this basis, as Fractions (reads free slots)."""
+        """Coordinates of f in this basis, read off its free unknowns."""
         vec = _unknowns(f, self._offsets)
-        return tuple(Fraction(vec.get(fr, 0)) for fr in self.frees)
+        return tuple(vec.get(fr, 0) for fr in self.frees)
 
 
 def trace_pairing(x: Bimodule, y: Bimodule):
@@ -621,7 +620,7 @@ def trace_pairing(x: Bimodule, y: Bimodule):
         row: Dict[int, Fraction] = {}
         for idx, a in fv.items():
             for b, val in by_unknown.get(swap[idx], ()):
-                row[b] = row.get(b, ZERO) + a * val
+                row[b] = row.get(b, 0) + a * val
         pairing.append({b: val for b, val in row.items() if val})
     return fwd, back, pairing
 
@@ -630,7 +629,7 @@ def composite_trace(back: HomSpace, b: int, f: BimoduleMap,
                     fwd: HomSpace, a: int) -> Fraction:
     """tr(back[b] o f o fwd[a]), for fwd into f's source and back out of
     f's target, read off the two kernel vectors with no map built."""
-    sig, pi, total = fwd.vectors[a], back.vectors[b], ZERO
+    sig, pi, total = fwd.vectors[a], back.vectors[b], 0
     for v, (cols, rows) in f.components.items():
         if v in fwd._offsets and v in back._offsets:
             s_off, p_off, dy = fwd._offsets[v], back._offsets[v], fwd.x.dims[v]

@@ -16,11 +16,12 @@ for the rest: the object action of the four generators at 1|1, the
 quotient hom spaces out of N_1 and M_1, and the arrow scalar of each
 family at 1|1 on the arrow of component 1.
 
-The core of a column is built whole, once, and shared by every birep on
-it, and nothing on it changes after that.  Its one form of the action is
-one 2x2 int block per family at 1|1, rows and columns N_1, M_1.  Each
-generator at r|s acts by its family's block at components r and s,
-merged by one rule according to which of the two are contracted.
+A column shift moves the birep on column 1 onto every other column, so
+one core per (n, k), built whole on column 1, is shared by them all, and
+nothing on it changes after that.  Its one form of the action is one 2x2
+int block per family at 1|1, rows and columns N_1, M_1.  Each generator
+at r|s acts by its family's block at components r and s, merged by one
+rule according to which of the two are contracted.
 Localizing lays the merged blocks out as a birep's matrices, sorted int
 (row, column, multiplicity) triples; classifying reads the merged blocks
 alone, without laying out any localization.
@@ -50,7 +51,7 @@ from .bimodules import (
 )
 from .decomposition import _label_sort_key, cell_of
 from .decomposition import product_summands
-from .linalg import ONE, sparse_rank, sparse_rref
+from .linalg import sparse_rank, sparse_rref
 from .tensoring import tensor_map
 
 
@@ -159,7 +160,7 @@ def _canonical_epi(m_label: StringLabel, n_label: StringLabel,
         if v_m != v_n:
             raise CartanError(
                 f"the walks of {m_label} and {n_label} part at {v_m} and {v_n}")
-        entries.setdefault(v_m, []).append((l_n, l_m, ONE))
+        entries.setdefault(v_m, []).append((l_n, l_m, 1))
     out = BimoduleMap(src, tgt, entries)
     out.check()
     return out
@@ -176,12 +177,12 @@ def _shift(p: int, d: int, n: int) -> int:
 
 
 class _BirepCore:
-    """Shared data behind every birep on one column: object bimodules,
-    quotient hom spaces, the canonical arrow, the generators, the block of
-    each family at 1|1, their uncontracted action as integer triples, the
-    arrow scalar of every generator, and per column whether one of them is
-    nonzero.  All of it is computed and checked when the core is built and
-    is read-only after that, so one core can be shared by every caller.
+    """Shared data behind the bireps of one (n, k), on column 1: object
+    bimodules, quotient hom spaces, the canonical arrow, the generators,
+    the block of each family at 1|1, their uncontracted action as integer
+    triples, the arrow scalar of every generator, and per column whether
+    one of them is nonzero.  All of it is computed and checked when built
+    and is read-only after that, so one core can be shared by every caller.
 
     Everything is computed on one representative per translation orbit.
     Rotating the quiver is an algebra automorphism; moved by (d, 0) along
@@ -199,9 +200,9 @@ class _BirepCore:
       the trace ratio of its generator at 1|1 on alpha_1, the one
       canonical arrow built."""
 
-    def __init__(self, n: int, k: int, column: int):
-        self.n, self.k, self.column = n, k, column
-        self.object_labels = tuple(StringLabel(f, i, column, k).normalized(n)
+    def __init__(self, n: int, k: int):
+        self.n, self.k = n, k
+        self.object_labels = tuple(StringLabel(f, i, 1, k).normalized(n)
                                    for f in "NM" for i in range(1, n + 1))
         self.modules = tuple(construct(lab, n) for lab in self.object_labels)
         self.position = MappingProxyType(
@@ -334,7 +335,8 @@ class _BirepCore:
             (sigmas, _, a, _), (_, pis, _, row) = (
                 ends[(y, phi.source)], ends[(y, phi.target)])
             b = min(row)
-            traces[family] = composite_trace(pis, b, phi, sigmas, a) / row[b]
+            traces[family] = Fraction(composite_trace(pis, b, phi, sigmas, a),
+                                       row[b])
         return {u: traces[u.family] for u in self.generators}
 
 
@@ -443,17 +445,17 @@ def cell_birep(n: int, k: int, j: int = 1) -> FinitaryBirep:
     """The birepresentation carried by the k-valley cell on column j.
 
     Objects are the left-bar strings of that column; hom spaces are
-    quotients by maps factoring through greater cells.  Construction
-    fails loudly if the hom data does not come out as n disjoint A2
-    quivers, since everything downstream depends on that shape.
+    quotients by maps factoring through greater cells, and every column
+    shares the one core of (n, k).  Construction fails loudly if the hom
+    data does not come out as n disjoint A2 quivers, since everything
+    downstream depends on that shape.
     """
     if k < 1:
         raise ValueError("the valley count k must be at least 1")
-    key = (n, k, residue(j, n))
-    if key not in _CORE_CACHE:
-        _CORE_CACHE[key] = _BirepCore(*key)
-    core = _CORE_CACHE[key]
-    return FinitaryBirep(n, k, core.column, frozenset(),
+    if (n, k) not in _CORE_CACHE:
+        _CORE_CACHE[(n, k)] = _BirepCore(n, k)
+    core = _CORE_CACHE[(n, k)]
+    return FinitaryBirep(n, k, residue(j, n), frozenset(),
                          _slots(n, frozenset()), core.action_entries, core)
 
 

@@ -101,8 +101,7 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_tensor(args) -> int:
-    u = parse_label(args.u).normalized(args.n)
-    v = parse_label(args.v).normalized(args.n)
+    u, v = args.u.normalized(args.n), args.v.normalized(args.n)
     rep = decompose_product(u, v, args.n)
     payload = {"n": args.n, "u": u.literal(), "v": v.literal(),
                "input_dim": rep.input_dim, "report": rep.to_json()}
@@ -246,6 +245,13 @@ def _cmd_classify(args) -> int:
     return 0 if counts_ok and all_st else 1
 
 
+def _label(text: str) -> StringLabel:
+    try:
+        return parse_label(text)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err))
+
+
 def _positive(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -288,8 +294,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("tensor", help="tensor two catalog bimodules and "
                         "decompose the result")
-    p.add_argument("u", help="left factor label, e.g. N:1|2:k=1")
-    p.add_argument("v", help="right factor label")
+    p.add_argument("u", type=_label,
+                   help="left factor label, e.g. N:1|2:k=1")
+    p.add_argument("v", type=_label, help="right factor label")
     p.add_argument("--n", type=_positive, required=True)
     _add_common(p)
     p.set_defaults(func=_cmd_tensor)

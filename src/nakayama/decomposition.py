@@ -55,7 +55,7 @@ from .bimodules import (
     construct,
     trace_pairing,
 )
-from .linalg import ONE, solve, sparse_rank
+from .linalg import solve, sparse_rank
 from .tensoring import tensor
 
 CellTag = Tuple
@@ -149,7 +149,7 @@ def _split_pair(x: Bimodule, sigmas: HomSpace, pis: HomSpace, g: list):
         sig_rows: Dict[int, list] = {}
         for r, c, e in sig.get(v, ()):
             sig_rows.setdefault(r, []).append((c, e))
-        rows: List[dict] = [{d + r: ONE} for r in range(d)]
+        rows: List[dict] = [{d + r: 1} for r in range(d)]
         for r, c, e in p[v]:
             rows[r][2 * d + c] = e
             for k, s in sig_rows.get(c, ()):

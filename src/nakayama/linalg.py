@@ -1,16 +1,16 @@
 """Exact linear algebra over the rationals.
 
 Everything downstream (hom spaces, tensor quotients, split pairs) reduces to
-rank / kernel / solve questions for smallish systems with Fraction entries.
+rank / kernel / solve questions for smallish exact systems.
 A system is a list of sparse row-dicts (column index -> nonzero scalar):
 the intertwining and balancing systems, trace pairings and solves are very
 sparse and are cheaper to eliminate without materialising zeros.  No dense
 matrix type is kept: bimodule arrows and the blocks of bimodule maps are
 sparse entries, and the matrices a birep reports are small int lists.  The
 intertwining systems of hom spaces and the balancing systems of tensor
-products both take their kernels from ``sparse_kernel_with_frees``, which
-turns int coefficients, as 0/1 modules give, into Fractions before any
-division; its vectors are Fractions either way.
+products both take their kernels from ``sparse_kernel_with_frees``.  A
+scalar is an exact int or Fraction: the one division, by a pivot, makes a
+Fraction, so int rows, as 0/1 modules give, go in as they are.
 
 Every elimination goes through one reduced-row-echelon routine, so kernel
 bases, ranks, solutions and pivot choices are deterministic everywhere.
@@ -38,13 +38,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
-
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
 
 # ---------------------------------------------------------------------------
 # sparse elimination engine
@@ -53,10 +46,11 @@ def _frac(x) -> Fraction:
 def sparse_rref(rows: list, ncols: int):
     """Reduced row echelon form of a list of sparse rows.
 
-    Each row is a dict {column index: nonzero Fraction}.  Returns
+    Each row is a dict {column index: nonzero int or Fraction}.  Returns
     (rref_rows, pivot_cols) where rref_rows[i] has leading 1 in column
     pivot_cols[i], pivot columns strictly increasing, and every pivot column
-    is cleared from all other rows.  Input rows are not mutated.
+    is cleared from all other rows.  Input rows are not mutated.  Rows are
+    scaled as ``Fraction(val, pivot)``, so no value is ever a float.
 
     A new row's pivot entries are read once, before elimination, by the
     invariant in the module docstring.  The RREF of a row space is unique,
@@ -70,7 +64,7 @@ def sparse_rref(rows: list, ncols: int):
         # eliminate existing pivots
         for p, c in [(p, row[p]) for p in row if p in rref]:
             for col, val in rref[p].items():
-                nv = row.get(col, ZERO) - c * val
+                nv = row.get(col, 0) - c * val
                 if nv:
                     row[col] = nv
                 else:
@@ -80,14 +74,14 @@ def sparse_rref(rows: list, ncols: int):
         p = min(row)
         inv = row[p]
         if inv != 1:
-            row = {col: val / inv for col, val in row.items()}
+            row = {col: Fraction(val, inv) for col, val in row.items()}
         # back-clean earlier rows
         for q, prow in rref.items():
             c = prow.get(p)
             if c:
                 newr = dict(prow)
                 for col, val in row.items():
-                    nv = newr.get(col, ZERO) - c * val
+                    nv = newr.get(col, 0) - c * val
                     if nv:
                         newr[col] = nv
                     else:
@@ -107,24 +101,21 @@ def sparse_kernel_with_frees(rows: list, ncols: int):
     in this basis, which the hom-space code exploits.  Systems of the shape
     in the module docstring take ``signed_kernel_with_frees``, which gives
     the same vectors without any elimination.  Row values may be ints or
-    Fractions; the elimination gets every value as a Fraction, since an
-    int divided by an int pivot would give a float.
+    Fractions, and go to the elimination as they are; a vector entry is an
+    int unless a pivot division made it a Fraction.
 
     >>> sparse_kernel_with_frees([{0: 2, 1: -1}], 2)
-    ([{1: Fraction(1, 1), 0: Fraction(1, 2)}], [1])
+    ([{1: 1, 0: Fraction(1, 2)}], [1])
     """
-    signed = signed_kernel_with_frees(rows, ncols)
-    if signed is not None:
-        return signed
-    return rref_kernel_with_frees(
-        [{c: _frac(v) for c, v in row.items()} for row in rows], ncols)
+    return (signed_kernel_with_frees(rows, ncols)
+            or rref_kernel_with_frees(rows, ncols))
 
 
 def rref_kernel_with_frees(rows: list, ncols: int):
     """``sparse_kernel_with_frees`` by elimination, for rows of any shape."""
     rref, pivots = sparse_rref(rows, ncols)
     pivset = set(pivots)
-    basis = {f: {f: ONE} for f in range(ncols) if f not in pivset}
+    basis = {f: {f: 1} for f in range(ncols) if f not in pivset}
     for p, prow in zip(pivots, rref):
         # a reduced row is zero on the other pivots: its other columns
         # are free
@@ -143,10 +134,10 @@ def signed_kernel_with_frees(rows: list, ncols: int):
     vector: 1 at its largest column f, the free column of the RREF, and
     the sign of x_m relative to x_f at every other member m, with keys in
     the order f, then the members ascending.  Row values may be ints or
-    Fractions, and the vectors hold the Fractions 1 and -1.
+    Fractions, and the vectors hold the ints 1 and -1.
 
     >>> signed_kernel_with_frees([{0: 1, 1: 1}, {2: 5}], 3)
-    ([{1: Fraction(1, 1), 0: Fraction(-1, 1)}], [1])
+    ([{1: 1, 0: -1}], [1])
     """
     parent = list(range(ncols))
     sign = [1] * ncols       # x_c = sign[c] * x_parent[c]; 1 at a root
@@ -193,15 +184,14 @@ def signed_kernel_with_frees(rows: list, ncols: int):
         # c now hangs off its root, so later walks through it stop there
         parent[c], sign[c] = r, s
         members.setdefault(r, []).append(c)
-    minus_one = -ONE
     vectors, frees = [], []
     for r, cols in sorted(members.items(), key=lambda item: item[1][-1]):
         if zero[r]:
             continue
         f = cols.pop()
-        sf, vec = sign[f], {f: ONE}
+        sf, vec = sign[f], {f: 1}
         for m in cols:
-            vec[m] = ONE if sign[m] == sf else minus_one
+            vec[m] = sign[m] * sf
         vectors.append(vec)
         frees.append(f)
     return vectors, frees
@@ -214,8 +204,7 @@ def signed_kernel_with_frees(rows: list, ncols: int):
 def sparse_rank(rows: list, ncols: int) -> int:
     """Rank over the rationals of a list of sparse rows.
 
-    >>> two = Fraction(2)
-    >>> sparse_rank([{0: ONE, 1: two}, {}, {0: two, 1: 2 * two}], 2)
+    >>> sparse_rank([{0: 1, 1: 2}, {}, {0: 2, 1: 4}], 2)
     1
     """
     return len(sparse_rref(rows, ncols)[1])
@@ -225,14 +214,14 @@ def solve(rows: list, n: int, ncols: int) -> Optional[list]:
     """Some exact solution X of m X = b, as its nonzero (row, col, value)
     entries, or None when the system is inconsistent.
 
-    rows are the sparse rows of [m | b], of Fractions, ncols wide, with m
-    in the columns below n.  One elimination solves for every column of b:
-    a reduced row with its pivot among b's columns is inconsistent, and
-    otherwise each pivot row reads its unknown off them; free ones are 0.
+    rows are the sparse rows of [m | b], of ints or Fractions, ncols wide,
+    with m in the columns below n.  One elimination solves for every column
+    of b: a reduced row with its pivot among b's columns is inconsistent,
+    and otherwise each pivot row reads its unknown off them; free ones are
+    0.  A value is a Fraction only where a pivot division made it one.
 
-    >>> two = Fraction(2)
-    >>> solve([{0: two, 2: ONE, 3: 4 * ONE}, {1: ONE, 2: 3 * ONE}], 2, 4)
-    [(0, 0, Fraction(1, 2)), (0, 1, Fraction(2, 1)), (1, 0, Fraction(3, 1))]
+    >>> solve([{0: 2, 2: 1, 3: 4}, {1: 1, 2: 3}], 2, 4)
+    [(0, 0, Fraction(1, 2)), (0, 1, Fraction(2, 1)), (1, 0, 3)]
     """
     rref, pivots = sparse_rref(rows, ncols)
     if pivots and pivots[-1] >= n:

@@ -26,6 +26,10 @@ from nakayama.bimodules import (
 from nakayama.linalg import sparse_rank
 from nakayama.tensoring import TensorSpace
 
+# the exact zero and one of the dense matrices the oracles write
+ZERO = Fraction(0)
+ONE = Fraction(1)
+
 
 class ExactMatrix:
     """Dense matrix of exact rationals, row-major, immutable after creation."""
@@ -57,7 +61,7 @@ class ExactMatrix:
     def from_entries(cls, rows, cols, triples):
         """The rows x cols matrix with the given (row, col, value) entries
         and zeros elsewhere; values at a repeated position add up."""
-        flat = [Fraction(0)] * (rows * cols)
+        flat = [ZERO] * (rows * cols)
         for r, c, v in triples:
             if not (0 <= r < rows and 0 <= c < cols):
                 raise IndexError(f"entry ({r}, {c}) outside {rows}x{cols}")
@@ -81,7 +85,7 @@ class ExactMatrix:
         out = []
         orows = [other.row(i) for i in range(other.rows)]
         for r in range(self.rows):
-            acc = [Fraction(0)] * other.cols
+            acc = [ZERO] * other.cols
             for k, a in enumerate(self.row(r)):
                 if a:
                     for c, b in enumerate(orows[k]):
@@ -202,7 +206,7 @@ def map_from_matrices(x, y, mats):
 
 def kernel_block(vec, off, rows, cols):
     """The rows x cols block of a kernel vector stored row-major at off."""
-    return ExactMatrix(rows, cols, [vec.get(off + k, Fraction(0))
+    return ExactMatrix(rows, cols, [vec.get(off + k, ZERO)
                                     for k in range(rows * cols)])
 
 

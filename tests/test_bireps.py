@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import itertools
 import re
+from collections import Counter
 from fractions import Fraction
 from math import comb
 from types import MappingProxyType
@@ -12,6 +13,7 @@ import pytest
 
 import nakayama
 from nakayama import bireps
+from nakayama.algebras import residue
 from nakayama.bimodules import (
     Bimodule,
     BimoduleMap,
@@ -40,10 +42,12 @@ from nakayama.bireps import (
     verify_block_structure,
 )
 from nakayama.decomposition import cell_of, decompose, product_summands
-from nakayama.linalg import ONE, ZERO, sparse_rank, sparse_rref
+from nakayama.linalg import sparse_rank, sparse_rref
 from nakayama.tensoring import tensor, tensor_map
 
 from dense_helpers import (
+    ONE,
+    ZERO,
     ExactMatrix,
     add,
     dense_block,
@@ -158,8 +162,8 @@ _ORACLE_QHOMS = {}
 def _oracle_qhoms(core):
     """The quotient hom space of every ordered pair of the core's objects,
     each built from its own source as the per-pair sweep did, memoized by
-    (n, k, column)."""
-    key = (core.n, core.k, core.column)
+    (n, k)."""
+    key = (core.n, core.k)
     if key not in _ORACLE_QHOMS:
         greater = [construct(lab, core.n)
                    for lab in catalog_labels(core.n, core.k - 1)]
@@ -261,6 +265,41 @@ def test_other_columns_look_the_same():
     assert left.f_matrix() == right.f_matrix()
 
 
+def _column_action(n, k, j, generators):
+    """Every generator's action on the objects of column j, decomposed on
+    that column itself: the per-column build the shared core replaced."""
+    labels = [StringLabel(f, i, j, k).normalized(n)
+              for f in "NM" for i in range(1, n + 1)]
+    position = {lab: p for p, lab in enumerate(labels)}
+    action = {}
+    for u in generators:
+        counts = Counter()
+        for c, x in enumerate(labels):
+            for summand in product_summands(u, x, n):
+                if cell_of(summand) == ("J", k):
+                    counts[(position[summand], c)] += 1
+        action[u] = tuple((r, c, m) for (r, c), m in sorted(counts.items()))
+    return action
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n in range(1, 5)
+                                 for k in (1, 2)])
+def test_every_column_shares_the_core_of_column_1(n, k):
+    # a column shift moves the birep on column 1 onto column j, so every
+    # column reads the one core of (n, k), and only "j" tells them apart;
+    # each column's action is checked against its own decomposition
+    first = cell_birep(n, k, 1)
+    want = first.to_json()
+    assert want.pop("j") == 1
+    for j in range(1, n + 2):
+        b = cell_birep(n, k, j)
+        assert b.core is first.core, j
+        got = b.to_json()
+        assert got.pop("j") == residue(j, n), j
+        assert got == want, j
+        assert b.action == _column_action(n, k, j, first.core.generators), j
+
+
 def test_localize_empty_set_is_identity():
     b = cell_birep(2, 1)
     assert localize(b, ()) is b
@@ -328,7 +367,7 @@ def test_sparse_merge_rejects_unequal_contracted_columns(monkeypatch):
         with pytest.raises(StabilityError,
                            match=re.escape(f"components {sorted(contract)}")):
             localize(tampered, contract)
-    monkeypatch.setitem(bireps._CORE_CACHE, (2, 1, 1), core)
+    monkeypatch.setitem(bireps._CORE_CACHE, (2, 1), core)
     with pytest.raises(StabilityError, match=re.escape("components [1]")):
         classify(2, 1)
 
@@ -350,9 +389,8 @@ def test_contractible_matches_column_comparison(n, k):
 def test_contractible_matches_per_generator_sweep(n, k):
     # the core decides from the four generators at 1|1; the sweep compares
     # the two columns of every component under all 4n^2 generators
-    for j in sorted({1, n}):
-        core = cell_birep(n, k, j).core
-        assert core.contractible == swept_contractible(core), j
+    core = cell_birep(n, k).core
+    assert core.contractible == swept_contractible(core)
 
 
 def test_contractible_reads_every_component_of_the_generators_at_1_1():
@@ -415,7 +453,7 @@ def test_arrow_scalar_rejects_a_misshapen_valley_cell_summand(monkeypatch,
 
     monkeypatch.setattr(_BirepCore, "_object_action", tampered)
     with pytest.raises(CartanError, match=match):
-        _BirepCore(2, 1, 1)
+        _BirepCore(2, 1)
 
 
 def _alpha(core, s):
@@ -456,19 +494,18 @@ def _reference_arrow_scalar(core, u):
     target = qcoords(qend, composite)
     unit = qcoords(qend, identity_map(core.modules[ypos]))
     pivot = next(i for i, v in enumerate(unit) if v)
-    lam = target[pivot] / unit[pivot]
+    lam = Fraction(target[pivot], unit[pivot])
     assert all(t == lam * v for t, v in zip(target, unit))
     return lam
 
 
 @pytest.mark.parametrize("n,k", SMALL_CELLS)
 def test_arrow_scalars_match_decompose_reference(n, k):
-    for j in range(1, n + 1):
-        core = cell_birep(n, k, j).core
-        for u in core.generators:
-            got = core.scalars[u]
-            assert type(got) is Fraction
-            assert got == _reference_arrow_scalar(core, u), (j, u)
+    core = cell_birep(n, k).core
+    for u in core.generators:
+        got = core.scalars[u]
+        assert type(got) is Fraction
+        assert got == _reference_arrow_scalar(core, u), u
 
 
 @pytest.mark.parametrize("n,k", [(1, 1), (1, 2), (2, 2)])
@@ -488,7 +525,7 @@ def test_arrow_scalar_follows_the_arrow(monkeypatch, n, k):
     doubled.check()
     column_1 = [u for u in core.generators if u.j == 1]
     monkeypatch.setattr(bireps, "_canonical_epi", lambda *args: doubled)
-    twice = _BirepCore(n, k, 1)
+    twice = _BirepCore(n, k)
     for u in column_1:
         assert twice.scalars[u] == 2 == _reference_arrow_scalar(twice, u)
     assert twice.verdicts[1] is True
@@ -499,7 +536,7 @@ def test_arrow_scalar_follows_the_arrow(monkeypatch, n, k):
     assert core.verdicts[1] is True
     # a core given those scalars reads column 1 as not simple
     monkeypatch.setattr(_BirepCore, "_arrow_scalars", lambda self: scalars)
-    assert _BirepCore(n, k, 1).verdicts[1] is False
+    assert _BirepCore(n, k).verdicts[1] is False
 
 
 def _per_generator_scalar(core, u):
@@ -515,37 +552,33 @@ def _per_generator_scalar(core, u):
     a = next(a for a, row in enumerate(g_m) if row)
     row = next(row for row in g_n if row)
     b = min(row)
-    return composite_trace(pis, b, phi, sigmas, a) / row[b]
+    return Fraction(composite_trace(pis, b, phi, sigmas, a), row[b])
 
 
 @pytest.mark.parametrize("n,k", ORBIT_CELLS)
 def test_orbit_action_matches_every_generator(n, k):
-    for j in range(1, n + 1):
-        core = cell_birep(n, k, j).core
-        assert set(core.action_entries) == set(core.generators)
-        for u in core.generators:
-            assert core.action_entries[u] == core._object_action(u), (j, u)
+    core = cell_birep(n, k).core
+    assert set(core.action_entries) == set(core.generators)
+    for u in core.generators:
+        assert core.action_entries[u] == core._object_action(u), u
 
 
 @pytest.mark.parametrize("n,k", ORBIT_CELLS)
 def test_orbit_quotient_dims_match_every_pair(n, k):
-    for j in range(1, n + 1):
-        core = cell_birep(n, k, j).core
-        full = _oracle_qhoms(core)
-        assert list(core.qhoms) == [(a, b) for a in (0, n)
-                                    for b in range(2 * n)]
-        for (a, b), q in full.items():
-            assert core.qhom(a, b).dim == q.dim, (j, a, b)
+    core = cell_birep(n, k).core
+    full = _oracle_qhoms(core)
+    assert list(core.qhoms) == [(a, b) for a in (0, n) for b in range(2 * n)]
+    for (a, b), q in full.items():
+        assert core.qhom(a, b).dim == q.dim, (a, b)
 
 
 @pytest.mark.parametrize("n,k", ORBIT_CELLS)
 def test_orbit_scalars_match_every_generator(n, k):
-    for j in range(1, n + 1):
-        core = cell_birep(n, k, j).core
-        for u in core.generators:
-            got = core.scalars[u]
-            assert type(got) is Fraction
-            assert got == _per_generator_scalar(core, u), (j, u)
+    core = cell_birep(n, k).core
+    for u in core.generators:
+        got = core.scalars[u]
+        assert type(got) is Fraction
+        assert got == _per_generator_scalar(core, u), u
 
 
 def _localizations(n, k, j):
@@ -820,7 +853,7 @@ def _reference_is_simple_transitive(b):
 
 
 def _zeroed_core(core, zeroed):
-    """A fresh core of the same column whose arrow scalars vanish on the
+    """A fresh core of the same (n, k) whose arrow scalars vanish on the
     chosen generators; the core builds its column verdicts from them."""
     arrow_scalars = _BirepCore._arrow_scalars
 
@@ -830,7 +863,7 @@ def _zeroed_core(core, zeroed):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_BirepCore, "_arrow_scalars", zeroing)
-        return _BirepCore(core.n, core.k, core.column)
+        return _BirepCore(core.n, core.k)
 
 
 def _closure_cases():
@@ -981,7 +1014,7 @@ def test_a_radical_canonical_arrow_is_refused(monkeypatch):
 
     monkeypatch.setattr(bireps, "_canonical_epi", zero_epi)
     with pytest.raises(CartanError, match="canonical arrow 1 is radical"):
-        _BirepCore(2, 1, 1)
+        _BirepCore(2, 1)
 
 
 def test_a_quotient_hom_off_the_cartan_shape_is_refused(monkeypatch):
@@ -989,7 +1022,7 @@ def test_a_quotient_hom_off_the_cartan_shape_is_refused(monkeypatch):
     # between two objects keeps a dimension the A2 shape does not allow
     monkeypatch.setattr(bireps, "catalog_labels", lambda n, k: [])
     with pytest.raises(CartanError, match="quotient dimension"):
-        _BirepCore(2, 1, 1)
+        _BirepCore(2, 1)
 
 
 def test_a_valley_cell_summand_outside_the_column_is_refused(monkeypatch):
@@ -998,13 +1031,13 @@ def test_a_valley_cell_summand_outside_the_column_is_refused(monkeypatch):
 
     monkeypatch.setattr(bireps, "product_summands", other_column)
     with pytest.raises(CartanError, match="outside the column"):
-        _BirepCore(2, 1, 1)
+        _BirepCore(2, 1)
 
 
 def test_classify_refuses_a_fingerprint_collision(monkeypatch):
     # M's block equal to N's puts every row in every fingerprint
     core = cell_birep(2, 1).core
-    monkeypatch.setitem(bireps._CORE_CACHE, (2, 1, 1),
+    monkeypatch.setitem(bireps._CORE_CACHE, (2, 1),
                         _with_blocks(core, M=core.blocks["N"]))
     with pytest.raises(RuntimeError, match=re.escape(
             "fingerprint collision between () and (1,)")):
@@ -1032,7 +1065,7 @@ def test_classify_matches_the_localized_bireps_without_a_verdict(monkeypatch,
     core = _zeroed_core(cell_birep(n, 1).core,
                         [u for u in cell_birep(n, 1).core.generators
                          if u.j == 1])
-    monkeypatch.setitem(bireps._CORE_CACHE, (n, 1, 1), core)
+    monkeypatch.setitem(bireps._CORE_CACHE, (n, 1), core)
     got = _classified(n, 1)
     assert got == _localizations(n, 1, 1)
     assert [combo for combo, _, simple, _ in got if not simple] == [

@@ -385,6 +385,23 @@ def test_out_of_range_contract_indices_are_usage_errors(tmp_path, capsys,
     assert not target.exists()
 
 
+@pytest.mark.parametrize("u,v,bad", [
+    ("Q:1|1", "L:1|1", "argument u: cannot parse label literal 'Q:1|1'"),
+    ("P:1|1:k=1", "L:1|1", "argument u: P labels carry no valley count"),
+    ("L:1|1", "S:1|1", "argument v: S labels need a valley count k >= 0"),
+])
+def test_bad_tensor_labels_are_usage_errors(capsys, u, v, bad):
+    # like a bad --contract: exit 2, no traceback, nothing on stdout, and
+    # the message names the argument
+    with pytest.raises(SystemExit) as err:
+        main(["tensor", u, v, "--n", "2", "--json"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.splitlines()[-1] == f"nakayama tensor: error: {bad}"
+
+
 def test_a_negative_valley_bound_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
         main(["catalog", "--n", "1", "--max-valleys", "-1"])

@@ -303,6 +303,22 @@ def test_sparse_rref_matches_dense_gauss_jordan(system):
     assert (rref, pivots) == _dense_rref(rows, ncols)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_sparse_systems())
+def test_int_rows_reduce_as_their_fractions_do(system):
+    # int rows go in as they are: only a pivot division makes a Fraction,
+    # so no value is ever a float, and the results equal the Fraction run
+    rows, ncols = system
+    ints = [{c: int(12 * v) for c, v in row.items()} for row in rows]
+    fracs = [{c: Fraction(v) for c, v in row.items()} for row in ints]
+    for got, want in ((sparse_rref(ints, ncols), sparse_rref(fracs, ncols)),
+                      (rref_kernel_with_frees(ints, ncols),
+                       rref_kernel_with_frees(fracs, ncols))):
+        assert got == want
+        assert all(type(v) in (int, Fraction)
+                   for row in got[0] for v in row.values())
+
+
 _SIGNS = (Fraction(1), Fraction(-1))
 
 
@@ -347,7 +363,7 @@ def test_signed_kernel_matches_rref_kernel(system):
     assert frees == want_frees
     assert vectors == want_vectors
     assert [list(v) for v in vectors] == [list(v) for v in want_vectors]
-    assert all(type(x) is Fraction for v in vectors for x in v.values())
+    assert all(type(x) is int for v in vectors for x in v.values())
     assert sparse_kernel_with_frees(rows, ncols) == (vectors, frees)
 
 

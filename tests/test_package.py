@@ -27,6 +27,18 @@ def test_package_has_no_assert_statements():
     assert not found, found
 
 
+def test_package_divides_only_through_fraction():
+    # a value is an exact int or Fraction: "/" on two ints gives a float,
+    # so the package divides only as Fraction(a, b)
+    found = []
+    for path in sorted(Path(nakayama.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, (ast.BinOp, ast.AugAssign))
+                  and isinstance(node.op, ast.Div)]
+    assert not found, found
+
+
 def test_package_has_no_unused_imports():
     # every module-level import of the package, the tests and the tools
     # must be used in its module; the names in the package's __all__ are
