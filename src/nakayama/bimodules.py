@@ -566,14 +566,6 @@ class HomSpace(Sequence):
                       if (e := vec.get(off + k))]
         return out
 
-    def site(self, a: int) -> Tuple[Vertex, int, int]:
-        """Where the free unknown of the a-th basis map sits: (vertex, row
-        of y, column of x).  Sites ascend with a, as the frees do."""
-        f = self.frees[a]
-        off, v = max((off, v) for v, off in self._offsets.items() if off <= f)
-        r, c = divmod(f - off, self.x.dims[v])
-        return v, r, c
-
     @property
     def dim(self) -> int:
         return len(self.vectors)

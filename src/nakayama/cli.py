@@ -173,7 +173,7 @@ def _cmd_cellrep(args) -> int:
     adj = verify_adjunction_consequences(b)
     blob = b.to_json()
     payload = {"birep": blob, "block_structure": blocks, "adjunction": adj}
-    lines = [f"cell birep at n={args.n}, k={args.k}, column {args.j}: "
+    lines = [f"cell birep at n={args.n}, k={args.k}, column {b.column}: "
              f"rank {b.rank}",
              "objects: " + " ".join(blob["objects"]),
              "Cartan matrix:"]

@@ -24,11 +24,14 @@ whole, and a piece that is indecomposable or a band is decomposed or
 left as residual just as it would be inside T.
 
 The same few pieces recur across products, so a piece's scan is a
-function of the piece alone and is cached by its value: multiplicities,
-residual and split-pair entries in the piece's basis, all of them
-tuples.  Each piece that is equal to one seen before, in the same
-product or an earlier one, costs a lookup, and ``decompose`` lifts its
-entries into T's basis; the summands of a product need no lifting.
+function of the piece alone and is cached by its value: its residual
+and its multiplicities, all ints in tuples.  Each piece that is
+equal to one seen before, in the same product or an earlier one, costs
+a lookup.  Only ``decompose`` reports split pairs, and it builds them
+where they are read: each distinct summand x is paired with the whole of
+T, and the rank of that pairing must be the multiplicity that the pieces
+add up to (or RuntimeError), a second count of every summand by an
+independent hom system.
 
 Cells are tagged by position in the linear chain
 
@@ -59,10 +62,6 @@ from .linalg import solve, sparse_rank
 from .tensoring import tensor
 
 CellTag = Tuple
-
-# a piece's index map: at[v][r] is the index in the whole module of the
-# piece's r-th basis vector at v
-PieceMap = Dict[Vertex, Tuple[int, ...]]
 
 
 def cell_of(label: StringLabel) -> CellTag:
@@ -125,8 +124,8 @@ def _label_sort_key(label: StringLabel):
 # ---------------------------------------------------------------------------
 
 def _split_pair(x: Bimodule, sigmas: HomSpace, pis: HomSpace, g: list):
-    """The site of sig and the entries of (sig, pi) with pi o sig the
-    identity, from the first nonzero g[a][b], in the basis of y = sigmas.y.
+    """The blocks of (sig, pi) with pi o sig the identity, from the first
+    nonzero g[a][b], in the basis of y = sigmas.y.
 
     g is the trace pairing of the two hom spaces, as the sparse rows of
     ``trace_pairing``; a is its first nonempty row and b the least column
@@ -134,15 +133,13 @@ def _split_pair(x: Bimodule, sigmas: HomSpace, pis: HomSpace, g: list):
     sig = sigmas[a], when End(x) is local.  One solve of [(p sig)_v | I |
     p_v] per vertex v, with p read off its kernel vector and no map built,
     certifies that (or raises RuntimeError) and gives (p sig)_v^-1 p_v.
-    The site is ``sigmas.site(a)``.  Each map is a tuple of (vertex,
-    entries) over x's vertices, and the entries of a block are (row,
-    column, value) tuples, so a cached scan can hold them; ``decompose``
-    lifts them into maps.
+    Each map is a dict from x's vertices to the (row, column, value)
+    entries of its block there, as ``BimoduleMap`` takes them.
     """
     y = sigmas.y
     a, row = next((a, row) for a, row in enumerate(g) if row)
     sig, p = sigmas.blocks(a), pis.blocks(min(row))
-    section, retraction = [], []
+    section, retraction = {}, {}
     for v, d in x.dims.items():
         # the rows of [(p sig)_v | I | p_v]; m X = I has a solution
         # exactly when the square (p sig)_v is invertible
@@ -158,22 +155,20 @@ def _split_pair(x: Bimodule, sigmas: HomSpace, pis: HomSpace, g: list):
                     d, 2 * d + y.dims[v])
         if out is None:
             raise RuntimeError(f"p sig is singular at {v}: no split pair")
-        section.append((v, tuple(sig.get(v, ()))))
-        retraction.append((v, tuple((r, c - d, e) for r, c, e in out
-                                    if c >= d)))
-    return sigmas.site(a), tuple(section), tuple(retraction)
+        section[v] = sig.get(v, [])
+        retraction[v] = [(r, c - d, e) for r, c, e in out if c >= d]
+    return section, retraction
 
 
-def _pieces(t: Bimodule) -> List[Tuple[Bimodule, Optional[PieceMap]]]:
-    """The connected pieces of t's basis graph, each with its index map.
+def _pieces(t: Bimodule) -> List[Bimodule]:
+    """The connected pieces of t's basis graph.
 
     The graph has t's basis vectors as nodes and every nonzero arrow
     entry as an edge.  A piece keeps, at each vertex, the basis vectors
-    of one connected part in ascending order, and at[v][r] is the index
-    in t of its r-th one.  No edge leaves a piece, so every piece is a
-    sub-bimodule and t is their direct sum.  Pieces come in the order of
-    their first basis vector, by vertex and then index.  A connected t
-    is its own one piece, with map None, and no module is rebuilt.
+    of one connected part in ascending order.  No edge leaves a piece, so
+    every piece is a sub-bimodule and t is their direct sum.  Pieces come
+    in the order of their first basis vector, by vertex and then index.
+    A connected t is its own one piece, and no module is rebuilt.
     """
     base: Dict[Vertex, int] = {}
     nodes: List[Tuple[Vertex, int]] = []
@@ -199,7 +194,7 @@ def _pieces(t: Bimodule) -> List[Tuple[Bimodule, Optional[PieceMap]]]:
     for a, (v, r) in enumerate(nodes):
         groups.setdefault(root(a), {}).setdefault(v, []).append(r)
     if len(groups) == 1:
-        return [(t, None)]
+        return [t]
     piece_of, local = [0] * len(nodes), [0] * len(nodes)
     for q, at in enumerate(groups.values()):
         for v, rows in at.items():
@@ -211,9 +206,8 @@ def _pieces(t: Bimodule) -> List[Tuple[Bimodule, Optional[PieceMap]]]:
         for c, col in enumerate(cols):
             arrows[piece_of[src + c]].setdefault((kind, i, j), []).extend(
                 (local[tgt + r], local[src + c], e) for r, e in col)
-    return [(Bimodule(t.n, {v: len(rows) for v, rows in at.items()},
-                      arrows[q]), {v: tuple(rows) for v, rows in at.items()})
-            for q, at in enumerate(groups.values())]
+    return [Bimodule(t.n, {v: len(rows) for v, rows in at.items()},
+                     arrows[q]) for q, at in enumerate(groups.values())]
 
 
 @dataclass
@@ -265,10 +259,9 @@ def _candidates(n: int, max_valleys: int) -> Candidates:
 
 
 # a piece's scan: its residual dimension and, for each candidate with a
-# nonzero multiplicity, in candidate order, (index, multiplicity, site,
-# section, retraction), the last three in the piece's basis; the index
-# counts from the end of the candidate list, so it is negative
-Scan = Tuple[int, Tuple[Tuple[int, int, tuple, tuple, tuple], ...]]
+# nonzero multiplicity, in candidate order, (index, multiplicity); the
+# index counts from the end of the candidate list, so it is negative
+Scan = Tuple[int, Tuple[Tuple[int, int], ...]]
 
 _SCAN_CACHE: Dict[Tuple[Bimodule, int], Scan] = {}
 
@@ -283,10 +276,11 @@ def _scan(piece: Bimodule, max_valleys: int) -> Scan:
     The multiplicity of the rest is the rank of their trace pairing with
     the piece, and the multiplicities times the dimension vectors must fit
     inside dim of the piece (dimension balance, or RuntimeError); the rest
-    is the piece's residual.  A hit's index counts from the end of the
-    candidate list, so it is the same under every bound that keeps the
-    candidates that fit (``_scan_bound``).  The scan is all tuples, so no
-    caller can change a cached one.
+    is the piece's residual.  Each hit is certified by a split pair
+    (``_split_pair``), which the scan does not keep.  A hit's index counts
+    from the end of the candidate list, so it is the same under every
+    bound that keeps the candidates that fit (``_scan_bound``).  The scan
+    is all tuples of ints, so no caller can change a cached one.
     """
     key = (piece, max_valleys)
     scan = _SCAN_CACHE.get(key)
@@ -314,7 +308,8 @@ def _scan(piece: Bimodule, max_valleys: int) -> Scan:
                     f"{mult} times in a piece of dimension "
                     f"{piece.total_dim}")
         remaining -= mult * x.total_dim
-        hits.append((idx, mult, *_split_pair(x, sigmas, pis, g)))
+        _split_pair(x, sigmas, pis, g)
+        hits.append((idx, mult))
     scan = _SCAN_CACHE[key] = (remaining, tuple(hits))
     return scan
 
@@ -336,9 +331,8 @@ def _scan_bound(dim: int, max_valleys: int) -> int:
 
 
 # a product's tally: each candidate found in it, in candidate order, with
-# its multiplicity and its least split pair as (site, section, retraction,
-# at), whose entries are in the basis of the piece that at maps into t
-Tally = List[Tuple[Tuple[StringLabel, Bimodule], int, tuple]]
+# its multiplicity
+Tally = List[Tuple[Tuple[StringLabel, Bimodule], int]]
 
 
 def _tally(t: Bimodule, max_valleys: int) -> Tuple[Tally, int]:
@@ -347,44 +341,43 @@ def _tally(t: Bimodule, max_valleys: int) -> Tuple[Tally, int]:
     Each piece of t's basis graph (``_pieces``) is scanned on its own
     (``_scan``), under the valley bound its dimension calls for
     (``_scan_bound``); a piece scanned before is not scanned again.
-    Multiplicities and residuals add up over the pieces.  A label found
-    in several pieces keeps the split pair that a scan of t whole would
-    take: the one whose forward map comes first in Hom(x, t), because the
-    hom and pairing systems of t are those of its pieces side by side.
+    Multiplicities and residuals add up over the pieces.
     """
     found: Counter = Counter()  # candidate index -> multiplicity in t
-    pairs: Dict[int, tuple] = {}  # candidate index -> its least split pair
     residual = 0
-    for piece, at in _pieces(t):
-        at = at or {v: range(d) for v, d in piece.dims.items()}
+    for piece in _pieces(t):
         remaining, hits = _scan(piece, _scan_bound(piece.total_dim,
                                                    max_valleys))
         residual += remaining
-        for idx, mult, (v, r, c), section, retraction in hits:
+        for idx, mult in hits:
             found[idx] += mult
-            site = v, at[v][r], c
-            if idx not in pairs or site < pairs[idx][0]:
-                pairs[idx] = site, section, retraction, at
     cands = _candidates(t.n, max_valleys)
-    return [(cands[i], found[i], pairs[i]) for i in sorted(found)], residual
+    return [(cands[i], found[i]) for i in sorted(found)], residual
 
 
 def decompose(t: Bimodule, max_valleys: int) -> DecompositionReport:
     """Multiplicities of the catalog members in t (``_tally``), each
-    distinct summand with its split pair built in t's basis.  max_valleys
-    bounds the catalog that is searched; any string summand has dimension
-    at least 2k+1, so 2*max_valleys + 3 >= dim t always suffices."""
+    distinct summand with its split pair against the whole of t.
+
+    The rank of x's trace pairing with t must equal the multiplicity
+    that t's pieces add up to, or RuntimeError; the split pair is then
+    the one a scan of t whole takes.  max_valleys bounds the catalog that
+    is searched; any string summand has dimension at least 2k+1, so
+    2*max_valleys + 3 >= dim t always suffices."""
     tally, residual = _tally(t, max_valleys)
     summands: List[StringLabel] = []
     split_pairs: List[Tuple[StringLabel, BimoduleMap, BimoduleMap]] = []
-    for (label, x), mult, (_, section, retraction, at) in tally:
+    for (label, x), mult in tally:
+        sigmas, pis, g = trace_pairing(x, t)
+        rank = sparse_rank(g, len(pis))
+        if rank != mult:
+            raise RuntimeError(
+                f"{label} pairs to rank {rank} with the whole module, but "
+                f"its pieces hold {mult} copies")
         summands.extend([label] * mult)
-        sig = {v: [(at[v][r], c, e) for r, c, e in entries]
-               for v, entries in section}
-        pi = {v: [(r, at[v][c], e) for r, c, e in entries]
-              for v, entries in retraction}
-        split_pairs.append((label, BimoduleMap(x, t, sig),
-                            BimoduleMap(t, x, pi)))
+        section, retraction = _split_pair(x, sigmas, pis, g)
+        split_pairs.append((label, BimoduleMap(x, t, section),
+                            BimoduleMap(t, x, retraction)))
     return DecompositionReport(t.n, t.total_dim, summands, split_pairs,
                                residual)
 
@@ -438,7 +431,7 @@ def canonical_summands(n: int, fam_u: str, k_u: Optional[int], e: int,
                 f"unexpected residual of dim {residual} in "
                 f"{u0} (x) {v0} at n={n}")
         summands = _SUMMANDS_CACHE[product] = tuple(
-            label for (label, _), mult, _ in tally for _ in range(mult))
+            label for (label, _), mult in tally for _ in range(mult))
     return summands
 
 

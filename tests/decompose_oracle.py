@@ -42,7 +42,7 @@ def whole_module_decompose(t: Bimodule,
         if not mult:
             continue
         summands.extend([label] * mult)
-        _, section, retraction = _split_pair(x, sigmas, pis, g)
+        section, retraction = _split_pair(x, sigmas, pis, g)
         pairs.append((label, BimoduleMap(x, t, dict(section)),
                       BimoduleMap(t, x, dict(retraction))))
         for v, d in x.dims.items():

@@ -126,6 +126,16 @@ def test_cellrep_human_and_json(capsys):
     assert blob["block_structure"]["ok"] is True
 
 
+def test_cellrep_header_names_the_column_residue(capsys):
+    # column 5 at n = 2 is column 1, as the birep and its JSON say
+    headers = []
+    for j in ("5", "1"):
+        assert main(["cellrep", "--n", "2", "--k", "1", "--j", j]) == 0
+        headers.append(capsys.readouterr().out.splitlines()[0])
+    assert headers[0] == headers[1] == (
+        "cell birep at n=2, k=1, column 1: rank 4")
+
+
 def test_localize_verdict_and_schema(capsys):
     status = main(["localize", "--n", "2", "--k", "1", "--contract", "1"])
     out = capsys.readouterr().out
@@ -302,6 +312,23 @@ def test_localize_output_is_byte_stable(capsys):
     assert status == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "b9bafc9baa556ccaa0204f53729e963322929cbf977d52faa734cb08848b7b23")
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["tensor", "M:1|1:k=3", "S:1|1:k=3", "--n", "1"],
+     "022fbcf994ff16287dbce58a37849345d1ec0ea2dd34e3941794df759d70dbc1"),
+    (["tensor", "M:1|1:k=2", "P:1|1", "--n", "2"],
+     "9fc9fb9f8264b5b8d3b9ae8eaa321a402b0f6cfee1044ee558f37351ddc2c1b8"),
+    (["tensor", "W:1|3:k=2", "M:1|1:k=2", "--n", "3"],
+     "e046caf5b165cea5ebd010d8fa3a12e220c6cf6f3b8b0eca894fee1c06bbf3ce"),
+], ids=["M3-S3-n1", "M2-P-n2", "W2-M2-n3"])
+def test_tensor_output_is_byte_stable(capsys, argv, digest):
+    # each product falls into several pieces of its basis graph, so the
+    # summed multiplicities and residual of decompose are pinned there
+    status = main(argv + ["--json"])
+    out = capsys.readouterr().out
+    assert status == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("argv,digest", [

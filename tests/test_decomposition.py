@@ -232,8 +232,8 @@ def test_decompose_pairs_no_candidate_larger_than_what_is_left(
         return out
 
     monkeypatch.setattr(decomposition, "trace_pairing", counting_pairing)
-    rep = decompose(t, max_valleys)
-    assert calls and rep.residual_dim == 0
+    _, residual = decomposition._tally(t, max_valleys)
+    assert calls and residual == 0
     remaining = t.total_dim
     for dim, mult in calls:
         assert dim <= remaining
@@ -367,36 +367,25 @@ def test_pieces_split_random_direct_sums(data):
                                 min_size=1, max_size=4))
     t = direct_sum(*(construct(u, n) for u in labels))
     pieces = decomposition._pieces(t)
-    maps = [at or {v: tuple(range(d)) for v, d in t.dims.items()}
-            for _, at in pieces]
-    # every basis vector of t lies in exactly one piece
-    owner = {(v, r): q for q, at in enumerate(maps)
-             for v, rows in at.items() for r in rows}
-    assert sorted(owner) == sorted((v, r) for v, d in t.dims.items()
-                                   for r in range(d))
-    assert sum((Counter(dict(piece.dims)) for piece, _ in pieces),
+    assert sum((Counter(dict(piece.dims)) for piece in pieces),
                Counter()) == Counter(dict(t.dims))
-    # no arrow entry leaves its piece, and a piece's arrows are t's
-    # entries between its vectors
-    lifted = Counter()
-    for (piece, _), at in zip(pieces, maps):
-        for (kind, i, j), (cols, _) in piece.arrow_views.items():
-            w = arrow_target(kind, i, j, n)
-            lifted.update({(kind, i, j, at[w][r], at[(i, j)][c]): e
-                           for c, col in enumerate(cols) for r, e in col})
-    whole = Counter()
-    for (kind, i, j), (cols, _) in t.arrow_views.items():
-        w = arrow_target(kind, i, j, n)
-        for c, col in enumerate(cols):
-            for r, e in col:
-                assert owner[(w, r)] == owner[((i, j), c)]
-                whole[(kind, i, j, r, c)] = e
-    assert lifted == whole
-    assert is_isomorphic(direct_sum(*(piece for piece, _ in pieces)), t)
+    # each piece is connected, so it is its own one piece
+    for piece in pieces:
+        assert decomposition._pieces(piece) == [piece]
+    # the pieces share out t's arrow entries
+    assert sum((_arrow_entries(piece) for piece in pieces),
+               Counter()) == _arrow_entries(t)
+    assert is_isomorphic(direct_sum(*pieces), t)
     # an equal module rebuilt from scratch splits the same way
     again = decomposition._pieces(
         direct_sum(*(construct(u, n) for u in labels)))
     assert again == pieces
+
+
+def _arrow_entries(t):
+    """The nonzero arrow entries of t, counted by arrow and value."""
+    return Counter((arrow, e) for arrow, (cols, _) in t.arrow_views.items()
+                   for col in cols for _, e in col)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -471,7 +460,7 @@ def test_one_piece_gives_the_same_report(monkeypatch, n, u, v):
     t = tensor(construct(u, n), construct(v, n))
     assert len(decomposition._pieces(t)) > 1
     split = decompose(t, 2)
-    monkeypatch.setattr(decomposition, "_pieces", lambda t: [(t, None)])
+    monkeypatch.setattr(decomposition, "_pieces", lambda t: [t])
     _assert_same_report(split, decompose(t, 2))
 
 
@@ -642,6 +631,25 @@ def test_decompose_refuses_a_multiplicity_past_the_dimension(monkeypatch):
     monkeypatch.setattr(decomposition, "sparse_rank", doubled)
     with pytest.raises(RuntimeError, match="dimension balance fails"):
         decompose(x, 1)
+
+
+@pytest.mark.usefixtures("cold_caches")
+def test_decompose_refuses_a_tally_the_whole_module_does_not_pair_to(
+        monkeypatch):
+    # one copy too many in the pieces' tally disagrees with the rank of
+    # the summand's pairing with the whole module
+    x = construct(lab("N", 1, 1, 1), 2)
+    t = direct_sum(x, x)
+    tally = decomposition._tally
+
+    def one_too_many(t, max_valleys):
+        found, residual = tally(t, max_valleys)
+        return [(cand, mult + 1) for cand, mult in found], residual
+
+    monkeypatch.setattr(decomposition, "_tally", one_too_many)
+    with pytest.raises(RuntimeError, match="pairs to rank 2 with the whole "
+                                           "module, but its pieces hold 3"):
+        decompose(t, 1)
 
 
 @pytest.mark.usefixtures("cold_caches")

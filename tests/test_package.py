@@ -88,8 +88,7 @@ def test_no_package_module_names_exact_matrix():
 
 def test_only_bimodules_reads_the_hom_unknown_layout():
     # the offsets of a hom space's unknowns are a layout private to
-    # bimodules; other modules ask HomSpace for blocks, coordinates or the
-    # site of a basis map
+    # bimodules; other modules ask HomSpace for blocks or coordinates
     found = set()
     for path in sorted(Path(nakayama.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
