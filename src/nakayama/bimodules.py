@@ -128,11 +128,11 @@ def parse_label(text: str) -> StringLabel:
 ArrowKey = Tuple[str, int, int]
 
 
-# The nonzero entries of an arrow matrix as a pair (cols, rows): cols[c]
-# holds the (row, value) pairs of column c and rows[r] the (col, value)
-# pairs of row r, both ascending.  A value is an int when it is integral
-# and a Fraction otherwise.
-ArrowView = Tuple[tuple, tuple]
+# The nonzero entries of an arrow matrix, one tuple per column: view[c]
+# holds the (row, value) pairs of column c, ascending by row, so every
+# entry is stored once.  A value is an int when it is integral and a
+# Fraction otherwise.
+ArrowView = Tuple[tuple, ...]
 
 
 def _arrow_view(rows: int, cols: int, entries) -> Optional[ArrowView]:
@@ -147,12 +147,10 @@ def _arrow_view(rows: int, cols: int, entries) -> Optional[ArrowView]:
     spots = sorted((rc, e) for rc, e in sums.items() if e)
     if not spots:
         return None
-    by_col, by_row = [()] * cols, [()] * rows
+    by_col = [()] * cols
     for (r, c), e in spots:
-        v = e.numerator if e.denominator == 1 else e
-        by_col[c] += ((r, v),)
-        by_row[r] += ((c, v),)
-    return tuple(by_col), tuple(by_row)
+        by_col[c] += ((r, e.numerator if e.denominator == 1 else e),)
+    return tuple(by_col)
 
 
 def _view_product(outer: Optional[ArrowView],
@@ -161,57 +159,68 @@ def _view_product(outer: Optional[ArrowView],
     if outer is None or inner is None:
         return None
     out = []
-    for col in inner[0]:
+    for col in inner:
         acc: dict = {}
         for m, a in col:
-            for r, b in outer[0][m]:
+            for r, b in outer[m]:
                 acc[r] = acc.get(r, 0) + a * b
         out.append({r: v for r, v in acc.items() if v})
     return out
 
 
-def _view_rank(view: ArrowView) -> int:
-    """The rank of a view's matrix.  When no row and no column holds two
-    entries, the nonzero entries sit on distinct rows and columns, so
-    their count is the rank; otherwise it is eliminated."""
-    cols, rows = view
-    if all(len(col) < 2 for col in cols) and all(len(row) < 2
-                                                 for row in rows):
-        return sum(map(len, cols))
-    return sparse_rank([dict(row) for row in rows], len(cols))
+def _view_rank(view: ArrowView, rows: int) -> int:
+    """The rank of a view's matrix with the given number of rows: the entry
+    count when no row or column holds two, else the rank of the transpose,
+    whose rows are the columns."""
+    hit = [r for col in view for r, _ in col]
+    if len(set(hit)) == len(hit) == sum(map(bool, view)):
+        return len(hit)
+    return sparse_rank([dict(col) for col in view], rows)
 
 
 class Bimodule:
     """A representation of the torus quiver.  Each arrow is given as an
     iterable of (row, col, value) entries, under the rule of
     ``_arrow_view``, and kept only in ``arrow_views``, one ``ArrowView``
-    per nonzero arrow; ``dims`` and ``arrow_views`` are
-    read-only views, so a shared cached module cannot be changed.
-    ``views`` stands in for ``arrows`` with views that already fit
-    ``dims`` under reduced keys, as ``translated`` passes them on."""
+    of its columns per nonzero arrow.  ``dims`` and ``arrow_views`` are
+    read-only views, and no attribute can be set or deleted, so a shared
+    cached module cannot be changed.  ``views`` stands in for ``arrows``
+    with views that already fit ``dims`` under reduced keys, as
+    ``translated`` passes them on."""
 
     def __init__(self, n: int, dims: Dict[Vertex, int],
                  arrows: Dict[ArrowKey, Iterable], *,
                  views: Optional[Dict[ArrowKey, ArrowView]] = None) -> None:
-        self.n = n
         for (i, j), d in dims.items():
             if not (1 <= i <= n and 1 <= j <= n) or d < 0:
                 raise ValueError(f"dimension {d} at vertex {i}|{j} of the "
                                  f"{n} x {n} torus")
-        self.dims = MappingProxyType({v: d for v, d in dims.items() if d})
-        self.total_dim = sum(self.dims.values())
+        kept = MappingProxyType({v: d for v, d in dims.items() if d})
         if views is None:
             views = {}
             for (kind, i, j), entries in arrows.items():
                 i, j = residue(i, n), residue(j, n)
-                ds = self.dims.get((i, j), 0)
-                dt = self.dims.get(arrow_target(kind, i, j, n), 0)
+                ds = kept.get((i, j), 0)
+                dt = kept.get(arrow_target(kind, i, j, n), 0)
                 view = _arrow_view(dt, ds, entries)
                 if view is not None:
                     views[(kind, i, j)] = view
         elif arrows:
             raise ValueError("give a module arrows or views, not both")
-        self.arrow_views = MappingProxyType(views)
+        # object.__setattr__ passes the guard below, which refuses every
+        # later write
+        put = object.__setattr__
+        put(self, "n", n)
+        put(self, "dims", kept)
+        put(self, "total_dim", sum(kept.values()))
+        put(self, "arrow_views", MappingProxyType(views))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot set {name!r}: a Bimodule is read-only")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(
+            f"cannot delete {name!r}: a Bimodule is read-only")
 
     # -- basic geometry ----------------------------------------------------
 
@@ -329,7 +338,7 @@ class BimoduleMap:
         if x.dim_vector() != y.dim_vector():
             return False
         views = self.components
-        return all(v in views and _view_rank(views[v]) == d
+        return all(v in views and _view_rank(views[v], d) == d
                    for v, d in x.dims.items())
 
     def __repr__(self) -> str:
@@ -501,8 +510,11 @@ def _hom_rows(x: Bimodule, y: Bimodule):
         if not (ds and dt) or (t_off is None and s_off is None):
             continue
         dxt = x.dims.get(t, 0)
-        x_cols = xv[0] if t_off is not None else ((),) * ds
-        y_rows = yv[1] if s_off is not None else ((),) * dt
+        x_cols = xv if t_off is not None else ((),) * ds
+        y_rows = [()] * dt  # ya by rows, if it is read
+        for l, col in enumerate(yv if s_off is not None else ()):
+            for p, e in col:
+                y_rows[p] += ((l, e),)
         x_live = [q for q, col in enumerate(x_cols) if col]
         for p, y_row in enumerate(y_rows):
             for q in (range(ds) if y_row else x_live):
@@ -526,9 +538,9 @@ def _unknowns(f: BimoduleMap, offsets: Dict) -> Dict[int, Fraction]:
     for v, off in offsets.items():
         view = f.components.get(v)
         if view is not None:
-            ds = len(view[0])
+            ds = len(view)
             vec.update((off + r * ds + c, e)
-                       for r, row in enumerate(view[1]) for c, e in row)
+                       for c, col in enumerate(view) for r, e in col)
     return vec
 
 
@@ -622,13 +634,14 @@ def composite_trace(back: HomSpace, b: int, f: BimoduleMap,
     """tr(back[b] o f o fwd[a]), for fwd into f's source and back out of
     f's target, read off the two kernel vectors with no map built."""
     sig, pi, total = fwd.vectors[a], back.vectors[b], 0
-    for v, (cols, rows) in f.components.items():
+    for v, cols in f.components.items():
         if v in fwd._offsets and v in back._offsets:
             s_off, p_off, dy = fwd._offsets[v], back._offsets[v], fwd.x.dims[v]
+            dt = back.x.dims[v]
             for k, col in enumerate(cols):
                 for j, e in col:
                     for i in range(dy):
-                        if p := pi.get(p_off + i * len(rows) + j):
+                        if p := pi.get(p_off + i * dt + j):
                             total += p * e * sig.get(s_off + k * dy + i, 0)
     return total
 
@@ -701,9 +714,9 @@ def restrict_left(x: Bimodule) -> LeftDecomposition:
         col_dims[i] += d
     # a_i acts block-diagonally over the columns
     ranks: Counter = Counter()
-    for (kind, i, _j), view in x.arrow_views.items():
+    for (kind, i, j), view in x.arrow_views.items():
         if kind == "v":
-            ranks[i] += _view_rank(view)
+            ranks[i] += _view_rank(view, x.dims[arrow_target(kind, i, j, n)])
     projs: Counter = Counter()
     simples: Counter = Counter()
     for i in range(1, n + 1):
@@ -739,7 +752,7 @@ def dualize(x: Bimodule) -> Bimodule:
     """
     dims = {(i, j): d for (j, i), d in x.dims.items()}
     maps = {}
-    for (kind, p, q), (cols, _rows) in x.arrow_views.items():
+    for (kind, p, q), cols in x.arrow_views.items():
         key = ("v", q - 1, p) if kind == "h" else ("h", q, p + 1)
         maps[key] = [(c, r, e) for c, col in enumerate(cols) for r, e in col]
     out = Bimodule(x.n, dims, maps)
@@ -803,7 +816,7 @@ def direct_sum(*mods: Bimodule) -> Bimodule:
     entries: Dict[ArrowKey, list] = {}
     offset: Dict[Vertex, int] = {}
     for m in mods:
-        for (kind, i, j), (cols, _rows) in m.arrow_views.items():
+        for (kind, i, j), cols in m.arrow_views.items():
             ro = offset.get(arrow_target(kind, i, j, n), 0)
             co = offset.get((i, j), 0)
             entries.setdefault((kind, i, j), []).extend(

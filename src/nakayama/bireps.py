@@ -586,15 +586,21 @@ def classify(n: int, k: int) -> ClassificationReport:
         alike[state] = merged["M"] == merged["N"]
         covers[state] = all(sum(es) >= 1 for rows in zip(*merged.values())
                             for es in zip(*rows))
+    # a subset is simple only if it contracts every column whose verdict
+    # fails
+    failing = {s for s in range(1, n + 1) if not core.verdicts[s]}
     entries = []
     seen_prints = {}
     for size in range(n + 1):
+        # the states present, those of the first size components
+        # contracted, are the same for every subset of this size
+        present = {s <= size for s in range(1, n + 1)}
+        # whether a row in each state present is in the fingerprint
+        kept = {a: all(alike[(a, c)] for c in present) for a in present}
+        transitive = all(covers[(a, c)] for a in present for c in present)
         for combo in itertools.combinations(range(1, n + 1), size):
             contracted = frozenset(combo)
             _check_stable(contractible, contracted)
-            present = {s in contracted for s in range(1, n + 1)}
-            # whether a row in each state present is in the fingerprint
-            kept = {a: all(alike[(a, c)] for c in present) for a in present}
             print_ = [r for r in range(1, n + 1) if kept[r in contracted]]
             key = tuple(print_)
             if key in seen_prints:
@@ -605,10 +611,7 @@ def classify(n: int, k: int) -> ClassificationReport:
             entries.append({
                 "I": list(combo),
                 "rank": 2 * n - size,
-                "simple_transitive": (
-                    all(covers[(a, c)] for a in present for c in present)
-                    and all(core.verdicts[s] for s in range(1, n + 1)
-                            if s not in contracted)),
+                "simple_transitive": transitive and failing <= contracted,
                 "fingerprint": print_,
             })
     counts = Counter(e["rank"] for e in entries)

@@ -183,7 +183,7 @@ def _pieces(t: Bimodule) -> List[Bimodule]:
             parent[a] = a = parent[parent[a]]
         return a
 
-    for (kind, i, j), (cols, _) in t.arrow_views.items():
+    for (kind, i, j), cols in t.arrow_views.items():
         src, tgt = base[(i, j)], base[arrow_target(kind, i, j, t.n)]
         for c, col in enumerate(cols):
             for r, _ in col:
@@ -201,7 +201,7 @@ def _pieces(t: Bimodule) -> List[Bimodule]:
             for k, r in enumerate(rows):
                 piece_of[base[v] + r], local[base[v] + r] = q, k
     arrows: List[dict] = [{} for _ in groups]
-    for (kind, i, j), (cols, _) in t.arrow_views.items():
+    for (kind, i, j), cols in t.arrow_views.items():
         src, tgt = base[(i, j)], base[arrow_target(kind, i, j, t.n)]
         for c, col in enumerate(cols):
             arrows[piece_of[src + c]].setdefault((kind, i, j), []).extend(

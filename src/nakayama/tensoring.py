@@ -23,19 +23,18 @@ shares them.  Keys are built only for the vertices where the supports of
 row i and column l meet.
 
 Everything is deterministic: pair bases are ordered lexicographically by
-(middle residue, left index, right index).  The rows are read off the arrow
-views of the two factors, and ``sparse_kernel_with_frees``, the kernel
-routine of the hom spaces, gives the quotient: its basis is the classes of
-the free columns, and the projection row of a free column is its kernel
-vector.  The projection is kept sparse, as the (quotient index, value) hits
-of each pair column.  A ``TensorSpace`` maps each vertex to its cached
-piece.  Each arrow of the product and each block of an induced map is a
-map on one factor moved across the quotient (``_moved``): it is read off
-views on the free pairs of the source piece only and projected into the
-target piece's quotient; no dense matrix is built.  Equal inputs always
-give equal outputs, and a map produced by ``tensor_map`` has source and
-target equal (not merely isomorphic) to the corresponding ``tensor``
-results.
+(middle residue, left index, right index).  The row of a pair (m, y) joins
+column m of an h arrow view of x to column y of a v arrow view of y, and
+``sparse_kernel_with_frees``, the kernel routine of the hom spaces, gives the
+quotient: its basis is the classes of the free columns, and the projection row
+of a free column is its kernel vector.  The projection is kept sparse, as the
+(quotient index, value) hits of each pair column.  A ``TensorSpace`` maps each
+vertex to its cached piece.  Each arrow of the product and each block of an
+induced map is a map on one factor moved across the quotient (``_moved``): it
+is read off views on the free pairs of the source piece only and projected into
+the target piece's quotient; no dense matrix is built.  Equal inputs always
+give equal outputs, and a map produced by ``tensor_map`` has source and target
+equal (not merely isomorphic) to the corresponding ``tensor`` results.
 """
 
 from __future__ import annotations
@@ -102,8 +101,8 @@ def _piece(n: int, row: Strip, col: Strip) -> Piece:
             continue
         # the h arrow of x at (i, a+1) and the v arrow of y at (a, l)
         (dx, hv), (dy, vv) = x_at[ap], y_at[a]
-        hx = hv[0] if hv is not None else ((),) * dx
-        vy = vv[0] if vv is not None else ((),) * dy
+        hx = hv if hv is not None else ((),) * dx
+        vy = vv if vv is not None else ((),) * dy
         for xa in range(dx):
             for yb in range(dy):
                 entries: Dict[int, Fraction] = {}
@@ -142,7 +141,7 @@ def _moved(src: Piece, tgt: Piece, views: Mapping[int, ArrowView],
         view = views.get(j)
         if view is None:
             continue
-        for s, coef in view[0][xa if left else yb]:
+        for s, coef in view[xa if left else yb]:
             for q, h in hits[idx[(j, s, yb) if left else (j, xa, s)]]:
                 out.append((q, c, h * coef))
     return out

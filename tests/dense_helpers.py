@@ -109,7 +109,7 @@ class ExactMatrix:
 def _from_view(rows, cols, view):
     """The rows x cols dense matrix of a view, zero when view is None."""
     return ExactMatrix.from_entries(rows, cols, (
-        (r, c, v) for c, col in enumerate(view[0] if view else ())
+        (r, c, v) for c, col in enumerate(view or ())
         for r, v in col))
 
 

@@ -336,10 +336,9 @@ def test_bimodule_takes_arrows_as_entries():
         ("v", 2, 1): [(0, 1, 4), (0, 1, -4)],
         ("v", 1, 2): []})
     assert dict(x.arrow_views) == {
-        ("v", 1, 1): ((((0, Fraction(1, 3)),), ((1, -2),)),
-                      (((0, Fraction(1, 3)),), ((1, -2),))),
-        ("h", 1, 1): ((((0, 5),), ()), (((0, 5),),))}
-    assert type(x.arrow_views[("v", 1, 1)][0][1][0][1]) is int
+        ("v", 1, 1): (((0, Fraction(1, 3)),), ((1, -2),)),
+        ("h", 1, 1): (((0, 5),), ())}
+    assert type(x.arrow_views[("v", 1, 1)][1][0][1]) is int
     assert dense_arrow(x, "v", 1, 1) == _m([Fraction(1, 3), 0], [0, -2])
     assert dense_arrow(x, "h", 3, 1) == _m([5, 0])
     assert all(type(e) is Fraction
@@ -478,7 +477,7 @@ def test_map_blocks_reject_entries_outside_their_shape():
     # the views of an identity hold ints, and so do its coordinates
     ident = identity_map(x)
     assert all(type(e) is int for view in ident.components.values()
-               for col in view[0] for _, e in col)
+               for col in view for _, e in col)
     coords = HomSpace(x, x).coords_of(ident)
     assert coords and all(type(c) is int for c in coords)
     assert ident.is_invertible() and not ident.is_zero()
@@ -794,9 +793,10 @@ def test_restrict_left_refuses_a_loop_that_does_not_square_to_zero():
 
 def test_restrict_left_refuses_a_count_short_of_the_dimension():
     # a hand-built module whose recorded total disagrees with its vertex
-    # dimensions: the projectives and simples cannot account for it
+    # dimensions: the projectives and simples cannot account for it; a
+    # Bimodule refuses attribute writes, so the total is forged past them
     x = Bimodule(3, dict(construct(lab("S", 1, 1, 1), 3).dims), {})
-    x.total_dim += 1
+    object.__setattr__(x, "total_dim", x.total_dim + 1)
     with pytest.raises(ValueError, match="does not account for every"):
         restrict_left(x)
 
@@ -808,7 +808,8 @@ _VIEW_VALUES = st.sampled_from([1, -1, 2, 3, Fraction(1, 2), Fraction(-2, 3)])
 @given(st.data())
 def test_view_rank_matches_sparse_rank(data):
     # views with at most one entry per row and per column are counted,
-    # all others eliminated; both kinds must agree with sparse_rank
+    # all others eliminated by column; both kinds must agree with
+    # sparse_rank on the rows of the drawn matrix
     rows, cols = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
     scattered = data.draw(st.booleans())
     if scattered:
@@ -823,10 +824,18 @@ def test_view_rank_matches_sparse_rank(data):
     view = bimodules._arrow_view(rows, cols, entries)
     assume(view is not None)
     if scattered:
-        assert all(len(line) < 2 for half in view for line in half)
-    want = sparse_rank([{c: Fraction(v) for c, v in row} for row in view[1]],
-                       cols)
-    assert bimodules._view_rank(view) == want
+        hit = [r for col in view for r, _ in col]
+        assert all(len(col) < 2 for col in view)
+        assert len(set(hit)) == len(hit)
+    sums = {}
+    for r, c, v in entries:
+        sums[(r, c)] = sums.get((r, c), 0) + Fraction(v)
+    by_row = [{} for _ in range(rows)]
+    for (r, c), v in sums.items():
+        if v:
+            by_row[r][c] = v
+    want = sparse_rank(by_row, cols)
+    assert bimodules._view_rank(view, rows) == want
 
 
 # -- hom into the algebra ----------------------------------------------------
@@ -1265,7 +1274,7 @@ def test_hom_space_with_a_non_unit_arrow_stays_exact(base, scalar):
     # divisions must give Fractions, never floats
     n = 2
     x = rescaled(base, n, ("v", 1, 1), scalar)
-    assert x.arrow_views[("v", 1, 1)] == ((((0, scalar),),),) * 2
+    assert x.arrow_views[("v", 1, 1)] == (((0, scalar),),)
     others = [construct(lab("S", 1, 1, 0), n), construct(base, n), x]
     for y in others:
         _assert_hom_matches_reference(x, y, (int, Fraction))
@@ -1284,18 +1293,18 @@ def test_arrow_views_hold_the_nonzero_entries_of_the_arrows():
         matrices = _arrow_matrices(mod)
         assert mod.arrow_views.keys() == matrices.keys()
         for key, mat in matrices.items():
-            cols, rows = mod.arrow_views[key]
+            view = mod.arrow_views[key]
+            assert len(view) == mod.dim(*key[1:])
             entries = {(r, c): mat.get(r, c) for r in range(mat.rows)
                        for c in range(mat.cols) if mat.get(r, c)}
-            assert {(r, c): v for c, col in enumerate(cols)
+            assert {(r, c): v for c, col in enumerate(view)
                     for r, v in col} == entries
-            assert {(r, c): v for r, row in enumerate(rows)
-                    for c, v in row} == entries
-            values = [v for col in cols for _, v in col]
+            assert all([r for r, _ in col] == sorted({r for r, _ in col})
+                       for col in view)
+            values = [v for col in view for _, v in col]
             assert all(type(v) is (int if v.denominator == 1 else Fraction)
                        for v in values)
-            assert all(type(part) is tuple
-                       for part in (cols, rows, *cols, *rows))
+            assert all(type(part) is tuple for part in (view, *view))
     assert ("h", 2, 2) not in zero_arrow.arrow_views
     with pytest.raises(TypeError):
         x.arrow_views[("v", 1, 1)] = x.arrow_views[("h", 2, 2)]

@@ -175,11 +175,17 @@ def test_a_cached_core_is_unchanged_by_its_callers(restored_caches):
         assert _snapshot(value) == snapshot, name
 
 
-def test_constructed_modules_reject_writes():
+@pytest.mark.parametrize("attr", ["n", "dims", "total_dim", "arrow_views"])
+def test_constructed_modules_reject_writes(attr):
     label = StringLabel("M", 1, 1, 1)
     x = construct(label, 2)
     dims, views = dict(x.dims), dict(x.arrow_views)
     vertex, key = next(iter(dims)), next(iter(views))
+    # no attribute of a shared module can be rebound or deleted
+    with pytest.raises(AttributeError):
+        setattr(x, attr, 99)
+    with pytest.raises(AttributeError):
+        delattr(x, attr)
     with pytest.raises(TypeError):
         x.dims[vertex] = 5
     with pytest.raises(TypeError):
@@ -190,6 +196,7 @@ def test_constructed_modules_reject_writes():
         identity_map(x).components[vertex] = identity(1)
     again = construct(label, 2)
     assert again is x
+    assert (again.n, again.total_dim) == (2, sum(dims.values()))
     assert dict(again.dims) == dims and dict(again.arrow_views) == views
 
 

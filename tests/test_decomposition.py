@@ -384,7 +384,7 @@ def test_pieces_split_random_direct_sums(data):
 
 def _arrow_entries(t):
     """The nonzero arrow entries of t, counted by arrow and value."""
-    return Counter((arrow, e) for arrow, (cols, _) in t.arrow_views.items()
+    return Counter((arrow, e) for arrow, cols in t.arrow_views.items()
                    for col in cols for _, e in col)
 
 
@@ -517,8 +517,7 @@ def test_sums_in_either_order_share_their_scans(data):
     assert rep.summands == [u.normalized(n)] * 2
     (_, sig, pi), = rep.split_pairs
     for v, d in x.dims.items():
-        sig_cols, _ = sig.components[v]
-        pi_cols, _ = pi.components[v]
+        sig_cols, pi_cols = sig.components[v], pi.components[v]
         assert all(r < d for col in sig_cols for r, _ in col)
         assert not any(pi_cols[d:])
 
