@@ -58,11 +58,10 @@ from .tensoring import tensor, tensor_map
 
 
 def clear_caches() -> None:
-    """Empty every process-wide cache, six in all: constructed
-    bimodules, graded pieces of tensor products, summands by product
-    module, decomposition candidates, piece scans and birep cores."""
+    """Empty every process-wide cache, five in all: constructed
+    bimodules, graded pieces of tensor products, decomposition
+    candidates, scans of products and pieces, and birep cores."""
     for cache in (bimodules._CONSTRUCT_CACHE, tensoring._PIECE_CACHE,
-                  decomposition._SUMMANDS_CACHE,
                   decomposition._CANDIDATE_CACHE, decomposition._SCAN_CACHE,
                   bireps._CORE_CACHE):
         cache.clear()

@@ -727,11 +727,7 @@ def restrict_left(x: Bimodule) -> LeftDecomposition:
             raise ValueError("left restriction is not radical-square-zero")
         if s:
             simples[i] = s
-    out = LeftDecomposition(n, projs, simples)
-    if out.total_dim != x.total_dim:
-        raise ValueError("left restriction does not account for every "
-                         "dimension of the bimodule")
-    return out
+    return LeftDecomposition(n, projs, simples)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ with --json, and writes the same JSON to a file with --out.  A relative
 --out path lands in the directory named by the NAKAYAMA_OUT environment
 variable when that is set.  Output is byte-identical across runs with
 the same flags, and the exit code is 0 exactly when every
-verification the command performs comes out clean.
+verification the command performs comes out clean, 1 when one fails,
+and 2 on a usage error or an --out file that cannot be written.
 """
 
 from __future__ import annotations
@@ -45,8 +46,13 @@ def _emit(payload: dict, args, human_lines: List[str]) -> None:
         base = os.environ.get("NAKAYAMA_OUT")
         if base and not os.path.isabs(out_path):
             out_path = os.path.join(base, out_path)
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as err:
+            sys.stderr.write(
+                f"nakayama: cannot write {out_path}: {err.strerror}\n")
+            raise SystemExit(2) from None
     if args.json:
         sys.stdout.write(text)
     else:

@@ -23,15 +23,16 @@ all of T.  Nothing is assumed of a piece: a connected T is scanned
 whole, and a piece that is indecomposable or a band is decomposed or
 left as residual just as it would be inside T.
 
-The same few pieces recur across products, so a piece's scan is a
-function of the piece alone and is cached by its value: its residual
-and its multiplicities, all ints in tuples.  Each piece that is
-equal to one seen before, in the same product or an earlier one, costs
-a lookup.  Only ``decompose`` reports split pairs, and it builds them
-where they are read: each distinct summand x is paired with the whole of
-T, and the rank of that pairing must be the multiplicity that the pieces
-add up to (or RuntimeError), a second count of every summand by an
-independent hom system.
+The same few pieces recur across products, and many products are equal
+as bimodules, so a module's scan is a function of its value alone and
+is cached by it, for a whole product and a piece alike: its residual
+and its summand labels, in candidate order.  A module equal to one seen
+before, as a product or as a piece of one, costs a lookup.  Only
+``decompose`` reports split pairs, and it builds them where they are
+read: each distinct summand x is paired with the whole of T, and the
+rank of that pairing must be the multiplicity that the scan holds (or
+RuntimeError), a second count of every summand by an independent hom
+system.
 
 Cells are tagged by position in the linear chain
 
@@ -117,6 +118,11 @@ def cell_name(cell: CellTag) -> str:
 def _label_sort_key(label: StringLabel):
     return (label.k if label.k is not None else -1,
             FAMILIES.index(label.family), label.i, label.j)
+
+
+def _candidate_key(label: StringLabel):
+    """Candidate order: largest dimension first, then the label order."""
+    return -label.dimension, _label_sort_key(label)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +248,8 @@ _CANDIDATE_CACHE: Dict[Tuple[int, int], Candidates] = {}
 
 
 def _candidates(n: int, max_valleys: int) -> Candidates:
-    """The catalog as (label, construct(label)) pairs, largest first.
+    """The catalog as (label, construct(label)) pairs, in candidate
+    order (``_candidate_key``).
 
     Built once per (n, max_valleys) and shared; the tuple keeps callers
     from reordering or extending it.
@@ -250,135 +257,113 @@ def _candidates(n: int, max_valleys: int) -> Candidates:
     key = (n, max_valleys)
     cands = _CANDIDATE_CACHE.get(key)
     if cands is None:
-        cands = tuple(sorted(
-            ((label, construct(label, n))
-             for label in catalog_labels(n, max_valleys)),
-            key=lambda lx: -lx[1].total_dim))
+        cands = tuple((label, construct(label, n)) for label in sorted(
+            catalog_labels(n, max_valleys), key=_candidate_key))
         _CANDIDATE_CACHE[key] = cands
     return cands
 
 
-# a piece's scan: its residual dimension and, for each candidate with a
-# nonzero multiplicity, in candidate order, (index, multiplicity); the
-# index counts from the end of the candidate list, so it is negative
-Scan = Tuple[int, Tuple[Tuple[int, int], ...]]
+# a module's scan: its residual dimension and its summand labels, each
+# repeated by its multiplicity, in candidate order
+Scan = Tuple[int, Tuple[StringLabel, ...]]
 
 _SCAN_CACHE: Dict[Tuple[Bimodule, int], Scan] = {}
 
 
-def _scan(piece: Bimodule, max_valleys: int) -> Scan:
-    """The catalog scan of one piece, cached by the piece's value.
+def _scan(t: Bimodule, max_valleys: int) -> Scan:
+    """The catalog scan of t, cached by t's value and the valley bound
+    that ``_scan_bound`` gives t's dimension.
 
-    Candidates run largest dimension first, until nothing of the piece is
-    left unaccounted for.  One whose dimension vector does not fit in
-    what is still unaccounted for cannot be a summand and is skipped; its
-    total dimension is tested first, as the cheaper half of that test.
-    The multiplicity of the rest is the rank of their trace pairing with
-    the piece, and the multiplicities times the dimension vectors must fit
-    inside dim of the piece (dimension balance, or RuntimeError); the rest
-    is the piece's residual.  Each hit is certified by a split pair
-    (``_split_pair``), which the scan does not keep.  A hit's index counts
-    from the end of the candidate list, so it is the same under every
-    bound that keeps the candidates that fit (``_scan_bound``).  The scan
-    is all tuples of ints, so no caller can change a cached one.
+    A t of more than one piece (``_pieces``) adds up the scans of its
+    pieces: residuals add, and summands merge in candidate order.  A
+    connected t is scanned against the candidates, largest first, until
+    nothing of t is left unaccounted for.  One whose dimension vector
+    does not fit in what is still unaccounted for cannot be a summand and
+    is skipped; its total dimension is tested first, as the cheaper half
+    of that test.  The multiplicity of the rest is the rank of their
+    trace pairing with t, and the multiplicities times the dimension
+    vectors must fit inside dim t (dimension balance, or RuntimeError);
+    the rest is t's residual.  Each hit is certified by a split pair
+    (``_split_pair``), which the scan does not keep.  A scan is an int
+    and a tuple of frozen labels, so no caller can change a cached one.
     """
-    key = (piece, max_valleys)
+    bound = _scan_bound(t.total_dim, max_valleys)
+    key = (t, bound)
     scan = _SCAN_CACHE.get(key)
     if scan is not None:
         return scan
-    left = dict(piece.dims)
-    remaining = piece.total_dim
-    hits = []
-    cands = _candidates(piece.n, max_valleys)
-    for idx, (label, x) in enumerate(cands, -len(cands)):
-        if not remaining:
-            break
-        if x.total_dim > remaining or any(
-                d > left.get(v, 0) for v, d in x.dims.items()):
-            continue
-        sigmas, pis, g = trace_pairing(x, piece)
-        mult = sparse_rank(g, len(pis))
-        if not mult:
-            continue
-        for v, d in x.dims.items():
-            left[v] -= mult * d
-            if left[v] < 0:
-                raise RuntimeError(
-                    f"dimension balance fails at {v}: {label} occurs "
-                    f"{mult} times in a piece of dimension "
-                    f"{piece.total_dim}")
-        remaining -= mult * x.total_dim
-        _split_pair(x, sigmas, pis, g)
-        hits.append((idx, mult))
-    scan = _SCAN_CACHE[key] = (remaining, tuple(hits))
+    pieces = _pieces(t)
+    if len(pieces) > 1:
+        scans = [_scan(piece, bound) for piece in pieces]
+        scan = (sum(residual for residual, _ in scans),
+                tuple(sorted((label for _, labels in scans
+                              for label in labels), key=_candidate_key)))
+    else:
+        left = dict(t.dims)
+        remaining = t.total_dim
+        summands: List[StringLabel] = []
+        for label, x in _candidates(t.n, bound):
+            if not remaining:
+                break
+            if x.total_dim > remaining or any(
+                    d > left.get(v, 0) for v, d in x.dims.items()):
+                continue
+            sigmas, pis, g = trace_pairing(x, t)
+            mult = sparse_rank(g, len(pis))
+            if not mult:
+                continue
+            for v, d in x.dims.items():
+                left[v] -= mult * d
+                if left[v] < 0:
+                    raise RuntimeError(
+                        f"dimension balance fails at {v}: {label} occurs "
+                        f"{mult} times in a piece of dimension "
+                        f"{t.total_dim}")
+            remaining -= mult * x.total_dim
+            _split_pair(x, sigmas, pis, g)
+            summands.extend([label] * mult)
+        scan = (remaining, tuple(summands))
+    _SCAN_CACHE[key] = scan
     return scan
 
 
 def _scan_bound(dim: int, max_valleys: int) -> int:
-    """The valley bound to scan a piece of dimension dim by.
+    """The valley bound to scan a module of dimension dim by.
 
-    A string with k valleys has dimension at least 2k+1, so a piece of
+    A string with k valleys has dimension at least 2k+1, so a module of
     dimension dim holds none with k > (dim-1)//2.  The candidates of
     dimension at most dim, the only ones a scan can visit, are the same
-    under this bound and under max_valleys, and they end both candidate
-    lists (the catalog under a lower bound is a prefix of the one under
-    a higher bound, and both are sorted largest first).  So the scans
-    agree, with the same indices counted from the end of either list.
+    under this bound and under max_valleys (the catalog under a lower
+    bound is part of the one under a higher bound), so the scans agree.
     A bound is at least 1, unless max_valleys is lower, so that the small
     pieces of products under every bound share one key.
     """
     return min(max_valleys, max(1, (dim - 1) // 2))
 
 
-# a product's tally: each candidate found in it, in candidate order, with
-# its multiplicity
-Tally = List[Tuple[Tuple[StringLabel, Bimodule], int]]
-
-
-def _tally(t: Bimodule, max_valleys: int) -> Tuple[Tally, int]:
-    """The catalog members in t, by pairing rank, and t's residual.
-
-    Each piece of t's basis graph (``_pieces``) is scanned on its own
-    (``_scan``), under the valley bound its dimension calls for
-    (``_scan_bound``); a piece scanned before is not scanned again.
-    Multiplicities and residuals add up over the pieces.
-    """
-    found: Counter = Counter()  # candidate index -> multiplicity in t
-    residual = 0
-    for piece in _pieces(t):
-        remaining, hits = _scan(piece, _scan_bound(piece.total_dim,
-                                                   max_valleys))
-        residual += remaining
-        for idx, mult in hits:
-            found[idx] += mult
-    cands = _candidates(t.n, max_valleys)
-    return [(cands[i], found[i]) for i in sorted(found)], residual
-
-
 def decompose(t: Bimodule, max_valleys: int) -> DecompositionReport:
-    """Multiplicities of the catalog members in t (``_tally``), each
+    """Multiplicities of the catalog members in t (``_scan``), each
     distinct summand with its split pair against the whole of t.
 
     The rank of x's trace pairing with t must equal the multiplicity
-    that t's pieces add up to, or RuntimeError; the split pair is then
-    the one a scan of t whole takes.  max_valleys bounds the catalog that
-    is searched; any string summand has dimension at least 2k+1, so
+    that t's scan holds, or RuntimeError; the split pair is then the one
+    a scan of t whole takes.  max_valleys bounds the catalog that is
+    searched; any string summand has dimension at least 2k+1, so
     2*max_valleys + 3 >= dim t always suffices."""
-    tally, residual = _tally(t, max_valleys)
-    summands: List[StringLabel] = []
+    residual, summands = _scan(t, max_valleys)
     split_pairs: List[Tuple[StringLabel, BimoduleMap, BimoduleMap]] = []
-    for (label, x), mult in tally:
+    for label, mult in Counter(summands).items():
+        x = construct(label, t.n)
         sigmas, pis, g = trace_pairing(x, t)
         rank = sparse_rank(g, len(pis))
         if rank != mult:
             raise RuntimeError(
                 f"{label} pairs to rank {rank} with the whole module, but "
                 f"its pieces hold {mult} copies")
-        summands.extend([label] * mult)
         section, retraction = _split_pair(x, sigmas, pis, g)
         split_pairs.append((label, BimoduleMap(x, t, section),
                             BimoduleMap(t, x, retraction)))
-    return DecompositionReport(t.n, t.total_dim, summands, split_pairs,
+    return DecompositionReport(t.n, t.total_dim, list(summands), split_pairs,
                                residual)
 
 
@@ -404,34 +389,26 @@ def _product(u: StringLabel, v: StringLabel,
 # cached products of catalog members
 # ---------------------------------------------------------------------------
 
-_SUMMANDS_CACHE: Dict[Tuple[Bimodule, int], Tuple[StringLabel, ...]] = {}
-
-
 def canonical_summands(n: int, fam_u: str, k_u: Optional[int], e: int,
                        fam_v: str,
                        k_v: Optional[int]) -> Tuple[StringLabel, ...]:
     """Summands of U (x) V for U = fam_u^(k_u) at 1|e and V = fam_v^(k_v)
-    at 1|1, read off the product's tally.
+    at 1|1, read off the product's scan.
 
     The arguments are those of normalized labels.  Many products are
     equal as bimodules (most of them zero), so a product is looked up by
-    value, with its valley bound, in the summand cache; a ``Bimodule`` is
-    read-only and hashes by its dimensions and arrow views.  Only a
-    product not seen before is tallied (``_tally``), with no map built,
-    and most of its pieces' scans come from the scan cache.
+    value in the scan cache; a ``Bimodule`` is read-only and hashes by
+    its dimensions and arrow views.  Only a product not seen before is
+    scanned (``_scan``), with no map built, and most of its pieces' scans
+    come from the same cache.  A residual raises RuntimeError.
     """
     u0 = StringLabel(fam_u, 1, e, k_u)
     v0 = StringLabel(fam_v, 1, 1, k_v)
-    product = _product(u0, v0, n)
-    summands = _SUMMANDS_CACHE.get(product)
-    if summands is None:
-        tally, residual = _tally(*product)
-        if residual:
-            raise RuntimeError(
-                f"unexpected residual of dim {residual} in "
-                f"{u0} (x) {v0} at n={n}")
-        summands = _SUMMANDS_CACHE[product] = tuple(
-            label for (label, _), mult in tally for _ in range(mult))
+    residual, summands = _scan(*_product(u0, v0, n))
+    if residual:
+        raise RuntimeError(
+            f"unexpected residual of dim {residual} in "
+            f"{u0} (x) {v0} at n={n}")
     return summands
 
 
@@ -442,7 +419,7 @@ def product_summands(u_label: StringLabel, v_label: StringLabel,
     Products are translation equivariant: shifting both anchors by the
     same torus translation shifts every summand accordingly.  Each product
     therefore reduces to a canonical representative anchored at row 1 /
-    column 1, and only those get tallied; everything else is a cache
+    column 1, and only those get scanned; everything else is a cache
     hit plus a relabeling.
     """
     u = u_label.normalized(n)

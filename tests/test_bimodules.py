@@ -791,14 +791,15 @@ def test_restrict_left_refuses_a_loop_that_does_not_square_to_zero():
         restrict_left(x)
 
 
-def test_restrict_left_refuses_a_count_short_of_the_dimension():
-    # a hand-built module whose recorded total disagrees with its vertex
-    # dimensions: the projectives and simples cannot account for it; a
-    # Bimodule refuses attribute writes, so the total is forged past them
-    x = Bimodule(3, dict(construct(lab("S", 1, 1, 1), 3).dims), {})
-    object.__setattr__(x, "total_dim", x.total_dim + 1)
-    with pytest.raises(ValueError, match="does not account for every"):
-        restrict_left(x)
+def test_restrict_left_accounts_for_every_dimension():
+    # 2 sum(ranks) + sum(column dims - ranks[i] - ranks[i-1]) is the sum
+    # of the vertex dimensions, so the projectives and simples always add
+    # up to the whole module
+    modules = [regular_bimodule(n) for n in (1, 2, 3)]
+    modules += [construct(label, n) for n in (1, 2, 3)
+                for label in catalog_labels(n, 2)]
+    for x in modules:
+        assert restrict_left(x).total_dim == x.total_dim
 
 
 _VIEW_VALUES = st.sampled_from([1, -1, 2, 3, Fraction(1, 2), Fraction(-2, 3)])

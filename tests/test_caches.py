@@ -1,6 +1,7 @@
 """clear_caches empties every process-wide cache and changes no answer."""
 
 import copy
+import dataclasses
 import importlib
 import json
 import pkgutil
@@ -25,11 +26,7 @@ from nakayama.bireps import (
     is_simple_transitive,
     localize,
 )
-from nakayama.decomposition import (
-    _CANDIDATE_CACHE,
-    _SCAN_CACHE,
-    _SUMMANDS_CACHE,
-)
+from nakayama.decomposition import _CANDIDATE_CACHE, _SCAN_CACHE
 from nakayama.tensoring import _PIECE_CACHE, tensor
 
 from dense_helpers import identity, identity_map, rescaled, zeros
@@ -37,7 +34,6 @@ from dense_helpers import identity, identity_map, rescaled, zeros
 CACHES = {
     "construct": _CONSTRUCT_CACHE,
     "piece": _PIECE_CACHE,
-    "summands": _SUMMANDS_CACHE,
     "candidate": _CANDIDATE_CACHE,
     "scan": _SCAN_CACHE,
     "core": _CORE_CACHE,
@@ -102,20 +98,24 @@ def test_shared_action_data_rejects_writes(restored_caches):
     assert _dump(classify(3, 1).to_json()) == cold
 
 
-def _frozen(value) -> bool:
-    """value is made of tuples, ints and Fractions alone."""
-    if type(value) is tuple:
-        return all(_frozen(item) for item in value)
-    return type(value) in (int, Fraction)
-
-
 def test_cached_scans_hold_only_tuples(restored_caches):
+    # a scan is a tuple of its int residual and a tuple of labels, and a
+    # label rejects writes
     clear_caches()
     compute_cells(2, 1)
     multable_check(1, 2)
     assert restored_caches["scan"]
-    for (piece, max_valleys), scan in restored_caches["scan"].items():
-        assert _frozen(scan), (piece, max_valleys)
+    labels = set()
+    for key, scan in restored_caches["scan"].items():
+        assert type(scan) is tuple and len(scan) == 2, key
+        residual, summands = scan
+        assert type(residual) is int and type(summands) is tuple, key
+        assert all(type(label) is StringLabel for label in summands), key
+        labels.update(summands)
+    assert labels
+    for label in labels:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            label.k = 99
 
 
 def _read_only(value) -> bool:

@@ -367,6 +367,21 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert blob["ok"] is True
 
 
+@pytest.mark.parametrize("name", ["missing/x.json", "."])
+def test_unwritable_out_exits_with_code_two(tmp_path, capsys, name):
+    # a missing directory or a directory as the target: one line on
+    # stderr and the usage-error code, not a traceback and not the code
+    # of a failed check
+    target = tmp_path / name
+    with pytest.raises(SystemExit) as err:
+        main(["catalog", "--n", "1", "--json", "--out", str(target)])
+    assert err.value.code == 2
+    out, errors = capsys.readouterr()
+    assert not out
+    assert errors.startswith(f"nakayama: cannot write {target}: ")
+    assert errors.count("\n") == 1
+
+
 def test_relative_out_resolves_under_env_dir(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("NAKAYAMA_OUT", str(tmp_path))
     status = main(["catalog", "--n", "1", "--max-valleys", "0",

@@ -22,8 +22,8 @@ from nakayama.bimodules import (
 from nakayama.decomposition import (
     _CANDIDATE_CACHE,
     _SCAN_CACHE,
-    _SUMMANDS_CACHE,
     _candidates,
+    _scan_bound,
     canonical_summands,
     cell_chain_position,
     cell_name,
@@ -211,7 +211,7 @@ def test_products_are_tallied_with_no_map(monkeypatch, sweep, n, k):
 
     monkeypatch.setattr(BimoduleMap, "__init__", counting_init)
     sweep(n, k)
-    assert decomposition._SUMMANDS_CACHE and not built
+    assert _SCAN_CACHE and not built
 
 
 @pytest.mark.parametrize("n, u, v, max_valleys", [
@@ -232,7 +232,7 @@ def test_decompose_pairs_no_candidate_larger_than_what_is_left(
         return out
 
     monkeypatch.setattr(decomposition, "trace_pairing", counting_pairing)
-    _, residual = decomposition._tally(t, max_valleys)
+    residual, _ = decomposition._scan(t, max_valleys)
     assert calls and residual == 0
     remaining = t.total_dim
     for dim, mult in calls:
@@ -487,14 +487,16 @@ def test_cold_and_warm_scans_give_the_oracle_report(n):
 def test_a_piece_is_scanned_once_across_valley_bounds():
     # S^(1) + N^(1) has two pieces of dimension 4, which hold no string
     # with two valleys, so each is scanned under the bound 1 for every
-    # bound from 1 to 3, with the same report as the whole-module scan
+    # bound from 1 to 3, with the same report as the whole-module scan;
+    # the whole module, of dimension 8, has a key under each bound
     n = 2
     t = direct_sum(construct(lab("S", 1, 1, 1), n),
                    construct(lab("N", 1, 2, 1), n))
     for max_valleys in (3, 1, 2):
         _assert_same_report(decompose(t, max_valleys),
                             whole_module_decompose(t, max_valleys))
-    assert sorted(bound for _, bound in _SCAN_CACHE) == [1, 1]
+    assert sorted(bound for m, bound in _SCAN_CACHE if m != t) == [1, 1]
+    assert sorted(bound for m, bound in _SCAN_CACHE if m == t) == [1, 2, 3]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -600,22 +602,60 @@ def _canonical_keys(n, max_valleys):
             for fam_v, k_v in kinds for e in range(1, n + 1)]
 
 
+def _effective(t, max_valleys):
+    """The scan-cache key of t under a valley bound."""
+    return t, _scan_bound(t.total_dim, max_valleys)
+
+
 def test_cells_decompose_each_distinct_product_once(monkeypatch):
-    calls = []
-    tally = decomposition._tally
+    # every scan miss, with whether it came from a product (the top level)
+    # or from a piece; a product equal to an earlier piece is a hit
+    misses, depth = [], [0]
+    scan = decomposition._scan
 
     def counting(t, max_valleys):
-        calls.append((t, max_valleys))
-        return tally(t, max_valleys)
+        if _effective(t, max_valleys) not in _SCAN_CACHE:
+            misses.append((_effective(t, max_valleys), not depth[0]))
+        depth[0] += 1
+        try:
+            return scan(t, max_valleys)
+        finally:
+            depth[0] -= 1
 
     nakayama.clear_caches()
-    monkeypatch.setattr(decomposition, "_tally", counting)
+    monkeypatch.setattr(decomposition, "_scan", counting)
     compute_cells(3, 2)
     keys = _canonical_keys(3, 2)
-    distinct = {_canonical_product(*key) for key in keys}
-    assert len(calls) == len(set(calls)) == len(distinct)
-    assert set(calls) == distinct == set(_SUMMANDS_CACHE)
+    distinct = {_effective(*_canonical_product(*key)) for key in keys}
+    scanned = [key for key, _ in misses]
+    assert len(scanned) == len(set(scanned)) == len(_SCAN_CACHE)
+    assert {key for key, top in misses if top} <= distinct <= set(scanned)
     assert len(distinct) < len(keys)
+
+
+@pytest.mark.usefixtures("cold_caches")
+def test_cells_keep_one_scan_entry_per_module():
+    # every canonical product is a key under its effective bound, and no
+    # module is a key under a bound that _scan_bound maps to another one
+    compute_cells(6, 2)
+    products = {_effective(*_canonical_product(*key))
+                for key in _canonical_keys(6, 2)}
+    assert products <= set(_SCAN_CACHE)
+    assert all(_effective(t, bound) == (t, bound) for t, bound in _SCAN_CACHE)
+    keys_of = Counter(t for t, _ in _SCAN_CACHE)
+    bounds_of = Counter(t for t, _ in products)
+    assert all(keys_of[t] == bounds_of[t] for t in bounds_of)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+def test_candidates_run_largest_first_in_label_order(n):
+    # candidate order, by which a scan runs and the summands of pieces
+    # merge, is the catalog sorted stably by the dimension of the module
+    for max_valleys in range(4):
+        cands = _candidates(n, max_valleys)
+        assert [label for label, _ in cands] == sorted(
+            catalog_labels(n, max_valleys),
+            key=lambda label: -construct(label, n).total_dim)
 
 
 @pytest.mark.usefixtures("cold_caches")
@@ -639,13 +679,13 @@ def test_decompose_refuses_a_tally_the_whole_module_does_not_pair_to(
     # the summand's pairing with the whole module
     x = construct(lab("N", 1, 1, 1), 2)
     t = direct_sum(x, x)
-    tally = decomposition._tally
+    scan = decomposition._scan
 
-    def one_too_many(t, max_valleys):
-        found, residual = tally(t, max_valleys)
-        return [(cand, mult + 1) for cand, mult in found], residual
+    def one_too_many(m, max_valleys):
+        residual, summands = scan(m, max_valleys)
+        return residual, summands + summands[:1] if m is t else summands
 
-    monkeypatch.setattr(decomposition, "_tally", one_too_many)
+    monkeypatch.setattr(decomposition, "_scan", one_too_many)
     with pytest.raises(RuntimeError, match="pairs to rank 2 with the whole "
                                            "module, but its pieces hold 3"):
         decompose(t, 1)
@@ -653,21 +693,31 @@ def test_decompose_refuses_a_tally_the_whole_module_does_not_pair_to(
 
 @pytest.mark.usefixtures("cold_caches")
 def test_canonical_summands_refuse_a_residual(monkeypatch):
-    # with no catalog to search, the whole product is residual
+    # with no catalog to search, the whole product is residual,
+    # and a cached scan keeps that residual, so a second call refuses it too
     monkeypatch.setattr(decomposition, "_candidates", lambda n, k: ())
-    with pytest.raises(RuntimeError, match="unexpected residual"):
-        canonical_summands(2, "N", 1, 1, "N", 1)
-    assert not _SUMMANDS_CACHE
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match="unexpected residual"):
+            canonical_summands(2, "N", 1, 1, "N", 1)
+    t, max_valleys = _canonical_product(2, "N", 1, 1, "N", 1)
+    assert t.total_dim
+    assert _SCAN_CACHE[_effective(t, max_valleys)] == (t.total_dim, ())
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_memoized_summands_match_a_fresh_decomposition(n):
+    # the summands of every product, read through the cache, then each
+    # product decomposed afresh with no scan cached
     nakayama.clear_caches()
     keys = _canonical_keys(n, 2)
+    memo = {key: canonical_summands(*key) for key in keys}
+    products = {_effective(*_canonical_product(*key)) for key in keys}
+    assert products <= set(_SCAN_CACHE)
+    assert len(products) < len(keys)
     for key in keys:
+        _SCAN_CACHE.clear()
         fresh = decompose(*_canonical_product(*key))
-        assert canonical_summands(*key) == tuple(fresh.summands), key
-    assert len(_SUMMANDS_CACHE) < len(keys)
+        assert memo[key] == tuple(fresh.summands), key
 
 
 def test_product_summands_translation_consistency():
