@@ -42,8 +42,9 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from types import MappingProxyType
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
 from .algebras import CoverVertex, Vertex, arrow_target, project, residue
 from .linalg import sparse_kernel_with_frees, sparse_rank
@@ -153,6 +154,24 @@ def _arrow_view(rows: int, cols: int, entries) -> Optional[ArrowView]:
     return tuple(by_col)
 
 
+# row i of a module, a right module, or column l, a left module: the
+# (residue, dim, view) of each vertex of its support, ascending, where the
+# view is of the h arrow of the row or the v arrow of the column there
+# (None for a zero arrow)
+Strip = Tuple[Tuple[int, int, Optional[ArrowView]], ...]
+
+
+class Strips(NamedTuple):
+    """A module's arrows by row and by column: ``rows[i]`` is the strip of
+    row i, and ``v_by_row[i]`` maps j to the v arrow at i|j (None for a
+    zero arrow); ``cols`` and ``h_by_col`` are the same by column."""
+
+    rows: Mapping[int, Strip]
+    v_by_row: Mapping[int, Mapping[int, Optional[ArrowView]]]
+    cols: Mapping[int, Strip]
+    h_by_col: Mapping[int, Mapping[int, Optional[ArrowView]]]
+
+
 def _view_product(outer: Optional[ArrowView],
                   inner: Optional[ArrowView]) -> Optional[List[dict]]:
     """The columns of outer times inner, as dicts; None if either is None."""
@@ -221,6 +240,25 @@ class Bimodule:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(
             f"cannot delete {name!r}: a Bimodule is read-only")
+
+    # cached_property writes the instance __dict__ directly, past the guard
+    @cached_property
+    def strips(self) -> Strips:
+        """The arrows grouped by row and by column, built the first time
+        the module is tensored, from tuples and mapping proxies."""
+        rows, v_by_row, cols, h_by_col = {}, {}, {}, {}
+        get = self.arrow_views.get
+        for (i, j), d in sorted(self.dims.items()):
+            h, v = get(("h", i, j)), get(("v", i, j))
+            rows.setdefault(i, []).append((j, d, h))
+            v_by_row.setdefault(i, {})[j] = v
+            cols.setdefault(j, []).append((i, d, v))
+            h_by_col.setdefault(j, {})[i] = h
+        seal = MappingProxyType
+        return Strips(seal({i: tuple(s) for i, s in rows.items()}),
+                      seal({i: seal(m) for i, m in v_by_row.items()}),
+                      seal({j: tuple(s) for j, s in cols.items()}),
+                      seal({j: seal(m) for j, m in h_by_col.items()}))
 
     # -- basic geometry ----------------------------------------------------
 

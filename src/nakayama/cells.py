@@ -180,11 +180,16 @@ def _orbit_cells(left_steps: Steps, right_steps: Steps, n: int):
                 or (kg, (ig - ib) % n) in right_reach[kb])
 
     count = len(left_steps) * size
-    # the class of each kind's node at 0|0; every other class is one of
-    # these moved along the torus
-    base = [[g for g in range(count)
-             if reaches(kind * size, g) and reaches(g, kind * size)]
-            for kind in range(len(left_steps))]
+    # the class of each kind's node at 0|0, ascending; every other class
+    # is one of these moved along the torus.  The node reaches itself and
+    # what its reach triple lists, so only the way back is tested.
+    base = []
+    for kind, (cols, rows) in enumerate(zip(left_reach, right_reach)):
+        ahead = [kind * size] + [g * size + o for g in whole[kind]
+                                 for o in range(size)]
+        ahead += [g * size + o * n + t for g, t in cols for o in range(n)]
+        ahead += [g * size + t * n + o for g, t in rows for o in range(n)]
+        base.append(sorted(g for g in set(ahead) if reaches(g, kind * size)))
     two_sided: List[List[int]] = []
     reps = []  # the least node of each class
     placed = [False] * count

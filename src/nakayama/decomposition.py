@@ -11,28 +11,24 @@ dimension balance, since the multiplicities times the dimension vectors
 must fit inside dim T.  Whatever the catalog does not account for is
 reported as a residual dimension, never guessed at.
 
-Before the scan, T is split into the pieces of its basis graph: the
-nodes are T's basis vectors and every nonzero arrow entry is an edge, so
-each connected piece is a sub-bimodule and T is their direct sum.  The
-string modules act on their walk bases by partial permutations (Butler
-and Ringel, Comm. Algebra 15, 1987), and the pair-class bases of the
-products ``tensor`` builds keep that, so a product's pieces are as a rule
-its summands.  Ranks and residuals add up over the pieces, and each
-piece is scanned alone, so a hom system pays for one piece instead of
-all of T.  Nothing is assumed of a piece: a connected T is scanned
-whole, and a piece that is indecomposable or a band is decomposed or
-left as residual just as it would be inside T.
+Before the scan, T is split into the pieces of its basis graph, whose
+nodes are T's basis vectors and whose edges are its nonzero arrow
+entries.  No edge leaves a piece, so each piece is a sub-bimodule and T
+is their direct sum.  The string modules act on their walk bases by
+partial permutations (Butler and Ringel, Comm. Algebra 15, 1987), and so
+do the pair-class bases of the products ``tensor`` builds, so a
+product's pieces are as a rule its summands.  Ranks and residuals add up
+over the pieces, and a hom system pays for one piece instead of all of
+T.  Nothing is assumed of a piece: an indecomposable or a band is
+decomposed or left as residual just as it would be inside T.
 
-The same few pieces recur across products, and many products are equal
-as bimodules, so a module's scan is a function of its value alone and
-is cached by it, for a whole product and a piece alike: its residual
-and its summand labels, in candidate order.  A module equal to one seen
-before, as a product or as a piece of one, costs a lookup.  Only
-``decompose`` reports split pairs, and it builds them where they are
-read: each distinct summand x is paired with the whole of T, and the
-rank of that pairing must be the multiplicity that the scan holds (or
-RuntimeError), a second count of every summand by an independent hom
-system.
+A module's scan, its residual and summand labels in candidate order, is
+a function of its value and is cached by it, for a product and a piece
+alike, so a module seen before costs a lookup; a connected module's
+relations are checked when it is first scanned.  Only ``decompose``
+reports split pairs: each distinct summand x is paired with the whole of
+T, and the rank of that pairing must be the multiplicity that the scan
+holds (or RuntimeError), a second count by an independent hom system.
 
 Cells are tagged by position in the linear chain
 
@@ -60,7 +56,7 @@ from .bimodules import (
     trace_pairing,
 )
 from .linalg import solve, sparse_rank
-from .tensoring import tensor
+from .tensoring import TensorSpace
 
 CellTag = Tuple
 
@@ -249,11 +245,8 @@ _CANDIDATE_CACHE: Dict[Tuple[int, int], Candidates] = {}
 
 def _candidates(n: int, max_valleys: int) -> Candidates:
     """The catalog as (label, construct(label)) pairs, in candidate
-    order (``_candidate_key``).
-
-    Built once per (n, max_valleys) and shared; the tuple keeps callers
-    from reordering or extending it.
-    """
+    order (``_candidate_key``), built once per (n, max_valleys) and shared;
+    the tuple keeps callers from reordering or extending it."""
     key = (n, max_valleys)
     cands = _CANDIDATE_CACHE.get(key)
     if cands is None:
@@ -270,35 +263,38 @@ Scan = Tuple[int, Tuple[StringLabel, ...]]
 _SCAN_CACHE: Dict[Tuple[Bimodule, int], Scan] = {}
 
 
-def _scan(t: Bimodule, max_valleys: int) -> Scan:
+def _scan(t: Bimodule, max_valleys: int,
+          pieces: Optional[List[Bimodule]] = None) -> Scan:
     """The catalog scan of t, cached by t's value and the valley bound
     that ``_scan_bound`` gives t's dimension.
 
-    A t of more than one piece (``_pieces``) adds up the scans of its
-    pieces: residuals add, and summands merge in candidate order.  A
-    connected t is scanned against the candidates, largest first, until
-    nothing of t is left unaccounted for.  One whose dimension vector
-    does not fit in what is still unaccounted for cannot be a summand and
-    is skipped; its total dimension is tested first, as the cheaper half
-    of that test.  The multiplicity of the rest is the rank of their
-    trace pairing with t, and the multiplicities times the dimension
-    vectors must fit inside dim t (dimension balance, or RuntimeError);
-    the rest is t's residual.  Each hit is certified by a split pair
-    (``_split_pair``), which the scan does not keep.  A scan is an int
-    and a tuple of frozen labels, so no caller can change a cached one.
+    On a miss, a t of more than one piece (``_pieces``, unless given)
+    adds up the scans of its pieces, each scanned as connected under its
+    own key: residuals add, and summands merge in candidate order.  A
+    connected t has its relations checked (a module of several pieces
+    satisfies them when each piece does) and is scanned against the
+    candidates, largest first, skipping any whose dimension vector does
+    not fit in what is still unaccounted for (total dimension first).
+    The multiplicity of the rest is the rank of their trace pairing with
+    t, the multiplicities times the dimension vectors must fit inside
+    dim t (dimension balance, or RuntimeError), and what is left is t's
+    residual.  Each hit is certified by a split pair (``_split_pair``),
+    which the scan does not keep.  A scan is an int and a tuple of
+    frozen labels, so no caller can change a cached one.
     """
     bound = _scan_bound(t.total_dim, max_valleys)
     key = (t, bound)
     scan = _SCAN_CACHE.get(key)
     if scan is not None:
         return scan
-    pieces = _pieces(t)
+    pieces = pieces or _pieces(t)
     if len(pieces) > 1:
-        scans = [_scan(piece, bound) for piece in pieces]
+        scans = [_scan(piece, bound, [piece]) for piece in pieces]
         scan = (sum(residual for residual, _ in scans),
                 tuple(sorted((label for _, labels in scans
                               for label in labels), key=_candidate_key)))
     else:
+        t.check_relations()
         left = dict(t.dims)
         remaining = t.total_dim
         summands: List[StringLabel] = []
@@ -331,12 +327,10 @@ def _scan_bound(dim: int, max_valleys: int) -> int:
     """The valley bound to scan a module of dimension dim by.
 
     A string with k valleys has dimension at least 2k+1, so a module of
-    dimension dim holds none with k > (dim-1)//2.  The candidates of
-    dimension at most dim, the only ones a scan can visit, are the same
-    under this bound and under max_valleys (the catalog under a lower
-    bound is part of the one under a higher bound), so the scans agree.
-    A bound is at least 1, unless max_valleys is lower, so that the small
-    pieces of products under every bound share one key.
+    dimension dim holds none with k > (dim-1)//2: the candidates a scan
+    can visit, of dimension at most dim, are the same under this bound
+    and under max_valleys.  A bound is at least 1, unless max_valleys is
+    lower, so that small pieces of products under every bound share keys.
     """
     return min(max_valleys, max(1, (dim - 1) // 2))
 
@@ -369,19 +363,20 @@ def decompose(t: Bimodule, max_valleys: int) -> DecompositionReport:
 
 def decompose_product(u: StringLabel, v: StringLabel,
                       n: int) -> DecompositionReport:
-    """Decompose construct(u) (x) construct(v).
+    """Decompose construct(u) (x) construct(v), its relations checked.
 
     Products of catalog members never gain valleys beyond the factors, so
-    the catalog up to the larger valley count of the two (and at least 1)
-    is searched; a residual, if any, is reported.
-    """
-    return decompose(*_product(u, v, n))
+    the catalog up to the larger valley count (at least 1) is searched; a
+    residual, if any, is reported."""
+    t, max_valleys = _product(u, v, n)
+    t.check_relations()
+    return decompose(t, max_valleys)
 
 
 def _product(u: StringLabel, v: StringLabel,
              n: int) -> Tuple[Bimodule, int]:
-    """construct(u) (x) construct(v) and the valley bound to search it by."""
-    return (tensor(construct(u, n), construct(v, n)),
+    """construct(u) (x) construct(v), unchecked, and its valley bound."""
+    return (TensorSpace(construct(u, n), construct(v, n)).assemble(),
             max(u.k or 0, v.k or 0, 1))
 
 
@@ -396,11 +391,12 @@ def canonical_summands(n: int, fam_u: str, k_u: Optional[int], e: int,
     at 1|1, read off the product's scan.
 
     The arguments are those of normalized labels.  Many products are
-    equal as bimodules (most of them zero), so a product is looked up by
-    value in the scan cache; a ``Bimodule`` is read-only and hashes by
-    its dimensions and arrow views.  Only a product not seen before is
-    scanned (``_scan``), with no map built, and most of its pieces' scans
-    come from the same cache.  A residual raises RuntimeError.
+    equal as bimodules (most of them zero), so a product is assembled
+    unchecked and looked up by value in the scan cache; a ``Bimodule`` is
+    read-only and hashes by its dimensions and arrow views.  Only a
+    product not seen before is scanned (``_scan``), which checks the
+    relations of each of its pieces not seen before.  A residual raises
+    RuntimeError.
     """
     u0 = StringLabel(fam_u, 1, e, k_u)
     v0 = StringLabel(fam_v, 1, 1, k_v)

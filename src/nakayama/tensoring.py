@@ -11,30 +11,28 @@ with m running over a basis of x at (i, j+1) and y over a basis at (j, l).
 Idempotent balancing is absorbed by the grading and squares of arrows
 vanish, so these rows span every balancing relation.
 
-That graded piece is e_i x (x) y e_l: the tensor of the right module e_i x,
-row i of x with its h arrows, and the left module y e_l, column l of y
-with its v arrows.  Its pair basis and balancing rows read nothing else,
-not the v arrows of x nor the h arrows of y, and not any other row or
-column.  The same rows and columns recur across the products of string
-bimodules, so a piece is a function of (n, row, column) and is cached by
-their values (``_piece``); its basis, index, free columns and projection
-are read-only, and every ``TensorSpace`` that meets the same two modules
-shares them.  Keys are built only for the vertices where the supports of
-row i and column l meet.
+That graded piece is e_i x (x) y e_l: the tensor of row i of x with its
+h arrows and column l of y with its v arrows, and it reads nothing else.
+The same rows and columns recur across products, so a piece is cached by
+the values of (n, row, column) (``_piece``) as a read-only ``Piece`` that
+every ``TensorSpace`` meeting them shares.  A factor groups its arrows by
+row and by column once, the first time it is tensored
+(``Bimodule.strips``), and every product reads that grouping; keys are
+built only where the supports of row i and column l meet.
 
-Everything is deterministic: pair bases are ordered lexicographically by
-(middle residue, left index, right index).  The row of a pair (m, y) joins
-column m of an h arrow view of x to column y of a v arrow view of y, and
-``sparse_kernel_with_frees``, the kernel routine of the hom spaces, gives the
-quotient: its basis is the classes of the free columns, and the projection row
-of a free column is its kernel vector.  The projection is kept sparse, as the
-(quotient index, value) hits of each pair column.  A ``TensorSpace`` maps each
-vertex to its cached piece.  Each arrow of the product and each block of an
-induced map is a map on one factor moved across the quotient (``_moved``): it
-is read off views on the free pairs of the source piece only and projected into
-the target piece's quotient; no dense matrix is built.  Equal inputs always
-give equal outputs, and a map produced by ``tensor_map`` has source and target
-equal (not merely isomorphic) to the corresponding ``tensor`` results.
+Pair bases are ordered by (middle residue, left index, right index).  The
+row of a pair (m, y) joins column m of an h arrow view of x to column y of
+a v arrow view of y, and ``sparse_kernel_with_frees``, the kernel routine
+of the hom spaces, gives the quotient: the classes of the free columns,
+each with its kernel vector as projection row, kept sparse as the
+(quotient index, value) hits of each pair column.  Each arrow of the
+product and each block of an induced map is a map on one factor moved
+across the quotient (``_moved``): read off views on the free pairs of the
+source piece and projected into the target piece; no dense matrix is
+built.  Equal inputs give equal outputs, and ``tensor_map``'s source and
+target equal (not merely are isomorphic to) the ``tensor`` results.
+``tensor`` checks the relations of the product; ``TensorSpace.assemble``
+does not, so the decomposition checks each distinct module once instead.
 """
 
 from __future__ import annotations
@@ -44,19 +42,12 @@ from types import MappingProxyType
 from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from .algebras import Vertex, arrow_target, residue
-from .bimodules import ArrowView, Bimodule, BimoduleMap
+from .bimodules import ArrowView, Bimodule, BimoduleMap, Strip
 from .linalg import sparse_kernel_with_frees
 
 PairKey = Tuple[int, int, int]
 # a (row, col, value) entry of a matrix
 Entry = Tuple[int, int, Fraction]
-
-
-# row i of x, a right module, or column l of y, a left module: the
-# (residue, dim, view) of each vertex of its support, ascending, where the
-# view is of the h arrow of the row or the v arrow of the column there
-# (None for a zero arrow)
-Strip = Tuple[Tuple[int, int, Optional[ArrowView]], ...]
 
 
 class Piece(NamedTuple):
@@ -127,12 +118,12 @@ def _piece(n: int, row: Strip, col: Strip) -> Piece:
     return piece
 
 
-def _moved(src: Piece, tgt: Piece, views: Mapping[int, ArrowView],
+def _moved(src: Piece, tgt: Piece, views: Mapping[int, Optional[ArrowView]],
            left: bool) -> List[Entry]:
     """A map on one tensor factor moved across the quotient: views[j] acts
-    at middle residue j (zero if missing), on the left factor if left and
-    else on the right one.  Each free pair of src goes to its image pairs
-    in tgt, projected into tgt's quotient as (quotient index, col, value)
+    at middle residue j (zero if missing or None), on the left factor if
+    left and else on the right.  Each free pair of src goes to its image
+    pairs, projected into tgt's quotient as (quotient index, col, value)
     entries; values at a repeated position add up."""
     basis, idx, hits = src.basis, tgt.index, tgt.hits
     out = []
@@ -148,7 +139,8 @@ def _moved(src: Piece, tgt: Piece, views: Mapping[int, ArrowView],
 
 
 class TensorSpace:
-    """The balancing quotient of x (x) y, vertex by vertex.
+    """The balancing quotient of x (x) y, vertex by vertex, read off x's
+    row strips and y's column strips (``Bimodule.strips``).
 
     ``pieces`` maps each torus vertex with a nonempty pair basis, in
     ascending order, to the shared, read-only ``Piece`` of the cache, not
@@ -161,37 +153,21 @@ class TensorSpace:
         self.x, self.y = x, y
         self.n = n = x.n
         self.pieces: Dict[Vertex, Piece] = {}
-        # only the supports are scanned: x by row, y by column
-        x_rows: Dict[int, list] = {}
-        y_cols: Dict[int, list] = {}
-        meets: Dict[int, List[int]] = {}  # row j of y -> its columns
-        for (i, j), d in sorted(x.dims.items()):
-            x_rows.setdefault(i, []).append(
-                (j, d, x.arrow_views.get(("h", i, j))))
-        for (j, l), d in sorted(y.dims.items()):
-            y_cols.setdefault(l, []).append(
-                (j, d, y.arrow_views.get(("v", j, l))))
-            meets.setdefault(j, []).append(l)
-        cols = {l: tuple(col) for l, col in y_cols.items()}
-        for i, row in x_rows.items():
-            row = tuple(row)
-            for l in sorted({l for j, _, _ in row for l in meets.get(j, ())}):
+        # row j of y lists the columns l where row i of x meets y at j
+        cols, y_rows = y.strips.cols, y.strips.rows
+        for i, row in x.strips.rows.items():
+            for l in sorted({l for j, _, _ in row
+                             for l, _, _ in y_rows.get(j, ())}):
                 self.pieces[(i, l)] = _piece(n, row, cols[l])
         self.qdims: Dict[Vertex, int] = {
             v: len(piece.frees) for v, piece in self.pieces.items()
             if piece.frees}
 
     def assemble(self) -> Bimodule:
-        """The tensor product as a torus representation: x acts on the
-        left factor, y on the right one."""
-        x_v: Dict[int, Dict[int, ArrowView]] = {}
-        y_h: Dict[int, Dict[int, ArrowView]] = {}
-        for (kind, i, j), view in self.x.arrow_views.items():
-            if kind == "v":
-                x_v.setdefault(i, {})[j] = view
-        for (kind, j, l), view in self.y.arrow_views.items():
-            if kind == "h":
-                y_h.setdefault(l, {})[j] = view
+        """The tensor product as a torus representation, its relations
+        unchecked: x acts on the left factor by its v arrows, y on the
+        right one by its h arrows, each read off its factor's strips."""
+        x_v, y_h = self.x.strips.v_by_row, self.y.strips.h_by_col
         maps = {}
         for (i, l) in self.qdims:
             for kind, views, left in (("v", x_v.get(i, {}), True),

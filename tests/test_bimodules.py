@@ -6,6 +6,7 @@ are frozen here as oracles.
 """
 
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -1311,3 +1312,61 @@ def test_arrow_views_hold_the_nonzero_entries_of_the_arrows():
         x.arrow_views[("v", 1, 1)] = x.arrow_views[("h", 2, 2)]
     with pytest.raises(TypeError):
         del x.arrow_views[("v", 1, 1)]
+
+
+def _regrouped(x):
+    """x's arrows grouped afresh: the strip of each row and of each column,
+    ascending, and the v arrows by row and the h arrows by column."""
+    rows, cols, v_by_row, h_by_col = {}, {}, {}, {}
+    for (i, j), d in sorted(x.dims.items()):
+        rows.setdefault(i, []).append((j, d, x.arrow_views.get(("h", i, j))))
+        cols.setdefault(j, []).append((i, d, x.arrow_views.get(("v", i, j))))
+    for (kind, i, j), view in x.arrow_views.items():
+        if kind == "v":
+            v_by_row.setdefault(i, {})[j] = view
+        else:
+            h_by_col.setdefault(j, {})[i] = view
+    return ({i: tuple(strip) for i, strip in rows.items()}, v_by_row,
+            {j: tuple(strip) for j, strip in cols.items()}, h_by_col)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_strips_equal_a_fresh_regrouping(n):
+    for label in catalog_labels(n, 3):
+        x = construct(label, n)
+        strips = x.strips
+        assert x.strips is strips, label
+        rows, v_by_row, cols, h_by_col = _regrouped(x)
+        assert dict(strips.rows) == rows and dict(strips.cols) == cols
+        assert list(strips.rows) == sorted(rows), label
+        # the by-row and by-column maps list every vertex of the support,
+        # with None for a zero arrow
+        for got, want, strip in ((strips.v_by_row, v_by_row, rows),
+                                 (strips.h_by_col, h_by_col, cols)):
+            assert got.keys() == strip.keys(), label
+            for a, line in got.items():
+                assert list(line) == [b for b, _, _ in strip[a]], label
+                assert {b: view for b, view in line.items()
+                        if view is not None} == want.get(a, {}), label
+
+
+def test_strips_are_built_on_first_use_and_refuse_item_writes():
+    x = regular_bimodule(2)
+    assert "strips" not in vars(x)
+    x_rows = x.strips.rows
+    assert vars(x)["strips"] is x.strips
+    strips = construct(lab("M", 1, 1, 1), 2).strips
+    lines = (strips.rows, strips.v_by_row, strips.cols, strips.h_by_col)
+    for mapping in (*lines, *strips.v_by_row.values(),
+                    *strips.h_by_col.values()):
+        assert type(mapping) is MappingProxyType
+        key = next(iter(mapping))
+        with pytest.raises(TypeError):
+            mapping[key] = ()
+        with pytest.raises(TypeError):
+            del mapping[key]
+    assert all(type(strip) is tuple and all(type(at) is tuple for at in strip)
+               for strip in (*strips.rows.values(), *strips.cols.values()))
+    with pytest.raises(AttributeError):
+        strips.rows = {}
+    assert x.strips.rows is x_rows

@@ -175,7 +175,8 @@ def test_a_cached_core_is_unchanged_by_its_callers(restored_caches):
         assert _snapshot(value) == snapshot, name
 
 
-@pytest.mark.parametrize("attr", ["n", "dims", "total_dim", "arrow_views"])
+@pytest.mark.parametrize("attr", ["n", "dims", "total_dim", "arrow_views",
+                                  "strips"])
 def test_constructed_modules_reject_writes(attr):
     label = StringLabel("M", 1, 1, 1)
     x = construct(label, 2)

@@ -35,11 +35,11 @@ from nakayama.decomposition import (
     product_summands,
 )
 import nakayama
-from nakayama import decomposition
+from nakayama import decomposition, tensoring
 from nakayama.algebras import arrow_target
 from nakayama.cells import compute_cells
 from nakayama.linalg import sparse_rank
-from nakayama.tensoring import tensor
+from nakayama.tensoring import TensorSpace, tensor
 
 from decompose_oracle import whole_module_decompose
 from dense_helpers import (
@@ -613,12 +613,12 @@ def test_cells_decompose_each_distinct_product_once(monkeypatch):
     misses, depth = [], [0]
     scan = decomposition._scan
 
-    def counting(t, max_valleys):
+    def counting(t, max_valleys, *pieces):
         if _effective(t, max_valleys) not in _SCAN_CACHE:
             misses.append((_effective(t, max_valleys), not depth[0]))
         depth[0] += 1
         try:
-            return scan(t, max_valleys)
+            return scan(t, max_valleys, *pieces)
         finally:
             depth[0] -= 1
 
@@ -631,6 +631,70 @@ def test_cells_decompose_each_distinct_product_once(monkeypatch):
     assert len(scanned) == len(set(scanned)) == len(_SCAN_CACHE)
     assert {key for key, top in misses if top} <= distinct <= set(scanned)
     assert len(distinct) < len(keys)
+
+
+@pytest.mark.usefixtures("cold_caches")
+def test_cold_cells_check_each_scanned_connected_module_once(monkeypatch):
+    # the relations are checked once per connected module that a scan
+    # misses on, and once per catalog walk that construct builds, never
+    # for a product that hits the scan cache
+    checked, products = [], []
+    check_relations = Bimodule.check_relations
+    product = decomposition._product
+
+    def counting_check(self):
+        checked.append(self)
+        return check_relations(self)
+
+    def recording_product(u, v, n):
+        out = product(u, v, n)
+        products.append(out[0])
+        return out
+
+    monkeypatch.setattr(Bimodule, "check_relations", counting_check)
+    monkeypatch.setattr(decomposition, "_product", recording_product)
+    compute_cells(6, 2)
+    monkeypatch.undo()
+    walks = [x for (label, _), x in nakayama.bimodules._CONSTRUCT_CACHE.items()
+             if (label.i, label.j) == (1, 1)]
+    # the zero module has no piece and is scanned as connected
+    scanned = [t for t, _ in _SCAN_CACHE
+               if len(decomposition._pieces(t)) < 2]
+    assert sorted(map(id, checked)) == sorted(map(id, walks + scanned))
+    keys = {id(t) for t, _ in _SCAN_CACHE}
+    hits = [t for t in products if id(t) not in keys]
+    assert len(products) == 1014 and len(hits) > 900
+    assert not {id(t) for t in hits} & set(map(id, checked))
+    assert len(checked) <= 60
+
+
+@pytest.mark.usefixtures("cold_caches")
+@pytest.mark.parametrize("fam_v, k_v, pieces", [("M", 0, 1), ("M", 1, 2)])
+def test_a_product_that_breaks_a_square_is_refused(monkeypatch, fam_v, k_v,
+                                                   pieces):
+    # at n = 2, P_1|1 (x) M^(0)_1|1 is connected and P_1|1 (x) M^(1)_1|1
+    # has two pieces; doubling the v arrows out of the graded piece at 1|1
+    # breaks the square there, in the product and in the piece that holds it
+    n = 2
+    x, y = construct(lab("P", 1, 1), n), construct(lab(fam_v, 1, 1, k_v), n)
+    assert len(decomposition._pieces(tensor(x, y))) == pieces
+    at_1_1 = TensorSpace(x, y).pieces[(1, 1)]
+    moved = tensoring._moved
+
+    def doubled(src, tgt, views, left):
+        out = moved(src, tgt, views, left)
+        if src is at_1_1 and left:
+            return [(q, c, 2 * h) for q, c, h in out]
+        return out
+
+    monkeypatch.setattr(tensoring, "_moved", doubled)
+    broken = r"square does not commute at 1\|1"
+    with pytest.raises(ValueError, match=broken):
+        canonical_summands(n, "P", None, 1, fam_v, k_v)
+    with pytest.raises(ValueError, match=broken):
+        tensor(x, y)
+    monkeypatch.undo()
+    assert canonical_summands(n, "P", None, 1, fam_v, k_v)
 
 
 @pytest.mark.usefixtures("cold_caches")
@@ -681,8 +745,8 @@ def test_decompose_refuses_a_tally_the_whole_module_does_not_pair_to(
     t = direct_sum(x, x)
     scan = decomposition._scan
 
-    def one_too_many(m, max_valleys):
-        residual, summands = scan(m, max_valleys)
+    def one_too_many(m, max_valleys, *pieces):
+        residual, summands = scan(m, max_valleys, *pieces)
         return residual, summands + summands[:1] if m is t else summands
 
     monkeypatch.setattr(decomposition, "_scan", one_too_many)
