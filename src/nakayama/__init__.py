@@ -59,8 +59,8 @@ from .tensoring import tensor, tensor_map
 
 def clear_caches() -> None:
     """Empty every process-wide cache, five in all: constructed
-    bimodules, graded pieces of tensor products, decomposition
-    candidates, scans of products and pieces, and birep cores."""
+    bimodules, graded pieces of tensor products, catalog kinds of the
+    scan's candidates, scans of products and pieces, and birep cores."""
     for cache in (bimodules._CONSTRUCT_CACHE, tensoring._PIECE_CACHE,
                   decomposition._CANDIDATE_CACHE, decomposition._SCAN_CACHE,
                   bireps._CORE_CACHE):

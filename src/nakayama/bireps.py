@@ -44,12 +44,11 @@ from .bimodules import (
     HomSpace,
     StringLabel,
     _walk,
-    catalog_labels,
     composite_trace,
     construct,
     trace_pairing,
 )
-from .decomposition import _label_sort_key, cell_of
+from .decomposition import _candidates, _label_sort_key, cell_of
 from .decomposition import product_summands
 from .linalg import sparse_rank, sparse_rref
 from .tensoring import tensor_map
@@ -208,9 +207,12 @@ class _BirepCore:
         self.position = MappingProxyType(
             {lab: p for p, lab in enumerate(self.object_labels)})
 
+        # quotient_hom_spaces skips every greater object that meets
+        # neither source, so only those that meet N_1 or M_1 are built
+        support = self.modules[0].dims | self.modules[n].dims
         self.qhoms = MappingProxyType(quotient_hom_spaces(
             self.modules,
-            [construct(lab, n) for lab in catalog_labels(n, k - 1)],
+            [x for _, x in _candidates(n, k - 1, support, fit=False)],
             (0, n)))
         self._assert_cartan()
 

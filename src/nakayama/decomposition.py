@@ -11,6 +11,10 @@ dimension balance, since the multiplicities times the dimension vectors
 must fit inside dim T.  Whatever the catalog does not account for is
 reported as a residual dimension, never guessed at.
 
+Only the catalog members whose dimension vector fits inside T's can be
+summands, and only those are built (``_candidates``); the birep core
+takes its greater-cell objects from the same walk.
+
 Before the scan, T is split into the pieces of its basis graph, whose
 nodes are T's basis vectors and whose edges are its nonzero arrow
 entries.  No edge leaves a piece, so each piece is a sub-bimodule and T
@@ -42,7 +46,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from .algebras import Vertex, arrow_target, residue
 from .bimodules import (
@@ -238,22 +242,40 @@ class DecompositionReport:
                 "residual_dim": self.residual_dim, "cells": cells}
 
 
-Candidates = Tuple[Tuple[StringLabel, Bimodule], ...]
+# a catalog kind (family, k): its label at 1|1, construct's module of that
+# label, and the module's least vertex
+Kind = Tuple[StringLabel, Bimodule, Vertex]
 
-_CANDIDATE_CACHE: Dict[Tuple[int, int], Candidates] = {}
+_CANDIDATE_CACHE: Dict[Tuple[int, int], Tuple[Kind, ...]] = {}
 
 
-def _candidates(n: int, max_valleys: int) -> Candidates:
-    """The catalog as (label, construct(label)) pairs, in candidate
-    order (``_candidate_key``), built once per (n, max_valleys) and shared;
-    the tuple keeps callers from reordering or extending it."""
+def _candidates(n: int, max_valleys: int, dims: Mapping[Vertex, int],
+                fit: bool = True) -> Iterator[Tuple[StringLabel, Bimodule]]:
+    """The catalog members up to max_valleys that fit inside dims or,
+    unless fit, share a vertex with it, as (label, construct(label)) in
+    candidate order (``_candidate_key``), which keeps each kind's
+    translates together.  A kind (family, k) is held once, as its 1|1
+    module; only the anchors that put a vertex of it (the least one, to
+    fit) on a vertex of dims are tried, in (i, j) order, and only the
+    members kept are built."""
     key = (n, max_valleys)
-    cands = _CANDIDATE_CACHE.get(key)
-    if cands is None:
-        cands = tuple((label, construct(label, n)) for label in sorted(
-            catalog_labels(n, max_valleys), key=_candidate_key))
-        _CANDIDATE_CACHE[key] = cands
-    return cands
+    kinds = _CANDIDATE_CACHE.get(key)
+    if kinds is None:
+        # the catalog at n = 1 lists each kind once, at 1|1
+        kinds = _CANDIDATE_CACHE[key] = tuple(
+            (label, x, min(x.dims)) for label in sorted(
+                catalog_labels(1, max_valleys), key=_candidate_key)
+            for x in [construct(label, n)])
+    for origin, x, low in kinds:
+        anchors = {(residue(1 + a - i, n), residue(1 + b - j, n))
+                   for i, j in ([low] if fit else x.dims) for a, b in dims}
+        for r, s in sorted(anchors):
+            if fit and any(dims.get((residue(i + r - 1, n),
+                                     residue(j + s - 1, n)), 0) < d
+                           for (i, j), d in x.dims.items()):
+                continue
+            label = StringLabel(origin.family, r, s, origin.k)
+            yield label, (x if label == origin else construct(label, n))
 
 
 # a module's scan: its residual dimension and its summand labels, each
@@ -298,7 +320,7 @@ def _scan(t: Bimodule, max_valleys: int,
         left = dict(t.dims)
         remaining = t.total_dim
         summands: List[StringLabel] = []
-        for label, x in _candidates(t.n, bound):
+        for label, x in _candidates(t.n, bound, t.dims):
             if not remaining:
                 break
             if x.total_dim > remaining or any(

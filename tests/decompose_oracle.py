@@ -12,11 +12,13 @@ from nakayama.bimodules import (
     Bimodule,
     BimoduleMap,
     StringLabel,
+    catalog_labels,
+    construct,
     trace_pairing,
 )
 from nakayama.decomposition import (
     DecompositionReport,
-    _candidates,
+    _candidate_key,
     _split_pair,
 )
 from nakayama.linalg import sparse_rank
@@ -26,12 +28,14 @@ def whole_module_decompose(t: Bimodule,
                            max_valleys: int) -> DecompositionReport:
     """Multiplicities of the catalog members in t, each candidate paired
     against all of t, largest first, with the same dimension filter and
-    dimension balance as ``decompose``."""
+    dimension balance as ``decompose``.  The whole catalog is walked, so
+    the oracle does not share the scan's choice of candidates."""
     left = dict(t.dims)
     remaining = t.total_dim
     summands: List[StringLabel] = []
     pairs: List[Tuple[StringLabel, BimoduleMap, BimoduleMap]] = []
-    for label, x in _candidates(t.n, max_valleys):
+    for label in sorted(catalog_labels(t.n, max_valleys), key=_candidate_key):
+        x = construct(label, t.n)
         if not remaining:
             break
         if x.total_dim > remaining or any(

@@ -1017,10 +1017,32 @@ def test_a_radical_canonical_arrow_is_refused(monkeypatch):
         _BirepCore(2, 1)
 
 
+@pytest.mark.parametrize("n,k", [(n, k) for n in range(1, 5) for k in (1, 2)])
+def test_the_core_builds_only_the_greater_objects_that_meet_a_source(
+        monkeypatch, n, k):
+    # quotient_hom_spaces skips every greater object that shares no vertex
+    # with N_1 or M_1, so the core is given exactly the others
+    given = []
+    real = bireps.quotient_hom_spaces
+
+    def recording(modules, greater, sources):
+        given.extend(greater)
+        return real(modules, given, sources)
+
+    monkeypatch.setattr(bireps, "quotient_hom_spaces", recording)
+    core = _BirepCore(n, k)
+    support = core.modules[0].dims.keys() | core.modules[n].dims.keys()
+    meeting = [construct(label, n) for label in catalog_labels(n, k - 1)
+               if not support.isdisjoint(construct(label, n).dims)]
+    assert len(given) == len(meeting)
+    assert set(given) == set(meeting)
+
+
 def test_a_quotient_hom_off_the_cartan_shape_is_refused(monkeypatch):
     # with no greater-cell object nothing is divided out, so some hom
     # between two objects keeps a dimension the A2 shape does not allow
-    monkeypatch.setattr(bireps, "catalog_labels", lambda n, k: [])
+    monkeypatch.setattr(bireps, "_candidates",
+                        lambda n, k, dims, fit: iter(()))
     with pytest.raises(CartanError, match="quotient dimension"):
         _BirepCore(2, 1)
 

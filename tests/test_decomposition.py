@@ -22,7 +22,9 @@ from nakayama.bimodules import (
 from nakayama.decomposition import (
     _CANDIDATE_CACHE,
     _SCAN_CACHE,
+    _candidate_key,
     _candidates,
+    _pieces,
     _scan_bound,
     canonical_summands,
     cell_chain_position,
@@ -711,15 +713,48 @@ def test_cells_keep_one_scan_entry_per_module():
     assert all(keys_of[t] == bounds_of[t] for t in bounds_of)
 
 
+def _whole_torus(n, max_valleys):
+    """A dimension vector that every catalog member up to max_valleys
+    fits inside: P has 4 points and a string with k valleys at most
+    2k+3."""
+    return {(i, j): 2 * max_valleys + 4
+            for i in range(1, n + 1) for j in range(1, n + 1)}
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 6])
 def test_candidates_run_largest_first_in_label_order(n):
     # candidate order, by which a scan runs and the summands of pieces
     # merge, is the catalog sorted stably by the dimension of the module
     for max_valleys in range(4):
-        cands = _candidates(n, max_valleys)
+        whole = _whole_torus(n, max_valleys)
+        cands = list(_candidates(n, max_valleys, whole))
         assert [label for label, _ in cands] == sorted(
             catalog_labels(n, max_valleys),
             key=lambda label: -construct(label, n).total_dim)
+        assert all(x == construct(label, n) for label, x in cands)
+
+
+def _fits(x, dims):
+    return all(dims.get(v, 0) >= d for v, d in x.dims.items())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_candidates_are_the_sorted_catalog_members_that_fit(n):
+    # the walk over kinds drops no member that fits and keeps the order of
+    # the whole catalog, for every catalog module, every canonical product
+    # and every piece of those products
+    modules = {construct(label, n) for label in catalog_labels(n, 2)}
+    for key in _canonical_keys(n, 2):
+        t, _ = _canonical_product(*key)
+        modules.add(t)
+        modules.update(_pieces(t))
+    for max_valleys in range(3):
+        catalog = sorted(catalog_labels(n, max_valleys), key=_candidate_key)
+        for t in modules:
+            want = [label for label in catalog
+                    if _fits(construct(label, n), t.dims)]
+            assert [label for label, _ in _candidates(
+                n, max_valleys, t.dims)] == want, t
 
 
 @pytest.mark.usefixtures("cold_caches")
@@ -759,7 +794,8 @@ def test_decompose_refuses_a_tally_the_whole_module_does_not_pair_to(
 def test_canonical_summands_refuse_a_residual(monkeypatch):
     # with no catalog to search, the whole product is residual,
     # and a cached scan keeps that residual, so a second call refuses it too
-    monkeypatch.setattr(decomposition, "_candidates", lambda n, k: ())
+    monkeypatch.setattr(decomposition, "_candidates",
+                        lambda n, k, dims: iter(()))
     for _ in range(2):
         with pytest.raises(RuntimeError, match="unexpected residual"):
             canonical_summands(2, "N", 1, 1, "N", 1)
@@ -898,13 +934,23 @@ def test_f_ij_tensor_f_jl_gives_four_of_each():
     assert apex == Counter({lab(f, i, l, k): 4 for f in fams})
 
 
+@pytest.mark.usefixtures("cold_caches")
 def test_candidate_cache_is_immutable_and_largest_first():
-    cands = _candidates(2, 1)
-    assert _candidates(2, 1) is cands
-    assert _CANDIDATE_CACHE[(2, 1)] is cands
+    # one entry per kind: its label at 1|1, construct's module of it and
+    # the module's least vertex, in candidate order
+    whole = _whole_torus(2, 1)
+    cands = list(_candidates(2, 1, whole))
+    kinds = _CANDIDATE_CACHE[(2, 1)]
+    assert list(_candidates(2, 1, whole)) == cands
+    assert _CANDIDATE_CACHE[(2, 1)] is kinds
     for entries in _CANDIDATE_CACHE.values():
         assert isinstance(entries, tuple)
         assert all(isinstance(entry, tuple) for entry in entries)
+    assert [label for label, _, _ in kinds] == sorted(
+        {lab(x.family, 1, 1, x.k) for x in catalog_labels(2, 1)},
+        key=_candidate_key)
+    assert all(x is construct(label, 2) and low == min(x.dims)
+               for label, x, low in kinds)
     dims = [x.total_dim for _, x in cands]
     assert dims == sorted(dims, reverse=True)
     assert {label for label, _ in cands} == set(catalog_labels(2, 1))

@@ -9,10 +9,12 @@ lines.  Each raise that no test reaches is printed as ``path:line``.
 Each reached raise is then made a mutant: in a temporary copy of the
 package the statement becomes ``pass``, and only the tests that reached
 it run against that copy, in a fresh interpreter with a time limit, one
-mutant after another.  The package in ``src/`` is never edited.  A
-mutant under which every one of those tests still passes survives, and
-is printed as ``path:line survives``: no test tells the check from its
-absence.  A mutant whose tests run out of time counts as caught.
+mutant after another.  Each file of the package is read once, at the
+start, and every mutant and the copy are made from that text.  The
+package in ``src/`` is never edited.  A mutant under which every one of
+those tests still passes survives, and is printed as ``path:line
+survives``: no test tells the check from its absence.  A mutant whose
+tests run out of time counts as caught.
 
 Exits with pytest's own status if the traced suite fails, 1 if any raise
 is unreached, any mutant survives or any mutant's tests could not be
@@ -46,9 +48,9 @@ MUTANT_TIMEOUT_S = 300
 RaiseKey = Tuple[str, int]
 
 
-def raise_nodes(path: Path) -> List[ast.Raise]:
-    """Every raise statement in path, by position."""
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+def raise_nodes(source: str, path: Path) -> List[ast.Raise]:
+    """Every raise statement in source, the text of path, by position."""
+    tree = ast.parse(source, filename=str(path))
     return sorted((node for node in ast.walk(tree)
                    if isinstance(node, ast.Raise)),
                   key=lambda node: (node.lineno, node.col_offset))
@@ -156,10 +158,15 @@ def main(argv: List[str]) -> int:
     sys.path.insert(0, str(ROOT / "src"))
     nodes: Dict[RaiseKey, ast.Raise] = {}
     spans: Dict[str, Dict[int, RaiseKey]] = {}
+    # each file is read once: its mutants are cut from the text its raise
+    # spans came from, and the copy holds that text, even if the working
+    # tree changes while the suite runs
+    sources: Dict[str, str] = {}
     for path in sorted(PACKAGE.rglob("*.py")):
         relative = str(path.relative_to(ROOT))
+        source = sources[relative] = path.read_text(encoding="utf-8")
         at = spans.setdefault(os.path.realpath(path), {})
-        for node in raise_nodes(path):
+        for node in raise_nodes(source, path):
             key = (relative, node.lineno)
             nodes[key] = node
             at.update((line, key) for line in
@@ -179,13 +186,14 @@ def main(argv: List[str]) -> int:
         copy = Path(tmp)
         shutil.copytree(PACKAGE, copy / PACKAGE.relative_to(ROOT),
                         ignore=shutil.ignore_patterns("__pycache__"))
+        for relative, source in sources.items():
+            (copy / relative).write_text(source, encoding="utf-8")
         for key, node in nodes.items():
             if key not in reached:
                 continue
             relative, line = key
-            source = (ROOT / relative).read_text(encoding="utf-8")
-            code = run_mutant(copy, relative, without(source, node),
-                              reached[key])
+            code = run_mutant(copy, relative,
+                              without(sources[relative], node), reached[key])
             if code == 0:
                 survivors.append(key)
                 print(f"{relative}:{line} survives: its "
