@@ -29,10 +29,10 @@ relation check, restriction, duality and direct sums read them, so the
 equations of a system between 0/1 modules carry int coefficients.  Hom
 into the algebra needs no system: the algebra is self-injective with
 Nakayama automorphism the rotation e_j -> e_{j-1}, so ``hom_to_algebra``
-is the dual module moved by (0, -1).  Every producer hands ``Bimodule`` its
-arrows as sparse (row, col, value) entries: no dense matrix is built to
-make, transpose or check an arrow, and ``BimoduleMap`` keeps its vertex
-blocks as views too.
+is the dual module moved by (0, -1), which one build transposes straight
+from the views of x.  The other producers hand ``Bimodule`` sparse (row,
+col, value) entries: no dense matrix is built to make, transpose or check
+an arrow, and ``BimoduleMap`` keeps its vertex blocks as views too.
 """
 
 from __future__ import annotations
@@ -373,7 +373,7 @@ class BimoduleMap:
 
     def is_invertible(self) -> bool:
         x, y = self.source, self.target
-        if x.dim_vector() != y.dim_vector():
+        if x.dims != y.dims:
             return False
         views = self.components
         return all(v in views and _view_rank(views[v], d) == d
@@ -699,7 +699,7 @@ def is_isomorphic(x: Bimodule, y: Bimodule) -> bool:
     weighted inner product of the multiplicity vectors of x and y, so
     x = y exactly when rank(x, y) = rank(x, x) = rank(y, y).
     """
-    if x.dim_vector() != y.dim_vector():
+    if x.dims != y.dims:
         return False
     if x == y or x.is_zero():
         return True
@@ -772,6 +772,24 @@ def restrict_left(x: Bimodule) -> LeftDecomposition:
 # duality
 # ---------------------------------------------------------------------------
 
+def _dual(x: Bimodule, dj: int) -> Bimodule:
+    """The dual of x moved by (0, dj), relations checked, in one build:
+    row r of a view, in ascending column order, is its transpose's column r."""
+    n, dims, views = x.n, x.dims, {}
+    for (kind, p, q), cols in x.arrow_views.items():
+        rows = [[] for _ in range(dims[arrow_target(kind, p, q, n)])]
+        for c, col in enumerate(cols):
+            for r, e in col:
+                rows[r].append((c, e))
+        key = (("v", residue(q - 1, n), residue(p + dj, n)) if kind == "h"
+               else ("h", q, residue(p + 1 + dj, n)))
+        views[key] = tuple(map(tuple, rows))
+    out = Bimodule(n, {(q, residue(p + dj, n)): d
+                       for (p, q), d in dims.items()}, {}, views=views)
+    out.check_relations()
+    return out
+
+
 def dualize(x: Bimodule) -> Bimodule:
     """The linear dual with swapped-side actions, as a torus representation.
 
@@ -782,16 +800,9 @@ def dualize(x: Bimodule) -> Bimodule:
         v at (i,j) on the dual  =  transpose of h at (j, i+1) on x,
         h at (i,j) on the dual  =  transpose of v at (j-1, i) on x.
 
-    Each view is passed on as its entries with row and column swapped.
+    Each view is transposed straight into the dual's view by ``_dual``.
     """
-    dims = {(i, j): d for (j, i), d in x.dims.items()}
-    maps = {}
-    for (kind, p, q), cols in x.arrow_views.items():
-        key = ("v", q - 1, p) if kind == "h" else ("h", q, p + 1)
-        maps[key] = [(c, r, e) for c, col in enumerate(cols) for r, e in col]
-    out = Bimodule(x.n, dims, maps)
-    out.check_relations()
-    return out
+    return _dual(x, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -808,9 +819,9 @@ def hom_to_algebra(x: Bimodule) -> Bimodule:
     the right action twisted by that rotation.  Hence Hom_A(x, A) is
     Hom_A(x, D(A)) twisted, which is D(x) twisted (Skowronski-Yamagata,
     Frobenius Algebras I, 2011, IV.3); on the torus the twist of the
-    right action is the translation by (0, -1).
+    right action is the translation by (0, -1), made in the same build.
     """
-    return dualize(x).translated(0, -1)
+    return _dual(x, -1)
 
 
 def adjunction_command(n: int, k: int) -> dict:

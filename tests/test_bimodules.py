@@ -300,6 +300,22 @@ def test_check_relations_rejects_broken_module(case):
         x.check_relations()
 
 
+# the dual swaps the vertical and horizontal arrows, so a broken square of
+# one kind is a broken square of the other kind there
+_DUAL_MESSAGE = {"vertical square nonzero": "horizontal square nonzero",
+                 "horizontal square nonzero": "vertical square nonzero",
+                 "does not commute": "does not commute"}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_RELATIONS))
+@pytest.mark.parametrize("dual", [dualize, hom_to_algebra])
+def test_duals_of_a_broken_module_are_refused(case, dual):
+    n, dims, arrows, message = BROKEN_RELATIONS[case]
+    x = module_from_matrices(n, dims, arrows)
+    with pytest.raises(ValueError, match=_DUAL_MESSAGE[message]):
+        dual(x)
+
+
 def test_check_relations_accepts_paths_composing_to_zero():
     # n = 1: both paths of the square are stored and both are zero
     x = module_from_matrices(1, {(1, 1): 2},
@@ -858,6 +874,15 @@ def test_hom_to_algebra_swaps_s_into_n(n, i, j, k):
     src = construct(lab("S", i, j, k), n)
     expected = construct(lab("N", j, i, k), n)
     assert is_isomorphic(hom_to_algebra(src), expected)
+
+
+def test_hom_to_algebra_is_the_moved_dual_key_for_key():
+    # equal, not only isomorphic: the move folded into the one build keeps
+    # the basis order and the keys of the dual
+    cases = [(n, x) for n in (1, 2, 3) for x in _duality_inputs(n)]
+    cases.append((12, construct(lab("S", 1, 1, 8), 12)))
+    for n, x in cases:
+        assert hom_to_algebra(x) == dualize(x).translated(0, -1), (n, x)
 
 
 def test_hom_to_algebra_kills_nothing_on_squares():
