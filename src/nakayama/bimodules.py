@@ -218,6 +218,8 @@ class Bimodule:
         if views is None:
             views = {}
             for (kind, i, j), entries in arrows.items():
+                if kind not in ("v", "h"):
+                    raise ValueError(f"unknown arrow kind {kind!r}")
                 i, j = residue(i, n), residue(j, n)
                 ds = kept.get((i, j), 0)
                 dt = kept.get(arrow_target(kind, i, j, n), 0)
@@ -338,6 +340,8 @@ class BimoduleMap:
 
     def __init__(self, source: Bimodule, target: Bimodule,
                  blocks: Dict[Vertex, Iterable]) -> None:
+        if source.n != target.n:
+            raise ValueError("map between bimodules over different n")
         self.source = source
         self.target = target
         views = {}

@@ -15,7 +15,8 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional
+from math import comb
+from typing import List, Optional, Tuple
 
 from .algebras import build_nakayama, build_torus
 from .bimodules import (
@@ -37,15 +38,18 @@ from .cells import compute_cells
 from .decomposition import decompose_product, multable_check
 
 HUMAN_MATRIX_CAP = 4
+_OMITTED = f"omitted for n > {HUMAN_MATRIX_CAP}; use --json"
+
+# what a command computes: its JSON payload, its human-readable lines, and
+# whether every check it made came out clean
+_Result = Tuple[dict, List[str], bool]
 
 
 def _emit(payload: dict, args, human_lines: List[str]) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    out_path = getattr(args, "out", None)
-    if out_path:
-        base = os.environ.get("NAKAYAMA_OUT")
-        if base and not os.path.isabs(out_path):
-            out_path = os.path.join(base, out_path)
+    if args.out:
+        # join keeps an absolute path as it is
+        out_path = os.path.join(os.environ.get("NAKAYAMA_OUT", ""), args.out)
         try:
             with open(out_path, "w", encoding="utf-8") as fh:
                 fh.write(text)
@@ -60,7 +64,7 @@ def _emit(payload: dict, args, human_lines: List[str]) -> None:
             print(line)
 
 
-def _cmd_algebra(args) -> int:
+def _cmd_algebra(args) -> _Result:
     nak = build_nakayama(args.n)
     torus = build_torus(args.n)
     ok = nak.is_associative()
@@ -75,11 +79,10 @@ def _cmd_algebra(args) -> int:
         f"dimension {4 * args.n * args.n}",
         f"associativity check: {'ok' if ok else 'FAILED'}",
     ]
-    _emit(payload, args, lines)
-    return 0 if ok else 1
+    return payload, lines, ok
 
 
-def _cmd_catalog(args) -> int:
+def _cmd_catalog(args) -> _Result:
     labels = catalog_labels(args.n, args.max_valleys)
     entries = []
     ok = True
@@ -102,11 +105,10 @@ def _cmd_catalog(args) -> int:
         lines.append(f"  {str(lab):<12} dim {mod.total_dim:>2}  {vec}")
     payload = {"n": args.n, "max_valleys": args.max_valleys,
                "count": len(labels), "entries": entries, "ok": ok}
-    _emit(payload, args, lines)
-    return 0 if ok else 1
+    return payload, lines, ok
 
 
-def _cmd_tensor(args) -> int:
+def _cmd_tensor(args) -> _Result:
     u, v = args.u.normalized(args.n), args.v.normalized(args.n)
     rep = decompose_product(u, v, args.n)
     payload = {"n": args.n, "u": u.literal(), "v": v.literal(),
@@ -120,24 +122,21 @@ def _cmd_tensor(args) -> int:
                      "(outside the string catalog)")
     else:
         lines.append("  no residual")
-    _emit(payload, args, lines)
-    return 0
+    return payload, lines, True
 
 
-def _cmd_multable(args) -> int:
+def _cmd_multable(args) -> _Result:
     report = multable_check(args.n, args.k)
-    payload = report
     lines = [
         f"multiplication table sweep at n={args.n}, k={args.k}: "
         f"{report['products']} products",
         f"mismatches: {len(report['mismatches'])}",
         "table check: " + ("ok" if report["ok"] else "FAILED"),
     ]
-    _emit(payload, args, lines)
-    return 0 if report["ok"] else 1
+    return report, lines, report["ok"]
 
 
-def _cmd_cells(args) -> int:
+def _cmd_cells(args) -> _Result:
     cs = compute_cells(args.n, args.max_valleys)
     payload = cs.to_json()
     lines = []
@@ -149,31 +148,29 @@ def _cmd_cells(args) -> int:
         rows, cols, grid = cs.egg_box(f"J_{k}")
         lines.append(f"egg box of J_{k} ({len(rows)}x{len(cols)}):")
         if args.n > HUMAN_MATRIX_CAP:
-            lines.append("  (grid omitted for n > 4; use --json)")
+            lines.append(f"  (grid {_OMITTED})")
             continue
         for line in grid:
             lines.append("  " + "  ".join(
                 f"{str(entry[0]) if entry else '-':<12}" for entry in line))
-    _emit(payload, args, lines)
-    return 0 if cs.chain_is_total else 1
+    return payload, lines, cs.chain_is_total
 
 
-def _cmd_adjunction(args) -> int:
+def _cmd_adjunction(args) -> _Result:
     report = adjunction_command(args.n, args.k)
     lines = [f"adjunction consequences at n={args.n}, k={args.k}:"]
     for p in report["pairs"]:
         verdict = "ok" if p["restrict_ok"] and p["hom_ok"] else "FAILED"
         lines.append(f"  anchor {p['i']}|{p['j']}: {verdict}")
     lines.append("all pairs: " + ("ok" if report["ok"] else "FAILED"))
-    _emit(report, args, lines)
-    return 0 if report["ok"] else 1
+    return report, lines, report["ok"]
 
 
 def _matrix_lines(rows: List[List[int]], indent: str = "  ") -> List[str]:
     return [indent + " ".join(f"{e:>2}" for e in row) for row in rows]
 
 
-def _cmd_cellrep(args) -> int:
+def _cmd_cellrep(args) -> _Result:
     b = cell_birep(args.n, args.k, args.j)
     blocks = verify_block_structure(b)
     adj = verify_adjunction_consequences(b)
@@ -185,7 +182,7 @@ def _cmd_cellrep(args) -> int:
              "Cartan matrix:"]
     lines += _matrix_lines(blob["cartan"])
     if args.n > HUMAN_MATRIX_CAP:
-        lines.append("(action matrices omitted for n > 4; use --json)")
+        lines.append(f"(action matrices {_OMITTED})")
     else:
         for lit, rows in blob["action"].items():
             lines.append(f"[{lit}]:")
@@ -193,26 +190,15 @@ def _cmd_cellrep(args) -> int:
     lines.append("block structure: " + ("ok" if blocks["ok"] else "FAILED"))
     lines.append("adjunction consequences: "
                  + ("ok" if adj["ok"] else "FAILED"))
-    _emit(payload, args, lines)
-    return 0 if blocks["ok"] and adj["ok"] else 1
+    return payload, lines, blocks["ok"] and adj["ok"]
 
 
-def _parse_contract(text: str) -> List[int]:
-    if not text.strip():
-        return []
-    try:
-        return [int(piece) for piece in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"--contract wants comma-separated integers, got {text!r}")
-
-
-def _cmd_localize(args) -> int:
+def _cmd_localize(args) -> _Result:
     base = cell_birep(args.n, args.k, args.j)
     try:
         loc = localize(base, args.contract)
     except ValueError as err:
-        args.usage_error(f"--contract {err}")
+        raise argparse.ArgumentTypeError(f"--contract {err}") from None
     verdict = is_simple_transitive(loc)
     blocks = verify_block_structure(loc)
     adj = verify_adjunction_consequences(loc)
@@ -224,13 +210,10 @@ def _cmd_localize(args) -> int:
         f"simple transitive: {'yes' if verdict else 'no'}",
         "block structure: " + ("ok" if blocks["ok"] else "FAILED"),
     ]
-    _emit(payload, args, lines)
-    return 0 if verdict and blocks["ok"] and adj["ok"] else 1
+    return payload, lines, verdict and blocks["ok"] and adj["ok"]
 
 
-def _cmd_classify(args) -> int:
-    from math import comb
-
+def _cmd_classify(args) -> _Result:
     report = classify(args.n, args.k)
     payload = report.to_json()
     counts_ok = all(
@@ -247,8 +230,17 @@ def _cmd_classify(args) -> int:
     lines.append("counts by rank: " + json.dumps(
         {str(r): c for r, c in sorted(report.counts.items())}))
     lines.append("binomial check: " + ("ok" if counts_ok else "FAILED"))
-    _emit(payload, args, lines)
-    return 0 if counts_ok and all_st else 1
+    return payload, lines, counts_ok and all_st
+
+
+def _parse_contract(text: str) -> List[int]:
+    if not text.strip():
+        return []
+    try:
+        return [int(piece) for piece in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"--contract wants comma-separated integers, got {text!r}")
 
 
 def _label(text: str) -> StringLabel:
@@ -258,107 +250,93 @@ def _label(text: str) -> StringLabel:
         raise argparse.ArgumentTypeError(str(err))
 
 
-def _positive(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1")
-    return value
+def _at_least(low: int, name: str):
+    """The argparse type of an int no less than low.  argparse names the
+    type when int() refuses the text, so it takes the given name."""
+    def check(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}")
+        return value
+
+    check.__name__ = name
+    return check
 
 
-def _nonnegative(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be at least 0")
-    return value
+_POSITIVE = _at_least(1, "_positive")
+_NONNEGATIVE = _at_least(0, "_nonnegative")
+
+# the arguments that several commands share, as (flag, options) pairs for
+# add_argument; _with gives a command its own bound or help
+_N = ("--n", {"type": _POSITIVE, "required": True})
+_K = ("--k", {"type": _POSITIVE, "default": 1})
+_J = ("--j", {"type": _POSITIVE, "default": 1})
+_MAX_VALLEYS = ("--max-valleys", {"type": _POSITIVE, "default": 2})
+_OUTPUT = (("--json", {"action": "store_true",
+                       "help": "emit JSON on standard output"}),
+           ("--out", {"help": "write the JSON to this file "
+                      "(relative paths resolve under $NAKAYAMA_OUT)"}))
 
 
-def _add_common(sub):
-    sub.add_argument("--json", action="store_true",
-                     help="emit JSON on standard output")
-    sub.add_argument("--out", help="write the JSON to this file "
-                     "(relative paths resolve under $NAKAYAMA_OUT)")
+def _with(spec, **options):
+    return spec[0], {**spec[1], **options}
 
 
-def build_parser() -> argparse.ArgumentParser:
+# each command once: its help, its arguments before the shared --json and
+# --out, and the function that computes its _Result, which main emits
+_COMMANDS = {
+    "algebra": ("serialize the algebra and its tensor square", [_N],
+                _cmd_algebra),
+    "catalog": ("list the string bimodule catalog",
+                [_N, _with(_MAX_VALLEYS, type=_NONNEGATIVE)], _cmd_catalog),
+    "tensor": ("tensor two catalog bimodules and decompose the result",
+               [("u", {"type": _label,
+                       "help": "left factor label, e.g. N:1|2:k=1"}),
+                ("v", {"type": _label, "help": "right factor label"}), _N],
+               _cmd_tensor),
+    "multable": ("sweep the cell multiplication table and diff against the "
+                 "predicted entries", [_N, _K], _cmd_multable),
+    "cells": ("compute cell partitions, the two-sided chain, and egg boxes",
+              [_N, _MAX_VALLEYS], _cmd_cells),
+    "adjunction": ("verify restriction and algebra-hom identities for all "
+                   "anchors", [_N, _with(_K, type=_NONNEGATIVE)],
+                   _cmd_adjunction),
+    "cellrep": ("build the cell birepresentation",
+                [_N, _K, _with(_J, help="left-cell column to build on")],
+                _cmd_cellrep),
+    "localize": ("contract arrows of the cell birepresentation",
+                 [_N, _K, _J, ("--contract", {
+                     "type": _parse_contract, "default": (),
+                     "help": "comma-separated component indices, e.g. 1,3"})],
+                 _cmd_localize),
+    "classify": ("enumerate all localizations and tally ranks", [_N, _K],
+                 _cmd_classify),
+}
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     parser = argparse.ArgumentParser(
         prog="nakayama",
         description="Exact bimodule calculus over radical-square-zero "
                     "cyclic Nakayama algebras")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("algebra", help="serialize the algebra and its "
-                        "tensor square")
-    p.add_argument("--n", type=_positive, required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_algebra)
-
-    p = subs.add_parser("catalog", help="list the string bimodule catalog")
-    p.add_argument("--n", type=_positive, required=True)
-    p.add_argument("--max-valleys", type=_nonnegative, default=2)
-    _add_common(p)
-    p.set_defaults(func=_cmd_catalog)
-
-    p = subs.add_parser("tensor", help="tensor two catalog bimodules and "
-                        "decompose the result")
-    p.add_argument("u", type=_label,
-                   help="left factor label, e.g. N:1|2:k=1")
-    p.add_argument("v", type=_label, help="right factor label")
-    p.add_argument("--n", type=_positive, required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_tensor)
-
-    p = subs.add_parser("multable", help="sweep the cell multiplication "
-                        "table and diff against the predicted entries")
-    p.add_argument("--n", type=_positive, required=True)
-    p.add_argument("--k", type=_positive, default=1)
-    _add_common(p)
-    p.set_defaults(func=_cmd_multable)
-
-    p = subs.add_parser("cells", help="compute cell partitions, the "
-                        "two-sided chain, and egg boxes")
-    p.add_argument("--n", type=_positive, required=True)
-    p.add_argument("--max-valleys", type=_positive, default=2)
-    _add_common(p)
-    p.set_defaults(func=_cmd_cells)
-
-    p = subs.add_parser("adjunction", help="verify restriction and "
-                        "algebra-hom identities for all anchors")
-    p.add_argument("--n", type=_positive, required=True)
-    p.add_argument("--k", type=_nonnegative, default=1)
-    _add_common(p)
-    p.set_defaults(func=_cmd_adjunction)
-
-    p = subs.add_parser("cellrep", help="build the cell birepresentation")
-    p.add_argument("--n", type=_positive, required=True)
-    p.add_argument("--k", type=_positive, default=1)
-    p.add_argument("--j", type=_positive, default=1,
-                   help="left-cell column to build on")
-    _add_common(p)
-    p.set_defaults(func=_cmd_cellrep)
-
-    p = subs.add_parser("localize", help="contract arrows of the cell "
-                        "birepresentation")
-    p.add_argument("--n", type=_positive, required=True)
-    p.add_argument("--k", type=_positive, default=1)
-    p.add_argument("--j", type=_positive, default=1)
-    p.add_argument("--contract", type=_parse_contract, default=[],
-                   help="comma-separated component indices, e.g. 1,3")
-    _add_common(p)
-    p.set_defaults(func=_cmd_localize, usage_error=p.error)
-
-    p = subs.add_parser("classify", help="enumerate all localizations "
-                        "and tally ranks")
-    p.add_argument("--n", type=_positive, required=True)
-    p.add_argument("--k", type=_positive, default=1)
-    _add_common(p)
-    p.set_defaults(func=_cmd_classify)
-
-    return parser
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    # the top level takes no option values, so the command argparse runs,
+    # if any, is the first command name in argv: only it needs arguments
+    named = next((item for item in argv if item in _COMMANDS), None)
+    for name, (summary, specs, _) in _COMMANDS.items():
+        sub = subs.add_parser(name, help=summary)
+        if name == named:
+            for flag, options in (*specs, *_OUTPUT):
+                sub.add_argument(flag, **options)
+    args = parser.parse_args(argv)
+    try:
+        payload, lines, ok = _COMMANDS[args.command][2](args)
+    except argparse.ArgumentTypeError as err:
+        # a command refuses its arguments as a type function does
+        subs.choices[args.command].error(str(err))
+    _emit(payload, args, lines)
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -379,6 +379,13 @@ def test_bimodule_rejects_entries_outside_the_arrow(arrows):
         Bimodule(2, {(1, 1): 2, (2, 1): 2}, arrows)
 
 
+def test_bimodule_rejects_an_unknown_arrow_kind():
+    # the entry fits the arrow that arrow_target would take it for, so only
+    # the kind tells it from an h arrow
+    with pytest.raises(ValueError, match="unknown arrow kind 'x'"):
+        Bimodule(1, {(1, 1): 1}, {("x", 1, 1): [(0, 0, 1)]})
+
+
 def test_bimodule_rejects_a_matrix_for_an_arrow():
     with pytest.raises(TypeError):
         Bimodule(2, {(1, 1): 1, (2, 1): 1}, {("v", 1, 1): _m([1])})
@@ -1081,6 +1088,15 @@ def test_hom_space_refuses_bimodules_over_different_n():
     with pytest.raises(ValueError, match="hom between bimodules over "
                                          "different n"):
         HomSpace(x, construct(lab("N", 1, 1, 1), 3))
+
+
+def test_map_refuses_bimodules_over_different_n():
+    # L_1|1 has one vertex at either n, so the block fits both and would
+    # pass for an isomorphism
+    x, y = construct(L(1, 1), 1), construct(L(1, 1), 2)
+    with pytest.raises(ValueError, match="map between bimodules over "
+                                         "different n"):
+        BimoduleMap(x, y, {(1, 1): [(0, 0, 1)]})
 
 
 # The dense direct sum and the hand-built HomSpace system that the shared

@@ -451,3 +451,92 @@ def test_a_negative_valley_bound_is_a_usage_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "argument --max-valleys: must be at least 0" in captured.err
+
+
+# -- the command line surface ------------------------------------------------
+
+# each command's help string and flags, as `nakayama --help` and
+# `nakayama <cmd> --help` show them; REQUIRED names what a bare `<cmd>`
+# reports missing
+COMMANDS = {
+    "algebra": ("serialize the algebra and its tensor square",
+                ["--n", "--json", "--out"]),
+    "catalog": ("list the string bimodule catalog",
+                ["--n", "--max-valleys", "--json", "--out"]),
+    "tensor": ("tensor two catalog bimodules and decompose the result",
+               ["left factor label, e.g. N:1|2:k=1", "right factor label",
+                "--n", "--json", "--out"]),
+    "multable": ("sweep the cell multiplication table and diff against the "
+                 "predicted entries", ["--n", "--k", "--json", "--out"]),
+    "cells": ("compute cell partitions, the two-sided chain, and egg boxes",
+              ["--n", "--max-valleys", "--json", "--out"]),
+    "adjunction": ("verify restriction and algebra-hom identities for all "
+                   "anchors", ["--n", "--k", "--json", "--out"]),
+    "cellrep": ("build the cell birepresentation",
+                ["--n", "--k", "--j", "left-cell column to build on",
+                 "--json", "--out"]),
+    "localize": ("contract arrows of the cell birepresentation",
+                 ["--n", "--k", "--j", "--contract",
+                  "comma-separated component indices, e.g. 1,3",
+                  "--json", "--out"]),
+    "classify": ("enumerate all localizations and tally ranks",
+                 ["--n", "--k", "--json", "--out"]),
+}
+REQUIRED = {name: "--n" for name in COMMANDS}
+REQUIRED["tensor"] = "u, v, --n"
+
+
+def help_text(capsys, monkeypatch, argv):
+    # wide enough that argparse wraps no help string, and with its
+    # whitespace folded, so the checks hold across Python versions
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 0
+    out, errors = capsys.readouterr()
+    assert not errors
+    return " ".join(out.split())
+
+
+def test_top_level_help_lists_every_command(capsys, monkeypatch):
+    text = help_text(capsys, monkeypatch, ["--help"])
+    assert "usage: nakayama [-h] {" + ",".join(COMMANDS) + "}" in text
+    for name, (summary, _) in COMMANDS.items():
+        assert f"{name} {summary}" in text
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_command_help_names_each_flag(capsys, monkeypatch, name):
+    text = help_text(capsys, monkeypatch, [name, "--help"])
+    assert text.startswith(f"usage: nakayama {name} [-h]")
+    for flag in COMMANDS[name][1]:
+        assert flag in text
+    assert "emit JSON on standard output" in text
+    assert "(relative paths resolve under $NAKAYAMA_OUT)" in text
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_missing_required_arguments_are_usage_errors(capsys, name):
+    with pytest.raises(SystemExit) as err:
+        main([name])
+    assert err.value.code == 2
+    out, errors = capsys.readouterr()
+    assert not out
+    assert errors.splitlines()[-1] == (
+        f"nakayama {name}: error: the following arguments are required: "
+        f"{REQUIRED[name]}")
+
+
+def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
+    # the console script calls main() with no argument
+    monkeypatch.setattr("sys.argv", ["nakayama", "algebra", "--n", "1",
+                                     "--json"])
+    assert main() == 0
+    blob = json.loads(capsys.readouterr().out)
+    assert blob["associative"] is True
+    monkeypatch.setattr("sys.argv", ["nakayama", "catalog", "--n", "0"])
+    with pytest.raises(SystemExit) as err:
+        main()
+    assert err.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "nakayama catalog: error: argument --n: must be at least 1")
