@@ -21,9 +21,10 @@ in-catalog summands become steps between states: the left steps of a
 node depend only on its kind (family, k) and column, and reach whole
 columns; the right steps depend on its kind and row, and reach whole
 rows.  Reachability on these states is found once per kind, from column
-or row 1, and moved along the torus; a two-sided reach is a set of
-column states, row states and whole kinds.  No per-node reach set is
-built.  Canonical products equal as bimodules are decomposed only once.
+or row 1, and moved along the torus.  A two-sided reach is a set of
+column states, row states and whole kinds, and no per-node reach set is
+built.  Each factor of a canonical product is built once, a zero product
+builds no module, and products equal as bimodules are decomposed once.
 """
 
 from __future__ import annotations
@@ -34,9 +35,10 @@ from itertools import chain
 from typing import Callable, FrozenSet, List, Sequence, Set, Tuple
 
 from .algebras import residue
-from .bimodules import StringLabel, catalog_labels
+from .bimodules import StringLabel, catalog_labels, construct
 from .decomposition import (
     _label_sort_key,
+    _summands,
     canonical_summands,
     cell_chain_position,
     cell_name,
@@ -67,16 +69,20 @@ def _product_steps(labels: Sequence[StringLabel],
     shift of every summand by (i-1, s-1).  With V at column 1 and U on
     every row, a summand in column c is a left step of V's kind to the
     column state c - 1; with U at row 1 and V on every column, a summand
-    in row r is a right step of U's kind to the row state r - 1.
+    in row r is a right step of U's kind to the row state r - 1.  Each
+    kind is built once at each 1|e, as U at offset e and, at e = 1, as V.
     """
     kinds = list(dict.fromkeys((x.family, x.k) for x in labels))
     number = {kind: a for a, kind in enumerate(kinds)}
+    at = [[construct(StringLabel(fam, 1, e, k), n) for e in range(1, n + 1)]
+          for fam, k in kinds]
     left: List[set] = [set() for _ in kinds]
     right: List[set] = [set() for _ in kinds]
-    for a, (fam_u, k_u) in enumerate(kinds):
-        for b, (fam_v, k_v) in enumerate(kinds):
-            for e in range(1, n + 1):
-                for lab in canonical_summands(n, fam_u, k_u, e, fam_v, k_v):
+    for a, (_, k_u) in enumerate(kinds):
+        for b, (_, k_v) in enumerate(kinds):
+            bound = max(k_u or 0, k_v or 0, 1)
+            for x in at[a]:
+                for lab in _summands(x, at[b][0], bound):
                     g = number.get((lab.family, lab.k))
                     # Summands below the valley bound lie in deeper cells
                     # and carry no information about the catalog range.

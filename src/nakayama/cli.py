@@ -35,7 +35,7 @@ from .bireps import (
     verify_block_structure,
 )
 from .cells import compute_cells
-from .decomposition import decompose_product, multable_check
+from .decomposition import _label_sort_key, decompose_product, multable_check
 
 HUMAN_MATRIX_CAP = 4
 _OMITTED = f"omitted for n > {HUMAN_MATRIX_CAP}; use --json"
@@ -114,9 +114,9 @@ def _cmd_tensor(args) -> _Result:
     payload = {"n": args.n, "u": u.literal(), "v": v.literal(),
                "input_dim": rep.input_dim, "report": rep.to_json()}
     lines = [f"{u} (x) {v}: dimension {rep.input_dim}"]
-    for item in rep.to_json()["summands"]:
-        lab = StringLabel(item["family"], item["i"], item["j"], item["k"])
-        lines.append(f"  {str(lab):<12} x {item['multiplicity']}")
+    counts = rep.multiset()
+    for lab in sorted(counts, key=_label_sort_key):
+        lines.append(f"  {str(lab):<12} x {counts[lab]}")
     if rep.residual_dim:
         lines.append(f"  residual of dimension {rep.residual_dim} "
                      "(outside the string catalog)")

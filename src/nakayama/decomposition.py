@@ -60,7 +60,7 @@ from .bimodules import (
     trace_pairing,
 )
 from .linalg import solve, sparse_rank
-from .tensoring import TensorSpace
+from .tensoring import TensorSpace, tensor
 
 CellTag = Tuple
 
@@ -390,44 +390,45 @@ def decompose_product(u: StringLabel, v: StringLabel,
     Products of catalog members never gain valleys beyond the factors, so
     the catalog up to the larger valley count (at least 1) is searched; a
     residual, if any, is reported."""
-    t, max_valleys = _product(u, v, n)
-    t.check_relations()
-    return decompose(t, max_valleys)
-
-
-def _product(u: StringLabel, v: StringLabel,
-             n: int) -> Tuple[Bimodule, int]:
-    """construct(u) (x) construct(v), unchecked, and its valley bound."""
-    return (TensorSpace(construct(u, n), construct(v, n)).assemble(),
-            max(u.k or 0, v.k or 0, 1))
+    return decompose(tensor(construct(u, n), construct(v, n)),
+                     max(u.k or 0, v.k or 0, 1))
 
 
 # ---------------------------------------------------------------------------
 # cached products of catalog members
 # ---------------------------------------------------------------------------
 
+def _summands(x: Bimodule, y: Bimodule,
+              max_valleys: int) -> Tuple[StringLabel, ...]:
+    """Summands of x (x) y, read off its scan.
+
+    A product whose balancing quotient is zero at every vertex has none,
+    and no module is assembled or scanned for it.  Any other product is
+    assembled unchecked and looked up by value in the scan cache (a
+    ``Bimodule`` hashes by its dimensions and arrow views); only one not
+    seen before is scanned, with the relations of its new pieces checked
+    (``_scan``).  A residual raises RuntimeError."""
+    space = TensorSpace(x, y)
+    if not space.qdims:
+        return ()
+    residual, summands = _scan(space.assemble(), max_valleys)
+    if residual:
+        raise RuntimeError(
+            f"unexpected residual of dim {residual} in {x!r} (x) {y!r}")
+    return summands
+
+
 def canonical_summands(n: int, fam_u: str, k_u: Optional[int], e: int,
                        fam_v: str,
                        k_v: Optional[int]) -> Tuple[StringLabel, ...]:
     """Summands of U (x) V for U = fam_u^(k_u) at 1|e and V = fam_v^(k_v)
-    at 1|1, read off the product's scan.
-
-    The arguments are those of normalized labels.  Many products are
-    equal as bimodules (most of them zero), so a product is assembled
-    unchecked and looked up by value in the scan cache; a ``Bimodule`` is
-    read-only and hashes by its dimensions and arrow views.  Only a
-    product not seen before is scanned (``_scan``), which checks the
-    relations of each of its pieces not seen before.  A residual raises
-    RuntimeError.
-    """
-    u0 = StringLabel(fam_u, 1, e, k_u)
-    v0 = StringLabel(fam_v, 1, 1, k_v)
-    residual, summands = _scan(*_product(u0, v0, n))
-    if residual:
-        raise RuntimeError(
-            f"unexpected residual of dim {residual} in "
-            f"{u0} (x) {v0} at n={n}")
-    return summands
+    at 1|1, named by normalized labels, under the larger valley count, at
+    least 1 (``_summands``).  Most such products are zero and build no
+    module; the cells sweep, which builds each factor once, calls
+    ``_summands`` itself."""
+    return _summands(construct(StringLabel(fam_u, 1, e, k_u), n),
+                     construct(StringLabel(fam_v, 1, 1, k_v), n),
+                     max(k_u or 0, k_v or 0, 1))
 
 
 def product_summands(u_label: StringLabel, v_label: StringLabel,

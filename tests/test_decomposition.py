@@ -1,5 +1,6 @@
 """Decomposition, split pairs, cached products, multiplication table."""
 
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -628,10 +629,16 @@ def test_cells_decompose_each_distinct_product_once(monkeypatch):
     monkeypatch.setattr(decomposition, "_scan", counting)
     compute_cells(3, 2)
     keys = _canonical_keys(3, 2)
-    distinct = {_effective(*_canonical_product(*key)) for key in keys}
+    products = {key: _canonical_product(*key) for key in keys}
+    # a zero product is neither scanned nor a key, and has no summands
+    distinct = {_effective(*product) for product in products.values()
+                if product[0].total_dim}
     scanned = [key for key, _ in misses]
     assert len(scanned) == len(set(scanned)) == len(_SCAN_CACHE)
     assert {key for key, top in misses if top} <= distinct <= set(scanned)
+    assert not any(t.is_zero() for t, _ in scanned)
+    zeros = [key for key, (t, _) in products.items() if t.is_zero()]
+    assert zeros and all(canonical_summands(*key) == () for key in zeros)
     assert len(distinct) < len(keys)
 
 
@@ -639,35 +646,99 @@ def test_cells_decompose_each_distinct_product_once(monkeypatch):
 def test_cold_cells_check_each_scanned_connected_module_once(monkeypatch):
     # the relations are checked once per connected module that a scan
     # misses on, and once per catalog walk that construct builds, never
-    # for a product that hits the scan cache
+    # for a product that hits the scan cache; only the 530 nonzero
+    # products of the 1,014 are assembled
     checked, products = [], []
     check_relations = Bimodule.check_relations
-    product = decomposition._product
+    assemble = TensorSpace.assemble
 
     def counting_check(self):
         checked.append(self)
         return check_relations(self)
 
-    def recording_product(u, v, n):
-        out = product(u, v, n)
-        products.append(out[0])
+    def recording_assemble(self):
+        out = assemble(self)
+        products.append(out)
         return out
 
     monkeypatch.setattr(Bimodule, "check_relations", counting_check)
-    monkeypatch.setattr(decomposition, "_product", recording_product)
+    monkeypatch.setattr(TensorSpace, "assemble", recording_assemble)
     compute_cells(6, 2)
     monkeypatch.undo()
     walks = [x for (label, _), x in nakayama.bimodules._CONSTRUCT_CACHE.items()
              if (label.i, label.j) == (1, 1)]
-    # the zero module has no piece and is scanned as connected
     scanned = [t for t, _ in _SCAN_CACHE
                if len(decomposition._pieces(t)) < 2]
     assert sorted(map(id, checked)) == sorted(map(id, walks + scanned))
     keys = {id(t) for t, _ in _SCAN_CACHE}
     hits = [t for t in products if id(t) not in keys]
-    assert len(products) == 1014 and len(hits) > 900
+    assert all(t.total_dim for t in products)
+    assert len(products) == 530 and len(hits) > 480
     assert not {id(t) for t in hits} & set(map(id, checked))
     assert len(checked) <= 60
+
+
+def _counting(monkeypatch, function):
+    """The argument tuples of every call of a package function, which is
+    replaced in each package module that holds it."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return function(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "nakayama":
+            for attr, value in list(vars(module).items()):
+                if value is function:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+@pytest.mark.usefixtures("cold_caches")
+@pytest.mark.parametrize("n, max_valleys, assemblies, builds",
+                         [(6, 2, 530, 164), (48, 1, 178, 466)])
+def test_cold_cells_build_each_factor_once_and_no_zero_product(
+        monkeypatch, n, max_valleys, assemblies, builds):
+    # of the 1,014 canonical products at (6, 2), 484 are zero, and of the
+    # 3,888 at (48, 1), 3,710; only the nonzero ones are assembled, and
+    # each factor is built once, not once per product
+    constructs = _counting(monkeypatch, construct)
+    assembled = []
+    assemble = TensorSpace.assemble
+
+    def recording_assemble(self):
+        assembled.append(self)
+        return assemble(self)
+
+    monkeypatch.setattr(TensorSpace, "assemble", recording_assemble)
+    compute_cells(n, max_valleys)
+    assert len(assembled) == assemblies
+    assert len(constructs) <= builds
+    assert not any(t.is_zero() for t, _ in _SCAN_CACHE)
+
+
+@pytest.mark.usefixtures("cold_caches")
+@pytest.mark.parametrize("key, paired", [((3, "L", None, 2, "L", None), False),
+                                         ((2, "P", None, 2, "L", None), True)])
+def test_a_zero_product_builds_no_module(monkeypatch, key, paired):
+    # L_1|2 (x) L_1|1 at n = 3 has no pair basis; P_1|2 (x) L_1|1 at n = 2
+    # has one, but its balancing quotient is zero at every vertex
+    n, fam_u, k_u, e, fam_v, k_v = key
+    space = TensorSpace(construct(lab(fam_u, 1, e, k_u), n),
+                        construct(lab(fam_v, 1, 1, k_v), n))
+    assert bool(space.pieces) == paired and not space.qdims
+    scans = dict(_SCAN_CACHE)
+    built = []
+    init = Bimodule.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Bimodule, "__init__", counting_init)
+    assert canonical_summands(*key) == ()
+    assert not built and _SCAN_CACHE == scans
 
 
 @pytest.mark.usefixtures("cold_caches")
@@ -701,11 +772,15 @@ def test_a_product_that_breaks_a_square_is_refused(monkeypatch, fam_v, k_v,
 
 @pytest.mark.usefixtures("cold_caches")
 def test_cells_keep_one_scan_entry_per_module():
-    # every canonical product is a key under its effective bound, and no
-    # module is a key under a bound that _scan_bound maps to another one
+    # every nonzero canonical product is a key under its effective bound,
+    # the zero module is no key, and no module is a key under a bound
+    # that _scan_bound maps to another one
     compute_cells(6, 2)
     products = {_effective(*_canonical_product(*key))
                 for key in _canonical_keys(6, 2)}
+    assert any(t.is_zero() for t, _ in products)
+    assert not any(t.is_zero() for t, _ in _SCAN_CACHE)
+    products = {(t, bound) for t, bound in products if t.total_dim}
     assert products <= set(_SCAN_CACHE)
     assert all(_effective(t, bound) == (t, bound) for t, bound in _SCAN_CACHE)
     keys_of = Counter(t for t, _ in _SCAN_CACHE)
@@ -807,13 +882,18 @@ def test_canonical_summands_refuse_a_residual(monkeypatch):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_memoized_summands_match_a_fresh_decomposition(n):
     # the summands of every product, read through the cache, then each
-    # product decomposed afresh with no scan cached
+    # product, the zero ones too, decomposed afresh with no scan cached;
+    # a zero product is no key of the scan cache and has no summands
     nakayama.clear_caches()
     keys = _canonical_keys(n, 2)
     memo = {key: canonical_summands(*key) for key in keys}
     products = {_effective(*_canonical_product(*key)) for key in keys}
-    assert products <= set(_SCAN_CACHE)
     assert len(products) < len(keys)
+    assert not any(t.is_zero() for t, _ in _SCAN_CACHE)
+    assert all(memo[key] == () for key in keys
+               if _canonical_product(*key)[0].is_zero())
+    assert {(t, bound) for t, bound in products if t.total_dim} \
+        <= set(_SCAN_CACHE)
     for key in keys:
         _SCAN_CACHE.clear()
         fresh = decompose(*_canonical_product(*key))
