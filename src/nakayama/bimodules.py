@@ -504,8 +504,11 @@ def regular_bimodule(n: int) -> Bimodule:
 
 
 def catalog_labels(n: int, max_valleys: int) -> List[StringLabel]:
-    """All catalog labels with up to the given number of valleys, in a fixed
-    deterministic order."""
+    """All catalog labels with up to the given number of valleys, in the
+    label order of ``decomposition._label_sort_key``: valley count (none
+    for P and L first), then family in ``FAMILIES`` order, then i, then j.
+    The label at (kind, i, j) has index kind * n * n + (i-1) * n + (j-1),
+    each (family, k) being a kind."""
     out = []
     for fam in ("P", "L"):
         for i in range(1, n + 1):

@@ -21,9 +21,10 @@ in-catalog summands become steps between states: the left steps of a
 node depend only on its kind (family, k) and column, and reach whole
 columns; the right steps depend on its kind and row, and reach whole
 rows.  Reachability on these states is found once per kind, from column
-or row 1, and moved along the torus.  A two-sided reach is a set of
-column states, row states and whole kinds, and no per-node reach set is
-built.  Each factor of a canonical product is built once, a zero product
+or row 1, and moved along the torus.  Every two-sided cell is a union of
+whole kinds, so the two-sided classes and their order are read off the
+kinds each kind reaches, and a class is expanded to its nodes only for
+output.  Each factor of a canonical product is built once, a zero product
 builds no module, and products equal as bimodules are decomposed once.
 """
 
@@ -37,7 +38,6 @@ from typing import Callable, FrozenSet, List, Sequence, Set, Tuple
 from .algebras import residue
 from .bimodules import StringLabel, catalog_labels, construct
 from .decomposition import (
-    _label_sort_key,
     _summands,
     canonical_summands,
     cell_chain_position,
@@ -143,18 +143,19 @@ def _orbit_cells(left_steps: Steps, right_steps: Steps, n: int):
     the two-sided ones.
 
     Returns ``(left, right, two_sided, above, total)``.  ``two_sided``
-    lists each class from its least node, in the order of those nodes;
-    ``above`` holds the index pairs (a, b) where class a lies strictly
-    above class b, and ``total`` is False when two classes are
+    lists each class, its nodes ascending, in the order of their least
+    nodes; ``above`` holds the index pairs (a, b) where class a lies
+    strictly above class b, and ``total`` is False when two classes are
     incomparable.
 
     Every reach is found once per kind and moved along the torus.  From
     a node, left steps reach column states and right steps row states.
     A right step out of a column state, or a left step out of a row
     state, reaches every node of a kind, and so does any step out of a
-    whole kind.  So each kind's node at 0|0 has one reach triple: column
-    states, row states and whole kinds, and whether a node reaches
-    another is one test after the other is moved by its anchor.
+    whole kind.  When each kind's node at 0|0 reaches every node of its
+    own kind, every node of a kind reaches every node of each kind that
+    one of them reaches, so the two-sided classes are unions of kinds
+    and read off the kinds' reach; RuntimeError otherwise.
     """
     size = n * n
     left_reach = _state_reach(left_steps, n)
@@ -164,8 +165,9 @@ def _orbit_cells(left_steps: Steps, right_steps: Steps, n: int):
     right = _line_classes(right_reach, n,
                           lambda kind, t, o: kind * size + t * n + o)
 
-    whole = []
-    for kind in range(len(left_steps)):
+    kinds = range(len(left_steps))
+    reach = []  # the kinds that each kind reaches, itself included
+    for kind in kinds:
         found = {h for g, _ in left_reach[kind] for h, _ in right_steps[g]}
         found |= {h for g, _ in right_reach[kind] for h, _ in left_steps[g]}
         frontier = list(found)
@@ -175,53 +177,36 @@ def _orbit_cells(left_steps: Steps, right_steps: Steps, n: int):
                 if h not in found:
                     found.add(h)
                     frontier.append(h)
-        whole.append(found)
+        # node 0|0 reaches node i|j of its kind through a whole kind, its
+        # column state j or its row state i
+        cols = [j for j in range(n) if (kind, j) not in left_reach[kind]]
+        rows = [i for i in range(n) if (kind, i) not in right_reach[kind]]
+        if kind not in found and any(i or j for i in rows for j in cols):
+            raise RuntimeError(
+                f"node 0|0 of kind {kind} does not reach every node of its "
+                "kind, so the two-sided classes are not unions of kinds")
+        reach.append(found | {kind} | {g for g, _ in left_reach[kind]}
+                     | {g for g, _ in right_reach[kind]})
 
-    def reaches(b: int, g: int) -> bool:
-        """Whether node b reaches node g by steps of either side."""
-        kb, (ib, jb) = b // size, divmod(b % size, n)
-        kg, (ig, jg) = g // size, divmod(g % size, n)
-        return (b == g or kg in whole[kb]
-                or (kg, (jg - jb) % n) in left_reach[kb]
-                or (kg, (ig - ib) % n) in right_reach[kb])
-
-    count = len(left_steps) * size
-    # the class of each kind's node at 0|0, ascending; every other class
-    # is one of these moved along the torus.  The node reaches itself and
-    # what its reach triple lists, so only the way back is tested.
-    base = []
-    for kind, (cols, rows) in enumerate(zip(left_reach, right_reach)):
-        ahead = [kind * size] + [g * size + o for g in whole[kind]
-                                 for o in range(size)]
-        ahead += [g * size + o * n + t for g, t in cols for o in range(n)]
-        ahead += [g * size + t * n + o for g, t in rows for o in range(n)]
-        base.append(sorted(g for g in set(ahead) if reaches(g, kind * size)))
-    two_sided: List[List[int]] = []
-    reps = []  # the least node of each class
-    placed = [False] * count
-    for b in range(count):
-        if placed[b]:
-            continue
-        kind, (i, j) = b // size, divmod(b % size, n)
-        members = [g - g % size + (g % size // n + i) % n * n
-                   + (g % n + j) % n for g in base[kind]]
-        for g in members:
-            placed[g] = True
-        two_sided.append(members)
-        reps.append(b)
-
+    classes: List[List[int]] = []  # the kinds of each class, ascending
+    for kind in kinds:
+        if all(kind not in cls for cls in classes):
+            classes.append([g for g in kinds
+                            if g in reach[kind] and kind in reach[g]])
     above = set()
     total = True
-    for a, ra in enumerate(reps):
-        for b, rb in enumerate(reps):
+    for a, ca in enumerate(classes):
+        for b, cb in enumerate(classes):
             if a == b:
                 continue
-            a_above_b = reaches(rb, ra)
-            b_above_a = reaches(ra, rb)
+            a_above_b = ca[0] in reach[cb[0]]
+            b_above_a = cb[0] in reach[ca[0]]
             if a_above_b and not b_above_a:
                 above.add((a, b))
             elif not a_above_b and not b_above_a:
                 total = False
+    two_sided = [[g * size + o for g in cls for o in range(size)]
+                 for cls in classes]
     return left, right, two_sided, above, total
 
 
@@ -322,11 +307,11 @@ def compute_cells(n: int, max_valleys: int) -> CellStructure:
     left_classes, right_classes, two_classes, above, total = _orbit_cells(
         *_product_steps(labels, n), n)
 
+    # catalog_labels lists labels in label order, so ascending nodes give
+    # ascending labels; each two-sided class comes with its nodes ascending
     def as_labels(classes: List[List[int]]) -> List[List[StringLabel]]:
-        cells = [sorted((labels[i] for i in cls), key=_label_sort_key)
-                 for cls in classes]
-        cells.sort(key=lambda cell: _label_sort_key(cell[0]))
-        return cells
+        return [[labels[i] for i in cls]
+                for cls in sorted(map(sorted, classes))]
 
     left_cells = as_labels(left_classes)
     right_cells = as_labels(right_classes)
@@ -334,8 +319,7 @@ def compute_cells(n: int, max_valleys: int) -> CellStructure:
     order = sorted(range(len(two_classes)),
                    key=lambda ci: sum((cj, ci) in above
                                       for cj in range(len(two_classes))))
-    two_sided = [sorted((labels[i] for i in two_classes[ci]),
-                        key=_label_sort_key) for ci in order]
+    two_sided = [[labels[i] for i in two_classes[ci]] for ci in order]
     # each cell is named by its computed chain position, which must be the
     # position that the valley count of every member predicts
     for pos, cell in enumerate(two_sided):

@@ -9,12 +9,15 @@ import nakayama
 from nakayama.bimodules import StringLabel, catalog_labels
 from nakayama import cells, decomposition
 from nakayama.cells import (
+    _line_classes,
     _orbit_cells,
     _product_steps,
+    _state_reach,
     compute_cells,
     is_idempotent_cell,
 )
 from nakayama.decomposition import (
+    _label_sort_key,
     canonical_summands,
     cell_chain_position,
     cell_name,
@@ -326,8 +329,9 @@ def test_product_steps_expand_to_the_divisibility_edges(n, max_valleys):
             == _divisibility_edges(labels, n))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
-@pytest.mark.parametrize("max_valleys", [1, 2])
+@pytest.mark.parametrize("max_valleys, n",
+                         [(v, n) for v in (1, 2) for n in range(1, 7)]
+                         + [(4, 12), (1, 24)])
 def test_orbit_cells_match_per_node_closures(n, max_valleys):
     # every cell list, order pair and the totality flag
     assert (compute_cells(n, max_valleys)
@@ -356,10 +360,52 @@ def _step_tables(draw):
     return draw(table), draw(table), n
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def _kinds_reach_their_nodes(up, kinds, n):
+    """Whether each kind's node 0 reaches every node of its kind, by the
+    per-node closure of the one-step bitmasks ``up``."""
+    size = n * n
+    reach = _close_reachability(up, kinds * size)
+    whole = (1 << size) - 1
+    return all(reach[kind * size] >> kind * size & whole == whole
+               for kind in range(kinds))
+
+
+@settings(max_examples=550, deadline=None, derandomize=True, database=None)
 @given(_step_tables())
 def test_state_closure_matches_per_node_closures(tables):
+    # the left and right classes on every table; the two-sided ones, their
+    # order and totality where they are unions of kinds, else a raise
     left_steps, right_steps, n = tables
-    assert (_canonical(_orbit_cells(left_steps, right_steps, n))
-            == _canonical(oracle_classes(
-                *_step_edges(left_steps, right_steps, n))))
+    size = n * n
+    up_left, up_right = _step_edges(left_steps, right_steps, n)
+    want = _canonical(oracle_classes(up_left, up_right))
+    left = _line_classes(_state_reach(left_steps, n), n,
+                         lambda kind, t, o: kind * size + o * n + t)
+    right = _line_classes(_state_reach(right_steps, n), n,
+                          lambda kind, t, o: kind * size + t * n + o)
+    assert [sorted(sorted(c) for c in left),
+            sorted(sorted(c) for c in right)] == list(want[:2])
+    merged = [a | b for a, b in zip(up_left, up_right)]
+    if _kinds_reach_their_nodes(merged, len(left_steps), n):
+        assert (_canonical(_orbit_cells(left_steps, right_steps, n))
+                == want)
+    else:
+        with pytest.raises(RuntimeError, match="not unions of kinds"):
+            _orbit_cells(left_steps, right_steps, n)
+
+
+def test_a_kind_that_misses_its_own_nodes_raises():
+    # with no steps, node 0|0 reaches only itself, not the other three
+    # nodes of its kind
+    with pytest.raises(RuntimeError,
+                       match=r"node 0\|0 of kind 0 does not reach"):
+        _orbit_cells([set()], [set()], 2)
+
+
+@pytest.mark.parametrize("n, max_valleys",
+                         [(n, v) for n in range(1, 7) for v in range(4)]
+                         + [(48, 1)])
+def test_catalog_lists_labels_in_label_order(n, max_valleys):
+    # compute_cells sorts catalog indices in place of labels
+    labels = catalog_labels(n, max_valleys)
+    assert labels == sorted(labels, key=_label_sort_key)
