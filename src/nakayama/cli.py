@@ -16,7 +16,7 @@ import json
 import os
 import sys
 from math import comb
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from .algebras import build_nakayama, build_torus
 from .bimodules import (
@@ -314,22 +314,35 @@ _COMMANDS = {
 }
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
+def _parser(names: Iterable[str]
+            ) -> Tuple[argparse.ArgumentParser, argparse.Action]:
+    """The parser of the named commands, with their arguments, and its
+    subparsers action."""
     parser = argparse.ArgumentParser(
         prog="nakayama",
         description="Exact bimodule calculus over radical-square-zero "
                     "cyclic Nakayama algebras")
     subs = parser.add_subparsers(dest="command", required=True)
-    # the top level takes no option values, so the command argparse runs,
-    # if any, is the first command name in argv: only it needs arguments
-    named = next((item for item in argv if item in _COMMANDS), None)
-    for name, (summary, specs, _) in _COMMANDS.items():
+    for name in names:
+        summary, specs, _ = _COMMANDS[name]
         sub = subs.add_parser(name, help=summary)
-        if name == named:
-            for flag, options in (*specs, *_OUTPUT):
-                sub.add_argument(flag, **options)
-    args = parser.parse_args(argv)
+        for flag, options in (*specs, *_OUTPUT):
+            sub.add_argument(flag, **options)
+    return parser, subs
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    # a command named first is the only one argparse needs; any other
+    # argv, or one that command leaves unparsed, goes to the parser of
+    # every command, whose help and errors list them all
+    named = argv[0] if argv and argv[0] in _COMMANDS else None
+    if named:
+        parser, subs = _parser([named])
+        args, extras = parser.parse_known_args(argv)
+    if not named or extras:
+        parser, subs = _parser(_COMMANDS)
+        args = parser.parse_args(argv)
     try:
         payload, lines, ok = _COMMANDS[args.command][2](args)
     except argparse.ArgumentTypeError as err:

@@ -4,8 +4,9 @@ Every bimodule arising from tensor products of catalog members decomposes
 into projective-injectives, simples, and strings; no bands appear.  Each
 catalog member X has a local endomorphism ring with residue field Q, so
 the multiplicity of X in T is the rank of the exact trace pairing between
-Hom(X, T) and Hom(T, X).  The decomposer reads off those ranks, largest
-candidates first, and certifies them twice: by a split pair per summand,
+Hom(X, T) and Hom(T, X).  For a piece that is not read as a walk
+(below), the decomposer reads off those ranks, largest candidates
+first, and certifies them twice: by a split pair per summand,
 whose retraction is solved on sparse rows with no dense matrix, and by
 dimension balance, since the multiplicities times the dimension vectors
 must fit inside dim T.  Whatever the catalog does not account for is
@@ -23,8 +24,24 @@ partial permutations (Butler and Ringel, Comm. Algebra 15, 1987), and so
 do the pair-class bases of the products ``tensor`` builds, so a
 product's pieces are as a rule its summands.  Ranks and residuals add up
 over the pieces, and a hom system pays for one piece instead of all of
-T.  Nothing is assumed of a piece: an indecomposable or a band is
-decomposed or left as residual just as it would be inside T.
+T.
+
+A string module is determined by its walk (Butler and Ringel; Wald and
+Waschbüsch, J. Algebra 95, 1985), so a piece whose basis graph is a
+path, with at most one entry per row and per column of each arrow, is
+read as one walk: its steps, each an arrow kind taken along or against
+the arrow, from the end whose steps are least, its start vertex and the
+entry on each step.  Only the kinds of its dimension can match, and
+their steps are read off the catalog walks at 1|1 with no module built;
+the anchor moves the kind's start onto the piece's.  The certificate
+rebases the piece along its walk, each basis vector moved to its slot in
+the catalog member's basis and scaled so that every step's entry is 1,
+and the rebased module must equal the catalog member, or RuntimeError:
+an exact isomorphism of monomial bases, with no hom solved.  Nothing
+else is assumed of a piece: P's square, a band, a string in a basis that
+is not monomial, or a walk past the valley bound is scanned by trace
+pairing, and an indecomposable that is no catalog member is left as
+residual just as it would be inside T.
 
 A module's scan, its residual and summand labels in candidate order, is
 a function of its value and is cached by it, for a product and a piece
@@ -46,15 +63,18 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
-from .algebras import Vertex, arrow_target, residue
+from .algebras import CoverVertex, Vertex, arrow_target, residue
 from .bimodules import (
     FAMILIES,
+    ArrowKey,
     Bimodule,
     BimoduleMap,
     HomSpace,
     StringLabel,
+    _walk,
     catalog_labels,
     construct,
     trace_pairing,
@@ -206,14 +226,24 @@ def _pieces(t: Bimodule) -> List[Bimodule]:
         for v, rows in at.items():
             for k, r in enumerate(rows):
                 piece_of[base[v] + r], local[base[v] + r] = q, k
-    arrows: List[dict] = [{} for _ in groups]
+    # a piece's column keeps its rows in ascending order, so each piece
+    # takes its views as they are filled
+    dims = [{v: len(rows) for v, rows in at.items()}
+            for at in groups.values()]
+    views: List[Dict[ArrowKey, list]] = [{} for _ in groups]
     for (kind, i, j), cols in t.arrow_views.items():
         src, tgt = base[(i, j)], base[arrow_target(kind, i, j, t.n)]
         for c, col in enumerate(cols):
-            arrows[piece_of[src + c]].setdefault((kind, i, j), []).extend(
-                (local[tgt + r], local[src + c], e) for r, e in col)
-    return [Bimodule(t.n, {v: len(rows) for v, rows in at.items()},
-                     arrows[q]) for q, at in enumerate(groups.values())]
+            if col:
+                q = piece_of[src + c]
+                view = views[q].get((kind, i, j))
+                if view is None:
+                    view = views[q][(kind, i, j)] = [()] * dims[q][(i, j)]
+                view[local[src + c]] = tuple((local[tgt + r], e)
+                                             for r, e in col)
+    return [Bimodule(t.n, dims[q], {}, views={
+                key: tuple(view) for key, view in views[q].items()})
+            for q in range(len(groups))]
 
 
 @dataclass
@@ -278,6 +308,155 @@ def _candidates(n: int, max_valleys: int, dims: Mapping[Vertex, int],
             yield label, (x if label == origin else construct(label, n))
 
 
+# a connected module read as one walk: its basis vectors (vertex, index)
+# in walk order, the step from each to the next as (arrow kind, +1 along
+# the arrow or -1 against it), and the arrow entry on each step
+Node = Tuple[Vertex, int]
+Step = Tuple[str, int]
+Walk = Tuple[List[Node], List[Step], list]
+
+
+def _reversed_walk(walk: Walk) -> Walk:
+    nodes, steps, scalars = walk
+    return (nodes[::-1], [(kind, -way) for kind, way in reversed(steps)],
+            scalars[::-1])
+
+
+def _read_walk(t: Bimodule) -> Optional[Walk]:
+    """t's basis graph read as one walk, or None if it is not a path.
+
+    Each arrow view must hold at most one entry per column and per row,
+    and the graph must have one edge fewer than nodes, no node of degree
+    above 2, and one end from which the walk reaches every node.  The
+    walk is read from the end whose steps are least.  A palindrome would
+    put two edges of one kind both into or both out of its middle node,
+    which is two entries in one row or one column, so that end is unique.
+    """
+    links: Dict[Node, list] = {}
+    edges = 0
+    for (kind, i, j), cols in t.arrow_views.items():
+        tgt, rows = arrow_target(kind, i, j, t.n), set()
+        for c, col in enumerate(cols):
+            if len(col) > 1:
+                return None
+            for r, e in col:
+                if r in rows:
+                    return None
+                rows.add(r)
+                links.setdefault(((i, j), c), []).append(
+                    ((tgt, r), (kind, 1), e))
+                links.setdefault((tgt, r), []).append(
+                    (((i, j), c), (kind, -1), e))
+                edges += 1
+    if edges != t.total_dim - 1 or any(len(x) > 2 for x in links.values()):
+        return None
+    if t.total_dim == 1:
+        return [(min(t.dims), 0)], [], []
+    end = next((node for node, near in links.items() if len(near) == 1),
+               None)
+    if end is None:
+        return None
+    nodes, steps, scalars = [end], [], []
+    while len(nodes) < t.total_dim:
+        ahead = [link for link in links[nodes[-1]]
+                 if len(nodes) == 1 or link[0] != nodes[-2]]
+        if not ahead:
+            return None  # the rest of the graph is cycles
+        node, step, e = ahead[0]
+        nodes.append(node)
+        steps.append(step)
+        scalars.append(e)
+    back = _reversed_walk((nodes, steps, scalars))
+    return back if back[1] < steps else (nodes, steps, scalars)
+
+
+def _catalog_walk(label: StringLabel) -> Tuple[List[Step], CoverVertex,
+                                                bool]:
+    """The steps of label's walk (``_walk``), read from the end whose
+    steps are least, that end's cover point, and whether it is the walk's
+    last point.  Each edge of a string's walk joins consecutive points."""
+    pts, edges = _walk(label)
+    ways = {min(a, b): (kind, 1 if a < b else -1) for a, b, kind in edges}
+    steps = [ways[m] for m in range(len(pts) - 1)]
+    back = [(kind, -way) for kind, way in reversed(steps)]
+    return (back, pts[-1], True) if back < steps else (steps, pts[0], False)
+
+
+def _name_walk(walk: Walk, n: int,
+               bound: int) -> Optional[Tuple[StringLabel, Walk]]:
+    """The catalog label, up to bound valleys, whose walk has walk's
+    steps, and walk turned to run in that label's walk order.
+
+    Only the kinds of walk's dimension d can match: L when d = 1,
+    W^((d-1)/2) and M^((d-3)/2) when d is odd, and S^((d-2)/2) and
+    N^((d-2)/2) when it is even.  Each kind's steps are read off its walk
+    at 1|1, and the anchor moves its start onto walk's start."""
+    d = len(walk[0])
+    if d == 1:
+        kinds = [("L", None)]
+    elif d % 2:
+        kinds = [("W", (d - 1) // 2), ("M", (d - 3) // 2)]
+    else:
+        kinds = [("S", (d - 2) // 2), ("N", (d - 2) // 2)]
+    (i, j), _ = walk[0][0]
+    for family, k in kinds:
+        if k is not None and k > bound:
+            continue
+        steps, start, last = _catalog_walk(StringLabel(family, 1, 1, k))
+        if steps == walk[1]:
+            label = StringLabel(family, residue(i - start.a + 1, n),
+                                residue(j - start.b + 1, n), k)
+            return label, (_reversed_walk(walk) if last else walk)
+    return None
+
+
+def _certify(t: Bimodule, walk: Walk, label: StringLabel) -> None:
+    """Raise RuntimeError unless t, rebased along walk, is construct(label).
+
+    walk runs in label's walk order.  Node m of it goes to the slot that
+    node m of label's walk takes in construct's basis, the nodes at each
+    vertex stacked in walk order as ``_walk_module`` stacks them, and is
+    scaled so that every step's entry becomes the catalog's 1.  Every
+    entry of t is carried over by that change of basis, which permutes
+    and scales basis vectors, so equality is an exact isomorphism and no
+    map is built."""
+    nodes, steps, scalars = walk
+    scale = [Fraction(1)]
+    for (_, way), e in zip(steps, scalars):
+        scale.append(scale[-1] * e if way > 0 else Fraction(scale[-1], e))
+    slot: Dict[Node, Tuple[int, int]] = {}
+    dims: Dict[Vertex, int] = {}
+    for m, (v, r) in enumerate(nodes):
+        slot[v, r] = m, dims.get(v, 0)
+        dims[v] = dims.get(v, 0) + 1
+    arrows: Dict[ArrowKey, list] = {}
+    for (kind, i, j), cols in t.arrow_views.items():
+        tgt = arrow_target(kind, i, j, t.n)
+        entries = arrows[kind, i, j] = []
+        for c, col in enumerate(cols):
+            a, col_slot = slot[(i, j), c]
+            for r, e in col:
+                b, row_slot = slot[tgt, r]
+                entries.append((row_slot, col_slot,
+                                Fraction(e * scale[a], scale[b])))
+    if Bimodule(t.n, dims, arrows) != construct(label, t.n):
+        raise RuntimeError(f"a piece read as the walk of {label} does not "
+                           "rebase onto it")
+
+
+def _walk_scan(t: Bimodule, bound: int) -> Optional[StringLabel]:
+    """The one summand of a connected t whose basis graph is a walk of a
+    catalog member up to bound valleys, certified (``_certify``); None
+    for any other t."""
+    walk = _read_walk(t)
+    named = None if walk is None else _name_walk(walk, t.n, bound)
+    if named is None:
+        return None
+    label, walk = named
+    _certify(t, walk, label)
+    return label
+
+
 # a module's scan: its residual dimension and its summand labels, each
 # repeated by its multiplicity, in candidate order
 Scan = Tuple[int, Tuple[StringLabel, ...]]
@@ -294,15 +473,13 @@ def _scan(t: Bimodule, max_valleys: int,
     adds up the scans of its pieces, each scanned as connected under its
     own key: residuals add, and summands merge in candidate order.  A
     connected t has its relations checked (a module of several pieces
-    satisfies them when each piece does) and is scanned against the
-    candidates, largest first, skipping any whose dimension vector does
-    not fit in what is still unaccounted for (total dimension first).
-    The multiplicity of the rest is the rank of their trace pairing with
-    t, the multiplicities times the dimension vectors must fit inside
-    dim t (dimension balance, or RuntimeError), and what is left is t's
-    residual.  Each hit is certified by a split pair (``_split_pair``),
-    which the scan does not keep.  A scan is an int and a tuple of
-    frozen labels, so no caller can change a cached one.
+    satisfies them when each piece does).  If its basis graph is a walk
+    with the steps of a catalog string up to the bound, t is that one
+    string, with residual 0, certified by an exact rebasing onto it
+    (``_walk_scan``); any other connected t, such as P's square, a band
+    or a string in a basis that is not monomial, is scanned by trace
+    pairing (``_pairing_scan``).  A scan is an int and a tuple of frozen
+    labels, so no caller can change a cached one.
     """
     bound = _scan_bound(t.total_dim, max_valleys)
     key = (t, bound)
@@ -317,32 +494,47 @@ def _scan(t: Bimodule, max_valleys: int,
                               for label in labels), key=_candidate_key)))
     else:
         t.check_relations()
-        left = dict(t.dims)
-        remaining = t.total_dim
-        summands: List[StringLabel] = []
-        for label, x in _candidates(t.n, bound, t.dims):
-            if not remaining:
-                break
-            if x.total_dim > remaining or any(
-                    d > left.get(v, 0) for v, d in x.dims.items()):
-                continue
-            sigmas, pis, g = trace_pairing(x, t)
-            mult = sparse_rank(g, len(pis))
-            if not mult:
-                continue
-            for v, d in x.dims.items():
-                left[v] -= mult * d
-                if left[v] < 0:
-                    raise RuntimeError(
-                        f"dimension balance fails at {v}: {label} occurs "
-                        f"{mult} times in a piece of dimension "
-                        f"{t.total_dim}")
-            remaining -= mult * x.total_dim
-            _split_pair(x, sigmas, pis, g)
-            summands.extend([label] * mult)
-        scan = (remaining, tuple(summands))
+        label = _walk_scan(t, bound)
+        scan = (_pairing_scan(t, bound) if label is None
+                else (0, (label,)))
     _SCAN_CACHE[key] = scan
     return scan
+
+
+def _pairing_scan(t: Bimodule, bound: int) -> Scan:
+    """t's scan against the candidates up to bound valleys, largest first,
+    by trace pairing.
+
+    A candidate whose dimension vector does not fit in what is still
+    unaccounted for (total dimension first) is skipped.  The multiplicity
+    of the rest is the rank of their trace pairing with t, the
+    multiplicities times the dimension vectors must fit inside dim t
+    (dimension balance, or RuntimeError), and what is left is t's
+    residual.  Each hit is certified by a split pair (``_split_pair``),
+    which the scan does not keep."""
+    left = dict(t.dims)
+    remaining = t.total_dim
+    summands: List[StringLabel] = []
+    for label, x in _candidates(t.n, bound, t.dims):
+        if not remaining:
+            break
+        if x.total_dim > remaining or any(
+                d > left.get(v, 0) for v, d in x.dims.items()):
+            continue
+        sigmas, pis, g = trace_pairing(x, t)
+        mult = sparse_rank(g, len(pis))
+        if not mult:
+            continue
+        for v, d in x.dims.items():
+            left[v] -= mult * d
+            if left[v] < 0:
+                raise RuntimeError(
+                    f"dimension balance fails at {v}: {label} occurs "
+                    f"{mult} times in a piece of dimension {t.total_dim}")
+        remaining -= mult * x.total_dim
+        _split_pair(x, sigmas, pis, g)
+        summands.extend([label] * mult)
+    return remaining, tuple(summands)
 
 
 def _scan_bound(dim: int, max_valleys: int) -> int:

@@ -540,3 +540,53 @@ def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
     assert err.value.code == 2
     assert capsys.readouterr().err.splitlines()[-1] == (
         "nakayama catalog: error: argument --n: must be at least 1")
+
+
+# the usage line of the parser of every command
+USAGE = "usage: nakayama [-h] {" + ",".join(COMMANDS) + "} ..."
+
+
+def usage_error(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    out, errors = capsys.readouterr()
+    assert not out
+    return errors
+
+
+def test_an_unknown_option_before_a_command_lists_every_command(
+        capsys, monkeypatch):
+    # argparse builds only the named command's parser, unless something is
+    # left unparsed: then the parser of every command reports it
+    errors = usage_error(capsys, monkeypatch,
+                         ["--bogus", "multable", "--n", "1", "--k", "2"])
+    assert errors == (f"{USAGE}\n"
+                      "nakayama: error: unrecognized arguments: --bogus\n")
+    errors = usage_error(capsys, monkeypatch,
+                         ["multable", "--n", "1", "extra"])
+    assert errors == (f"{USAGE}\n"
+                      "nakayama: error: unrecognized arguments: extra\n")
+
+
+def test_an_invalid_command_lists_every_command(capsys, monkeypatch):
+    errors = usage_error(capsys, monkeypatch, ["bogus", "--n", "1"])
+    usage, message = errors.splitlines()
+    assert usage == USAGE
+    head = "nakayama: error: argument command: invalid choice: 'bogus' " \
+           "(choose from "
+    assert message.startswith(head)
+    listed = [name.strip(" '") for name in
+              message[len(head):].rstrip(")").split(",")]
+    assert listed == list(COMMANDS)
+
+
+@pytest.mark.parametrize("argv", [["--help", "multable"],
+                                  ["-h", "tensor", "--n", "1"]])
+def test_help_before_a_command_lists_every_command(capsys, monkeypatch,
+                                                   argv):
+    text = help_text(capsys, monkeypatch, argv)
+    assert text.startswith(USAGE)
+    for name, (summary, _) in COMMANDS.items():
+        assert f"{name} {summary}" in text

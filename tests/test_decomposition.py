@@ -52,6 +52,7 @@ from dense_helpers import (
     dense_split_pair,
     identity,
     module_from_matrices,
+    rescaled,
 )
 
 
@@ -226,6 +227,7 @@ def test_products_are_tallied_with_no_map(monkeypatch, sweep, n, k):
 @pytest.mark.usefixtures("cold_caches")
 def test_decompose_pairs_no_candidate_larger_than_what_is_left(
         monkeypatch, n, u, v, max_valleys):
+    # the pairing scan itself: the scan reads these pieces as walks
     t = tensor(construct(u, n), construct(v, n))
     calls = []
 
@@ -235,7 +237,7 @@ def test_decompose_pairs_no_candidate_larger_than_what_is_left(
         return out
 
     monkeypatch.setattr(decomposition, "trace_pairing", counting_pairing)
-    residual, _ = decomposition._scan(t, max_valleys)
+    residual, _ = decomposition._pairing_scan(t, max_valleys)
     assert calls and residual == 0
     remaining = t.total_dim
     for dim, mult in calls:
@@ -835,8 +837,9 @@ def test_candidates_are_the_sorted_catalog_members_that_fit(n):
 @pytest.mark.usefixtures("cold_caches")
 def test_decompose_refuses_a_multiplicity_past_the_dimension(monkeypatch):
     # a pairing rank read twice too high claims two copies of the one
-    # summand, which no longer fit in the module's dimension vector
-    x = construct(lab("N", 1, 1, 1), 2)
+    # summand, which no longer fit in the module's dimension vector; P's
+    # square is no walk, so it is paired
+    x = construct(lab("P", 1, 1), 2)
 
     def doubled(rows, ncols):
         return 2 * sparse_rank(rows, ncols)
@@ -867,16 +870,145 @@ def test_decompose_refuses_a_tally_the_whole_module_does_not_pair_to(
 
 @pytest.mark.usefixtures("cold_caches")
 def test_canonical_summands_refuse_a_residual(monkeypatch):
-    # with no catalog to search, the whole product is residual,
-    # and a cached scan keeps that residual, so a second call refuses it too
+    # with no catalog to search and no walk read, the whole product is
+    # residual, and a cached scan keeps that residual, so a second call
+    # refuses it too
     monkeypatch.setattr(decomposition, "_candidates",
                         lambda n, k, dims: iter(()))
+    monkeypatch.setattr(decomposition, "_walk_scan", lambda t, bound: None)
     for _ in range(2):
         with pytest.raises(RuntimeError, match="unexpected residual"):
             canonical_summands(2, "N", 1, 1, "N", 1)
     t, max_valleys = _canonical_product(2, "N", 1, 1, "N", 1)
     assert t.total_dim
     assert _SCAN_CACHE[_effective(t, max_valleys)] == (t.total_dim, ())
+
+
+# -- pieces read as walks -----------------------------------------------------
+
+@pytest.mark.parametrize("sweep, n, k", [
+    (multable_check, 1, 1),
+    (multable_check, 1, 2),
+    (multable_check, 1, 3),
+    (multable_check, 1, 4),
+    (compute_cells, 1, 4),
+    (compute_cells, 2, 3),
+    (compute_cells, 3, 2),
+])
+@pytest.mark.usefixtures("cold_caches")
+def test_every_walk_read_agrees_with_the_pairing_scan(sweep, n, k):
+    # every connected module a sweep scans, read as a walk and scanned by
+    # trace pairing; each sweep meets P's square, which is paired
+    sweep(n, k)
+    connected = [key for key in _SCAN_CACHE if len(_pieces(key[0])) == 1]
+    walks = 0
+    for t, bound in connected:
+        label = decomposition._walk_scan(t, bound)
+        paired = decomposition._pairing_scan(t, bound)
+        assert _SCAN_CACHE[t, bound] == paired, t
+        if label is not None:
+            walks += 1
+            assert paired == (0, (label,)), t
+    assert 0 < walks < len(connected)
+
+
+def _walk_of(x, bound=8):
+    walk = decomposition._read_walk(x)
+    assert walk is not None
+    return decomposition._name_walk(walk, x.n, bound)
+
+
+@pytest.mark.parametrize("n, label", [
+    (3, lab("W", 1, 1, 2)),
+    (1, lab("M", 1, 1, 2)),
+    (2, lab("S", 2, 1, 1)),
+    (2, lab("N", 1, 2, 0)),
+    (1, lab("L", 1, 1)),
+])
+def test_a_string_reads_as_its_own_walk(n, label):
+    x = construct(label, n)
+    found, walk = _walk_of(x)
+    assert found == label
+    decomposition._certify(x, walk, label)
+    # read from its other end, a walk's steps are greater, so the end it
+    # is read from does not depend on the order of the arrow views
+    read = decomposition._read_walk(x)
+    back = decomposition._reversed_walk(read)
+    assert back[1] > read[1] or not read[1]
+    assert back[0][::-1] == read[0] and back[2][::-1] == read[2]
+    turned = Bimodule(n, dict(x.dims), {}, views=dict(
+        reversed(list(x.arrow_views.items()))))
+    assert turned == x and decomposition._read_walk(turned) == read
+
+
+def test_a_walk_with_other_scalars_rebases_onto_the_catalog():
+    # the rebasing scales each node, so a step entry of 2/3 reads as 1
+    x = rescaled(lab("W", 1, 1, 2), 3, ("v", 1, 1), Fraction(2, 3))
+    assert x != construct(lab("W", 1, 1, 2), 3)
+    label, walk = _walk_of(x)
+    assert label == lab("W", 1, 1, 2)
+    assert Fraction(2, 3) in walk[2]
+    decomposition._certify(x, walk, label)
+    nakayama.clear_caches()
+    assert decomposition._scan(x, 2) == (0, (label,))
+
+
+@pytest.mark.parametrize("n, label, wrong", [
+    # a wrong anchor
+    (3, lab("W", 1, 1, 2), lab("W", 2, 1, 2)),
+    (1, lab("M", 1, 1, 2), lab("M", 1, 1, 1)),
+    # a wrong kind of the same dimension
+    (3, lab("W", 1, 1, 2), lab("M", 1, 1, 1)),
+    (1, lab("M", 1, 1, 2), lab("W", 1, 1, 3)),
+    (2, lab("S", 1, 1, 1), lab("N", 1, 1, 1)),
+    (1, lab("N", 1, 1, 1), lab("S", 1, 1, 1)),
+])
+def test_the_certificate_refuses_a_wrong_label(n, label, wrong):
+    x = construct(label, n)
+    found, walk = _walk_of(x)
+    assert found == label
+    with pytest.raises(RuntimeError, match="does not rebase onto"):
+        decomposition._certify(x, walk, wrong)
+
+
+def test_the_certificate_refuses_a_wrong_scalar():
+    x = construct(lab("W", 1, 1, 2), 3)
+    label, (nodes, steps, scalars) = _walk_of(x)
+    with pytest.raises(RuntimeError, match="does not rebase onto"):
+        decomposition._certify(x, (nodes, steps, [2] + scalars[1:]), label)
+
+
+def test_a_walk_past_the_bound_is_paired():
+    x = construct(lab("W", 1, 1, 3), 1)
+    assert _walk_of(x, 2) is None
+    assert _walk_of(x, 3)[0] == lab("W", 1, 1, 3)
+
+
+@pytest.mark.parametrize("t, summands", [
+    # P's square, the regular bimodule's band, and strings in a basis that
+    # is no longer monomial
+    (construct(lab("P", 2, 1), 3), (lab("P", 2, 1),)),
+    (regular_bimodule(2), None),
+    (_mixed(construct(lab("N", 1, 1, 1), 1), (1, 1), 0, 1),
+     (lab("N", 1, 1, 1),)),
+    (_mixed(construct(lab("M", 1, 1, 2), 1), (1, 1), 2, 0),
+     (lab("M", 1, 1, 2),)),
+], ids=["P", "regular", "mixed-N", "mixed-M"])
+@pytest.mark.usefixtures("cold_caches")
+def test_a_module_that_is_no_walk_is_paired(monkeypatch, t, summands):
+    calls = []
+
+    def counting_pairing(x, y):
+        calls.append(x)
+        return trace_pairing(x, y)
+
+    monkeypatch.setattr(decomposition, "trace_pairing", counting_pairing)
+    assert len(_pieces(t)) == 1
+    assert decomposition._read_walk(t) is None
+    scan = decomposition._scan(t, 2)
+    assert calls
+    assert scan == (decomposition._pairing_scan(t, 2) if summands is None
+                    else (0, summands))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
